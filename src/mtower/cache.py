@@ -3,13 +3,20 @@
 Keys are sha256 hashes of canonical JSON job descriptors; values are files
 with a versioned header carrying their own payload hash, so corruption is
 detected on read.  Cached reports are returned byte-identical.
+
+A report is one entry: a directory of files plus a manifest of their names,
+built under a temporary name and renamed into place, so an entry is either
+complete or absent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +24,7 @@ import numpy as np
 from .errors import CorruptCache
 
 MAGIC = b"MTCACHE1\n"
+MANIFEST = ".manifest.json"
 
 
 def job_key(descriptor: dict) -> str:
@@ -54,11 +62,45 @@ def cache_get(cache_dir: Path, key: str, name: str) -> bytes | None:
     return payload
 
 
-def cache_list(cache_dir: Path, key: str) -> list[str]:
+def cache_put_entry(cache_dir: Path, key: str, files) -> None:
+    """Publish the (name, payload) pairs of `files` as the entry `key`,
+    replacing any earlier entry.  Pairs are consumed one at a time, so a
+    generator keeps a single payload in memory."""
+    root = Path(cache_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=root))
+    try:
+        names = []
+        for name, payload in files:
+            cache_put(root, tmp.name, name, payload)
+            names.append(name)
+        (tmp / MANIFEST).write_text(json.dumps(sorted(names)))
+        shutil.rmtree(root / key, ignore_errors=True)
+        with contextlib.suppress(OSError):  # another writer published first
+            os.replace(tmp, root / key)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def cache_get_entry(cache_dir: Path, key: str) -> dict[str, bytes] | None:
+    """Every file of the entry `key`, or None when there is no entry.
+
+    Raises CorruptCache when the manifest or a file it lists is missing or
+    does not match its hash."""
     d = Path(cache_dir) / key
     if not d.is_dir():
-        return []
-    return sorted(p.name for p in d.iterdir())
+        return None
+    try:
+        names = json.loads((d / MANIFEST).read_text())
+    except (OSError, ValueError) as e:
+        raise CorruptCache(f"no readable manifest in {d}") from e
+    files = {}
+    for name in names:
+        payload = cache_get(cache_dir, key, name)
+        if payload is None:
+            raise CorruptCache(f"{name} listed but missing in {d}")
+        files[name] = payload
+    return files
 
 
 # -- level serialization --------------------------------------------------------

@@ -14,18 +14,19 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 
 from . import cache as cache_mod
 from . import linalg as la
-from .errors import (BudgetError, EmptyNielsenClass, InputError,
-                     InvariantViolation, MTError)
+from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
+                     InputError, InvariantViolation, MTError)
 from .fp import parse_presentation, todd_coxeter, coset_group
 from .frattini import (FrattiniLevel, dihedral_step, general_level,
                        split_level, split_structure, transport_level,
@@ -63,38 +64,46 @@ def class_id(G: FiniteGroup, label: str) -> int:
     return labels.index(label)
 
 
-def load_group(args) -> tuple[FiniteGroup, str]:
+def load_group(args) -> tuple[FiniteGroup, str, str]:
+    """(group, its name in reports, its name in cache keys).  Groups read
+    from a file are keyed by the sha256 of the file's bytes as well."""
     if getattr(args, "group_file", None):
-        text = Path(args.group_file).read_text()
-        G = FiniteGroup(parse_group_file(text),
+        raw = Path(args.group_file).read_bytes()
+        G = FiniteGroup(parse_group_file(raw.decode()),
                         max_order=args.budget_elements, name="file-group")
-        return G, f"file:{Path(args.group_file).name}:{G.order}"
+        gdesc = f"file:{Path(args.group_file).name}:{G.order}"
+        return G, gdesc, f"{gdesc}:{hashlib.sha256(raw).hexdigest()}"
     if getattr(args, "presentation_file", None):
-        P = parse_presentation(Path(args.presentation_file).read_text())
+        raw = Path(args.presentation_file).read_bytes()
+        P = parse_presentation(raw.decode())
         T = todd_coxeter(P, (), args.budget_cosets)
         G = coset_group(T, name="presented-group")
         G.presentation = P
-        return G, f"pres:{Path(args.presentation_file).name}:{G.order}"
+        gdesc = f"pres:{Path(args.presentation_file).name}:{G.order}"
+        return G, gdesc, f"{gdesc}:{hashlib.sha256(raw).hexdigest()}"
     name = (args.group or "").upper()
     if name == "A4":
-        return alternating_group(4), "A4"
-    if name == "A5":
-        return alternating_group(5), "A5"
-    if name == "K4":
-        return klein_four(), "K4"
-    m = re.fullmatch(r"D(\d+)", name)
-    if m:
-        return dihedral_group(int(m.group(1))), name
-    m = re.fullmatch(r"Z(\d+)", name)
-    if m:
-        return cyclic_group(int(m.group(1))), name
-    raise InputError(f"unknown group {args.group!r}; builtins: A4 A5 K4 Dn Zn")
+        G = alternating_group(4)
+    elif name == "A5":
+        G = alternating_group(5)
+    elif name == "K4":
+        G = klein_four()
+    elif m := re.fullmatch(r"D(\d+)", name):
+        G = dihedral_group(int(m.group(1)))
+    elif m := re.fullmatch(r"Z(\d+)", name):
+        G = cyclic_group(int(m.group(1)))
+    else:
+        raise InputError(f"unknown group {args.group!r}; builtins: A4 A5 K4 Dn Zn")
+    return G, name, name
 
 
-def build_level(G: FiniteGroup, p: int, budget_cosets: int,
-                step: int = 1) -> FrattiniLevel:
-    """One cover level over the concrete group, route chosen by structure:
-    dihedral closed form, split construction, or the relator-tail search."""
+def build_level_model(G: FiniteGroup, p: int, budget_cosets: int,
+                      step: int) -> FrattiniLevel:
+    """One cover level over G, route chosen by structure: dihedral closed
+    form, split construction, or the relator-tail search.  The split route
+    keeps its own base model, whose total carries a small generator-aligned
+    presentation (needed for the universal-extension work in the Schur
+    analysis); the other routes build over G itself."""
     if p > 2 and G.order == 2 * G.degree and G.degree % p == 0:
         try:
             return dihedral_step(G, p)
@@ -106,44 +115,25 @@ def build_level(G: FiniteGroup, p: int, budget_cosets: int,
     if len(normalizer(G, S)) == G.order:
         data = split_structure(G, p)
         H = cyclic_group(G.element_order(data.complement_gen))
-        tower = split_level(data.rank, p, H, [data.action], budget_cosets)
-        iso = find_isomorphism(tower.g0, G)
-        if iso is None:
-            raise InvariantViolation("split model does not match the group")
-        return transport_level(tower.level, iso, G)
+        return split_level(data.rank, p, H, [data.action], budget_cosets).level
     return general_level(G, p, budget_cosets).level
 
 
-def build_level_model(G: FiniteGroup, p: int, budget_cosets: int) -> FrattiniLevel:
-    """Like build_level, but keeps the construction's own base model so the
-    total carries a small generator-aligned presentation (needed for the
-    universal-extension work in the Schur analysis)."""
-    if p > 2 and G.order == 2 * G.degree and G.degree % p == 0:
-        try:
-            return dihedral_step(G, p)
-        except (InputError, AssertionError):
-            pass
-    S = p_sylow(G, p)
-    if len(normalizer(G, S)) == G.order:
-        data = split_structure(G, p)
-        H = cyclic_group(G.element_order(data.complement_gen))
-        tower = split_level(data.rank, p, H, [data.action], budget_cosets)
-        return tower.level
-    return general_level(G, p, budget_cosets).level
-
-
-def _component_payload(spec, orbits, reducer, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(analyze_component, spec, orb, reducer)
-                       for orb in orbits]
-            return [f.result() for f in futures]
-    return [analyze_component(spec, orb, reducer) for orb in orbits]
+def build_level(G: FiniteGroup, p: int, budget_cosets: int,
+                step: int) -> FrattiniLevel:
+    """build_level_model, with a split model transported onto G."""
+    L = build_level_model(G, p, budget_cosets, step)
+    if L.base is G:
+        return L
+    iso = find_isomorphism(L.base, G)
+    if iso is None:
+        raise InvariantViolation("split model does not match the group")
+    return transport_level(L, iso, G)
 
 
 def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
                        p: int, k: int, budget_elements: int,
-                       budget_cosets: int, threads: int) -> dict:
+                       budget_cosets: int) -> dict:
     """The full level-k report payload (byte-stable JSON-ready dict).
 
     Level 0 is enumerated outright; higher levels are seeded by lifting one
@@ -157,7 +147,7 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
     if not reduced:
         raise EmptyNielsenClass(f"Ni({gdesc}, {class_labels}) is empty")
     orbits = mbar4_orbits(spec, reduced, reducer)
-    reports = _component_payload(spec, orbits, reducer, threads)
+    reports = [analyze_component(spec, orb, reducer) for orb in orbits]
     incidence = sh_incidence(reports, reducer)
     payload = {
         "group": gdesc,
@@ -192,7 +182,7 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
         if not seeds:
             raise EmptyNielsenClass(f"nothing lies over level {step - 1}")
         uorbits = mbar4_orbits(lspec, seeds, lreducer)
-        ureports = _component_payload(lspec, uorbits, lreducer, threads)
+        ureports = [analyze_component(lspec, orb, lreducer) for orb in uorbits]
         uincidence = sh_incidence(ureports, lreducer)
         payload["levels"].append({
             "k": step,
@@ -233,36 +223,40 @@ def _emit(payload: dict, report_dir: Path, cache_dir: Path | None,
         files[f"orbits_L{lvl}.json"] = json.dumps(dump, indent=1) + "\n"
     for name, text in files.items():
         (report_dir / name).write_text(text)
-        if cache_dir is not None and key is not None:
-            cache_mod.cache_put(cache_dir, key, name, text.encode())
+    if cache_dir is not None and key is not None:
+        cache_mod.cache_put_entry(
+            cache_dir, key, ((name, text.encode()) for name, text in files.items()))
 
 
 def _restore_from_cache(cache_dir: Path, key: str, report_dir: Path) -> bool:
-    names = cache_mod.cache_list(cache_dir, key)
-    if not names:
+    """Write a cached report into report_dir; False on a miss.  An entry
+    that is incomplete or corrupt counts as a miss, with a warning."""
+    try:
+        files = cache_mod.cache_get_entry(cache_dir, key)
+    except CorruptCache as e:
+        print(f"warning: unusable cache entry, recomputing: {e}", file=sys.stderr)
+        return False
+    if files is None:
         return False
     report_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        payload = cache_mod.cache_get(cache_dir, key, name)
-        assert payload is not None
+    for name, payload in files.items():
         (report_dir / name).write_bytes(payload)
     return True
 
 
 def cmd_level(args) -> int:
-    G, gdesc = load_group(args)
+    G, gdesc, gkey = load_group(args)
     labels = [s.strip() for s in args.classes.split(",")]
     cache_dir = Path(args.cache) if args.cache else cache_mod.default_cache_dir()
     key = cache_mod.job_key({
-        "cmd": "level", "group": gdesc, "classes": labels, "p": args.p,
+        "cmd": "level", "group": gkey, "classes": labels, "p": args.p,
         "k": args.k, "version": VERSION})
     report_dir = Path(args.report)
     if not args.no_cache and _restore_from_cache(cache_dir, key, report_dir):
         print(f"cache hit {key[:12]} -> {report_dir}")
         return 0
     payload = run_level_analysis(G, gdesc, labels, args.p, args.k,
-                                 args.budget_elements, args.budget_cosets,
-                                 args.threads)
+                                 args.budget_elements, args.budget_cosets)
     _emit(payload, report_dir, None if args.no_cache else cache_dir, key)
     top = payload["levels"][-1]["components"]
     print(f"level {args.k}: {len(top)} component(s); "
@@ -274,7 +268,6 @@ def cmd_dihedral(args) -> int:
     if args.p == 2:
         raise InputError("dihedral tower needs an odd prime")
     G = dihedral_group(args.p)
-    args.group = None
     cache_dir = Path(args.cache) if args.cache else cache_mod.default_cache_dir()
     key = cache_mod.job_key({
         "cmd": "dihedral", "p": args.p, "k": args.k, "version": VERSION})
@@ -285,8 +278,7 @@ def cmd_dihedral(args) -> int:
     labels = [label_classes(G)[next(
         i for i, c in enumerate(G.conjugacy_classes()) if c.element_order == 2)]] * 4
     payload = run_level_analysis(G, f"D{args.p}", labels, args.p, args.k,
-                                 args.budget_elements, args.budget_cosets,
-                                 args.threads)
+                                 args.budget_elements, args.budget_cosets)
     _emit(payload, report_dir, None if args.no_cache else cache_dir, key)
     top = payload["levels"][-1]["components"]
     print(f"dihedral level {args.k}: sizes {[c['orbit_size'] for c in top]}, "
@@ -295,7 +287,7 @@ def cmd_dihedral(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    G, gdesc = load_group(args)
+    G, gdesc, _ = load_group(args)
     out: dict = {"group": gdesc, "p": args.p, "quotients": []}
     if args.k == 0:
         quots = enumerate_schur_quotients(G, args.p, args.budget_cosets)
@@ -305,7 +297,7 @@ def cmd_schur(args) -> int:
                 "kernel_gen": str(q.total.perm(q.center_gen)),
             })
     else:
-        L = build_level_model(G, args.p, args.budget_cosets)
+        L = build_level_model(G, args.p, args.budget_cosets, 1)
         quots = enumerate_schur_quotients(L.total, args.p, args.budget_cosets)
         rad_basis = radical(L.kernel_module)
         coord_to_elem = {la.vec_int(L.kernel_coords[e], args.p): e
@@ -342,7 +334,7 @@ def cmd_schur(args) -> int:
 
 
 def cmd_gcomplete(args) -> int:
-    G, gdesc = load_group(args)
+    G, gdesc, _ = load_group(args)
     if args.classes:
         ids = [class_id(G, lab.strip()) for lab in args.classes.split(",")]
         verdict = is_gcomplete(G, ids)
@@ -360,8 +352,8 @@ def cmd_gcomplete(args) -> int:
 
 
 def cmd_frattini_verify(args) -> int:
-    G, gdesc = load_group(args)
-    L = build_level(G, args.p, args.budget_cosets)
+    G, gdesc, _ = load_group(args)
+    L = build_level(G, args.p, args.budget_cosets, 1)
     rep = verify_order_lifting(L)
     frat = verify_frattini(L)
     ld = loewy_layers(L.kernel_module)
@@ -389,53 +381,52 @@ def make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="mt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, classes=False):
-        sp.add_argument("--group", help="builtin name (A4, A5, K4, Dn, Zn)")
-        sp.add_argument("--group-file", help="permutation list file")
-        sp.add_argument("--presentation-file", help="presentation file")
-        if classes:
-            sp.add_argument("--classes", help="comma list of class labels, e.g. 3A,3A,3A,3A")
+    def common(sp):
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--k", type=int, default=0)
         sp.add_argument("--report", default="mt-report")
         sp.add_argument("--cache", default=None)
         sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--budget-elements", type=int, default=1 << 20)
         sp.add_argument("--budget-cosets", type=int, default=1 << 18)
 
-    sp = sub.add_parser("level", help="braid-orbit component analysis")
-    common(sp, classes=True)
-    sp.set_defaults(func=cmd_level)
+    def group_source(sp):
+        sp.add_argument("--group", help="builtin name (A4, A5, K4, Dn, Zn)")
+        sp.add_argument("--group-file", help="permutation list file")
+        sp.add_argument("--presentation-file", help="presentation file")
 
-    sp = sub.add_parser("dihedral", help="odd-prime dihedral tower shadow")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--report", default="mt-report")
-    sp.add_argument("--cache", default=None)
-    sp.add_argument("--no-cache", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--budget-elements", type=int, default=1 << 20)
-    sp.add_argument("--budget-cosets", type=int, default=1 << 18)
-    sp.set_defaults(func=cmd_dihedral)
+    def classes(sp):
+        sp.add_argument("--classes", help="comma list of class labels, e.g. 3A,3A,3A,3A")
 
-    sp = sub.add_parser("schur", help="Z/p Schur quotient analysis")
-    common(sp)
-    sp.set_defaults(func=cmd_schur)
+    def add(name, help_text, func, *flag_sets):
+        sp = sub.add_parser(name, help=help_text)
+        for add_flags in flag_sets + (common,):
+            add_flags(sp)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("gcomplete", help="completeness verdicts")
-    common(sp, classes=True)
-    sp.set_defaults(func=cmd_gcomplete)
-
-    sp = sub.add_parser("frattini-verify", help="cover property checks")
-    common(sp)
-    sp.set_defaults(func=cmd_frattini_verify)
+    add("level", "braid-orbit component analysis", cmd_level, group_source, classes)
+    add("dihedral", "odd-prime dihedral tower shadow", cmd_dihedral)
+    add("schur", "Z/p Schur quotient analysis", cmd_schur, group_source)
+    add("gcomplete", "completeness verdicts", cmd_gcomplete, group_source, classes)
+    add("frattini-verify", "cover property checks", cmd_frattini_verify,
+        group_source)
     return top
+
+
+def check_bounds(args) -> None:
+    """Reject a p or k that no command supports, before any work."""
+    if args.p < 2 or any(args.p % q == 0 for q in range(2, isqrt(args.p) + 1)):
+        raise InputError(f"--p must be prime, got {args.p}")
+    if args.k < 0:
+        raise InputError(f"--k must be >= 0, got {args.k}")
+    if args.command == "schur" and args.k > 1:
+        raise InputError(f"--k must be <= 1 for schur, got {args.k}")
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        check_bounds(args)
         return args.func(args)
     except EmptyNielsenClass as e:
         print(f"empty Nielsen class: {e}", file=sys.stderr)

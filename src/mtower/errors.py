@@ -73,10 +73,6 @@ class RankDeficient(InputError):
     pass
 
 
-class HypothesisUnmet(InputError):
-    pass
-
-
 class ActionLiftFailed(MTError):
     """No compatible lift of the complement action was found."""
 

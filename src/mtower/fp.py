@@ -152,7 +152,6 @@ def _parse_word(text: str, gen_id: dict[str, int]) -> tuple[int, ...]:
 class CosetTable:
     ngens: int
     rows: list[list[int]]            # rows[c][2g] = c*gen_g, rows[c][2g+1] = c*gen_g^-1
-    closed: bool
     rep_words: list[tuple[int, ...]]  # signed word carrying coset 0 to coset c
 
     @property
@@ -320,7 +319,7 @@ def todd_coxeter(P: Presentation, subgroup_words=(), max_cosets: int = 1 << 20) 
         rows.append(row)
 
     rep_words = _bfs_words(rows, P.ngens)
-    return CosetTable(P.ngens, rows, True, rep_words)
+    return CosetTable(P.ngens, rows, rep_words)
 
 
 def _bfs_words(rows: list[list[int]], ngens: int) -> list[tuple[int, ...]]:

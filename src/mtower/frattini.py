@@ -16,6 +16,7 @@ levels and downstream orbit reports are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
 from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
                        induce, submodule_module, trivial_module)
 from .groups import (ConjClass, FiniteGroup, find_isomorphism,
-                     subgroup_from_indices)
+                     generating_set, subgroup_from_indices)
 from .perms import Perm
 
 
@@ -51,10 +52,6 @@ class FrattiniLevel:
     def lifts(self, g: int) -> list[int]:
         s = int(self.section[g])
         return [self.total.mul(s, k) for k in self.kernel_elems]
-
-    def preimage(self, elements) -> list[int]:
-        keep = set(int(x) for x in elements)
-        return [x for x in range(self.total.order) if int(self.proj[x]) in keep]
 
 
 # -- pair model construction -----------------------------------------------------
@@ -98,9 +95,7 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
         raise Collapse(f"pair model closed at {total.order}, expected {npts}")
 
     # element <-> pair bookkeeping via the image of point 0 (regular action)
-    elem_of_point = np.empty(npts, dtype=np.int64)
-    for e in range(npts):
-        elem_of_point[int(total.elements[e][0])] = e
+    elem_of_point = _elem_at_point(total)
     proj = np.empty(npts, dtype=np.int64)
     coords = {}
     for e in range(npts):
@@ -113,6 +108,13 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     info = dict(proj=proj, section=section, kernel=kernel,
                 coords={e: coords[e] for e in kernel})
     return total, info
+
+
+def _elem_at_point(G: FiniteGroup) -> np.ndarray:
+    """Element index by the image of point 0, for G acting regularly."""
+    out = np.empty(G.order, dtype=np.int64)
+    out[G.elements[:, 0]] = np.arange(G.order)
+    return out
 
 
 def level_from_pair_model(base: FiniteGroup, module: GModule, psi: np.ndarray,
@@ -313,12 +315,14 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     if T1.n != p ** (d + dprime):
         raise Collapse(f"P1 closed at {T1.n}, expected {p ** (d + dprime)}")
 
-    # P0 as translation group on F_p^d vectors; generator i = e_i
+    # P0 as translation group on F_p^d vectors; generator i = e_i, and an
+    # element maps point 0 to the base-p code of its vector
     P0 = _vector_group(d, p)
+    p0_elem = _elem_at_point(P0)
     # kernel coordinates inside T1, in the Schreier-generator basis
     kernel_cosets, kcoords = _table_kernel_coords(
-        T1, lambda c: _p0_elem_of_word(P0, T1.rep_words[c], d, p), dprime, p,
-        basis_words=sgens)
+        T1, lambda c: int(p0_elem[_p0_code_of_word(T1.rep_words[c], d, p)]),
+        dprime, p, basis_words=sgens)
     mats0 = []
     for i in range(d):
         rows = []
@@ -335,10 +339,9 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     xwords = _restricted_words(P1, list(range(d)))
 
     # lift the H generator: images of the P1 generators over (e_i) A_h
-    targets = [int(la.vec_int(A_h[i], p)) for i in range(d)]  # P0 elем index = vec int
     cand_lists = []
     for i in range(d):
-        s = int(info1["section"][targets[i]])
+        s = int(info1["section"][p0_elem[la.vec_int(A_h[i], p)]])
         cands = sorted(P1.mul(s, k) for k in info1["kernel"])
         cand_lists.append(cands)
     alpha_images = _find_action_lift(P1, P1_pres, cand_lists, h_order, d)
@@ -368,9 +371,9 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
 
     G0 = _semidirect_group(
         H, P0.order, lambda u1, u2: P0.mul(u1, u2),
-        lambda u, h2: _vector_elem(P0, (  # u acted by h2's matrix
-            _vector_of(P0, u, d, p) @ mats0_powers[h2]) % p),
-        [_vector_elem(P0, v) for v in np.eye(d, dtype=np.int64)], name="G0split")
+        lambda u, h2: int(p0_elem[la.vec_int(  # u acted by h2's matrix
+            _vector_of(P0, u, d, p) @ mats0_powers[h2], p)]),
+        [int(p0_elem[p ** i]) for i in range(d)], name="G0split")
     G1 = _semidirect_group(
         H, P1.order, lambda u1, u2: P1.mul(u1, u2),
         lambda u, h2: int(pow_of[h2][u]),
@@ -378,22 +381,15 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     assert G0.order == H.order * P0.order and G1.order == H.order * P1.order
 
     # projection/section/kernel over the pair point layout (h*nu + u)
-    proj = np.empty(G1.order, dtype=np.int64)
-    for eidx in range(G1.order):
-        pt = int(G1.elements[eidx][0])
-        h_part, u_part = divmod(pt, P1.order)
-        u0 = int(info1["proj"][u_part])
-        proj[eidx] = _pair_elem(G0, P0.order, h_part, u0)
-    section = np.empty(G0.order, dtype=np.int64)
-    for eidx in range(G0.order):
-        pt = int(G0.elements[eidx][0])
-        h_part, u0 = divmod(pt, P0.order)
-        u1 = int(info1["section"][u0])
-        section[eidx] = _pair_elem(G1, P1.order, h_part, u1)
+    g0_elem, g1_elem = _elem_at_point(G0), _elem_at_point(G1)
+    h1, u1 = np.divmod(G1.elements[:, 0].astype(np.int64), P1.order)
+    proj = g0_elem[h1 * P0.order + info1["proj"][u1]]
+    h0, u0 = np.divmod(G0.elements[:, 0].astype(np.int64), P0.order)
+    section = g1_elem[h0 * P1.order + info1["section"][u0]]
     m = dprime
     kernel, coords = [], {}
     for k in info1["kernel"]:
-        eidx = _pair_elem(G1, P1.order, 0, k)
+        eidx = int(g1_elem[k])
         kernel.append(eidx)
         coords[eidx] = info1["coords"][k].copy()
     kernel.sort(key=lambda e2: la.vec_int(coords[e2], p))
@@ -434,32 +430,6 @@ def _vector_of(P0: FiniteGroup, elem: int, d: int, p: int) -> np.ndarray:
     return la.int_vec(int(P0.elements[elem][0]), d, p)
 
 
-def _vector_prime(P0: FiniteGroup, d: int) -> int:
-    n = P0.order
-    for p in (2, 3, 5, 7, 11, 13):
-        if p ** d == n:
-            return p
-    raise AssertionError("not a vector group")
-
-
-def _vector_elem(P0: FiniteGroup, v: np.ndarray) -> int:
-    # P0 points are base-p vector codes; an element maps point 0 to its own code
-    v = np.asarray(v, dtype=np.int64)
-    target = la.vec_int(v, _vector_prime(P0, len(v)))
-    for e in range(P0.order):
-        if int(P0.elements[e][0]) == target:
-            return e
-    raise AssertionError("vector element not found")
-
-
-def _pair_elem(G: FiniteGroup, n_u: int, h: int, u: int) -> int:
-    pt = h * n_u + u
-    for e in range(G.order):
-        if int(G.elements[e][0]) == pt:
-            return e
-    raise AssertionError("pair element not found")
-
-
 def _p0_word(P0: FiniteGroup, g: int, d: int, p: int) -> tuple[int, ...]:
     v = _vector_of(P0, g, d, p)
     out: list[int] = []
@@ -468,12 +438,11 @@ def _p0_word(P0: FiniteGroup, g: int, d: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _p0_elem_of_word(P0: FiniteGroup, word, d: int, p: int) -> int:
+def _p0_code_of_word(word, d: int, p: int) -> int:
     v = np.zeros(d, dtype=np.int64)
     for letter in word:
         v[abs(letter) - 1] += 1 if letter > 0 else -1
-    v %= p
-    return _vector_elem(P0, v)
+    return la.vec_int(v % p, p)
 
 
 def _coset_in_kernel(T: CosetTable, word) -> int:
@@ -560,31 +529,21 @@ def _restricted_words(G: FiniteGroup, gen_positions: list[int]) -> list[tuple[in
 def _find_action_lift(P1: FiniteGroup, P1_pres: Presentation,
                       cand_lists: list[list[int]], h_order: int,
                       d: int) -> list[int] | None:
-    def rec(pos, images):
-        if pos == d:
-            for rel in P1_pres.relators:
-                cur = 0
-                for letter in rel:
-                    g = images[abs(letter) - 1]
-                    cur = P1.mul(cur, g if letter > 0 else int(P1.inv[g]))
-                if cur != 0:
-                    return None
-            alpha = _endomorphism_from_images(P1, images, list(range(d)))
-            if alpha is None:
-                return None
-            cur = list(range(P1.order))
-            for _ in range(h_order):
-                cur = [alpha[c] for c in cur]
-            if all(cur[i] == i for i in range(P1.order)):
-                return images
-            return None
-        for c in cand_lists[pos]:
-            got = rec(pos + 1, images + [c])
-            if got is not None:
-                return got
-        return None
+    """First candidate images (lexicographic) that satisfy the P1 relators
+    and define an automorphism of order dividing h_order."""
+    def works(images) -> bool:
+        if any(P1.eval_relator(images, rel) for rel in P1_pres.relators):
+            return False
+        alpha = _endomorphism_from_images(P1, images, list(range(d)))
+        if alpha is None:
+            return False
+        cur = list(range(P1.order))
+        for _ in range(h_order):
+            cur = [alpha[c] for c in cur]
+        return all(cur[i] == i for i in range(P1.order))
 
-    return rec(0, [])
+    return next((list(images) for images in product(*cand_lists)
+                 if works(images)), None)
 
 
 def _endomorphism_from_images(G: FiniteGroup, images: list[int],
@@ -872,14 +831,8 @@ def verify_frattini(L: FrattiniLevel, gens: list[int] | None = None) -> bool:
     lift still generates the total group."""
     base_gens = gens if gens is not None else minimal_generating_tuple(L.base)
     lift_sets = [L.lifts(g) for g in base_gens]
-    n = L.total.order
-
-    def rec(pos, chosen):
-        if pos == len(lift_sets):
-            return L.total.closure_size(chosen) == n
-        return all(rec(pos + 1, chosen + [x]) for x in lift_sets[pos])
-
-    return rec(0, [])
+    return all(L.total.closure_size(chosen) == L.total.order
+               for chosen in product(*lift_sets))
 
 
 def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:
@@ -922,13 +875,8 @@ def restriction_splits(L: FrattiniLevel, subgroup_elems: list[int]) -> bool:
                 break
     assert sub_gens is not None, "subgroup has no small generating set"
     lift_sets = [L.lifts(g) for g in sub_gens]
-
-    def rec(pos, chosen):
-        if pos == len(lift_sets):
-            return L.total.closure_size(chosen) == len(S)
-        return any(rec(pos + 1, chosen + [x]) for x in lift_sets[pos])
-
-    return rec(0, [])
+    return any(L.total.closure_size(chosen) == len(S)
+               for chosen in product(*lift_sets))
 
 
 # -- Sylow plumbing and the general-case module pipeline ---------------------------
@@ -967,23 +915,10 @@ def p_sylow(G: FiniteGroup, p: int) -> tuple[int, ...]:
 
 def normalizer(G: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
     sset = set(int(x) for x in subgroup_elems)
-    sub_gens = _small_generating_set(G, sorted(sset))
+    sub_gens = generating_set(G, sorted(sset))
     out = [x for x in range(G.order)
            if all(G.conj(g, x) in sset for g in sub_gens)]
     return tuple(out)
-
-
-def _small_generating_set(G: FiniteGroup, elems: list[int]) -> list[int]:
-    gens: list[int] = []
-    have = {0}
-    for x in elems:
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(G.subgroup_closure(gens))
-        if len(have) == len(elems):
-            return gens
-    return gens or [0]
 
 
 @dataclass
@@ -1012,13 +947,7 @@ def split_structure(N: FiniteGroup, p: int) -> SplitData:
             break
     if h is None:
         raise ActionLiftFailed("no cyclic complement found")
-    basis: list[int] = []
-    have = {0}
-    for x in sorted(S):
-        if x in have:
-            continue
-        basis.append(x)
-        have = set(N.subgroup_closure(basis))
+    basis = generating_set(N, sorted(S))
     d = len(basis)
     coord_of = _elementary_coords(N, basis, p)
     rows = [coord_of[N.conj(b, h)] for b in basis]
@@ -1049,10 +978,6 @@ class FrattiniModuleData:
     split_tower: SplitTower           # tower over the Sylow normalizer model
     normalizer_iso: list[int]         # abstract G0 element -> Nsub element
 
-    @property
-    def summand_dims(self) -> list[int]:
-        return [b.shape[0] for b in self.summand_bases]
-
 
 def frattini_module(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> FrattiniModuleData:
     """Induce the Sylow-normalizer's Frattini module up to G and decompose.
@@ -1067,7 +992,7 @@ def frattini_module(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> Fratti
     N = normalizer(G, S)
     if len(N) == G.order:
         raise InputError("p-Sylow normal in G; use the split construction")
-    n_gens = _small_generating_set(G, list(N))
+    n_gens = generating_set(G, list(N))
     Nsub = subgroup_from_indices(G, n_gens, name="sylow-normalizer")
     data = split_structure(Nsub, p)
     H = cyclic_group(Nsub.element_order(data.complement_gen))
@@ -1095,36 +1020,20 @@ def _homomorphism_onto(level_src: FrattiniLevel, level_dst: FrattiniLevel) -> bo
     base = level_src.base
     assert level_dst.base is base
     d = len(base.gen_indices)
-    cand = []
-    for gi, g in enumerate(base.gen_indices):
-        cand.append(level_dst.lifts(g))
+    cand = [level_dst.lifts(g) for g in base.gen_indices]
     src_pres = src.presentation
     assert src_pres is not None
     xwords = _restricted_words(src, list(range(d)))
 
-    def assignment_works(images: list[int]) -> bool:
+    def assignment_works(images) -> bool:
         full = list(images)
         for j in range(d, len(src.gen_indices)):
-            w = xwords[src.gen_indices[j]]
-            cur = 0
-            for letter in w:
-                cur = dst.mul(cur, full[letter - 1])
-            full.append(cur)
-        for rel in src_pres.relators:
-            cur = 0
-            for letter in rel:
-                g = full[abs(letter) - 1]
-                cur = dst.mul(cur, g if letter > 0 else int(dst.inv[g]))
-            if cur != 0:
-                return False
+            full.append(dst.eval_relator(full, xwords[src.gen_indices[j]]))
+        if any(dst.eval_relator(full, rel) for rel in src_pres.relators):
+            return False
         return dst.closure_size(full) == dst.order
 
-    def rec(pos, images):
-        if pos == d:
-            return assignment_works(images)
-        return any(rec(pos + 1, images + [c]) for c in cand[pos])
-
-    return rec(0, [])
+    return any(assignment_works(images) for images in product(*cand))
 
 
 @dataclass

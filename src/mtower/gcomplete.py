@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import Budget, NoInversePairs
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generating_set
 
 SUBGROUP_SEARCH_LIMIT = 10 ** 4
 
@@ -28,21 +28,8 @@ class CompletenessVerdict:
         return {
             "complete": self.complete,
             "witness": None if self.witness is None else
-            [str(G.perm(x)) for x in _generators_of(G, self.witness)],
+            [str(G.perm(x)) for x in generating_set(G, self.witness)],
         }
-
-
-def _generators_of(G: FiniteGroup, elems) -> list[int]:
-    gens: list[int] = []
-    have = {0}
-    for x in elems:
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(G.subgroup_closure(gens))
-        if len(have) == len(elems):
-            break
-    return gens
 
 
 def _meets_all(G: FiniteGroup, sub: tuple[int, ...], class_list) -> int | None:
@@ -65,8 +52,9 @@ def _witnesses(G: FiniteGroup, class_list) -> tuple[int, ...] | None:
     best: tuple[int, ...] | None = None
     seen: set[tuple[int, ...]] = set()
 
-    def consider(sub: tuple[int, ...]):
+    def consider(gens: tuple[int, ...]):
         nonlocal best
+        sub = G.subgroup_closure(gens)
         if len(sub) == G.order or sub in seen:
             return
         seen.add(sub)
@@ -76,10 +64,10 @@ def _witnesses(G: FiniteGroup, class_list) -> tuple[int, ...] | None:
                 best = sub
             return
         for x in required[missed].members:
-            consider(G.subgroup_closure(sub + (x,)))
+            consider(gens + (x,))
 
     for x in required[0].members:
-        consider(G.subgroup_closure((x,)))
+        consider((x,))
     return best
 
 

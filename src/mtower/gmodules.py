@@ -84,11 +84,6 @@ class GModule:
     def act(self, v: np.ndarray, elem: int) -> np.ndarray:
         return la.matmul(v.reshape(1, -1), self.mat_of(elem), self.p)[0]
 
-    def restrict_to(self, H: FiniteGroup, embedding: list[int]) -> "GModule":
-        """Module over H whose generators act through `embedding` into G."""
-        mats = [self.mat_of(embedding[g]) for g in H.gen_indices]
-        return GModule(H, self.p, mats)
-
     def dual(self) -> "GModule":
         mats = [self._invert(m).T for m in self.mats]
         return GModule(self.group, self.p, mats, check=False)
@@ -287,30 +282,33 @@ def loewy_layers(M: GModule, label_names: dict | None = None) -> LoewyData:
     """Radical filtration with socle-first layer list; see LoewyData."""
     if M.dim == 0:
         return LoewyData([], [], label_names or {})
-    filtration = [la.identity(M.dim)]  # bases of rad^j M inside M
-    current = M
-    basis_in_M = la.identity(M.dim)
-    while True:
-        rad_local = radical(current)
-        if rad_local.shape[0] == 0:
-            break
-        basis_in_M = la.matmul(rad_local, basis_in_M, M.p)
-        filtration.append(basis_in_M)
-        current = submodule_module(M, basis_in_M)
-    layers_topdown = []
-    for j in range(len(filtration)):
-        upper = filtration[j]
-        lower = filtration[j + 1] if j + 1 < len(filtration) else \
-            np.zeros((0, M.dim), dtype=np.int64)
-        sub = submodule_module(M, upper)
-        lower_in_upper = la.solve_right(upper, lower, M.p) if lower.shape[0] else \
-            np.zeros((0, upper.shape[0]), dtype=np.int64)
-        assert lower_in_upper is not None
-        layer_mod, _ = quotient_module(sub, lower_in_upper)
-        layers_topdown.append(_semisimple_factors(layer_mod))
-    layers = list(reversed(layers_topdown))
+    filtration, layers = _radical_layers(M)
     arrows = _loewy_arrows(M, filtration, layers)
     return LoewyData(layers, arrows, label_names or {})
+
+
+def _radical_layers(M: GModule) -> tuple[list[np.ndarray], list[list[tuple]]]:
+    """Bases of rad^j M inside M (j = 0, 1, ...) and the socle-first labels
+    of the layers rad^j M / rad^{j+1} M."""
+    filtration = [la.identity(M.dim)]
+    current = M
+    while (rad_local := radical(current)).shape[0]:
+        filtration.append(la.matmul(rad_local, filtration[-1], M.p))
+        current = submodule_module(M, filtration[-1])
+    layers = [_semisimple_factors(_subquotient(M, upper, lower))
+              for upper, lower in zip(filtration, filtration[1:] + [None])]
+    return filtration, list(reversed(layers))
+
+
+def _subquotient(M: GModule, upper: np.ndarray,
+                 lower: np.ndarray | None) -> GModule:
+    """<upper> / <lower> for submodule bases lower inside upper (None: 0)."""
+    if lower is None:
+        lower_in_upper = np.zeros((0, upper.shape[0]), dtype=np.int64)
+    else:
+        lower_in_upper = la.solve_right(upper, lower, M.p)
+        assert lower_in_upper is not None
+    return quotient_module(submodule_module(M, upper), lower_in_upper)[0]
 
 
 def _loewy_arrows(M: GModule, filtration, layers) -> list[list[tuple]]:
@@ -325,13 +323,8 @@ def _loewy_arrows(M: GModule, filtration, layers) -> list[list[tuple]]:
     for j in range(L - 1):
         # socle-first index j corresponds to rad^(L-2-j) / rad^(L-j)
         top_idx = L - 2 - j
-        upper = filtration[top_idx]
-        lower = filtration[top_idx + 2] if top_idx + 2 < len(filtration) else \
-            np.zeros((0, M.dim), dtype=np.int64)
-        sub = submodule_module(M, upper)
-        lower_in_upper = la.solve_right(upper, lower, M.p) if lower.shape[0] else \
-            np.zeros((0, upper.shape[0]), dtype=np.int64)
-        two_layer, _ = quotient_module(sub, lower_in_upper)
+        lower = filtration[top_idx + 2] if top_idx + 2 < len(filtration) else None
+        two_layer = _subquotient(M, filtration[top_idx], lower)
         pairs = []
         for piece_basis in indecomposable_summands(two_layer):
             piece = submodule_module(two_layer, piece_basis)
@@ -347,29 +340,7 @@ def _loewy_arrows(M: GModule, filtration, layers) -> list[list[tuple]]:
 
 def loewy_plain_layers(M: GModule) -> list[list[tuple]]:
     """Socle-first layer labels without arrow analysis (no recursion risk)."""
-    if M.dim == 0:
-        return []
-    filtration = [la.identity(M.dim)]
-    basis_in_M = la.identity(M.dim)
-    current = M
-    while True:
-        rad_local = radical(current)
-        if rad_local.shape[0] == 0:
-            break
-        basis_in_M = la.matmul(rad_local, basis_in_M, M.p)
-        filtration.append(basis_in_M)
-        current = submodule_module(M, basis_in_M)
-    out = []
-    for j in range(len(filtration)):
-        upper = filtration[j]
-        lower = filtration[j + 1] if j + 1 < len(filtration) else \
-            np.zeros((0, M.dim), dtype=np.int64)
-        sub = submodule_module(M, upper)
-        lower_in_upper = la.solve_right(upper, lower, M.p) if lower.shape[0] else \
-            np.zeros((0, upper.shape[0]), dtype=np.int64)
-        layer_mod, _ = quotient_module(sub, lower_in_upper)
-        out.append(_semisimple_factors(layer_mod))
-    return list(reversed(out))
+    return _radical_layers(M)[1] if M.dim else []
 
 
 # -- endomorphisms, idempotents, Fitting ---------------------------------------

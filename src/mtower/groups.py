@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -152,18 +153,23 @@ class FiniteGroup:
     def perm(self, i: int) -> Perm:
         return Perm(tuple(int(x) for x in self.elements[i]))
 
-    def eval_word(self, word, start: int = 0) -> int:
+    def eval_word(self, word) -> int:
         """Evaluate a generator-index word (ints >= 0) by right multiplication."""
-        cur = start
+        cur = 0
         for gi in word:
             cur = self.mul(cur, self.gen_indices[gi])
         return cur
 
-    def eval_signed_word(self, word, start: int = 0) -> int:
+    def eval_signed_word(self, word) -> int:
         """Word letters are +-(i+1) for generator i / its inverse."""
-        cur = start
+        return self.eval_relator(self.gen_indices, word)
+
+    def eval_relator(self, images, word) -> int:
+        """A signed word evaluated with generator i sent to images[i]; 0 means
+        the assignment satisfies the relator."""
+        cur = 0
         for letter in word:
-            g = self.gen_indices[abs(letter) - 1]
+            g = images[abs(letter) - 1]
             cur = self.mul(cur, g if letter > 0 else int(self.inv[g]))
         return cur
 
@@ -206,50 +212,36 @@ class FiniteGroup:
 
     def subgroup_closure(self, seeds, cap: int | None = None) -> tuple[int, ...]:
         """Sorted element indices of <seeds>; stops early past `cap` if given."""
-        seen = {0}
-        frontier = [0]
-        gens = [s for s in seeds if s != 0]
-        for s in gens:
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-        head = 0
-        while head < len(frontier):
-            x = frontier[head]
-            head += 1
-            for s in gens:
-                y = self.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-                    if cap is not None and len(seen) > cap:
-                        return tuple(sorted(seen))
-        return tuple(sorted(seen))
+        return tuple(self._closure_mask(seeds, cap).nonzero()[0].tolist())
 
     def generates_whole(self, seeds) -> bool:
         return self.closure_size(seeds) == self.order
 
     def closure_size(self, seeds) -> int:
-        """|<seeds>|, via vectorized table BFS when the table exists."""
-        if self.mul_table is None:
-            return len(self.subgroup_closure(seeds))
-        gens = np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int32))
-        if gens.size == 0:
-            return 1
-        table = self.mul_table
+        return int(self._closure_mask(seeds, None).sum())
+
+    def _closure_mask(self, seeds, cap: int | None) -> np.ndarray:
+        """Membership mask of <seeds>, by a level-by-level BFS over right
+        multiplication by the seeds: table lookups when the table exists,
+        `mul` otherwise.  Stops once more than `cap` elements are found."""
+        gens = np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int64))
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
         seen[gens] = True
-        frontier = np.concatenate([np.zeros(1, dtype=np.int32), gens])
-        while frontier.size:
-            prods = table[frontier[:, None], gens[None, :]].ravel()
-            fresh = prods[~seen[prods]]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh)
-            seen[fresh] = True
-            frontier = fresh
-        return int(seen.sum())
+        frontier = seen.nonzero()[0]
+        found = frontier.size
+        while frontier.size and (cap is None or found <= cap):
+            if self.mul_table is not None:
+                prods = self.mul_table[frontier[:, None], gens]
+            else:
+                prods = [self.mul(int(x), int(s)) for x in frontier for s in gens]
+            fresh = np.zeros(self.order, dtype=bool)
+            fresh[prods] = True
+            fresh &= ~seen
+            seen |= fresh
+            frontier = fresh.nonzero()[0]
+            found += frontier.size
+        return seen
 
     def center(self) -> tuple[int, ...]:
         out = []
@@ -275,7 +267,8 @@ class FiniteGroup:
                         extra.add(y)
             if not extra:
                 return tuple(sorted(current))
-            current = set(self.subgroup_closure(current | extra))
+            seeds |= extra
+            current = set(self.subgroup_closure(seeds))
 
     def abelianization_order(self) -> int:
         return self.order // len(self.derived_subgroup())
@@ -293,13 +286,23 @@ class FiniteGroup:
         return out
 
 
-def group_from_generators(gens: list[Perm], max_order: int = 1 << 20,
-                          name: str = "") -> FiniteGroup:
-    return FiniteGroup(gens, max_order=max_order, name=name)
-
-
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
     return G.conjugacy_classes()
+
+
+def generating_set(G: FiniteGroup, elems) -> list[int]:
+    """Greedy generators of the subgroup made of `elems`: each element joins
+    unless the ones before it already generate it ([] for the trivial one)."""
+    gens: list[int] = []
+    have = {0}
+    for x in elems:
+        if x in have:
+            continue
+        gens.append(x)
+        have = set(G.subgroup_closure(gens))
+        if len(have) == len(elems):
+            break
+    return gens
 
 
 def is_p_perfect(G: FiniteGroup, p: int) -> bool:
@@ -344,45 +347,9 @@ def find_isomorphism(src: FiniteGroup, dst: FiniteGroup) -> list[int] | None:
                     return None
         return phi
 
-    def rec(pos: int, images: list[int]) -> list[int] | None:
-        if pos == len(gen_orders):
-            return build(images)
-        for cand in dst_by_order[gen_orders[pos]]:
-            got = rec(pos + 1, images + [cand])
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [])
-
-
-def find_homomorphism_lift(src: FiniteGroup, relators, dst: FiniteGroup,
-                           image_candidates: list[list[int]]) -> list[list[int]]:
-    """All generator-image tuples in dst satisfying src's signed relators.
-
-    `relators` are signed words over src's generators; candidates are given
-    per generator.  Returns every consistent assignment, in lexicographic
-    candidate order.
-    """
-    hits = []
-
-    def eval_rel(images, word) -> int:
-        cur = 0
-        for letter in word:
-            g = images[abs(letter) - 1]
-            cur = dst.mul(cur, g if letter > 0 else int(dst.inv[g]))
-        return cur
-
-    def rec(pos, images):
-        if pos == len(image_candidates):
-            if all(eval_rel(images, r) == 0 for r in relators):
-                hits.append(list(images))
-            return
-        for cand in image_candidates[pos]:
-            rec(pos + 1, images + [cand])
-
-    rec(0, [])
-    return hits
+    candidates = product(*(dst_by_order[o] for o in gen_orders))
+    return next((phi for images in candidates
+                 if (phi := build(images)) is not None), None)
 
 
 # -- builtin groups -----------------------------------------------------------

@@ -25,17 +25,6 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
-def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = identity(a.shape[0])
-    base = asmod(a, p)
-    while e:
-        if e & 1:
-            out = matmul(out, base, p)
-        base = matmul(base, base, p)
-        e >>= 1
-    return out
-
-
 def inv_scalar(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
@@ -100,11 +89,6 @@ def row_space_contains(basis_rref: np.ndarray, pivots: list[int], v: np.ndarray,
         if v[c]:
             v = (v - v[c] * basis_rref[r]) % p
     return not v.any()
-
-
-def in_span(rows: np.ndarray, v: np.ndarray, p: int) -> bool:
-    red, piv = rref(rows, p)
-    return row_space_contains(red, piv, v, p)
 
 
 def span_key(rows: np.ndarray, p: int) -> bytes:

@@ -10,6 +10,7 @@ split directions (functionals vanishing on the coboundary space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,12 +33,7 @@ class CentralExt:
     name: str = ""
 
     def lifts(self, g: int) -> list[int]:
-        return [e for e in range(self.total.order) if int(self.proj[e]) == g]
-
-    def lift_power_order(self, g: int) -> int:
-        """Order of any lift of g (well defined mod the central p-element
-        only up to the recorded value of its p-th power; used on kernels)."""
-        return self.total.element_order(self.lifts(g)[0])
+        return np.flatnonzero(self.proj == g).tolist()
 
 
 @dataclass
@@ -101,7 +97,7 @@ def enumerate_schur_quotients(G: FiniteGroup, p: int,
         total.presentation = None
         proj = np.empty(total.order, dtype=np.int64)
         for e in range(total.order):
-            proj[e] = G.eval_word(_positive_word(total.words[e]))
+            proj[e] = G.eval_word(total.words[e])
         kernel_elems = [e for e in range(total.order) if proj[e] == 0 and e != 0]
         assert len(kernel_elems) == p - 1
         z = min(kernel_elems)
@@ -112,22 +108,12 @@ def enumerate_schur_quotients(G: FiniteGroup, p: int,
     return out
 
 
-def _positive_word(word):
-    return tuple(gi for gi in word)
-
-
 def _splits(total: FiniteGroup, G: FiniteGroup, proj: np.ndarray) -> bool:
     """Does the central extension admit a complement over G?"""
-    lift_sets = []
-    for g in G.gen_indices:
-        lift_sets.append([e for e in range(total.order) if int(proj[e]) == g])
-
-    def rec(pos, chosen):
-        if pos == len(lift_sets):
-            return total.closure_size(chosen) == G.order
-        return any(rec(pos + 1, chosen + [x]) for x in lift_sets[pos])
-
-    return rec(0, [])
+    lift_sets = [[e for e in range(total.order) if int(proj[e]) == g]
+                 for g in G.gen_indices]
+    return any(total.closure_size(chosen) == G.order
+               for chosen in product(*lift_sets))
 
 
 # -- V_D sets and pair classification --------------------------------------------
@@ -149,8 +135,7 @@ def vd_set(E: CentralExt, L: FrattiniLevel) -> VDSet:
     members = []
     nonzero = []
     for melem in L.kernel_elems:
-        lifts = [e for e in range(E.total.order) if int(E.proj[e]) == melem]
-        small = {E.total.element_order(e) <= p for e in lifts}
+        small = {E.total.element_order(e) <= p for e in E.lifts(melem)}
         assert len(small) == 1, "lift order not independent of the lift"
         if small.pop():
             members.append(melem)
@@ -175,9 +160,7 @@ def classify_pair(E: CentralExt, L: FrattiniLevel, m1: int, m2: int,
     if la.rank(np.stack([v1, v2]), p) != 2:
         raise RankDeficient("kernel elements do not span a 2-dimensional space")
     vd = vd or vd_set(E, L)
-    l1 = next(e for e in range(R.order) if int(E.proj[e]) == m1)
-    l2 = next(e for e in range(R.order) if int(E.proj[e]) == m2)
-    H = R.subgroup_closure([l1, l2])
+    H = R.subgroup_closure([E.lifts(m1)[0], E.lifts(m2)[0]])
     order = len(H)
     abelian = all(R.mul(a, b) == R.mul(b, a) for a in H for b in H)
     orders = sorted(R.element_order(x) for x in H)
@@ -428,38 +411,19 @@ def find_cover_map(L: FrattiniLevel, E_prev: CentralExt) -> list[int] | None:
     R = E_prev.total
     if G1.presentation is None:
         raise InputError("level total needs an attached presentation")
-    cand = []
-    for g in G1.gen_indices:
-        img = int(L.proj[g])
-        cand.append([e for e in range(R.order) if int(E_prev.proj[e]) == img])
+    cand = [E_prev.lifts(int(L.proj[g])) for g in G1.gen_indices]
 
-    relators = G1.presentation.relators
+    def element_map(images) -> list[int] | None:
+        if any(R.eval_relator(images, rel) for rel in G1.presentation.relators):
+            return None
+        phi = [0] * G1.order
+        for e in range(1, G1.order):
+            parent, gi = G1._parents[e]
+            phi[e] = R.mul(phi[parent], images[gi])
+        return phi if len(set(phi)) == R.order else None
 
-    def eval_rel(images, word):
-        cur = 0
-        for letter in word:
-            gg = images[abs(letter) - 1]
-            cur = R.mul(cur, gg if letter > 0 else int(R.inv[gg]))
-        return cur
-
-    def rec(pos, images):
-        if pos == len(cand):
-            if any(eval_rel(images, rel) != 0 for rel in relators):
-                return None
-            phi = [0] * G1.order
-            for e in range(1, G1.order):
-                parent, gi = G1._parents[e]
-                phi[e] = R.mul(phi[parent], images[gi])
-            if len(set(phi)) != R.order:
-                return None
-            return phi
-        for c in cand[pos]:
-            got = rec(pos + 1, images + [c])
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [])
+    return next((phi for images in product(*cand)
+                 if (phi := element_map(images)) is not None), None)
 
 
 def vd_from_antecedent(L: FrattiniLevel, E_prev: CentralExt) -> VDSet:

@@ -11,7 +11,11 @@ from mtower.errors import CorruptCache
 
 
 def run_cli(args, tmp_path):
-    return main(args + ["--report", str(tmp_path / "out"),
+    return run_into(args, tmp_path, "out")
+
+
+def run_into(args, tmp_path, report):
+    return main(args + ["--report", str(tmp_path / report),
                         "--cache", str(tmp_path / "cache")])
 
 
@@ -135,14 +139,76 @@ def test_console_script_runs(tmp_path):
     assert '"complete": true' in proc.stdout
 
 
-def test_threads_do_not_change_report_bytes(tmp_path):
-    base = ["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
-            "--p", "5", "--k", "0", "--no-cache"]
-    assert main(base + ["--threads", "1", "--report", str(tmp_path / "t1")]) == 0
-    assert main(base + ["--threads", "3", "--report", str(tmp_path / "t3")]) == 0
-    for name in ("components.json", "sh_incidence_L0.csv", "orbits_L0.json"):
-        assert (tmp_path / "t1" / name).read_bytes() == \
-            (tmp_path / "t3" / name).read_bytes()
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
+              "--p", "5", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, bound", [
+    (["level", "--group", "D5", "--classes", "2A,2A,2A,2A", "--p", "4",
+      "--k", "0"], "--p must be prime"),
+    (["level", "--group", "D5", "--classes", "2A,2A,2A,2A", "--p", "5",
+      "--k", "-1"], "--k must be >= 0"),
+    (["dihedral", "--p", "9", "--k", "0"], "--p must be prime"),
+    (["schur", "--group", "A4", "--p", "2", "--k", "3"],
+     "--k must be <= 1 for schur"),
+    (["frattini-verify", "--group", "A5", "--p", "4"], "--p must be prime"),
+], ids=["level-p4", "level-k-1", "dihedral-p9", "schur-k3", "frattini-p4"])
+def test_bad_p_or_k_rejected_before_work(tmp_path, capsys, args, bound):
+    assert run_cli(args, tmp_path) == 2
+    assert bound in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cache_key_covers_file_contents(tmp_path, capsys):
+    (tmp_path / "d5").mkdir()
+    (tmp_path / "z10").mkdir()
+    (tmp_path / "d5" / "grp.txt").write_text("(1 2 3 4 5)\n(2 5)(3 4)\n")
+    (tmp_path / "z10" / "grp.txt").write_text("(1 2 3 4 5 6 7 8 9 10)\n")
+    args = ["level", "--classes", "2A,2A,2A,2A", "--p", "5"]
+    assert run_cli(args + ["--group-file", str(tmp_path / "d5" / "grp.txt")],
+                   tmp_path) == 0
+    capsys.readouterr()
+    # same file name, other group: not served from the D5 entry
+    assert run_cli(args + ["--group-file", str(tmp_path / "z10" / "grp.txt")],
+                   tmp_path) == 3
+    assert "cache hit" not in capsys.readouterr().out
+
+
+D5_LEVEL0 = ["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
+             "--p", "5", "--k", "0"]
+D5_FILES = {"components.json", "sh_incidence_L0.csv", "orbits_L0.json"}
+
+
+def _report(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+def test_incomplete_cache_entry_recomputes(tmp_path, capsys, damage):
+    assert run_cli(D5_LEVEL0, tmp_path) == 0
+    first = _report(tmp_path / "out")
+    assert set(first) == D5_FILES
+    (entry,) = (tmp_path / "cache").iterdir()
+    victim = entry / "orbits_L0.json"
+    if damage == "missing":
+        victim.unlink()
+    else:
+        raw = bytearray(victim.read_bytes())
+        raw[-2] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run_into(D5_LEVEL0, tmp_path, "again") == 0
+    out = capsys.readouterr()
+    assert "cache hit" not in out.out and "recomputing" in out.err
+    assert _report(tmp_path / "again") == first
+    # the recomputed entry replaced the damaged one; a hit writes no manifest
+    assert run_into(D5_LEVEL0, tmp_path, "third") == 0
+    assert "cache hit" in capsys.readouterr().out
+    assert _report(tmp_path / "third") == first
 
 
 def test_level1_dihedral_cli(tmp_path):

@@ -1,10 +1,10 @@
 import pytest
 
 from mtower.errors import NoInversePairs
-from mtower.gcomplete import (branch_count_bound, cyclotomic_order_q,
-                              euler_phi, is_gcomplete, is_hm_p_gcomplete,
-                              is_p_gcomplete)
-from mtower.groups import FiniteGroup, dihedral_group
+from mtower.gcomplete import (CompletenessVerdict, branch_count_bound,
+                              cyclotomic_order_q, euler_phi, is_gcomplete,
+                              is_hm_p_gcomplete, is_p_gcomplete)
+from mtower.groups import FiniteGroup, dihedral_group, generating_set
 from mtower.perms import Perm
 
 from conftest import class_of_order
@@ -90,3 +90,13 @@ def test_cyclotomic():
     assert euler_phi(5) == 4
     assert branch_count_bound([5]) == 8
     assert branch_count_bound([3, 5]) == 12
+
+
+def test_witness_generators(a5):
+    d5 = dihedral_group(5)
+    assert generating_set(d5, (0,)) == []
+    assert CompletenessVerdict(False, (0,)).to_dict(d5)["witness"] == []
+    v = is_p_gcomplete(a5, 3)
+    gens = generating_set(a5, v.witness)
+    assert a5.subgroup_closure(gens) == v.witness
+    assert len(v.to_dict(a5)["witness"]) == len(gens) == 2

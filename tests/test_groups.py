@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtower import groups
 from mtower.errors import OrderExceeded
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, is_center_free,
@@ -97,3 +98,40 @@ def test_group_file_parse():
     text = "# A5 generators\n(1 2 3 4 5)\n\n(1 2 3)\n"
     gens = parse_group_file(text)
     assert FiniteGroup(gens).order == 60
+
+
+def reference_closure(G, seeds):
+    """<seeds> by a plain set BFS over G.mul."""
+    seen, queue = {0}, [0]
+    for x in queue:
+        for s in seeds:
+            y = G.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return tuple(sorted(seen))
+
+
+def test_closure_same_with_and_without_table(monkeypatch):
+    plain = dihedral_group(2049)             # order 4098, above the table limit
+    assert plain.mul_table is None
+    monkeypatch.setattr(groups, "MUL_TABLE_LIMIT", plain.order)
+    tabled = dihedral_group(2049)
+    assert tabled.mul_table is not None
+    r, s = plain.gen_indices
+    cases = {(): 1, (0,): 1, (s,): 2, (plain.power(r, 683),): 3,
+             (plain.power(r, 683), s): 6, (r,): 2049,
+             (plain.power(r, 3), s): 1366, (r, s): 4098}
+    for seeds, size in cases.items():
+        full = reference_closure(plain, seeds)
+        assert len(full) == size
+        assert plain.subgroup_closure(seeds) == full
+        assert tabled.subgroup_closure(seeds) == full
+        assert plain.closure_size(seeds) == tabled.closure_size(seeds) == size
+        for cap in (1, 6, 2048, 4098):
+            for G in (plain, tabled):
+                got = G.subgroup_closure(seeds, cap=cap)
+                if size <= cap:
+                    assert got == full
+                else:
+                    assert cap < len(got) and set(got) <= set(full)
