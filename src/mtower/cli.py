@@ -21,8 +21,6 @@ import sys
 from math import isqrt
 from pathlib import Path
 
-import numpy as np
-
 from . import cache as cache_mod
 from . import linalg as la
 from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
@@ -64,18 +62,26 @@ def class_id(G: FiniteGroup, label: str) -> int:
     return labels.index(label)
 
 
+def _read_group_input(path: str, parse):
+    """(file bytes, parsed text); unreadable, undecodable or malformed files
+    raise an InputError that names the file."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw, parse(raw.decode())
+    except (OSError, ValueError, InputError) as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def load_group(args) -> tuple[FiniteGroup, str, str]:
     """(group, its name in reports, its name in cache keys).  Groups read
     from a file are keyed by the sha256 of the file's bytes as well."""
     if getattr(args, "group_file", None):
-        raw = Path(args.group_file).read_bytes()
-        G = FiniteGroup(parse_group_file(raw.decode()),
-                        max_order=args.budget_elements, name="file-group")
+        raw, perms = _read_group_input(args.group_file, parse_group_file)
+        G = FiniteGroup(perms, max_order=args.budget_elements, name="file-group")
         gdesc = f"file:{Path(args.group_file).name}:{G.order}"
         return G, gdesc, f"{gdesc}:{hashlib.sha256(raw).hexdigest()}"
     if getattr(args, "presentation_file", None):
-        raw = Path(args.presentation_file).read_bytes()
-        P = parse_presentation(raw.decode())
+        raw, P = _read_group_input(args.presentation_file, parse_presentation)
         T = todd_coxeter(P, (), args.budget_cosets)
         G = coset_group(T, name="presented-group")
         G.presentation = P
@@ -211,21 +217,24 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
 
 def _emit(payload: dict, report_dir: Path, cache_dir: Path | None,
           key: str | None) -> None:
+    """Write the report and publish it as the cache entry `key`.  Orbit dumps
+    (tens of MB) are streamed to disk, then read back one file at a time."""
     report_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
     body = dict(payload)
-    incidences = body.pop("sh_incidence", {})
-    dumps = body.pop("orbit_dumps", {})
-    files["components.json"] = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    for lvl, csv in incidences.items():
-        files[f"sh_incidence_L{lvl}.csv"] = csv
-    for lvl, dump in dumps.items():
-        files[f"orbits_L{lvl}.json"] = json.dumps(dump, indent=1) + "\n"
-    for name, text in files.items():
+    texts = {f"sh_incidence_L{lvl}.csv": csv
+             for lvl, csv in body.pop("sh_incidence", {}).items()}
+    dumps = {f"orbits_L{lvl}.json": dump
+             for lvl, dump in body.pop("orbit_dumps", {}).items()}
+    texts["components.json"] = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    for name, text in texts.items():
         (report_dir / name).write_text(text)
+    for name, dump in dumps.items():
+        with open(report_dir / name, "w") as fh:
+            json.dump(dump, fh, indent=1)
+            fh.write("\n")
     if cache_dir is not None and key is not None:
-        cache_mod.cache_put_entry(
-            cache_dir, key, ((name, text.encode()) for name, text in files.items()))
+        cache_mod.cache_put_entry(cache_dir, key, (
+            (name, (report_dir / name).read_bytes()) for name in [*texts, *dumps]))
 
 
 def _restore_from_cache(cache_dir: Path, key: str, report_dir: Path) -> bool:

@@ -126,7 +126,7 @@ def _parse_word(text: str, gen_id: dict[str, int]) -> tuple[int, ...]:
         if pos < len(text) and text[pos] == "^":
             pos += 1
             sign = 1
-            if text[pos] == "-":
+            if pos < len(text) and text[pos] == "-":
                 sign = -1
                 pos += 1
             num = ""

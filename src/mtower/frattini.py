@@ -1,6 +1,8 @@
 """Characteristic p-Frattini levels: dihedral closed form, split towers by
-iterated Frattini quotients of a free group, and the general case by
-relator-tail second-cohomology search.
+iterated Frattini quotients of a free group, and the general case from
+H^2(G, M), read off one F_p linear solve for the kernel labels on the edges
+of G's Cayley graph and the relator tails (_cocycle_space); the same solve
+builds the extension of any class.
 
 Every constructed level is normalized to a canonical "pair model": elements
 are pairs (base element, kernel vector) with
@@ -21,8 +23,8 @@ from itertools import product
 import numpy as np
 
 from . import linalg as la
-from .errors import (ActionLiftFailed, Budget, Collapse, InputError,
-                     NotPPrime, OrderExceeded)
+from .errors import (ActionLiftFailed, Collapse, InputError, NotPPrime,
+                     OrderExceeded)
 from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
                  invert_word, schreier_generators, todd_coxeter, word_pow)
 from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
@@ -598,7 +600,7 @@ def _attach_g1_presentation(G1: FiniteGroup, P1_pres: Presentation,
     G1.presentation = Presentation(d + 1, tuple(r for r in rels if r))
 
 
-# -- relator-tail H^2 ----------------------------------------------------------------
+# -- H^2 and extensions: one linear solve over the Cayley graph ----------------
 
 
 def extension_presentation(P: Presentation, M: GModule,
@@ -626,63 +628,121 @@ def extension_presentation(P: Presentation, M: GModule,
     return Presentation(d + m, tuple(r for r in rels if r))
 
 
-def try_extension_order(P: Presentation, M: GModule, tails: np.ndarray,
-                        max_cosets: int) -> tuple[int, CosetTable]:
-    ext = extension_presentation(P, M, tails)
-    T = todd_coxeter(ext, (), max_cosets)
-    return T.n, T
+def _right_columns(G: FiniteGroup) -> list[np.ndarray]:
+    """Per generator x_i, the array g -> g x_i."""
+    return [np.array([G.mul(g, x) for g in range(G.order)]) for x in G.gen_indices]
 
 
-def h2_classes(P: Presentation, M: GModule, max_cosets: int = 1 << 18,
-               max_candidates: int = 4096) -> tuple[int, list[np.ndarray]]:
-    """(dim H^2(G, M), valid relator-tail class representatives).
+def _cocycle_space(P: Presentation, M: GModule):
+    """All (edge labels, relator tails) of extensions of M.group by M.
 
-    Trivial one-dimensional modules take the one-shot route through the
-    universal tail extension; otherwise cokernel representatives of the
-    lift-change map are validated one by one through coset enumeration
-    (a candidate is valid iff the presented group reaches |G| * p^dim).
+    The unknowns are a kernel label c(g, i) on every non-tree edge g -> g x_i
+    of G's Cayley graph (tree edges, from G._parents, carry label 0),
+    followed by the relator tails t in M^s.  Generator x_i acts on pairs by
+    (g, v) x_i = (g x_i, v A_i + c(g, i)); the equations say that every
+    relator, read from every vertex, ends at its tail (|G| s m rows).
+    Returns the labels and the tails blocks of a nullspace basis of that
+    system, and the (|G|, d) array of label indices (-1 on tree edges).
     """
-    G = M.group
-    p, m, s, d = M.p, M.dim, len(P.relators), P.ngens
-    if m == 1 and all((mat == la.identity(1)).all() for mat in M.mats):
-        data = universal_tail_extension(P, G, p, max_cosets)
-        classes = _trivial_h2_class_reps(data, p)
-        return data["h2_dim"], classes
+    G, p, m, n, s = M.group, M.p, M.dim, M.group.order, len(P.relators)
+    right = _right_columns(G)
+    left = [np.argsort(r) for r in right]          # g -> g x_i^-1
+    inv_mats = [M._invert(A) for A in M.mats]
+    tree = set(G._parents[1:])
+    col = np.full((n, P.ngens), -1)
+    for k, e in enumerate(e for e in product(range(n), range(P.ngens))
+                          if e not in tree):
+        col[e] = k
+    nl = (n * (P.ngens - 1) + 1) * m
+    eqs = np.zeros((s * n * m, nl + s * m), dtype=np.int64)
+    ar = np.arange(m)
+    for ri, rel in enumerate(P.relators):
+        rows = (ri * n + np.arange(n))[:, None, None] * m + ar
+        eqs[rows[:, 0], nl + ri * m + ar] = -1
+        # a label reaches the relator's end times the later letters' matrices
+        suffix, coeffs = la.identity(m), []
+        for letter in reversed(rel):
+            if letter > 0:
+                coeffs.append(suffix)
+                suffix = la.matmul(M.mats[letter - 1], suffix, p)
+            else:
+                suffix = la.matmul(inv_mats[-letter - 1], suffix, p)
+                coeffs.append(-suffix)
+        at = np.arange(n)
+        for letter, K in zip(rel, reversed(coeffs)):
+            i = abs(letter) - 1
+            if letter > 0:
+                blk, at = col[at, i], right[i][at]
+            else:
+                at = left[i][at]
+                blk = col[at, i]
+            hit = blk >= 0
+            np.add.at(eqs, (rows[hit], blk[hit][:, None, None] * m + ar[:, None]), K)
+        assert (at == np.arange(n)).all(), f"relator {ri} does not hold in the group"
+    sol = la.nullspace(eqs % p, p)
+    return sol[:, :nl], sol[:, nl:], col
 
+
+def h2_classes(P: Presentation, M: GModule) -> tuple[int, list[np.ndarray]]:
+    """(dim H^2(G, M), one relator-tail representative per class).
+
+    The tails of all extensions (from _cocycle_space) are reduced modulo the
+    coboundary tails onto the free columns of rref(B); every vector of that
+    complement is listed, ordered by its free-column values, so the zero
+    class comes first.
+    """
+    p, m, s = M.p, M.dim, len(P.relators)
+    _, tails, _ = _cocycle_space(P, M)
     B = coboundary_tails(P, M)  # rows, length s*m
     red, piv = la.rref(B, p) if B.size else (B, [])
+    for r, c in enumerate(piv):
+        tails = (tails - np.outer(tails[:, c], red[r])) % p
     free_cols = [c for c in range(s * m) if c not in piv]
-    ncand = p ** len(free_cols)
-    if ncand > max_candidates:
-        raise Budget(f"{ncand} tail candidates exceed max_candidates")
-    expected = G.order * p ** m
-    valid: list[np.ndarray] = []
-    for k in range(ncand):
+    basis, _ = la.rref(tails[:, free_cols], p)
+    classes = []
+    for v in sorted((la.matmul(k, basis, p) for k in la.all_vectors(len(basis), p)),
+                    key=lambda v: la.vec_int(v, p)):
         flat = np.zeros(s * m, dtype=np.int64)
-        fv = la.int_vec(k, len(free_cols), p)
-        for c, v in zip(free_cols, fv):
-            flat[c] = v
-        tails = flat.reshape(s, m)
-        n, _ = try_extension_order(P, M, tails, max_cosets)
-        if n == expected:
-            valid.append(tails)
-        elif n > expected:
-            raise AssertionError("extension larger than |G| p^m; bad presentation")
-    count = len(valid)
-    dim = 0
-    while p ** dim < count:
-        dim += 1
-    if p ** dim != count:
-        raise AssertionError(f"valid tail classes not a p-power: {count}")
-    return dim, valid
+        flat[free_cols] = v
+        classes.append(flat.reshape(s, m))
+    return len(basis), classes
+
+
+def build_extension(P: Presentation, M: GModule, tails: np.ndarray,
+                    name: str = "") -> FrattiniLevel:
+    """Concrete extension of M.group by M along the given relator tails.
+
+    The edge labels of the tails come from _cocycle_space (Collapse when the
+    tails are not the tails of an extension); psi is filled along the BFS
+    tree by psi(g, h x_i) = psi(g, h) A_i + c(g h, i) - c(h, i), where the
+    tree edge's label c(h, i) is 0.
+    """
+    G, p, m, n = M.group, M.p, M.dim, M.group.order
+    sol_labels, sol_tails, col = _cocycle_space(P, M)
+    coeff = la.solve_right(sol_tails, np.reshape(tails, (1, -1)), p)
+    if coeff is None:
+        raise Collapse("tails are not the relator tails of an extension")
+    labels = la.matmul(coeff, sol_labels, p).reshape(-1, m)
+    c = np.vstack([labels, np.zeros((1, m), dtype=np.int64)])[col]
+    right = _right_columns(G)
+    times = np.repeat(np.arange(n)[:, None], n, axis=1)  # column h: g -> g h
+    psi = np.zeros((n, n, m), dtype=np.int64)
+    for h in range(1, n):
+        parent, i = G._parents[h]
+        times[:, h] = right[i][times[:, parent]]
+        psi[:, h] = (psi[:, parent] @ M.mats[i] + c[times[:, parent], i]) % p
+    lvl = level_from_pair_model(G, M, psi, p, name=name)
+    lvl.total.presentation = extension_presentation(P, M, tails)
+    return lvl
 
 
 def universal_tail_extension(P: Presentation, G: FiniteGroup, p: int,
                              max_cosets: int) -> dict:
     """Enumerate E = F / R^p [R, F] and linearize its kernel over G.
 
-    Returns table, kernel cosets with coordinates, the relator-image matrix
-    Z (s x s0), the coboundary functional space, and dim H^2(G, F_p).
+    Returns the table and its presentation, the kernel cosets with their
+    coordinates in F_p^s0, the coboundary functionals Bhat (rows of F_p^s0
+    whose relator images are coboundary tails) and dim H^2(G, F_p).
     """
     d, s = P.ngens, len(P.relators)
     rels: list[tuple[int, ...]] = []
@@ -714,69 +774,8 @@ def universal_tail_extension(P: Presentation, G: FiniteGroup, p: int,
         if la.row_space_contains(red, piv, t, p) if B.size else not t.any():
             inB.append(mu)
     Bhat, _ = la.rref(np.stack(inB), p)
-    h2_dim = s0 - Bhat.shape[0]
-    return dict(table=T, presentation=Epres, base_presentation=P, group=G,
-                kernel=kernel, coords=coords, Z=Z, s0=s0,
-                cobound_tails=(red, piv), Bhat=Bhat, h2_dim=h2_dim, p=p)
-
-
-def _trivial_h2_class_reps(data: dict, p: int) -> list[np.ndarray]:
-    """One tail vector (s x 1) per H^2 class, zero class first."""
-    Z, s0 = data["Z"], data["s0"]
-    red, piv = data["cobound_tails"]
-    Bhat = data["Bhat"]
-    bred, bpiv = la.rref(Bhat, p)
-    reps = [np.zeros((Z.shape[0], 1), dtype=np.int64)]
-    seen = {la.span_key(np.zeros((1, Z.shape[0]), dtype=np.int64), p): None}
-    mus: list[np.ndarray] = []
-    for mu in la.all_vectors(s0, p):
-        if not mu.any() or la.row_space_contains(bred, bpiv, mu, p):
-            continue
-        if any(_same_h2_class(mu, prev, bred, bpiv, p) for prev in mus):
-            continue
-        mus.append(mu)
-        reps.append(((Z @ mu) % p).reshape(-1, 1))
-        if len(reps) == p ** data["h2_dim"]:
-            break
-    assert len(reps) == p ** data["h2_dim"]
-    return reps
-
-
-def _same_h2_class(mu, prev, bred, bpiv, p) -> bool:
-    return la.row_space_contains(bred, bpiv, (mu - prev) % p, p)
-
-
-def build_extension(P: Presentation, M: GModule, tails: np.ndarray,
-                    max_cosets: int = 1 << 18, name: str = "") -> FrattiniLevel:
-    """Concrete extension of M.group by M along the given relator tails.
-
-    The enumerated group is re-normalized to the pair model; Collapse is
-    raised when the tails are not cocycle tails.
-    """
-    G = M.group
-    p, m = M.p, M.dim
-    expected = G.order * p ** m
-    n, T = try_extension_order(P, M, tails, max_cosets)
-    if n < expected:
-        raise Collapse(f"extension closed at {n} < {expected}; invalid tails")
-    d = P.ngens
-    # section words: G BFS words pushed through the x-letters
-    kernel, kcoords = _table_kernel_coords(
-        T, lambda c: G.eval_signed_word(
-            tuple(x for x in T.rep_words[c] if abs(x) <= d)), m, p,
-        basis_words=[(d + j + 1,) for j in range(m)])
-    # psi(g,h) = s(gh)^-1 s(g) s(h) evaluated through x-words
-    nb = G.order
-    psi = np.zeros((nb, nb, m), dtype=np.int64)
-    gwords = [tuple(gi + 1 for gi in G.words[g]) for g in range(nb)]
-    for g in range(nb):
-        for h in range(nb):
-            w = invert_word(gwords[G.mul(g, h)]) + gwords[g] + gwords[h]
-            c = T.act_word(0, w)
-            psi[g, h] = kcoords[c]
-    lvl = level_from_pair_model(G, M, psi, p, name=name)
-    lvl.total.presentation = extension_presentation(P, M, tails)
-    return lvl
+    return dict(table=T, presentation=Epres, kernel=kernel, coords=coords,
+                s0=s0, Bhat=Bhat, h2_dim=s0 - Bhat.shape[0])
 
 
 # -- verification -----------------------------------------------------------------
@@ -1063,34 +1062,25 @@ def general_level(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> GeneralL
     data = frattini_module(G, p, max_cosets)
     # trivial-module Schur covers of G (for the versality check)
     triv = trivial_module(G, p)
-    tdim, tclasses = h2_classes(G.presentation, triv, max_cosets)
-    schur_levels = []
-    for cls in tclasses:
-        if not cls.any():
-            continue
-        schur_levels.append(build_extension(G.presentation, triv, cls,
-                                            max_cosets, name="schur-cover"))
+    _, tclasses = h2_classes(G.presentation, triv)
+    schur_levels = [build_extension(G.presentation, triv, cls, name="schur-cover")
+                    for cls in tclasses if cls.any()]
 
-    errors = []
     for b in data.summand_bases:
         M = submodule_module(data.induced, b)
-        try:
-            dim, classes = h2_classes(G.presentation, M, max_cosets)
-        except Budget as e:
-            errors.append((b.shape[0], str(e)))
-            continue
+        dim, classes = h2_classes(G.presentation, M)
         nonsplit = [c for c in classes if c.any()]
         if not nonsplit:
             continue
         tail = nonsplit[0]
-        lvl = build_extension(G.presentation, M, tail, max_cosets,
+        lvl = build_extension(G.presentation, M, tail,
                               name=f"G1({G.name or 'G'})")
         if not verify_order_lifting(lvl).ok:
             continue
         if not all(_homomorphism_onto(lvl, sl) for sl in schur_levels):
             continue
         return GeneralLevel(lvl, M, dim, tail, schur_levels, data)
-    raise AssertionError(f"no summand yields the Frattini cover: {errors}")
+    raise AssertionError("no summand yields the Frattini cover")
 
 
 def transport_level(lvl: FrattiniLevel, iso: list[int],

@@ -50,10 +50,10 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = (a[r] * inv_scalar(a[r, c], p)) % p
+        # row r is zero left of c, so only columns c.. change
         mask = np.nonzero(a[:, c])[0]
-        for j in mask:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        mask = mask[mask != r]
+        a[mask, c:] = (a[mask, c:] - np.outer(a[mask, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -163,6 +164,29 @@ def test_bad_p_or_k_rejected_before_work(tmp_path, capsys, args, bound):
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("flag, text, reason", [
+    ("--group-file", "(0,1\n", "bad cycle"),
+    ("--group-file", "(1,2)(2,3)\n", "not a bijection"),
+    ("--group-file", "(1,a)\n", "invalid literal"),
+    ("--group-file", "# only a comment\n", "no permutations"),
+    ("--group-file", None, "No such file"),
+    ("--presentation-file", "gens: a\na^\n", "missing exponent"),
+    ("--presentation-file", None, "No such file"),
+], ids=["open-cycle", "overlapping-cycles", "non-integer-point",
+        "comment-only", "missing-group-file", "trailing-caret",
+        "missing-presentation-file"])
+def test_bad_input_file_rejected(tmp_path, capsys, flag, text, reason):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    args = ["level", flag, str(path), "--classes", "2A,2A,2A,2A", "--p", "2"]
+    assert run_cli(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cache_key_covers_file_contents(tmp_path, capsys):
     (tmp_path / "d5").mkdir()
     (tmp_path / "z10").mkdir()
@@ -223,6 +247,20 @@ def test_level1_dihedral_cli(tmp_path):
     assert dumps[0][0].startswith("[(")
 
 
+A5_LEVEL1_SHA256 = {
+    "components.json":
+        "d800062cbe4ca5236a9c183ed59e1fca43c5887f1a7f8657d719ed4f5b4b2af0",
+    "orbits_L0.json":
+        "28d55763626ae79c33bb8d83862d0c542b1741857e9646e9af05ddbb9ce1f369",
+    "orbits_L1.json":
+        "24e2c68fb5c6794748b2c5d314ebb640c30a4c85e4d581a53a7446d115946a82",
+    "sh_incidence_L0.csv":
+        "25c4fcf4f65e23c984c350cacdd3600301b7267f3f1cc31f84023193dfcc9f19",
+    "sh_incidence_L1.csv":
+        "0e5303a2561e4f9b94764d57fa511e640aea524694203eee9896b6eff7809f06",
+}
+
+
 def test_level1_a5_cli(tmp_path):
     rc = run_cli(["level", "--group", "A5", "--classes", "3A,3A,3A,3A",
                   "--p", "2", "--k", "1"], tmp_path)
@@ -232,6 +270,9 @@ def test_level1_a5_cli(tmp_path):
     assert sorted(c["genus"] for c in comps) == [9, 12]
     assert doc["levels"][1]["total_order"] == 1920
     assert all(c["verdict"] == "hypotheses-unmet" for c in doc["comparisons"])
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "out").iterdir()}
+    assert digests == A5_LEVEL1_SHA256
 
 
 def test_schur_cli_a4_level1(tmp_path):

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from mtower import linalg as la
 from mtower.errors import Collapse, NotPPrime
-from mtower.fp import Presentation, presentation_order
-from mtower.frattini import (build_extension, dihedral_level, h2_classes,
-                             lift_class, normalizer, p_sylow,
-                             restriction_splits, split_level, split_structure,
-                             transport_level, verify_frattini,
-                             verify_order_lifting)
-from mtower.gmodules import trivial_module
+from mtower.fp import (Presentation, invert_word, presentation_order,
+                       todd_coxeter)
+from mtower.frattini import (build_extension, dihedral_level,
+                             extension_presentation, h2_classes, lift_class,
+                             normalizer, p_sylow, restriction_splits,
+                             split_level, split_structure, transport_level,
+                             verify_frattini, verify_order_lifting)
+from mtower.gmodules import GModule, coboundary_tails, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
-                           find_isomorphism, is_center_free, is_p_perfect,
-                           special_linear_2)
+                           dihedral_group, find_isomorphism, is_center_free,
+                           is_p_perfect, special_linear_2)
 from mtower.perms import Perm
 
 
@@ -95,6 +97,112 @@ def test_h2_a5_dimensions(g1a5, a5):
     # the split tail must be among the valid classes
     dim, classes = h2_classes(a5.presentation, g1a5.module)
     assert dim == 1 and len(classes) == 2
+
+
+def _enumerated_extension(P, M, tails):
+    """Coset table of the presented extension, or None below |G| p^m."""
+    T = todd_coxeter(extension_presentation(P, M, tails), (), 1 << 18)
+    assert T.n <= M.group.order * M.p ** M.dim
+    return T if T.n == M.group.order * M.p ** M.dim else None
+
+
+def _oracle_h2(P, M):
+    """Reference H^2 by coset enumeration: every tail vector supported on the
+    free columns of the coboundary tails, in counting order, is kept when
+    its presented extension reaches |G| p^m."""
+    p, m, s = M.p, M.dim, len(P.relators)
+    B = coboundary_tails(P, M)
+    _, piv = la.rref(B, p) if B.size else (B, [])
+    free_cols = [c for c in range(s * m) if c not in piv]
+    valid = []
+    for fv in la.all_vectors(len(free_cols), p):
+        flat = np.zeros(s * m, dtype=np.int64)
+        flat[free_cols] = fv
+        if _enumerated_extension(P, M, flat.reshape(s, m)) is not None:
+            valid.append(flat.reshape(s, m))
+    dim = 0
+    while p ** dim < len(valid):
+        dim += 1
+    assert p ** dim == len(valid)
+    return dim, valid
+
+
+def _enumerated_psi(P, M, tails):
+    """psi(g, h) = s(gh)^-1 s(g) s(h) read off the enumerated extension, with
+    s(g) the BFS word of g and kernel coordinates in the z generators."""
+    G, p, m, d = M.group, M.p, M.dim, P.ngens
+    T = _enumerated_extension(P, M, tails)
+    coord = {}
+    for v in la.all_vectors(m, p):
+        word = tuple(d + j + 1 for j in range(m) for _ in range(int(v[j])))
+        coord[T.act_word(0, word)] = v
+    assert len(coord) == p ** m
+    words = [tuple(gi + 1 for gi in w) for w in G.words]
+    n = G.order
+    psi = np.zeros((n, n, m), dtype=np.int64)
+    for g in range(n):
+        for h in range(n):
+            w = invert_word(words[G.mul(g, h)]) + words[g] + words[h]
+            psi[g, h] = coord[T.act_word(0, w)]
+    return psi
+
+
+def _z2_redundant():
+    Z2 = FiniteGroup([Perm.from_cycles([[0, 1]], 2)])
+    return Presentation(1, ((1, 1), (1, 1, 1, 1))), trivial_module(Z2, 2)
+
+
+def _with_presentation(G, p, mats=None, P=None):
+    M = trivial_module(G, p) if mats is None else GModule(G, p, mats)
+    return P or G.presentation, M
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _with_presentation(alternating_group(4), 2),
+    lambda: _with_presentation(alternating_group(5), 2),
+    lambda: _with_presentation(alternating_group(5), 3),
+    lambda: _with_presentation(dihedral_group(5), 5),
+    lambda: _with_presentation(dihedral_group(5), 5,
+                               [np.array([[1]]), np.array([[4]])]),
+    # inverse letters: s^-1 r^-1 s = r
+    lambda: _with_presentation(dihedral_group(5), 5,
+                               [np.array([[1]]), np.array([[4]])],
+                               Presentation(2, ((1,) * 5, (2, 2), (-2, -1, 2, -1)))),
+    _z2_redundant,
+], ids=["A4-F2", "A5-F2", "A5-F3", "D5-F5", "D5-sign-F5", "D5-sign-F5-inverse",
+        "Z2-a2-a4"])
+def test_h2_matches_coset_enumeration(case):
+    P, M = case()
+    dim, classes = h2_classes(P, M)
+    odim, oclasses = _oracle_h2(P, M)
+    assert dim == odim
+    assert [c.tolist() for c in classes] == [c.tolist() for c in oclasses]
+    for tails in classes[1:]:
+        lvl = build_extension(P, M, tails)
+        assert (lvl.psi == _enumerated_psi(P, M, tails)).all()
+
+
+def test_frattini_module_psi_matches_coset_enumeration(g1a5, a5):
+    P, M = a5.presentation, g1a5.module
+    lvl = build_extension(P, M, g1a5.tail)
+    assert (lvl.psi == _enumerated_psi(P, M, g1a5.tail)).all()
+    assert (g1a5.level.psi == lvl.psi).all()
+
+
+def test_frattini_module_inverse_letters_match_coset_enumeration(g1a5):
+    # b^-3 reads the inverse of b's matrix, which differs from b's here
+    P, M = Presentation(2, ((1, 1), (-2, -2, -2), (1, 2) * 5)), g1a5.module
+    dim, classes = h2_classes(P, M)
+    assert dim == 1
+    lvl = build_extension(P, M, classes[1])
+    assert (lvl.psi == _enumerated_psi(P, M, classes[1])).all()
+
+
+def test_h2_rejects_relator_false_in_group():
+    # r^4 does not hold in D5: the relator scan would not close
+    P = Presentation(2, ((1,) * 4, (2, 2), (1, 2, 1, 2)))
+    with pytest.raises(AssertionError, match="relator 0"):
+        h2_classes(P, trivial_module(dihedral_group(5), 5))
 
 
 def test_build_extension_collapse():
