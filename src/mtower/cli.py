@@ -42,7 +42,7 @@ from .perms import parse_group_file
 from .schur import (abelian_test, check_modassume,
                     enumerate_schur_quotients, p3_census, vd_set)
 
-VERSION = 1
+VERSION = 2
 
 
 def label_classes(G: FiniteGroup) -> list[str]:
@@ -108,8 +108,8 @@ def build_level_model(G: FiniteGroup, p: int, budget_cosets: int,
     """One cover level over G, route chosen by structure: dihedral closed
     form, split construction, or the relator-tail search.  The split route
     keeps its own base model, whose total carries a small generator-aligned
-    presentation (needed for the universal-extension work in the Schur
-    analysis); the other routes build over G itself."""
+    presentation (the H^2 solve of the Schur analysis reads it); the other
+    routes build over G itself."""
     if p > 2 and G.order == 2 * G.degree and G.degree % p == 0:
         try:
             return dihedral_step(G, p)
@@ -299,21 +299,20 @@ def cmd_schur(args) -> int:
     G, gdesc, _ = load_group(args)
     out: dict = {"group": gdesc, "p": args.p, "quotients": []}
     if args.k == 0:
-        quots = enumerate_schur_quotients(G, args.p, args.budget_cosets)
+        quots = enumerate_schur_quotients(G, args.p)
         for q in quots:
             out["quotients"].append({
                 "order": q.total.order,
-                "kernel_gen": str(q.total.perm(q.center_gen)),
+                "kernel_gen": str(q.total.perm(q.kernel_elems[1])),
             })
     else:
         L = build_level_model(G, args.p, args.budget_cosets, 1)
-        quots = enumerate_schur_quotients(L.total, args.p, args.budget_cosets)
+        quots = enumerate_schur_quotients(L.total, args.p)
         rad_basis = radical(L.kernel_module)
         coord_to_elem = {la.vec_int(L.kernel_coords[e], args.p): e
                          for e in L.kernel_elems}
         rad_elems = [coord_to_elem[la.vec_int(v, args.p)] for v in rad_basis]
-        antecedents = enumerate_schur_quotients(L.base, args.p,
-                                                args.budget_cosets)
+        antecedents = enumerate_schur_quotients(L.base, args.p)
         from .schur import antecedent_test
         for qi, q in enumerate(quots):
             vd = vd_set(q, L)

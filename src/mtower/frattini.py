@@ -2,7 +2,9 @@
 iterated Frattini quotients of a free group, and the general case from
 H^2(G, M), read off one F_p linear solve for the kernel labels on the edges
 of G's Cayley graph and the relator tails (_cocycle_space); the same solve
-builds the extension of any class.
+builds the extension of any class.  Against the trivial module it gives the
+Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The solve is
+dense, so systems past COCYCLE_UNKNOWNS_LIMIT unknowns raise TooLarge.
 
 Every constructed level is normalized to a canonical "pair model": elements
 are pairs (base element, kernel vector) with
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import (ActionLiftFailed, Collapse, InputError, NotPPrime,
-                     OrderExceeded)
+                     OrderExceeded, TooLarge)
 from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
                  invert_word, schreier_generators, todd_coxeter, word_pow)
 from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
@@ -32,6 +34,10 @@ from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
 from .groups import (ConjClass, FiniteGroup, find_isomorphism,
                      generating_set, subgroup_from_indices)
 from .perms import Perm
+
+# Past this many unknowns the dense H^2 solve needs gigabytes (G1(A5) with
+# the trivial module has 11,549); _cocycle_space raises TooLarge instead.
+COCYCLE_UNKNOWNS_LIMIT = 4096
 
 
 @dataclass
@@ -324,7 +330,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     # kernel coordinates inside T1, in the Schreier-generator basis
     kernel_cosets, kcoords = _table_kernel_coords(
         T1, lambda c: int(p0_elem[_p0_code_of_word(T1.rep_words[c], d, p)]),
-        dprime, p, basis_words=sgens)
+        dprime, p, sgens)
     mats0 = []
     for i in range(d):
         rows = []
@@ -452,45 +458,24 @@ def _coset_in_kernel(T: CosetTable, word) -> int:
 
 
 def _table_kernel_coords(T: CosetTable, proj_of_coset, expected_dim: int, p: int,
-                         basis_words=None):
-    """Kernel cosets (proj == identity) with F_p coordinates.
-
-    Coordinates are taken against `basis_words` (words whose cosets span the
-    kernel) when given, else against a greedy basis in coset order.
-    """
+                         basis_words):
+    """Kernel cosets (proj == identity) with F_p coordinates against
+    `basis_words`, words whose cosets span the kernel."""
     kernel = [c for c in range(T.n) if proj_of_coset(c) == 0]
     assert len(kernel) == p ** expected_dim, (len(kernel), expected_dim)
+    assert len(basis_words) == expected_dim
     coords: dict[int, np.ndarray] = {0: np.zeros(expected_dim, dtype=np.int64)}
-    if basis_words is not None:
-        assert len(basis_words) == expected_dim
-        for j, w in enumerate(basis_words):
-            grown = dict(coords)
-            for known, vec in coords.items():
-                cur = known
-                for e in range(1, p):
-                    cur = T.act_word(cur, w)
-                    v = vec.copy()
-                    v[j] = e
-                    assert cur not in grown, "kernel basis words not independent"
-                    grown[cur] = v
-            coords = grown
-    else:
-        basis: list[int] = []
-        for c in kernel:
-            if c in coords:
-                continue
-            j = len(basis)
-            basis.append(c)
-            grown = dict(coords)
-            for known, vec in coords.items():
-                cur = known
-                for e in range(1, p):
-                    cur = T.act_word(cur, T.rep_words[c])
-                    v = vec.copy()
-                    v[j] = e
-                    grown[cur] = v
-            coords = grown
-        assert len(basis) == expected_dim
+    for j, w in enumerate(basis_words):
+        grown = dict(coords)
+        for known, vec in coords.items():
+            cur = known
+            for e in range(1, p):
+                cur = T.act_word(cur, w)
+                v = vec.copy()
+                v[j] = e
+                assert cur not in grown, "kernel basis words not independent"
+                grown[cur] = v
+        coords = grown
     assert len(coords) == len(kernel)
     return kernel, coords
 
@@ -640,11 +625,17 @@ def _cocycle_space(P: Presentation, M: GModule):
     of G's Cayley graph (tree edges, from G._parents, carry label 0),
     followed by the relator tails t in M^s.  Generator x_i acts on pairs by
     (g, v) x_i = (g x_i, v A_i + c(g, i)); the equations say that every
-    relator, read from every vertex, ends at its tail (|G| s m rows).
+    relator, read from every vertex, ends at its tail (|G| m rows per
+    relator, folded into the running echelon form one relator at a time).
     Returns the labels and the tails blocks of a nullspace basis of that
     system, and the (|G|, d) array of label indices (-1 on tree edges).
+    Raises TooLarge, before any work, past COCYCLE_UNKNOWNS_LIMIT unknowns.
     """
     G, p, m, n, s = M.group, M.p, M.dim, M.group.order, len(P.relators)
+    nl = (n * (P.ngens - 1) + 1) * m
+    if nl + s * m > COCYCLE_UNKNOWNS_LIMIT:
+        raise TooLarge(f"H^2 solve: {nl + s * m} unknowns, past "
+                       f"COCYCLE_UNKNOWNS_LIMIT={COCYCLE_UNKNOWNS_LIMIT}")
     right = _right_columns(G)
     left = [np.argsort(r) for r in right]          # g -> g x_i^-1
     inv_mats = [M._invert(A) for A in M.mats]
@@ -653,11 +644,11 @@ def _cocycle_space(P: Presentation, M: GModule):
     for k, e in enumerate(e for e in product(range(n), range(P.ngens))
                           if e not in tree):
         col[e] = k
-    nl = (n * (P.ngens - 1) + 1) * m
-    eqs = np.zeros((s * n * m, nl + s * m), dtype=np.int64)
     ar = np.arange(m)
+    rows = np.arange(n)[:, None, None] * m + ar
+    red = np.zeros((0, nl + s * m), dtype=np.int64)
     for ri, rel in enumerate(P.relators):
-        rows = (ri * n + np.arange(n))[:, None, None] * m + ar
+        eqs = np.zeros((n * m, nl + s * m), dtype=np.int64)
         eqs[rows[:, 0], nl + ri * m + ar] = -1
         # a label reaches the relator's end times the later letters' matrices
         suffix, coeffs = la.identity(m), []
@@ -679,20 +670,25 @@ def _cocycle_space(P: Presentation, M: GModule):
             hit = blk >= 0
             np.add.at(eqs, (rows[hit], blk[hit][:, None, None] * m + ar[:, None]), K)
         assert (at == np.arange(n)).all(), f"relator {ri} does not hold in the group"
-    sol = la.nullspace(eqs % p, p)
+        red, _ = la.rref(np.vstack([red, eqs]), p)
+    sol = la.nullspace(red, p)
     return sol[:, :nl], sol[:, nl:], col
 
 
 def h2_classes(P: Presentation, M: GModule) -> tuple[int, list[np.ndarray]]:
-    """(dim H^2(G, M), one relator-tail representative per class).
+    """(dim H^2(G, M), one relator-tail representative per class)."""
+    return _h2_classes(P, M, _cocycle_space(P, M))
 
-    The tails of all extensions (from _cocycle_space) are reduced modulo the
-    coboundary tails onto the free columns of rref(B); every vector of that
-    complement is listed, ordered by its free-column values, so the zero
-    class comes first.
+
+def _h2_classes(P: Presentation, M: GModule, space) -> tuple[int, list[np.ndarray]]:
+    """H^2 classes read from a solved _cocycle_space.
+
+    The tails of all extensions are reduced modulo the coboundary tails onto
+    the free columns of rref(B); every vector of that complement is listed,
+    ordered by its free-column values, so the zero class comes first.
     """
     p, m, s = M.p, M.dim, len(P.relators)
-    _, tails, _ = _cocycle_space(P, M)
+    tails = space[1]
     B = coboundary_tails(P, M)  # rows, length s*m
     red, piv = la.rref(B, p) if B.size else (B, [])
     for r, c in enumerate(piv):
@@ -710,15 +706,21 @@ def h2_classes(P: Presentation, M: GModule) -> tuple[int, list[np.ndarray]]:
 
 def build_extension(P: Presentation, M: GModule, tails: np.ndarray,
                     name: str = "") -> FrattiniLevel:
-    """Concrete extension of M.group by M along the given relator tails.
+    """Concrete extension of M.group by M along the given relator tails."""
+    return _extension(P, M, _cocycle_space(P, M), tails, name)
 
-    The edge labels of the tails come from _cocycle_space (Collapse when the
-    tails are not the tails of an extension); psi is filled along the BFS
-    tree by psi(g, h x_i) = psi(g, h) A_i + c(g h, i) - c(h, i), where the
-    tree edge's label c(h, i) is 0.
+
+def _extension(P: Presentation, M: GModule, space, tails: np.ndarray,
+               name: str) -> FrattiniLevel:
+    """The extension of the given tails, read from a solved _cocycle_space.
+
+    The edge labels of the tails are solved from the space (Collapse when
+    the tails are not the tails of an extension); psi is filled along the
+    BFS tree by psi(g, h x_i) = psi(g, h) A_i + c(g h, i) - c(h, i), where
+    the tree edge's label c(h, i) is 0.
     """
     G, p, m, n = M.group, M.p, M.dim, M.group.order
-    sol_labels, sol_tails, col = _cocycle_space(P, M)
+    sol_labels, sol_tails, col = space
     coeff = la.solve_right(sol_tails, np.reshape(tails, (1, -1)), p)
     if coeff is None:
         raise Collapse("tails are not the relator tails of an extension")
@@ -736,46 +738,19 @@ def build_extension(P: Presentation, M: GModule, tails: np.ndarray,
     return lvl
 
 
-def universal_tail_extension(P: Presentation, G: FiniteGroup, p: int,
-                             max_cosets: int) -> dict:
-    """Enumerate E = F / R^p [R, F] and linearize its kernel over G.
+def schur_covers(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
+    """One central extension R_D of G by F_p per line of H^2(G, F_p).
 
-    Returns the table and its presentation, the kernel cosets with their
-    coordinates in F_p^s0, the coboundary functionals Bhat (rows of F_p^s0
-    whose relator images are coboundary tails) and dim H^2(G, F_p).
+    One solve against the trivial module gives both the classes and their
+    extensions.  Each line is represented by its class whose first nonzero
+    tail is 1; the covers come in H^2 class order.
     """
-    d, s = P.ngens, len(P.relators)
-    rels: list[tuple[int, ...]] = []
-    for r in P.relators:
-        rels.append(free_reduce(word_pow(r, p)))
-        for i in range(d):
-            w = commutator_word(r, (i + 1,))
-            if w:
-                rels.append(w)
-    Epres = Presentation(d, tuple(rels))
-    T = todd_coxeter(Epres, (), max_cosets)
-    if T.n % G.order:
-        raise AssertionError("universal tail extension order not divisible by |G|")
-    size = T.n // G.order
-    s0 = 0
-    while p ** s0 < size:
-        s0 += 1
-    assert p ** s0 == size, "kernel not elementary abelian p"
-    kernel, coords = _table_kernel_coords(
-        T, lambda c: G.eval_signed_word(T.rep_words[c]), s0, p)
-    Z = np.stack([coords[_coset_in_kernel(T, r)] for r in P.relators]) if s else \
-        np.zeros((0, s0), dtype=np.int64)
-    # coboundary functionals: mu with Z mu^T in the Fox image
-    B = coboundary_tails(P, trivial_module(G, p))  # rows of length s
-    red, piv = la.rref(B, p) if B.size else (B, [])
-    inB = []
-    for mu in la.all_vectors(s0, p):
-        t = (Z @ mu) % p
-        if la.row_space_contains(red, piv, t, p) if B.size else not t.any():
-            inB.append(mu)
-    Bhat, _ = la.rref(np.stack(inB), p)
-    return dict(table=T, presentation=Epres, kernel=kernel, coords=coords,
-                s0=s0, Bhat=Bhat, h2_dim=s0 - Bhat.shape[0])
+    P, M = G.presentation, trivial_module(G, p)
+    space = _cocycle_space(P, M)
+    _, classes = _h2_classes(P, M, space)
+    lines = [c for c in classes if c.any() and c[c != 0][0] == 1]
+    return [_extension(P, M, space, c, name=f"R_D{i + 1}({G.name})")
+            for i, c in enumerate(lines)]
 
 
 # -- verification -----------------------------------------------------------------
@@ -1060,21 +1035,17 @@ def general_level(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> GeneralL
     if G.presentation is None:
         raise InputError("base group needs an attached presentation")
     data = frattini_module(G, p, max_cosets)
-    # trivial-module Schur covers of G (for the versality check)
-    triv = trivial_module(G, p)
-    _, tclasses = h2_classes(G.presentation, triv)
-    schur_levels = [build_extension(G.presentation, triv, cls, name="schur-cover")
-                    for cls in tclasses if cls.any()]
-
+    schur_levels = schur_covers(G, p)   # for the versality check
     for b in data.summand_bases:
         M = submodule_module(data.induced, b)
-        dim, classes = h2_classes(G.presentation, M)
+        space = _cocycle_space(G.presentation, M)
+        dim, classes = _h2_classes(G.presentation, M, space)
         nonsplit = [c for c in classes if c.any()]
         if not nonsplit:
             continue
         tail = nonsplit[0]
-        lvl = build_extension(G.presentation, M, tail,
-                              name=f"G1({G.name or 'G'})")
+        lvl = _extension(G.presentation, M, space, tail,
+                         name=f"G1({G.name or 'G'})")
         if not verify_order_lifting(lvl).ok:
             continue
         if not all(_homomorphism_onto(lvl, sl) for sl in schur_levels):

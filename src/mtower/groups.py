@@ -160,10 +160,6 @@ class FiniteGroup:
             cur = self.mul(cur, self.gen_indices[gi])
         return cur
 
-    def eval_signed_word(self, word) -> int:
-        """Word letters are +-(i+1) for generator i / its inverse."""
-        return self.eval_relator(self.gen_indices, word)
-
     def eval_relator(self, images, word) -> int:
         """A signed word evaluated with generator i sent to images[i]; 0 means
         the assignment satisfies the relator."""

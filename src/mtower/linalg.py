@@ -34,7 +34,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Zero rows are dropped, so R has full row rank.
     """
-    a = asmod(mat, p).copy()
+    a = asmod(mat, p)
     if a.size == 0:
         return a.reshape(0, mat.shape[1] if mat.ndim == 2 else 0), []
     rows, cols = a.shape

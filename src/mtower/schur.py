@@ -2,9 +2,9 @@
 V_D of kernel elements with order-p lifts, order-p^3 lift classification,
 the three lifting conditions, abelian slices, and antecedent detection.
 
-R_D's are enumerated as index-p quotients of the kernel of the universal
-exponent-p central extension (one coset enumeration), skipping the
-split directions (functionals vanishing on the coboundary space).
+Each R_D is the pair model of one line of H^2(G, F_p), built from the same
+linear solve as every other extension (frattini.schur_covers); its kernel
+generator is kernel_elems[1].
 """
 
 from __future__ import annotations
@@ -17,23 +17,9 @@ import numpy as np
 from . import linalg as la
 from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
                      RankDeficient)
-from .fp import todd_coxeter
-from .frattini import FrattiniLevel, universal_tail_extension
+from .frattini import FrattiniLevel, schur_covers
 from .groups import FiniteGroup, is_p_perfect
 from .perms import Perm
-
-
-@dataclass
-class CentralExt:
-    total: FiniteGroup
-    base: FiniteGroup
-    p: int
-    proj: np.ndarray
-    center_gen: int
-    name: str = ""
-
-    def lifts(self, g: int) -> list[int]:
-        return np.flatnonzero(self.proj == g).tolist()
 
 
 @dataclass
@@ -46,65 +32,19 @@ class VDSet:
 P3_LABELS = ("Klein4", "D4", "Q8", "Z4xZ2", "ElemAbelian", "Up", "Hp_Wp", "Zp2xZp")
 
 
-def enumerate_schur_quotients(G: FiniteGroup, p: int,
-                              max_cosets: int = 1 << 18) -> list[CentralExt]:
-    """All Z/p Schur quotients of G (central Z/p Frattini extensions).
-
-    Distinct quotients correspond to lines of H^2(G, F_p); each is cut out
-    of the universal tail extension by an index-p subgroup of its kernel.
-    """
+def enumerate_schur_quotients(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
+    """All Z/p Schur quotients of G (central Z/p Frattini extensions), one
+    per line of H^2(G, F_p), in H^2 class order."""
     if not is_p_perfect(G, p):
         raise NotPPerfect("group admits a Z/p quotient")
     if G.presentation is None:
         raise InputError("group needs an attached presentation")
-    data = universal_tail_extension(G.presentation, G, p, max_cosets)
-    m = data["h2_dim"]
-    if m == 0:
-        return []
-    s0 = data["s0"]
-    T = data["table"]
-    coords = data["coords"]
-    kernel = data["kernel"]
-    bred, bpiv = la.rref(data["Bhat"], p)
-    chosen: list[np.ndarray] = []
-    seen_lines: set[bytes] = set()
-    for lam in la.all_vectors(s0, p):
-        if not lam.any() or la.row_space_contains(bred, bpiv, lam, p):
-            continue
-        reduced = lam.copy()
-        for r, c in enumerate(bpiv):
-            if reduced[c]:
-                reduced = (reduced - reduced[c] * bred[r]) % p
-        nz = np.nonzero(reduced)[0]
-        scaled = (reduced * la.inv_scalar(int(reduced[nz[0]]), p)) % p
-        key = scaled.tobytes()
-        if key in seen_lines:
-            continue
-        seen_lines.add(key)
-        chosen.append(lam)
-    assert len(chosen) == (p ** m - 1) // (p - 1)
-
-    coset_of_coord = {la.vec_int(coords[c], p): c for c in kernel}
-    out = []
-    for idx, lam in enumerate(chosen):
-        null_basis = la.nullspace(lam.reshape(1, -1), p)
-        basis_words = [T.rep_words[coset_of_coord[la.vec_int(v, p)]]
-                       for v in null_basis]
-        Tq = todd_coxeter(data["presentation"], basis_words, max_cosets)
-        assert Tq.n == G.order * p, (Tq.n, G.order * p)
-        total = FiniteGroup([Tq.generator_perm(g) for g in range(Tq.ngens)],
-                            max_order=Tq.n + 1, name=f"R_D{idx + 1}({G.name})")
-        total.presentation = None
-        proj = np.empty(total.order, dtype=np.int64)
-        for e in range(total.order):
-            proj[e] = G.eval_word(total.words[e])
-        kernel_elems = [e for e in range(total.order) if proj[e] == 0 and e != 0]
-        assert len(kernel_elems) == p - 1
-        z = min(kernel_elems)
-        for g in total.gen_indices:
-            assert total.mul(z, g) == total.mul(g, z), "kernel not central"
-        assert not _splits(total, G, proj), "Schur quotient unexpectedly split"
-        out.append(CentralExt(total, G, p, proj, z, name=total.name))
+    out = schur_covers(G, p)
+    for E in out:
+        z = E.kernel_elems[1]
+        for g in E.total.gen_indices:
+            assert E.total.mul(z, g) == E.total.mul(g, z), "kernel not central"
+        assert not _splits(E.total, G, E.proj), "Schur quotient unexpectedly split"
     return out
 
 
@@ -119,12 +59,12 @@ def _splits(total: FiniteGroup, G: FiniteGroup, proj: np.ndarray) -> bool:
 # -- V_D sets and pair classification --------------------------------------------
 
 
-def _level_compatible(E: CentralExt, L: FrattiniLevel) -> None:
+def _level_compatible(E: FrattiniLevel, L: FrattiniLevel) -> None:
     if E.base is not L.total:
         raise IncompatibleLevels("central extension is not over the level's total")
 
 
-def vd_set(E: CentralExt, L: FrattiniLevel) -> VDSet:
+def vd_set(E: FrattiniLevel, L: FrattiniLevel) -> VDSet:
     """Kernel elements of the level whose lifts to R_D have order <= p.
 
     The p-th power of a lift is independent of the lift (central kernel), so
@@ -148,7 +88,7 @@ def vd_set(E: CentralExt, L: FrattiniLevel) -> VDSet:
     return VDSet(tuple(members), tuple(nonzero), closed)
 
 
-def classify_pair(E: CentralExt, L: FrattiniLevel, m1: int, m2: int,
+def classify_pair(E: FrattiniLevel, L: FrattiniLevel, m1: int, m2: int,
                   vd: VDSet | None = None) -> str:
     """Isomorphism type of the group generated by lifts of two independent
     kernel elements; asserts membership in the allowed list for the
@@ -200,7 +140,7 @@ def _allowed_labels(p: int, in1: bool, in2: bool) -> set[str]:
     return {"Zp2xZp", "Up"}
 
 
-def p3_census(E: CentralExt, L: FrattiniLevel) -> dict[str, int]:
+def p3_census(E: FrattiniLevel, L: FrattiniLevel) -> dict[str, int]:
     """classify_pair over all independent kernel pairs, with the allowed-list
     and the two-order-p^2-generator corollary asserted along the way."""
     vd = vd_set(E, L)
@@ -234,7 +174,7 @@ def _span_elements(L: FrattiniLevel, m1: int, m2: int) -> list[int]:
     return out
 
 
-def check_modassume(E: CentralExt, L: FrattiniLevel) -> tuple[bool, bool, bool]:
+def check_modassume(E: FrattiniLevel, L: FrattiniLevel) -> tuple[bool, bool, bool]:
     """The three lifting conditions: (a) every independent pair outside V_D
     meets V_D^0 in its span; (b) the complement of V_D generates the kernel;
     (c) V_D is a submodule."""
@@ -275,7 +215,7 @@ class AbelianSliceReport:
     top_type: str | None              # order-16-style type over the radical part
 
 
-def abelian_test(E: CentralExt, L: FrattiniLevel,
+def abelian_test(E: FrattiniLevel, L: FrattiniLevel,
                  rad_elems: list[int] | None = None) -> AbelianSliceReport:
     """Find alpha_D outside V_D, test whether the pullback of the kernel is
     abelian, and report its structure.
@@ -336,12 +276,12 @@ def _abelian_invariants(G: FiniteGroup, elems: list[int], p: int) -> list[int]:
     return sorted(invs)
 
 
-def _top_type(E: CentralExt, L: FrattiniLevel, mhat: list[int],
+def _top_type(E: FrattiniLevel, L: FrattiniLevel, mhat: list[int],
               rad_elems: list[int]) -> str:
     """Type of M-hat modulo an order-2 lift set of the kernel-module radical."""
     R = E.total
     p = E.p
-    z = E.center_gen
+    z = E.kernel_elems[1]
     k0: list[int] = []
     for m in rad_elems:
         lifts = [e for e in mhat if int(E.proj[e]) == m]
@@ -399,7 +339,7 @@ def _top_type(E: CentralExt, L: FrattiniLevel, mhat: list[int],
 # -- antecedents ---------------------------------------------------------------------
 
 
-def find_cover_map(L: FrattiniLevel, E_prev: CentralExt) -> list[int] | None:
+def find_cover_map(L: FrattiniLevel, E_prev: FrattiniLevel) -> list[int] | None:
     """Surjection total -> R_D_prev over the common base, as an element map.
 
     E_prev must be a central extension of L.base; the universal property of
@@ -426,7 +366,7 @@ def find_cover_map(L: FrattiniLevel, E_prev: CentralExt) -> list[int] | None:
                  if (phi := element_map(images)) is not None), None)
 
 
-def vd_from_antecedent(L: FrattiniLevel, E_prev: CentralExt) -> VDSet:
+def vd_from_antecedent(L: FrattiniLevel, E_prev: FrattiniLevel) -> VDSet:
     """V_D of the would-be level-(k+1) Schur quotient with this antecedent:
     the kernel elements mapping trivially into the antecedent's center."""
     beta = find_cover_map(L, E_prev)
@@ -439,7 +379,7 @@ def vd_from_antecedent(L: FrattiniLevel, E_prev: CentralExt) -> VDSet:
     return VDSet(members, nonzero, closed)
 
 
-def antecedent_test(E_prev: CentralExt, E: CentralExt, L: FrattiniLevel) -> bool:
+def antecedent_test(E_prev: FrattiniLevel, E: FrattiniLevel, L: FrattiniLevel) -> bool:
     """Is E_prev antecedent to E?  Operationally: V_D(E) consists exactly of
     the kernel elements killed by the covering map onto E_prev."""
     want = vd_from_antecedent(L, E_prev)

@@ -76,12 +76,29 @@ def test_gcomplete_command(tmp_path):
     assert doc["complete"] is False and doc["witness"]
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_schur_command_level0(tmp_path):
     rc = run_cli(["schur", "--group", "A5", "--p", "2", "--k", "0"], tmp_path)
     assert rc == 0
     doc = json.loads((tmp_path / "out" / "schur.json").read_text())
     assert len(doc["quotients"]) == 1
     assert doc["quotients"][0]["order"] == 120
+    assert sha256_of(tmp_path / "out" / "schur.json") == \
+        "f2d5d3c0b16c9646fc30977150e010b7357abfd9a2393f488fca60cd5ff73770"
+    assert run_cli(["schur", "--group", "A4", "--p", "2", "--k", "0"],
+                   tmp_path) == 0
+    assert sha256_of(tmp_path / "out" / "schur.json") == \
+        "1ebcad7a10efc706cbb53bd78e620236849aa148c8246f0a396fae1e49dc6697"
+
+
+def test_schur_past_solve_limit_exits_2(tmp_path, capsys):
+    # G1(A5) with the trivial module would be an 11,549-unknown solve
+    rc = run_cli(["schur", "--group", "A5", "--p", "2", "--k", "1"], tmp_path)
+    assert rc == 2
+    assert "H^2 solve: 11549 unknowns" in capsys.readouterr().err
 
 
 def test_group_file_loading(tmp_path):
@@ -286,6 +303,8 @@ def test_schur_cli_a4_level1(tmp_path):
     abelian = next(q for q in quots if q["abelian"])
     assert abelian["antecedent_of"] == [0]
     assert abelian["modassume"] == [True, True, True]
+    assert sha256_of(tmp_path / "out" / "schur.json") == \
+        "095d797b745ac276bab890e55b06eac6c3ff86a0894dd267fb058496a2edbebe"
 
 
 def test_frattini_verify_cli(tmp_path):

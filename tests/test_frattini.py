@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from mtower import frattini
 from mtower import linalg as la
-from mtower.errors import Collapse, NotPPrime
+from mtower.errors import Collapse, NotPPrime, TooLarge
 from mtower.fp import (Presentation, invert_word, presentation_order,
                        todd_coxeter)
 from mtower.frattini import (build_extension, dihedral_level,
-                             extension_presentation, h2_classes, lift_class,
+                             extension_presentation, general_level,
+                             h2_classes, lift_class,
                              normalizer, p_sylow, restriction_splits,
                              split_level, split_structure, transport_level,
                              verify_frattini, verify_order_lifting)
@@ -261,3 +263,30 @@ def test_kernel_module_matches_action(g1a5):
             got = L.total.mul(L.total.mul(int(L.total.inv[s]), k), s)
             want = (L.kernel_coords[k] @ L.kernel_module.mats[gi]) % 2
             assert (L.kernel_coords[got] == want).all()
+
+
+def test_cocycle_unknowns_limit(monkeypatch, a5, g1a5):
+    # the A5 Frattini module (dim 5): 61 * 5 edge labels + 3 * 5 tails
+    monkeypatch.setattr(frattini, "COCYCLE_UNKNOWNS_LIMIT", 319)
+    with pytest.raises(TooLarge, match=r"H\^2 solve: 320 unknowns"):
+        h2_classes(a5.presentation, g1a5.module)
+    monkeypatch.setattr(frattini, "COCYCLE_UNKNOWNS_LIMIT", 320)
+    assert h2_classes(a5.presentation, g1a5.module)[0] == 1
+
+
+def test_one_cocycle_solve_per_module(monkeypatch, a4_tower, a5):
+    from mtower.schur import enumerate_schur_quotients
+
+    dims = []
+    solve = frattini._cocycle_space
+
+    def counted(P, M):
+        dims.append(M.dim)
+        return solve(P, M)
+
+    monkeypatch.setattr(frattini, "_cocycle_space", counted)
+    enumerate_schur_quotients(a4_tower.level.total, 2)
+    assert dims == [1]
+    dims.clear()
+    general_level(a5, 2)
+    assert dims == [1, 4, 5]

@@ -1,13 +1,18 @@
 import pytest
 
 from mtower.errors import NotPPerfect
+from mtower.fp import Presentation, coset_group, todd_coxeter
 from mtower.groups import (cyclic_group, dihedral_group, find_isomorphism,
                            special_linear_2)
-from mtower.schur import (abelian_test, antecedent_test, check_modassume,
-                          check_modassume_from_vd,
+from mtower.schur import (_splits, abelian_test, antecedent_test,
+                          check_modassume, check_modassume_from_vd,
                           complement_orbit_labels, enumerate_schur_quotients,
                           find_cover_map, heisenberg_group, p3_census,
                           up_group, vd_from_antecedent, vd_set, wp_group)
+
+# A6 = <a, b | a^2, b^4, (ab)^5, (ab^2)^5>, Schur multiplier Z/6
+A6_PRESENTATION = Presentation(2, ((1, 1), (2, 2, 2, 2), (1, 2) * 5,
+                                   (1, 2, 2) * 5))
 
 
 def test_spin_cover_of_a5(a5):
@@ -24,6 +29,27 @@ def test_spin_cover_of_a5(a5):
 def test_trivial_multiplier_empty():
     assert enumerate_schur_quotients(dihedral_group(5), 5) == []
     assert enumerate_schur_quotients(dihedral_group(7), 7) == []
+
+
+@pytest.fixture(scope="module")
+def a6():
+    G = coset_group(todd_coxeter(A6_PRESENTATION), name="A6")
+    G.presentation = A6_PRESENTATION
+    assert G.order == 360
+    return G
+
+
+@pytest.mark.parametrize("p, order", [(3, 1080), (2, 720)])
+def test_a6_one_quotient_per_prime(a6, p, order):
+    """H^2(A6, F_p) is a line for p = 2 and p = 3; for p = 3 it holds two
+    nonzero classes, and the line gives exactly one quotient."""
+    quots = enumerate_schur_quotients(a6, p)
+    assert [q.total.order for q in quots] == [order]
+    R = quots[0].total
+    kernel = quots[0].kernel_elems
+    assert len(kernel) == p
+    assert all(R.mul(z, x) == R.mul(x, z) for z in kernel for x in range(R.order))
+    assert not _splits(R, a6, quots[0].proj)
 
 
 def test_not_p_perfect_rejected():
