@@ -303,7 +303,7 @@ def cmd_schur(args) -> int:
         for q in quots:
             out["quotients"].append({
                 "order": q.total.order,
-                "kernel_gen": str(q.total.perm(q.kernel_elems[1])),
+                "kernel_gen": q.total.perm_str(q.kernel_elems[1]),
             })
     else:
         L = build_level_model(G, args.p, args.budget_cosets, 1)

@@ -28,7 +28,7 @@ class CompletenessVerdict:
         return {
             "complete": self.complete,
             "witness": None if self.witness is None else
-            [str(G.perm(x)) for x in generating_set(G, self.witness)],
+            [G.perm_str(x) for x in generating_set(G, self.witness)],
         }
 
 

@@ -78,6 +78,7 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: np.ndarray | None = None
+        self._perm_strs: dict[int, str] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -151,7 +152,18 @@ class FiniteGroup:
         return self._index.get(np.asarray(perm_images, dtype=np.int32).tobytes())
 
     def perm(self, i: int) -> Perm:
-        return Perm(tuple(int(x) for x in self.elements[i]))
+        return Perm(tuple(self.elements[i].tolist()))
+
+    def perm_str(self, i: int) -> str:
+        """Cycle notation of element i, as `str(self.perm(i))` gives it.
+
+        Orbit dumps name the same few elements thousands of times, so each
+        string is formatted on first use and kept for the group's lifetime.
+        """
+        s = self._perm_strs.get(i)
+        if s is None:
+            s = self._perm_strs[i] = str(self.perm(i))
+        return s
 
     def eval_word(self, word) -> int:
         """Evaluate a generator-index word (ints >= 0) by right multiplication."""

@@ -325,8 +325,13 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     lower_set = {t: i for i, t in enumerate(lower.orbit)}
     fiber: dict[tuple, int] = {t: 0 for t in lower.orbit}
     below: dict[tuple, tuple] = {}
+    # a fiber's classes project onto few raw tuples: canonicalize each once
+    canon: dict[tuple, tuple] = {}
     for t in upper.orbit:
-        img = lower_reducer.canonical(project_tuple(L, t))
+        raw = project_tuple(L, t)
+        if raw not in canon:
+            canon[raw] = lower_reducer.canonical(raw)
+        img = canon[raw]
         if img not in lower_set:
             raise MismatchedLevels("upper class does not project into lower orbit")
         below[t] = img
@@ -336,24 +341,22 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     degree = sizes.pop()
     assert degree * lower.size == upper.size
 
-    # mpr multiplies by p over p-divisible lower cusps
-    p = L.p
-    G1 = L.total
-    Gb = L.base
-    for c in lower.cusps:
-        if not c.p_divisible:
-            continue
-        for t in upper.orbit:
-            if below[t] in set(c.members):
-                assert middle_product(t, G1) == p * middle_product(below[t], Gb), \
-                    "mpr did not multiply by p over a p-divisible cusp"
-
-    # U_i = number of p-divisible cusps of the upper orbit over the i-th
-    # non-divisible lower cusp (each upper cusp projects into one lower cusp)
     lower_cusp_of: dict[tuple, int] = {}
     for ci, c in enumerate(lower.cusps):
         for t in c.members:
             lower_cusp_of[t] = ci
+
+    # mpr multiplies by p over p-divisible lower cusps
+    p = L.p
+    G1 = L.total
+    Gb = L.base
+    for t in upper.orbit:
+        if lower.cusps[lower_cusp_of[below[t]]].p_divisible:
+            assert middle_product(t, G1) == p * middle_product(below[t], Gb), \
+                "mpr did not multiply by p over a p-divisible cusp"
+
+    # U_i = number of p-divisible cusps of the upper orbit over the i-th
+    # non-divisible lower cusp (each upper cusp projects into one lower cusp)
     above: dict[int, list] = {ci: [] for ci in range(len(lower.cusps))}
     for uc in upper.cusps:
         above[lower_cusp_of[below[uc.rep]]].append(uc)

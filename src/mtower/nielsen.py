@@ -47,12 +47,20 @@ class NielsenSpec:
 
 
 class Reducer:
-    """Canonicalization context for one (group, class multiset) pair."""
+    """Canonicalization context for one (group, class multiset) pair.
+
+    `gamma1` and `gamma_inf` keep their result per reduced class in the
+    dicts `_gamma1` and `_gamma_inf`: the orbit BFS of `mbar4_orbits` fills
+    them, and the component analysis, the cusp cycles and the sh-incidence
+    of the same classes read them back without canonicalizing again.
+    """
 
     def __init__(self, spec: NielsenSpec):
         self.spec = spec
         self.G = spec.group
         self.r = spec.r
+        self._gamma1: dict[tuple, tuple] = {}
+        self._gamma_inf: dict[tuple, tuple] = {}
         classes = self.G.conjugacy_classes()
         self.class_min: dict[int, int] = {}
         self.to_min: dict[int, list[int]] = {}
@@ -157,10 +165,16 @@ class Reducer:
     # -- reduced operators ----------------------------------------------------
 
     def gamma1(self, t):
-        return self.canonical(self.sh(t))
+        out = self._gamma1.get(t)
+        if out is None:
+            out = self._gamma1[t] = self.canonical(self.sh(t))
+        return out
 
     def gamma_inf(self, t):
-        return self.canonical(self.gamma_inf_raw(t))
+        out = self._gamma_inf.get(t)
+        if out is None:
+            out = self._gamma_inf[t] = self.canonical(self.gamma_inf_raw(t))
+        return out
 
     def gamma0(self, t):
         u = self.twist_inv(t, 2)
@@ -374,7 +388,7 @@ def project_tuple(L: FrattiniLevel, t) -> tuple:
 
 
 def format_tuple(G: FiniteGroup, t) -> str:
-    return "[" + ", ".join(str(G.perm(x)) for x in t) + "]"
+    return "[" + ", ".join(G.perm_str(x) for x in t) + "]"
 
 
 def parse_tuple_text(G: FiniteGroup, text: str) -> tuple[int, ...]:

@@ -252,6 +252,25 @@ def test_incomplete_cache_entry_recomputes(tmp_path, capsys, damage):
     assert _report(tmp_path / "third") == first
 
 
+def _digests(path):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in path.iterdir()}
+
+
+D5_TOWER_SHA256 = {
+    "components.json":
+        "d52bbadace8f7bf539aec0fdff252e20be2787d04b344c3d1fa2af277adb977f",
+    "orbits_L0.json":
+        "26489ec8ef0a4b4304faddef88c1228bc4cfc5d0c96c707e3c761c94060627f2",
+    "orbits_L1.json":
+        "b20e66541e1225da42420299a47cdf808eabee32269873608090937381bd0623",
+    "sh_incidence_L0.csv":
+        "6e069b1ddd8d9cd0c3a38e5e7adc4543214ef75cf012d98f51db8501ffdf9630",
+    "sh_incidence_L1.csv":
+        "04aaf7e30d67885f72267ade4b6296a1af95bea830965a3ca21a8c74d8ff127c",
+}
+
+
 def test_level1_dihedral_cli(tmp_path):
     rc = run_cli(["dihedral", "--p", "5", "--k", "1"], tmp_path)
     assert rc == 0
@@ -262,6 +281,20 @@ def test_level1_dihedral_cli(tmp_path):
     dumps = json.loads((tmp_path / "out" / "orbits_L1.json").read_text())
     assert len(dumps[0]) == 300
     assert dumps[0][0].startswith("[(")
+    assert _digests(tmp_path / "out") == D5_TOWER_SHA256
+
+
+def test_level2_dihedral_cli_bytes(tmp_path):
+    assert run_cli(["dihedral", "--p", "5", "--k", "2"], tmp_path) == 0
+    assert _digests(tmp_path / "out") == {
+        **D5_TOWER_SHA256,
+        "components.json":
+            "1d5a71e5fc235ffb2fed9c871fed45220ff600f4cdf6a4d5baee0c79f18a9800",
+        "orbits_L2.json":
+            "99138b2b336919d39222c9dfbe8353d8c190700508a6ee84d8ecf79cb8fa2b9e",
+        "sh_incidence_L2.csv":
+            "294c3da969948a052d439cf41e2856d9622be03d086ab1cb7afdf8803130ce86",
+    }
 
 
 A5_LEVEL1_SHA256 = {

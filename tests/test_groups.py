@@ -135,3 +135,12 @@ def test_closure_same_with_and_without_table(monkeypatch):
                     assert got == full
                 else:
                     assert cap < len(got) and set(got) <= set(full)
+
+
+def test_perm_str_is_cached_cycle_notation(a5, g1a5):
+    for G in (a5, dihedral_group(5), g1a5.level.total):
+        assert G.perm_str(0) == "()"
+        for i in range(G.order):
+            s = G.perm_str(i)
+            assert s == str(G.perm(i))
+            assert G.perm_str(i) is s          # the second call hits the memo

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from mtower.errors import NonIntegralGenus
-from mtower.hurwitz import (check_goup, component_genus,
+from mtower.hurwitz import (analyze_component, check_goup, component_genus,
                             genus_lower_bound, level_compare,
                             moduli_tests, sh_incidence, shortening_detect)
-from mtower.nielsen import middle_product, project_tuple
+from mtower.nielsen import (Reducer, mbar4_orbits, middle_product,
+                            project_tuple)
 
 from modular_oracle import shadow
 
@@ -128,3 +129,23 @@ def test_r5_sh_incidence_not_required_symmetric(a5):
     inc = sh_incidence(bundle.reports, bundle.reducer)
     assert len(inc.blocks) == len(bundle.reports)
     assert inc.matrix.sum() == sum(r.size for r in bundle.reports)
+
+
+def test_moves_canonicalized_once_per_class(dihedral_pair):
+    """The orbit BFS canonicalizes gamma_1 and gamma_inf of each reduced
+    class once; component analysis and sh-incidence reuse the results."""
+    calls = 0
+
+    class CountingReducer(Reducer):
+        def canonical(self, t):
+            nonlocal calls
+            calls += 1
+            return super().canonical(t)
+
+    lvl = dihedral_pair.lvl1
+    red = CountingReducer(lvl.spec)
+    orbits = mbar4_orbits(lvl.spec, lvl.reduced, red)
+    reports = [analyze_component(lvl.spec, orb, red) for orb in orbits]
+    sh_incidence(reports, red)
+    assert calls <= 2 * len(lvl.reduced)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in lvl.reports]
