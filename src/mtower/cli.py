@@ -183,7 +183,8 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
         seeds = []
         for rep in level_data[-1][2]:
             seeds.extend(lift_tuples(L, rep.orbit[0], lspec, lreducer,
-                                     frattini_verified=True))
+                                     frattini_verified=True,
+                                     budget=budget_elements))
         seeds = sorted(set(seeds))
         if not seeds:
             raise EmptyNielsenClass(f"nothing lies over level {step - 1}")

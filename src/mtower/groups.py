@@ -115,6 +115,14 @@ class FiniteGroup:
         img = self.elements[b][self.elements[a]]
         return self._index[img.tobytes()]
 
+    def mul_many(self, a, b) -> np.ndarray:
+        """Elementwise products of two broadcastable index arrays."""
+        if self.mul_table is not None:
+            return self.mul_table[a, b]
+        a, b = np.broadcast_arrays(a, b)
+        return np.array(list(map(self.mul, a.ravel().tolist(), b.ravel().tolist())),
+                        dtype=np.int32).reshape(a.shape)
+
     def conj(self, x: int, c: int) -> int:
         """c^-1 x c."""
         return self.mul(self.mul(int(self.inv[c]), x), c)
@@ -230,8 +238,8 @@ class FiniteGroup:
 
     def _closure_mask(self, seeds, cap: int | None) -> np.ndarray:
         """Membership mask of <seeds>, by a level-by-level BFS over right
-        multiplication by the seeds: table lookups when the table exists,
-        `mul` otherwise.  Stops once more than `cap` elements are found."""
+        multiplication by the seeds (`mul_many`).  Stops once more than `cap`
+        elements are found."""
         gens = np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int64))
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
@@ -239,10 +247,7 @@ class FiniteGroup:
         frontier = seen.nonzero()[0]
         found = frontier.size
         while frontier.size and (cap is None or found <= cap):
-            if self.mul_table is not None:
-                prods = self.mul_table[frontier[:, None], gens]
-            else:
-                prods = [self.mul(int(x), int(s)) for x in frontier for s in gens]
+            prods = self.mul_many(frontier[:, None], gens)
             fresh = np.zeros(self.order, dtype=bool)
             fresh[prods] = True
             fresh &= ~seen

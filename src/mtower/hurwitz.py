@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import MismatchedLevels, NonIntegralGenus
 from .frattini import FrattiniLevel
-from .nielsen import (NielsenSpec, Reducer, gamma_inf_orbits, is_hm,
-                      is_p_divisible, middle_product, project_tuple)
+from .nielsen import (NielsenSpec, Reducer, gamma_inf_orbits, hm_mask,
+                      middle_product)
 
 
 @dataclass
@@ -126,6 +126,9 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
         genus = None
 
     cusp_lists = gamma_inf_orbits(orbit, reducer)
+    rows = [t for members in cusp_lists for t in members]
+    variants = reducer.variants_many(np.array(rows))
+    hm = dict(zip(rows, hm_mask(variants, G).tolist()))
     cusps = []
     for members in cusp_lists:
         mprs = {middle_product(t, G) for t in members}
@@ -136,13 +139,13 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
             members=members, width=len(members),
             mpr=middle_product(members[0], G),
             p_divisible=(middle_product(members[0], G) % spec.p == 0),
-            hm=any(is_hm(t, reducer) for t in members)))
+            hm=any(hm[t] for t in members)))
     assert sum(c.width for c in cusps) == n
     t_prime = sum(1 for c in cusps if c.p_divisible)
 
-    inner, q2_lengths = _inner_orbit_data(orbit, cusps, reducer)
+    table, q2_lengths = _inner_orbit_data(variants, cusps, reducer)
     if reducer.r == 4:
-        b_fine = _q2prime_faithful(inner, reducer)
+        b_fine = _q2prime_faithful(table)
         fine = b_fine and f0 == 0 and f1 == 0
     else:
         b_fine = fine = None
@@ -154,49 +157,44 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
         b_fine=b_fine, fine=fine, q2_orbit_lengths=q2_lengths)
 
 
-def _inner_orbit_data(orbit, cusps, reducer: Reducer):
-    """Pullback of the orbit to inner classes, plus q2 cycle lengths per cusp."""
-    inner: set[tuple] = set()
-    of_cusp: dict[tuple, int] = {}
-    for ci, c in enumerate(cusps):
-        for t in c.members:
-            for v in reducer.variants(t):
-                s = reducer.canonical_inner(v)
-                inner.add(s)
-                of_cusp[s] = ci
+def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
+    """Pullback of the orbit to inner classes, plus q2 cycle lengths per cusp.
+
+    `variants` holds the Klein variants of the cusps' members in cusp order
+    (`Reducer.variants_many`).  Returns the table of their inner canonical
+    forms, same shape, and the q2 lengths.  Two batch calls: one for every
+    variant, one for the q2 image of every inner class.
+    """
+    n, k, r = variants.shape
+    table = reducer.canonical_inner_many(variants.reshape(-1, r)).reshape(n, k, r)
+    # an inner class lies over one reduced class, hence in one cusp
+    inner, first = np.unique(table.reshape(-1, r), axis=0, return_index=True)
+    cusp_of = np.repeat(np.arange(len(cusps)), [len(c.members) for c in cusps])
+    cusp_of = cusp_of[first // k].tolist()
+    images = reducer.canonical_inner_many(reducer.gamma_inf_raw_many(inner))
+    both, where = np.unique(np.vstack([inner, images]), axis=0,
+                            return_inverse=True)
+    assert len(both) == len(inner), "q2 leaves the inner classes over the orbit"
+    step = where.ravel()[len(inner):].tolist()
     q2_lengths: dict[int, list[int]] = {ci: [] for ci in range(len(cusps))}
-    seen: set[tuple] = set()
-    for s in sorted(inner):
-        if s in seen:
-            continue
-        cyc = [s]
-        seen.add(s)
-        cur = reducer.canonical_inner(reducer.gamma_inf_raw(s))
-        while cur != s:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = reducer.canonical_inner(reducer.gamma_inf_raw(cur))
-        q2_lengths[of_cusp[s]].append(len(cyc))
-    for ci in q2_lengths:
-        q2_lengths[ci].sort()
-    return sorted(inner), q2_lengths
+    seen = [False] * len(inner)
+    for i in range(len(inner)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j], j, length = True, step[j], length + 1
+        if length:
+            q2_lengths[cusp_of[i]].append(length)
+    return table, {ci: sorted(lengths) for ci, lengths in q2_lengths.items()}
 
 
-def _q2prime_faithful(inner: list[tuple], reducer: Reducer) -> bool:
-    """Is the Klein four group faithful on the inner classes over the orbit?"""
-    if reducer.r != 4:
-        return True
-    moved = {"q13": False, "sh2": False, "both": False}
-    for s in inner:
-        q = reducer.canonical_inner(reducer.q13_raw(s))
-        h = reducer.canonical_inner((s[2], s[3], s[0], s[1]))
-        b = reducer.canonical_inner(reducer.q13_raw((s[2], s[3], s[0], s[1])))
-        moved["q13"] = moved["q13"] or q != s
-        moved["sh2"] = moved["sh2"] or h != s
-        moved["both"] = moved["both"] or b != s
-        if all(moved.values()):
-            return True
-    return all(moved.values())
+def _q2prime_faithful(table: np.ndarray) -> bool:
+    """Is the Klein four group faithful on the inner classes over the orbit?
+
+    Column j of `table` holds variant j of a reduced class, so the q13, sh^2
+    and both images of that entry sit in columns j^1, j^2 and j^3.
+    """
+    return all((table != table[:, [j ^ g for j in range(4)]]).any()
+               for g in (1, 2, 3))
 
 
 def shortening_detect(report: ComponentReport) -> list[int]:
@@ -326,12 +324,11 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     fiber: dict[tuple, int] = {t: 0 for t in lower.orbit}
     below: dict[tuple, tuple] = {}
     # a fiber's classes project onto few raw tuples: canonicalize each once
-    canon: dict[tuple, tuple] = {}
-    for t in upper.orbit:
-        raw = project_tuple(L, t)
-        if raw not in canon:
-            canon[raw] = lower_reducer.canonical(raw)
-        img = canon[raw]
+    raw, which = np.unique(L.proj[np.array(upper.orbit)], axis=0,
+                           return_inverse=True)
+    canon = list(map(tuple, lower_reducer.canonical_many(raw).tolist()))
+    for t, w in zip(upper.orbit, which.ravel().tolist()):
+        img = canon[w]
         if img not in lower_set:
             raise MismatchedLevels("upper class does not project into lower orbit")
         below[t] = img

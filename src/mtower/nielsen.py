@@ -10,17 +10,28 @@ Canonical form: the lexicographically minimal tuple over the whole
 equivalence class.  Minimality pins the first entry to the smallest element
 reachable in its conjugacy class, so only the conjugators carrying the first
 entry there need scanning.
+
+Canonicalization works on arrays of tuples: one batch kernel reads every
+candidate conjugate from a table of c^-1 x c over the spec's class members
+and keeps the least, so orbit frontiers and candidate sets go through it
+whole (cut internally into steps of bounded size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
+from math import prod
 
 import numpy as np
 
 from .errors import Budget, InputError, NotPPrime
 from .frattini import FrattiniLevel, lift_class
 from .groups import FiniteGroup
+
+# int32 cells per temporary array in one step of a batch computation
+_BATCH_CELLS = 1 << 18
+_NO_ELEMENT = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -46,46 +57,123 @@ class NielsenSpec:
         return out
 
 
+def _conj_table(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """(|G|, len(members)) int32 table of c^-1 members[j] c over all c."""
+    if G.mul_table is not None:
+        T = G.mul_table
+        return T[T[G.inv[:, None], members], np.arange(G.order)[:, None]]
+    # above MUL_TABLE_LIMIT: compose permutation arrays a block of c at a time
+    E = G.elements
+    out = np.empty((G.order, members.size), dtype=np.int32)
+    step = max(1, _BATCH_CELLS // E.shape[1])
+    for lo in range(0, G.order, step):
+        Ec, Einv = E[lo:lo + step], E[G.inv[lo:lo + step]]
+        for j, x in enumerate(members):
+            imgs = np.take_along_axis(Ec, E[x][Einv], axis=1)
+            out[lo:lo + step, j] = [G.lookup(img) for img in imgs]
+    return out
+
+
 class Reducer:
     """Canonicalization context for one (group, class multiset) pair.
 
-    `gamma1` and `gamma_inf` keep their result per reduced class in the
-    dicts `_gamma1` and `_gamma_inf`: the orbit BFS of `mbar4_orbits` fills
-    them, and the component analysis, the cusp cycles and the sh-incidence
-    of the same classes read them back without canonicalizing again.
+    Nielsen entries and their Klein variants lie in the spec's classes, so
+    `conj[c, col[x]] = c^-1 x c` (int32) needs one column per class member.
+    `to_min[col[x]]` lists the conjugators taking x to the least element of
+    its class, padded by repeating its first entry.  `canonical_many` forms
+    the Klein variants of N tuples, gathers their conjugates by those
+    conjugators and keeps the lexicographic minimum, column by column (a
+    variant starting in a class with a larger least element never wins).
+    `canonical`/`canonical_inner` are one-row calls of that kernel.
+
+    `_gamma1`/`_gamma_inf` keep the moves per reduced class: the orbit search
+    of `mbar4_orbits` fills them, and the component analysis, the cusp
+    cycles and the sh-incidence read them back.
     """
 
     def __init__(self, spec: NielsenSpec):
         self.spec = spec
-        self.G = spec.group
+        self.G = G = spec.group
         self.r = spec.r
         self._gamma1: dict[tuple, tuple] = {}
         self._gamma_inf: dict[tuple, tuple] = {}
-        classes = self.G.conjugacy_classes()
-        self.class_min: dict[int, int] = {}
-        self.to_min: dict[int, list[int]] = {}
-        for ci in set(spec.class_ids):
-            members = classes[ci].members
-            cmin = members[0]
-            self.class_min[ci] = cmin
-            for x in members:
-                self.to_min[x] = []
-        G = self.G
-        for ci in set(spec.class_ids):
-            members = classes[ci].members
-            cmin = self.class_min[ci]
-            if G.mul_table is not None:
-                mem = np.array(members, dtype=np.int64)
-                for c in range(G.order):
-                    vals = G.mul_table[G.mul_table[int(G.inv[c]), mem], c]
-                    hits = mem[vals == cmin]
-                    for x in hits:
-                        self.to_min[int(x)].append(c)
-            else:
-                for c in range(G.order):
-                    for x in members:
-                        if G.conj(x, c) == cmin:
-                            self.to_min[x].append(c)
+        classes = G.conjugacy_classes()
+        cids = sorted(set(spec.class_ids))
+        self.class_min = {ci: classes[ci].members[0] for ci in cids}
+        members = np.concatenate(
+            [np.array(classes[ci].members, dtype=np.int32) for ci in cids])
+        self._col = np.full(G.order, -1, dtype=np.int32)
+        self._col[members] = np.arange(members.size, dtype=np.int32)
+        self.conj = _conj_table(G, members)
+        hits = self.conj == [self.class_min[G.class_of(x)] for x in members]
+        cols, cs = hits.T.nonzero()                  # by column, then by c
+        counts = np.bincount(cols, minlength=members.size)
+        starts = np.cumsum(counts) - counts
+        self.to_min = np.repeat(cs[starts, None], counts.max(), axis=1).astype(np.int32)
+        self.to_min[cols, np.arange(cols.size) - starts[cols]] = cs
+
+    # -- batch kernel ---------------------------------------------------------
+
+    def _columns(self, T: np.ndarray) -> np.ndarray:
+        cols = self._col[T]
+        if (cols < 0).any():
+            raise InputError("tuple entry outside the spec's classes")
+        return cols
+
+    def _conj_by(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """c^-1 x c, elementwise, for x in the spec's classes."""
+        return self.conj[c, self._columns(x)]
+
+    def variants_many(self, T) -> np.ndarray:
+        """(N, r) -> (N, 4, r): [t, q13 t, sh^2 t, sh^2 q13 t] (r = 4), else
+        (N, 1, r).  q13 = q_1 q_3^-1 (twists as in gamma_inf) sends
+        (g1, g2, g3, g4) to (g1 g2 g1^-1, g1, g4, g4^-1 g3 g4); its square is
+        conjugation by (g1 g2)^-1, so with sh^2 it generates a Klein four
+        group on inner classes."""
+        T = np.asarray(T)
+        if self.r != 4:
+            return T[:, None, :]
+        q = np.stack([self._conj_by(T[:, 1], self.G.inv[T[:, 0]]), T[:, 0],
+                      T[:, 3], self._conj_by(T[:, 2], T[:, 3])], axis=1)
+        return np.stack([T, q, T[:, [2, 3, 0, 1]], q[:, [2, 3, 0, 1]]], axis=1)
+
+    def gamma_inf_raw_many(self, T: np.ndarray) -> np.ndarray:
+        """Row-wise twist q_2: (g1, g2 g3 g2^-1, g2, g4, ...)."""
+        T = np.asarray(T)
+        out = T.copy()
+        out[:, 1] = self._conj_by(T[:, 2], self.G.inv[T[:, 1]])
+        out[:, 2] = T[:, 1]
+        return out
+
+    def _min_conjugates(self, V: np.ndarray) -> np.ndarray:
+        """(N, K, r) tuples -> (N, r): per row, the lexicographically least
+        conjugate of its K tuples that starts at a least class element."""
+        N, K, r = V.shape
+        width = K * self.to_min.shape[1]
+        out = np.empty((N, r), dtype=np.int32)
+        step = max(1, _BATCH_CELLS // (width * r))
+        for lo in range(0, N, step):
+            cols = self._columns(V[lo:lo + step])
+            cs = self.to_min[cols[:, :, 0]]                       # (n, K, M)
+            cand = self.conj[cs[:, :, :, None], cols[:, :, None, :]]
+            cand = cand.reshape(-1, width, r)
+            alive = np.ones(cand.shape[:2], dtype=bool)
+            for j in range(r):
+                vals = np.where(alive, cand[:, :, j], _NO_ELEMENT)
+                least = vals.min(axis=1)
+                out[lo:lo + step, j] = least
+                alive &= vals == least[:, None]
+        return out
+
+    def canonical_many(self, T) -> np.ndarray:
+        """Canonical forms (Klein four and conjugation) of the rows of T."""
+        T = np.asarray(T).reshape(-1, self.r)
+        return self._min_conjugates(self.variants_many(T))
+
+    def canonical_inner_many(self, T) -> np.ndarray:
+        """Canonical forms under conjugation only of the rows of T."""
+        T = np.asarray(T).reshape(-1, self.r)
+        return self._min_conjugates(T[:, None, :])
 
     # -- raw braid moves ------------------------------------------------------
 
@@ -113,54 +201,17 @@ class Reducer:
     def gamma_inf_raw(self, t):
         return self.twist(t, 2)
 
-    def q13_raw(self, t):
-        """q_1 q_3^-1 for r = 4 (twist conventions as in gamma_inf).
-
-        Its square is global conjugation by (g_1 g_2)^-1, so together with
-        sh^2 it generates a Klein four group on inner classes.
-        """
-        G = self.G
-        g1, g2, g3, g4 = t
-        return (G.mul(G.mul(g1, g2), int(G.inv[g1])), g1,
-                g4, G.mul(G.mul(int(G.inv[g4]), g3), g4))
-
     def variants(self, t):
         """The Q'' orbit of a tuple (r = 4), else just the tuple."""
-        if self.r != 4:
-            return [t]
-        v1 = self.q13_raw(t)
-        v2 = (t[2], t[3], t[0], t[1])
-        v3 = (v1[2], v1[3], v1[0], v1[1])
-        return [t, v1, v2, v3]
+        return list(map(tuple, self.variants_many([t])[0].tolist()))
 
     # -- canonical forms ------------------------------------------------------
 
     def canonical(self, t):
-        best = None
-        vs = self.variants(t)
-        target = min(self.class_min[self.G.class_of(v[0])] for v in vs)
-        G = self.G
-        for v in vs:
-            if self.class_min[G.class_of(v[0])] != target:
-                continue
-            for c in self.to_min[v[0]]:
-                ic = int(G.inv[c])
-                cand = tuple(G.mul(G.mul(ic, x), c) for x in v)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        return best
+        return tuple(self.canonical_many([t])[0].tolist())
 
     def canonical_inner(self, t):
-        G = self.G
-        best = None
-        for c in self.to_min[t[0]]:
-            ic = int(G.inv[c])
-            cand = tuple(G.mul(G.mul(ic, x), c) for x in t)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return best
+        return tuple(self.canonical_inner_many([t])[0].tolist())
 
     # -- reduced operators ----------------------------------------------------
 
@@ -198,41 +249,52 @@ def tuple_is_valid(spec: NielsenSpec, t) -> bool:
     return G.closure_size(t) == G.order
 
 
+def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
+    """All rows (x_1, ..., x_{r-1}, x_r) with x_i in choices[i] and x_r the
+    inverse of x_1 ... x_{r-1}, kept where x_r is in last_choices."""
+    rows = np.zeros((1, 0), dtype=np.int32)
+    prods = np.zeros(1, dtype=np.int32)
+    for ch in choices:
+        ch = np.asarray(ch, dtype=np.int32)
+        nxt = np.tile(ch, len(prods))
+        rows = np.column_stack([np.repeat(rows, ch.size, axis=0), nxt])
+        prods = G.mul_many(np.repeat(prods, ch.size), nxt)
+    last = G.inv[prods]
+    keep = np.isin(last, last_choices)
+    return np.column_stack([rows[keep], last[keep]])
+
+
+def _distinct_canonical(red: Reducer, rows: np.ndarray) -> list[tuple]:
+    """Sorted distinct canonical forms of the rows."""
+    return list(map(tuple, np.unique(red.canonical_many(rows), axis=0).tolist()))
+
+
 def enumerate_reduced(spec: NielsenSpec, budget: int = 10 ** 7,
                       reducer: Reducer | None = None) -> list[tuple]:
-    """All reduced classes, by backtracking with the last entry forced."""
+    """All reduced classes, one class arrangement at a time.
+
+    Conjugation brings the first entry to the least element of its class,
+    so the first entry is pinned there; the middle entries run over their
+    classes and the last is forced by the product.  Generation does not
+    change under conjugation or the Klein four group, so it is checked once
+    per distinct canonical form.
+    """
     G = spec.group
     classes = G.conjugacy_classes()
-    r = spec.r
-    sizes = 1
-    for ci in spec.class_ids[:-1]:
-        sizes *= classes[ci].size
+    arrangements = sorted(set(permutations(spec.class_ids)))
+    sizes = max(prod(classes[ci].size for ci in seq[1:-1]) for seq in arrangements)
     if sizes > budget:
-        raise Budget(f"{sizes} partial tuples exceed enumeration budget")
+        raise Budget(f"enumeration stage: {sizes} partial tuples exceed "
+                     f"the element budget {budget}")
     red = reducer or Reducer(spec)
-    need = spec.class_multiset()
-    found: set[tuple] = set()
-
-    def rec(pos: int, prefix: tuple, prod: int, remaining: dict[int, int]):
-        if pos == r - 1:
-            last = int(G.inv[prod])
-            ci = G.class_of(last)
-            if remaining.get(ci, 0) != 1:
-                return
-            t = prefix + (last,)
-            if G.closure_size(t) == G.order:
-                found.add(red.canonical(t))
-            return
-        for ci, cnt in sorted(remaining.items()):
-            if cnt == 0:
-                continue
-            remaining[ci] -= 1
-            for x in classes[ci].members:
-                rec(pos + 1, prefix + (x,), G.mul(prod, x), remaining)
-            remaining[ci] += 1
-
-    rec(0, (), 0, dict(need))
-    return sorted(found)
+    found = []
+    for seq in arrangements:
+        choices = [classes[seq[0]].members[:1]] + \
+            [classes[ci].members for ci in seq[1:-1]]
+        found.append(_forced_products(G, choices[:spec.r - 1],
+                                      classes[seq[-1]].members))
+    return [t for t in _distinct_canonical(red, np.vstack(found))
+            if G.closure_size(t) == G.order]
 
 
 def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
@@ -240,28 +302,33 @@ def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
     """Partition of the given reduced classes into braid orbits.
 
     r = 4 uses <gamma_1, gamma_inf>; r >= 5 uses <sh, q_2> on inner classes.
+    One frontier at a time, two batch calls canonicalize both moves of every
+    class in it (recorded in the reducer's move dicts).
     Orbits come back sorted internally and ordered by (size, least tuple).
     """
     red = reducer or Reducer(spec)
-    ops = [red.gamma1, red.gamma_inf]
-    seen: dict[tuple, int] = {}
+    known = dict.fromkeys(reduced)
+    frontier = list(known)
+    while frontier:
+        F = np.array(frontier)
+        g1 = list(map(tuple, red.canonical_many(np.roll(F, -1, axis=1)).tolist()))
+        ginf = list(map(tuple, red.canonical_many(
+            red.gamma_inf_raw_many(F)).tolist()))
+        red._gamma1.update(zip(frontier, g1))
+        red._gamma_inf.update(zip(frontier, ginf))
+        frontier = [t for t in dict.fromkeys(g1 + ginf) if t not in known]
+        known.update(dict.fromkeys(frontier))
+    placed: set[tuple] = set()
     orbits: list[list[tuple]] = []
-    for seed in reduced:
-        if seed in seen:
+    for seed in known:
+        if seed in placed:
             continue
-        oid = len(orbits)
-        queue = [seed]
-        seen[seed] = oid
+        placed.add(seed)
         members = [seed]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            for op in ops:
-                nxt = op(cur)
-                if nxt not in seen:
-                    seen[nxt] = oid
-                    queue.append(nxt)
+        for cur in members:           # grows while it is read
+            for nxt in (red._gamma1[cur], red._gamma_inf[cur]):
+                if nxt not in placed:
+                    placed.add(nxt)
                     members.append(nxt)
         orbits.append(sorted(members))
     orbits.sort(key=lambda orb: (len(orb), orb[0]))
@@ -293,11 +360,13 @@ def is_hm(t, reducer: Reducer) -> bool:
     The pattern is conjugation invariant, so only the Q'' variants need
     checking.
     """
-    G = reducer.G
-    for v in reducer.variants(t):
-        if v[1] == int(G.inv[v[0]]) and v[3] == int(G.inv[v[2]]):
-            return True
-    return False
+    return bool(hm_mask(reducer.variants_many([t]), reducer.G)[0])
+
+
+def hm_mask(V: np.ndarray, G: FiniteGroup) -> np.ndarray:
+    """Which rows of Klein variants (N, K, r) hold a (g^-1, g, h^-1, h)."""
+    return ((V[:, :, 1] == G.inv[V[:, :, 0]]) &
+            (V[:, :, 3] == G.inv[V[:, :, 2]])).any(axis=1)
 
 
 def middle_product(t, G: FiniteGroup) -> int:
@@ -334,42 +403,29 @@ def hm_seed_tuples(spec: NielsenSpec) -> list[tuple]:
 
 def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
                 reducer: Reducer | None = None,
-                frattini_verified: bool = False) -> list[tuple]:
+                frattini_verified: bool = False,
+                budget: int = 10 ** 7) -> list[tuple]:
     """All reduced classes of the covering group lying over the tuple t.
 
     Entries run over kernel translates of the section lifts, filtered to the
-    lifted classes, with the last entry forced by the product.  When the
-    level is a verified Frattini cover, generation upstairs is automatic
-    (the lifted entries cover a generating set downstairs); otherwise each
-    candidate is closure-checked.
+    lifted classes, with the last entry forced by the product; more than
+    `budget` choices for the free entries raise Budget.  When the level is a
+    verified Frattini cover, generation upstairs is automatic (the lifted
+    entries cover a generating set downstairs); otherwise each distinct
+    canonical form is closure-checked.
     """
     G1 = L.total
     red = reducer or Reducer(spec_total)
-    allowed = [set(G1.conjugacy_classes()[ci].members)
-               for ci in spec_total.class_ids]
-    lifts = []
-    for pos, g in enumerate(t):
-        ls = [x for x in L.lifts(int(g)) if x in allowed[pos]]
-        lifts.append(ls)
+    lifts = [[x for x in L.lifts(int(g)) if G1.class_of(x) == ci]
+             for g, ci in zip(t, spec_total.class_ids)]
     if any(not ls for ls in lifts):
         return []
-    found: set[tuple] = set()
-    last_set = set(lifts[-1])
-    def rec(pos, prefix, prod):
-        if pos == len(t) - 1:
-            last = int(G1.inv[prod])
-            if last not in last_set:
-                return
-            cand = prefix + (last,)
-            if not frattini_verified and G1.closure_size(cand) != G1.order:
-                return
-            found.add(red.canonical(cand))
-            return
-        for x in lifts[pos]:
-            rec(pos + 1, prefix + (x,), G1.mul(prod, x))
-
-    rec(0, (), 0)
-    return sorted(found)
+    free = prod(len(ls) for ls in lifts[:-1])
+    if free > budget:
+        raise Budget(f"lift stage: {free} candidate tuples over one class "
+                     f"exceed the element budget {budget}")
+    found = _distinct_canonical(red, _forced_products(G1, lifts[:-1], lifts[-1]))
+    return [c for c in found if frattini_verified or G1.closure_size(c) == G1.order]
 
 
 def lifted_spec(L: FrattiniLevel, spec: NielsenSpec) -> NielsenSpec:

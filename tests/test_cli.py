@@ -66,6 +66,18 @@ def test_budget_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_lift_budget_exit_code(tmp_path, capsys):
+    """The dihedral level-0 enumeration tries 5^2 = 25 tuples (first entry
+    pinned), each lift through a Z/5 kernel 5^3 = 125: a budget of 100
+    stops the run at the lift stage, before any report is written."""
+    rc = run_cli(["dihedral", "--p", "5", "--k", "2", "--budget-elements",
+                  "100", "--no-cache"], tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "lift stage" in err and "budget 100" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gcomplete_command(tmp_path):
     rc = run_cli(["gcomplete", "--group", "A5", "--p", "2"], tmp_path)
     assert rc == 0

@@ -3,12 +3,17 @@ from fractions import Fraction
 import pytest
 
 from mtower.errors import NonIntegralGenus
-from mtower.hurwitz import (analyze_component, check_goup, component_genus,
+from mtower.groups import dihedral_group
+from mtower.hurwitz import (_inner_orbit_data, _q2prime_faithful,
+                            analyze_component, check_goup, component_genus,
                             genus_lower_bound, level_compare,
                             moduli_tests, sh_incidence, shortening_detect)
-from mtower.nielsen import (Reducer, mbar4_orbits, middle_product,
-                            project_tuple)
+from mtower.nielsen import (NielsenSpec, Reducer, mbar4_orbits,
+                            middle_product, project_tuple)
 
+from canonical_oracle import (ScalarCanonical, inner_classes, q2prime_faithful,
+                              variants)
+from conftest import class_of_order, level_bundle
 from modular_oracle import shadow
 
 
@@ -133,19 +138,59 @@ def test_r5_sh_incidence_not_required_symmetric(a5):
 
 def test_moves_canonicalized_once_per_class(dihedral_pair):
     """The orbit BFS canonicalizes gamma_1 and gamma_inf of each reduced
-    class once; component analysis and sh-incidence reuse the results."""
-    calls = 0
+    class once; component analysis and sh-incidence reuse the results.
+    Rows are counted where they enter the batch kernel."""
+    rows = 0
 
     class CountingReducer(Reducer):
-        def canonical(self, t):
-            nonlocal calls
-            calls += 1
-            return super().canonical(t)
+        def canonical_many(self, T):
+            nonlocal rows
+            out = super().canonical_many(T)
+            rows += len(out)
+            return out
 
     lvl = dihedral_pair.lvl1
     red = CountingReducer(lvl.spec)
     orbits = mbar4_orbits(lvl.spec, lvl.reduced, red)
     reports = [analyze_component(lvl.spec, orb, red) for orb in orbits]
     sh_incidence(reports, red)
-    assert calls <= 2 * len(lvl.reduced)
+    assert rows <= 2 * len(lvl.reduced)
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in lvl.reports]
+
+
+def _faithful_case(case, a5):
+    if case == "A5 3A^4":
+        return NielsenSpec(a5, (class_of_order(a5, 3),) * 4, 2)
+    if case == "A5 5A,5A,5B,5B":
+        five = [i for i, c in enumerate(a5.conjugacy_classes())
+                if c.element_order == 5]
+        return NielsenSpec(a5, (five[0], five[0], five[1], five[1]), 3)
+    G = dihedral_group(int(case[1:]))
+    return NielsenSpec(G, (class_of_order(G, 2),) * 4, 3)
+
+
+@pytest.mark.parametrize("case, want", [
+    ("A5 3A^4", False), ("A5 5A,5A,5B,5B", True), ("D3", False),
+    ("D5", False), ("D7", False), ("D9", False)])
+def test_q2prime_faithful_matches_direct_route(case, want, a5):
+    """b-fine read off the table of inner forms equals the old route, which
+    canonicalizes the three Klein images of every inner class afresh; and
+    the images of the entry in column j are the entries in columns j^1, j^2
+    and j^3."""
+    bundle = level_bundle(_faithful_case(case, a5))
+    scalar = ScalarCanonical(bundle.reducer)
+    for orbit, rep in zip(bundle.orbits, bundle.reports):
+        klein = bundle.reducer.variants_many(
+            [m for c in rep.cusps for m in c.members])
+        table, _ = _inner_orbit_data(klein, rep.cusps, bundle.reducer)
+        inner = inner_classes(orbit, scalar)
+        assert sorted({tuple(s) for s in table.reshape(-1, 4).tolist()}) == inner
+        G = bundle.spec.group
+        for row in table.tolist():
+            for j, s in enumerate(map(tuple, row)):
+                h = (s[2], s[3], s[0], s[1])
+                images = [variants(G, s)[1], h, variants(G, h)[1]]
+                assert [scalar.canonical_inner(v) for v in images] == \
+                    [tuple(row[j ^ g]) for g in (1, 2, 3)]
+        assert _q2prime_faithful(table) == q2prime_faithful(inner, scalar) == want
+        assert rep.b_fine == want

@@ -1,15 +1,19 @@
 import pytest
 
-from mtower.errors import NotPPrime
+import numpy as np
+
+from mtower.errors import Budget, InputError, NotPPrime
 from mtower.groups import FiniteGroup
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
                             gamma_inf_orbits, hm_seed_tuples, is_hm,
                             is_p_divisible, lift_tuples, lifted_spec,
                             mbar4_orbits, middle_product, project_tuple,
                             tuple_is_valid)
+from mtower.groups import MUL_TABLE_LIMIT
 from mtower.perms import Perm
 
-from conftest import class_of_order
+import canonical_oracle as oracle
+from conftest import class_of_order, level_bundle
 
 
 def test_spec_requires_p_prime_classes(a5):
@@ -168,3 +172,98 @@ def test_cusp_census_wrapper(a5_level0):
     assert t_prime == 0
     assert widths == [2, 3, 3, 5, 5]
     assert hm == [False, False, False, True, True]
+
+
+def _kernel_rows(bundle):
+    """Every reduced class and its raw gamma_1 and gamma_inf images."""
+    red = bundle.reducer
+    rows = list(bundle.reduced)
+    rows += [red.sh(t) for t in bundle.reduced]
+    rows += [red.gamma_inf_raw(t) for t in bundle.reduced]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def a5_r5(a5):
+    return level_bundle(NielsenSpec(a5, (class_of_order(a5, 3),) * 5, 2))
+
+
+def test_kernel_matches_scalar_oracle(a5_level0, a5_r5, dihedral_pair,
+                                      a5_level1):
+    for bundle in (a5_level0, a5_r5, dihedral_pair.lvl0, dihedral_pair.lvl1,
+                   a5_level1):
+        red = bundle.reducer
+        scalar = oracle.ScalarCanonical(red)
+        rows = _kernel_rows(bundle)
+        got = red.canonical_many(rows).tolist()
+        assert [tuple(x) for x in got] == [scalar.canonical(t) for t in rows]
+        got = red.canonical_inner_many(rows).tolist()
+        assert [tuple(x) for x in got] == [scalar.canonical_inner(t) for t in rows]
+        G = bundle.spec.group
+        assert [red.variants(t) for t in rows] == \
+            [oracle.variants(G, t) for t in rows]
+        assert red.canonical(rows[-1]) == scalar.canonical(rows[-1])
+        assert red.canonical_inner(rows[-1]) == scalar.canonical_inner(rows[-1])
+
+
+def test_kernel_above_mul_table_limit():
+    """A5 x A5 x Z2 on 12 points (order 7200, no mul table), with a 3-cycle
+    class of size 20 and a 5-cycle class of size 12, so the two classes'
+    conjugator lists differ in width: the conjugation table against
+    G.conj, the kernel against the oracle."""
+    def perm(*cycle):
+        return Perm.from_cycles([list(cycle)], 12)
+
+    G = FiniteGroup([perm(0, 1, 2), perm(0, 1, 2, 3, 4), perm(5, 6, 7),
+                     perm(5, 6, 7, 8, 9), perm(10, 11)])
+    assert G.order > MUL_TABLE_LIMIT and G.mul_table is None
+    c3, c5 = G.class_of(G.gen_indices[0]), G.class_of(G.gen_indices[3])
+    classes = G.conjugacy_classes()
+    assert (classes[c3].size, classes[c5].size) == (20, 12)
+    red = Reducer(NielsenSpec(G, (c3, c3, c5, c5), 7))
+    members = list(classes[c3].members + classes[c5].members)
+    for x in members:
+        assert red.conj[:, red._col[x]].tolist() == \
+            [G.conj(x, c) for c in range(G.order)]
+    scalar = oracle.ScalarCanonical(red)
+    rng = np.random.default_rng(7)
+    rows = [tuple(int(x) for x in rng.choice(members, 4)) for _ in range(20)]
+    assert [tuple(x) for x in red.canonical_many(rows).tolist()] == \
+        [scalar.canonical(t) for t in rows]
+    assert [tuple(x) for x in red.canonical_inner_many(rows).tolist()] == \
+        [scalar.canonical_inner(t) for t in rows]
+
+
+def test_kernel_rejects_entries_outside_the_classes(a5_level0):
+    with pytest.raises(InputError):
+        a5_level0.reducer.canonical((0, 0, 0, 0))
+
+
+def test_enumeration_and_lifts_match_scalar_oracle(a5, a5_level0,
+                                                   g1a5):
+    five = [i for i, c in enumerate(a5.conjugacy_classes())
+            if c.element_order == 5]
+    mixed = NielsenSpec(a5, (five[0], five[0], five[1], five[1]), 3)
+    for spec in (a5_level0.spec, mixed):
+        red = Reducer(spec)
+        assert enumerate_reduced(spec, reducer=red) == \
+            oracle.enumerate_reduced(spec, oracle.ScalarCanonical(red))
+    L = g1a5.level
+    spec1 = lifted_spec(L, a5_level0.spec)
+    red1 = Reducer(spec1)
+    scalar1 = oracle.ScalarCanonical(red1)
+    for t in a5_level0.reduced[:1]:
+        want = oracle.lift_tuples(L, t, spec1, scalar1)
+        assert want
+        assert lift_tuples(L, t, spec1, red1) == want
+        assert lift_tuples(L, t, spec1, red1, frattini_verified=True) == want
+
+
+def test_lift_budget(g1a5, a5_level0):
+    L = g1a5.level
+    spec1 = lifted_spec(L, a5_level0.spec)
+    t = a5_level0.reduced[0]
+    n = len(lift_tuples(L, t, spec1, budget=16 ** 3))
+    assert n
+    with pytest.raises(Budget, match="lift stage.*budget 4095"):
+        lift_tuples(L, t, spec1, budget=16 ** 3 - 1)
