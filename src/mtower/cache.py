@@ -44,7 +44,9 @@ def cache_put(cache_dir: Path, key: str, name: str, payload: bytes) -> Path:
     d.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256(payload).hexdigest().encode()
     path = d / name
-    path.write_bytes(MAGIC + digest + b"\n" + payload)
+    with open(path, "wb") as fh:     # header, then payload: no joined copy
+        fh.write(MAGIC + digest + b"\n")
+        fh.write(payload)
     return path
 
 

@@ -58,20 +58,27 @@ class NielsenSpec:
 
 
 def _conj_table(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """(|G|, len(members)) int32 table of c^-1 members[j] c over all c."""
-    if G.mul_table is not None:
-        T = G.mul_table
-        return T[T[G.inv[:, None], members], np.arange(G.order)[:, None]]
-    # above MUL_TABLE_LIMIT: compose permutation arrays a block of c at a time
+    """(|G|, len(members)) int32 table of c^-1 members[j] c over all c, filled
+    a block of c at a time: by table lookups, or above MUL_TABLE_LIMIT by
+    composing permutation arrays."""
     E = G.elements
     out = np.empty((G.order, members.size), dtype=np.int32)
-    step = max(1, _BATCH_CELLS // E.shape[1])
+    step = max(1, _BATCH_CELLS // max(members.size, E.shape[1]))
     for lo in range(0, G.order, step):
-        Ec, Einv = E[lo:lo + step], E[G.inv[lo:lo + step]]
+        c = np.arange(lo, min(lo + step, G.order))
+        if G.mul_table is not None:
+            out[c] = G.mul_many(G.mul_many(G.inv[c, None], members), c[:, None])
+            continue
+        Ec, Einv = E[c], E[G.inv[c]]
         for j, x in enumerate(members):
             imgs = np.take_along_axis(Ec, E[x][Einv], axis=1)
-            out[lo:lo + step, j] = [G.lookup(img) for img in imgs]
+            out[c, j] = [G.lookup(img) for img in imgs]
     return out
+
+
+def _as_tuples(A: np.ndarray) -> list[tuple]:
+    """Rows of a 2-d int array as tuples of Python ints."""
+    return list(map(tuple, A.tolist()))
 
 
 class Reducer:
@@ -80,15 +87,16 @@ class Reducer:
     Nielsen entries and their Klein variants lie in the spec's classes, so
     `conj[c, col[x]] = c^-1 x c` (int32) needs one column per class member.
     `to_min[col[x]]` lists the conjugators taking x to the least element of
-    its class, padded by repeating its first entry.  `canonical_many` forms
+    its class, padded by repeating its last entry.  `canonical_many` forms
     the Klein variants of N tuples, gathers their conjugates by those
     conjugators and keeps the lexicographic minimum, column by column (a
     variant starting in a class with a larger least element never wins).
     `canonical`/`canonical_inner` are one-row calls of that kernel.
 
-    `_gamma1`/`_gamma_inf` keep the moves per reduced class: the orbit search
-    of `mbar4_orbits` fills them, and the component analysis, the cusp
-    cycles and the sh-incidence read them back.
+    `_gamma1`/`_gamma_inf` keep the moves per reduced class: `moves_many`
+    fills them (the orbit search of `mbar4_orbits` calls it a frontier at a
+    time), and the component analysis, the cusp cycles and the sh-incidence
+    read them back through `gamma1`/`gamma_inf`.
     """
 
     def __init__(self, spec: NielsenSpec):
@@ -100,17 +108,19 @@ class Reducer:
         classes = G.conjugacy_classes()
         cids = sorted(set(spec.class_ids))
         self.class_min = {ci: classes[ci].members[0] for ci in cids}
-        members = np.concatenate(
-            [np.array(classes[ci].members, dtype=np.int32) for ci in cids])
+        members = np.array([x for ci in cids for x in classes[ci].members], dtype=np.int32)
         self._col = np.full(G.order, -1, dtype=np.int32)
         self._col[members] = np.arange(members.size, dtype=np.int32)
         self.conj = _conj_table(G, members)
-        hits = self.conj == [self.class_min[G.class_of(x)] for x in members]
-        cols, cs = hits.T.nonzero()                  # by column, then by c
-        counts = np.bincount(cols, minlength=members.size)
-        starts = np.cumsum(counts) - counts
-        self.to_min = np.repeat(cs[starts, None], counts.max(), axis=1).astype(np.int32)
-        self.to_min[cols, np.arange(cols.size) - starts[cols]] = cs
+        # as c runs over G, c^-1 m c runs over the class of m, and c^-1 takes
+        # that element back to m: |C(m)| conjugators per class member
+        blocks = []
+        for ci, m in self.class_min.items():
+            onto = np.argsort(self._col[self.conj[:, self._col[m]]], kind="stable")
+            blocks.append(G.inv[onto].reshape(classes[ci].size, -1))
+        width = max(b.shape[1] for b in blocks)
+        self.to_min = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1])),
+                                        mode="edge") for b in blocks])
 
     # -- batch kernel ---------------------------------------------------------
 
@@ -137,7 +147,7 @@ class Reducer:
                       T[:, 3], self._conj_by(T[:, 2], T[:, 3])], axis=1)
         return np.stack([T, q, T[:, [2, 3, 0, 1]], q[:, [2, 3, 0, 1]]], axis=1)
 
-    def gamma_inf_raw_many(self, T: np.ndarray) -> np.ndarray:
+    def gamma_inf_raw_many(self, T) -> np.ndarray:
         """Row-wise twist q_2: (g1, g2 g3 g2^-1, g2, g4, ...)."""
         T = np.asarray(T)
         out = T.copy()
@@ -199,33 +209,40 @@ class Reducer:
         return t[:i - 1] + (a, b) + t[i + 1:]
 
     def gamma_inf_raw(self, t):
-        return self.twist(t, 2)
+        return _as_tuples(self.gamma_inf_raw_many([t]))[0]
 
     def variants(self, t):
         """The Q'' orbit of a tuple (r = 4), else just the tuple."""
-        return list(map(tuple, self.variants_many([t])[0].tolist()))
+        return _as_tuples(self.variants_many([t])[0])
 
     # -- canonical forms ------------------------------------------------------
 
     def canonical(self, t):
-        return tuple(self.canonical_many([t])[0].tolist())
+        return _as_tuples(self.canonical_many([t]))[0]
 
     def canonical_inner(self, t):
-        return tuple(self.canonical_inner_many([t])[0].tolist())
+        return _as_tuples(self.canonical_inner_many([t]))[0]
 
     # -- reduced operators ----------------------------------------------------
 
+    def moves_many(self, F: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+        """gamma_1 and gamma_inf of the classes in F, kept in the move dicts."""
+        A = np.array(F).reshape(-1, self.r)
+        g1 = _as_tuples(self.canonical_many(np.roll(A, -1, axis=1)))
+        ginf = _as_tuples(self.canonical_many(self.gamma_inf_raw_many(A)))
+        self._gamma1.update(zip(F, g1))
+        self._gamma_inf.update(zip(F, ginf))
+        return g1, ginf
+
     def gamma1(self, t):
-        out = self._gamma1.get(t)
-        if out is None:
-            out = self._gamma1[t] = self.canonical(self.sh(t))
-        return out
+        if t not in self._gamma1:
+            self.moves_many([t])
+        return self._gamma1[t]
 
     def gamma_inf(self, t):
-        out = self._gamma_inf.get(t)
-        if out is None:
-            out = self._gamma_inf[t] = self.canonical(self.gamma_inf_raw(t))
-        return out
+        if t not in self._gamma_inf:
+            self.moves_many([t])
+        return self._gamma_inf[t]
 
     def gamma0(self, t):
         u = self.twist_inv(t, 2)
@@ -237,16 +254,8 @@ def tuple_is_valid(spec: NielsenSpec, t) -> bool:
     prod = 0
     for x in t:
         prod = G.mul(prod, x)
-    if prod != 0:
-        return False
-    need = spec.class_multiset()
-    got: dict[int, int] = {}
-    for x in t:
-        ci = G.class_of(x)
-        got[ci] = got.get(ci, 0) + 1
-    if got != need:
-        return False
-    return G.closure_size(t) == G.order
+    return (prod == 0 and sorted(map(G.class_of, t)) == sorted(spec.class_ids)
+            and G.closure_size(t) == G.order)
 
 
 def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
@@ -266,7 +275,7 @@ def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
 
 def _distinct_canonical(red: Reducer, rows: np.ndarray) -> list[tuple]:
     """Sorted distinct canonical forms of the rows."""
-    return list(map(tuple, np.unique(red.canonical_many(rows), axis=0).tolist()))
+    return _as_tuples(np.unique(red.canonical_many(rows), axis=0))
 
 
 def enumerate_reduced(spec: NielsenSpec, budget: int = 10 ** 7,
@@ -302,20 +311,15 @@ def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
     """Partition of the given reduced classes into braid orbits.
 
     r = 4 uses <gamma_1, gamma_inf>; r >= 5 uses <sh, q_2> on inner classes.
-    One frontier at a time, two batch calls canonicalize both moves of every
-    class in it (recorded in the reducer's move dicts).
+    One frontier at a time, `Reducer.moves_many` canonicalizes both moves of
+    every class in it.
     Orbits come back sorted internally and ordered by (size, least tuple).
     """
     red = reducer or Reducer(spec)
     known = dict.fromkeys(reduced)
     frontier = list(known)
     while frontier:
-        F = np.array(frontier)
-        g1 = list(map(tuple, red.canonical_many(np.roll(F, -1, axis=1)).tolist()))
-        ginf = list(map(tuple, red.canonical_many(
-            red.gamma_inf_raw_many(F)).tolist()))
-        red._gamma1.update(zip(frontier, g1))
-        red._gamma_inf.update(zip(frontier, ginf))
+        g1, ginf = red.moves_many(frontier)
         frontier = [t for t in dict.fromkeys(g1 + ginf) if t not in known]
         known.update(dict.fromkeys(frontier))
     placed: set[tuple] = set()
@@ -326,7 +330,7 @@ def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
         placed.add(seed)
         members = [seed]
         for cur in members:           # grows while it is read
-            for nxt in (red._gamma1[cur], red._gamma_inf[cur]):
+            for nxt in (red.gamma1(cur), red.gamma_inf(cur)):
                 if nxt not in placed:
                     placed.add(nxt)
                     members.append(nxt)
@@ -365,6 +369,8 @@ def is_hm(t, reducer: Reducer) -> bool:
 
 def hm_mask(V: np.ndarray, G: FiniteGroup) -> np.ndarray:
     """Which rows of Klein variants (N, K, r) hold a (g^-1, g, h^-1, h)."""
+    if V.shape[2] < 4:                     # no room for the pattern
+        return np.zeros(len(V), dtype=bool)
     return ((V[:, :, 1] == G.inv[V[:, :, 0]]) &
             (V[:, :, 3] == G.inv[V[:, :, 2]])).any(axis=1)
 
@@ -383,22 +389,15 @@ def hm_seed_tuples(spec: NielsenSpec) -> list[tuple]:
         raise InputError("H-M seeds implemented for r = 4")
     G = spec.group
     classes = G.conjugacy_classes()
-    need = spec.class_multiset()
-    out = []
-    cands = sorted(set(spec.class_ids))
-    for c1 in cands:
-        for c2 in cands:
-            for g1 in classes[c1].members:
-                for g2 in classes[c2].members:
-                    t = (int(G.inv[g1]), g1, int(G.inv[g2]), g2)
-                    got: dict[int, int] = {}
-                    for x in t:
-                        got[G.class_of(x)] = got.get(G.class_of(x), 0) + 1
-                    if got != need:
-                        continue
-                    if G.closure_size(t) == G.order:
-                        out.append(t)
-    return sorted(set(out))
+    members = [g for ci in sorted(set(spec.class_ids)) for g in classes[ci].members]
+    out = set()
+    for g1 in members:
+        for g2 in members:
+            t = (int(G.inv[g1]), g1, int(G.inv[g2]), g2)
+            if sorted(map(G.class_of, t)) == sorted(spec.class_ids) and \
+                    G.closure_size(t) == G.order:
+                out.add(t)
+    return sorted(out)
 
 
 def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,

@@ -40,6 +40,18 @@ def test_level_command_level0(tmp_path):
     assert csv.splitlines()[0].count(",") == 5
 
 
+def test_level_command_three_classes(tmp_path):
+    """r = 3: one inner class, one cusp, and no H-M pattern to look for."""
+    rc = run_cli(["level", "--group", "A5", "--classes", "5A,5A,5A",
+                  "--p", "3", "--k", "0", "--no-cache"], tmp_path)
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "components.json").read_text())
+    comps = doc["levels"][0]["components"]
+    assert len(comps) == 1
+    assert comps[0]["orbit_size"] == 1 and comps[0]["cusp_widths"] == [1]
+    assert comps[0]["hm_cusps"] == [] and comps[0]["genus"] is None
+
+
 def test_level_command_cache_roundtrip(tmp_path):
     args = ["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
             "--p", "5", "--k", "0"]

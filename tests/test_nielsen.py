@@ -47,6 +47,7 @@ def test_braid_moves_shapes(a5_level0):
     for t in a5_level0.reduced[:10]:
         u = red.gamma_inf_raw(t)
         assert G.mul(u[1], u[2]) == G.mul(t[1], t[2])
+        assert u == red.twist(t, 2)
     # twist then inverse twist is the identity
     for t in a5_level0.reduced[:10]:
         for i in (1, 2, 3):
