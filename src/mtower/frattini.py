@@ -4,7 +4,9 @@ H^2(G, M), read off one F_p linear solve for the kernel labels on the edges
 of G's Cayley graph and the relator tails (_cocycle_space); the same solve
 builds the extension of any class.  Against the trivial module it gives the
 Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The solve is
-dense, so systems past COCYCLE_UNKNOWNS_LIMIT unknowns raise TooLarge.
+sparse (linalg.SparseNullspace).  The solve, an extension's section tables
+and a pair model each predict their memory first, and raise TooLarge past
+MEMORY_CEILING.
 
 Every constructed level is normalized to a canonical "pair model": elements
 are pairs (base element, kernel vector) with
@@ -31,13 +33,20 @@ from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
                  invert_word, schreier_generators, todd_coxeter, word_pow)
 from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
                        induce, submodule_module, trivial_module)
-from .groups import (ConjClass, FiniteGroup, find_isomorphism,
+from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, find_isomorphism,
                      generating_set, subgroup_from_indices)
 from .perms import Perm
 
-# Past this many unknowns the dense H^2 solve needs gigabytes (G1(A5) with
-# the trivial module has 11,549); _cocycle_space raises TooLarge instead.
-COCYCLE_UNKNOWNS_LIMIT = 4096
+# Bytes a stage may be predicted to need: the H^2 solve, an extension's
+# section tables, a pair model.  Past it the stage raises TooLarge before
+# it allocates anything.
+MEMORY_CEILING = 1 << 30
+
+
+def _check_memory(stage: str, size: str, nbytes: int) -> None:
+    if nbytes > MEMORY_CEILING:
+        raise TooLarge(f"{stage}: {size} need a predicted {nbytes / 2**20:,.1f} MiB, "
+                       f"past MEMORY_CEILING = {MEMORY_CEILING / 2**20:,.1f} MiB")
 
 
 @dataclass
@@ -77,6 +86,7 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     nb = base.order
     P = p ** m
     npts = nb * P
+    _check_memory("pair model", f"{npts:,} points", pair_model_bytes(npts))
     if (psi[0] != 0).any() or (psi[:, 0] != 0).any():
         raise InputError("cocycle not normalized at the identity")
 
@@ -116,6 +126,14 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     info = dict(proj=proj, section=section, kernel=kernel,
                 coords={e: coords[e] for e in kernel})
     return total, info
+
+
+def pair_model_bytes(npts: int) -> int:
+    """Predicted peak of a regular permutation group on npts points: its
+    elements' index keys and the table joined from them (4 B per entry
+    each), the multiplication table when it is built, and about 1 KiB of
+    bookkeeping per element."""
+    return (12 if npts <= MUL_TABLE_LIMIT else 8) * npts * npts + 1024 * npts
 
 
 def _elem_at_point(G: FiniteGroup) -> np.ndarray:
@@ -626,16 +644,18 @@ def _cocycle_space(P: Presentation, M: GModule):
     followed by the relator tails t in M^s.  Generator x_i acts on pairs by
     (g, v) x_i = (g x_i, v A_i + c(g, i)); the equations say that every
     relator, read from every vertex, ends at its tail (|G| m rows per
-    relator, folded into the running echelon form one relator at a time).
-    Returns the labels and the tails blocks of a nullspace basis of that
-    system, and the (|G|, d) array of label indices (-1 on tree edges).
-    Raises TooLarge, before any work, past COCYCLE_UNKNOWNS_LIMIT unknowns.
+    relator, handed to one SparseNullspace as sparse rows, a relator at a
+    time).  Returns the labels and the tails blocks of the basis that
+    la.nullspace gives for that system, and the (|G|, d) array of label
+    indices (-1 on tree edges).  Raises TooLarge, before any work, when the
+    solve's predicted memory passes MEMORY_CEILING.
     """
     G, p, m, n, s = M.group, M.p, M.dim, M.group.order, len(P.relators)
     nl = (n * (P.ngens - 1) + 1) * m
-    if nl + s * m > COCYCLE_UNKNOWNS_LIMIT:
-        raise TooLarge(f"H^2 solve: {nl + s * m} unknowns, past "
-                       f"COCYCLE_UNKNOWNS_LIMIT={COCYCLE_UNKNOWNS_LIMIT}")
+    ncols = nl + s * m
+    entries = n * m * sum(len(r) * m + 1 for r in P.relators)
+    _check_memory("H^2 solve", f"{ncols:,} unknowns",
+                  la.SparseNullspace.predicted_bytes(ncols, entries, p))
     right = _right_columns(G)
     left = [np.argsort(r) for r in right]          # g -> g x_i^-1
     inv_mats = [M._invert(A) for A in M.mats]
@@ -644,12 +664,13 @@ def _cocycle_space(P: Presentation, M: GModule):
     for k, e in enumerate(e for e in product(range(n), range(P.ngens))
                           if e not in tree):
         col[e] = k
-    ar = np.arange(m)
-    rows = np.arange(n)[:, None, None] * m + ar
-    red = np.zeros((0, nl + s * m), dtype=np.int64)
+    system = la.SparseNullspace(ncols, p)
     for ri, rel in enumerate(P.relators):
-        eqs = np.zeros((n * m, nl + s * m), dtype=np.int64)
-        eqs[rows[:, 0], nl + ri * m + ar] = -1
+        # entry (equation g*m + b, unknown u*m + a) = K[a, b]; the tail t_ri
+        # enters every equation of the relator with -1
+        eq = [np.arange(n * m)]
+        unk = [nl + ri * m + np.arange(n * m) % m]
+        val = [np.full(n * m, -1)]
         # a label reaches the relator's end times the later letters' matrices
         suffix, coeffs = la.identity(m), []
         for letter in reversed(rel):
@@ -667,12 +688,27 @@ def _cocycle_space(P: Presentation, M: GModule):
             else:
                 at = left[i][at]
                 blk = col[at, i]
-            hit = blk >= 0
-            np.add.at(eqs, (rows[hit], blk[hit][:, None, None] * m + ar[:, None]), K)
+            g = np.nonzero(blk >= 0)[0]
+            a, b = np.nonzero(K)
+            eq.append((g[:, None] * m + b).ravel())
+            unk.append((blk[g][:, None] * m + a).ravel())
+            val.append(np.tile(K[a, b], len(g)))
         assert (at == np.arange(n)).all(), f"relator {ri} does not hold in the group"
-        red, _ = la.rref(np.vstack([red, eqs]), p)
-    sol = la.nullspace(red, p)
+        system.add(_sparse_rows(np.concatenate(eq), np.concatenate(unk),
+                                np.concatenate(val), n * m, ncols))
+    sol = system.nullspace()
     return sol[:, :nl], sol[:, nl:], col
+
+
+def _sparse_rows(eq: np.ndarray, unk: np.ndarray, val: np.ndarray, nrows: int,
+                 ncols: int) -> list[dict[int, int]]:
+    """The rows of the (eq, unk, val) triples, repeated entries summed, as
+    {unknown: value} dicts in equation order."""
+    keys, where = np.unique(eq * ncols + unk, return_inverse=True)
+    sums = np.bincount(where, weights=val).astype(np.int64)
+    starts = np.searchsorted(keys // ncols, np.arange(nrows + 1))
+    cols, vals = (keys % ncols).tolist(), sums.tolist()
+    return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
 
 
 def h2_classes(P: Presentation, M: GModule) -> tuple[int, list[np.ndarray]]:
@@ -720,19 +756,26 @@ def _extension(P: Presentation, M: GModule, space, tails: np.ndarray,
     the tree edge's label c(h, i) is 0.
     """
     G, p, m, n = M.group, M.p, M.dim, M.group.order
+    times = G.mul_table                          # column h: g -> g h
+    _check_memory("extension tables", f"{n:,} x {n:,} x {m}",
+                  8 * n * n * (m + (times is None)))
     sol_labels, sol_tails, col = space
     coeff = la.solve_right(sol_tails, np.reshape(tails, (1, -1)), p)
     if coeff is None:
         raise Collapse("tails are not the relator tails of an extension")
     labels = la.matmul(coeff, sol_labels, p).reshape(-1, m)
     c = np.vstack([labels, np.zeros((1, m), dtype=np.int64)])[col]
-    right = _right_columns(G)
-    times = np.repeat(np.arange(n)[:, None], n, axis=1)  # column h: g -> g h
+    if times is None:
+        right = _right_columns(G)
+        times = np.repeat(np.arange(n)[:, None], n, axis=1)
+        for h in range(1, n):
+            parent, i = G._parents[h]
+            times[:, h] = right[i][times[:, parent]]
     psi = np.zeros((n, n, m), dtype=np.int64)
     for h in range(1, n):
         parent, i = G._parents[h]
-        times[:, h] = right[i][times[:, parent]]
         psi[:, h] = (psi[:, parent] @ M.mats[i] + c[times[:, parent], i]) % p
+    del times
     lvl = level_from_pair_model(G, M, psi, p, name=name)
     lvl.total.presentation = extension_presentation(P, M, tails)
     return lvl

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -46,29 +47,30 @@ class FiniteGroup:
         self.gen_arrays = [g.as_array() for g in gens]
         self.presentation = None  # optionally attached by builders
 
-        ident = np.arange(degree, dtype=np.int32)
-        elements = [ident]
-        index = {ident.tobytes(): 0}
+        # each element is kept once, as the bytes of its int32 images that
+        # key the index; the table of all elements is joined from them
+        keys = [np.arange(degree, dtype=np.int32).tobytes()]
+        index = {keys[0]: 0}
         words: list[tuple[int, ...]] = [()]
         parents: list[tuple[int, int]] = [(-1, -1)]  # (parent element, generator)
         head = 0
-        while head < len(elements):
-            cur = elements[head]
+        while head < len(keys):
+            cur = np.frombuffer(keys[head], dtype=np.int32)
             for gi, garr in enumerate(self.gen_arrays):
-                img = garr[cur]
-                key = img.tobytes()
+                key = garr[cur].tobytes()
                 if key not in index:
-                    if len(elements) >= max_order:
+                    if len(keys) >= max_order:
                         raise OrderExceeded(
                             f"closure exceeded max_order={max_order}")
-                    index[key] = len(elements)
-                    elements.append(img)
+                    index[key] = len(keys)
+                    keys.append(key)
                     words.append(words[head] + (gi,))
                     parents.append((head, gi))
             head += 1
-        self.elements = np.stack(elements)
+        self.elements = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(
+            len(keys), degree)
         self._index = index
-        self.order = len(elements)
+        self.order = len(keys)
         self.words = words
         self._parents = parents
         self.gen_indices = [index[g.tobytes()] for g in self.gen_arrays]
@@ -143,16 +145,20 @@ class FiniteGroup:
         return out
 
     def element_order(self, a: int) -> int:
+        """Multiplied up through the table; without one, the lcm of the
+        cycle lengths of the permutation, which needs no products."""
         if self._orders is None:
             self._orders = np.zeros(self.order, dtype=np.int32)
         cached = int(self._orders[a])
         if cached:
             return cached
-        n = 1
-        x = a
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
+        if self.mul_table is None:
+            n = _cycle_lcm(self.elements[a].tolist())
+        else:
+            n, x = 1, a
+            while x != 0:
+                x = int(self.mul_table[x, a])
+                n += 1
         self._orders[a] = n
         return n
 
@@ -297,6 +303,21 @@ class FiniteGroup:
                 return None
             out.append(j)
         return out
+
+
+def _cycle_lcm(images: list[int]) -> int:
+    """Order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(images)
+    out = 1
+    for start in range(len(images)):
+        k, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            k += 1
+        if k:
+            out = lcm(out, k)
+    return out
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:

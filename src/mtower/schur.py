@@ -97,7 +97,7 @@ def classify_pair(E: FrattiniLevel, L: FrattiniLevel, m1: int, m2: int,
     p = E.p
     G1, R = L.total, E.total
     v1, v2 = L.kernel_coords[m1], L.kernel_coords[m2]
-    if la.rank(np.stack([v1, v2]), p) != 2:
+    if not _independent(v1, v2, p):
         raise RankDeficient("kernel elements do not span a 2-dimensional space")
     vd = vd or vd_set(E, L)
     H = R.subgroup_closure([E.lifts(m1)[0], E.lifts(m2)[0]])
@@ -110,6 +110,16 @@ def classify_pair(E: FrattiniLevel, L: FrattiniLevel, m1: int, m2: int,
     allowed = _allowed_labels(p, m1 in set(vd.members), m2 in set(vd.members))
     assert label in allowed, (label, allowed)
     return label
+
+
+def _independent(v1: np.ndarray, v2: np.ndarray, p: int) -> bool:
+    """Do v1 and v2 span a plane: both nonzero, v2 not a multiple of v1?"""
+    a, b = v1.tolist(), v2.tolist()
+    if not any(x % p for x in a) or not any(x % p for x in b):
+        return False
+    i = next(k for k, x in enumerate(a) if x % p)
+    c = b[i] * la.inv_scalar(a[i], p)
+    return any((c * x - y) % p for x, y in zip(a, b))
 
 
 def _p3_label(p: int, order: int, abelian: bool, exponent: int, n_p: int) -> str:
@@ -151,7 +161,7 @@ def p3_census(E: FrattiniLevel, L: FrattiniLevel) -> dict[str, int]:
     kelems = [m for m in L.kernel_elems if m != 0]
     for i, m1 in enumerate(kelems):
         for m2 in kelems[i + 1:]:
-            if la.rank(np.stack([L.kernel_coords[m1], L.kernel_coords[m2]]), p) != 2:
+            if not _independent(L.kernel_coords[m1], L.kernel_coords[m2], p):
                 continue
             label = classify_pair(E, L, m1, m2, vd)
             out[label] = out.get(label, 0) + 1
@@ -192,7 +202,7 @@ def check_modassume_from_vd(L: FrattiniLevel, vd: VDSet) -> tuple[bool, bool, bo
         for m2 in complement:
             if m2 == m1:
                 continue
-            if la.rank(np.stack([L.kernel_coords[m1], L.kernel_coords[m2]]), p) != 2:
+            if not _independent(L.kernel_coords[m1], L.kernel_coords[m2], p):
                 continue  # <m1> = <m2>
             if not any(s in set(vd.nonzero) for s in _span_elements(L, m1, m2)):
                 a = False

@@ -2,13 +2,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from mtower import frattini
 from mtower.cache import (cache_get, cache_put, deserialize_level, job_key,
                           serialize_level)
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, tmp_path):
@@ -118,11 +122,32 @@ def test_schur_command_level0(tmp_path):
         "1ebcad7a10efc706cbb53bd78e620236849aa148c8246f0a396fae1e49dc6697"
 
 
-def test_schur_past_solve_limit_exits_2(tmp_path, capsys):
-    # G1(A5) with the trivial module would be an 11,549-unknown solve
+def test_schur_a5_level1_cli(tmp_path):
+    # G1(A5) with the trivial module: an 11,549-unknown H^2 solve
     rc = run_cli(["schur", "--group", "A5", "--p", "2", "--k", "1"], tmp_path)
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "schur.json").read_text())
+    # H^2(G1(A5), F_2) is a line: one quotient, of order 2 * 1920
+    assert [q["order"] for q in doc["quotients"]] == [3840]
+    digest, name = (DATA / "schur_a5_p2_k1.sha256").read_text().split()
+    assert sha256_of(tmp_path / "out" / name) == digest
+
+
+def test_past_memory_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(frattini, "MEMORY_CEILING", 1000)
+    rc = run_cli(["schur", "--group", "A5", "--p", "2", "--k", "0"], tmp_path)
     assert rc == 2
-    assert "H^2 solve: 11549 unknowns" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "H^2 solve: 64 unknowns" in err and "past MEMORY_CEILING" in err
+
+
+def test_frattini_verify_pair_model_exits_2(tmp_path, capsys):
+    # G1(A5) at p = 5 would be a regular model on 60 * 5^6 points
+    rc = run_cli(["frattini-verify", "--group", "A5", "--p", "5"], tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pair model: 937,500 points" in err
+    assert "past MEMORY_CEILING = 1,024.0 MiB" in err
 
 
 def test_group_file_loading(tmp_path):

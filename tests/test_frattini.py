@@ -265,13 +265,22 @@ def test_kernel_module_matches_action(g1a5):
             assert (L.kernel_coords[got] == want).all()
 
 
-def test_cocycle_unknowns_limit(monkeypatch, a5, g1a5):
-    # the A5 Frattini module (dim 5): 61 * 5 edge labels + 3 * 5 tails
-    monkeypatch.setattr(frattini, "COCYCLE_UNKNOWNS_LIMIT", 319)
-    with pytest.raises(TooLarge, match=r"H\^2 solve: 320 unknowns"):
-        h2_classes(a5.presentation, g1a5.module)
-    monkeypatch.setattr(frattini, "COCYCLE_UNKNOWNS_LIMIT", 320)
-    assert h2_classes(a5.presentation, g1a5.module)[0] == 1
+def test_memory_ceiling_names_the_stage(monkeypatch, a5, g1a5):
+    # the A5 Frattini module (dim 5): 61 * 5 edge labels + 3 * 5 tails, and
+    # 60 * 5 equations per relator with 5 |r| + 1 entries each
+    P, M = a5.presentation, g1a5.module
+    need = la.SparseNullspace.predicted_bytes(320, 300 * (5 * 15 + 3), 2)
+    monkeypatch.setattr(frattini, "MEMORY_CEILING", need - 1)
+    with pytest.raises(TooLarge, match=r"^H\^2 solve: 320 unknowns .* past MEMORY_CEILING"):
+        h2_classes(P, M)
+    monkeypatch.setattr(frattini, "MEMORY_CEILING", need)
+    space = frattini._cocycle_space(P, M)
+    # the regular model on 60 * 2^5 points is the first stage past it
+    with pytest.raises(TooLarge, match=r"^pair model: 1,920 points .* past MEMORY_CEILING"):
+        frattini._extension(P, M, space, g1a5.tail, "G1")
+    monkeypatch.setattr(frattini, "MEMORY_CEILING", 1000)
+    with pytest.raises(TooLarge, match=r"^extension tables: 60 x 60 x 5 .* past MEMORY_CEILING"):
+        frattini._extension(P, M, space, g1a5.tail, "G1")
 
 
 def test_one_cocycle_solve_per_module(monkeypatch, a4_tower, a5):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,33 @@ def test_perm_str_is_cached_cycle_notation(a5, g1a5):
             s = G.perm_str(i)
             assert s == str(G.perm(i))
             assert G.perm_str(i) is s          # the second call hits the memo
+
+
+def test_element_order_without_table_from_cycle_type(a5):
+    def by_products(G, a):
+        n, x = 1, a
+        while x != 0:
+            x, n = G.mul(x, a), n + 1
+        return n
+
+    assert [a5.element_order(a) for a in range(60)] == \
+        [by_products(a5, a) for a in range(60)]
+    # past MUL_TABLE_LIMIT: A5 x A5 x Z2 on 12 points, where cycles of
+    # lengths 2, 3 and 5 meet in one element, and D_2049
+    def perm(*cycle):
+        return Perm.from_cycles([list(cycle)], 12)
+
+    H = FiniteGroup([perm(0, 1, 2), perm(0, 1, 2, 3, 4), perm(5, 6, 7),
+                     perm(5, 6, 7, 8, 9), perm(10, 11)])
+    G = dihedral_group(2049)
+    assert H.mul_table is None and G.mul_table is None
+    assert [H.element_order(a) for a in range(0, H.order, 7)] == \
+        [by_products(H, a) for a in range(0, H.order, 7)]
+    assert {H.element_order(a) for a in range(H.order)} >= {6, 10, 15, 30}
+    sample = [0, 1, 2, 3, 4097] + list(range(5, G.order, 251))
+    assert [G.element_order(a) for a in sample] == [by_products(G, a) for a in sample]
+    start = time.perf_counter()
+    classes = G.conjugacy_classes()
+    assert time.perf_counter() - start < 5
+    # the identity, 1,024 pairs of rotations {r^k, r^-k}, one class of reflections
+    assert len(classes) == 1026

@@ -118,6 +118,32 @@ def test_classify_pairs_allowed(g1a4_schur):
             assert "Q8" in census or "D4" in census
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pair_independence_matches_rank(p):
+    from itertools import product
+
+    import numpy as np
+
+    from mtower import linalg as la
+    from mtower.schur import _independent
+
+    vecs = [np.array(v) for v in product(range(p), repeat=2 if p == 5 else 3)]
+    for v1, v2 in product(vecs, repeat=2):
+        assert _independent(v1, v2, p) == (la.rank(np.stack([v1, v2]), p) == 2)
+
+
+def test_classify_pair_rejects_dependent_pair(g1a4_schur):
+    from mtower.errors import RankDeficient
+    from mtower.schur import classify_pair
+
+    L, q = g1a4_schur.level, g1a4_schur.quotients[0]
+    m = L.kernel_elems[1]
+    with pytest.raises(RankDeficient):
+        classify_pair(q, L, m, m)
+    with pytest.raises(RankDeficient):
+        classify_pair(q, L, 0, m)
+
+
 def test_classify_labels_odd_p():
     """The order-p^3 invariant classifier separates the odd-p model groups."""
     from mtower.schur import _p3_label
