@@ -30,7 +30,7 @@ from .frattini import (FrattiniLevel, dihedral_step, general_level,
                        split_level, split_structure, transport_level,
                        verify_frattini, verify_order_lifting, p_sylow,
                        normalizer)
-from .gcomplete import is_gcomplete, is_p_gcomplete
+from .gcomplete import check_search_order, is_gcomplete, is_p_gcomplete
 from .gmodules import loewy_layers, radical
 from .groups import (FiniteGroup, alternating_group, cyclic_group,
                      dihedral_group, find_isomorphism, klein_four)
@@ -344,6 +344,7 @@ def cmd_schur(args) -> int:
 
 def cmd_gcomplete(args) -> int:
     G, gdesc, _ = load_group(args)
+    check_search_order(G)          # before class labels are resolved
     if args.classes:
         ids = [class_id(G, lab.strip()) for lab in args.classes.split(",")]
         verdict = is_gcomplete(G, ids)

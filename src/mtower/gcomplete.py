@@ -1,11 +1,17 @@
 """Completeness criteria: does every subgroup meeting the prescribed
 conjugacy classes already fill the whole group?
 
-Witness search walks subgroup closures: starting from pairs drawn from the
-required classes, each subgroup that misses a class is extended by members
-of the first missed class.  Any proper subgroup meeting all classes is
+Witness search walks subgroup closures up to conjugacy: starting from the
+members of the first required class, each subgroup that misses a class is
+extended by every member of the first missed class.  Meeting a class, and
+which class is missed first, do not change under conjugation, so the
+subgroups this walk reaches are closed under conjugation.  The search
+therefore expands one subgroup per conjugacy class: when it first meets a
+proper subgroup it marks all of its conjugates as seen
+(`FiniteGroup.conjugates`).  Any proper subgroup meeting all classes is
 reachable this way, so failure always comes with a witness; the reported
-witness is minimal by (order, element tuple).
+witness is the least, by (order, element tuple), over the conjugates of the
+classes found, which is the least over every subgroup the walk reaches.
 """
 
 from __future__ import annotations
@@ -41,37 +47,42 @@ def _meets_all(G: FiniteGroup, sub: tuple[int, ...], class_list) -> int | None:
     return None
 
 
+def check_search_order(G: FiniteGroup) -> None:
+    """Refuse, before any class is computed, a group the search would not
+    finish."""
+    if G.order > SUBGROUP_SEARCH_LIMIT:
+        raise Budget(f"gcomplete witness search: group order {G.order} is past "
+                     f"SUBGROUP_SEARCH_LIMIT = {SUBGROUP_SEARCH_LIMIT}")
+
+
 def _witnesses(G: FiniteGroup, class_list) -> tuple[int, ...] | None:
     """Minimal proper subgroup meeting every listed class, or None."""
-    if G.order > SUBGROUP_SEARCH_LIMIT:
-        raise Budget("subgroup search beyond the configured order limit")
     required = [cl for cl in class_list if cl.element_order > 1]
     if not required:
         trivial = (0,)
         return trivial if G.order > 1 else None
     best: tuple[int, ...] | None = None
     seen: set[tuple[int, ...]] = set()
-
-    def consider(gens: tuple[int, ...]):
-        nonlocal best
+    todo = [(x,) for x in required[0].members]
+    while todo:
+        gens = todo.pop()
         sub = G.subgroup_closure(gens)
         if len(sub) == G.order or sub in seen:
-            return
-        seen.add(sub)
+            continue
+        orbit = G.conjugates(sub)
+        seen.update(orbit)
         missed = _meets_all(G, sub, required)
         if missed is None:
-            if best is None or (len(sub), sub) < (len(best), best):
-                best = sub
-            return
-        for x in required[missed].members:
-            consider(gens + (x,))
-
-    for x in required[0].members:
-        consider((x,))
+            least = min(orbit)
+            if best is None or (len(least), least) < (len(best), best):
+                best = least
+            continue
+        todo.extend(gens + (x,) for x in required[missed].members)
     return best
 
 
 def is_gcomplete(G: FiniteGroup, class_ids) -> CompletenessVerdict:
+    check_search_order(G)
     classes = G.conjugacy_classes()
     listed = [classes[ci] for ci in class_ids]
     if not listed:
@@ -81,6 +92,7 @@ def is_gcomplete(G: FiniteGroup, class_ids) -> CompletenessVerdict:
 
 
 def is_p_gcomplete(G: FiniteGroup, p: int) -> CompletenessVerdict:
+    check_search_order(G)
     classes = G.conjugacy_classes()
     ids = [i for i, cl in enumerate(classes) if cl.element_order % p != 0]
     return is_gcomplete(G, ids)
@@ -89,6 +101,7 @@ def is_p_gcomplete(G: FiniteGroup, p: int) -> CompletenessVerdict:
 def is_hm_p_gcomplete(G: FiniteGroup, class_ids, p: int | None = None) -> CompletenessVerdict:
     """Remove each distinct inverse pair of classes in turn; the remaining
     classes must stay (p-)gcomplete every time."""
+    check_search_order(G)
     classes = G.conjugacy_classes()
     ids = list(class_ids)
     pairs = []

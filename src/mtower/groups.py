@@ -262,6 +262,22 @@ class FiniteGroup:
             found += frontier.size
         return seen
 
+    def conjugates(self, sub) -> list[tuple[int, ...]]:
+        """Every conjugate c^-1 sub c of the subgroup `sub`, as sorted element
+        tuples, `sub` first: a BFS over conjugation by the generators, so
+        [G:N_G(sub)] subgroups at 2·|gens|·|sub| products (`mul_many`) each."""
+        out = [tuple(sorted(sub))]
+        seen = set(out)
+        for cur in out:
+            elems = np.asarray(cur, dtype=np.int64)
+            for c in self.gen_indices:
+                img = np.sort(self.mul_many(self.mul_many(self.inv[c], elems), c))
+                key = tuple(img.tolist())
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+        return out
+
     def center(self) -> tuple[int, ...]:
         out = []
         for x in range(self.order):

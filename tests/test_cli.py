@@ -161,6 +161,20 @@ def test_group_file_loading(tmp_path):
     assert doc["complete"] is False          # one reflection meets all 5' classes
 
 
+def test_gcomplete_order_limit_exit_code(tmp_path, capsys):
+    # A8, order 20,160: past the witness search's order limit
+    gf = tmp_path / "a8.txt"
+    gf.write_text("(1 2 3)\n(2 3 4 5 6 7 8)\n")
+    for classes in ([], ["--classes", "3A,5A"]):
+        rc = main(["gcomplete", "--group-file", str(gf), "--p", "2", *classes,
+                   "--report", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "gcomplete witness search: group order 20160" in err
+        assert "SUBGROUP_SEARCH_LIMIT = 10000" in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_presentation_file_loading(tmp_path):
     pf = tmp_path / "pres.txt"
     pf.write_text("gens: a b\na^2\nb^3\n(a*b)^5\n")

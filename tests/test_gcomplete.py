@@ -1,10 +1,14 @@
 import pytest
 
-from mtower.errors import NoInversePairs
-from mtower.gcomplete import (CompletenessVerdict, branch_count_bound,
-                              cyclotomic_order_q, euler_phi, is_gcomplete,
-                              is_hm_p_gcomplete, is_p_gcomplete)
-from mtower.groups import FiniteGroup, dihedral_group, generating_set
+import gcomplete_oracle as oracle
+from mtower import gcomplete
+from mtower.errors import Budget, NoInversePairs
+from mtower.gcomplete import (CompletenessVerdict, _witnesses,
+                              branch_count_bound, cyclotomic_order_q,
+                              euler_phi, is_gcomplete, is_hm_p_gcomplete,
+                              is_p_gcomplete)
+from mtower.groups import (FiniteGroup, dihedral_group, generating_set,
+                           special_linear_2)
 from mtower.perms import Perm
 
 from conftest import class_of_order
@@ -100,3 +104,46 @@ def test_witness_generators(a5):
     gens = generating_set(a5, v.witness)
     assert a5.subgroup_closure(gens) == v.witness
     assert len(v.to_dict(a5)["witness"]) == len(gens) == 2
+
+
+def _oracle_cases(a5, g1a5):
+    """(group, class list) pairs for the exhaustive-oracle comparison."""
+    def p_prime(G, p):
+        return [cl for cl in G.conjugacy_classes() if cl.element_order % p]
+
+    for p in (2, 3, 5):
+        yield a5, p_prime(a5, p)
+    yield a5, a5.conjugacy_classes()
+    for n in (5, 7, 9, 12):
+        D = dihedral_group(n)
+        for p in (2, 3, 5, 7):
+            yield D, p_prime(D, p)
+    sl2 = special_linear_2(11)
+    classes = sl2.conjugacy_classes()
+    yield sl2, [classes[class_of_order(sl2, 3)], classes[class_of_order(sl2, 5)]]
+    yield g1a5.level.total, p_prime(g1a5.level.total, 5)
+    # the class lists is_hm_p_gcomplete searches in test_hm_gcomplete
+    c3 = a5.conjugacy_classes()[class_of_order(a5, 3)]
+    yield a5, []
+    yield a5, [c3, c3]
+
+
+def test_witness_matches_exhaustive_oracle(a5, g1a5):
+    for G, class_list in _oracle_cases(a5, g1a5):
+        assert _witnesses(G, class_list) == oracle.witnesses(G, class_list), \
+            (G.name, G.order, [cl.representative for cl in class_list])
+
+
+def test_order_limit_refused_before_classes(monkeypatch):
+    G = dihedral_group(7)
+    monkeypatch.setattr(gcomplete, "SUBGROUP_SEARCH_LIMIT", 10)
+
+    def no_classes():
+        raise AssertionError("classes computed before the order check")
+
+    monkeypatch.setattr(G, "conjugacy_classes", no_classes)
+    for search in (lambda: is_gcomplete(G, [1]), lambda: is_p_gcomplete(G, 2),
+                   lambda: is_hm_p_gcomplete(G, (1, 1))):
+        with pytest.raises(Budget, match="witness search: group order 14 is "
+                                         "past SUBGROUP_SEARCH_LIMIT = 10"):
+            search()

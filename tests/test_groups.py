@@ -148,6 +148,15 @@ def test_perm_str_is_cached_cycle_notation(a5, g1a5):
             assert G.perm_str(i) is s          # the second call hits the memo
 
 
+def _a5_a5_z2():
+    """A5 x A5 x Z2 on 12 points: order 7200, past MUL_TABLE_LIMIT."""
+    def perm(*cycle):
+        return Perm.from_cycles([list(cycle)], 12)
+
+    return FiniteGroup([perm(0, 1, 2), perm(0, 1, 2, 3, 4), perm(5, 6, 7),
+                        perm(5, 6, 7, 8, 9), perm(10, 11)])
+
+
 def test_element_order_without_table_from_cycle_type(a5):
     def by_products(G, a):
         n, x = 1, a
@@ -157,13 +166,9 @@ def test_element_order_without_table_from_cycle_type(a5):
 
     assert [a5.element_order(a) for a in range(60)] == \
         [by_products(a5, a) for a in range(60)]
-    # past MUL_TABLE_LIMIT: A5 x A5 x Z2 on 12 points, where cycles of
-    # lengths 2, 3 and 5 meet in one element, and D_2049
-    def perm(*cycle):
-        return Perm.from_cycles([list(cycle)], 12)
-
-    H = FiniteGroup([perm(0, 1, 2), perm(0, 1, 2, 3, 4), perm(5, 6, 7),
-                     perm(5, 6, 7, 8, 9), perm(10, 11)])
+    # past MUL_TABLE_LIMIT: A5 x A5 x Z2, where cycles of lengths 2, 3 and 5
+    # meet in one element, and D_2049
+    H = _a5_a5_z2()
     G = dihedral_group(2049)
     assert H.mul_table is None and G.mul_table is None
     assert [H.element_order(a) for a in range(0, H.order, 7)] == \
@@ -176,3 +181,40 @@ def test_element_order_without_table_from_cycle_type(a5):
     assert time.perf_counter() - start < 5
     # the identity, 1,024 pairs of rotations {r^k, r^-k}, one class of reflections
     assert len(classes) == 1026
+
+
+def _conjugates_by_every_element(G, sub):
+    """(the distinct conjugates of `sub`, |N_G(sub)|), one G.conj per pair."""
+    key = tuple(sorted(sub))
+    images = [tuple(sorted(G.conj(x, c) for x in sub)) for c in range(G.order)]
+    return set(images), images.count(key)
+
+
+def test_conjugates_count_the_normalizer_index():
+    A5 = alternating_group(5)
+
+    def sub(*cycle_lists):
+        return A5.subgroup_closure(
+            [A5.lookup(Perm.from_cycles(cycles, 5).as_array())
+             for cycles in cycle_lists])
+
+    sylow5 = sub([[0, 1, 2, 3, 4]])
+    sylow3 = sub([[0, 1, 2]])
+    klein = sub([[0, 1], [2, 3]], [[0, 2], [1, 3]])
+    a4 = sub([[0, 1, 2]], [[1, 2, 3]])
+    for K, count in ((sylow5, 6), (sylow3, 10), (klein, 5), (a4, 5)):
+        orbit = A5.conjugates(K)
+        brute, normalizer = _conjugates_by_every_element(A5, K)
+        assert orbit[0] == K and len(set(orbit)) == len(orbit) == count
+        assert set(orbit) == brute and count == A5.order // normalizer
+
+
+def test_conjugates_above_mul_table_limit():
+    """Without a mul table the products go through `mul`, pair by pair."""
+    G = _a5_a5_z2()
+    assert G.order > groups.MUL_TABLE_LIMIT and G.mul_table is None
+    K = G.subgroup_closure([G.gen_indices[0]])
+    orbit = G.conjugates(K)
+    brute, normalizer = _conjugates_by_every_element(G, K)
+    assert len(orbit) == 10 == G.order // normalizer
+    assert set(orbit) == brute

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mtower.errors import NonIntegralGenus
 from mtower.groups import dihedral_group
 from mtower.hurwitz import (_inner_orbit_data, _q2prime_faithful,
-                            analyze_component, check_goup, component_genus,
-                            genus_lower_bound, level_compare,
+                            _unique_rows, analyze_component, check_goup,
+                            component_genus, genus_lower_bound, level_compare,
                             moduli_tests, sh_incidence, shortening_detect)
 from mtower.nielsen import (NielsenSpec, Reducer, mbar4_orbits,
                             middle_product, project_tuple)
@@ -194,3 +195,18 @@ def test_q2prime_faithful_matches_direct_route(case, want, a5):
                     [tuple(row[j ^ g]) for g in (1, 2, 3)]
         assert _q2prime_faithful(table) == q2prime_faithful(inner, scalar) == want
         assert rep.b_fine == want
+
+
+def test_unique_rows_match_np_unique():
+    rng = np.random.default_rng(11)
+    for n, r, hi in ((0, 4, 5), (1, 3, 5), (200, 4, 3), (1000, 4, 40),
+                     (500, 6, 2 ** 31 - 1)):
+        rows = rng.integers(-hi, hi, size=(n, r), dtype=np.int32)
+        if n:
+            rows = np.vstack([rows, rows[rng.integers(0, n, n // 2)]])
+        got, first, inverse = _unique_rows(rows)
+        want, want_first, want_inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True)
+        assert got.dtype == rows.dtype and np.array_equal(got, want)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse.ravel())
