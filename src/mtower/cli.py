@@ -33,7 +33,8 @@ from .frattini import (FrattiniLevel, dihedral_step, general_level,
 from .gcomplete import check_search_order, is_gcomplete, is_p_gcomplete
 from .gmodules import loewy_layers, radical
 from .groups import (FiniteGroup, alternating_group, cyclic_group,
-                     dihedral_group, find_isomorphism, klein_four)
+                     dihedral_group, find_isomorphism, is_p_perfect,
+                     klein_four)
 from .hurwitz import (analyze_component, check_goup, level_compare,
                       sh_incidence)
 from .nielsen import (NielsenSpec, Reducer, enumerate_reduced, lift_tuples,
@@ -101,6 +102,16 @@ def load_group(args) -> tuple[FiniteGroup, str, str]:
     else:
         raise InputError(f"unknown group {args.group!r}; builtins: A4 A5 K4 Dn Zn")
     return G, name, name
+
+
+def check_coverable(G: FiniteGroup, p: int) -> None:
+    """Reject, before any build, a group that has no p-Frattini cover to
+    build: p must divide |G| and G must be p-perfect."""
+    if G.order % p:
+        raise InputError(f"cover stage: p = {p} does not divide |G| = {G.order}")
+    if not is_p_perfect(G, p):
+        raise InputError(f"cover stage: G is not {p}-perfect "
+                         f"(G/[G,G] has order {G.abelianization_order()})")
 
 
 def build_level_model(G: FiniteGroup, p: int, budget_cosets: int,
@@ -256,6 +267,8 @@ def _restore_from_cache(cache_dir: Path, key: str, report_dir: Path) -> bool:
 
 def cmd_level(args) -> int:
     G, gdesc, gkey = load_group(args)
+    if args.k >= 1:
+        check_coverable(G, args.p)
     labels = [s.strip() for s in args.classes.split(",")]
     cache_dir = Path(args.cache) if args.cache else cache_mod.default_cache_dir()
     key = cache_mod.job_key({
@@ -307,6 +320,7 @@ def cmd_schur(args) -> int:
                 "kernel_gen": q.total.perm_str(q.kernel_elems[1]),
             })
     else:
+        check_coverable(G, args.p)
         L = build_level_model(G, args.p, args.budget_cosets, 1)
         quots = enumerate_schur_quotients(L.total, args.p)
         rad_basis = radical(L.kernel_module)
@@ -363,6 +377,7 @@ def cmd_gcomplete(args) -> int:
 
 def cmd_frattini_verify(args) -> int:
     G, gdesc, _ = load_group(args)
+    check_coverable(G, args.p)
     L = build_level(G, args.p, args.budget_cosets, 1)
     rep = verify_order_lifting(L)
     frat = verify_frattini(L)
@@ -424,13 +439,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def check_bounds(args) -> None:
-    """Reject a p or k that no command supports, before any work."""
+    """Reject a p, k or class count that no command supports, before any
+    work (braid orbits need r >= 3 branch points)."""
     if args.p < 2 or any(args.p % q == 0 for q in range(2, isqrt(args.p) + 1)):
         raise InputError(f"--p must be prime, got {args.p}")
     if args.k < 0:
         raise InputError(f"--k must be >= 0, got {args.k}")
     if args.command == "schur" and args.k > 1:
         raise InputError(f"--k must be <= 1 for schur, got {args.k}")
+    if args.command == "level":
+        r = len(args.classes.split(",")) if args.classes else 0
+        if r < 3:
+            raise InputError(f"--classes needs at least 3 classes, got {r}")
 
 
 def main(argv=None) -> int:

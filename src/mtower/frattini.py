@@ -631,11 +631,6 @@ def extension_presentation(P: Presentation, M: GModule,
     return Presentation(d + m, tuple(r for r in rels if r))
 
 
-def _right_columns(G: FiniteGroup) -> list[np.ndarray]:
-    """Per generator x_i, the array g -> g x_i."""
-    return [np.array([G.mul(g, x) for g in range(G.order)]) for x in G.gen_indices]
-
-
 def _cocycle_space(P: Presentation, M: GModule):
     """All (edge labels, relator tails) of extensions of M.group by M.
 
@@ -656,7 +651,7 @@ def _cocycle_space(P: Presentation, M: GModule):
     entries = n * m * sum(len(r) * m + 1 for r in P.relators)
     _check_memory("H^2 solve", f"{ncols:,} unknowns",
                   la.SparseNullspace.predicted_bytes(ncols, entries, p))
-    right = _right_columns(G)
+    right = G.gen_cols                             # g -> g x_i
     left = [np.argsort(r) for r in right]          # g -> g x_i^-1
     inv_mats = [M._invert(A) for A in M.mats]
     tree = set(G._parents[1:])
@@ -766,7 +761,7 @@ def _extension(P: Presentation, M: GModule, space, tails: np.ndarray,
     labels = la.matmul(coeff, sol_labels, p).reshape(-1, m)
     c = np.vstack([labels, np.zeros((1, m), dtype=np.int64)])[col]
     if times is None:
-        right = _right_columns(G)
+        right = G.gen_cols
         times = np.repeat(np.arange(n)[:, None], n, axis=1)
         for h in range(1, n):
             parent, i = G._parents[h]
@@ -845,11 +840,11 @@ def minimal_generating_tuple(G: FiniteGroup) -> list[int]:
 
 def verify_frattini(L: FrattiniLevel, gens: list[int] | None = None) -> bool:
     """Exhaustively check that every kernel translate of a generating-set
-    lift still generates the total group."""
+    lift still generates the total group (one batch of closures)."""
     base_gens = gens if gens is not None else minimal_generating_tuple(L.base)
     lift_sets = [L.lifts(g) for g in base_gens]
-    return all(L.total.closure_size(chosen) == L.total.order
-               for chosen in product(*lift_sets))
+    chosen = np.array(list(product(*lift_sets)), dtype=np.int64)
+    return bool((L.total.closure_sizes(chosen) == L.total.order).all())
 
 
 def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:

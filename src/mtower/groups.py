@@ -5,8 +5,14 @@ identity, generators applied in input order.  All higher layers speak in
 indices, never raw permutations.  Products use the package-wide left-to-right
 convention from perms.py.
 
-The multiplication table is materialized when the order is at most
-MUL_TABLE_LIMIT; above that, products are composed on the fly.
+The BFS records, for every element and generator, the index of their
+product: the generators' right-action columns `gen_cols`.  When the order
+is at most MUL_TABLE_LIMIT the multiplication table is filled from those
+columns, a whole row of its transpose per element, and turned over in place;
+the inverses are read off it.  Above that, products are composed on the fly.
+
+Subgroup closures run in batches: one level-by-level BFS over a block of
+seed rows, on a flat (row, element) mask of bounded size.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ from math import lcm
 import numpy as np
 
 from .errors import InputError, OrderExceeded
-from .perms import Perm
+from .perms import Perm, cycle_str
 
 MUL_TABLE_LIMIT = 4096
+# (row, element, seed) cells per block of a batched subgroup closure
+_CLOSURE_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -48,32 +56,36 @@ class FiniteGroup:
         self.presentation = None  # optionally attached by builders
 
         # each element is kept once, as the bytes of its int32 images that
-        # key the index; the table of all elements is joined from them
+        # key the index; the table of all elements is joined from them.
+        # cols[h * len(gens) + i] is the index of element h times generator i
         keys = [np.arange(degree, dtype=np.int32).tobytes()]
         index = {keys[0]: 0}
-        words: list[tuple[int, ...]] = [()]
         parents: list[tuple[int, int]] = [(-1, -1)]  # (parent element, generator)
+        cols: list[int] = []
         head = 0
         while head < len(keys):
             cur = np.frombuffer(keys[head], dtype=np.int32)
             for gi, garr in enumerate(self.gen_arrays):
                 key = garr[cur].tobytes()
-                if key not in index:
+                j = index.get(key)
+                if j is None:
                     if len(keys) >= max_order:
                         raise OrderExceeded(
                             f"closure exceeded max_order={max_order}")
-                    index[key] = len(keys)
+                    j = index[key] = len(keys)
                     keys.append(key)
-                    words.append(words[head] + (gi,))
                     parents.append((head, gi))
+                cols.append(j)
             head += 1
         self.elements = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(
             len(keys), degree)
         self._index = index
         self.order = len(keys)
-        self.words = words
         self._parents = parents
-        self.gen_indices = [index[g.tobytes()] for g in self.gen_arrays]
+        # gen_cols[i, x] = x g_i: the right action of each generator
+        self.gen_cols = np.array(cols, dtype=np.int32).reshape(
+            self.order, len(gens)).T.copy()
+        self.gen_indices = self.gen_cols[:, 0].tolist()
 
         self.mul_table = self._build_table() if self.order <= MUL_TABLE_LIMIT else None
         self.inv = self._build_inverses()
@@ -85,22 +97,26 @@ class FiniteGroup:
     # -- construction helpers -------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
+        """table[a, b] = a b, built as its transpose and turned over in place.
+
+        Row b of the transpose is the column a -> a b.  For b = parent g_i
+        it is that of the parent pushed through g_i, gen_cols[i] read at the
+        parent's row, so the rows are filled whole in BFS order.
+        """
         n = self.order
-        gencol = []
-        for garr in self.gen_arrays:
-            col = np.empty(n, dtype=np.int32)
-            for i in range(n):
-                col[i] = self._index[garr[self.elements[i]].tobytes()]
-            gencol.append(col)
         table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = np.arange(n, dtype=np.int32)
-        # column of element j = column of its BFS parent pushed through one generator
+        table[0] = np.arange(n, dtype=np.int32)
         for j in range(1, n):
             parent, gi = self._parents[j]
-            table[:, j] = gencol[gi][table[:, parent]]
+            np.take(self.gen_cols[gi], table[parent], out=table[j])
+        _transpose_in_place(table)
         return table
 
     def _build_inverses(self) -> np.ndarray:
+        """Read off the table (row a holds the identity at a^-1); without
+        one, each inverse permutation is looked up."""
+        if self.mul_table is not None:
+            return self.mul_table.argmin(axis=1).astype(np.int32)
         inv = np.empty(self.order, dtype=np.int32)
         for i in range(self.order):
             arr = self.elements[i]
@@ -108,6 +124,15 @@ class FiniteGroup:
             back[arr] = np.arange(self.degree, dtype=np.int32)
             inv[i] = self._index[back.tobytes()]
         return inv
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        """The generator-index word of each element: its BFS path from the
+        identity, read off the parents."""
+        out: list[tuple[int, ...]] = [()]
+        for parent, gi in self._parents[1:]:
+            out.append(out[parent] + (gi,))
+        return out
 
     # -- basic operations ------------------------------------------------------
 
@@ -173,10 +198,12 @@ class FiniteGroup:
 
         Orbit dumps name the same few elements thousands of times, so each
         string is formatted on first use and kept for the group's lifetime.
+        The rows of `elements` are permutations by construction, so they go
+        to the formatter without a Perm.
         """
         s = self._perm_strs.get(i)
         if s is None:
-            s = self._perm_strs[i] = str(self.perm(i))
+            s = self._perm_strs[i] = cycle_str(self.elements[i].tolist())
         return s
 
     def eval_word(self, word) -> int:
@@ -234,33 +261,60 @@ class FiniteGroup:
 
     def subgroup_closure(self, seeds, cap: int | None = None) -> tuple[int, ...]:
         """Sorted element indices of <seeds>; stops early past `cap` if given."""
-        return tuple(self._closure_mask(seeds, cap).nonzero()[0].tolist())
+        mask = next(self._closure_masks(_seed_row(seeds), cap))[0]
+        return tuple(mask.nonzero()[0].tolist())
 
     def generates_whole(self, seeds) -> bool:
         return self.closure_size(seeds) == self.order
 
     def closure_size(self, seeds) -> int:
-        return int(self._closure_mask(seeds, None).sum())
+        return int(next(self._closure_masks(_seed_row(seeds), None)).sum())
 
-    def _closure_mask(self, seeds, cap: int | None) -> np.ndarray:
-        """Membership mask of <seeds>, by a level-by-level BFS over right
-        multiplication by the seeds (`mul_many`).  Stops once more than `cap`
-        elements are found."""
-        gens = np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int64))
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
-        seen[gens] = True
-        frontier = seen.nonzero()[0]
-        found = frontier.size
-        while frontier.size and (cap is None or found <= cap):
-            prods = self.mul_many(frontier[:, None], gens)
-            fresh = np.zeros(self.order, dtype=bool)
-            fresh[prods] = True
-            fresh &= ~seen
-            seen |= fresh
-            frontier = fresh.nonzero()[0]
-            found += frontier.size
-        return seen
+    def closure_sizes(self, seed_rows) -> np.ndarray:
+        """|<row>| for each row of an (N, k) array of seeds."""
+        sizes = [m.sum(axis=1) for m in self._closure_masks(seed_rows, None)]
+        return np.concatenate(sizes) if sizes else np.zeros(0, dtype=np.int64)
+
+    def _closure_masks(self, seed_rows, cap: int | None):
+        """Membership masks of <row> for the rows of an (N, k) array of
+        seeds, yielded a block of rows at a time as (rows, order) bools.
+
+        One BFS runs over a block level by level, on the flat (row, element)
+        mask: each frontier cell is multiplied on the right by its row's
+        seeds (`mul_many`).  A row stops growing once more than `cap` of its
+        elements are found.  A block holds at most _CLOSURE_CELLS
+        (row, element, seed) cells, so its temporaries stay bounded.
+        """
+        rows = np.asarray(seed_rows, dtype=np.int64)
+        rows = rows.reshape(len(rows), -1 if rows.size else 0)   # [] or [[]]
+        n = self.order
+        step = max(1, _CLOSURE_CELLS // (n * max(1, rows.shape[1])))
+        for lo in range(0, len(rows), step):
+            seeds = rows[lo:lo + step]
+            seen = np.zeros((len(seeds), n), dtype=bool)
+            seen[:, 0] = True
+            seen[np.arange(len(seeds))[:, None], seeds] = True
+            flat = seen.ravel()
+            frontier = flat.nonzero()[0]
+            found = 0
+            while True:
+                if cap is not None:
+                    found += np.bincount(frontier // n, minlength=len(seeds))
+                    frontier = frontier[found[frontier // n] <= cap]
+                if not frontier.size:
+                    break
+                if len(seeds) == 1:        # a cell is its element: no row arithmetic
+                    prods = self.mul_many(frontier[:, None], seeds[0])
+                else:
+                    r, x = np.divmod(frontier, n)
+                    prods = self.mul_many(x[:, None], seeds[r]).astype(np.int64)
+                    prods += (r * n)[:, None]
+                fresh = np.zeros(flat.size, dtype=bool)
+                fresh[prods] = True
+                fresh &= ~flat
+                flat |= fresh
+                frontier = fresh.nonzero()[0]
+            yield seen
 
     def conjugates(self, sub) -> list[tuple[int, ...]]:
         """Every conjugate c^-1 sub c of the subgroup `sub`, as sorted element
@@ -319,6 +373,25 @@ class FiniteGroup:
                 return None
             out.append(j)
         return out
+
+
+def _seed_row(seeds) -> np.ndarray:
+    """The distinct non-identity seeds, as a one-row block of seeds."""
+    return np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int64))[None]
+
+
+def _transpose_in_place(A: np.ndarray) -> None:
+    """A = A.T for a square array, swapping square tiles across the
+    diagonal, so no second array of A's size is made."""
+    n, tile = len(A), 64
+    for i in range(0, n, tile):
+        d = A[i:i + tile, i:i + tile]
+        d[...] = d.T.copy()
+        for j in range(i + tile, n, tile):
+            upper, lower = A[i:i + tile, j:j + tile], A[j:j + tile, i:i + tile]
+            kept = upper.copy()
+            upper[...] = lower.T
+            lower[...] = kept.T
 
 
 def _cycle_lcm(images: list[int]) -> int:
@@ -406,6 +479,8 @@ def find_isomorphism(src: FiniteGroup, dst: FiniteGroup) -> list[int] | None:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise InputError(f"cyclic needs n >= 1, got {n}")
     return FiniteGroup([Perm(tuple((i + 1) % n for i in range(n)))], name=f"Z{n}")
 
 

@@ -278,6 +278,12 @@ def _distinct_canonical(red: Reducer, rows: np.ndarray) -> list[tuple]:
     return _as_tuples(np.unique(red.canonical_many(rows), axis=0))
 
 
+def _generating(G: FiniteGroup, tuples: list[tuple]) -> list[tuple]:
+    """The tuples that generate G, checked in one batch of closures."""
+    ok = G.closure_sizes(np.array(tuples, dtype=np.int64)) == G.order
+    return [t for t, keep in zip(tuples, ok) if keep]
+
+
 def enumerate_reduced(spec: NielsenSpec, budget: int = 10 ** 7,
                       reducer: Reducer | None = None) -> list[tuple]:
     """All reduced classes, one class arrangement at a time.
@@ -302,8 +308,7 @@ def enumerate_reduced(spec: NielsenSpec, budget: int = 10 ** 7,
             [classes[ci].members for ci in seq[1:-1]]
         found.append(_forced_products(G, choices[:spec.r - 1],
                                       classes[seq[-1]].members))
-    return [t for t in _distinct_canonical(red, np.vstack(found))
-            if G.closure_size(t) == G.order]
+    return _generating(G, _distinct_canonical(red, np.vstack(found)))
 
 
 def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
@@ -394,10 +399,9 @@ def hm_seed_tuples(spec: NielsenSpec) -> list[tuple]:
     for g1 in members:
         for g2 in members:
             t = (int(G.inv[g1]), g1, int(G.inv[g2]), g2)
-            if sorted(map(G.class_of, t)) == sorted(spec.class_ids) and \
-                    G.closure_size(t) == G.order:
+            if sorted(map(G.class_of, t)) == sorted(spec.class_ids):
                 out.add(t)
-    return sorted(out)
+    return _generating(G, sorted(out))
 
 
 def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
@@ -424,7 +428,7 @@ def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
         raise Budget(f"lift stage: {free} candidate tuples over one class "
                      f"exceed the element budget {budget}")
     found = _distinct_canonical(red, _forced_products(G1, lifts[:-1], lifts[-1]))
-    return [c for c in found if frattini_verified or G1.closure_size(c) == G1.order]
+    return found if frattini_verified else _generating(G1, found)
 
 
 def lifted_spec(L: FrattiniLevel, spec: NielsenSpec) -> NielsenSpec:

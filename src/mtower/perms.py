@@ -65,31 +65,38 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def cycles(self) -> list[list[int]]:
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(cyc) > 1:
-                out.append(cyc)
-        return out
-
     def __str__(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cyc)
+        return cycle_str(self.images)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.images, dtype=np.int32)
+
+
+_POINT_STRS: list[str] = []      # _POINT_STRS[i] == str(i + 1), grown on demand
+
+
+def cycle_str(images) -> str:
+    """Disjoint-cycle notation, 1-based, of the permutation with these images
+    (a sequence of ints); "()" for the identity.  Point labels come from one
+    shared list of strings, so no point is formatted twice."""
+    n = len(images)
+    if len(_POINT_STRS) < n:
+        _POINT_STRS.extend(str(i + 1) for i in range(len(_POINT_STRS), n))
+    pts = _POINT_STRS
+    seen = [False] * n
+    out = []
+    for i in range(n):
+        j = images[i]
+        if seen[i] or j == i:
+            continue
+        cyc = [pts[i]]
+        seen[i] = True
+        while j != i:
+            cyc.append(pts[j])
+            seen[j] = True
+            j = images[j]
+        out.append("(" + " ".join(cyc) + ")")
+    return "".join(out) or "()"
 
 
 def parse_perm(text: str, degree: int | None = None) -> Perm:

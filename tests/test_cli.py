@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mtower import frattini
+from mtower import cli, frattini
 from mtower.cache import (cache_get, cache_put, deserialize_level, job_key,
                           serialize_level)
 from mtower.cli import class_id, label_classes, main
@@ -240,6 +240,62 @@ def test_threads_flag_is_gone():
 def test_bad_p_or_k_rejected_before_work(tmp_path, capsys, args, bound):
     assert run_cli(args, tmp_path) == 2
     assert bound in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["level", "--group", "Z2", "--classes", "2A,2A,2A,2A", "--p", "3",
+      "--k", "1"], "p = 3 does not divide |G| = 2"),
+    (["frattini-verify", "--group", "A4", "--p", "5"],
+     "p = 5 does not divide |G| = 12"),
+    (["schur", "--group", "Z3", "--p", "3", "--k", "1"],
+     "G is not 3-perfect (G/[G,G] has order 3)"),
+    (["frattini-verify", "--group", "A4", "--p", "3"],
+     "G is not 3-perfect (G/[G,G] has order 3)"),
+    (["level", "--group", "D5", "--classes", "2A,2A,2A,2A", "--p", "2",
+      "--k", "1"], "G is not 2-perfect (G/[G,G] has order 2)"),
+], ids=["level-p-coprime", "frattini-p-coprime", "schur-not-perfect",
+        "frattini-not-perfect", "level-not-perfect"])
+def test_uncoverable_group_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                                 args, reason):
+    """No p-Frattini cover: p must divide |G| and G must be p-perfect."""
+    def no_build(*a, **k):
+        raise AssertionError("cover build started")
+
+    monkeypatch.setattr(cli, "build_level_model", no_build)
+    monkeypatch.setattr(cli, "build_level", no_build)
+    assert run_cli(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "cover stage" in err and reason in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_uncoverable_group_still_runs_level0(tmp_path):
+    assert run_cli(["level", "--group", "Z2", "--classes", "2A,2A,2A,2A",
+                    "--p", "3", "--k", "0"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("args, count", [
+    (["--group", "Z3", "--classes", "3A,3B", "--p", "2"], 2),
+    (["--group", "Z2", "--classes", "2A,2A", "--p", "3"], 2),
+    (["--group", "A5", "--classes", "3A", "--p", "2"], 1),
+    (["--group", "A5", "--p", "2"], 0),
+], ids=["Z3-two", "Z2-two", "A5-one", "no-classes"])
+def test_fewer_than_three_classes_rejected(tmp_path, capsys, args, count):
+    assert run_cli(["level", *args, "--k", "0"], tmp_path) == 2
+    assert f"--classes needs at least 3 classes, got {count}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("classes", ["1A,1A,1A", "1A,1A,1A,1A"])
+def test_cyclic_group_of_order_zero_rejected(tmp_path, capsys, classes):
+    assert run_cli(["level", "--group", "Z0", "--classes", classes,
+                    "--p", "2"], tmp_path) == 2
+    assert "cyclic needs n >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()
 

@@ -1,14 +1,18 @@
+import random
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 
+import group_oracle as oracle
 from mtower import groups
 from mtower.errors import OrderExceeded
+from mtower.frattini import minimal_generating_tuple
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, is_center_free,
                            is_p_perfect, klein_four, special_linear_2)
-from mtower.perms import Perm, parse_perm, parse_group_file
+from mtower.perms import Perm, cycle_str, parse_perm, parse_group_file
 
 
 def test_perm_parse_and_format():
@@ -218,3 +222,139 @@ def test_conjugates_above_mul_table_limit():
     brute, normalizer = _conjugates_by_every_element(G, K)
     assert len(orbit) == 10 == G.order // normalizer
     assert set(orbit) == brute
+
+
+def _oracle_groups(a4, a5, g1a5):
+    return {"A4": a4, "A5": a5, "K4": klein_four(), "D5": dihedral_group(5),
+            "SL2_11": special_linear_2(11), "G1(A5)": g1a5.level.total,
+            "trivial": FiniteGroup([Perm.identity(3)])}
+
+
+def test_table_and_inverses_match_oracle(a4, a5, g1a5):
+    """The table from the BFS's own columns, turned over in place, and the
+    inverses read off it equal the lookups of the earlier route."""
+    for name, G in _oracle_groups(a4, a5, g1a5).items():
+        elements, index, words, parents = oracle.bfs(G.gen_arrays)
+        assert (G.elements == elements).all(), name
+        assert G.words == words and G._parents == parents, name
+        table = oracle.build_table(G.gen_arrays, elements, index, parents)
+        assert G.mul_table.flags["C_CONTIGUOUS"], name
+        assert (G.mul_table == table).all(), name
+        assert (G.inv == oracle.build_inverses(elements, index)).all(), name
+        assert (G.gen_cols == table[:, G.gen_indices].T).all(), name
+
+
+def test_columns_and_inverses_without_table():
+    for G in (dihedral_group(2049), _a5_a5_z2()):
+        assert G.mul_table is None
+        elements, index, words, parents = oracle.bfs(G.gen_arrays)
+        assert G.words == words and G._parents == parents
+        assert (G.inv == oracle.build_inverses(elements, index)).all()
+        sample = range(0, G.order, 97)
+        for i, g in enumerate(G.gen_indices):
+            assert [int(G.gen_cols[i, x]) for x in sample] == \
+                [G.mul(x, g) for x in sample]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 600])
+def test_transpose_in_place(n):
+    A = np.random.default_rng(n).integers(0, 1 << 30, size=(n, n)).astype(np.int32)
+    want = A.T.copy()
+    groups._transpose_in_place(A)
+    assert (A == want).all()
+
+
+def _batch_masks(G, rows, cap=None):
+    masks = list(G._closure_masks(rows, cap))
+    return np.concatenate(masks) if masks else np.zeros((0, G.order), dtype=bool)
+
+
+def test_batched_closure_on_all_pairs_of_a5(a5):
+    rows = np.array(list(product(range(a5.order), repeat=2)))
+    masks = _batch_masks(a5, rows)
+    sizes = a5.closure_sizes(rows)
+    assert (sizes == masks.sum(axis=1)).all()
+    for row, mask, size in zip(rows.tolist(), masks, sizes):
+        want = oracle.closure_mask(a5, row)
+        assert (mask == want).all()
+        assert a5.closure_size(row) == size
+        assert tuple(mask.nonzero()[0].tolist()) == reference_closure(a5, row)
+    assert sorted(set(sizes.tolist())) == [1, 2, 3, 4, 5, 6, 10, 12, 60]
+
+
+def test_batched_closure_on_the_g1a5_lift_product(g1a5):
+    L = g1a5.level
+    G = L.total
+    lifts = [L.lifts(g) for g in minimal_generating_tuple(L.base)]
+    rows = np.array(list(product(*lifts)))
+    assert rows.shape == (1024, 2)
+    masks = _batch_masks(G, rows)
+    assert (G.closure_sizes(rows) == G.order).all()
+    for row, mask in zip(rows.tolist(), masks):
+        assert (mask == oracle.closure_mask(G, row)).all()
+    # non-generating rows: a lift with a kernel element, or one entry alone
+    k = L.kernel_elems[1]
+    odd = np.array([[rows[0, 0], k], [rows[5, 1], 0], [0, 0], [k, k]])
+    for row, mask, size in zip(odd.tolist(), _batch_masks(G, odd),
+                               G.closure_sizes(odd)):
+        want = reference_closure(G, row)
+        assert tuple(mask.nonzero()[0].tolist()) == want
+        assert size == len(want) == G.closure_size(row) < G.order
+
+
+def test_batched_closure_on_an_empty_batch(a5):
+    for rows in ([], np.zeros((0, 2), dtype=np.int64)):
+        assert a5.closure_sizes(rows).shape == (0,)
+        assert _batch_masks(a5, rows).shape == (0, 60)
+    assert a5.closure_sizes([[]]).tolist() == [1]     # one row, no seeds
+
+
+def test_batched_closure_above_mul_table_limit():
+    D = dihedral_group(2049)
+    r, s = D.gen_indices
+    r683 = D.power(r, 683)
+    H = _a5_a5_z2()
+    h = H.gen_indices
+    for G, rows in ((D, [(r, s), (s, 0), (r683, r683), (0, 0), (r683, s)]),
+                    (H, [(h[0], h[1]), (h[0], h[2]), (h[4], h[4]), (h[1], 0)])):
+        assert G.order > groups.MUL_TABLE_LIMIT and G.mul_table is None
+        rows = np.array(rows)
+        masks = _batch_masks(G, rows)
+        for row, mask, size in zip(rows.tolist(), masks, G.closure_sizes(rows)):
+            want = reference_closure(G, row)
+            assert tuple(mask.nonzero()[0].tolist()) == want
+            assert size == len(want) == G.closure_size(row)
+
+
+def test_batched_closure_cap_matches_oracle(a5):
+    D = dihedral_group(2049)
+    r, s = D.gen_indices
+    cases = ((a5, list(product(range(0, 60, 7), range(1, 60, 11)))),
+             (D, [(r, s), (s, 0), (D.power(r, 683), s), (D.power(r, 3), s)]))
+    for G, rows in cases:
+        for cap in (1, 3, 6, 12, 2048, 4098):
+            masks = _batch_masks(G, np.array(rows), cap)
+            for row, mask in zip(rows, masks):
+                want = oracle.closure_mask(G, row, cap)
+                assert (mask == want).all()
+                assert G.subgroup_closure(row, cap=cap) == \
+                    tuple(want.nonzero()[0].tolist())
+
+
+def test_cycle_str_matches_perm_cycles():
+    rng = random.Random(5)
+    cases = [Perm.identity(1), Perm.identity(9), parse_perm("(1 2)", 6),
+             parse_perm("(2 5)(3 4)", 9), parse_perm("(1 2 3 4 5 6 7 8 9 10)")]
+    for n in (2, 3, 12, 120, 1920):
+        for _ in range(20):
+            img = list(range(n))
+            moved = rng.sample(range(n), rng.randint(0, n))
+            shuffled = moved[:]
+            rng.shuffle(shuffled)
+            for a, b in zip(moved, shuffled):
+                img[a] = b
+            cases.append(Perm(tuple(img)))
+    for q in cases:
+        want = oracle.perm_str(q)
+        assert cycle_str(list(q.images)) == cycle_str(q.images) == str(q) == want
+    assert cycle_str([0, 1, 2]) == "()" and cycle_str([1, 0, 2]) == "(1 2)"
