@@ -43,7 +43,7 @@ from .perms import parse_group_file
 from .schur import (abelian_test, check_modassume,
                     enumerate_schur_quotients, p3_census, vd_set)
 
-VERSION = 2
+VERSION = 3
 
 
 def label_classes(G: FiniteGroup) -> list[str]:
@@ -155,7 +155,10 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
 
     Level 0 is enumerated outright; higher levels are seeded by lifting one
     representative per lower orbit through the cover, which reaches every
-    orbit upstairs.
+    orbit upstairs: a level-0 orbit has lifts over all of its members or
+    over none, and each entry is lifted within the lift of its own class.
+    Each level is checked Frattini (verify_frattini) before its lifts are
+    trusted to generate.
     """
     ids = tuple(class_id(G, lab) for lab in class_labels)
     spec = NielsenSpec(G, ids, p)

@@ -8,6 +8,10 @@ sparse (linalg.SparseNullspace).  The solve, an extension's section tables
 and a pair model each predict their memory first, and raise TooLarge past
 MEMORY_CEILING.
 
+The searches here (the lift of the complement action, versality against
+the Schur covers, the Frattini and restriction-splitting checks) run
+through groups.search_images.
+
 Every constructed level is normalized to a canonical "pair model": elements
 are pairs (base element, kernel vector) with
 
@@ -34,7 +38,8 @@ from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
 from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
                        induce, submodule_module, trivial_module)
 from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, find_isomorphism,
-                     generating_set, subgroup_from_indices)
+                     generating_set, search_images, spanning_tree,
+                     subgroup_from_indices)
 from .perms import Perm
 
 # Bytes a stage may be predicted to need: the H^2 solve, an extension's
@@ -370,21 +375,20 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
         s = int(info1["section"][p0_elem[la.vec_int(A_h[i], p)]])
         cands = sorted(P1.mul(s, k) for k in info1["kernel"])
         cand_lists.append(cands)
-    alpha_images = _find_action_lift(P1, P1_pres, cand_lists, h_order, d)
-    if alpha_images is None:
+    lift = _find_action_lift(P1, cand_lists, h_order, d)
+    if lift is None:
         raise ActionLiftFailed("no compatible lift of the complement action")
-    alpha = _endomorphism_from_images(P1, alpha_images, list(range(d)))
+    alpha_images, alpha = lift
 
     # alpha powers for each element of (cyclic) H
     h_gen = H.gen_indices[0]
     pow_of = {}
     e = 0
     acc = np.arange(P1.order, dtype=np.int64)
-    alpha_arr = np.array(alpha, dtype=np.int64)
     for _ in range(h_order):
         pow_of[e] = acc.copy()
         e = H.mul(e, h_gen)
-        acc = alpha_arr[acc]
+        acc = alpha[acc]
     assert e == 0
 
     mats0_powers = {}
@@ -514,67 +518,28 @@ def _cocycle_from_table(T: CosetTable, base: FiniteGroup, kcoords, d: int, p: in
 
 def _restricted_words(G: FiniteGroup, gen_positions: list[int]) -> list[tuple[int, ...]]:
     """BFS words for every element using only the listed generators."""
-    words: list[tuple[int, ...] | None] = [None] * G.order
-    words[0] = ()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for gp in gen_positions:
-            y = G.mul(x, G.gen_indices[gp])
-            if words[y] is None:
-                words[y] = words[x] + (gp + 1,)
-                queue.append(y)
-    if any(w is None for w in words):
-        raise AssertionError("listed generators do not generate")
-    return [w for w in words if w is not None]
+    words = [()] * G.order
+    for child, parent, gi in spanning_tree(G, gen_positions):
+        for c, a, g in zip(child.tolist(), parent.tolist(), gi.tolist()):
+            words[c] = words[a] + (gen_positions[g] + 1,)
+    return words
 
 
-def _find_action_lift(P1: FiniteGroup, P1_pres: Presentation,
-                      cand_lists: list[list[int]], h_order: int,
-                      d: int) -> list[int] | None:
-    """First candidate images (lexicographic) that satisfy the P1 relators
-    and define an automorphism of order dividing h_order."""
-    def works(images) -> bool:
-        if any(P1.eval_relator(images, rel) for rel in P1_pres.relators):
-            return False
-        alpha = _endomorphism_from_images(P1, images, list(range(d)))
-        if alpha is None:
-            return False
-        cur = list(range(P1.order))
+def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]], h_order: int,
+                      d: int) -> tuple[list[int], np.ndarray] | None:
+    """The first candidate images of generators 0..d-1 (in product order)
+    that define an automorphism of P1 of order dividing h_order, with its
+    element map."""
+    ident = np.arange(P1.order)
+    for rows, maps, sizes in search_images(P1, cand_lists, P1, range(d)):
+        rows, maps = rows[sizes == P1.order], maps[sizes == P1.order]
+        cur = np.broadcast_to(ident, maps.shape)
         for _ in range(h_order):
-            cur = [alpha[c] for c in cur]
-        return all(cur[i] == i for i in range(P1.order))
-
-    return next((list(images) for images in product(*cand_lists)
-                 if works(images)), None)
-
-
-def _endomorphism_from_images(G: FiniteGroup, images: list[int],
-                              gen_positions: list[int]) -> list[int] | None:
-    """Map defined on BFS words over the listed generators; None if not bijective."""
-    words = _restricted_words(G, gen_positions)
-    out = [0] * G.order
-    # rebuild in BFS order so parents are defined first
-    order_of = sorted(range(G.order), key=lambda e: len(words[e]))
-    pos_of = {gp: i for i, gp in enumerate(gen_positions)}
-    for e in order_of:
-        w = words[e]
-        if not w:
-            continue
-        parent = 0
-        for letter in w[:-1]:
-            parent = G.mul(parent, G.gen_indices[gen_positions[pos_of[letter - 1]]])
-        out[e] = G.mul(out[parent], images[pos_of[w[-1] - 1]])
-    if len(set(out)) != G.order:
-        return None
-    for e in range(G.order):
-        for gp in gen_positions:
-            g = G.gen_indices[gp]
-            if out[G.mul(e, g)] != G.mul(out[e], images[pos_of[gp]]):
-                return None
-    return out
+            cur = np.take_along_axis(maps, cur, axis=1)
+        hit = (cur == ident).all(axis=1).nonzero()[0]
+        if hit.size:
+            return rows[hit[0]].tolist(), maps[hit[0]]
+    return None
 
 
 def _attach_g0_presentation(G0: FiniteGroup, d: int, p: int, h_order: int,
@@ -831,20 +796,25 @@ def verify_order_lifting(L: FrattiniLevel) -> OrderLiftReport:
 
 
 def minimal_generating_tuple(G: FiniteGroup) -> list[int]:
-    for a in range(1, G.order):
-        for b in range(a + 1, G.order):
-            if G.closure_size([a, b]) == G.order:
-                return [a, b]
-    return list(G.gen_indices)
+    """The first pair a < b of non-identity elements generating G, else
+    G's own generators."""
+    return _first_generating_pair(G, range(1, G.order), G.order) or list(G.gen_indices)
+
+
+def _first_generating_pair(G: FiniteGroup, elems, order: int) -> list[int] | None:
+    """The first pair a < b from `elems` whose closure has `order` elements."""
+    hits = (row for rows, _, sizes in search_images(G, [elems, elems])
+            for row in rows[sizes == order] if row[0] < row[1])
+    row = next(hits, None)
+    return None if row is None else row.tolist()
 
 
 def verify_frattini(L: FrattiniLevel, gens: list[int] | None = None) -> bool:
     """Exhaustively check that every kernel translate of a generating-set
-    lift still generates the total group (one batch of closures)."""
+    lift still generates the total group (closures in blocks of rows)."""
     base_gens = gens if gens is not None else minimal_generating_tuple(L.base)
-    lift_sets = [L.lifts(g) for g in base_gens]
-    chosen = np.array(list(product(*lift_sets)), dtype=np.int64)
-    return bool((L.total.closure_sizes(chosen) == L.total.order).all())
+    return all((sizes == L.total.order).all() for _, _, sizes in
+               search_images(L.total, [L.lifts(g) for g in base_gens]))
 
 
 def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:
@@ -866,29 +836,13 @@ def restriction_splits(L: FrattiniLevel, subgroup_elems: list[int]) -> bool:
     the subgroup whose closure has the subgroup's order.
     """
     S = sorted(subgroup_elems)
-    sset = set(S)
-    sub_gens = None
-    for a in S:
-        if a == 0:
-            continue
-        for b in S:
-            if b <= a:
-                continue
-            clo = L.base.subgroup_closure([a, b], cap=len(S))
-            if len(clo) == len(S) and set(clo) == sset:
-                sub_gens = [a, b]
-                break
-        if sub_gens:
-            break
+    sub_gens = _first_generating_pair(L.base, [a for a in S if a], len(S))
     if sub_gens is None:
-        for a in S:
-            if len(L.base.subgroup_closure([a], cap=len(S))) == len(S):
-                sub_gens = [a]
-                break
+        sub_gens = next((row.tolist() for rows, _, sizes in search_images(L.base, [S])
+                         for row in rows[sizes == len(S)]), None)
     assert sub_gens is not None, "subgroup has no small generating set"
-    lift_sets = [L.lifts(g) for g in sub_gens]
-    return any(L.total.closure_size(chosen) == len(S)
-               for chosen in product(*lift_sets))
+    return any((sizes == len(S)).any() for _, _, sizes in
+               search_images(L.total, [L.lifts(g) for g in sub_gens]))
 
 
 # -- Sylow plumbing and the general-case module pipeline ---------------------------
@@ -1024,28 +978,16 @@ def frattini_module(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> Fratti
 def _homomorphism_onto(level_src: FrattiniLevel, level_dst: FrattiniLevel) -> bool:
     """Is there a surjection total_src -> total_dst over the common base?
 
-    Generator lifts of the base generators are searched; the z generators'
-    images follow from words in the lifted generators (the source cover is
-    Frattini, so its generator lifts generate).
+    Only the images of the base-generator lifts are searched, among the
+    lifts of the same base generators: the source cover is Frattini, so
+    those lifts generate it.
     """
     src, dst = level_src.total, level_dst.total
     base = level_src.base
     assert level_dst.base is base
-    d = len(base.gen_indices)
     cand = [level_dst.lifts(g) for g in base.gen_indices]
-    src_pres = src.presentation
-    assert src_pres is not None
-    xwords = _restricted_words(src, list(range(d)))
-
-    def assignment_works(images) -> bool:
-        full = list(images)
-        for j in range(d, len(src.gen_indices)):
-            full.append(dst.eval_relator(full, xwords[src.gen_indices[j]]))
-        if any(dst.eval_relator(full, rel) for rel in src_pres.relators):
-            return False
-        return dst.closure_size(full) == dst.order
-
-    return any(assignment_works(images) for images in product(*cand))
+    return any((sizes == dst.order).any() for _, _, sizes in
+               search_images(dst, cand, src, range(len(cand))))
 
 
 @dataclass

@@ -785,6 +785,3 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         return la.rank(self.matrix.T, self.source.p) == self.target.dim
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return la.matmul(np.atleast_2d(v), self.matrix, self.source.p)[0]

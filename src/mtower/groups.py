@@ -13,13 +13,19 @@ the inverses are read off it.  Above that, products are composed on the fly.
 
 Subgroup closures run in batches: one level-by-level BFS over a block of
 seed rows, on a flat (row, element) mask of bounded size.
+
+Every search over candidate generator images goes through search_images:
+it walks their product in blocks of rows and either closes each row (is
+it a generating set, a complement?) or extends it along a spanning tree
+to an element map and keeps the homomorphisms (an isomorphism, a cover
+map, an automorphism?).  The callers only put a predicate on the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 import numpy as np
@@ -206,22 +212,6 @@ class FiniteGroup:
             s = self._perm_strs[i] = cycle_str(self.elements[i].tolist())
         return s
 
-    def eval_word(self, word) -> int:
-        """Evaluate a generator-index word (ints >= 0) by right multiplication."""
-        cur = 0
-        for gi in word:
-            cur = self.mul(cur, self.gen_indices[gi])
-        return cur
-
-    def eval_relator(self, images, word) -> int:
-        """A signed word evaluated with generator i sent to images[i]; 0 means
-        the assignment satisfies the relator."""
-        cur = 0
-        for letter in word:
-            g = images[abs(letter) - 1]
-            cur = self.mul(cur, g if letter > 0 else int(self.inv[g]))
-        return cur
-
     # -- structure -------------------------------------------------------------
 
     def conjugacy_classes(self) -> list[ConjClass]:
@@ -263,9 +253,6 @@ class FiniteGroup:
         """Sorted element indices of <seeds>; stops early past `cap` if given."""
         mask = next(self._closure_masks(_seed_row(seeds), cap))[0]
         return tuple(mask.nonzero()[0].tolist())
-
-    def generates_whole(self, seeds) -> bool:
-        return self.closure_size(seeds) == self.order
 
     def closure_size(self, seeds) -> int:
         return int(next(self._closure_masks(_seed_row(seeds), None)).sum())
@@ -442,37 +429,87 @@ def subgroup_from_indices(G: FiniteGroup, gen_indices, name: str = "") -> Finite
     return FiniteGroup([G.perm(i) for i in gen_indices], max_order=G.order, name=name)
 
 
-def find_isomorphism(src: FiniteGroup, dst: FiniteGroup) -> list[int] | None:
-    """Element map src->dst realizing an isomorphism, or None.
+def spanning_tree(G: FiniteGroup, gens) -> list[tuple[np.ndarray, ...]]:
+    """A BFS spanning tree of G over the generators at positions `gens`,
+    as (children, parents, positions into gens) per level, children in the
+    order a queue BFS finds them.  The generators must generate G."""
+    cols = G.gen_cols[list(gens)]
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while True:
+        kids = cols[:, frontier].T.ravel()       # element-major, generator-minor
+        _, first = np.unique(kids, return_index=True)
+        first = np.sort(first[~seen[kids[first]]])
+        if not first.size:
+            break
+        at, gi = np.divmod(first, len(cols))
+        parents, frontier = frontier[at], kids[first].astype(np.int64)
+        seen[frontier] = True
+        levels.append((frontier, parents, gi))
+    if not seen.all():
+        raise AssertionError("listed generators do not generate")
+    return levels
 
-    Backtracks over generator images filtered by element order; a candidate
-    assignment is accepted when phi(x*g) == phi(x)*phi(g) holds for every
-    element x and generator g (sufficient by induction on BFS words) and the
-    image hits all of dst.
+
+def search_images(dst: FiniteGroup, cand_lists, src: FiniteGroup | None = None,
+                  gens=None):
+    """Walk the product of the candidate image lists in `itertools.product`
+    order, a block of rows at a time, and yield each block as
+    (rows, maps, sizes).
+
+    Without `src` every row is kept, `maps` is None and sizes[i] is
+    |<rows[i]>| in dst.  With `src`, row i sends the src generators at
+    positions `gens` (all by default; they must generate src) to its
+    entries.  The row is extended to an element map phi along a BFS
+    spanning tree of src over those generators, a tree level at a time
+    with `dst.mul_many`, and kept iff phi(x g) = phi(x) phi(g) for every
+    element x and chosen generator g, i.e. iff the images satisfy src's
+    relators.  `maps` holds the kept rows' element maps and `sizes` the
+    sizes of their images.  Only src's `gen_cols` are read, so neither
+    group needs a multiplication table.
+
+    The blocks start at one row and double, so a search that succeeds
+    early does little more work than a row-at-a-time one; a block holds at
+    most _CLOSURE_CELLS (row, element, generator) cells.
     """
+    k = len(cand_lists)
+    n = dst.order if src is None else src.order
+    step, cap = 1, max(1, _CLOSURE_CELLS // (n * max(1, k)))
+    if src is not None:
+        gens = list(range(len(src.gen_indices)) if gens is None else gens)
+        cols = src.gen_cols[gens]
+        tree = spanning_tree(src, gens)
+    walk = product(*cand_lists)
+    while chunk := list(islice(walk, step)):
+        step = min(2 * step, cap)
+        rows = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)
+        if src is None:
+            yield rows, None, dst.closure_sizes(rows)
+            continue
+        maps = np.zeros((len(rows), n), dtype=np.int64)
+        for child, parent, gi in tree:
+            maps[:, child] = dst.mul_many(maps[:, parent], rows[:, gi])
+        ok = np.ones(len(rows), dtype=bool)
+        for gi, col in enumerate(cols):
+            ok &= (maps[:, col] == dst.mul_many(maps, rows[:, gi, None])).all(axis=1)
+        maps = maps[ok]
+        hit = np.sort(maps, axis=1)
+        yield rows[ok], maps, (hit[:, 1:] != hit[:, :-1]).sum(axis=1) + 1
+
+
+def find_isomorphism(src: FiniteGroup, dst: FiniteGroup) -> list[int] | None:
+    """Element map src->dst realizing an isomorphism, or None: the first
+    bijective homomorphism among generator images of matching orders."""
     if src.order != dst.order:
         return None
     gen_orders = [src.element_order(g) for g in src.gen_indices]
-    dst_by_order: dict[int, list[int]] = {}
-    for o in set(gen_orders):
-        dst_by_order[o] = [x for x in range(dst.order) if dst.element_order(x) == o]
-
-    def build(images: list[int]) -> list[int] | None:
-        phi = [0] * src.order
-        for i in range(1, src.order):
-            parent, gi = src._parents[i]
-            phi[i] = dst.mul(phi[parent], images[gi])
-        if len(set(phi)) != src.order:
-            return None
-        for x in range(src.order):
-            for gi, g in enumerate(src.gen_indices):
-                if phi[src.mul(x, g)] != dst.mul(phi[x], images[gi]):
-                    return None
-        return phi
-
-    candidates = product(*(dst_by_order[o] for o in gen_orders))
-    return next((phi for images in candidates
-                 if (phi := build(images)) is not None), None)
+    by_order = {o: [x for x in range(dst.order) if dst.element_order(x) == o]
+                for o in set(gen_orders)}
+    blocks = search_images(dst, [by_order[o] for o in gen_orders], src)
+    phi = next((m for _, maps, sizes in blocks for m in maps[sizes == dst.order]), None)
+    return None if phi is None else phi.tolist()
 
 
 # -- builtin groups -----------------------------------------------------------
@@ -521,23 +558,16 @@ def alternating_group(n: int) -> FiniteGroup:
         other = Perm.from_cycles([[2, 3, 4]], n)
     full = FiniteGroup([threecycle, other], name=f"A{n}")
     assert full.order == (12 if n == 4 else 60)
-    for a in range(full.order):
-        if full.element_order(a) != 2:
-            continue
-        for b in range(full.order):
-            if full.element_order(b) != 3:
-                continue
-            if full.element_order(full.mul(a, b)) != k:
-                continue
-            if not full.generates_whole([a, b]):
-                continue
-            G = FiniteGroup([full.perm(a), full.perm(b)], name=f"A{n}")
-            from .fp import Presentation
+    of_order = [[x for x in range(full.order) if full.element_order(x) == o]
+                for o in (2, 3)]
+    a, b = next(row for rows, _, sizes in search_images(full, of_order)
+                for row in rows[sizes == full.order].tolist()
+                if full.element_order(full.mul(*row)) == k)
+    G = FiniteGroup([full.perm(a), full.perm(b)], name=f"A{n}")
+    from .fp import Presentation
 
-            G.presentation = Presentation(
-                2, ((1, 1), (2, 2, 2), (1, 2) * k), names=("a", "b"))
-            return G
-    raise AssertionError("no standard generating pair found")
+    G.presentation = Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * k), names=("a", "b"))
+    return G
 
 
 def special_linear_2(p: int) -> FiniteGroup:

@@ -419,8 +419,15 @@ def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
     """
     G1 = L.total
     red = reducer or Reducer(spec_total)
-    lifts = [[x for x in L.lifts(int(g)) if G1.class_of(x) == ci]
-             for g, ci in zip(t, spec_total.class_ids)]
+    # t's entries come in any arrangement of the class multiset, so each
+    # is filtered by the lift of its own class
+    classes = G1.conjugacy_classes()
+    own = {L.base.class_of(int(L.proj[classes[ci].representative])): ci
+           for ci in spec_total.class_ids}
+    lifts = []
+    for g in map(int, t):
+        ci = own[L.base.class_of(g)]
+        lifts.append([x for x in L.lifts(g) if G1.class_of(x) == ci])
     if any(not ls for ls in lifts):
         return []
     free = prod(len(ls) for ls in lifts[:-1])

@@ -4,13 +4,14 @@ the three lifting conditions, abelian slices, and antecedent detection.
 
 Each R_D is the pair model of one line of H^2(G, F_p), built from the same
 linear solve as every other extension (frattini.schur_covers); its kernel
-generator is kernel_elems[1].
+generator is kernel_elems[1].  The splitting check and the covering
+map onto an antecedent run through groups.search_images, and the p^3
+census closes all its pairs in one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import linalg as la
 from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
                      RankDeficient)
 from .frattini import FrattiniLevel, schur_covers
-from .groups import FiniteGroup, is_p_perfect
+from .groups import FiniteGroup, is_p_perfect, search_images
 from .perms import Perm
 
 
@@ -50,10 +51,9 @@ def enumerate_schur_quotients(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
 
 def _splits(total: FiniteGroup, G: FiniteGroup, proj: np.ndarray) -> bool:
     """Does the central extension admit a complement over G?"""
-    lift_sets = [[e for e in range(total.order) if int(proj[e]) == g]
-                 for g in G.gen_indices]
-    return any(total.closure_size(chosen) == G.order
-               for chosen in product(*lift_sets))
+    lift_sets = [np.flatnonzero(proj == g) for g in G.gen_indices]
+    return any((sizes == G.order).any()
+               for _, _, sizes in search_images(total, lift_sets))
 
 
 # -- V_D sets and pair classification --------------------------------------------
@@ -94,22 +94,46 @@ def classify_pair(E: FrattiniLevel, L: FrattiniLevel, m1: int, m2: int,
     kernel elements; asserts membership in the allowed list for the
     positions of m1, m2 relative to V_D."""
     _level_compatible(E, L)
-    p = E.p
-    G1, R = L.total, E.total
-    v1, v2 = L.kernel_coords[m1], L.kernel_coords[m2]
-    if not _independent(v1, v2, p):
+    if not _independent(L.kernel_coords[m1], L.kernel_coords[m2], E.p):
         raise RankDeficient("kernel elements do not span a 2-dimensional space")
-    vd = vd or vd_set(E, L)
-    H = R.subgroup_closure([E.lifts(m1)[0], E.lifts(m2)[0]])
-    order = len(H)
-    abelian = all(R.mul(a, b) == R.mul(b, a) for a in H for b in H)
-    orders = sorted(R.element_order(x) for x in H)
-    exponent = max(orders)
-    n_p = sum(1 for o in orders if o == p)
-    label = _p3_label(p, order, abelian, exponent, n_p)
-    allowed = _allowed_labels(p, m1 in set(vd.members), m2 in set(vd.members))
-    assert label in allowed, (label, allowed)
-    return label
+    return _classify_pairs(E, L, [(m1, m2)], vd or vd_set(E, L))[0]
+
+
+def _classify_pairs(E: FrattiniLevel, L: FrattiniLevel, pairs, vd: VDSet) -> list[str]:
+    """classify_pair for a list of independent pairs: the groups generated
+    by their first lifts are closed in batches, and read by array ops (a
+    two-generator group is abelian iff its generators commute)."""
+    p, R = E.p, E.total
+    seeds = np.array([[E.lifts(m1)[0], E.lifts(m2)[0]] for m1, m2 in pairs],
+                     dtype=np.int64).reshape(len(pairs), 2)
+    abelian = R.mul_many(seeds[:, 0], seeds[:, 1]) == R.mul_many(seeds[:, 1], seeds[:, 0])
+    orders, exponents, n_ps = [], [], []
+    for masks in R._closure_masks(seeds, None):
+        elems = masks.any(axis=0).nonzero()[0]
+        ords = np.where(masks[:, elems], _orders(R, elems), 0)
+        orders.extend(masks.sum(axis=1).tolist())
+        exponents.extend(ords.max(axis=1).tolist())
+        n_ps.extend((ords == p).sum(axis=1).tolist())
+    vset = set(vd.members)
+    labels = []
+    for (m1, m2), *stats in zip(pairs, orders, abelian.tolist(), exponents, n_ps):
+        label = _p3_label(p, *stats)
+        allowed = _allowed_labels(p, m1 in vset, m2 in vset)
+        assert label in allowed, (label, allowed)
+        labels.append(label)
+    return labels
+
+
+def _orders(G: FiniteGroup, elems: np.ndarray) -> np.ndarray:
+    """Element orders of `elems`, multiplied up side by side."""
+    out = np.ones(len(elems), dtype=np.int64)
+    cur = elems.copy()
+    live = cur != 0
+    while live.any():
+        cur[live] = G.mul_many(cur[live], elems[live])
+        out[live] += 1
+        live = cur != 0
+    return out
 
 
 def _independent(v1: np.ndarray, v2: np.ndarray, p: int) -> bool:
@@ -154,22 +178,17 @@ def p3_census(E: FrattiniLevel, L: FrattiniLevel) -> dict[str, int]:
     """classify_pair over all independent kernel pairs, with the allowed-list
     and the two-order-p^2-generator corollary asserted along the way."""
     vd = vd_set(E, L)
-    out: dict[str, int] = {}
-    vset = set(vd.members)
-    G1, R = L.total, E.total
-    p = E.p
+    vset, nonzero = set(vd.members), set(vd.nonzero)
     kelems = [m for m in L.kernel_elems if m != 0]
-    for i, m1 in enumerate(kelems):
-        for m2 in kelems[i + 1:]:
-            if not _independent(L.kernel_coords[m1], L.kernel_coords[m2], p):
-                continue
-            label = classify_pair(E, L, m1, m2, vd)
-            out[label] = out.get(label, 0) + 1
-            # two independent order-p^2 lifts meeting V_D^0 force Z/p^2 x Z/p
-            if m1 not in vset and m2 not in vset:
-                span = _span_elements(L, m1, m2)
-                if any(s in set(vd.nonzero) for s in span):
-                    assert label in ("Z4xZ2", "Zp2xZp"), label
+    pairs = [(m1, m2) for i, m1 in enumerate(kelems) for m2 in kelems[i + 1:]
+             if _independent(L.kernel_coords[m1], L.kernel_coords[m2], E.p)]
+    out: dict[str, int] = {}
+    for (m1, m2), label in zip(pairs, _classify_pairs(E, L, pairs, vd)):
+        out[label] = out.get(label, 0) + 1
+        # two independent order-p^2 lifts meeting V_D^0 force Z/p^2 x Z/p
+        if m1 not in vset and m2 not in vset and \
+                nonzero.intersection(_span_elements(L, m1, m2)):
+            assert label in ("Z4xZ2", "Zp2xZp"), label
     return dict(sorted(out.items()))
 
 
@@ -357,23 +376,11 @@ def find_cover_map(L: FrattiniLevel, E_prev: FrattiniLevel) -> list[int] | None:
     """
     if E_prev.base is not L.base:
         raise IncompatibleLevels("antecedent candidate not over the level's base")
-    G1 = L.total
-    R = E_prev.total
-    if G1.presentation is None:
-        raise InputError("level total needs an attached presentation")
+    G1, R = L.total, E_prev.total
     cand = [E_prev.lifts(int(L.proj[g])) for g in G1.gen_indices]
-
-    def element_map(images) -> list[int] | None:
-        if any(R.eval_relator(images, rel) for rel in G1.presentation.relators):
-            return None
-        phi = [0] * G1.order
-        for e in range(1, G1.order):
-            parent, gi = G1._parents[e]
-            phi[e] = R.mul(phi[parent], images[gi])
-        return phi if len(set(phi)) == R.order else None
-
-    return next((phi for images in product(*cand)
-                 if (phi := element_map(images)) is not None), None)
+    phi = next((m for _, maps, sizes in search_images(R, cand, G1)
+                for m in maps[sizes == R.order]), None)
+    return None if phi is None else phi.tolist()
 
 
 def vd_from_antecedent(L: FrattiniLevel, E_prev: FrattiniLevel) -> VDSet:

@@ -464,3 +464,20 @@ def test_frattini_verify_cli(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "out" / "frattini.json").read_text())
     assert doc["total_order"] == 98 and doc["order_lifting_ok"]
+
+
+def test_level1_file_labelled_a4_cli(tmp_path):
+    """A4 read from a file, on (1 2 3) and (2 3 4): the representative of
+    the lifting orbit lists its classes in another order than the spec, and
+    its lifts are still found (the run used to exit 3, "nothing lies over
+    level 0"); the components are those of the builtin A4."""
+    gf = tmp_path / "a4.txt"
+    gf.write_text("(1 2 3)\n(2 3 4)\n")
+    args = ["level", "--classes", "3A,3A,3B,3B", "--p", "2", "--k", "1"]
+    assert run_into(args + ["--group-file", str(gf)], tmp_path, "file") == 0
+    assert run_into(args + ["--group", "A4"], tmp_path, "builtin") == 0
+    genera = {}
+    for name in ("file", "builtin"):
+        doc = json.loads((tmp_path / name / "components.json").read_text())
+        genera[name] = sorted(c["genus"] for c in doc["levels"][1]["components"])
+    assert genera["file"] == genera["builtin"] == [0, 0, 1, 1, 3, 3]
