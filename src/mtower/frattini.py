@@ -375,7 +375,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
         s = int(info1["section"][p0_elem[la.vec_int(A_h[i], p)]])
         cands = sorted(P1.mul(s, k) for k in info1["kernel"])
         cand_lists.append(cands)
-    lift = _find_action_lift(P1, cand_lists, h_order, d)
+    lift = _find_action_lift(P1, cand_lists, h_order)
     if lift is None:
         raise ActionLiftFailed("no compatible lift of the complement action")
     alpha_images, alpha = lift
@@ -525,13 +525,13 @@ def _restricted_words(G: FiniteGroup, gen_positions: list[int]) -> list[tuple[in
     return words
 
 
-def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]], h_order: int,
-                      d: int) -> tuple[list[int], np.ndarray] | None:
-    """The first candidate images of generators 0..d-1 (in product order)
-    that define an automorphism of P1 of order dividing h_order, with its
-    element map."""
+def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
+                      h_order: int) -> tuple[list[int], np.ndarray] | None:
+    """The first candidate images of the first len(cand_lists) generators
+    (in product order) that define an automorphism of P1 of order dividing
+    h_order, with its element map."""
     ident = np.arange(P1.order)
-    for rows, maps, sizes in search_images(P1, cand_lists, P1, range(d)):
+    for rows, maps, sizes in search_images(P1, cand_lists, P1):
         rows, maps = rows[sizes == P1.order], maps[sizes == P1.order]
         cur = np.broadcast_to(ident, maps.shape)
         for _ in range(h_order):
@@ -802,9 +802,12 @@ def minimal_generating_tuple(G: FiniteGroup) -> list[int]:
 
 
 def _first_generating_pair(G: FiniteGroup, elems, order: int) -> list[int] | None:
-    """The first pair a < b from `elems` whose closure has `order` elements."""
-    hits = (row for rows, _, sizes in search_images(G, [elems, elems])
-            for row in rows[sizes == order] if row[0] < row[1])
+    """The first pair a < b from `elems` whose closure has `order` elements.
+    Each a is searched against the larger b only, so no pair a >= b is closed."""
+    elems = np.asarray(elems, dtype=np.int64)
+    hits = (row for a in elems.tolist()
+            for rows, _, sizes in search_images(G, [[a], elems[elems > a]])
+            for row in rows[sizes == order])
     row = next(hits, None)
     return None if row is None else row.tolist()
 
@@ -987,7 +990,7 @@ def _homomorphism_onto(level_src: FrattiniLevel, level_dst: FrattiniLevel) -> bo
     assert level_dst.base is base
     cand = [level_dst.lifts(g) for g in base.gen_indices]
     return any((sizes == dst.order).any() for _, _, sizes in
-               search_images(dst, cand, src, range(len(cand))))
+               search_images(dst, cand, src))
 
 
 @dataclass

@@ -453,22 +453,20 @@ def spanning_tree(G: FiniteGroup, gens) -> list[tuple[np.ndarray, ...]]:
     return levels
 
 
-def search_images(dst: FiniteGroup, cand_lists, src: FiniteGroup | None = None,
-                  gens=None):
+def search_images(dst: FiniteGroup, cand_lists, src: FiniteGroup | None = None):
     """Walk the product of the candidate image lists in `itertools.product`
     order, a block of rows at a time, and yield each block as
     (rows, maps, sizes).
 
     Without `src` every row is kept, `maps` is None and sizes[i] is
-    |<rows[i]>| in dst.  With `src`, row i sends the src generators at
-    positions `gens` (all by default; they must generate src) to its
-    entries.  The row is extended to an element map phi along a BFS
-    spanning tree of src over those generators, a tree level at a time
-    with `dst.mul_many`, and kept iff phi(x g) = phi(x) phi(g) for every
-    element x and chosen generator g, i.e. iff the images satisfy src's
-    relators.  `maps` holds the kept rows' element maps and `sizes` the
-    sizes of their images.  Only src's `gen_cols` are read, so neither
-    group needs a multiplication table.
+    |<rows[i]>| in dst.  With `src`, row i sends the first len(cand_lists)
+    src generators (they must generate src) to its entries.  The row is
+    extended to an element map phi along a BFS spanning tree of src over
+    those generators, a tree level at a time with `dst.mul_many`, and kept
+    iff phi(x g) = phi(x) phi(g) for every element x and each g of those
+    generators, i.e. iff the images satisfy src's relators.  `maps` holds the kept
+    rows' element maps and `sizes` the sizes of their images.  Only src's
+    `gen_cols` are read, so neither group needs a multiplication table.
 
     The blocks start at one row and double, so a search that succeeds
     early does little more work than a row-at-a-time one; a block holds at
@@ -478,9 +476,8 @@ def search_images(dst: FiniteGroup, cand_lists, src: FiniteGroup | None = None,
     n = dst.order if src is None else src.order
     step, cap = 1, max(1, _CLOSURE_CELLS // (n * max(1, k)))
     if src is not None:
-        gens = list(range(len(src.gen_indices)) if gens is None else gens)
-        cols = src.gen_cols[gens]
-        tree = spanning_tree(src, gens)
+        cols = src.gen_cols[:k]
+        tree = spanning_tree(src, range(k))
     walk = product(*cand_lists)
     while chunk := list(islice(walk, step)):
         step = min(2 * step, cap)

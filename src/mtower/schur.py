@@ -110,7 +110,7 @@ def _classify_pairs(E: FrattiniLevel, L: FrattiniLevel, pairs, vd: VDSet) -> lis
     orders, exponents, n_ps = [], [], []
     for masks in R._closure_masks(seeds, None):
         elems = masks.any(axis=0).nonzero()[0]
-        ords = np.where(masks[:, elems], _orders(R, elems), 0)
+        ords = np.where(masks[:, elems], [R.element_order(x) for x in elems.tolist()], 0)
         orders.extend(masks.sum(axis=1).tolist())
         exponents.extend(ords.max(axis=1).tolist())
         n_ps.extend((ords == p).sum(axis=1).tolist())
@@ -122,18 +122,6 @@ def _classify_pairs(E: FrattiniLevel, L: FrattiniLevel, pairs, vd: VDSet) -> lis
         assert label in allowed, (label, allowed)
         labels.append(label)
     return labels
-
-
-def _orders(G: FiniteGroup, elems: np.ndarray) -> np.ndarray:
-    """Element orders of `elems`, multiplied up side by side."""
-    out = np.ones(len(elems), dtype=np.int64)
-    cur = elems.copy()
-    live = cur != 0
-    while live.any():
-        cur[live] = G.mul_many(cur[live], elems[live])
-        out[live] += 1
-        live = cur != 0
-    return out
 
 
 def _independent(v1: np.ndarray, v2: np.ndarray, p: int) -> bool:

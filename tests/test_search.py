@@ -90,16 +90,17 @@ def test_action_lift_matches_oracle(monkeypatch):
     seen = []
     search = frattini._find_action_lift
 
-    def recording(P1, cand_lists, h_order, d):
-        got = search(P1, cand_lists, h_order, d)
-        seen.append((P1, cand_lists, h_order, d, got))
+    def recording(P1, cand_lists, h_order):
+        got = search(P1, cand_lists, h_order)
+        seen.append((P1, cand_lists, h_order, got))
         return got
 
     monkeypatch.setattr(frattini, "_find_action_lift", recording)
     towers = [split_level(2, 2, cyclic_group(3), [np.array([[0, 1], [1, 1]])])]
     towers += [normalizer_tower(alternating_group(5), p)[0] for p in (3, 5)]
     assert len(seen) == 3
-    for tower, (P1, cand_lists, h_order, d, (images, alpha)) in zip(towers, seen):
+    for tower, (P1, cand_lists, h_order, (images, alpha)) in zip(towers, seen):
+        d = len(cand_lists)
         assert images == tower.h_lift_images
         assert images == oracle.find_action_lift(P1, tower.p1_presentation, cand_lists,
                                                  h_order, d)
