@@ -6,7 +6,7 @@ builds the extension of any class.  Against the trivial module it gives the
 Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The solve is
 sparse (linalg.SparseNullspace).  The solve, an extension's section tables
 and a pair model each predict their memory first, and raise TooLarge past
-MEMORY_CEILING.
+MEMORY_CEILING; a pair model is refused past PAIR_MODEL_LIMIT elements too.
 
 The searches here (the lift of the complement action, versality against
 the Schur covers, the Frattini and restriction-splitting checks) run
@@ -20,7 +20,8 @@ are pairs (base element, kernel vector) with
 where psi is the 2-cocycle read off a chosen section (kernel written on the
 right of the section: s(g) s(h) = s(gh) psi(g, h)).  The pair model makes
 element indexing independent of coset-enumeration internals, so serialized
-levels and downstream orbit reports are byte-stable.
+levels and downstream orbit reports are byte-stable.  It is built from that
+product over the codes g p^m + int(v), without composing a permutation.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .perms import Perm
 # section tables, a pair model.  Past it the stage raises TooLarge before
 # it allocates anything.
 MEMORY_CEILING = 1 << 30
+# Elements a pair model may have: past it the checks that run on a level an
+# element or a generator tuple at a time would take minutes.
+PAIR_MODEL_LIMIT = 1 << 16
 
 
 def _check_memory(stage: str, size: str, nbytes: int) -> None:
@@ -72,8 +76,7 @@ class FrattiniLevel:
         return self.kernel_module.dim
 
     def lifts(self, g: int) -> list[int]:
-        s = int(self.section[g])
-        return [self.total.mul(s, k) for k in self.kernel_elems]
+        return self.total.mul_many(self.section[g], self.kernel_elems).tolist()
 
 
 # -- pair model construction -----------------------------------------------------
@@ -83,62 +86,51 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
                      name: str = "") -> tuple[FiniteGroup, dict]:
     """Extension of `base` by `module` along cocycle `psi` as a FiniteGroup.
 
-    Points of the permutation domain are pairs g * p^m + int(v); generators
-    are the lifts (gen, 0) of the base generators followed by the kernel
-    basis (1, e_j).  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
+    The pair (g, v) has the code g * p^m + int(v), and the group is built
+    from its product over arrays of codes (FiniteGroup.from_closed_form).
+    Generators are the lifts (gen, 0) of the base generators followed by
+    the kernel basis (1, e_j); proj, section, kernel and coords are read off
+    the codes.  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
     """
-    p, m = module.p, module.dim
-    nb = base.order
+    p, m, nb = module.p, module.dim, base.order
     P = p ** m
     npts = nb * P
+    if npts > PAIR_MODEL_LIMIT:
+        raise TooLarge(f"pair model: {npts:,} points, past "
+                       f"PAIR_MODEL_LIMIT = {PAIR_MODEL_LIMIT:,}")
     _check_memory("pair model", f"{npts:,} points", pair_model_bytes(npts))
     if (psi[0] != 0).any() or (psi[:, 0] != 0).any():
         raise InputError("cocycle not normalized at the identity")
 
-    vecs = np.stack([la.int_vec(k, m, p) for k in range(P)]) if m else \
-        np.zeros((1, 0), dtype=np.int64)
+    # rows of small ints, gathered whole by np.take: vecs[int(v)] = v,
+    # acted[h P + int(v)] = v A_h and cocycle[g nb + h] = psi(g, h)
+    vecs = (np.arange(P)[:, None] // p ** np.arange(m) % p).astype(np.int32)
+    acted = np.concatenate([vecs @ module.mat_of(h) % p for h in range(nb)]
+                           ).astype(np.int32)
+    cocycle = psi.reshape(nb * nb, m).astype(np.int32)
+    weights = p ** np.arange(m)
 
-    def translation(h: int, w: np.ndarray) -> Perm:
-        img = np.empty(npts, dtype=np.int64)
-        for g in range(nb):
-            gh = base.mul(g, h)
-            moved = (vecs @ module.mat_of(h) + w + psi[g, h]) % p if m else vecs
-            tgt = (moved * (p ** np.arange(m))).sum(axis=1) if m else \
-                np.zeros(1, dtype=np.int64)
-            img[g * P:(g + 1) * P] = gh * P + tgt
-        return Perm(tuple(int(x) for x in img))
+    def code_mul(a, b):
+        (g, v), (h, w) = np.divmod(a, P), np.divmod(b, P)
+        vec = np.take(acted, h * P + v, axis=0)
+        vec += np.take(vecs, w, axis=0)
+        vec += np.take(cocycle, g * nb + h, axis=0)
+        return base.mul_many(g, h).astype(np.int64) * P + vec % p @ weights
 
-    gens = [translation(g, np.zeros(m, dtype=np.int64)) for g in base.gen_indices]
-    for j in range(m):
-        e = np.zeros(m, dtype=np.int64)
-        e[j] = 1
-        gens.append(translation(0, e))
-    total = FiniteGroup(gens, max_order=npts + 1, name=name)
+    gens = [g * P for g in base.gen_indices] + [p ** j for j in range(m)]
+    total = FiniteGroup.from_closed_form(npts, gens, code_mul, name=name)
     if total.order != npts:
         raise Collapse(f"pair model closed at {total.order}, expected {npts}")
-
-    # element <-> pair bookkeeping via the image of point 0 (regular action)
-    elem_of_point = _elem_at_point(total)
-    proj = np.empty(npts, dtype=np.int64)
-    coords = {}
-    for e in range(npts):
-        pt = int(total.elements[e][0])
-        proj[e] = pt // P
-        coords[e] = vecs[pt % P].copy()
-    section = np.array([int(elem_of_point[g * P]) for g in range(nb)],
-                       dtype=np.int64)
-    kernel = [int(elem_of_point[k]) for k in range(P)]
-    info = dict(proj=proj, section=section, kernel=kernel,
-                coords={e: coords[e] for e in kernel})
-    return total, info
+    kernel = total._at_code[:P].tolist()
+    return total, dict(proj=total.codes // P, section=total._at_code[::P].astype(np.int64),
+                       kernel=kernel, coords=dict(zip(kernel, vecs)))
 
 
 def pair_model_bytes(npts: int) -> int:
-    """Predicted peak of a regular permutation group on npts points: its
-    elements' index keys and the table joined from them (4 B per entry
-    each), the multiplication table when it is built, and about 1 KiB of
-    bookkeeping per element."""
-    return (12 if npts <= MUL_TABLE_LIMIT else 8) * npts * npts + 1024 * npts
+    """Predicted peak of a pair model on npts points: the multiplication
+    table (4 B per entry) when it is built, its only quadratic term, and
+    about 1 KiB per element (BFS columns and parents, codes, inverses)."""
+    return (4 * npts * npts if npts <= MUL_TABLE_LIMIT else 0) + 1024 * npts
 
 
 def _elem_at_point(G: FiniteGroup) -> np.ndarray:
@@ -162,35 +154,33 @@ def level_from_pair_model(base: FiniteGroup, module: GModule, psi: np.ndarray,
 def _check_level(lvl: FrattiniLevel) -> None:
     tot, base = lvl.total, lvl.base
     assert tot.order == base.order * lvl.p ** lvl.kernel_dim
-    # projection is a homomorphism (table check on generator columns)
-    for x in range(tot.order):
-        for g in tot.gen_indices:
-            if int(lvl.proj[tot.mul(x, g)]) != base.mul(int(lvl.proj[x]),
-                                                        int(lvl.proj[g])):
-                raise AssertionError("projection not a homomorphism")
-    # conjugation on the kernel realizes the module action
-    for gi, g in enumerate(base.gen_indices):
-        s = int(lvl.section[g])
-        for k in lvl.kernel_elems:
-            got = tot.mul(tot.mul(int(tot.inv[s]), k), s)
-            want = (lvl.kernel_coords[k] @ lvl.kernel_module.mats[gi]) % lvl.p
-            if (lvl.kernel_coords[got] != want).any():
-                raise AssertionError("kernel conjugation != module action")
+    # projection is a homomorphism, on each generator column at once
+    for col, g in zip(tot.gen_cols, tot.gen_indices):
+        if (lvl.proj[col] != base.mul_many(lvl.proj, lvl.proj[g])).any():
+            raise AssertionError("projection not a homomorphism")
+    # conjugation on the kernel realizes the module action: s^-1 k s for
+    # the section s of each base generator and every kernel element k
+    # (coordinates -1 off the kernel)
+    kernel, s = lvl.kernel_elems, lvl.section[base.gen_indices][:, None]
+    coords = np.full((tot.order, lvl.kernel_dim), -1, dtype=np.int64)
+    coords[kernel] = [lvl.kernel_coords[k] for k in kernel]
+    got = coords[tot.mul_many(tot.mul_many(tot.inv[s], kernel), s)]
+    want = np.stack([coords[kernel] @ A % lvl.p for A in lvl.kernel_module.mats])
+    if (got != want).any():
+        raise AssertionError("kernel conjugation != module action")
 
 
 def extract_cocycle(total: FiniteGroup, base: FiniteGroup, proj: np.ndarray,
                     section: np.ndarray, kernel_coords: dict[int, np.ndarray],
                     p: int, dim: int) -> np.ndarray:
-    """psi(g,h) = s(gh)^-1 s(g) s(h) in kernel coordinates."""
-    nb = base.order
-    psi = np.zeros((nb, nb, dim), dtype=np.int64)
-    for g in range(nb):
-        sg = int(section[g])
-        for h in range(nb):
-            prod = total.mul(sg, int(section[h]))
-            k = total.mul(int(total.inv[int(section[base.mul(g, h)])]), prod)
-            psi[g, h] = kernel_coords[k]
-    return psi
+    """psi(g,h) = s(gh)^-1 s(g) s(h) in kernel coordinates, for all g, h at once."""
+    x, s = np.arange(base.order), np.asarray(section)
+    k = total.mul_many(total.inv[s[base.mul_many(x[:, None], x)]],
+                       total.mul_many(s[:, None], s))
+    coords = np.full((total.order, dim), -1, dtype=np.int64)
+    coords[list(kernel_coords)] = list(kernel_coords.values())
+    assert (coords[k] >= 0).all(), "s(gh)^-1 s(g) s(h) outside the kernel"
+    return coords[k]
 
 
 # -- dihedral closed form ----------------------------------------------------------

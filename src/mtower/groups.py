@@ -5,11 +5,14 @@ identity, generators applied in input order.  All higher layers speak in
 indices, never raw permutations.  Products use the package-wide left-to-right
 convention from perms.py.
 
-The BFS records, for every element and generator, the index of their
-product: the generators' right-action columns `gen_cols`.  When the order
-is at most MUL_TABLE_LIMIT the multiplication table is filled from those
-columns, a whole row of its transpose per element, and turned over in place;
-the inverses are read off it.  Above that, products are composed on the fly.
+A group comes from permutations, or from a product in closed form on
+integer codes (from_closed_form: the pair models of frattini.py).  Its BFS
+records, for every element and generator, the index of their product: the
+generators' right-action columns `gen_cols`.  When the order is at most
+MUL_TABLE_LIMIT the multiplication table is filled from those columns, a
+whole row of its transpose per element, and turned over in place; the
+inverses are read off it.  Above that, a closed-form group multiplies by its
+formula and a permutation group composes permutations.
 
 Subgroup closures run in batches: one level-by-level BFS over a block of
 seed rows, on a flat (row, element) mask of bounded size.
@@ -83,19 +86,51 @@ class FiniteGroup:
                     parents.append((head, gi))
                 cols.append(j)
             head += 1
-        self.elements = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(
+        self._elements = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(
             len(keys), degree)
         self._index = index
-        self.order = len(keys)
+        self.code_mul = None
+        self._finish(parents, np.array(cols, dtype=np.int32).reshape(
+            len(keys), len(gens)).T.copy())
+
+    @classmethod
+    def from_closed_form(cls, degree: int, gen_codes, code_mul,
+                         name: str = "") -> "FiniteGroup":
+        """The group acting regularly on the codes 0..degree-1 by a product
+        in closed form: code_mul(a, b) is the code of a b for broadcastable
+        code arrays, code 0 is the identity, `gen_codes` the generators.
+
+        Element c is the permutation x -> code_mul(x, c), which takes 0 to
+        c, so the BFS runs over codes along the generators' code columns
+        (one code_mul call) and gives the elements, gen_cols and _parents
+        of the permutation BFS; `codes` holds each element's code.  An
+        element's permutation is made only when it is asked for (`_images`).
+        """
+        G = cls.__new__(cls)
+        code_cols = code_mul(np.arange(degree), np.asarray(gen_codes)[:, None])
+        levels = _bfs_levels(code_cols)
+        G.codes = np.concatenate([np.zeros(1, dtype=np.int64)] +
+                                 [kids for kids, _, _ in levels])
+        G._at_code = np.zeros(degree, dtype=np.int32)
+        G._at_code[G.codes] = np.arange(len(G.codes), dtype=np.int32)
+        parents = [(-1, -1)]
+        for _, up, gi in levels:
+            parents += zip(G._at_code[up].tolist(), gi.tolist())
+        G.degree, G.name, G.presentation = degree, name, None
+        G.gen_arrays = list(code_cols.astype(np.int32))
+        G.code_mul, G._elements, G._index = code_mul, None, None
+        G._finish(parents, G._at_code[code_cols[:, G.codes]])
+        return G
+
+    def _finish(self, parents: list[tuple[int, int]], gen_cols: np.ndarray) -> None:
+        self.order = len(parents)
         self._parents = parents
         # gen_cols[i, x] = x g_i: the right action of each generator
-        self.gen_cols = np.array(cols, dtype=np.int32).reshape(
-            self.order, len(gens)).T.copy()
-        self.gen_indices = self.gen_cols[:, 0].tolist()
-
+        self.gen_cols = gen_cols
+        self.gen_indices = gen_cols[:, 0].tolist()
         self.mul_table = self._build_table() if self.order <= MUL_TABLE_LIMIT else None
-        self.inv = self._build_inverses()
         self._orders: np.ndarray | None = None
+        self.inv = self._build_inverses()
         self._classes: list[ConjClass] | None = None
         self._class_of: np.ndarray | None = None
         self._perm_strs: dict[int, str] = {}
@@ -119,11 +154,22 @@ class FiniteGroup:
         return table
 
     def _build_inverses(self) -> np.ndarray:
-        """Read off the table (row a holds the identity at a^-1); without
-        one, each inverse permutation is looked up."""
+        """Read off the table (row a holds the identity at a^-1).  Without
+        one, a closed-form group multiplies up all powers at once (x^k x = 1
+        makes x^k the inverse, k + 1 the order); a permutation group looks
+        up each inverse permutation."""
         if self.mul_table is not None:
             return self.mul_table.argmin(axis=1).astype(np.int32)
         inv = np.empty(self.order, dtype=np.int32)
+        if self.code_mul is not None:
+            x = np.arange(self.order)
+            self._orders, prev, cur, k = np.empty_like(x), np.zeros_like(x), x, 1
+            while x.size:
+                done = cur == 0
+                self._orders[x[done]], inv[x[done]] = k, prev[done]
+                x, prev = x[~done], cur[~done]
+                cur, k = self.mul_many(prev, x), k + 1
+            return inv
         for i in range(self.order):
             arr = self.elements[i]
             back = np.empty(self.degree, dtype=np.int32)
@@ -145,13 +191,17 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[a, b])
-        img = self.elements[b][self.elements[a]]
+        if self.code_mul is not None:
+            return int(self.mul_many(a, b))
+        img = self._elements[b][self._elements[a]]
         return self._index[img.tobytes()]
 
     def mul_many(self, a, b) -> np.ndarray:
         """Elementwise products of two broadcastable index arrays."""
         if self.mul_table is not None:
             return self.mul_table[a, b]
+        if self.code_mul is not None:
+            return self._at_code[self.code_mul(self.codes[a], self.codes[b])]
         a, b = np.broadcast_arrays(a, b)
         return np.array(list(map(self.mul, a.ravel().tolist(), b.ravel().tolist())),
                         dtype=np.int32).reshape(a.shape)
@@ -176,15 +226,15 @@ class FiniteGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        """Multiplied up through the table; without one, the lcm of the
-        cycle lengths of the permutation, which needs no products."""
+        """Multiplied up through the table.  Without one, a closed-form group
+        has them from its inverses, a permutation group from its cycles."""
         if self._orders is None:
             self._orders = np.zeros(self.order, dtype=np.int32)
         cached = int(self._orders[a])
         if cached:
             return cached
         if self.mul_table is None:
-            n = _cycle_lcm(self.elements[a].tolist())
+            n = _cycle_lcm(self._elements[a].tolist())
         else:
             n, x = 1, a
             while x != 0:
@@ -193,23 +243,45 @@ class FiniteGroup:
         self._orders[a] = n
         return n
 
+    @property
+    def elements(self) -> np.ndarray:
+        """Row i is the permutation of element i.  A closed-form group keeps
+        no such array: it is made from the product, a block of rows at a
+        time, on each read."""
+        if self.code_mul is None:
+            return self._elements
+        parts = 1 + self.order * self.degree // _CLOSURE_CELLS    # rows of bounded size
+        rows = np.array_split(np.arange(self.order), parts)
+        return np.concatenate([self._images(r) for r in rows])
+
+    def _images(self, i) -> np.ndarray:
+        """The permutation of element i, or one row per element of an array."""
+        if self.code_mul is None:
+            return self._elements[i]
+        img = self.code_mul(np.arange(self.degree), np.expand_dims(self.codes[i], -1))
+        return img.astype(np.int32)
+
     def lookup(self, perm_images: np.ndarray) -> int | None:
-        return self._index.get(np.asarray(perm_images, dtype=np.int32).tobytes())
+        img = np.asarray(perm_images, dtype=np.int32)
+        if self.code_mul is None:
+            return self._index.get(img.tobytes())
+        j = int(self._at_code[img[0]])         # element j takes 0 to its code
+        return j if (self._images(j) == img).all() else None
 
     def perm(self, i: int) -> Perm:
-        return Perm(tuple(self.elements[i].tolist()))
+        return Perm(tuple(self._images(i).tolist()))
 
     def perm_str(self, i: int) -> str:
         """Cycle notation of element i, as `str(self.perm(i))` gives it.
 
         Orbit dumps name the same few elements thousands of times, so each
         string is formatted on first use and kept for the group's lifetime.
-        The rows of `elements` are permutations by construction, so they go
-        to the formatter without a Perm.
+        The images are permutations by construction, so they go to the
+        formatter without a Perm.
         """
         s = self._perm_strs.get(i)
         if s is None:
-            s = self._perm_strs[i] = cycle_str(self.elements[i].tolist())
+            s = self._perm_strs[i] = cycle_str(self._images(i).tolist())
         return s
 
     # -- structure -------------------------------------------------------------
@@ -320,31 +392,25 @@ class FiniteGroup:
         return out
 
     def center(self) -> tuple[int, ...]:
-        out = []
-        for x in range(self.order):
-            if all(self.mul(x, g) == self.mul(g, x) for g in self.gen_indices):
-                out.append(x)
-        return tuple(out)
+        x = np.arange(self.order)
+        central = [self.mul_many(x, g) == self.mul_many(g, x) for g in self.gen_indices]
+        return tuple(np.flatnonzero(np.all(central, axis=0)).tolist())
 
     def derived_subgroup(self) -> tuple[int, ...]:
-        """Normal closure of the generator commutators."""
-        seeds = set()
-        for a in self.gen_indices:
-            for b in self.gen_indices:
-                seeds.add(self.commutator(a, b))
-        seeds.discard(0)
-        current = set(self.subgroup_closure(seeds))
+        """Normal closure of the generator commutators: the conjugates of
+        the closure by the generators (`mul_many`) join its seeds until
+        none falls outside it."""
+        gens = self.gen_indices
+        seeds = {self.commutator(a, b) for a in gens for b in gens} - {0}
+        current = self.subgroup_closure(seeds)
         while True:
-            extra = set()
-            for x in current:
-                for c in self.gen_indices:
-                    y = self.conj(x, c)
-                    if y not in current:
-                        extra.add(y)
+            cur = np.asarray(current)
+            extra = set(np.concatenate([self.mul_many(self.mul_many(self.inv[c], cur), c)
+                                        for c in gens]).tolist()) - set(current)
             if not extra:
-                return tuple(sorted(current))
+                return current
             seeds |= extra
-            current = set(self.subgroup_closure(seeds))
+            current = self.subgroup_closure(seeds)
 
     def abelianization_order(self) -> int:
         return self.order // len(self.derived_subgroup())
@@ -433,8 +499,17 @@ def spanning_tree(G: FiniteGroup, gens) -> list[tuple[np.ndarray, ...]]:
     """A BFS spanning tree of G over the generators at positions `gens`,
     as (children, parents, positions into gens) per level, children in the
     order a queue BFS finds them.  The generators must generate G."""
-    cols = G.gen_cols[list(gens)]
-    seen = np.zeros(G.order, dtype=bool)
+    levels = _bfs_levels(G.gen_cols[list(gens)])
+    if 1 + sum(len(kids) for kids, _, _ in levels) != G.order:
+        raise AssertionError("listed generators do not generate")
+    return levels
+
+
+def _bfs_levels(cols: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The BFS from point 0 along the columns cols[i, x] = x g_i, as
+    (children, parents, positions into cols) per level, children in the
+    order a queue BFS finds them."""
+    seen = np.zeros(cols.shape[1], dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     levels = []
@@ -448,8 +523,6 @@ def spanning_tree(G: FiniteGroup, gens) -> list[tuple[np.ndarray, ...]]:
         parents, frontier = frontier[at], kids[first].astype(np.int64)
         seen[frontier] = True
         levels.append((frontier, parents, gi))
-    if not seen.all():
-        raise AssertionError("listed generators do not generate")
     return levels
 
 

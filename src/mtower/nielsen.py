@@ -59,20 +59,12 @@ class NielsenSpec:
 
 def _conj_table(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
     """(|G|, len(members)) int32 table of c^-1 members[j] c over all c, filled
-    a block of c at a time: by table lookups, or above MUL_TABLE_LIMIT by
-    composing permutation arrays."""
-    E = G.elements
+    a block of c at a time (`mul_many`)."""
     out = np.empty((G.order, members.size), dtype=np.int32)
-    step = max(1, _BATCH_CELLS // max(members.size, E.shape[1]))
+    step = max(1, _BATCH_CELLS // max(members.size, G.degree))
     for lo in range(0, G.order, step):
         c = np.arange(lo, min(lo + step, G.order))
-        if G.mul_table is not None:
-            out[c] = G.mul_many(G.mul_many(G.inv[c, None], members), c[:, None])
-            continue
-        Ec, Einv = E[c], E[G.inv[c]]
-        for j, x in enumerate(members):
-            imgs = np.take_along_axis(Ec, E[x][Einv], axis=1)
-            out[c, j] = [G.lookup(img) for img in imgs]
+        out[c] = G.mul_many(G.mul_many(G.inv[c, None], members), c[:, None])
     return out
 
 

@@ -5,12 +5,20 @@ looks every product of an element and a generator up again and fills the
 multiplication table a column at a time, `build_inverses` looks each
 inverse permutation up, `closure_mask` is the one-call-per-seed-set
 subgroup closure and `perm_str` the cycle formatting that `Perm.__str__`
-did through `Perm.cycles`.
+did through `Perm.cycles`.  `pair_model_group` builds a pair model as a
+regular permutation group, each generator composed point by point and the
+elements found by the permutation BFS; it is the earlier route, kept as it
+was apart from its memory prediction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from mtower import linalg as la
+from mtower.errors import Collapse, InputError
+from mtower.groups import FiniteGroup
+from mtower.perms import Perm
 
 
 def bfs(gen_arrays):
@@ -106,3 +114,63 @@ def perm_str(perm) -> str:
     if not cyc:
         return "()"
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cyc)
+
+
+def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
+                     name: str = "") -> tuple[FiniteGroup, dict]:
+    """Extension of `base` by `module` along cocycle `psi` as a FiniteGroup.
+
+    Points of the permutation domain are pairs g * p^m + int(v); generators
+    are the lifts (gen, 0) of the base generators followed by the kernel
+    basis (1, e_j).  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
+    """
+    p, m = module.p, module.dim
+    nb = base.order
+    P = p ** m
+    npts = nb * P
+    if (psi[0] != 0).any() or (psi[:, 0] != 0).any():
+        raise InputError("cocycle not normalized at the identity")
+
+    vecs = np.stack([la.int_vec(k, m, p) for k in range(P)]) if m else \
+        np.zeros((1, 0), dtype=np.int64)
+
+    def translation(h: int, w: np.ndarray) -> Perm:
+        img = np.empty(npts, dtype=np.int64)
+        for g in range(nb):
+            gh = base.mul(g, h)
+            moved = (vecs @ module.mat_of(h) + w + psi[g, h]) % p if m else vecs
+            tgt = (moved * (p ** np.arange(m))).sum(axis=1) if m else \
+                np.zeros(1, dtype=np.int64)
+            img[g * P:(g + 1) * P] = gh * P + tgt
+        return Perm(tuple(int(x) for x in img))
+
+    gens = [translation(g, np.zeros(m, dtype=np.int64)) for g in base.gen_indices]
+    for j in range(m):
+        e = np.zeros(m, dtype=np.int64)
+        e[j] = 1
+        gens.append(translation(0, e))
+    total = FiniteGroup(gens, max_order=npts + 1, name=name)
+    if total.order != npts:
+        raise Collapse(f"pair model closed at {total.order}, expected {npts}")
+
+    # element <-> pair bookkeeping via the image of point 0 (regular action)
+    elem_of_point = _elem_at_point(total)
+    proj = np.empty(npts, dtype=np.int64)
+    coords = {}
+    for e in range(npts):
+        pt = int(total.elements[e][0])
+        proj[e] = pt // P
+        coords[e] = vecs[pt % P].copy()
+    section = np.array([int(elem_of_point[g * P]) for g in range(nb)],
+                       dtype=np.int64)
+    kernel = [int(elem_of_point[k]) for k in range(P)]
+    info = dict(proj=proj, section=section, kernel=kernel,
+                coords={e: coords[e] for e in kernel})
+    return total, info
+
+
+def _elem_at_point(G: FiniteGroup) -> np.ndarray:
+    """Element index by the image of point 0, for G acting regularly."""
+    out = np.empty(G.order, dtype=np.int64)
+    out[G.elements[:, 0]] = np.arange(G.order)
+    return out

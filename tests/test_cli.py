@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,26 @@ def test_schur_a5_level1_cli(tmp_path):
     assert sha256_of(tmp_path / "out" / name) == digest
 
 
+def test_a5_p3_level1_cli(tmp_path):
+    """The order-4,860 level is past MUL_TABLE_LIMIT, so its products go by
+    the pair model's closed form.  No earlier route finished this job, so
+    its level-0 files are checked against the k = 0 run, which does not
+    build a cover, before the whole report is checked against its pin."""
+    args = ["level", "--group", "A5", "--classes", "5A,5A,5A", "--p", "3"]
+    assert run_into(args + ["--k", "0"], tmp_path, "k0") == 0
+    assert run_into(args + ["--k", "1", "--no-cache"], tmp_path, "k1") == 0
+    k0, k1 = tmp_path / "k0", tmp_path / "k1"
+    for name in ("orbits_L0.json", "sh_incidence_L0.csv"):
+        assert (k1 / name).read_bytes() == (k0 / name).read_bytes()
+    doc0, doc1 = (json.loads((d / "components.json").read_text()) for d in (k0, k1))
+    assert doc1["levels"][0] == doc0["levels"][0]
+    assert (doc1["levels"][1]["total_order"], doc1["levels"][1]["kernel_dim"]) == (4860, 4)
+    assert len(doc1["levels"][1]["components"]) == 18
+    for line in (DATA / "level_a5_p3_k1.sha256").read_text().splitlines():
+        digest, name = line.split()
+        assert sha256_of(k1 / name) == digest, name
+
+
 def test_past_memory_ceiling_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(frattini, "MEMORY_CEILING", 1000)
     rc = run_cli(["schur", "--group", "A5", "--p", "2", "--k", "0"], tmp_path)
@@ -142,12 +163,15 @@ def test_past_memory_ceiling_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_frattini_verify_pair_model_exits_2(tmp_path, capsys):
-    # G1(A5) at p = 5 would be a regular model on 60 * 5^6 points
+    # G1(A5) at p = 5 would be a pair model on 60 * 5^6 points, refused
+    # before it is built
+    start = time.perf_counter()
     rc = run_cli(["frattini-verify", "--group", "A5", "--p", "5"], tmp_path)
-    assert rc == 2
+    assert rc == 2 and time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert "pair model: 937,500 points" in err
-    assert "past MEMORY_CEILING = 1,024.0 MiB" in err
+    assert "past PAIR_MODEL_LIMIT = 65,536" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_group_file_loading(tmp_path):
