@@ -22,11 +22,21 @@ right of the section: s(g) s(h) = s(gh) psi(g, h)).  The pair model makes
 element indexing independent of coset-enumeration internals, so serialized
 levels and downstream orbit reports are byte-stable.  It is built from that
 product over the codes g p^m + int(v), without composing a permutation.
+
+The split case builds every group from its product as well: P0 = (Z/p)^d
+translates the base-p codes of its vectors, and G0 = P0 x| H and
+G1 = P1 x| H act on the codes h |P| + u, with the automorphisms of P by the
+powers of H's generator stored as one (|H|, |P|) array.  The split level's
+proj, section, kernel and module matrices are read off those codes, and the
+dihedral level's off the codes f n + a of i -> (-1)^f i + a.  Every level
+lists its kernel by the base-p code of each vector, so the coordinates are
+the digits of a kernel element's position (FrattiniLevel.kernel_coords).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -41,7 +51,6 @@ from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
 from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, find_isomorphism,
                      generating_set, search_images, spanning_tree,
                      subgroup_from_indices)
-from .perms import Perm
 
 # Bytes a stage may be predicted to need: the H^2 solve, an extension's
 # section tables, a pair model.  Past it the stage raises TooLarge before
@@ -65,8 +74,7 @@ class FrattiniLevel:
     p: int
     proj: np.ndarray                 # total element -> base element
     section: np.ndarray              # base element -> total element (set-theoretic)
-    kernel_elems: list[int]          # total elements, ordered by kernel vector
-    kernel_coords: dict[int, np.ndarray]
+    kernel_elems: list[int]          # total elements, by the base-p code of their vector
     kernel_module: GModule           # over base, in base-generator order
     psi: np.ndarray                  # cocycle (n_base, n_base, dim)
     name: str = ""
@@ -75,8 +83,27 @@ class FrattiniLevel:
     def kernel_dim(self) -> int:
         return self.kernel_module.dim
 
+    @cached_property
+    def kernel_coords(self) -> dict[int, np.ndarray]:
+        """Kernel element -> its vector: the digits of its position."""
+        return dict(zip(self.kernel_elems, _digits(len(self.kernel_elems),
+                                                   self.kernel_dim, self.p)))
+
     def lifts(self, g: int) -> list[int]:
         return self.total.mul_many(self.section[g], self.kernel_elems).tolist()
+
+
+def _digits(n: int, m: int, p: int) -> np.ndarray:
+    """Row c: the m base-p digits of c (lowest first), for c < n."""
+    return np.arange(n)[:, None] // p ** np.arange(m) % p
+
+
+def _kernel_coords_table(order: int, kernel, p: int, m: int) -> np.ndarray:
+    """Row e: the kernel vector of element e, -1 off the kernel (listed by
+    the base-p code of its vector)."""
+    coords = np.full((order, m), -1, dtype=np.int64)
+    coords[kernel] = _digits(len(kernel), m, p)
+    return coords
 
 
 # -- pair model construction -----------------------------------------------------
@@ -89,8 +116,8 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     The pair (g, v) has the code g * p^m + int(v), and the group is built
     from its product over arrays of codes (FiniteGroup.from_closed_form).
     Generators are the lifts (gen, 0) of the base generators followed by
-    the kernel basis (1, e_j); proj, section, kernel and coords are read off
-    the codes.  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
+    the kernel basis (1, e_j); proj, section and kernel (by code) are read
+    off the codes.  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
     """
     p, m, nb = module.p, module.dim, base.order
     P = p ** m
@@ -104,7 +131,7 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
 
     # rows of small ints, gathered whole by np.take: vecs[int(v)] = v,
     # acted[h P + int(v)] = v A_h and cocycle[g nb + h] = psi(g, h)
-    vecs = (np.arange(P)[:, None] // p ** np.arange(m) % p).astype(np.int32)
+    vecs = _digits(P, m, p).astype(np.int32)
     acted = np.concatenate([vecs @ module.mat_of(h) % p for h in range(nb)]
                            ).astype(np.int32)
     cocycle = psi.reshape(nb * nb, m).astype(np.int32)
@@ -121,9 +148,8 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     total = FiniteGroup.from_closed_form(npts, gens, code_mul, name=name)
     if total.order != npts:
         raise Collapse(f"pair model closed at {total.order}, expected {npts}")
-    kernel = total._at_code[:P].tolist()
     return total, dict(proj=total.codes // P, section=total._at_code[::P].astype(np.int64),
-                       kernel=kernel, coords=dict(zip(kernel, vecs)))
+                       kernel=total._at_code[:P].tolist())
 
 
 def pair_model_bytes(npts: int) -> int:
@@ -133,20 +159,12 @@ def pair_model_bytes(npts: int) -> int:
     return (4 * npts * npts if npts <= MUL_TABLE_LIMIT else 0) + 1024 * npts
 
 
-def _elem_at_point(G: FiniteGroup) -> np.ndarray:
-    """Element index by the image of point 0, for G acting regularly."""
-    out = np.empty(G.order, dtype=np.int64)
-    out[G.elements[:, 0]] = np.arange(G.order)
-    return out
-
-
 def level_from_pair_model(base: FiniteGroup, module: GModule, psi: np.ndarray,
                           p: int, name: str = "") -> FrattiniLevel:
     total, info = pair_model_group(base, module, psi, name=name)
     lvl = FrattiniLevel(
         total=total, base=base, p=p, proj=info["proj"], section=info["section"],
-        kernel_elems=info["kernel"], kernel_coords=info["coords"],
-        kernel_module=module, psi=psi, name=name)
+        kernel_elems=info["kernel"], kernel_module=module, psi=psi, name=name)
     _check_level(lvl)
     return lvl
 
@@ -162,23 +180,22 @@ def _check_level(lvl: FrattiniLevel) -> None:
     # the section s of each base generator and every kernel element k
     # (coordinates -1 off the kernel)
     kernel, s = lvl.kernel_elems, lvl.section[base.gen_indices][:, None]
-    coords = np.full((tot.order, lvl.kernel_dim), -1, dtype=np.int64)
-    coords[kernel] = [lvl.kernel_coords[k] for k in kernel]
+    coords = _kernel_coords_table(tot.order, kernel, lvl.p, lvl.kernel_dim)
     got = coords[tot.mul_many(tot.mul_many(tot.inv[s], kernel), s)]
     want = np.stack([coords[kernel] @ A % lvl.p for A in lvl.kernel_module.mats])
     if (got != want).any():
         raise AssertionError("kernel conjugation != module action")
 
 
-def extract_cocycle(total: FiniteGroup, base: FiniteGroup, proj: np.ndarray,
-                    section: np.ndarray, kernel_coords: dict[int, np.ndarray],
-                    p: int, dim: int) -> np.ndarray:
-    """psi(g,h) = s(gh)^-1 s(g) s(h) in kernel coordinates, for all g, h at once."""
+def extract_cocycle(total: FiniteGroup, base: FiniteGroup, section: np.ndarray,
+                    kernel: list[int], p: int, dim: int) -> np.ndarray:
+    """psi(g,h) = s(gh)^-1 s(g) s(h) in kernel coordinates, for all g, h at
+    once; `kernel` lists the kernel elements by the base-p code of their
+    vector."""
     x, s = np.arange(base.order), np.asarray(section)
     k = total.mul_many(total.inv[s[base.mul_many(x[:, None], x)]],
                        total.mul_many(s[:, None], s))
-    coords = np.full((total.order, dim), -1, dtype=np.int64)
-    coords[list(kernel_coords)] = list(kernel_coords.values())
+    coords = _kernel_coords_table(total.order, kernel, p, dim)
     assert (coords[k] >= 0).all(), "s(gh)^-1 s(g) s(h) outside the kernel"
     return coords[k]
 
@@ -186,21 +203,16 @@ def extract_cocycle(total: FiniteGroup, base: FiniteGroup, proj: np.ndarray,
 # -- dihedral closed form ----------------------------------------------------------
 
 
-def _dihedral_decode(G: FiniteGroup, elem: int, n: int) -> tuple[int, int]:
-    arr = G.elements[elem]
-    a = int(arr[0])
-    flip = 0 if int(arr[(0 + 1) % n]) == (a + 1) % n else 1
-    return a, flip
-
-
-def _dihedral_elem(G: FiniteGroup, n: int, a: int, flip: int) -> int:
-    if flip:
-        img = [(-i + a) % n for i in range(n)]
-    else:
-        img = [(i + a) % n for i in range(n)]
-    got = G.lookup(np.array(img, dtype=np.int32))
-    assert got is not None
-    return got
+def _dihedral_codes(G: FiniteGroup, n: int) -> np.ndarray:
+    """The code f n + a of each element of G, the permutation i -> (-1)^f i + a
+    of n points; AssertionError unless every element has that form."""
+    img = G.elements.astype(np.int64)
+    a = img[:, 0]
+    flip = img[:, 1] != (a + 1) % n
+    i = np.arange(n)
+    if (img != (np.where(flip[:, None], -i, i) + a[:, None]) % n).any():
+        raise AssertionError("not in standard rotation/reflection form")
+    return flip * n + a
 
 
 def dihedral_level(p: int, k: int, max_order: int = 1 << 20) -> list[FrattiniLevel]:
@@ -221,7 +233,6 @@ def dihedral_level(p: int, k: int, max_order: int = 1 << 20) -> list[FrattiniLev
         return [FrattiniLevel(
             total=D, base=D, p=p, proj=np.arange(D.order, dtype=np.int64),
             section=np.arange(D.order, dtype=np.int64), kernel_elems=[0],
-            kernel_coords={0: np.zeros(0, dtype=np.int64)},
             kernel_module=module, psi=zero, name=f"D{p}ident")]
     levels = []
     base = dihedral_group(p)
@@ -236,8 +247,9 @@ def dihedral_step(base: FiniteGroup, p: int) -> FrattiniLevel:
     """One closed-form level D_{np} -> D_n over the given dihedral base.
 
     The base must act on n points in the standard rotation/reflection form
-    (point images decode as i -> +-i + a); the total is the standard
-    dihedral group of order 2np.
+    (its elements are i -> +-i + a); the total is the standard dihedral
+    group of order 2np.  Each group's elements are indexed by their codes
+    f n + a, and proj, section and kernel are read off them.
     """
     from .groups import dihedral_group
 
@@ -246,21 +258,17 @@ def dihedral_step(base: FiniteGroup, p: int) -> FrattiniLevel:
         raise InputError("base is not a standard dihedral group of p-power rotation")
     nt = nb * p
     Dt = dihedral_group(nt)
-    proj = np.empty(Dt.order, dtype=np.int64)
-    for e in range(Dt.order):
-        a, f = _dihedral_decode(Dt, e, nt)
-        proj[e] = _dihedral_elem(base, nb, a % nb, f)
-    section = np.empty(base.order, dtype=np.int64)
-    for e in range(base.order):
-        a, f = _dihedral_decode(base, e, nb)
-        section[e] = _dihedral_elem(Dt, nt, a, f)
-    kernel = [_dihedral_elem(Dt, nt, c * nb, 0) for c in range(p)]
-    coords = {kernel[c]: np.array([c], dtype=np.int64) for c in range(p)}
+    base_codes, top_codes = _dihedral_codes(base, nb), _dihedral_codes(Dt, nt)
+    base_at, top_at = np.argsort(base_codes), np.argsort(top_codes)   # code -> element
+    f, a = np.divmod(top_codes, nt)
+    proj = base_at[f * nb + a % nb]
+    section = top_at[base_codes // nb * nt + base_codes % nb]
+    kernel = top_at[np.arange(p) * nb].tolist()
     module = GModule(base, p, [np.array([[1]]), np.array([[p - 1]])],
                      check=False)
-    psi = extract_cocycle(Dt, base, proj, section, coords, p, 1)
-    lvl = FrattiniLevel(Dt, base, p, proj, section, kernel, coords, module,
-                        psi, name=f"D{nt}->D{nb}")
+    psi = extract_cocycle(Dt, base, section, kernel, p, 1)
+    lvl = FrattiniLevel(Dt, base, p, proj, section, kernel, module, psi,
+                        name=f"D{nt}->D{nb}")
     _check_level(lvl)
     return lvl
 
@@ -277,30 +285,34 @@ class SplitTower:
     g1: FiniteGroup
 
 
-def _semidirect_group(H: FiniteGroup, n_u: int, u_mul, u_act, u_gens,
+def _semidirect_group(H: FiniteGroup, N: FiniteGroup, act: np.ndarray, u_gens,
                       name: str) -> FiniteGroup:
-    """P x| H on pairs (h, u): (h1,u1)(h2,u2) = (h1 h2, act(u1, h2) * u2).
+    """N x| H on the codes h |N| + u: (h1,u1)(h2,u2) = (h1 h2, act[h2, u1] u2),
+    where row h of the (|H|, |N|) array `act` is the automorphism of N by h
+    as an element map.  Generated by the elements u_gens of N, then H's
+    generators."""
+    n = N.order
 
-    u_mul(u1, u2), u_act(u, h) and the list u_gens describe the normal part
-    abstractly; points are h * n_u + u.
-    """
-    npts = H.order * n_u
+    def code_mul(a, b):
+        (h1, u1), (h2, u2) = np.divmod(a, n), np.divmod(b, n)
+        return H.mul_many(h1, h2).astype(np.int64) * n + N.mul_many(act[h2, u1], u2)
 
-    def translation(h2: int, u2: int) -> Perm:
-        img = np.empty(npts, dtype=np.int64)
-        for h in range(H.order):
-            hh = H.mul(h, h2)
-            for u in range(n_u):
-                v = u_mul(u_act(u, h2), u2)
-                img[h * n_u + u] = hh * n_u + v
-        return Perm(tuple(int(x) for x in img))
-
-    gens = [translation(0, u) for u in u_gens]
-    gens += [translation(hg, 0) for hg in H.gen_indices]
-    G = FiniteGroup(gens, max_order=npts + 1, name=name)
-    if G.order != npts:
-        raise Collapse(f"semidirect product closed at {G.order}, expected {npts}")
+    gens = list(u_gens) + [h * n for h in H.gen_indices]
+    G = FiniteGroup.from_closed_form(H.order * n, gens, code_mul, name=name)
+    if G.order != H.order * n:
+        raise Collapse(f"semidirect product closed at {G.order}, expected {H.order * n}")
     return G
+
+
+def _powers(H: FiniteGroup, alpha: np.ndarray) -> np.ndarray:
+    """Row h: the element map alpha^j, for h = g^j and g the generator of
+    the cyclic group H."""
+    out = np.empty((H.order, len(alpha)), dtype=np.int64)
+    h, acc = 0, np.arange(len(alpha))
+    for _ in range(H.order):
+        out[h] = acc
+        h, acc = H.mul(h, H.gen_indices[0]), alpha[acc]
+    return out
 
 
 def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
@@ -336,14 +348,11 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     if T1.n != p ** (d + dprime):
         raise Collapse(f"P1 closed at {T1.n}, expected {p ** (d + dprime)}")
 
-    # P0 as translation group on F_p^d vectors; generator i = e_i, and an
-    # element maps point 0 to the base-p code of its vector
+    # P0 translates the base-p codes of F_p^d; generator i = e_i
     P0 = _vector_group(d, p)
-    p0_elem = _elem_at_point(P0)
+    vecs, weights = _digits(P0.order, d, p), p ** np.arange(d)
     # kernel coordinates inside T1, in the Schreier-generator basis
-    kernel_cosets, kcoords = _table_kernel_coords(
-        T1, lambda c: int(p0_elem[_p0_code_of_word(T1.rep_words[c], d, p)]),
-        dprime, p, sgens)
+    kcoords = _span_coords(lambda c, j: T1.act_word(c, sgens[j]), dprime, p)
     mats0 = []
     for i in range(d):
         rows = []
@@ -352,8 +361,9 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
             rows.append(kcoords[_coset_in_kernel(T1, w)])
         mats0.append(np.stack(rows))
     M0_over_P0 = GModule(P0, p, mats0, check=False)
-    psi_p1 = _cocycle_from_table(T1, P0, kcoords, d, p,
-                                 lambda g: _p0_word(P0, g, d, p))
+    p0_words = [tuple(i + 1 for i, e in enumerate(v) for _ in range(e))
+                for v in vecs[P0.codes].tolist()]
+    psi_p1 = _cocycle_from_table(T1, P0, kcoords, p0_words)
     P1, info1 = pair_model_group(P0, M0_over_P0, psi_p1, name="P1")
 
     # x-only BFS words inside P1 (generators 0..d-1 of the pair model)
@@ -362,7 +372,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     # lift the H generator: images of the P1 generators over (e_i) A_h
     cand_lists = []
     for i in range(d):
-        s = int(info1["section"][p0_elem[la.vec_int(A_h[i], p)]])
+        s = int(info1["section"][P0._at_code[la.vec_int(A_h[i], p)]])
         cands = sorted(P1.mul(s, k) for k in info1["kernel"])
         cand_lists.append(cands)
     lift = _find_action_lift(P1, cand_lists, h_order)
@@ -370,64 +380,27 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
         raise ActionLiftFailed("no compatible lift of the complement action")
     alpha_images, alpha = lift
 
-    # alpha powers for each element of (cyclic) H
-    h_gen = H.gen_indices[0]
-    pow_of = {}
-    e = 0
-    acc = np.arange(P1.order, dtype=np.int64)
-    for _ in range(h_order):
-        pow_of[e] = acc.copy()
-        e = H.mul(e, h_gen)
-        acc = alpha[acc]
-    assert e == 0
+    # G0 and G1 on the codes h |P| + u, acted on by the powers of A_h and alpha
+    act0 = _powers(H, P0._at_code[vecs[P0.codes] @ A_h % p @ weights])
+    G0 = _semidirect_group(H, P0, act0, P0.gen_indices, name="G0split")
+    G1 = _semidirect_group(H, P1, _powers(H, alpha), P1.gen_indices[:d],
+                           name="G1split")
 
-    mats0_powers = {}
-    e = 0
-    accm = la.identity(d)
-    for _ in range(h_order):
-        mats0_powers[e] = accm.copy()
-        e = H.mul(e, h_gen)
-        accm = la.matmul(accm, A_h, p)
-
-    G0 = _semidirect_group(
-        H, P0.order, lambda u1, u2: P0.mul(u1, u2),
-        lambda u, h2: int(p0_elem[la.vec_int(  # u acted by h2's matrix
-            _vector_of(P0, u, d, p) @ mats0_powers[h2], p)]),
-        [int(p0_elem[p ** i]) for i in range(d)], name="G0split")
-    G1 = _semidirect_group(
-        H, P1.order, lambda u1, u2: P1.mul(u1, u2),
-        lambda u, h2: int(pow_of[h2][u]),
-        [P1.gen_indices[i] for i in range(d)], name="G1split")
-    assert G0.order == H.order * P0.order and G1.order == H.order * P1.order
-
-    # projection/section/kernel over the pair point layout (h*nu + u)
-    g0_elem, g1_elem = _elem_at_point(G0), _elem_at_point(G1)
-    h1, u1 = np.divmod(G1.elements[:, 0].astype(np.int64), P1.order)
-    proj = g0_elem[h1 * P0.order + info1["proj"][u1]]
-    h0, u0 = np.divmod(G0.elements[:, 0].astype(np.int64), P0.order)
-    section = g1_elem[h0 * P1.order + info1["section"][u0]]
+    # proj, section and kernel off the codes; (1, k) has the code k
+    h1, u1 = np.divmod(G1.codes, P1.order)
+    proj = G0._at_code[h1 * P0.order + info1["proj"][u1]].astype(np.int64)
+    h0, u0 = np.divmod(G0.codes, P0.order)
+    section = G1._at_code[h0 * P1.order + info1["section"][u0]].astype(np.int64)
+    kernel = G1._at_code[info1["kernel"]].tolist()
     m = dprime
-    kernel, coords = [], {}
-    for k in info1["kernel"]:
-        eidx = int(g1_elem[k])
-        kernel.append(eidx)
-        coords[eidx] = info1["coords"][k].copy()
-    kernel.sort(key=lambda e2: la.vec_int(coords[e2], p))
-    basis_elems = [next(e2 for e2 in kernel
-                        if la.vec_int(coords[e2], p) == p ** j) for j in range(m)]
-
-    gen_mats = []
-    for g in G0.gen_indices:
-        s = int(section[g])
-        rows = []
-        for k in basis_elems:
-            got = G1.mul(G1.mul(int(G1.inv[s]), k), s)
-            rows.append(coords[got])
-        gen_mats.append(np.stack(rows))
+    # row j of generator g's matrix: the coordinates of s(g)^-1 e_j s(g)
+    s = section[G0.gen_indices][:, None]
+    basis = G1.mul_many(G1.mul_many(G1.inv[s], [kernel[p ** j] for j in range(m)]), s)
+    gen_mats = list(_kernel_coords_table(G1.order, kernel, p, m)[basis])
     _attach_g0_presentation(G0, d, p, h_order, A_h)
     M0 = GModule(G0, p, gen_mats)
-    psi = extract_cocycle(G1, G0, proj, section, coords, p, m)
-    lvl = FrattiniLevel(G1, G0, p, proj, section, kernel, coords, M0, psi,
+    psi = extract_cocycle(G1, G0, section, kernel, p, m)
+    lvl = FrattiniLevel(G1, G0, p, proj, section, kernel, M0, psi,
                         name=f"split d={d} p={p}")
     _check_level(lvl)
     _attach_g1_presentation(G1, P1_pres, xwords, alpha_images, d, p, h_order)
@@ -435,69 +408,42 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
 
 
 def _vector_group(d: int, p: int) -> FiniteGroup:
-    gens = []
-    n = p ** d
-    for i in range(d):
-        img = [(la.vec_int((la.int_vec(k, d, p) +
-                            np.eye(d, dtype=np.int64)[i]) % p, p)) for k in range(n)]
-        gens.append(Perm(tuple(img)))
-    G = FiniteGroup(gens, max_order=n + 1, name=f"(Z/{p})^{d}")
-    assert G.order == n
-    return G
-
-
-def _vector_of(P0: FiniteGroup, elem: int, d: int, p: int) -> np.ndarray:
-    return la.int_vec(int(P0.elements[elem][0]), d, p)
-
-
-def _p0_word(P0: FiniteGroup, g: int, d: int, p: int) -> tuple[int, ...]:
-    v = _vector_of(P0, g, d, p)
-    out: list[int] = []
-    for i in range(d):
-        out.extend([i + 1] * int(v[i]))
-    return tuple(out)
-
-
-def _p0_code_of_word(word, d: int, p: int) -> int:
-    v = np.zeros(d, dtype=np.int64)
-    for letter in word:
-        v[abs(letter) - 1] += 1 if letter > 0 else -1
-    return la.vec_int(v % p, p)
+    """(Z/p)^d translating the base-p codes of its vectors, generated by
+    e_1, ..., e_d."""
+    vecs, weights = _digits(p ** d, d, p), p ** np.arange(d)
+    return FiniteGroup.from_closed_form(
+        p ** d, weights.tolist(), lambda a, b: (vecs[a] + vecs[b]) % p @ weights,
+        name=f"(Z/{p})^{d}")
 
 
 def _coset_in_kernel(T: CosetTable, word) -> int:
     return T.act_word(0, free_reduce(word))
 
 
-def _table_kernel_coords(T: CosetTable, proj_of_coset, expected_dim: int, p: int,
-                         basis_words):
-    """Kernel cosets (proj == identity) with F_p coordinates against
-    `basis_words`, words whose cosets span the kernel."""
-    kernel = [c for c in range(T.n) if proj_of_coset(c) == 0]
-    assert len(kernel) == p ** expected_dim, (len(kernel), expected_dim)
-    assert len(basis_words) == expected_dim
-    coords: dict[int, np.ndarray] = {0: np.zeros(expected_dim, dtype=np.int64)}
-    for j, w in enumerate(basis_words):
+def _span_coords(times, dim: int, p: int) -> dict[int, np.ndarray]:
+    """F_p coordinates of the span of dim independent basis elements of an
+    elementary abelian group: times(x, j) is x times basis element j, and
+    the identity 0 has coordinates 0."""
+    coords: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=np.int64)}
+    for j in range(dim):
         grown = dict(coords)
         for known, vec in coords.items():
             cur = known
             for e in range(1, p):
-                cur = T.act_word(cur, w)
+                cur = times(cur, j)
                 v = vec.copy()
                 v[j] = e
-                assert cur not in grown, "kernel basis words not independent"
+                assert cur not in grown, "basis elements not independent"
                 grown[cur] = v
         coords = grown
-    assert len(coords) == len(kernel)
-    return kernel, coords
+    return coords
 
 
-def _cocycle_from_table(T: CosetTable, base: FiniteGroup, kcoords, d: int, p: int,
-                        word_of_base):
+def _cocycle_from_table(T: CosetTable, base: FiniteGroup, kcoords, words):
+    """psi(g, h) read off the coset table along the words of the base elements."""
     nb = base.order
     m = len(next(iter(kcoords.values())))
     psi = np.zeros((nb, nb, m), dtype=np.int64)
-    words = [tuple(word_of_base(g)) for g in range(nb)]
     for g in range(nb):
         for h in range(nb):
             gh = base.mul(g, h)
@@ -893,9 +839,12 @@ def split_structure(N: FiniteGroup, p: int) -> SplitData:
     """Detect N = P0 x| <h> with P0 the (normal, elementary abelian) p-Sylow."""
     S = p_sylow(N, p)
     if set(normalizer(N, S)) != set(range(N.order)):
-        raise InputError("p-Sylow is not normal; not the split case")
-    if any(N.element_order(x) == p * p for x in S):
-        raise InputError("p-Sylow not elementary abelian")
+        raise InputError(f"cover stage: the {p}-Sylow is not normal; not the split case")
+    # exponent p, and abelian: the elements that generate it commute
+    basis = generating_set(N, sorted(S))
+    if any(N.element_order(x) == p * p for x in S) or \
+            any(N.mul(a, b) != N.mul(b, a) for a in basis for b in basis):
+        raise InputError(f"cover stage: the {p}-Sylow is not elementary abelian")
     index = N.order // len(S)
     h = None
     for x in range(1, N.order):
@@ -905,28 +854,11 @@ def split_structure(N: FiniteGroup, p: int) -> SplitData:
             h = x
             break
     if h is None:
-        raise ActionLiftFailed("no cyclic complement found")
-    basis = generating_set(N, sorted(S))
+        raise InputError(f"cover stage: the normal {p}-Sylow has no cyclic complement")
     d = len(basis)
-    coord_of = _elementary_coords(N, basis, p)
+    coord_of = _span_coords(lambda x, j: N.mul(x, basis[j]), d, p)
     rows = [coord_of[N.conj(b, h)] for b in basis]
     return SplitData(d, p, basis, h, np.stack(rows))
-
-
-def _elementary_coords(G: FiniteGroup, basis: list[int], p: int) -> dict[int, np.ndarray]:
-    d = len(basis)
-    coords = {0: np.zeros(d, dtype=np.int64)}
-    for j, b in enumerate(basis):
-        grown = dict(coords)
-        for known, vec in coords.items():
-            cur = known
-            for e in range(1, p):
-                cur = G.mul(cur, b)
-                v = vec.copy()
-                v[j] = e
-                grown[cur] = v
-        coords = grown
-    return coords
 
 
 @dataclass
@@ -1034,14 +966,9 @@ def transport_level(lvl: FrattiniLevel, iso: list[int],
     iso maps old base elements to new base elements; the kernel module and
     cocycle are transported and the pair model rebuilt canonically.
     """
-    old = lvl.base
-    iso_inv = {iso[e]: e for e in range(old.order)}
-    mats = [lvl.kernel_module.mat_of(iso_inv[g]) for g in new_base.gen_indices]
+    iso_inv = np.argsort(iso)
+    mats = [lvl.kernel_module.mat_of(int(iso_inv[g])) for g in new_base.gen_indices]
     M = GModule(new_base, lvl.p, mats, check=False)
-    nb = new_base.order
-    psi = np.zeros((nb, nb, lvl.kernel_dim), dtype=np.int64)
-    for g in range(nb):
-        for h in range(nb):
-            psi[g, h] = lvl.psi[iso_inv[g], iso_inv[h]]
+    psi = lvl.psi[iso_inv[:, None], iso_inv]
     return level_from_pair_model(new_base, M, psi, lvl.p,
                                  name=lvl.name + "-transported")

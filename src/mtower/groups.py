@@ -5,14 +5,19 @@ identity, generators applied in input order.  All higher layers speak in
 indices, never raw permutations.  Products use the package-wide left-to-right
 convention from perms.py.
 
-A group comes from permutations, or from a product in closed form on
-integer codes (from_closed_form: the pair models of frattini.py).  Its BFS
-records, for every element and generator, the index of their product: the
-generators' right-action columns `gen_cols`.  When the order is at most
-MUL_TABLE_LIMIT the multiplication table is filled from those columns, a
-whole row of its transpose per element, and turned over in place; the
-inverses are read off it.  Above that, a closed-form group multiplies by its
-formula and a permutation group composes permutations.
+A group comes from permutations (the builtins, group files, coset tables
+and subgroup_from_indices: only these run the permutation BFS), or from a
+product in closed form on integer codes (from_closed_form: the pair models
+and the split-case models P0 x| H of frattini.py, the order-p^3 models of
+schur.py).  Its BFS records, for every element and generator, the index of
+their product: the generators' right-action columns `gen_cols`.  When the
+order is at most MUL_TABLE_LIMIT the multiplication table is filled from
+those columns, a whole row of its transpose per element, and turned over in
+place; the inverses are read off it.  Above that, a closed-form group
+multiplies by its formula and a permutation group composes permutations.
+
+Conjugacy classes are walked over one batch of the conjugates of every
+element by every generator.
 
 Subgroup closures run in batches: one level-by-level BFS over a block of
 seed rows, on a flat (row, element) mask of bounded size.
@@ -287,8 +292,13 @@ class FiniteGroup:
     # -- structure -------------------------------------------------------------
 
     def conjugacy_classes(self) -> list[ConjClass]:
+        """The orbits of conjugation by the generators, walked over one
+        batch of the conjugates c^-1 x c of every element x by every
+        generator c (`mul_many`)."""
         if self._classes is not None:
             return self._classes
+        c = np.asarray(self.gen_indices)[:, None]
+        conj = self.mul_many(self.mul_many(self.inv[c], np.arange(self.order)), c).tolist()
         seen = np.zeros(self.order, dtype=bool)
         raw = []
         for start in range(self.order):
@@ -299,8 +309,8 @@ class FiniteGroup:
             q = [start]
             while q:
                 x = q.pop()
-                for c in self.gen_indices:
-                    y = self.conj(x, c)
+                for row in conj:
+                    y = row[x]
                     if not seen[y]:
                         seen[y] = True
                         orbit.append(y)

@@ -20,7 +20,6 @@ from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
                      RankDeficient)
 from .frattini import FrattiniLevel, schur_covers
 from .groups import FiniteGroup, is_p_perfect, search_images
-from .perms import Perm
 
 
 @dataclass
@@ -396,56 +395,42 @@ def antecedent_test(E_prev: FrattiniLevel, E: FrattiniLevel, L: FrattiniLevel) -
 
 
 def heisenberg_group(p: int) -> FiniteGroup:
-    """Unitriangular 3x3 matrices over F_p; exponent p for odd p."""
-    pts = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    idx = {v: i for i, v in enumerate(pts)}
+    """Unitriangular 3x3 matrices over F_p, on the codes a p^2 + b p + c of
+    (a, b, c) (a, b above the diagonal, c in the corner); exponent p for
+    odd p."""
+    def code_mul(x, y):
+        (a, b, c), (a2, b2, c2) = _digits3(x, p), _digits3(y, p)
+        return ((a + a2) % p * p + (b + b2) % p) * p + (c + c2 + a * b2) % p
 
-    def right_mul(u):
-        a2, b2, c2 = u
-        img = []
-        for (a, b, c) in pts:
-            img.append(idx[((a + a2) % p, (b + b2) % p, (c + c2 + a * b2) % p)])
-        return Perm(tuple(img))
-
-    return FiniteGroup([right_mul((1, 0, 0)), right_mul((0, 1, 0))],
-                       max_order=p ** 3 + 1, name=f"H{p}")
+    return FiniteGroup.from_closed_form(p ** 3, [p * p, p], code_mul, name=f"H{p}")
 
 
 def up_group(p: int) -> FiniteGroup:
-    """Z/p^2 x| Z/p with the generator acting by 1 + p."""
-    pts = [(a, b) for a in range(p * p) for b in range(p)]
-    idx = {v: i for i, v in enumerate(pts)}
+    """Z/p^2 x| Z/p with the generator acting by 1 + p, on the codes a p + b
+    of (a, b): (a, b)(a2, b2) = (a (1 + p)^b2 + a2, b + b2)."""
+    twist = np.array([pow(1 + p, b, p * p) for b in range(p)])
 
-    def right_mul(u):
-        a2, b2 = u
-        img = []
-        for (a, b) in pts:
-            # (a, b) * (a2, b2): a twisted by the action of b2's target power
-            img.append(idx[((a * pow(1 + p, b2, p * p) + a2) % (p * p),
-                            (b + b2) % p)])
-        return Perm(tuple(img))
+    def code_mul(x, y):
+        (a, b), (a2, b2) = np.divmod(x, p), np.divmod(y, p)
+        return (a * twist[b2] + a2) % (p * p) * p + (b + b2) % p
 
-    return FiniteGroup([right_mul((1, 0)), right_mul((0, 1))],
-                       max_order=p ** 3 + 1, name=f"U{p}")
+    return FiniteGroup.from_closed_form(p ** 3, [p, 1], code_mul, name=f"U{p}")
 
 
 def wp_group(p: int) -> FiniteGroup:
-    """(Z/p)^2 x| Z/p with the unipotent matrix [[1,1],[0,1]]."""
-    pts = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    idx = {v: i for i, v in enumerate(pts)}
+    """(Z/p)^2 x| Z/p with the unipotent matrix A = [[1,1],[0,1]], on the
+    codes a p^2 + b p + c of (v, c) = ((a, b), c):
+    (v, c)(w, c2) = (v A^{c2} + w, c + c2)."""
+    def code_mul(x, y):
+        (a, b, c), (a2, b2, c2) = _digits3(x, p), _digits3(y, p)
+        return ((a + a2) % p * p + (a * c2 + b + b2) % p) * p + (c + c2) % p
 
-    def right_mul(u):
-        a2, b2, c2 = u
-        img = []
-        for (a, b, c) in pts:
-            # (v, c)(w, c2) = (v A^{c2} + w, c + c2), A = [[1,1],[0,1]]
-            na = (a + a2) % p
-            nb = (a * c2 + b + b2) % p
-            img.append(idx[(na, nb, (c + c2) % p)])
-        return Perm(tuple(img))
+    return FiniteGroup.from_closed_form(p ** 3, [p * p, p, 1], code_mul, name=f"W{p}")
 
-    return FiniteGroup([right_mul((1, 0, 0)), right_mul((0, 1, 0)),
-                        right_mul((0, 0, 1))], max_order=p ** 3 + 1, name=f"W{p}")
+
+def _digits3(x, p: int):
+    """The base-p digits (a, b, c) of the codes x = a p^2 + b p + c."""
+    return x // (p * p), x // p % p, x % p
 
 
 def complement_orbit_labels(L: FrattiniLevel, vd: VDSet) -> list[tuple[int, list[int]]]:

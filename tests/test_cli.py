@@ -174,6 +174,56 @@ def test_frattini_verify_pair_model_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# (Z/3)^2 x| Q8 on 9 points: its normal 3-Sylow has no cyclic complement
+Z3SQ_Q8 = "(1 4 7)(2 5 8)(3 6 9)\n(2 7 3 4)(5 8 9 6)\n(2 6 3 8)(4 5 7 9)\n"
+
+
+@pytest.mark.parametrize("args", [["frattini-verify"], ["schur", "--k", "1"]])
+def test_split_case_without_cyclic_complement_exits_2(tmp_path, capsys, args):
+    gf = tmp_path / "z3sq_q8.txt"
+    gf.write_text(Z3SQ_Q8)
+    rc = run_cli(args + ["--group-file", str(gf), "--p", "3"], tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cover stage: the normal 3-Sylow has no cyclic complement" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, text", [
+    # D9 from a presentation: its normal 3-Sylow is Z/9
+    ("--presentation-file", "gens: r s\nr^9\ns^2\n(r*s)^2\n"),
+    # the Heisenberg group of order 27 (exponent 3, not abelian) x| Z/4, on
+    # its 27 elements: right translations by x and y, and the automorphism
+    # x -> y, y -> x^-1
+    ("--group-file",
+     "(1 10 19)(2 11 20)(3 12 21)(4 13 22)(5 14 23)(6 15 24)(7 16 25)(8 17 26)(9 18 27)\n"
+     "(1 4 7)(2 5 8)(3 6 9)(10 14 18)(11 15 16)(12 13 17)(19 24 26)(20 22 27)(21 23 25)\n"
+     "(4 19 7 10)(5 20 8 11)(6 21 9 12)(13 24 25 18)(14 22 26 16)(15 23 27 17)\n"),
+], ids=["Z9", "Heisenberg"])
+def test_sylow_not_elementary_abelian_names_the_stage(tmp_path, capsys, flag, text):
+    gf = tmp_path / "group.txt"
+    gf.write_text(text)
+    rc = run_cli(["frattini-verify", flag, str(gf), "--p", "3"], tmp_path)
+    assert rc == 2
+    assert "cover stage: the 3-Sylow is not elementary abelian" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_relabelled_dihedral_falls_back_to_split_route(tmp_path):
+    """D5 on (1 3 4 5 2) and (2 3)(4 5) is not in the dihedral closed
+    form's standard form, so the level is built by the split route: the
+    level-1 component is that of the builtin D5."""
+    gf = tmp_path / "d5.txt"
+    gf.write_text("(1 3 4 5 2)\n(2 3)(4 5)\n")
+    args = ["level", "--classes", "2A,2A,2A,2A", "--p", "5", "--k", "1"]
+    assert run_into(args + ["--group-file", str(gf)], tmp_path, "file") == 0
+    assert run_into(args + ["--group", "D5"], tmp_path, "builtin") == 0
+    for name in ("file", "builtin"):
+        level = json.loads((tmp_path / name / "components.json").read_text())["levels"][1]
+        assert level["total_order"] == 50
+        assert [(c["orbit_size"], c["genus"]) for c in level["components"]] == [(300, 12)]
+
+
 def test_group_file_loading(tmp_path):
     gf = tmp_path / "grp.txt"
     gf.write_text("# dihedral\n(1 2 3 4 5)\n(2 5)(3 4)\n")
@@ -505,3 +555,8 @@ def test_level1_file_labelled_a4_cli(tmp_path):
         doc = json.loads((tmp_path / name / "components.json").read_text())
         genera[name] = sorted(c["genus"] for c in doc["levels"][1]["components"])
     assert genera["file"] == genera["builtin"] == [0, 0, 1, 1, 3, 3]
+    # the builtin run's report is pinned: its orbit dumps print elements
+    # of the split model transported onto A4
+    for line in (DATA / "level_a4_p2_k1.sha256").read_text().splitlines():
+        digest, name = line.split()
+        assert sha256_of(tmp_path / "builtin" / name) == digest, name

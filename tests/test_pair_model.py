@@ -1,14 +1,20 @@
-"""Pair models built from their closed form, against the permutation BFS
-of the earlier route (group_oracle.pair_model_group), and their products
-past the multiplication table against the composed permutations."""
+"""Groups built from their closed form, against the permutation BFS of the
+earlier routes (tests/group_oracle.py): the pair models, the split-case
+models P0 x| H and P1 x| H with the levels read off their codes, the
+dihedral levels read off codes, and the order-p^3 model groups.  Products
+past the multiplication table are checked against the composed
+permutations, and the batched class walk against the scalar one."""
 
 import numpy as np
 import pytest
 
 import group_oracle as oracle
-from mtower import frattini, groups
+from mtower import frattini, groups, schur
 from mtower.cli import build_level, build_level_model, main
-from mtower.groups import FiniteGroup, alternating_group
+from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
+                           dihedral_group, find_isomorphism, generating_set,
+                           special_linear_2, subgroup_from_indices)
+from mtower.perms import parse_group_file
 from mtower.schur import enumerate_schur_quotients
 
 
@@ -49,9 +55,11 @@ def test_closed_form_matches_permutation_bfs(recorded):
         for key in ("proj", "section"):
             assert (info[key] == want_info[key]).all(), (total.name, key)
         assert info["kernel"] == want_info["kernel"], total.name
-        assert info["coords"].keys() == want_info["coords"].keys()
-        assert all((v == want_info["coords"][k]).all()
-                   for k, v in info["coords"].items()), total.name
+        # the kernel is listed by code: its coordinates are the base-p
+        # digits of each element's position
+        digits = np.arange(len(info["kernel"]))[:, None] // module.p ** np.arange(module.dim)
+        assert all((want_info["coords"][k] == d % module.p).all()
+                   for k, d in zip(info["kernel"], digits)), total.name
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +105,98 @@ def test_commands_build_no_full_element_array(monkeypatch, tmp_path):
                  ["schur", "--group", "A4"]):
         assert main(args + ["--p", "2", "--k", "1", "--no-cache",
                             "--report", str(tmp_path / args[0])]) == 0
+
+
+def assert_same_group(G, want):
+    assert (G.elements == want.elements).all(), G.name
+    assert (G.gen_cols == want.gen_cols).all(), G.name
+    assert G._parents == want._parents, G.name
+    assert (G.inv == want.inv).all(), G.name
+
+
+def assert_same_level(L, want):
+    """L against the parts of a level built by an oracle route."""
+    assert (L.proj == want["proj"]).all(), L.name
+    assert (L.section == want["section"]).all(), L.name
+    assert L.kernel_elems == want["kernel"], L.name
+    assert L.kernel_coords.keys() == want["coords"].keys(), L.name
+    assert all((v == want["coords"][k]).all() for k, v in L.kernel_coords.items())
+    assert (L.psi == want["psi"]).all(), L.name
+    assert len(L.kernel_module.mats) == len(want["mats"])
+    assert all((A == B).all() for A, B in zip(L.kernel_module.mats, want["mats"]))
+
+
+def split_cases(a4, a5):
+    """(d, p, H, [A_h]) for the A4 split tower and the towers over the
+    Sylow normalizers of A5 at p = 2, 3, 5."""
+    groups = [(a4, 2)] + [(subgroup_from_indices(a5, generating_set(
+        a5, list(frattini.normalizer(a5, frattini.p_sylow(a5, p))))), p) for p in (2, 3, 5)]
+    for N, p in groups:
+        data = frattini.split_structure(N, p)
+        yield data.rank, p, cyclic_group(N.element_order(data.complement_gen)), [data.action]
+
+
+def test_split_models_match_permutation_route(a4, a5):
+    """P0, G0split and G1split, and the split level read off their codes
+    (proj, section, kernel, coordinates, module matrices, psi), equal the
+    permutation groups and the point-0 decoding of the earlier route."""
+    for d, p, H, mats in split_cases(a4, a5):
+        tower = frattini.split_level(d, p, H, mats)
+        want = oracle.split_level(d, p, H, mats)
+        assert_same_group(frattini._vector_group(d, p), want["P0"])
+        assert_same_group(tower.g0, want["g0"])
+        assert_same_group(tower.g1, want["g1"])
+        assert_same_level(tower.level, want)
+    for d, p in ((1, 2), (3, 2), (2, 3), (2, 5)):
+        assert_same_group(frattini._vector_group(d, p), oracle._vector_group(d, p))
+
+
+def test_transported_a4_level_matches_entrywise_route(a4):
+    """build_level on A4 moves the split level onto A4 by one fancy index;
+    the entry-at-a-time transport of the earlier route gives the same
+    cocycle, module and level."""
+    L = build_level(a4, 2, 1 << 18, 1)
+    model = build_level_model(a4, 2, 1 << 18, 1)
+    iso = find_isomorphism(model.base, a4)
+    want = oracle.transport_level(model, iso, a4)
+    assert_same_group(L.total, want.total)
+    assert_same_level(L, dict(proj=want.proj, section=want.section,
+                              kernel=want.kernel_elems, coords=want.kernel_coords,
+                              psi=want.psi, mats=want.kernel_module.mats))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_dihedral_levels_match_decode_route(p):
+    for L in frattini.dihedral_level(p, 2):
+        assert_same_level(L, oracle.dihedral_step(L.base, p))
+
+
+def test_dihedral_step_refuses_a_relabelled_base():
+    """D5 on (1 3 4 5 2) and (2 3)(4 5) is not in the standard
+    rotation/reflection form, so the closed form raises AssertionError and
+    the command falls back to the split construction (tests/test_cli.py)."""
+    G = FiniteGroup(parse_group_file("(1 3 4 5 2)\n(2 3)(4 5)\n"))
+    assert G.order == 10
+    with pytest.raises(AssertionError, match="standard rotation/reflection form"):
+        frattini.dihedral_step(G, 5)
+    with pytest.raises(AssertionError):
+        oracle.dihedral_step(G, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_order_p3_groups_match_permutation_builders(p):
+    for build, want in ((schur.heisenberg_group, oracle.heisenberg_group),
+                        (schur.up_group, oracle.up_group),
+                        (schur.wp_group, oracle.wp_group)):
+        G = build(p)
+        assert G.order == p ** 3
+        assert_same_group(G, want(p))
+
+
+def test_conjugacy_classes_match_scalar_walk(a5, a5_p3_level):
+    """The class walk over one batch of conjugates gives the classes, in
+    the same order, that the walk by scalar `conj` gives."""
+    cases = [a5, special_linear_2(5), dihedral_group(2049),
+             frattini.general_level(a5, 2).level.total, a5_p3_level.total]
+    for G in cases:
+        assert G.conjugacy_classes() == oracle.conjugacy_classes(G), G.name
