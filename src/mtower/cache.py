@@ -19,8 +19,6 @@ import shutil
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CorruptCache
 
 MAGIC = b"MTCACHE1\n"
@@ -104,41 +102,3 @@ def cache_get_entry(cache_dir: Path, key: str) -> dict[str, bytes] | None:
         files[name] = payload
     return files
 
-
-# -- level serialization --------------------------------------------------------
-
-
-def serialize_level(level) -> bytes:
-    """Versioned JSON: base generators, kernel module, cocycle table."""
-    base = level.base
-    doc = {
-        "version": 1,
-        "p": level.p,
-        "name": level.name,
-        "base_name": base.name,
-        "base_degree": base.degree,
-        "base_gens": [[int(x) for x in base.elements[g]] for g in base.gen_indices],
-        "module_mats": [m.tolist() for m in level.kernel_module.mats],
-        "psi": level.psi.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def deserialize_level(payload: bytes):
-    from .frattini import level_from_pair_model
-    from .gmodules import GModule
-    from .groups import FiniteGroup
-    from .perms import Perm
-
-    doc = json.loads(payload.decode())
-    if doc.get("version") != 1:
-        raise CorruptCache(f"unknown level format version {doc.get('version')}")
-    gens = [Perm(tuple(images)) for images in doc["base_gens"]]
-    base = FiniteGroup(gens, name=doc.get("base_name", ""))
-    module = GModule(base, doc["p"],
-                     [np.array(m, dtype=np.int64) for m in doc["module_mats"]],
-                     check=False)
-    psi = np.array(doc["psi"], dtype=np.int64)
-    if psi.size == 0:
-        psi = psi.reshape(base.order, base.order, 0)
-    return level_from_pair_model(base, module, psi, doc["p"], name=doc["name"])

@@ -26,10 +26,10 @@ from . import linalg as la
 from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
                      InputError, InvariantViolation, MTError)
 from .fp import parse_presentation, todd_coxeter, coset_group
-from .frattini import (FrattiniLevel, dihedral_step, general_level,
-                       split_level, split_structure, transport_level,
-                       verify_frattini, verify_order_lifting, p_sylow,
-                       normalizer)
+from .frattini import (FrattiniLevel, _dihedral_codes, dihedral_step,
+                       general_level, split_level, split_structure,
+                       transport_level, verify_frattini, verify_order_lifting,
+                       p_sylow, normalizer)
 from .gcomplete import check_search_order, is_gcomplete, is_p_gcomplete
 from .gmodules import loewy_layers, radical
 from .groups import (FiniteGroup, alternating_group, cyclic_group,
@@ -40,7 +40,7 @@ from .hurwitz import (analyze_component, check_goup, level_compare,
 from .nielsen import (NielsenSpec, Reducer, enumerate_reduced, lift_tuples,
                       lifted_spec, mbar4_orbits, orbit_dump)
 from .perms import parse_group_file
-from .schur import (abelian_test, check_modassume,
+from .schur import (abelian_test, antecedent_test, check_modassume_from_vd,
                     enumerate_schur_quotients, p3_census, vd_set)
 
 VERSION = 3
@@ -114,20 +114,27 @@ def check_coverable(G: FiniteGroup, p: int) -> None:
                          f"(G/[G,G] has order {G.abelianization_order()})")
 
 
-def build_level_model(G: FiniteGroup, p: int, budget_cosets: int,
-                      step: int) -> FrattiniLevel:
+def _takes_dihedral_form(G: FiniteGroup, p: int) -> bool:
+    """Does G take the dihedral closed form: p odd, |G| = 2 * degree with p
+    dividing the degree, and G acting as the standard D_n on its n points?
+    Every later base of such a tower is a standard dihedral group."""
+    if p < 3 or G.order != 2 * G.degree or G.degree % p:
+        return False
+    try:
+        _dihedral_codes(G, G.degree)
+    except AssertionError:
+        return False
+    return True
+
+
+def build_level_model(G: FiniteGroup, p: int, budget_cosets: int) -> FrattiniLevel:
     """One cover level over G, route chosen by structure: dihedral closed
     form, split construction, or the relator-tail search.  The split route
     keeps its own base model, whose total carries a small generator-aligned
     presentation (the H^2 solve of the Schur analysis reads it); the other
     routes build over G itself."""
-    if p > 2 and G.order == 2 * G.degree and G.degree % p == 0:
-        try:
-            return dihedral_step(G, p)
-        except (InputError, AssertionError):
-            pass
-    if step >= 2:
-        raise BudgetError("level budget: k <= 1 for nondihedral groups")
+    if _takes_dihedral_form(G, p):
+        return dihedral_step(G, p)
     S = p_sylow(G, p)
     if len(normalizer(G, S)) == G.order:
         data = split_structure(G, p)
@@ -136,10 +143,9 @@ def build_level_model(G: FiniteGroup, p: int, budget_cosets: int,
     return general_level(G, p, budget_cosets).level
 
 
-def build_level(G: FiniteGroup, p: int, budget_cosets: int,
-                step: int) -> FrattiniLevel:
+def build_level(G: FiniteGroup, p: int, budget_cosets: int) -> FrattiniLevel:
     """build_level_model, with a split model transported onto G."""
-    L = build_level_model(G, p, budget_cosets, step)
+    L = build_level_model(G, p, budget_cosets)
     if L.base is G:
         return L
     iso = find_isomorphism(L.base, G)
@@ -188,7 +194,7 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
     L_chain: list[FrattiniLevel] = []
     current = G
     for step in range(1, k + 1):
-        L = build_level(current, p, budget_cosets, step)
+        L = build_level(current, p, budget_cosets)
         frat_ok = verify_frattini(L)
         if not frat_ok:
             raise InvariantViolation("constructed level is not a Frattini cover")
@@ -272,6 +278,9 @@ def cmd_level(args) -> int:
     G, gdesc, gkey = load_group(args)
     if args.k >= 1:
         check_coverable(G, args.p)
+    if args.k >= 2 and not _takes_dihedral_form(G, args.p):
+        raise BudgetError(f"cover stage: level budget k <= 1 for groups outside "
+                          f"the dihedral closed form, got k = {args.k}")
     labels = [s.strip() for s in args.classes.split(",")]
     cache_dir = Path(args.cache) if args.cache else cache_mod.default_cache_dir()
     key = cache_mod.job_key({
@@ -324,17 +333,14 @@ def cmd_schur(args) -> int:
             })
     else:
         check_coverable(G, args.p)
-        L = build_level_model(G, args.p, args.budget_cosets, 1)
+        L = build_level_model(G, args.p, args.budget_cosets)
         quots = enumerate_schur_quotients(L.total, args.p)
-        rad_basis = radical(L.kernel_module)
-        coord_to_elem = {la.vec_int(L.kernel_coords[e], args.p): e
-                         for e in L.kernel_elems}
-        rad_elems = [coord_to_elem[la.vec_int(v, args.p)] for v in rad_basis]
+        rad_elems = [L.kernel_elems[la.vec_int(v, args.p)]
+                     for v in radical(L.kernel_module)]
         antecedents = enumerate_schur_quotients(L.base, args.p)
-        from .schur import antecedent_test
         for qi, q in enumerate(quots):
             vd = vd_set(q, L)
-            a, b, c = check_modassume(q, L)
+            a, b, c = check_modassume_from_vd(L, vd)
             slice_rep = abelian_test(q, L, rad_elems)
             census = p3_census(q, L)
             ante = [ai for ai, prev in enumerate(antecedents)
@@ -381,7 +387,7 @@ def cmd_gcomplete(args) -> int:
 def cmd_frattini_verify(args) -> int:
     G, gdesc, _ = load_group(args)
     check_coverable(G, args.p)
-    L = build_level(G, args.p, args.budget_cosets, 1)
+    L = build_level(G, args.p, args.budget_cosets)
     rep = verify_order_lifting(L)
     frat = verify_frattini(L)
     ld = loewy_layers(L.kernel_module)

@@ -19,9 +19,9 @@ are pairs (base element, kernel vector) with
 
 where psi is the 2-cocycle read off a chosen section (kernel written on the
 right of the section: s(g) s(h) = s(gh) psi(g, h)).  The pair model makes
-element indexing independent of coset-enumeration internals, so serialized
-levels and downstream orbit reports are byte-stable.  It is built from that
-product over the codes g p^m + int(v), without composing a permutation.
+element indexing independent of coset-enumeration internals, so downstream
+orbit reports are byte-stable.  It is built from that product over the
+codes g p^m + int(v), without composing a permutation.
 
 The split case builds every group from its product as well: P0 = (Z/p)^d
 translates the base-p codes of its vectors, and G0 = P0 x| H and

@@ -5,12 +5,18 @@ the three lifting conditions, abelian slices, and antecedent detection.
 Each R_D is the pair model of one line of H^2(G, F_p), built from the same
 linear solve as every other extension (frattini.schur_covers); its kernel
 generator is kernel_elems[1].  The splitting check and the covering
-map onto an antecedent run through groups.search_images, and the p^3
-census closes all its pairs in one batch.
+map onto an antecedent run through groups.search_images.
+
+The slice is read in kernel coordinates: the level lists its kernel by the
+base-p code of each vector, so questions about the kernel are answered on
+the digit vectors of kernel positions, through ranks and span codes, and
+questions about R_D by batched products over index arrays; the p^3 census
+closes all its pairs in one batch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +24,7 @@ import numpy as np
 from . import linalg as la
 from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
                      RankDeficient)
-from .frattini import FrattiniLevel, schur_covers
+from .frattini import FrattiniLevel, _digits, schur_covers
 from .groups import FiniteGroup, is_p_perfect, search_images
 
 
@@ -27,9 +33,6 @@ class VDSet:
     members: tuple[int, ...]          # kernel elements of the level (incl identity)
     nonzero: tuple[int, ...]          # V_D^0
     is_submodule: bool
-
-
-P3_LABELS = ("Klein4", "D4", "Q8", "Z4xZ2", "ElemAbelian", "Up", "Hp_Wp", "Zp2xZp")
 
 
 def enumerate_schur_quotients(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
@@ -55,6 +58,14 @@ def _splits(total: FiniteGroup, G: FiniteGroup, proj: np.ndarray) -> bool:
                for _, _, sizes in search_images(total, lift_sets))
 
 
+def _powers(G: FiniteGroup, x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an array of elements x (n >= 1), by batched products."""
+    y = x
+    for _ in range(n - 1):
+        y = G.mul_many(y, x)
+    return y
+
+
 # -- V_D sets and pair classification --------------------------------------------
 
 
@@ -66,25 +77,42 @@ def _level_compatible(E: FrattiniLevel, L: FrattiniLevel) -> None:
 def vd_set(E: FrattiniLevel, L: FrattiniLevel) -> VDSet:
     """Kernel elements of the level whose lifts to R_D have order <= p.
 
-    The p-th power of a lift is independent of the lift (central kernel), so
-    membership is well defined; V_D is conjugation stable by construction.
+    A lift has order 1, p or p^2, so its order is at most p exactly when
+    its p-th power is 1; the p-th power of a lift is independent of the
+    lift (central kernel), so membership is well defined.  V_D is
+    conjugation stable by construction.
     """
     _level_compatible(E, L)
-    p = E.p
-    members = []
-    nonzero = []
-    for melem in L.kernel_elems:
-        small = {E.total.element_order(e) <= p for e in E.lifts(melem)}
-        assert len(small) == 1, "lift order not independent of the lift"
-        if small.pop():
-            members.append(melem)
-            if melem != 0:
-                nonzero.append(melem)
-    # submodule test: closed under products (elementary abelian kernel)
-    mset = set(members)
-    G1 = L.total
-    closed = all(G1.mul(a, b) in mset for a in members for b in members)
-    return VDSet(tuple(members), tuple(nonzero), closed)
+    lifts = E.total.mul_many(E.section[L.kernel_elems][:, None], E.kernel_elems)
+    small = _powers(E.total, lifts, E.p) == 0
+    assert (small == small[:, :1]).all(), "lift order not independent of the lift"
+    return _vd(L, small[:, 0])
+
+
+def _vd(L: FrattiniLevel, inside: np.ndarray) -> VDSet:
+    """The VDSet of the kernel positions where `inside` holds.  It is closed
+    under products (a submodule of the elementary abelian kernel) exactly
+    when |V_D| = p^(rank of its vectors)."""
+    kernel = np.asarray(L.kernel_elems)
+    members = kernel[inside]
+    rank = la.rank(_digits(len(kernel), L.kernel_dim, L.p)[inside], L.p)
+    return VDSet(tuple(members.tolist()), tuple(members[members != 0].tolist()),
+                 len(members) == L.p ** rank)
+
+
+def _independent_pairs(L: FrattiniLevel, pos: np.ndarray):
+    """The independent pairs i < j of the kernel positions `pos`, with their
+    spans: row r of `spans` holds the positions (codes) of the nonzero
+    combinations a v + b w of the vectors v, w at i[r], j[r].  A pair is
+    independent exactly when none of those codes is 0."""
+    p, m = L.p, L.kernel_dim
+    vecs = _digits(len(L.kernel_elems), m, p)
+    i, j = (pos[k] for k in np.triu_indices(len(pos), 1))
+    a, b = np.divmod(np.arange(1, p * p), p)
+    spans = (a[:, None] * vecs[i][:, None] + b[:, None] * vecs[j][:, None]) % p \
+        @ p ** np.arange(m)
+    keep = (spans != 0).all(axis=1)
+    return i[keep], j[keep], spans[keep]
 
 
 def classify_pair(E: FrattiniLevel, L: FrattiniLevel, m1: int, m2: int,
@@ -101,15 +129,17 @@ def classify_pair(E: FrattiniLevel, L: FrattiniLevel, m1: int, m2: int,
 def _classify_pairs(E: FrattiniLevel, L: FrattiniLevel, pairs, vd: VDSet) -> list[str]:
     """classify_pair for a list of independent pairs: the groups generated
     by their first lifts are closed in batches, and read by array ops (a
-    two-generator group is abelian iff its generators commute)."""
+    two-generator group is abelian iff its generators commute; its elements
+    lie in M-hat, so their orders are 1, p or p^2)."""
     p, R = E.p, E.total
-    seeds = np.array([[E.lifts(m1)[0], E.lifts(m2)[0]] for m1, m2 in pairs],
-                     dtype=np.int64).reshape(len(pairs), 2)
+    seeds = R.mul_many(E.section[np.array(pairs, dtype=np.int64).reshape(-1, 2)],
+                       E.kernel_elems[0])
     abelian = R.mul_many(seeds[:, 0], seeds[:, 1]) == R.mul_many(seeds[:, 1], seeds[:, 0])
     orders, exponents, n_ps = [], [], []
     for masks in R._closure_masks(seeds, None):
         elems = masks.any(axis=0).nonzero()[0]
-        ords = np.where(masks[:, elems], [R.element_order(x) for x in elems.tolist()], 0)
+        order = np.where(elems == 0, 1, np.where(_powers(R, elems, p) == 0, p, p * p))
+        ords = np.where(masks[:, elems], order, 0)
         orders.extend(masks.sum(axis=1).tolist())
         exponents.extend(ords.max(axis=1).tolist())
         n_ps.extend((ords == p).sum(axis=1).tolist())
@@ -165,62 +195,34 @@ def p3_census(E: FrattiniLevel, L: FrattiniLevel) -> dict[str, int]:
     """classify_pair over all independent kernel pairs, with the allowed-list
     and the two-order-p^2-generator corollary asserted along the way."""
     vd = vd_set(E, L)
-    vset, nonzero = set(vd.members), set(vd.nonzero)
-    kelems = [m for m in L.kernel_elems if m != 0]
-    pairs = [(m1, m2) for i, m1 in enumerate(kelems) for m2 in kelems[i + 1:]
-             if _independent(L.kernel_coords[m1], L.kernel_coords[m2], E.p)]
-    out: dict[str, int] = {}
-    for (m1, m2), label in zip(pairs, _classify_pairs(E, L, pairs, vd)):
-        out[label] = out.get(label, 0) + 1
-        # two independent order-p^2 lifts meeting V_D^0 force Z/p^2 x Z/p
-        if m1 not in vset and m2 not in vset and \
-                nonzero.intersection(_span_elements(L, m1, m2)):
-            assert label in ("Z4xZ2", "Zp2xZp"), label
-    return dict(sorted(out.items()))
-
-
-def _span_elements(L: FrattiniLevel, m1: int, m2: int) -> list[int]:
-    G1 = L.total
-    out = []
-    for a in range(L.p):
-        for b in range(L.p):
-            if a == 0 and b == 0:
-                continue
-            out.append(G1.mul(G1.power(m1, a), G1.power(m2, b)))
-    return out
+    kernel = np.asarray(L.kernel_elems)
+    inside = np.isin(kernel, vd.members)
+    i, j, spans = _independent_pairs(L, np.flatnonzero(kernel != 0))
+    labels = _classify_pairs(E, L, list(zip(kernel[i].tolist(), kernel[j].tolist())), vd)
+    # two independent order-p^2 lifts meeting V_D^0 force Z/p^2 x Z/p
+    forced = ~inside[i] & ~inside[j] & inside[spans].any(axis=1)
+    assert set(np.array(labels)[forced]) <= {"Z4xZ2", "Zp2xZp"}, labels
+    return dict(sorted(Counter(labels).items()))
 
 
 def check_modassume(E: FrattiniLevel, L: FrattiniLevel) -> tuple[bool, bool, bool]:
     """The three lifting conditions: (a) every independent pair outside V_D
     meets V_D^0 in its span; (b) the complement of V_D generates the kernel;
     (c) V_D is a submodule."""
-    vd = vd_set(E, L)
-    return check_modassume_from_vd(L, vd)
+    return check_modassume_from_vd(L, vd_set(E, L))
 
 
 def check_modassume_from_vd(L: FrattiniLevel, vd: VDSet) -> tuple[bool, bool, bool]:
-    p = L.p
-    G1 = L.total
-    vset = set(vd.members)
-    complement = [m for m in L.kernel_elems if m not in vset]
-    a = True
-    for i, m1 in enumerate(complement):
-        for m2 in complement:
-            if m2 == m1:
-                continue
-            if not _independent(L.kernel_coords[m1], L.kernel_coords[m2], p):
-                continue  # <m1> = <m2>
-            if not any(s in set(vd.nonzero) for s in _span_elements(L, m1, m2)):
-                a = False
-                break
-        if not a:
-            break
-    if complement:
-        b = len(G1.subgroup_closure(complement)) == len(L.kernel_elems)
-    else:
-        b = False
-    c = vd.is_submodule
-    return a, b, c
+    """check_modassume for a given V_D.  The span of an independent pair
+    avoids 0, so (a) asks that it meet V_D; the complement generates the
+    kernel exactly when its vectors have rank m (kernel dimension)."""
+    inside = np.isin(L.kernel_elems, vd.members)
+    outside = np.flatnonzero(~inside)
+    _, _, spans = _independent_pairs(L, outside)
+    a = bool(inside[spans].any(axis=1).all())
+    vecs = _digits(len(L.kernel_elems), L.kernel_dim, L.p)[outside]
+    b = bool(outside.size) and la.rank(vecs, L.p) == L.kernel_dim
+    return a, b, vd.is_submodule
 
 
 @dataclass
@@ -242,107 +244,66 @@ def abelian_test(E: FrattiniLevel, L: FrattiniLevel,
     """
     _level_compatible(E, L)
     vd = vd_set(E, L)
-    vset = set(vd.members)
-    alphas = [m for m in L.kernel_elems if m not in vset]
-    if not alphas:
+    kernel = np.asarray(L.kernel_elems)
+    alphas = kernel[~np.isin(kernel, vd.members)]
+    if not alphas.size:
         raise NoAlpha("every kernel element lifts to order p; not a Frattini slice")
-    alpha = alphas[0]
     R = E.total
-    mhat = [e for e in range(R.order) if int(E.proj[e]) in set(L.kernel_elems)]
-    abelian = True
-    for a in mhat:
-        for b in mhat:
-            if R.mul(a, b) != R.mul(b, a):
-                abelian = False
-                break
-        if not abelian:
-            break
+    mhat = np.flatnonzero(np.isin(E.proj, kernel))
+    table = R.mul_many(mhat[:, None], mhat)
+    abelian = bool((table == table.T).all())
     invariants = _abelian_invariants(R, mhat, E.p) if abelian else []
-    top = None
-    if rad_elems is not None:
-        top = _top_type(E, L, mhat, rad_elems)
-    return AbelianSliceReport(alpha, abelian, invariants, top)
+    top = None if rad_elems is None else _top_type(E, L, mhat, rad_elems)
+    return AbelianSliceReport(int(alphas[0]), abelian, invariants, top)
 
 
-def _abelian_invariants(G: FiniteGroup, elems: list[int], p: int) -> list[int]:
-    """Invariant factors of an abelian p-group given by its element set."""
-    n = len(elems)
-    counts = []
-    e = 1
-    power = p
-    prev = 1
-    while prev < n:
-        cnt = sum(1 for x in elems if G.power(x, power) == 0)
-        counts.append(cnt)
-        prev = cnt
-        power *= p
-    # counts[j] = #elements of order <= p^(j+1); layer dims via logs
-    dims = []
-    prev = 1
-    for cnt in counts:
-        k = 0
-        while prev * p ** (k + 1) <= cnt:
-            k += 1
-        dims.append(k)
-        prev = cnt
-    invs: list[int] = []
-    for j, k in enumerate(dims):
-        drop = k - (dims[j + 1] if j + 1 < len(dims) else 0)
-        invs = [p ** (j + 1)] * drop + invs
-    return sorted(invs)
+def _abelian_invariants(G: FiniteGroup, elems, p: int) -> list[int]:
+    """Invariant factors of an abelian p-group given by its element set.
+
+    When p^(d_j) of its elements have order <= p^j, it has d_j - d_(j-1)
+    cyclic factors of order >= p^j; the exponents of the factors are the
+    conjugate of that partition."""
+    x, n = np.asarray(elems), len(elems)
+    logs = [0]                                     # d_0, d_1, ...
+    while p ** logs[-1] < n:
+        x = _powers(G, x, p)
+        logs.append(len(np.base_repr(int((x == 0).sum()), p)) - 1)
+    layers = np.diff(logs)                         # factors of order >= p^(j+1)
+    return sorted(p ** int((layers >= r).sum()) for r in range(1, layers.max(initial=0) + 1))
 
 
-def _top_type(E: FrattiniLevel, L: FrattiniLevel, mhat: list[int],
+def _top_type(E: FrattiniLevel, L: FrattiniLevel, mhat: np.ndarray,
               rad_elems: list[int]) -> str:
-    """Type of M-hat modulo an order-2 lift set of the kernel-module radical."""
-    R = E.total
-    p = E.p
-    z = E.kernel_elems[1]
-    k0: list[int] = []
-    for m in rad_elems:
-        lifts = [e for e in mhat if int(E.proj[e]) == m]
-        lifts = [e for e in lifts if R.element_order(e) <= p]
-        assert lifts, "radical element lifts only to order p^2"
-        pick = min(lifts)
-        k0.append(pick)
+    """Type of M-hat modulo an order-p lift set <k0> of the kernel-module
+    radical.  <k0> is central in M-hat, so an element's order in the
+    quotient is the least n with x^n in <k0>, and two elements commute
+    there exactly when their commutator lies in <k0>."""
+    R, p, z = E.total, E.p, E.kernel_elems[1]
+    lifts = np.array([np.flatnonzero(E.proj == m) for m in rad_elems],
+                     dtype=np.int64).reshape(-1, p)                      # rows ascending
+    small = _powers(R, lifts, p) == 0
+    assert small.any(axis=1).all(), "radical element lifts only to order p^2"
+    k0 = lifts[np.arange(len(lifts)), small.argmax(axis=1)]
     sub = R.subgroup_closure(k0)
     if z in sub:
         # swap one lift by its z-translate to exclude the center
         k0[0] = R.mul(k0[0], z)
         sub = R.subgroup_closure(k0)
     assert z not in sub and len(sub) == p ** len(rad_elems)
-    for s in sub:
-        for x in mhat:
-            assert R.mul(s, x) == R.mul(x, s), "radical lifts not central in M-hat"
-    # quotient M-hat / <k0>
-    subset = set(sub)
-    cosets: dict[frozenset, int] = {}
-    labels = []
-    for x in mhat:
-        cs = frozenset(R.mul(s, x) for s in subset)
-        if cs not in cosets:
-            cosets[cs] = len(labels)
-            labels.append(min(cs))
-    q = len(labels)
-    coset_list = list(cosets)
-    mul = {}
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            prod = R.mul(a, b)
-            mul[(i, j)] = next(k for k, cs in enumerate(coset_list) if prod in cs)
-    ident = next(k for k, cs in enumerate(coset_list) if 0 in cs)
-
-    def order_of(i):
-        o, cur = 1, i
-        while cur != ident:
-            cur = mul[(cur, i)]
-            o += 1
-        return o
-
-    abelian = all(mul[(i, j)] == mul[(j, i)] for i in range(q) for j in range(q))
-    orders = sorted(order_of(i) for i in range(q))
-    exponent = max(orders)
-    n2 = sum(1 for o in orders if o == p)
+    sub = np.array(sub)
+    assert (R.mul_many(sub[:, None], mhat) == R.mul_many(mhat, sub[:, None])).all(), \
+        "radical lifts not central in M-hat"
+    table = R.mul_many(mhat[:, None], mhat)
+    abelian = np.isin(R.mul_many(R.inv[table.T], table), sub).all()
+    # quotient orders, per element of M-hat: each coset holds |sub| of them
+    orders = np.isin(mhat, sub).astype(np.int64)
+    x, o = mhat, 1
+    while not orders.all():
+        x, o = _powers(R, x, p), o * p
+        orders[(orders == 0) & np.isin(x, sub)] = o
+    q = len(mhat) // len(sub)
+    exponent = int(orders.max())
+    n2 = int((orders == p).sum()) // len(sub)
     if abelian:
         if exponent == p * p and q == 16:
             return "K4xZ4"
@@ -376,19 +337,13 @@ def vd_from_antecedent(L: FrattiniLevel, E_prev: FrattiniLevel) -> VDSet:
     beta = find_cover_map(L, E_prev)
     if beta is None:
         raise IncompatibleLevels("no covering map onto the antecedent")
-    members = tuple(m for m in L.kernel_elems if beta[m] == 0)
-    nonzero = tuple(m for m in members if m != 0)
-    mset = set(members)
-    closed = all(L.total.mul(a, b) in mset for a in members for b in members)
-    return VDSet(members, nonzero, closed)
+    return _vd(L, np.asarray(beta)[L.kernel_elems] == 0)
 
 
 def antecedent_test(E_prev: FrattiniLevel, E: FrattiniLevel, L: FrattiniLevel) -> bool:
     """Is E_prev antecedent to E?  Operationally: V_D(E) consists exactly of
     the kernel elements killed by the covering map onto E_prev."""
-    want = vd_from_antecedent(L, E_prev)
-    got = vd_set(E, L)
-    return set(want.members) == set(got.members)
+    return set(vd_from_antecedent(L, E_prev).members) == set(vd_set(E, L).members)
 
 
 # -- order p^3 model groups (for the odd-prime type tests) ----------------------------

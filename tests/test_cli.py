@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from mtower import cli, frattini
-from mtower.cache import (cache_get, cache_put, deserialize_level, job_key,
-                          serialize_level)
+from mtower.cache import cache_get, cache_put, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
 
@@ -209,12 +208,15 @@ def test_sylow_not_elementary_abelian_names_the_stage(tmp_path, capsys, flag, te
     assert not (tmp_path / "out").exists()
 
 
+D5_RELABELLED = "(1 3 4 5 2)\n(2 3)(4 5)\n"
+
+
 def test_relabelled_dihedral_falls_back_to_split_route(tmp_path):
     """D5 on (1 3 4 5 2) and (2 3)(4 5) is not in the dihedral closed
     form's standard form, so the level is built by the split route: the
     level-1 component is that of the builtin D5."""
     gf = tmp_path / "d5.txt"
-    gf.write_text("(1 3 4 5 2)\n(2 3)(4 5)\n")
+    gf.write_text(D5_RELABELLED)
     args = ["level", "--classes", "2A,2A,2A,2A", "--p", "5", "--k", "1"]
     assert run_into(args + ["--group-file", str(gf)], tmp_path, "file") == 0
     assert run_into(args + ["--group", "D5"], tmp_path, "builtin") == 0
@@ -222,6 +224,40 @@ def test_relabelled_dihedral_falls_back_to_split_route(tmp_path):
         level = json.loads((tmp_path / name / "components.json").read_text())["levels"][1]
         assert level["total_order"] == 50
         assert [(c["orbit_size"], c["genus"]) for c in level["components"]] == [(300, 12)]
+
+
+@pytest.mark.parametrize("args", [
+    ["--group", "A5", "--classes", "5A,5A,5A", "--p", "3"],
+    ["--group", "A5", "--classes", "3A,3A,3A,3A", "--p", "2"],
+    ["--group-file", "d5.txt", "--classes", "2A,2A,2A,2A", "--p", "5"],
+], ids=["A5-p3", "A5-p2", "relabelled-D5"])
+def test_level_k2_outside_dihedral_form_refused_before_work(tmp_path, capsys, args):
+    """k >= 2 runs only on the odd dihedral towers: every other group is
+    refused at the boundary, before levels 0 and 1 are computed."""
+    (tmp_path / "d5.txt").write_text(D5_RELABELLED)
+    args = [str(tmp_path / a) if a == "d5.txt" else a for a in args]
+    start = time.perf_counter()
+    assert run_cli(["level", *args, "--k", "2"], tmp_path) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "cover stage" in err and "k <= 1" in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_dihedral_form_test():
+    """The test that gates k >= 2: an odd p dividing the degree, and G the
+    standard D_n on its n points."""
+    from mtower.groups import FiniteGroup, alternating_group, dihedral_group
+    from mtower.perms import parse_group_file
+
+    relabelled = FiniteGroup(parse_group_file(D5_RELABELLED))
+    assert cli._takes_dihedral_form(dihedral_group(5), 5)
+    assert cli._takes_dihedral_form(dihedral_group(15), 3)
+    assert not cli._takes_dihedral_form(dihedral_group(5), 3)
+    assert not cli._takes_dihedral_form(dihedral_group(4), 2)
+    assert not cli._takes_dihedral_form(relabelled, 5)
+    assert not cli._takes_dihedral_form(alternating_group(5), 5)
 
 
 def test_group_file_loading(tmp_path):
@@ -267,22 +303,6 @@ def test_cache_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCache):
         cache_get(tmp_path, key, "blob")
-
-
-def test_level_serialization_roundtrip(a4_tower):
-    # deserialization rebuilds the canonical pair model; bytes are stable
-    # under repeated round trips even when the original total used another
-    # (isomorphic) construction
-    blob = serialize_level(a4_tower.level)
-    lvl = deserialize_level(blob)
-    assert lvl.total.order == 384
-    assert lvl.kernel_dim == 5
-    assert serialize_level(lvl) == blob
-    lvl2 = deserialize_level(serialize_level(lvl))
-    assert (lvl2.proj == lvl.proj).all()
-    assert (lvl2.section == lvl.section).all()
-    from mtower.frattini import verify_order_lifting
-    assert verify_order_lifting(lvl).ok
 
 
 def test_console_script_runs(tmp_path):

@@ -38,9 +38,9 @@ def test_closed_form_matches_permutation_bfs(recorded):
     level, G1(A5) with the A5 Schur cover it is checked against, and the
     order-3,840 Schur cover of G1(A5)."""
     a4, a5 = alternating_group(4), alternating_group(5)
-    build_level(a4, 2, 1 << 18, 1)
-    enumerate_schur_quotients(build_level_model(a4, 2, 1 << 18, 1).total, 2)
-    enumerate_schur_quotients(build_level_model(a5, 2, 1 << 18, 1).total, 2)
+    build_level(a4, 2, 1 << 18)
+    enumerate_schur_quotients(build_level_model(a4, 2, 1 << 18).total, 2)
+    enumerate_schur_quotients(build_level_model(a5, 2, 1 << 18).total, 2)
     names = [total.name for *_, total, _ in recorded]
     assert names == ["P1", "split d=2 p=2-transported", "P1", "R_D1(G1split)",
                      "R_D2(G1split)", "R_D3(G1split)", "P1", "R_D1(A5)",
@@ -155,8 +155,8 @@ def test_transported_a4_level_matches_entrywise_route(a4):
     """build_level on A4 moves the split level onto A4 by one fancy index;
     the entry-at-a-time transport of the earlier route gives the same
     cocycle, module and level."""
-    L = build_level(a4, 2, 1 << 18, 1)
-    model = build_level_model(a4, 2, 1 << 18, 1)
+    L = build_level(a4, 2, 1 << 18)
+    model = build_level_model(a4, 2, 1 << 18)
     iso = find_isomorphism(model.base, a4)
     want = oracle.transport_level(model, iso, a4)
     assert_same_group(L.total, want.total)
@@ -200,3 +200,17 @@ def test_conjugacy_classes_match_scalar_walk(a5, a5_p3_level):
              frattini.general_level(a5, 2).level.total, a5_p3_level.total]
     for G in cases:
         assert G.conjugacy_classes() == oracle.conjugacy_classes(G), G.name
+
+
+def test_level_from_pair_model_rebuilds_a_level(a4_tower):
+    """(base, kernel module, psi) alone rebuild a level: the split A4
+    level's data give an order-384 pair model that passes the order-lifting
+    check, and rebuilding from that model's data gives the same proj and
+    section."""
+    L = a4_tower.level
+    lvl = frattini.level_from_pair_model(L.base, L.kernel_module, L.psi, L.p)
+    assert (lvl.total.order, lvl.kernel_dim) == (384, 5)
+    assert frattini.verify_order_lifting(lvl).ok
+    again = frattini.level_from_pair_model(lvl.base, lvl.kernel_module, lvl.psi, lvl.p)
+    assert (again.proj == lvl.proj).all() and (again.section == lvl.section).all()
+    assert (again.psi == L.psi).all()

@@ -198,3 +198,101 @@ def test_h2_trivial_module_dimension_g1a4(g1a4_schur):
     assert dim == 2            # kernel of the universal extension is (Z/2)^2
     assert len(classes) == 4
     assert not classes[0].any()
+
+
+# -- the slice in kernel coordinates against the scalar route (schur_oracle.py) --
+
+
+def test_g1a4_slice_matches_scalar_route(g1a4_schur):
+    """V_D, the lifting conditions, the abelian slice with the radical (and
+    the quotient type over parts of it), the p^3 census and antecedent_test
+    on the three quotients of G1(A4)."""
+    import numpy as np
+
+    import schur_oracle as oracle
+    from mtower.schur import _top_type
+
+    L, rad = g1a4_schur.level, g1a4_schur.rad_elems
+    prev = enumerate_schur_quotients(L.base, 2)[0]
+    assert vd_from_antecedent(L, prev) == oracle.vd_from_antecedent(L, prev)
+    for q in g1a4_schur.quotients:
+        vd = vd_set(q, L)
+        assert vd == oracle.vd_set(q, L)
+        assert check_modassume(q, L) == oracle.check_modassume_from_vd(L, vd)
+        assert abelian_test(q, L, rad) == oracle.abelian_test(q, L, rad)
+        mhat = np.flatnonzero(np.isin(q.proj, L.kernel_elems))
+        for part in ([], rad[:1], rad[1:]):        # quotients of order 64 and 32
+            assert _top_type(q, L, mhat, part) == oracle._top_type(q, L, mhat.tolist(), part)
+        assert p3_census(q, L) == oracle.p3_census(q, L)
+        assert antecedent_test(prev, q, L) == (
+            set(oracle.vd_from_antecedent(L, prev).members)
+            == set(oracle.vd_set(q, L).members))
+
+
+def test_g1a5_slice_matches_scalar_route(g1a5, a5):
+    """The one Schur quotient of G1(A5), with the radical lifts, and V_D
+    read off the covering map onto the spin cover."""
+    import schur_oracle as oracle
+    from mtower import linalg as la
+    from mtower.gmodules import radical
+
+    L = g1a5.level
+    q = enumerate_schur_quotients(L.total, 2)[0]
+    rad = [L.kernel_elems[la.vec_int(v, 2)] for v in radical(L.kernel_module)]
+    vd = vd_set(q, L)
+    assert vd == oracle.vd_set(q, L)
+    assert check_modassume_from_vd(L, vd) == oracle.check_modassume_from_vd(L, vd)
+    assert abelian_test(q, L, rad) == oracle.abelian_test(q, L, rad)
+    assert p3_census(q, L) == oracle.p3_census(q, L)
+    spin = enumerate_schur_quotients(a5, 2)[0]
+    assert vd_from_antecedent(L, spin) == oracle.vd_from_antecedent(L, spin)
+
+
+def test_odd_p_lifting_conditions_match_scalar_route():
+    """On the order-4,860 A5 level at p = 3: the lifting conditions and the
+    closure flag for a subspace, a subspace with one vector added, and a
+    random set of kernel positions."""
+    import numpy as np
+
+    import schur_oracle as oracle
+    from mtower.frattini import _digits, general_level
+    from mtower.groups import alternating_group
+    from mtower.schur import _vd
+
+    L = general_level(alternating_group(5), 3).level
+    assert (L.total.order, L.kernel_dim) == (4860, 4)
+    vecs = _digits(len(L.kernel_elems), L.kernel_dim, 3)
+    masks = [vecs[:, 0] == 0, (vecs[:, 0] == 0) | (np.arange(81) == 1),
+             np.random.default_rng(5).random(81) < 0.5]
+    for mask in masks:
+        mask[0] = True
+        vd = _vd(L, mask)
+        mset = set(vd.members)
+        closed = all(L.total.mul(a, b) in mset for a in vd.members for b in vd.members)
+        assert vd.is_submodule == closed
+        assert check_modassume_from_vd(L, vd) == oracle.check_modassume_from_vd(L, vd)
+    assert [_vd(L, m).is_submodule for m in masks] == [True, False, False]
+
+
+@pytest.mark.parametrize("factors, p", [((27,), 3), ((9, 3), 3), ((25, 5), 5),
+                                        ((4, 2, 2), 2)])
+def test_abelian_invariants_match_scalar_route(factors, p):
+    import math
+
+    import numpy as np
+
+    import schur_oracle as oracle
+    from mtower.groups import FiniteGroup
+    from mtower.schur import _abelian_invariants
+
+    # Z/n1 x Z/n2 x ... on the mixed-radix codes of its tuples
+    strides = np.cumprod((1,) + factors[:-1])
+
+    def code_mul(x, y):
+        return sum((x // s % n + y // s % n) % n * s for n, s in zip(factors, strides))
+
+    n = math.prod(factors)
+    G = FiniteGroup.from_closed_form(n, strides.tolist(), code_mul, name="A")
+    want = oracle._abelian_invariants(G, list(range(n)), p)
+    assert want == sorted(factors)
+    assert _abelian_invariants(G, np.arange(n), p) == want

@@ -179,7 +179,7 @@ def test_spanning_tree_words_match_queue_bfs(g1a5, a5):
 
 
 def level0_orbit_lifts(G, labels, p):
-    L = build_level(G, p, 1 << 18, 1)
+    L = build_level(G, p, 1 << 18)
     assert verify_frattini(L)
     spec = NielsenSpec(G, tuple(class_id(G, lab) for lab in labels), p)
     red = Reducer(spec)
