@@ -62,18 +62,22 @@ def cache_get(cache_dir: Path, key: str, name: str) -> bytes | None:
     return payload
 
 
-def cache_put_entry(cache_dir: Path, key: str, files) -> None:
-    """Publish the (name, payload) pairs of `files` as the entry `key`,
-    replacing any earlier entry.  Pairs are consumed one at a time, so a
-    generator keeps a single payload in memory."""
+def cache_put_entry(cache_dir: Path, key: str, source_dir: Path, names) -> None:
+    """Publish the files `names` of `source_dir` as the entry `key`,
+    replacing any earlier entry.  Each file is hashed, then copied under
+    cache_put's header, and never read into memory whole."""
     root = Path(cache_dir)
     root.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=root))
     try:
-        names = []
-        for name, payload in files:
-            cache_put(root, tmp.name, name, payload)
-            names.append(name)
+        for name in names:
+            with open(Path(source_dir) / name, "rb") as src, open(tmp / name, "wb") as fh:
+                h = hashlib.sha256()
+                for chunk in iter(lambda: src.read(1 << 20), b""):
+                    h.update(chunk)
+                fh.write(MAGIC + h.hexdigest().encode() + b"\n")
+                src.seek(0)
+                shutil.copyfileobj(src, fh, 1 << 20)
         (tmp / MANIFEST).write_text(json.dumps(sorted(names)))
         shutil.rmtree(root / key, ignore_errors=True)
         with contextlib.suppress(OSError):  # another writer published first

@@ -239,7 +239,8 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
 def _emit(payload: dict, report_dir: Path, cache_dir: Path | None,
           key: str | None) -> None:
     """Write the report and publish it as the cache entry `key`.  Orbit dumps
-    (tens of MB) are streamed to disk, then read back one file at a time."""
+    (tens of MB) are written a tuple at a time, and every file is published
+    from disk (cache.cache_put_entry)."""
     report_dir.mkdir(parents=True, exist_ok=True)
     body = dict(payload)
     texts = {f"sh_incidence_L{lvl}.csv": csv
@@ -251,11 +252,21 @@ def _emit(payload: dict, report_dir: Path, cache_dir: Path | None,
         (report_dir / name).write_text(text)
     for name, dump in dumps.items():
         with open(report_dir / name, "w") as fh:
-            json.dump(dump, fh, indent=1)
-            fh.write("\n")
+            _write_dump(fh, dump)
     if cache_dir is not None and key is not None:
-        cache_mod.cache_put_entry(cache_dir, key, (
-            (name, (report_dir / name).read_bytes()) for name in [*texts, *dumps]))
+        cache_mod.cache_put_entry(cache_dir, key, report_dir, [*texts, *dumps])
+
+
+def _write_dump(fh, dump: list[list[str]]) -> None:
+    """json.dump(dump, fh, indent=1) and a newline, for components of tuples
+    in cycle notation, which need no escaping."""
+    fh.write("[" if dump else "[]")
+    for ci, comp in enumerate(dump):
+        fh.write(",\n [" if ci else "\n [")
+        for ti, text in enumerate(comp):
+            fh.writelines((',\n  "' if ti else '\n  "', text, '"'))
+        fh.write("\n ]" if comp else "]")
+    fh.write("\n]\n" if dump else "\n")
 
 
 def _restore_from_cache(cache_dir: Path, key: str, report_dir: Path) -> bool:

@@ -34,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
-from math import lcm
 
 import numpy as np
 
 from .errors import InputError, OrderExceeded
-from .perms import Perm, cycle_str
+from .perms import Perm, cycle_orders, cycle_strs
 
 MUL_TABLE_LIMIT = 4096
 # (row, element, seed) cells per block of a batched subgroup closure
@@ -159,28 +158,34 @@ class FiniteGroup:
         return table
 
     def _build_inverses(self) -> np.ndarray:
-        """Read off the table (row a holds the identity at a^-1).  Without
-        one, a closed-form group multiplies up all powers at once (x^k x = 1
-        makes x^k the inverse, k + 1 the order); a permutation group looks
-        up each inverse permutation."""
+        """Read off the table (row a holds the identity at a^-1).  Without one,
+        a closed-form group has them with its element orders (_powers_up);
+        a permutation group looks up each inverse permutation."""
         if self.mul_table is not None:
             return self.mul_table.argmin(axis=1).astype(np.int32)
-        inv = np.empty(self.order, dtype=np.int32)
         if self.code_mul is not None:
-            x = np.arange(self.order)
-            self._orders, prev, cur, k = np.empty_like(x), np.zeros_like(x), x, 1
-            while x.size:
-                done = cur == 0
-                self._orders[x[done]], inv[x[done]] = k, prev[done]
-                x, prev = x[~done], cur[~done]
-                cur, k = self.mul_many(prev, x), k + 1
+            self._orders, inv = self._powers_up()
             return inv
+        inv = np.empty(self.order, dtype=np.int32)
         for i in range(self.order):
             arr = self.elements[i]
             back = np.empty(self.degree, dtype=np.int32)
             back[arr] = np.arange(self.degree, dtype=np.int32)
             inv[i] = self._index[back.tobytes()]
         return inv
+
+    def _powers_up(self) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, inverses) of all elements, from their powers multiplied
+        up all at once: x^k x = 1 makes x^k the inverse and k + 1 the order."""
+        x = np.arange(self.order)
+        orders, inv = np.empty_like(x), np.empty(self.order, dtype=np.int32)
+        prev, cur, k = np.zeros_like(x), x, 1
+        while x.size:
+            done = cur == 0
+            orders[x[done]], inv[x[done]] = k, prev[done]
+            x, prev = x[~done], cur[~done]
+            cur, k = self.mul_many(prev, x), k + 1
+        return orders, inv
 
     @property
     def words(self) -> list[tuple[int, ...]]:
@@ -231,22 +236,18 @@ class FiniteGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        """Multiplied up through the table.  Without one, a closed-form group
-        has them from its inverses, a permutation group from its cycles."""
+        return int(self.element_orders()[a])
+
+    def element_orders(self) -> np.ndarray:
+        """The order of every element, found on first use: multiplied up
+        through the table (_powers_up), or past it the lcm of each one's
+        cycle lengths (a closed-form group has them with its inverses)."""
         if self._orders is None:
-            self._orders = np.zeros(self.order, dtype=np.int32)
-        cached = int(self._orders[a])
-        if cached:
-            return cached
-        if self.mul_table is None:
-            n = _cycle_lcm(self._elements[a].tolist())
-        else:
-            n, x = 1, a
-            while x != 0:
-                x = int(self.mul_table[x, a])
-                n += 1
-        self._orders[a] = n
-        return n
+            if self.mul_table is None:
+                self._orders = cycle_orders(self._elements)
+            else:
+                self._orders = self._powers_up()[0]
+        return self._orders
 
     @property
     def elements(self) -> np.ndarray:
@@ -263,7 +264,10 @@ class FiniteGroup:
         """The permutation of element i, or one row per element of an array."""
         if self.code_mul is None:
             return self._elements[i]
-        img = self.code_mul(np.arange(self.degree), np.expand_dims(self.codes[i], -1))
+        if self.mul_table is not None:        # x -> x i, read off the table
+            img = self.codes[self.mul_table[self._at_code, np.expand_dims(i, -1)]]
+        else:
+            img = self.code_mul(np.arange(self.degree), np.expand_dims(self.codes[i], -1))
         return img.astype(np.int32)
 
     def lookup(self, perm_images: np.ndarray) -> int | None:
@@ -277,17 +281,17 @@ class FiniteGroup:
         return Perm(tuple(self._images(i).tolist()))
 
     def perm_str(self, i: int) -> str:
-        """Cycle notation of element i, as `str(self.perm(i))` gives it.
+        """Cycle notation of element i, as `str(self.perm(i))` gives it."""
+        return self.perm_strs([i])[0]
 
-        Orbit dumps name the same few elements thousands of times, so each
-        string is formatted on first use and kept for the group's lifetime.
-        The images are permutations by construction, so they go to the
-        formatter without a Perm.
-        """
-        s = self._perm_strs.get(i)
-        if s is None:
-            s = self._perm_strs[i] = cycle_str(self._images(i).tolist())
-        return s
+    def perm_strs(self, idx) -> list[str]:
+        """perm_str of each element of the list `idx`.  Orbit dumps name the
+        same few elements thousands of times, so each string is kept for the
+        group's lifetime; the ones not yet made go to cycle_strs together."""
+        new = sorted(set(idx).difference(self._perm_strs))
+        if new:
+            self._perm_strs.update(zip(new, cycle_strs(self._images(np.array(new)))))
+        return [self._perm_strs[i] for i in idx]
 
     # -- structure -------------------------------------------------------------
 
@@ -457,21 +461,6 @@ def _transpose_in_place(A: np.ndarray) -> None:
             lower[...] = kept.T
 
 
-def _cycle_lcm(images: list[int]) -> int:
-    """Order of a permutation: the lcm of its cycle lengths."""
-    seen = [False] * len(images)
-    out = 1
-    for start in range(len(images)):
-        k, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            k += 1
-        if k:
-            out = lcm(out, k)
-    return out
-
-
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
     return G.conjugacy_classes()
 
@@ -584,9 +573,9 @@ def find_isomorphism(src: FiniteGroup, dst: FiniteGroup) -> list[int] | None:
     bijective homomorphism among generator images of matching orders."""
     if src.order != dst.order:
         return None
-    gen_orders = [src.element_order(g) for g in src.gen_indices]
-    by_order = {o: [x for x in range(dst.order) if dst.element_order(x) == o]
-                for o in set(gen_orders)}
+    gen_orders = cycle_orders(src._images(np.array(src.gen_indices))).tolist()
+    orders = dst.element_orders()
+    by_order = {o: np.flatnonzero(orders == o).tolist() for o in set(gen_orders)}
     blocks = search_images(dst, [by_order[o] for o in gen_orders], src)
     phi = next((m for _, maps, sizes in blocks for m in maps[sizes == dst.order]), None)
     return None if phi is None else phi.tolist()

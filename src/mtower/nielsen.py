@@ -20,7 +20,7 @@ whole (cut internally into steps of bounded size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from math import prod
 
 import numpy as np
@@ -446,7 +446,7 @@ def project_tuple(L: FrattiniLevel, t) -> tuple:
 
 
 def format_tuple(G: FiniteGroup, t) -> str:
-    return "[" + ", ".join(G.perm_str(x) for x in t) + "]"
+    return orbit_dump(G, [t])[0]
 
 
 def parse_tuple_text(G: FiniteGroup, text: str) -> tuple[int, ...]:
@@ -482,4 +482,8 @@ def parse_tuple_text(G: FiniteGroup, text: str) -> tuple[int, ...]:
 
 
 def orbit_dump(G: FiniteGroup, orbit) -> list[str]:
-    return [format_tuple(G, t) for t in orbit]
+    """format_tuple of each tuple of the orbit, its distinct elements
+    formatted in one batch (G.perm_strs)."""
+    elems = sorted(set(chain.from_iterable(orbit)))
+    strs = dict(zip(elems, G.perm_strs(elems)))
+    return ["[" + ", ".join([strs[x] for x in t]) + "]" for t in orbit]

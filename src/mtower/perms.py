@@ -54,13 +54,7 @@ class Perm:
         return Perm(tuple(img))
 
     def order(self) -> int:
-        n = 1
-        q = self
-        ident = Perm.identity(self.degree)
-        while q != ident:
-            q = q * self
-            n += 1
-        return n
+        return int(cycle_orders([self.images])[0])
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -72,31 +66,81 @@ class Perm:
         return np.array(self.images, dtype=np.int32)
 
 
-_POINT_STRS: list[str] = []      # _POINT_STRS[i] == str(i + 1), grown on demand
+_CELLS = 1 << 16     # (row, point) cells per block of cycle_strs and cycle_orders
+# _TOKENS[t, i]: "(i+1", " i+1)", " i+1" or "" for point i as the first,
+# last or an inner point of a cycle, or fixed; grown on demand
+_TOKENS = np.empty((4, 0), dtype=object)
 
 
 def cycle_str(images) -> str:
     """Disjoint-cycle notation, 1-based, of the permutation with these images
-    (a sequence of ints); "()" for the identity.  Point labels come from one
-    shared list of strings, so no point is formatted twice."""
-    n = len(images)
-    if len(_POINT_STRS) < n:
-        _POINT_STRS.extend(str(i + 1) for i in range(len(_POINT_STRS), n))
-    pts = _POINT_STRS
-    seen = [False] * n
+    (a sequence of ints); "()" for the identity: cycle_strs of one row."""
+    return cycle_strs([images])[0]
+
+
+def cycle_strs(images) -> list[str]:
+    """cycle_str of each row of an (m, n) image array.  Each cycle starts
+    at its least point; a cell's place in the output is the start of its
+    cycle plus its position, and its token's kind is read off the steps to
+    that least point (ahead: 0 first, 1 last, more inner)."""
+    global _TOKENS
+    img = np.asarray(images, dtype=np.int32)
+    img = img.reshape(len(img), img.size // max(1, len(img)))       # [] or [[]]
+    n = img.shape[1]
+    if _TOKENS.shape[1] < n:
+        pts = [str(i + 1) for i in range(n)]
+        _TOKENS = np.array([["(" + s for s in pts], [" " + s + ")" for s in pts],
+                            [" " + s for s in pts], [""] * n], dtype=object)
     out = []
-    for i in range(n):
-        j = images[i]
-        if seen[i] or j == i:
-            continue
-        cyc = [pts[i]]
-        seen[i] = True
-        while j != i:
-            cyc.append(pts[j])
-            seen[j] = True
-            j = images[j]
-        out.append("(" + " ".join(cyc) + ")")
-    return "".join(out) or "()"
+    for rows, f, label, ahead, length in _cycle_blocks(img, steps=True):
+        end = np.cumsum(length)
+        place = np.where(ahead == 0, end - length, end[label] - ahead)
+        kind = np.where(f == np.arange(f.size), 3, np.minimum(ahead, 2))
+        tok = np.empty(f.size, dtype=np.int64)
+        tok[place] = kind * _TOKENS.shape[1] + np.tile(np.arange(n), len(rows))
+        toks = _TOKENS.ravel().take(tok).tolist()
+        out.extend("".join(toks[r * n:r * n + n]) or "()" for r in range(len(rows)))
+    return out
+
+
+def cycle_orders(images) -> np.ndarray:
+    """The order of each row's permutation of an (m, n) image array: the
+    lcm of its cycle lengths."""
+    return np.concatenate([np.lcm.reduce(np.maximum(length, 1).reshape(rows.shape), 1, initial=1)
+                           for rows, *_, length in _cycle_blocks(images, steps=False)])
+
+
+def _cycle_blocks(img, steps: bool):
+    """(rows, f, label, ahead, length) for each block of at most _CELLS cells
+    of an (m, n) image array: f permutes its (row, point) cells, label and
+    ahead are _cycle_labels(f, steps), length[c] is the length of c's cycle."""
+    img = np.asarray(img, dtype=np.int32)
+    n = img.shape[1]
+    step = max(1, _CELLS // max(1, n))
+    for lo in range(0, len(img), step):
+        rows = img[lo:lo + step]
+        f = (rows + n * np.arange(len(rows), dtype=np.int32)[:, None]).ravel()
+        label, ahead = _cycle_labels(f, steps)
+        yield rows, f, label, ahead, np.bincount(label, minlength=f.size)
+
+
+def _cycle_labels(f: np.ndarray, steps: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(label, ahead) for a permutation f of 0..len(f)-1: label[i] is the
+    least point of i's cycle, reached after ahead[i] < its length steps
+    along f (None unless `steps`; orders need only labels).  By min-pointer
+    doubling: after step k they hold the least of the 2^k points from i on
+    and the steps to it, so a cycle of length L takes O(log L) steps."""
+    label, jump = np.arange(f.size, dtype=f.dtype), f
+    ahead, span = np.zeros_like(label) if steps else None, 1
+    while True:
+        there = np.take(label, jump)
+        better = there < label
+        if not better.any():
+            return label, ahead
+        np.minimum(label, there, out=label)
+        if steps:
+            np.copyto(ahead, np.take(ahead, jump) + span, where=better)
+        jump, span = np.take(jump, jump), 2 * span
 
 
 def parse_perm(text: str, degree: int | None = None) -> Perm:

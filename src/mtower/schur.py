@@ -390,30 +390,18 @@ def _digits3(x, p: int):
 
 def complement_orbit_labels(L: FrattiniLevel, vd: VDSet) -> list[tuple[int, list[int]]]:
     """Conjugation orbits on the kernel elements outside V_D, labeled by the
-    largest p' element order in the stabilizer of an orbit member."""
+    largest p' element order in the stabilizer of an orbit member.  Each
+    orbit and stabilizer come from one batch of e^-1 m e over every e."""
     G1 = L.total
-    outside = [m for m in L.kernel_elems if m not in set(vd.members)]
     seen: set[int] = set()
     out = []
-    for m in sorted(outside):
+    for m in sorted(set(L.kernel_elems) - set(vd.members)):
         if m in seen:
             continue
-        orbit = {m}
-        queue = [m]
-        while queue:
-            x = queue.pop()
-            for g in G1.gen_indices:
-                y = G1.conj(x, g)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen |= orbit
-        stab_orders = set()
-        for e in range(G1.order):
-            if G1.conj(m, e) == m:
-                o = G1.element_order(e)
-                if o % L.p:
-                    stab_orders.add(o)
-        out.append((max(stab_orders), sorted(orbit)))
+        conj = G1.mul_many(G1.mul_many(G1.inv, m), np.arange(G1.order))
+        orbit = np.unique(conj).tolist()
+        seen.update(orbit)
+        stab = G1.element_orders()[conj == m]
+        out.append((int(stab[stab % L.p != 0].max()), orbit))
     out.sort()
     return out

@@ -53,6 +53,12 @@ def g1a5(a5):
 
 
 @pytest.fixture(scope="session")
+def a5_p3_level(a5):
+    """The order-4,860 level of A5 at p = 3, past the multiplication table."""
+    return general_level(a5, 3).level
+
+
+@pytest.fixture(scope="session")
 def a5_level0(a5):
     spec = NielsenSpec(a5, (class_of_order(a5, 3),) * 4, 2)
     return level_bundle(spec)

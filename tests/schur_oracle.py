@@ -5,6 +5,8 @@ as an oracle.
 `_span_elements`, `p3_census`, `abelian_test`, `_abelian_invariants` and
 `_top_type` are the old bodies: scalar element orders, products and
 powers, subgroup closures, and a coset table for the quotient of M-hat.
+`complement_orbit_labels` is the old body that walks every element of the
+level with scalar `conj` and `element_order` for each stabilizer.
 """
 
 from __future__ import annotations
@@ -226,3 +228,34 @@ def vd_from_antecedent(L: FrattiniLevel, E_prev: FrattiniLevel) -> VDSet:
     mset = set(members)
     closed = all(L.total.mul(a, b) in mset for a in members for b in members)
     return VDSet(members, nonzero, closed)
+
+
+def complement_orbit_labels(L: FrattiniLevel, vd: VDSet) -> list[tuple[int, list[int]]]:
+    """Conjugation orbits on the kernel elements outside V_D, labeled by the
+    largest p' element order in the stabilizer of an orbit member."""
+    G1 = L.total
+    outside = [m for m in L.kernel_elems if m not in set(vd.members)]
+    seen: set[int] = set()
+    out = []
+    for m in sorted(outside):
+        if m in seen:
+            continue
+        orbit = {m}
+        queue = [m]
+        while queue:
+            x = queue.pop()
+            for g in G1.gen_indices:
+                y = G1.conj(x, g)
+                if y not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
+        seen |= orbit
+        stab_orders = set()
+        for e in range(G1.order):
+            if G1.conj(m, e) == m:
+                o = G1.element_order(e)
+                if o % L.p:
+                    stab_orders.add(o)
+        out.append((max(stab_orders), sorted(orbit)))
+    out.sort()
+    return out

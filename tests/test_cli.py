@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mtower import cli, frattini
-from mtower.cache import cache_get, cache_put, job_key
+from mtower.cache import cache_get, cache_get_entry, cache_put, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
 
@@ -454,6 +454,8 @@ def test_incomplete_cache_entry_recomputes(tmp_path, capsys, damage):
         raw = bytearray(victim.read_bytes())
         raw[-2] ^= 0xFF
         victim.write_bytes(bytes(raw))
+    with pytest.raises(CorruptCache):
+        cache_get_entry(tmp_path / "cache", entry.name)
     capsys.readouterr()
     assert run_into(D5_LEVEL0, tmp_path, "again") == 0
     out = capsys.readouterr()

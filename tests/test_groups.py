@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import dump_oracle
 import group_oracle as oracle
 from mtower import groups
 from mtower.errors import OrderExceeded
@@ -12,7 +13,7 @@ from mtower.frattini import minimal_generating_tuple
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, is_center_free,
                            is_p_perfect, klein_four, special_linear_2)
-from mtower.perms import Perm, cycle_str, parse_perm, parse_group_file
+from mtower.perms import Perm, cycle_orders, cycle_str, parse_perm, parse_group_file
 
 
 def test_perm_parse_and_format():
@@ -180,6 +181,13 @@ def test_element_order_without_table_from_cycle_type(a5):
     assert {H.element_order(a) for a in range(H.order)} >= {6, 10, 15, 30}
     sample = [0, 1, 2, 3, 4097] + list(range(5, G.order, 251))
     assert [G.element_order(a) for a in sample] == [by_products(G, a) for a in sample]
+    # all orders at once, against the scalar cycle walk: every element of H,
+    # every fifth of D_2049
+    for K, step in ((H, 1), (G, 5)):
+        rows = K.elements[::step]
+        want = [dump_oracle.cycle_lcm(row) for row in rows.tolist()]
+        assert K.element_orders()[::step].tolist() == want
+        assert cycle_orders(rows).tolist() == want
     start = time.perf_counter()
     classes = G.conjugacy_classes()
     assert time.perf_counter() - start < 5

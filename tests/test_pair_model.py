@@ -8,6 +8,7 @@ permutations, and the batched class walk against the scalar one."""
 import numpy as np
 import pytest
 
+import dump_oracle
 import group_oracle as oracle
 from mtower import frattini, groups, schur
 from mtower.cli import build_level, build_level_model, main
@@ -62,11 +63,6 @@ def test_closed_form_matches_permutation_bfs(recorded):
                    for k, d in zip(info["kernel"], digits)), total.name
 
 
-@pytest.fixture(scope="module")
-def a5_p3_level():
-    return frattini.general_level(alternating_group(5), 3).level
-
-
 def test_formula_past_table_matches_composed_images(a5_p3_level):
     """On the order-4,860 level (no table), products, inverses and element
     orders by the closed form equal those of the elements' permutations:
@@ -87,7 +83,7 @@ def test_formula_past_table_matches_composed_images(a5_p3_level):
     assert (np.take_along_axis(img_x, G._images(G.inv[x]), axis=1)
             == np.arange(G.degree)).all()
     assert [G.element_order(int(e)) for e in x] == \
-        [groups._cycle_lcm(row) for row in img_x.tolist()]
+        [dump_oracle.cycle_lcm(row) for row in img_x.tolist()]
     assert [G.lookup(row) for row in img_x[:20]] == x[:20].tolist()
     assert G.lookup(img_x[0][[0, 2, 1, *range(3, G.degree)]]) is None
 

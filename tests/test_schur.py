@@ -274,6 +274,27 @@ def test_odd_p_lifting_conditions_match_scalar_route():
     assert [_vd(L, m).is_submodule for m in masks] == [True, False, False]
 
 
+def test_complement_orbit_labels_match_scalar_route(g1a5, a5, a5_p3_level):
+    """Orbits and stabilizer labels from one batch of conjugates, against
+    the scalar walk over every element: on G1(A5) with V_D read off the
+    spin cover, and on the order-4,860 A5 level at p = 3 with V_D the
+    kernel positions divisible by 3."""
+    import schur_oracle as oracle
+    from mtower.frattini import _digits
+    from mtower.schur import _vd
+
+    spin = enumerate_schur_quotients(a5, 2)[0]
+    L = a5_p3_level
+    thirds = _vd(L, _digits(len(L.kernel_elems), L.kernel_dim, 3)[:, 0] == 0)
+    assert set(thirds.members) == set(L.kernel_elems[::3])
+    for level, vd, sizes in ((g1a5.level, vd_from_antecedent(g1a5.level, spin),
+                              [10, 6]),
+                             (L, thirds, [20, 5, 10, 5, 10, 30])):
+        want = oracle.complement_orbit_labels(level, vd)
+        assert complement_orbit_labels(level, vd) == want
+        assert [len(orbit) for _, orbit in want] == sizes
+
+
 @pytest.mark.parametrize("factors, p", [((27,), 3), ((9, 3), 3), ((25, 5), 5),
                                         ((4, 2, 2), 2)])
 def test_abelian_invariants_match_scalar_route(factors, p):
