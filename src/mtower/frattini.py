@@ -590,21 +590,10 @@ def _cocycle_space(P: Presentation, M: GModule):
             unk.append((blk[g][:, None] * m + a).ravel())
             val.append(np.tile(K[a, b], len(g)))
         assert (at == np.arange(n)).all(), f"relator {ri} does not hold in the group"
-        system.add(_sparse_rows(np.concatenate(eq), np.concatenate(unk),
-                                np.concatenate(val), n * m, ncols))
+        system.add(la.sparse_rows(np.concatenate(eq), np.concatenate(unk),
+                                   np.concatenate(val), n * m, ncols))
     sol = system.nullspace()
     return sol[:, :nl], sol[:, nl:], col
-
-
-def _sparse_rows(eq: np.ndarray, unk: np.ndarray, val: np.ndarray, nrows: int,
-                 ncols: int) -> list[dict[int, int]]:
-    """The rows of the (eq, unk, val) triples, repeated entries summed, as
-    {unknown: value} dicts in equation order."""
-    keys, where = np.unique(eq * ncols + unk, return_inverse=True)
-    sums = np.bincount(where, weights=val).astype(np.int64)
-    starts = np.searchsorted(keys // ncols, np.arange(nrows + 1))
-    cols, vals = (keys % ncols).tolist(), sums.tolist()
-    return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
 
 
 def h2_classes(P: Presentation, M: GModule) -> tuple[int, list[np.ndarray]]:
@@ -748,12 +737,34 @@ def _first_generating_pair(G: FiniteGroup, elems, order: int) -> list[int] | Non
     return None if row is None else row.tolist()
 
 
-def verify_frattini(L: FrattiniLevel, gens: list[int] | None = None) -> bool:
-    """Exhaustively check that every kernel translate of a generating-set
-    lift still generates the total group (closures in blocks of rows)."""
-    base_gens = gens if gens is not None else minimal_generating_tuple(L.base)
+def _orbit_lifts(L: FrattiniLevel, gens: list[int]) -> list[list[int]]:
+    """Lift lists of `gens` whose product meets every orbit of the kernel K
+    acting on lift tuples by conjugation (see verify_frattini)."""
+    T, K = L.total, np.asarray(L.kernel_elems)
+    vecs = _digits(len(K), L.kernel_dim, L.p)
+    C, out = K, []
+    for g in gens:
+        x = int(L.section[g])
+        d = T.mul_many(T.mul_many(T.mul_many(T.inv[x], T.inv[C]), x), C)
+        _, piv = la.rref(np.array([L.kernel_coords[e] for e in d.tolist()]), L.p)
+        out.append(T.mul_many(x, K[(vecs[:, piv] == 0).all(axis=1)]).tolist())
+        C = C[d == 0]
+    return out
+
+
+def verify_frattini(L: FrattiniLevel) -> bool:
+    """Check that every lift of a generating tuple of the base still
+    generates the total group, on one lift tuple per kernel orbit.
+
+    Generating survives conjugation, and c in K sends the lift x k of g
+    (x = section[g], k in K) to x [x, c] k.  K is abelian, so c -> [x, c]
+    is linear: walking the generators with C the part of K still free
+    (K at first), one lift per coset of D = [x, C] is kept (those whose
+    coordinates vanish at D's pivots), and C shrinks to the c with
+    [x, c] = 1.  A generating pair keeps |K| |K^G| tuples, not |K|^2.
+    """
     return all((sizes == L.total.order).all() for _, _, sizes in
-               search_images(L.total, [L.lifts(g) for g in base_gens]))
+               search_images(L.total, _orbit_lifts(L, minimal_generating_tuple(L.base))))
 
 
 def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:
@@ -772,7 +783,8 @@ def restriction_splits(L: FrattiniLevel, subgroup_elems: list[int]) -> bool:
     """Does the pullback of the cover over the given base subgroup split?
 
     Splitting is witnessed by a complement: lifts of a generating pair of
-    the subgroup whose closure has the subgroup's order.
+    the subgroup whose closure has the subgroup's order.  Conjugation by the
+    kernel keeps complements, so one lift tuple per orbit is tried.
     """
     S = sorted(subgroup_elems)
     sub_gens = _first_generating_pair(L.base, [a for a in S if a], len(S))
@@ -781,7 +793,7 @@ def restriction_splits(L: FrattiniLevel, subgroup_elems: list[int]) -> bool:
                          for row in rows[sizes == len(S)]), None)
     assert sub_gens is not None, "subgroup has no small generating set"
     return any((sizes == len(S)).any() for _, _, sizes in
-               search_images(L.total, [L.lifts(g) for g in sub_gens]))
+               search_images(L.total, _orbit_lifts(L, sub_gens)))
 
 
 # -- Sylow plumbing and the general-case module pipeline ---------------------------

@@ -347,19 +347,22 @@ def loewy_plain_layers(M: GModule) -> list[list[tuple]]:
 
 
 def endomorphism_basis(M: GModule) -> np.ndarray:
-    """Basis (rows, row-major-vectorized) of End_{F_p[G]}(M)."""
-    n = M.dim
+    """Basis (rows, row-major-vectorized) of End_{F_p[G]}(M): the null space
+    of the equations (XA - AX)_ij = 0, one {k n + l: coefficient of X_kl}
+    row each, solved by la.SparseNullspace."""
+    n, p, N = M.dim, M.p, M.dim ** 2
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    blocks = []
-    ident = la.identity(n)
-    for A in M.mats:
-        # rows: equations (XA - AX)_{ij} = 0; columns: vec(X) row-major.
-        # d/dX_kl: delta_{ik} A_{lj} - delta_{jl} A_{ik}  (Kronecker form)
-        eqs = (np.kron(ident, A.T) - np.kron(A, ident)) % M.p
-        blocks.append(eqs)
-    system = np.concatenate(blocks, axis=0)
-    basis = la.nullspace(system, M.p)
+    i, eq, unk, val = np.arange(n)[:, None], [], [], []
+    for t, A in enumerate(M.mats):
+        # (XA - AX)_ij = sum_l A_lj X_il - sum_k A_ik X_kj: equation t N + i n + j
+        r, c = np.nonzero(A)
+        eq += [((t * n + i) * n + c).ravel(), ((t * n + r) * n + i).ravel()]
+        unk += [(i * n + r).ravel(), (c * n + i).ravel()]
+        val += [np.tile(A[r, c], n), -np.tile(A[r, c], n)]
+    solver = la.SparseNullspace(N, p)
+    solver.add(la.sparse_rows(*map(np.concatenate, (eq, unk, val)), len(M.mats) * N, N))
+    basis = solver.nullspace()
     for row in basis[: min(4, basis.shape[0])]:
         X = row.reshape(n, n)
         for A in M.mats:

@@ -444,7 +444,22 @@ class FiniteGroup:
 
 def _seed_row(seeds) -> np.ndarray:
     """The distinct non-identity seeds, as a one-row block of seeds."""
-    return np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int64))[None]
+    return unique_rows(np.array([s for s in seeds if s != 0], dtype=np.int64)[:, None])[0].T
+
+
+def unique_rows(rows: np.ndarray):
+    """`np.unique(rows, axis=0, return_index=True, return_inverse=True)` by
+    one stable `np.lexsort` over the columns: the same sorted distinct rows,
+    first occurrences and inverse, without sorting rows as structured
+    records.  A column of values gives `np.unique` of the values; the plain
+    `np.unique` call would import `numpy.ma`."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return srt[new], order[new], inverse
 
 
 def _transpose_in_place(A: np.ndarray) -> None:

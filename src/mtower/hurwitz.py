@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import MismatchedLevels, NonIntegralGenus
 from .frattini import FrattiniLevel
+from .groups import unique_rows
 from .nielsen import (NielsenSpec, Reducer, gamma_inf_orbits, hm_mask,
                       middle_product)
 
@@ -157,20 +158,6 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
         b_fine=b_fine, fine=fine, q2_orbit_lengths=q2_lengths)
 
 
-def _unique_rows(rows: np.ndarray):
-    """`np.unique(rows, axis=0, return_index=True, return_inverse=True)` by
-    one stable `np.lexsort` over the columns: the same sorted distinct rows,
-    first occurrences and inverse, without sorting rows as structured
-    records."""
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return srt[new], order[new], inverse
-
-
 def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
     """Pullback of the orbit to inner classes, plus q2 cycle lengths per cusp.
 
@@ -182,11 +169,11 @@ def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
     n, k, r = variants.shape
     table = reducer.canonical_inner_many(variants.reshape(-1, r)).reshape(n, k, r)
     # an inner class lies over one reduced class, hence in one cusp
-    inner, first, _ = _unique_rows(table.reshape(-1, r))
+    inner, first, _ = unique_rows(table.reshape(-1, r))
     cusp_of = np.repeat(np.arange(len(cusps)), [len(c.members) for c in cusps])
     cusp_of = cusp_of[first // k].tolist()
     images = reducer.canonical_inner_many(reducer.gamma_inf_raw_many(inner))
-    both, _, where = _unique_rows(np.vstack([inner, images]))
+    both, _, where = unique_rows(np.vstack([inner, images]))
     assert len(both) == len(inner), "q2 leaves the inner classes over the orbit"
     step = where[len(inner):].tolist()
     q2_lengths: dict[int, list[int]] = {ci: [] for ci in range(len(cusps))}
@@ -337,7 +324,7 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     fiber: dict[tuple, int] = {t: 0 for t in lower.orbit}
     below: dict[tuple, tuple] = {}
     # a fiber's classes project onto few raw tuples: canonicalize each once
-    raw, _, which = _unique_rows(L.proj[np.array(upper.orbit)])
+    raw, _, which = unique_rows(L.proj[np.array(upper.orbit)])
     canon = list(map(tuple, lower_reducer.canonical_many(raw).tolist()))
     for t, w in zip(upper.orbit, which.tolist()):
         img = canon[w]

@@ -259,6 +259,17 @@ class SparseNullspace:
         return out
 
 
+def sparse_rows(eq: np.ndarray, unk: np.ndarray, val: np.ndarray, nrows: int,
+                ncols: int) -> list[dict[int, int]]:
+    """The rows of the (eq, unk, val) triples, repeated entries summed, as
+    {unknown: value} dicts in equation order."""
+    keys, where = np.unique(eq * ncols + unk, return_inverse=True)
+    sums = np.bincount(where, weights=val).astype(np.int64)
+    starts = np.searchsorted(keys // ncols, np.arange(nrows + 1))
+    cols, vals = (keys % ncols).tolist(), sums.tolist()
+    return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
+
+
 def row_space_contains(basis_rref: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> bool:
     v = asmod(v, p).copy()
     for r, c in enumerate(pivots):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import Budget, InputError, NotPPrime
 from .frattini import FrattiniLevel, lift_class
-from .groups import FiniteGroup
+from .groups import FiniteGroup, unique_rows
 
 # int32 cells per temporary array in one step of a batch computation
 _BATCH_CELLS = 1 << 18
@@ -267,7 +267,7 @@ def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
 
 def _distinct_canonical(red: Reducer, rows: np.ndarray) -> list[tuple]:
     """Sorted distinct canonical forms of the rows."""
-    return _as_tuples(np.unique(red.canonical_many(rows), axis=0))
+    return _as_tuples(unique_rows(red.canonical_many(rows))[0])
 
 
 def _generating(G: FiniteGroup, tuples: list[tuple]) -> list[tuple]:

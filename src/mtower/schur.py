@@ -25,7 +25,7 @@ from . import linalg as la
 from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
                      RankDeficient)
 from .frattini import FrattiniLevel, _digits, schur_covers
-from .groups import FiniteGroup, is_p_perfect, search_images
+from .groups import FiniteGroup, is_p_perfect, search_images, unique_rows
 
 
 @dataclass
@@ -399,7 +399,7 @@ def complement_orbit_labels(L: FrattiniLevel, vd: VDSet) -> list[tuple[int, list
         if m in seen:
             continue
         conj = G1.mul_many(G1.mul_many(G1.inv, m), np.arange(G1.order))
-        orbit = np.unique(conj).tolist()
+        orbit = unique_rows(conj[:, None])[0].ravel().tolist()
         seen.update(orbit)
         stab = G1.element_orders()[conj == m]
         out.append((int(stab[stab % L.p != 0].max()), orbit))

@@ -7,12 +7,16 @@ one row of images at a time, kept as oracles.
 they called (`eval_relator`, `restricted_words`,
 `endomorphism_from_images`) kept beside them.  `classify_pair` is the
 one-closure-per-pair body that `schur.p3_census` called before it closed
-all its pairs in one batch.
+all its pairs in one batch.  `verify_frattini` is the exhaustive check,
+closing every lift tuple, that the frattini module replaced by one lift
+tuple per orbit of the kernel acting by conjugation.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from mtower.groups import search_images
 
 
 def eval_relator(G, images, word) -> int:
@@ -188,6 +192,14 @@ def restriction_splits(L, subgroup_elems):
     lift_sets = [L.lifts(g) for g in sub_gens]
     return any(L.total.closure_size(chosen) == len(S)
                for chosen in product(*lift_sets))
+
+
+def verify_frattini(L: FrattiniLevel, gens: list[int] | None = None) -> bool:
+    """Exhaustively check that every kernel translate of a generating-set
+    lift still generates the total group (closures in blocks of rows)."""
+    base_gens = gens if gens is not None else minimal_generating_tuple(L.base)
+    return all((sizes == L.total.order).all() for _, _, sizes in
+               search_images(L.total, [L.lifts(g) for g in base_gens]))
 
 
 def classify_pair(E, L, m1, m2, vd):

@@ -314,6 +314,24 @@ def test_console_script_runs(tmp_path):
     assert '"complete": true' in proc.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["level", "--group", "A5", "--classes", "3A,3A,3A,3A", "--p", "2", "--k", "1"],
+    ["dihedral", "--p", "5", "--k", "2"],
+    ["schur", "--group", "A4", "--p", "2", "--k", "1"],
+    ["gcomplete", "--group-file", str(DATA / "sl2_11.txt"), "--classes", "3A,5A",
+     "--p", "11"],
+])
+def test_jobs_do_not_import_numpy_ma(args, tmp_path):
+    """A plain `np.unique` call imports `numpy.ma`, about 0.03 s of a cold
+    job; the benchmark's jobs make none."""
+    code = ("import sys; from mtower.cli import main; "
+            "assert main(sys.argv[1:]) == 0; assert 'numpy.ma' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code, *args, "--no-cache",
+                           "--report", str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_threads_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["level", "--group", "D5", "--classes", "2A,2A,2A,2A",

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import gmodules_oracle
+from mtower import gmodules
 from mtower import linalg as la
 from mtower.errors import NotASubgroup, NotInvolution
 from mtower.fp import Presentation
+from mtower.frattini import frattini_module
 from mtower.gmodules import (GModule, endomorphism_basis, fitting_decompose,
                              fox_matrix, frobenius_check, hopf_tensor, induce,
                              indecomposable_summands, invariant_vectors,
@@ -101,6 +104,22 @@ def test_endomorphisms_commute(a4_tower):
         X = row.reshape(5, 5)
         for A in M0.mats:
             assert ((X @ A - A @ X) % 2 == 0).all()
+
+
+def test_sparse_endomorphisms_match_dense_route(monkeypatch, a5, d5sub_module,
+                                                a5_p3_level):
+    """The modules whose endomorphisms the A5 module splits at p = 2 and 3
+    solve for, the induced A5 module at p = 5 and the p = 3 Frattini
+    module, each against the dense Kronecker system."""
+    seen, sparse = [], gmodules.endomorphism_basis
+    monkeypatch.setattr(gmodules, "endomorphism_basis",
+                        lambda M: seen.append(M) or sparse(M))
+    frattini_module(a5, 2)
+    assert [M.dim for M in seen] == [25, 9, 4, 5, 16]
+    frattini_module(a5, 3)
+    for M in seen + [induce(d5sub_module, a5), a5_p3_level.kernel_module]:
+        got, want = sparse(M), gmodules_oracle.endomorphism_basis(M)
+        assert got.shape == want.shape and (got == want).all(), (M.p, M.dim)
 
 
 def test_invariant_vectors():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mtower.errors import NonIntegralGenus
-from mtower.groups import dihedral_group
+from mtower.groups import dihedral_group, unique_rows
 from mtower.hurwitz import (_inner_orbit_data, _q2prime_faithful,
-                            _unique_rows, analyze_component, check_goup,
-                            component_genus, genus_lower_bound, level_compare,
-                            moduli_tests, sh_incidence, shortening_detect)
+                            analyze_component, check_goup, component_genus,
+                            genus_lower_bound, level_compare, moduli_tests,
+                            sh_incidence, shortening_detect)
 from mtower.nielsen import (NielsenSpec, Reducer, mbar4_orbits,
                             middle_product, project_tuple)
 
@@ -204,9 +204,13 @@ def test_unique_rows_match_np_unique():
         rows = rng.integers(-hi, hi, size=(n, r), dtype=np.int32)
         if n:
             rows = np.vstack([rows, rows[rng.integers(0, n, n // 2)]])
-        got, first, inverse = _unique_rows(rows)
+        got, first, inverse = unique_rows(rows)
         want, want_first, want_inverse = np.unique(
             rows, axis=0, return_index=True, return_inverse=True)
         assert got.dtype == rows.dtype and np.array_equal(got, want)
         assert np.array_equal(first, want_first)
         assert np.array_equal(inverse, want_inverse.ravel())
+        # a column of values: np.unique of the values
+        col = unique_rows(rows[:, :1])[0]
+        assert col.shape == (len(col), 1)
+        assert np.array_equal(col.ravel(), np.unique(rows[:, 0]))

@@ -1,17 +1,21 @@
 """`groups.search_images` against the row-at-a-time searches it replaced
 (tests/search_oracle.py): every caller returns what the old search did."""
 
+from itertools import product
+from math import prod
+
 import numpy as np
 import pytest
 
 import search_oracle as oracle
 from mtower import frattini
 from mtower.cli import build_level, class_id
-from mtower.frattini import (_homomorphism_onto, level_from_pair_model,
+from mtower.frattini import (_homomorphism_onto, _orbit_lifts, build_extension,
+                             dihedral_level, level_from_pair_model,
                              minimal_generating_tuple, normalizer, p_sylow,
                              restriction_splits, schur_covers, split_level,
                              split_structure, verify_frattini)
-from mtower.gmodules import trivial_module
+from mtower.gmodules import GModule, coboundary_tails, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, generating_set,
                            klein_four, search_images, spanning_tree,
@@ -225,3 +229,59 @@ def test_batched_census_matches_one_pair_at_a_time(g1a4_schur):
         assert _classify_pairs(E, L, pairs, vd) == want
         assert [classify_pair(E, L, a, b) for a, b in pairs[:20]] == want[:20]
     assert _classify_pairs(*cases[0], [], vd_set(*cases[0])) == []
+
+
+@pytest.fixture(scope="module")
+def non_frattini(a5, g1a5):
+    """Three extensions of A5 by modules over F_2 that are not Frattini
+    covers: split along the zero cocycle; split along a nonzero coboundary,
+    so the complement lies off the section; and by K + F_2 along G1(A5)'s
+    tails and zero on F_2, so only the lift tuples with no F_2 part fail."""
+    P, M = a5.presentation, g1a5.module
+    shape = (len(P.relators), M.dim)
+    KS = GModule(a5, 2, [np.block([[A, np.zeros((M.dim, 1), dtype=np.int64)],
+                                   [np.zeros((1, M.dim), dtype=np.int64), 1]])
+                         for A in M.mats])
+    return [build_extension(P, M, np.zeros(shape, dtype=np.int64), name="split"),
+            build_extension(P, M, coboundary_tails(P, M)[0].reshape(shape),
+                            name="coboundary"),
+            build_extension(P, KS, np.hstack([g1a5.tail.reshape(shape),
+                                              np.zeros((shape[0], 1), dtype=np.int64)]),
+                            name="K + F_2")]
+
+
+def all_lift_sizes(L):
+    gens = minimal_generating_tuple(L.base)
+    return np.concatenate([sizes for _, _, sizes in
+                           search_images(L.total, [L.lifts(g) for g in gens])])
+
+
+def test_frattini_check_matches_exhaustive_oracle(a4_tower, g1a5, non_frattini):
+    for L in (a4_tower.level, g1a5.level, dihedral_level(5, 1)[0],
+              dihedral_level(7, 1)[0]):
+        assert verify_frattini(L) and oracle.verify_frattini(L)
+    for L in non_frattini:
+        assert not verify_frattini(L) and not oracle.verify_frattini(L)
+    # the section's lifts are no complement in the second, and only some
+    # lift tuples fail in the third
+    cob, ks = map(all_lift_sizes, non_frattini[1:])
+    assert cob[0] > 60 and (cob == 60).any()
+    assert (ks == non_frattini[2].total.order).any() and (ks < non_frattini[2].total.order).any()
+
+
+def test_frattini_check_matches_oracle_past_the_table(a5_p3_level):
+    assert verify_frattini(a5_p3_level) and oracle.verify_frattini(a5_p3_level)
+
+
+def test_orbit_lifts_meet_every_kernel_orbit(g1a5, a5_p3_level, dihedral_pair):
+    """|K| |K^G| tuples are kept, and conjugating any lift tuple by some
+    kernel element lands on a kept one."""
+    for L, rows in ((g1a5.level, 32), (a5_p3_level, 81), (dihedral_pair.level, 5)):
+        T, K = L.total, np.array(L.kernel_elems)
+        gens = minimal_generating_tuple(L.base)
+        kept = _orbit_lifts(L, gens)
+        assert prod(map(len, kept)) == rows
+        kept = set(product(*kept))
+        for row in product(*[L.lifts(g) for g in gens]):
+            conj = T.mul_many(T.mul_many(T.inv[K][:, None], np.array(row)), K[:, None])
+            assert not kept.isdisjoint(map(tuple, conj.tolist()))
