@@ -2,7 +2,8 @@
 
 Keys are sha256 hashes of canonical JSON job descriptors; values are files
 with a versioned header carrying their own payload hash, so corruption is
-detected on read.  Cached reports are returned byte-identical.
+detected on read.  Cached reports are restored byte-identical, a file and a
+chunk at a time, so a replay never holds a whole file in memory.
 
 A report is one entry: a directory of files plus a manifest of their names,
 built under a temporary name and renamed into place, so an entry is either
@@ -23,6 +24,7 @@ from .errors import CorruptCache
 
 MAGIC = b"MTCACHE1\n"
 MANIFEST = ".manifest.json"
+CHUNK = 1 << 20
 
 
 def job_key(descriptor: dict) -> str:
@@ -37,35 +39,11 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "mt"
 
 
-def cache_put(cache_dir: Path, key: str, name: str, payload: bytes) -> Path:
-    d = Path(cache_dir) / key
-    d.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(payload).hexdigest().encode()
-    path = d / name
-    with open(path, "wb") as fh:     # header, then payload: no joined copy
-        fh.write(MAGIC + digest + b"\n")
-        fh.write(payload)
-    return path
-
-
-def cache_get(cache_dir: Path, key: str, name: str) -> bytes | None:
-    path = Path(cache_dir) / key / name
-    if not path.exists():
-        return None
-    raw = path.read_bytes()
-    if not raw.startswith(MAGIC):
-        raise CorruptCache(f"bad header in {path}")
-    rest = raw[len(MAGIC):]
-    digest, _, payload = rest.partition(b"\n")
-    if hashlib.sha256(payload).hexdigest().encode() != digest:
-        raise CorruptCache(f"hash mismatch in {path}")
-    return payload
-
-
 def cache_put_entry(cache_dir: Path, key: str, source_dir: Path, names) -> None:
     """Publish the files `names` of `source_dir` as the entry `key`,
     replacing any earlier entry.  Each file is hashed, then copied under
-    cache_put's header, and never read into memory whole."""
+    its header (MAGIC, the payload's sha256 in hex, a newline), and never
+    read into memory whole."""
     root = Path(cache_dir)
     root.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=root))
@@ -73,11 +51,11 @@ def cache_put_entry(cache_dir: Path, key: str, source_dir: Path, names) -> None:
         for name in names:
             with open(Path(source_dir) / name, "rb") as src, open(tmp / name, "wb") as fh:
                 h = hashlib.sha256()
-                for chunk in iter(lambda: src.read(1 << 20), b""):
+                for chunk in iter(lambda: src.read(CHUNK), b""):
                     h.update(chunk)
                 fh.write(MAGIC + h.hexdigest().encode() + b"\n")
                 src.seek(0)
-                shutil.copyfileobj(src, fh, 1 << 20)
+                shutil.copyfileobj(src, fh, CHUNK)
         (tmp / MANIFEST).write_text(json.dumps(sorted(names)))
         shutil.rmtree(root / key, ignore_errors=True)
         with contextlib.suppress(OSError):  # another writer published first
@@ -86,23 +64,53 @@ def cache_put_entry(cache_dir: Path, key: str, source_dir: Path, names) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def cache_get_entry(cache_dir: Path, key: str) -> dict[str, bytes] | None:
-    """Every file of the entry `key`, or None when there is no entry.
+def cache_get(cache_dir: Path, key: str, name: str, dest_dir: Path) -> None:
+    """Restore the file `name` of the entry `key` into `dest_dir`.
+
+    The payload is hashed while it is copied, a chunk at a time, to a
+    temporary name in `dest_dir`, which is renamed to `name` only when the
+    hash matches.  Raises CorruptCache when the file is missing, its header
+    is bad or its payload does not match the header's hash."""
+    path = Path(cache_dir) / key / name
+    try:
+        src = open(path, "rb")
+    except FileNotFoundError as e:
+        raise CorruptCache(f"{name} listed but missing in {path.parent}") from e
+    with src:
+        header = src.read(len(MAGIC) + 64 + 1)    # MAGIC, sha256 hex, newline
+        if header[:len(MAGIC)] != MAGIC or header[-1:] != b"\n":
+            raise CorruptCache(f"bad header in {path}")
+        # a name of this process's own, opened as the report files are
+        # (mkstemp would make the restored file private to its owner)
+        tmp = Path(dest_dir) / f".{name}.{os.getpid()}.part"
+        try:
+            h = hashlib.sha256()
+            with open(tmp, "wb") as dst:
+                for chunk in iter(lambda: src.read(CHUNK), b""):
+                    h.update(chunk)
+                    dst.write(chunk)
+            if h.hexdigest().encode() != header[len(MAGIC):-1]:
+                raise CorruptCache(f"hash mismatch in {path}")
+            os.replace(tmp, Path(dest_dir) / name)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
+def cache_restore_entry(cache_dir: Path, key: str, dest_dir: Path) -> bool:
+    """Write every file of the entry `key` into `dest_dir`, one file at a
+    time (cache_get); False when there is no entry.
 
     Raises CorruptCache when the manifest or a file it lists is missing or
-    does not match its hash."""
+    does not match its hash; the files restored before it stay in
+    `dest_dir`, and no temporary file does."""
     d = Path(cache_dir) / key
     if not d.is_dir():
-        return None
+        return False
     try:
         names = json.loads((d / MANIFEST).read_text())
     except (OSError, ValueError) as e:
         raise CorruptCache(f"no readable manifest in {d}") from e
-    files = {}
+    Path(dest_dir).mkdir(parents=True, exist_ok=True)
     for name in names:
-        payload = cache_get(cache_dir, key, name)
-        if payload is None:
-            raise CorruptCache(f"{name} listed but missing in {d}")
-        files[name] = payload
-    return files
-
+        cache_get(cache_dir, key, name, dest_dir)
+    return True

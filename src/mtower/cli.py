@@ -236,11 +236,9 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
     return payload
 
 
-def _emit(payload: dict, report_dir: Path, cache_dir: Path | None,
-          key: str | None) -> None:
-    """Write the report and publish it as the cache entry `key`.  Orbit dumps
-    (tens of MB) are written a tuple at a time, and every file is published
-    from disk (cache.cache_put_entry)."""
+def _emit(payload: dict, report_dir: Path) -> list[str]:
+    """Write the report; the names of its files.  Orbit dumps (tens of MB)
+    are written a tuple at a time."""
     report_dir.mkdir(parents=True, exist_ok=True)
     body = dict(payload)
     texts = {f"sh_incidence_L{lvl}.csv": csv
@@ -253,8 +251,7 @@ def _emit(payload: dict, report_dir: Path, cache_dir: Path | None,
     for name, dump in dumps.items():
         with open(report_dir / name, "w") as fh:
             _write_dump(fh, dump)
-    if cache_dir is not None and key is not None:
-        cache_mod.cache_put_entry(cache_dir, key, report_dir, [*texts, *dumps])
+    return [*texts, *dumps]
 
 
 def _write_dump(fh, dump: list[list[str]]) -> None:
@@ -269,20 +266,46 @@ def _write_dump(fh, dump: list[list[str]]) -> None:
     fh.write("\n]\n" if dump else "\n")
 
 
+def _emit_json(out: dict, report_dir: Path, name: str) -> list[str]:
+    """Write the one-file report `name`; its name, as _emit gives them."""
+    report_dir.mkdir(parents=True, exist_ok=True)
+    (report_dir / name).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
+    return [name]
+
+
 def _restore_from_cache(cache_dir: Path, key: str, report_dir: Path) -> bool:
     """Write a cached report into report_dir; False on a miss.  An entry
     that is incomplete or corrupt counts as a miss, with a warning."""
     try:
-        files = cache_mod.cache_get_entry(cache_dir, key)
+        return cache_mod.cache_restore_entry(cache_dir, key, report_dir)
     except CorruptCache as e:
         print(f"warning: unusable cache entry, recomputing: {e}", file=sys.stderr)
         return False
-    if files is None:
-        return False
-    report_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in files.items():
-        (report_dir / name).write_bytes(payload)
-    return True
+
+
+def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
+    """Run the job `job` (the command and its arguments; the cache key adds
+    VERSION) through the cache, after the caller has checked its input.
+
+    A hit restores the report into --report, prints `cache hit`, then the
+    restored report file `verdict`, if given, as one line of JSON, and
+    exits 0.  A miss runs compute(report_dir), which writes the report and
+    returns (exit code, names of its files); the report is published only
+    when the exit code is 0."""
+    report_dir = Path(args.report)
+    cache_dir = None if args.no_cache else (
+        Path(args.cache) if args.cache else cache_mod.default_cache_dir())
+    key = cache_mod.job_key({**job, "version": VERSION})
+    if cache_dir is not None and _restore_from_cache(cache_dir, key, report_dir):
+        print(f"cache hit {key[:12]} -> {report_dir}")
+        if verdict is not None:
+            print(json.dumps(json.loads((report_dir / verdict).read_text()),
+                             sort_keys=True))
+        return 0
+    rc, names = compute(report_dir)
+    if cache_dir is not None and rc == 0:
+        cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
+    return rc
 
 
 def cmd_level(args) -> int:
@@ -293,133 +316,143 @@ def cmd_level(args) -> int:
         raise BudgetError(f"cover stage: level budget k <= 1 for groups outside "
                           f"the dihedral closed form, got k = {args.k}")
     labels = [s.strip() for s in args.classes.split(",")]
-    cache_dir = Path(args.cache) if args.cache else cache_mod.default_cache_dir()
-    key = cache_mod.job_key({
-        "cmd": "level", "group": gkey, "classes": labels, "p": args.p,
-        "k": args.k, "version": VERSION})
-    report_dir = Path(args.report)
-    if not args.no_cache and _restore_from_cache(cache_dir, key, report_dir):
-        print(f"cache hit {key[:12]} -> {report_dir}")
-        return 0
-    payload = run_level_analysis(G, gdesc, labels, args.p, args.k,
-                                 args.budget_elements, args.budget_cosets)
-    _emit(payload, report_dir, None if args.no_cache else cache_dir, key)
-    top = payload["levels"][-1]["components"]
-    print(f"level {args.k}: {len(top)} component(s); "
-          f"genera {[c['genus'] for c in top]} -> {report_dir}")
-    return 0
+
+    def compute(report_dir):
+        payload = run_level_analysis(G, gdesc, labels, args.p, args.k,
+                                     args.budget_elements, args.budget_cosets)
+        names = _emit(payload, report_dir)
+        top = payload["levels"][-1]["components"]
+        print(f"level {args.k}: {len(top)} component(s); "
+              f"genera {[c['genus'] for c in top]} -> {report_dir}")
+        return 0, names
+
+    return _cached(args, {"cmd": "level", "group": gkey, "classes": labels,
+                          "p": args.p, "k": args.k}, compute)
 
 
 def cmd_dihedral(args) -> int:
     if args.p == 2:
         raise InputError("dihedral tower needs an odd prime")
-    G = dihedral_group(args.p)
-    cache_dir = Path(args.cache) if args.cache else cache_mod.default_cache_dir()
-    key = cache_mod.job_key({
-        "cmd": "dihedral", "p": args.p, "k": args.k, "version": VERSION})
-    report_dir = Path(args.report)
-    if not args.no_cache and _restore_from_cache(cache_dir, key, report_dir):
-        print(f"cache hit {key[:12]} -> {report_dir}")
-        return 0
-    labels = [label_classes(G)[next(
-        i for i, c in enumerate(G.conjugacy_classes()) if c.element_order == 2)]] * 4
-    payload = run_level_analysis(G, f"D{args.p}", labels, args.p, args.k,
-                                 args.budget_elements, args.budget_cosets)
-    _emit(payload, report_dir, None if args.no_cache else cache_dir, key)
-    top = payload["levels"][-1]["components"]
-    print(f"dihedral level {args.k}: sizes {[c['orbit_size'] for c in top]}, "
-          f"genera {[c['genus'] for c in top]} -> {report_dir}")
-    return 0
+
+    def compute(report_dir):
+        G = dihedral_group(args.p)
+        labels = [label_classes(G)[next(
+            i for i, c in enumerate(G.conjugacy_classes()) if c.element_order == 2)]] * 4
+        payload = run_level_analysis(G, f"D{args.p}", labels, args.p, args.k,
+                                     args.budget_elements, args.budget_cosets)
+        names = _emit(payload, report_dir)
+        top = payload["levels"][-1]["components"]
+        print(f"dihedral level {args.k}: sizes {[c['orbit_size'] for c in top]}, "
+              f"genera {[c['genus'] for c in top]} -> {report_dir}")
+        return 0, names
+
+    return _cached(args, {"cmd": "dihedral", "p": args.p, "k": args.k}, compute)
 
 
-def cmd_schur(args) -> int:
-    G, gdesc, _ = load_group(args)
-    out: dict = {"group": gdesc, "p": args.p, "quotients": []}
-    if args.k == 0:
-        quots = enumerate_schur_quotients(G, args.p)
+def _schur_report(G: FiniteGroup, gdesc: str, p: int, k: int,
+                  budget_cosets: int) -> dict:
+    """The `schur.json` payload: the Z/p Schur quotients of G (k = 0), or
+    of its level-1 cover with their kernel slices (k = 1)."""
+    out: dict = {"group": gdesc, "p": p, "quotients": []}
+    if k == 0:
+        quots = enumerate_schur_quotients(G, p)
         for q in quots:
             out["quotients"].append({
                 "order": q.total.order,
                 "kernel_gen": q.total.perm_str(q.kernel_elems[1]),
             })
-    else:
+        return out
+    L = build_level_model(G, p, budget_cosets)
+    quots = enumerate_schur_quotients(L.total, p)
+    rad_elems = [L.kernel_elems[la.vec_int(v, p)]
+                 for v in radical(L.kernel_module)]
+    antecedents = enumerate_schur_quotients(L.base, p)
+    for qi, q in enumerate(quots):
+        vd = vd_set(q, L)
+        a, b, c = check_modassume_from_vd(L, vd)
+        slice_rep = abelian_test(q, L, rad_elems)
+        census = p3_census(q, L)
+        ante = [ai for ai, prev in enumerate(antecedents)
+                if antecedent_test(prev, q, L)]
+        out["quotients"].append({
+            "order": q.total.order,
+            "kernel_gen": qi,
+            "vd_size": len(vd.members),
+            "vd_is_submodule": vd.is_submodule,
+            "modassume": [a, b, c],
+            "abelian": slice_rep.abelian,
+            "invariants": slice_rep.invariants,
+            "top_type": slice_rep.top_type,
+            "p3_census": census,
+            "antecedent_of": ante,
+        })
+    return out
+
+
+def cmd_schur(args) -> int:
+    G, gdesc, gkey = load_group(args)
+    if args.k >= 1:
         check_coverable(G, args.p)
-        L = build_level_model(G, args.p, args.budget_cosets)
-        quots = enumerate_schur_quotients(L.total, args.p)
-        rad_elems = [L.kernel_elems[la.vec_int(v, args.p)]
-                     for v in radical(L.kernel_module)]
-        antecedents = enumerate_schur_quotients(L.base, args.p)
-        for qi, q in enumerate(quots):
-            vd = vd_set(q, L)
-            a, b, c = check_modassume_from_vd(L, vd)
-            slice_rep = abelian_test(q, L, rad_elems)
-            census = p3_census(q, L)
-            ante = [ai for ai, prev in enumerate(antecedents)
-                    if antecedent_test(prev, q, L)]
-            out["quotients"].append({
-                "order": q.total.order,
-                "kernel_gen": qi,
-                "vd_size": len(vd.members),
-                "vd_is_submodule": vd.is_submodule,
-                "modassume": [a, b, c],
-                "abelian": slice_rep.abelian,
-                "invariants": slice_rep.invariants,
-                "top_type": slice_rep.top_type,
-                "p3_census": census,
-                "antecedent_of": ante,
-            })
-    report_dir = Path(args.report)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(out, sort_keys=True, indent=2) + "\n"
-    (report_dir / "schur.json").write_text(text)
-    print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
-    return 0
+
+    def compute(report_dir):
+        out = _schur_report(G, gdesc, args.p, args.k, args.budget_cosets)
+        names = _emit_json(out, report_dir, "schur.json")
+        print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
+        return 0, names
+
+    return _cached(args, {"cmd": "schur", "group": gkey, "p": args.p,
+                          "k": args.k}, compute)
 
 
 def cmd_gcomplete(args) -> int:
-    G, gdesc, _ = load_group(args)
+    G, gdesc, gkey = load_group(args)
     check_search_order(G)          # before class labels are resolved
-    if args.classes:
-        ids = [class_id(G, lab.strip()) for lab in args.classes.split(",")]
-        verdict = is_gcomplete(G, ids)
-    else:
-        verdict = is_p_gcomplete(G, args.p)
-    out = verdict.to_dict(G)
-    out["group"] = gdesc
-    out["p"] = args.p
-    report_dir = Path(args.report)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / "gcomplete.json").write_text(
-        json.dumps(out, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(out, sort_keys=True))
-    return 0
+    labels = ([lab.strip() for lab in args.classes.split(",")]
+              if args.classes else None)
+
+    def compute(report_dir):
+        if labels is not None:
+            verdict = is_gcomplete(G, [class_id(G, lab) for lab in labels])
+        else:
+            verdict = is_p_gcomplete(G, args.p)
+        out = verdict.to_dict(G)
+        out["group"] = gdesc
+        out["p"] = args.p
+        names = _emit_json(out, report_dir, "gcomplete.json")
+        print(json.dumps(out, sort_keys=True))
+        return 0, names
+
+    return _cached(args, {"cmd": "gcomplete", "group": gkey, "classes": labels,
+                          "p": args.p}, compute, verdict="gcomplete.json")
 
 
 def cmd_frattini_verify(args) -> int:
-    G, gdesc, _ = load_group(args)
+    G, gdesc, gkey = load_group(args)
     check_coverable(G, args.p)
-    L = build_level(G, args.p, args.budget_cosets)
-    rep = verify_order_lifting(L)
-    frat = verify_frattini(L)
-    ld = loewy_layers(L.kernel_module)
-    out = {
-        "group": gdesc,
-        "p": args.p,
-        "total_order": L.total.order,
-        "kernel_dim": L.kernel_dim,
-        "order_lifting_ok": rep.ok,
-        "order_violations": len(rep.order_violations),
-        "class_failures": len(rep.class_failures),
-        "frattini": frat,
-        "loewy_display": ld.display(),
-        "loewy_layer_dims": [[lab[0] for lab in layer] for layer in ld.layers],
-    }
-    report_dir = Path(args.report)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / "frattini.json").write_text(
-        json.dumps(out, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(out, sort_keys=True))
-    return 0 if rep.ok and frat else 4
+
+    def compute(report_dir):
+        L = build_level(G, args.p, args.budget_cosets)
+        rep = verify_order_lifting(L)
+        frat = verify_frattini(L)
+        ld = loewy_layers(L.kernel_module)
+        out = {
+            "group": gdesc,
+            "p": args.p,
+            "total_order": L.total.order,
+            "kernel_dim": L.kernel_dim,
+            "order_lifting_ok": rep.ok,
+            "order_violations": len(rep.order_violations),
+            "class_failures": len(rep.class_failures),
+            "frattini": frat,
+            "loewy_display": ld.display(),
+            "loewy_layer_dims": [[lab[0] for lab in layer] for layer in ld.layers],
+        }
+        names = _emit_json(out, report_dir, "frattini.json")
+        print(json.dumps(out, sort_keys=True))
+        return (0 if rep.ok and frat else 4), names
+
+    return _cached(args, {"cmd": "frattini-verify", "group": gkey, "p": args.p},
+                   compute, verdict="frattini.json")
 
 
 def make_parser() -> argparse.ArgumentParser:

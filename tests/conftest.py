@@ -29,6 +29,13 @@ def level_bundle(spec, reducer=None, reduced=None):
                            orbits=orbits, reports=reports)
 
 
+@pytest.fixture(autouse=True)
+def private_default_cache(tmp_path, monkeypatch):
+    """The default cache ($MT_CACHE) of every job a test runs without
+    --cache lies in the test's own tmp_path; child processes inherit it."""
+    monkeypatch.setenv("MT_CACHE", str(tmp_path / "default-cache"))
+
+
 @pytest.fixture(scope="session")
 def a5():
     return alternating_group(5)

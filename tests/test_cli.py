@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import cache_oracle as oracle
 from mtower import cli, frattini
-from mtower.cache import cache_get, cache_get_entry, cache_put, job_key
+from mtower.cache import cache_get, cache_restore_entry, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
 
@@ -295,14 +297,19 @@ def test_presentation_file_loading(tmp_path):
 
 def test_cache_corruption(tmp_path):
     key = job_key({"x": 1})
-    cache_put(tmp_path, key, "blob", b"payload")
-    assert cache_get(tmp_path, key, "blob") == b"payload"
-    path = tmp_path / key / "blob"
+    oracle.cache_put(tmp_path / "cache", key, "blob", b"payload")
+    out = tmp_path / "out"
+    out.mkdir()
+    cache_get(tmp_path / "cache", key, "blob", out)
+    assert (out / "blob").read_bytes() == b"payload"
+    (out / "blob").unlink()
+    path = tmp_path / "cache" / key / "blob"
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCache):
-        cache_get(tmp_path, key, "blob")
+        cache_get(tmp_path / "cache", key, "blob", out)
+    assert not any(out.iterdir())       # not renamed in, and no temporary left
 
 
 def test_console_script_runs(tmp_path):
@@ -312,6 +319,8 @@ def test_console_script_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert '"complete": true' in proc.stdout
+    # the child publishes to the test's own default cache
+    assert len(list(Path(os.environ["MT_CACHE"]).iterdir())) == 1
 
 
 @pytest.mark.parametrize("args", [
@@ -448,39 +457,91 @@ def test_cache_key_covers_file_contents(tmp_path, capsys):
     assert run_cli(args + ["--group-file", str(tmp_path / "z10" / "grp.txt")],
                    tmp_path) == 3
     assert "cache hit" not in capsys.readouterr().out
+    # the same for gcomplete, where both files also give the same order
+    for d in ("d5", "z10"):
+        assert run_cli(["gcomplete", "--p", "5", "--group-file",
+                        str(tmp_path / d / "grp.txt")], tmp_path) == 0
+        assert "cache hit" not in capsys.readouterr().out
+
+
+def test_cache_key_covers_arguments(tmp_path, capsys):
+    """Another --k or other --classes is another job; class labels are keyed
+    without their surrounding spaces."""
+    schur = ["schur", "--group", "A4", "--p", "2"]
+    gcomplete = ["gcomplete", "--group", "A5", "--p", "5"]
+    for args, hit in [(schur + ["--k", "0"], False), (schur + ["--k", "1"], False),
+                      (schur + ["--k", "0"], True), (gcomplete, False),
+                      (gcomplete + ["--classes", "5A,5B"], False),
+                      (gcomplete + ["--classes", "5A, 5B"], True)]:
+        assert run_cli(args, tmp_path) == 0
+        assert ("cache hit" in capsys.readouterr().out) == hit, args
+
+
+@pytest.mark.parametrize("args", [
+    ["gcomplete", "--group", "A5", "--p", "2"],
+    ["frattini-verify", "--group", "A4", "--p", "2"],
+])
+def test_cache_hit_prints_verdict(tmp_path, capsys, args):
+    assert run_cli(args, tmp_path) == 0
+    cold = capsys.readouterr().out.splitlines()
+    assert run_into(args, tmp_path, "again") == 0
+    hit = capsys.readouterr().out.splitlines()
+    assert hit[0].startswith("cache hit") and hit[1:] == cold
+    assert _report(tmp_path / "again") == _report(tmp_path / "out")
+
+
+def test_failing_frattini_check_is_not_published(tmp_path, capsys, monkeypatch):
+    args = ["frattini-verify", "--group", "A4", "--p", "2"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "verify_frattini", lambda L: False)
+        assert run_cli(args, tmp_path) == 4
+    assert not (tmp_path / "cache").exists()
+    capsys.readouterr()
+    assert run_cli(args, tmp_path) == 0
+    assert "cache hit" not in capsys.readouterr().out
 
 
 D5_LEVEL0 = ["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
              "--p", "5", "--k", "0"]
-D5_FILES = {"components.json", "sh_incidence_L0.csv", "orbits_L0.json"}
+# job -> (arguments, the entry file damaged)
+CACHED_JOBS = {
+    "level": (D5_LEVEL0, "orbits_L0.json"),
+    "schur": (["schur", "--group", "A4", "--p", "2", "--k", "1"], "schur.json"),
+    "gcomplete": (["gcomplete", "--group", "A5", "--p", "2"], "gcomplete.json"),
+}
 
 
 def _report(path):
     return {f.name: f.read_bytes() for f in path.iterdir()}
 
 
-@pytest.mark.parametrize("damage", ["missing", "corrupt"])
-def test_incomplete_cache_entry_recomputes(tmp_path, capsys, damage):
-    assert run_cli(D5_LEVEL0, tmp_path) == 0
+@pytest.mark.parametrize("job,damage", [
+    pytest.param(job, damage, id=damage if job == "level" else f"{job}-{damage}")
+    for job in CACHED_JOBS for damage in ("missing", "corrupt", "header")])
+def test_incomplete_cache_entry_recomputes(tmp_path, capsys, job, damage):
+    args, victim_name = CACHED_JOBS[job]
+    assert run_cli(args, tmp_path) == 0
     first = _report(tmp_path / "out")
-    assert set(first) == D5_FILES
+    assert victim_name in first
     (entry,) = (tmp_path / "cache").iterdir()
-    victim = entry / "orbits_L0.json"
+    victim = entry / victim_name
     if damage == "missing":
         victim.unlink()
     else:
         raw = bytearray(victim.read_bytes())
-        raw[-2] ^= 0xFF
+        raw[-2 if damage == "corrupt" else 0] ^= 0xFF
         victim.write_bytes(bytes(raw))
     with pytest.raises(CorruptCache):
-        cache_get_entry(tmp_path / "cache", entry.name)
+        cache_restore_entry(tmp_path / "cache", entry.name, tmp_path / "scratch")
+    assert set(_report(tmp_path / "scratch")) < set(first)   # no temporary left
     capsys.readouterr()
-    assert run_into(D5_LEVEL0, tmp_path, "again") == 0
+    assert run_into(args, tmp_path, "again") == 0
     out = capsys.readouterr()
     assert "cache hit" not in out.out and "recomputing" in out.err
+    # the cold report, and no temporary file beside it
     assert _report(tmp_path / "again") == first
     # the recomputed entry replaced the damaged one; a hit writes no manifest
-    assert run_into(D5_LEVEL0, tmp_path, "third") == 0
+    assert run_into(args, tmp_path, "third") == 0
     assert "cache hit" in capsys.readouterr().out
     assert _report(tmp_path / "third") == first
 

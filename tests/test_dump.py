@@ -1,6 +1,7 @@
 """Report emission a batch at a time, against the scalar routes it replaced
 (tests/dump_oracle.py): cycle notation for whole image arrays, the
-orbit-dump writer, and cache entries published from the report files.
+orbit-dump writer, and cache entries published from the report files and
+restored a file at a time (tests/cache_oracle.py).
 Element orders from the cycle labels are checked in test_groups.py."""
 
 import hashlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cache_oracle
 import dump_oracle as oracle
 from mtower import cache, cli
 from mtower.groups import FiniteGroup, dihedral_group
@@ -83,18 +85,27 @@ def test_dump_writer_matches_json_dump(tmp_path, dump):
         _dump_bytes(lambda d, p: oracle.write_dump(p, d), dump, tmp_path / "old")
 
 
-def test_streamed_cache_entry_matches_cache_put(tmp_path):
+def test_streamed_cache_entry_matches_cache_put(tmp_path, monkeypatch):
+    """The entry format both ways: an entry published from report files is
+    the one the whole-payload writer gives and reads back whole, and an
+    entry written whole replays through the streamed restore."""
+    monkeypatch.setattr(cache, "CHUNK", 5)     # several chunks to a file
     files = {"orbits_L0.json": b'[\n [\n  "[(1 2), (1 2)]"\n ]\n]\n',
              "components.json": b"{}\n", "empty.csv": b""}
     src = tmp_path / "report"
     src.mkdir()
     for name, payload in files.items():
         (src / name).write_bytes(payload)
-        cache.cache_put(tmp_path / "put", "k", name, payload)
+    cache_oracle.cache_put_entry(tmp_path / "put", "k", files)
     cache.cache_put_entry(tmp_path / "entry", "k", src, list(files))
-    for name, payload in files.items():
+    for name, payload in [*files.items(), (cache.MANIFEST, None)]:
         entry = (tmp_path / "entry" / "k" / name).read_bytes()
         assert entry == (tmp_path / "put" / "k" / name).read_bytes()
-        assert entry == cache.MAGIC + hashlib.sha256(payload).hexdigest().encode() \
-            + b"\n" + payload
-    assert cache.cache_get_entry(tmp_path / "entry", "k") == files
+        if payload is not None:
+            assert entry == cache.MAGIC + hashlib.sha256(payload).hexdigest().encode() \
+                + b"\n" + payload
+    assert cache_oracle.cache_get_entry(tmp_path / "entry", "k") == files
+    assert cache.cache_restore_entry(tmp_path / "put", "k", tmp_path / "replay")
+    assert {f.name: f.read_bytes() for f in (tmp_path / "replay").iterdir()} == files
+    assert not cache.cache_restore_entry(tmp_path / "put", "other", tmp_path / "none")
+    assert not (tmp_path / "none").exists()
