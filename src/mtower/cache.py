@@ -3,7 +3,8 @@
 Keys are sha256 hashes of canonical JSON job descriptors; values are files
 with a versioned header carrying their own payload hash, so corruption is
 detected on read.  Cached reports are restored byte-identical, a file and a
-chunk at a time, so a replay never holds a whole file in memory.
+chunk at a time, so a replay never holds a whole file in memory, and all
+or nothing: into a temporary directory first, then moved into place.
 
 A report is one entry: a directory of files plus a manifest of their names,
 built under a temporary name and renamed into place, so an entry is either
@@ -65,44 +66,44 @@ def cache_put_entry(cache_dir: Path, key: str, source_dir: Path, names) -> None:
 
 
 def cache_get(cache_dir: Path, key: str, name: str, dest_dir: Path) -> None:
-    """Restore the file `name` of the entry `key` into `dest_dir`.
+    """Copy the file `name` of the entry `key` into the existing directory
+    `dest_dir`, hashing the payload a chunk at a time as it is copied.
 
-    The payload is hashed while it is copied, a chunk at a time, to a
-    temporary name in `dest_dir`, which is renamed to `name` only when the
-    hash matches.  Raises CorruptCache when the file is missing, its header
-    is bad or its payload does not match the header's hash."""
+    Raises CorruptCache, and leaves no file `name` behind, when the file
+    is missing, its header is bad or its payload does not match the
+    header's hash."""
     path = Path(cache_dir) / key / name
     try:
         src = open(path, "rb")
     except FileNotFoundError as e:
         raise CorruptCache(f"{name} listed but missing in {path.parent}") from e
+    dest = Path(dest_dir) / name
     with src:
         header = src.read(len(MAGIC) + 64 + 1)    # MAGIC, sha256 hex, newline
         if header[:len(MAGIC)] != MAGIC or header[-1:] != b"\n":
             raise CorruptCache(f"bad header in {path}")
-        # a name of this process's own, opened as the report files are
-        # (mkstemp would make the restored file private to its owner)
-        tmp = Path(dest_dir) / f".{name}.{os.getpid()}.part"
         try:
             h = hashlib.sha256()
-            with open(tmp, "wb") as dst:
+            with open(dest, "wb") as dst:
                 for chunk in iter(lambda: src.read(CHUNK), b""):
                     h.update(chunk)
                     dst.write(chunk)
             if h.hexdigest().encode() != header[len(MAGIC):-1]:
                 raise CorruptCache(f"hash mismatch in {path}")
-            os.replace(tmp, Path(dest_dir) / name)
-        finally:
-            tmp.unlink(missing_ok=True)
+        except BaseException:
+            dest.unlink(missing_ok=True)
+            raise
 
 
 def cache_restore_entry(cache_dir: Path, key: str, dest_dir: Path) -> bool:
-    """Write every file of the entry `key` into `dest_dir`, one file at a
-    time (cache_get); False when there is no entry.
+    """Write every file of the entry `key` into `dest_dir`; False when
+    there is no entry.
 
-    Raises CorruptCache when the manifest or a file it lists is missing or
-    does not match its hash; the files restored before it stay in
-    `dest_dir`, and no temporary file does."""
+    The files are copied one at a time (cache_get) into a temporary
+    directory beside `dest_dir`, and moved into `dest_dir` only when every
+    one of them has checked out.  Raises CorruptCache, with nothing written
+    into `dest_dir`, when the manifest or a file it lists is missing or
+    does not match its hash."""
     d = Path(cache_dir) / key
     if not d.is_dir():
         return False
@@ -110,7 +111,15 @@ def cache_restore_entry(cache_dir: Path, key: str, dest_dir: Path) -> bool:
         names = json.loads((d / MANIFEST).read_text())
     except (OSError, ValueError) as e:
         raise CorruptCache(f"no readable manifest in {d}") from e
-    Path(dest_dir).mkdir(parents=True, exist_ok=True)
-    for name in names:
-        cache_get(cache_dir, key, name, dest_dir)
+    dest = Path(dest_dir)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{dest.name}.restore-", dir=dest.parent))
+    try:
+        for name in names:
+            cache_get(cache_dir, key, name, staging)
+        dest.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(staging / name, dest / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return True

@@ -273,38 +273,36 @@ def _emit_json(out: dict, report_dir: Path, name: str) -> list[str]:
     return [name]
 
 
-def _restore_from_cache(cache_dir: Path, key: str, report_dir: Path) -> bool:
-    """Write a cached report into report_dir; False on a miss.  An entry
-    that is incomplete or corrupt counts as a miss, with a warning."""
-    try:
-        return cache_mod.cache_restore_entry(cache_dir, key, report_dir)
-    except CorruptCache as e:
-        print(f"warning: unusable cache entry, recomputing: {e}", file=sys.stderr)
-        return False
-
-
 def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
     """Run the job `job` (the command and its arguments; the cache key adds
     VERSION) through the cache, after the caller has checked its input.
 
-    A hit restores the report into --report, prints `cache hit`, then the
-    restored report file `verdict`, if given, as one line of JSON, and
-    exits 0.  A miss runs compute(report_dir), which writes the report and
+    A hit restores the report into --report, prints `cache hit` and exits
+    0; an entry that is incomplete or corrupt counts as a miss, with a
+    warning.  A miss runs compute(report_dir), which writes the report and
     returns (exit code, names of its files); the report is published only
-    when the exit code is 0."""
+    when the exit code is 0.  Either way the report file `verdict`, if
+    given, is then printed as one line of JSON."""
     report_dir = Path(args.report)
     cache_dir = None if args.no_cache else (
         Path(args.cache) if args.cache else cache_mod.default_cache_dir())
     key = cache_mod.job_key({**job, "version": VERSION})
-    if cache_dir is not None and _restore_from_cache(cache_dir, key, report_dir):
+    hit = False
+    if cache_dir is not None:
+        try:
+            hit = cache_mod.cache_restore_entry(cache_dir, key, report_dir)
+        except CorruptCache as e:
+            print(f"warning: unusable cache entry, recomputing: {e}", file=sys.stderr)
+    if hit:
         print(f"cache hit {key[:12]} -> {report_dir}")
-        if verdict is not None:
-            print(json.dumps(json.loads((report_dir / verdict).read_text()),
-                             sort_keys=True))
-        return 0
-    rc, names = compute(report_dir)
-    if cache_dir is not None and rc == 0:
-        cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
+        rc = 0
+    else:
+        rc, names = compute(report_dir)
+        if cache_dir is not None and rc == 0:
+            cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
+    if verdict is not None:
+        print(json.dumps(json.loads((report_dir / verdict).read_text()),
+                         sort_keys=True))
     return rc
 
 
@@ -419,7 +417,6 @@ def cmd_gcomplete(args) -> int:
         out["group"] = gdesc
         out["p"] = args.p
         names = _emit_json(out, report_dir, "gcomplete.json")
-        print(json.dumps(out, sort_keys=True))
         return 0, names
 
     return _cached(args, {"cmd": "gcomplete", "group": gkey, "classes": labels,
@@ -448,7 +445,6 @@ def cmd_frattini_verify(args) -> int:
             "loewy_layer_dims": [[lab[0] for lab in layer] for layer in ld.layers],
         }
         names = _emit_json(out, report_dir, "frattini.json")
-        print(json.dumps(out, sort_keys=True))
         return (0 if rep.ok and frat else 4), names
 
     return _cached(args, {"cmd": "frattini-verify", "group": gkey, "p": args.p},

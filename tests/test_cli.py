@@ -309,7 +309,7 @@ def test_cache_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCache):
         cache_get(tmp_path / "cache", key, "blob", out)
-    assert not any(out.iterdir())       # not renamed in, and no temporary left
+    assert not any(out.iterdir())       # the bad copy is not left behind
 
 
 def test_console_script_runs(tmp_path):
@@ -496,18 +496,21 @@ def test_failing_frattini_check_is_not_published(tmp_path, capsys, monkeypatch):
         m.setattr(cli, "verify_frattini", lambda L: False)
         assert run_cli(args, tmp_path) == 4
     assert not (tmp_path / "cache").exists()
-    capsys.readouterr()
+    assert '"frattini": false' in capsys.readouterr().out     # the verdict line
     assert run_cli(args, tmp_path) == 0
     assert "cache hit" not in capsys.readouterr().out
 
 
 D5_LEVEL0 = ["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
              "--p", "5", "--k", "0"]
-# job -> (arguments, the entry file damaged)
+# job -> (arguments, the entry file damaged, the files of its report)
 CACHED_JOBS = {
-    "level": (D5_LEVEL0, "orbits_L0.json"),
-    "schur": (["schur", "--group", "A4", "--p", "2", "--k", "1"], "schur.json"),
-    "gcomplete": (["gcomplete", "--group", "A5", "--p", "2"], "gcomplete.json"),
+    "level": (D5_LEVEL0, "orbits_L0.json",
+              {"components.json", "sh_incidence_L0.csv", "orbits_L0.json"}),
+    "schur": (["schur", "--group", "A4", "--p", "2", "--k", "1"], "schur.json",
+              {"schur.json"}),
+    "gcomplete": (["gcomplete", "--group", "A5", "--p", "2"], "gcomplete.json",
+                  {"gcomplete.json"}),
 }
 
 
@@ -519,10 +522,10 @@ def _report(path):
     pytest.param(job, damage, id=damage if job == "level" else f"{job}-{damage}")
     for job in CACHED_JOBS for damage in ("missing", "corrupt", "header")])
 def test_incomplete_cache_entry_recomputes(tmp_path, capsys, job, damage):
-    args, victim_name = CACHED_JOBS[job]
+    args, victim_name, files = CACHED_JOBS[job]
     assert run_cli(args, tmp_path) == 0
     first = _report(tmp_path / "out")
-    assert victim_name in first
+    assert set(first) == files
     (entry,) = (tmp_path / "cache").iterdir()
     victim = entry / victim_name
     if damage == "missing":
@@ -533,7 +536,8 @@ def test_incomplete_cache_entry_recomputes(tmp_path, capsys, job, damage):
         victim.write_bytes(bytes(raw))
     with pytest.raises(CorruptCache):
         cache_restore_entry(tmp_path / "cache", entry.name, tmp_path / "scratch")
-    assert set(_report(tmp_path / "scratch")) < set(first)   # no temporary left
+    # all or nothing: no report directory, and no temporary one beside it
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cache", "out"]
     capsys.readouterr()
     assert run_into(args, tmp_path, "again") == 0
     out = capsys.readouterr()
