@@ -20,6 +20,7 @@ import re
 import sys
 from math import isqrt
 from pathlib import Path
+from typing import Callable
 
 from . import cache as cache_mod
 from . import linalg as la
@@ -63,45 +64,61 @@ def class_id(G: FiniteGroup, label: str) -> int:
     return labels.index(label)
 
 
-def _read_group_input(path: str, parse):
-    """(file bytes, parsed text); unreadable, undecodable or malformed files
-    raise an InputError that names the file."""
+def _read_group_input(path: str, parse) -> tuple[str, Callable]:
+    """(sha256 of the file's bytes, a function that parses them); files
+    that are unreadable, undecodable or malformed raise an InputError that
+    names the file."""
     try:
         raw = Path(path).read_bytes()
-        return raw, parse(raw.decode())
-    except (OSError, ValueError, InputError) as e:
+    except OSError as e:
         raise InputError(f"{path}: {e}") from e
 
+    def parsed():
+        try:
+            return parse(raw.decode())
+        except (ValueError, InputError) as e:
+            raise InputError(f"{path}: {e}") from e
 
-def load_group(args) -> tuple[FiniteGroup, str, str]:
-    """(group, its name in reports, its name in cache keys).  Groups read
-    from a file are keyed by the sha256 of the file's bytes as well."""
+    return hashlib.sha256(raw).hexdigest(), parsed
+
+
+def group_input(args) -> tuple[str, Callable[[], tuple[FiniteGroup, str]]]:
+    """(the group's name in cache keys, a function that builds the group
+    and returns it with its name in reports).  The key needs no build, so
+    a cache hit never builds the group: a builtin is keyed by its name, a
+    group read from a file by the file's name and the sha256 of its
+    bytes."""
     if getattr(args, "group_file", None):
-        raw, perms = _read_group_input(args.group_file, parse_group_file)
-        G = FiniteGroup(perms, max_order=args.budget_elements, name="file-group")
-        gdesc = f"file:{Path(args.group_file).name}:{G.order}"
-        return G, gdesc, f"{gdesc}:{hashlib.sha256(raw).hexdigest()}"
+        digest, perms = _read_group_input(args.group_file, parse_group_file)
+        desc = f"file:{Path(args.group_file).name}"
+
+        def build_file_group():
+            G = FiniteGroup(perms(), max_order=args.budget_elements, name="file-group")
+            return G, f"{desc}:{G.order}"
+        return f"{desc}:{digest}", build_file_group
     if getattr(args, "presentation_file", None):
-        raw, P = _read_group_input(args.presentation_file, parse_presentation)
-        T = todd_coxeter(P, (), args.budget_cosets)
-        G = coset_group(T, name="presented-group")
-        G.presentation = P
-        gdesc = f"pres:{Path(args.presentation_file).name}:{G.order}"
-        return G, gdesc, f"{gdesc}:{hashlib.sha256(raw).hexdigest()}"
+        digest, presentation = _read_group_input(args.presentation_file,
+                                                 parse_presentation)
+        desc = f"pres:{Path(args.presentation_file).name}"
+
+        def build_presented_group():
+            P = presentation()
+            G = coset_group(todd_coxeter(P, (), args.budget_cosets),
+                            name="presented-group")
+            G.presentation = P
+            return G, f"{desc}:{G.order}"
+        return f"{desc}:{digest}", build_presented_group
     name = (args.group or "").upper()
-    if name == "A4":
-        G = alternating_group(4)
-    elif name == "A5":
-        G = alternating_group(5)
-    elif name == "K4":
-        G = klein_four()
-    elif m := re.fullmatch(r"D(\d+)", name):
-        G = dihedral_group(int(m.group(1)))
-    elif m := re.fullmatch(r"Z(\d+)", name):
-        G = cyclic_group(int(m.group(1)))
-    else:
+    if not (m := re.fullmatch(r"A4|A5|K4|([DZ])(\d+)", name)):
         raise InputError(f"unknown group {args.group!r}; builtins: A4 A5 K4 Dn Zn")
-    return G, name, name
+
+    def build_builtin():
+        if m[1]:
+            G = (dihedral_group if m[1] == "D" else cyclic_group)(int(m[2]))
+        else:
+            G = klein_four() if name == "K4" else alternating_group(int(name[1]))
+        return G, name
+    return name, build_builtin
 
 
 def check_coverable(G: FiniteGroup, p: int) -> None:
@@ -274,15 +291,18 @@ def _emit_json(out: dict, report_dir: Path, name: str) -> list[str]:
 
 
 def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
-    """Run the job `job` (the command and its arguments; the cache key adds
-    VERSION) through the cache, after the caller has checked its input.
+    """Run the job `job` (the command and its arguments, with the input
+    file's digest; the cache key adds VERSION) through the cache.  The key
+    is looked up before anything is built.
 
     A hit restores the report into --report, prints `cache hit` and exits
-    0; an entry that is incomplete or corrupt counts as a miss, with a
-    warning.  A miss runs compute(report_dir), which writes the report and
-    returns (exit code, names of its files); the report is published only
-    when the exit code is 0.  Either way the report file `verdict`, if
-    given, is then printed as one line of JSON."""
+    0, whatever the budgets, since it does no work; an entry that is
+    incomplete or corrupt counts as a miss, with a warning.  A miss runs
+    compute(report_dir), which builds the group, makes every check that
+    needs it, writes the report and returns (exit code, names of its
+    files); the report is published only when the exit code is 0, so an
+    input that compute refuses never has an entry.  Either way the report
+    file `verdict`, if given, is then printed as one line of JSON."""
     report_dir = Path(args.report)
     cache_dir = None if args.no_cache else (
         Path(args.cache) if args.cache else cache_mod.default_cache_dir())
@@ -307,15 +327,16 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
 
 
 def cmd_level(args) -> int:
-    G, gdesc, gkey = load_group(args)
-    if args.k >= 1:
-        check_coverable(G, args.p)
-    if args.k >= 2 and not _takes_dihedral_form(G, args.p):
-        raise BudgetError(f"cover stage: level budget k <= 1 for groups outside "
-                          f"the dihedral closed form, got k = {args.k}")
+    gkey, build_group = group_input(args)
     labels = [s.strip() for s in args.classes.split(",")]
 
     def compute(report_dir):
+        G, gdesc = build_group()
+        if args.k >= 1:
+            check_coverable(G, args.p)
+        if args.k >= 2 and not _takes_dihedral_form(G, args.p):
+            raise BudgetError(f"cover stage: level budget k <= 1 for groups outside "
+                              f"the dihedral closed form, got k = {args.k}")
         payload = run_level_analysis(G, gdesc, labels, args.p, args.k,
                                      args.budget_elements, args.budget_cosets)
         names = _emit(payload, report_dir)
@@ -388,11 +409,12 @@ def _schur_report(G: FiniteGroup, gdesc: str, p: int, k: int,
 
 
 def cmd_schur(args) -> int:
-    G, gdesc, gkey = load_group(args)
-    if args.k >= 1:
-        check_coverable(G, args.p)
+    gkey, build_group = group_input(args)
 
     def compute(report_dir):
+        G, gdesc = build_group()
+        if args.k >= 1:
+            check_coverable(G, args.p)
         out = _schur_report(G, gdesc, args.p, args.k, args.budget_cosets)
         names = _emit_json(out, report_dir, "schur.json")
         print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
@@ -403,12 +425,13 @@ def cmd_schur(args) -> int:
 
 
 def cmd_gcomplete(args) -> int:
-    G, gdesc, gkey = load_group(args)
-    check_search_order(G)          # before class labels are resolved
+    gkey, build_group = group_input(args)
     labels = ([lab.strip() for lab in args.classes.split(",")]
               if args.classes else None)
 
     def compute(report_dir):
+        G, gdesc = build_group()
+        check_search_order(G)          # before class labels are resolved
         if labels is not None:
             verdict = is_gcomplete(G, [class_id(G, lab) for lab in labels])
         else:
@@ -424,10 +447,11 @@ def cmd_gcomplete(args) -> int:
 
 
 def cmd_frattini_verify(args) -> int:
-    G, gdesc, gkey = load_group(args)
-    check_coverable(G, args.p)
+    gkey, build_group = group_input(args)
 
     def compute(report_dir):
+        G, gdesc = build_group()
+        check_coverable(G, args.p)
         L = build_level(G, args.p, args.budget_cosets)
         rep = verify_order_lifting(L)
         frat = verify_frattini(L)

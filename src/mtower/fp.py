@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import np
 from .errors import InputError, Overflow
 from .groups import FiniteGroup
 from .perms import Perm
@@ -200,7 +199,8 @@ def todd_coxeter(P: Presentation, subgroup_words=(), max_cosets: int = 1 << 20) 
 
     def define(c: int, letter: int) -> int:
         if len(table) >= max_cosets:
-            raise Overflow(f"coset enumeration passed max_cosets={max_cosets}")
+            raise Overflow(f"coset enumeration: more than {max_cosets} cosets, "
+                           f"past --budget-cosets")
         d = len(table)
         table.append([None] * ncols)
         parent.append(d)

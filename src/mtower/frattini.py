@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-import numpy as np
-
+from . import np
 from . import linalg as la
 from .errors import (ActionLiftFailed, Collapse, InputError, NotPPrime,
                      OrderExceeded, TooLarge)

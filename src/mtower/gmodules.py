@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import np
 from . import linalg as la
 from .errors import (DimensionMismatch, InputError, NotASubgroup,
                      NotInvolution, TooLarge)
@@ -156,7 +155,8 @@ def all_submodules(M: GModule) -> list[np.ndarray]:
     pairwise sums.  Guarded by SPIN_DIM_LIMIT.
     """
     if M.dim > SPIN_DIM_LIMIT:
-        raise TooLarge(f"submodule enumeration infeasible for dim {M.dim}")
+        raise TooLarge(f"submodule enumeration: module of dim {M.dim}, "
+                       f"past SPIN_DIM_LIMIT = {SPIN_DIM_LIMIT}")
     found: dict[bytes, np.ndarray] = {}
     zero = np.zeros((0, M.dim), dtype=np.int64)
     found[la.span_key(zero, M.p)] = zero

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 
-import numpy as np
-
+from . import np
 from .errors import InputError, OrderExceeded
 from .perms import Perm, cycle_orders, cycle_strs
 
@@ -84,7 +83,8 @@ class FiniteGroup:
                 if j is None:
                     if len(keys) >= max_order:
                         raise OrderExceeded(
-                            f"closure exceeded max_order={max_order}")
+                            f"group build: more than {max_order} elements, "
+                            f"past --budget-elements")
                     j = index[key] = len(keys)
                     keys.append(key)
                     parents.append((head, gi))

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import np
 from .errors import MismatchedLevels, NonIntegralGenus
 from .frattini import FrattiniLevel
 from .groups import unique_rows

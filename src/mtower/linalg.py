@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-import numpy as np
+from . import np
 
 
 def asmod(a, p: int) -> np.ndarray:

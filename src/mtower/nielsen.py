@@ -23,15 +23,14 @@ from dataclasses import dataclass
 from itertools import chain, permutations
 from math import prod
 
-import numpy as np
-
+from . import np
 from .errors import Budget, InputError, NotPPrime
 from .frattini import FrattiniLevel, lift_class
 from .groups import FiniteGroup, unique_rows
 
 # int32 cells per temporary array in one step of a batch computation
 _BATCH_CELLS = 1 << 18
-_NO_ELEMENT = np.iinfo(np.int32).max
+_NO_ELEMENT = 2**31 - 1         # the int32 maximum
 
 
 @dataclass(frozen=True)

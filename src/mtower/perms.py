@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from . import np
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class Perm:
 
 _CELLS = 1 << 16     # (row, point) cells per block of cycle_strs and cycle_orders
 # _TOKENS[t, i]: "(i+1", " i+1)", " i+1" or "" for point i as the first,
-# last or an inner point of a cycle, or fixed; grown on demand
-_TOKENS = np.empty((4, 0), dtype=object)
+# last or an inner point of a cycle, or fixed; made and grown on first use
+_TOKENS = None
 
 
 def cycle_str(images) -> str:
@@ -87,7 +87,7 @@ def cycle_strs(images) -> list[str]:
     img = np.asarray(images, dtype=np.int32)
     img = img.reshape(len(img), img.size // max(1, len(img)))       # [] or [[]]
     n = img.shape[1]
-    if _TOKENS.shape[1] < n:
+    if _TOKENS is None or _TOKENS.shape[1] < n:
         pts = [str(i + 1) for i in range(n)]
         _TOKENS = np.array([["(" + s for s in pts], [" " + s + ")" for s in pts],
                             [" " + s for s in pts], [""] * n], dtype=object)

@@ -323,13 +323,18 @@ def test_console_script_runs(tmp_path):
     assert len(list(Path(os.environ["MT_CACHE"]).iterdir())) == 1
 
 
-@pytest.mark.parametrize("args", [
+# The benchmark's four commands
+BENCHMARK_JOBS = [
     ["level", "--group", "A5", "--classes", "3A,3A,3A,3A", "--p", "2", "--k", "1"],
     ["dihedral", "--p", "5", "--k", "2"],
     ["schur", "--group", "A4", "--p", "2", "--k", "1"],
     ["gcomplete", "--group-file", str(DATA / "sl2_11.txt"), "--classes", "3A,5A",
      "--p", "11"],
-])
+]
+BENCHMARK_IDS = ["a5-level1", "dihedral-p5-k2", "schur-a4-k1", "gcomplete-sl2-11"]
+
+
+@pytest.mark.parametrize("args", BENCHMARK_JOBS)
 def test_jobs_do_not_import_numpy_ma(args, tmp_path):
     """A plain `np.unique` call imports `numpy.ma`, about 0.03 s of a cold
     job; the benchmark's jobs make none."""
@@ -339,6 +344,115 @@ def test_jobs_do_not_import_numpy_ma(args, tmp_path):
                            "--report", str(tmp_path / "o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_child(code, *args):
+    """Run `code` in a fresh interpreter, as `python -c code args...`."""
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is bound lazily: importing the CLI loads none of it, and the
+    first use of `np` loads the real module, the same one `import numpy`
+    then returns."""
+    run_child("import sys; import mtower.cli; from mtower import groups\n"
+              "assert 'numpy._core' not in sys.modules\n"
+              "assert int(groups.np.arange(4).sum()) == 6\n"
+              "assert 'numpy._core' in sys.modules\n"
+              "import numpy; assert numpy is groups.np")
+
+
+def test_numpy_imported_first_is_used_as_is():
+    run_child("import types, numpy; import mtower.cli\n"
+              "from mtower import groups, nielsen, np\n"
+              "assert np is numpy and groups.np is numpy and nielsen.np is numpy\n"
+              "assert type(numpy) is types.ModuleType")
+
+
+@pytest.mark.parametrize("args", BENCHMARK_JOBS, ids=BENCHMARK_IDS)
+def test_warm_replay_does_not_load_numpy(args, tmp_path):
+    """A cache hit builds nothing, so it never loads numpy; its report is
+    the cold one, byte for byte."""
+    assert run_into(args, tmp_path, "cold") == 0
+    out = run_child("import sys; from mtower.cli import main\n"
+                    "assert main(sys.argv[1:]) == 0\n"
+                    "assert 'numpy._core' not in sys.modules",
+                    *args, "--cache", str(tmp_path / "cache"),
+                    "--report", str(tmp_path / "warm"))
+    assert out.startswith("cache hit")
+    assert _report(tmp_path / "warm") == _report(tmp_path / "cold")
+
+
+def test_cache_keys_of_builtin_jobs_are_stable(tmp_path):
+    """Keys of builtin groups and `dihedral` are formed as before lookup
+    moved ahead of the group build, so their old entries still hit."""
+    for args in (["dihedral", "--p", "5", "--k", "0"], D5_LEVEL0,
+                 ["gcomplete", "--group", "A5", "--p", "2"]):
+        assert run_cli(args, tmp_path) == 0
+    assert sorted(d.name for d in (tmp_path / "cache").iterdir()) == [
+        "65ea0305c52bd1712155414c9ebbbabdf4030ff45c69cd1c4ca0b0038c5172b3",
+        "bdbd0a21aefd239e1eca64c904afea56e034348ec6f33c8e3ee134802f3e3bc9",
+        "e2f91c4b26f3a820988566c6e60d49affdd9b8357502b9bb66b7bd04688d5215"]
+
+
+def test_group_file_hit_ignores_budgets(tmp_path, capsys):
+    """A hit does no work, so it is served whatever the budgets; the same
+    job without the cache builds the group and is refused."""
+    gf = tmp_path / "d5.txt"
+    gf.write_text("(1 2 3 4 5)\n(2 5)(3 4)\n")
+    args = ["gcomplete", "--group-file", str(gf), "--p", "5"]
+    assert run_cli(args, tmp_path) == 0
+    capsys.readouterr()
+    assert run_into(args + ["--budget-elements", "1"], tmp_path, "again") == 0
+    assert capsys.readouterr().out.startswith("cache hit")
+    assert _report(tmp_path / "again") == _report(tmp_path / "out")
+    assert main(args + ["--budget-elements", "1", "--no-cache",
+                        "--report", str(tmp_path / "cold")]) == 2
+    assert "past --budget-elements" in capsys.readouterr().err
+    assert not (tmp_path / "cold").exists()
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["level", "--group", "A5", "--classes", "3A,3A,3A,3A", "--p", "2",
+      "--k", "2"], "k <= 1"),
+    (["level", "--group", "A5", "--classes", "3A,3A,3A,9Z", "--p", "2",
+      "--k", "0"], "unknown class label '9Z'"),
+    (["gcomplete", "--group", "A5", "--classes", "3A,9Z", "--p", "2"],
+     "unknown class label '9Z'"),
+    (["frattini-verify", "--group", "A4", "--p", "3"], "not 3-perfect"),
+], ids=["level-k2", "level-label", "gcomplete-label", "frattini-uncoverable"])
+def test_refused_job_with_warm_cache(tmp_path, capsys, args, reason):
+    """The lookup comes first, but a refused input never has an entry: with
+    a warm cache holding another job it still exits 2, writes no report and
+    publishes nothing."""
+    warm = ["level", "--group", "A5", "--classes", "3A,3A,3A,3A", "--p", "2",
+            "--k", "0"]
+    assert run_into(warm, tmp_path, "warm") == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    capsys.readouterr()
+    assert run_cli(args, tmp_path) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "cache").iterdir()) == [entry]
+
+
+@pytest.mark.parametrize("flag, text, budget, message", [
+    ("--group-file", "(1 2 3 4 5)\n(1 2 3)\n", "--budget-elements",
+     "group build: more than 10 elements, past --budget-elements"),
+    ("--presentation-file", "gens: a b\na^2\nb^3\n(a*b)^5\n", "--budget-cosets",
+     "coset enumeration: more than 10 cosets, past --budget-cosets"),
+], ids=["group-build", "coset-enumeration"])
+def test_budget_messages_name_stage_and_limit(tmp_path, capsys, flag, text,
+                                              budget, message):
+    path = tmp_path / "a5.txt"
+    path.write_text(text)
+    assert run_cli(["gcomplete", flag, str(path), "--p", "2", budget, "10"],
+                   tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_threads_flag_is_gone():

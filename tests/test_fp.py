@@ -47,7 +47,8 @@ def test_subgroup_indices():
 
 def test_overflow():
     # free group: the trivial subgroup has infinite index
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow, match=r"^coset enumeration: more than 100 "
+                                       r"cosets, past --budget-cosets$"):
         todd_coxeter(FREE2, (), max_cosets=100)
 
 

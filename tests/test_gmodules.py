@@ -4,7 +4,7 @@ import pytest
 import gmodules_oracle
 from mtower import gmodules
 from mtower import linalg as la
-from mtower.errors import NotASubgroup, NotInvolution
+from mtower.errors import NotASubgroup, NotInvolution, TooLarge
 from mtower.fp import Presentation
 from mtower.frattini import frattini_module
 from mtower.gmodules import (GModule, endomorphism_basis, fitting_decompose,
@@ -58,6 +58,13 @@ def test_induced_a5_p5_module(a5, d5sub_module):
     assert ld.layers[0] == ld.layers[1]
     named = loewy_layers(ind, {ld.layers[0][0]: "U_3"})
     assert named.display() == "U_3 -> U_3"
+
+
+def test_submodule_enumeration_names_its_limit():
+    M = trivial_module(cyclic_group(2), 2, gmodules.SPIN_DIM_LIMIT + 1)
+    with pytest.raises(TooLarge, match=r"^submodule enumeration: module of dim 13, "
+                                       r"past SPIN_DIM_LIMIT = 12$"):
+        radical(M)
 
 
 def test_loewy_trivial_module(a5):

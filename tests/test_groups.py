@@ -35,7 +35,8 @@ def test_group_orders_from_generators():
 
 
 def test_order_budget():
-    with pytest.raises(OrderExceeded):
+    with pytest.raises(OrderExceeded, match=r"^group build: more than 30 "
+                                            r"elements, past --budget-elements$"):
         FiniteGroup([parse_perm("(1 2 3 4 5)"), parse_perm("(1 2 3)", 5)],
                     max_order=30)
 
