@@ -208,7 +208,6 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
         "comparisons": [],
     }
     level_data = [(spec, reducer, reports)]
-    L_chain: list[FrattiniLevel] = []
     current = G
     for step in range(1, k + 1):
         L = build_level(current, p, budget_cosets)
@@ -248,7 +247,6 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
                 d["level"] = step
                 payload["comparisons"].append(d)
         level_data.append((lspec, lreducer, ureports))
-        L_chain.append(L)
         current = L.total
     return payload
 
@@ -481,7 +479,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--k", type=int, default=0)
         sp.add_argument("--report", default="mt-report")
         sp.add_argument("--cache", default=None)
         sp.add_argument("--no-cache", action="store_true")
@@ -496,15 +493,19 @@ def make_parser() -> argparse.ArgumentParser:
     def classes(sp):
         sp.add_argument("--classes", help="comma list of class labels, e.g. 3A,3A,3A,3A")
 
+    def level(sp):
+        sp.add_argument("--k", type=int, default=0, help="cover level")
+
     def add(name, help_text, func, *flag_sets):
         sp = sub.add_parser(name, help=help_text)
         for add_flags in flag_sets + (common,):
             add_flags(sp)
         sp.set_defaults(func=func)
 
-    add("level", "braid-orbit component analysis", cmd_level, group_source, classes)
-    add("dihedral", "odd-prime dihedral tower shadow", cmd_dihedral)
-    add("schur", "Z/p Schur quotient analysis", cmd_schur, group_source)
+    add("level", "braid-orbit component analysis", cmd_level, group_source, classes,
+        level)
+    add("dihedral", "odd-prime dihedral tower shadow", cmd_dihedral, level)
+    add("schur", "Z/p Schur quotient analysis", cmd_schur, group_source, level)
     add("gcomplete", "completeness verdicts", cmd_gcomplete, group_source, classes)
     add("frattini-verify", "cover property checks", cmd_frattini_verify,
         group_source)
@@ -516,10 +517,11 @@ def check_bounds(args) -> None:
     work (braid orbits need r >= 3 branch points)."""
     if args.p < 2 or any(args.p % q == 0 for q in range(2, isqrt(args.p) + 1)):
         raise InputError(f"--p must be prime, got {args.p}")
-    if args.k < 0:
-        raise InputError(f"--k must be >= 0, got {args.k}")
-    if args.command == "schur" and args.k > 1:
-        raise InputError(f"--k must be <= 1 for schur, got {args.k}")
+    k = getattr(args, "k", 0)
+    if k < 0:
+        raise InputError(f"--k must be >= 0, got {k}")
+    if args.command == "schur" and k > 1:
+        raise InputError(f"--k must be <= 1 for schur, got {k}")
     if args.command == "level":
         r = len(args.classes.split(",")) if args.classes else 0
         if r < 3:

@@ -50,7 +50,6 @@ def commutator_word(u, v) -> tuple[int, ...]:
 class Presentation:
     ngens: int
     relators: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         for r in self.relators:
@@ -58,20 +57,6 @@ class Presentation:
                 raise InputError(f"relator not freely reduced: {r}")
             if any(abs(x) > self.ngens or x == 0 for x in r):
                 raise InputError(f"letter out of range in relator: {r}")
-
-    def gen_name(self, i: int) -> str:
-        if self.names and i < len(self.names):
-            return self.names[i]
-        return f"x{i + 1}"
-
-    def word_str(self, word) -> str:
-        if not word:
-            return "1"
-        parts = []
-        for letter in word:
-            nm = self.gen_name(abs(letter) - 1)
-            parts.append(nm if letter > 0 else nm + "^-1")
-        return "*".join(parts)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -89,7 +74,7 @@ def parse_presentation(text: str) -> Presentation:
         raise InputError("no generators declared")
     gen_id = {nm: i + 1 for i, nm in enumerate(names)}
     relators = tuple(free_reduce(_parse_word(ln, gen_id)) for ln in lines[1:])
-    return Presentation(len(names), relators, names)
+    return Presentation(len(names), relators)
 
 
 def _parse_word(text: str, gen_id: dict[str, int]) -> tuple[int, ...]:
@@ -367,7 +352,3 @@ def schreier_generators(P: Presentation, T: CosetTable) -> list[tuple[int, ...]]
                 seen.add(w)
                 out.append(w)
     return out
-
-
-def presentation_order(P: Presentation, max_cosets: int = 1 << 20) -> int:
-    return todd_coxeter(P, (), max_cosets).n

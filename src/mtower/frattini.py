@@ -707,16 +707,20 @@ def verify_order_lifting(L: FrattiniLevel) -> OrderLiftReport:
             if ol != p * og:
                 violations.append((g, lift, ol))
     failures = []
-    tot_classes = L.total.conjugacy_classes()
     for cl in L.base.conjugacy_classes():
         if cl.element_order % p == 0:
             continue
-        above = [tc for tc in tot_classes
-                 if tc.element_order % p and
-                 int(L.proj[tc.representative]) in set(cl.members)]
+        above = _pprime_classes_above(L, cl)
         if len(above) != 1:
             failures.append((cl.representative, len(above)))
     return OrderLiftReport(violations, failures)
+
+
+def _pprime_classes_above(L: FrattiniLevel, c: ConjClass) -> list[ConjClass]:
+    """The p' classes of L.total whose representatives project into c."""
+    members = set(c.members)
+    return [tc for tc in L.total.conjugacy_classes()
+            if tc.element_order % L.p and int(L.proj[tc.representative]) in members]
 
 
 def minimal_generating_tuple(G: FiniteGroup) -> list[int]:
@@ -769,10 +773,7 @@ def verify_frattini(L: FrattiniLevel) -> bool:
 def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:
     if c.element_order % L.p == 0:
         raise NotPPrime("class order divisible by p")
-    members = set(c.members)
-    found = [tc for tc in L.total.conjugacy_classes()
-             if tc.element_order % L.p and
-             int(L.proj[tc.representative]) in members]
+    found = _pprime_classes_above(L, c)
     if len(found) != 1:
         raise AssertionError(f"expected unique p' class above, found {len(found)}")
     return found[0]

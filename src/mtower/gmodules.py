@@ -23,6 +23,7 @@ from .groups import FiniteGroup
 
 FULL_ACTION_CHECK_LIMIT = 256
 SPIN_DIM_LIMIT = 12
+IDEMPOTENT_SEARCH_LIMIT = 1 << 20      # elements of End(M) tried
 
 
 class GModule:
@@ -80,9 +81,6 @@ class GModule:
         self._mat_cache[elem] = m
         return m
 
-    def act(self, v: np.ndarray, elem: int) -> np.ndarray:
-        return la.matmul(v.reshape(1, -1), self.mat_of(elem), self.p)[0]
-
     def dual(self) -> "GModule":
         mats = [self._invert(m).T for m in self.mats]
         return GModule(self.group, self.p, mats, check=False)
@@ -119,10 +117,6 @@ class LoewyData:
     def display(self) -> str:
         return " -> ".join(self.layer_str(layer) for layer in self.layers)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(lab[0] for layer in self.layers for lab in layer)
-
 
 # -- submodule machinery -------------------------------------------------------
 
@@ -148,79 +142,47 @@ def _canonical_vectors(dim: int, p: int):
             yield v
 
 
-def all_submodules(M: GModule) -> list[np.ndarray]:
-    """Every submodule (as rref basis), including 0 and M.
+def _simple_summands(M: GModule) -> list[np.ndarray]:
+    """Simple submodules (rref bases) whose sum is direct and is soc M.
 
-    Cyclic submodules from spinning each projective vector, closed under
-    pairwise sums.  Guarded by SPIN_DIM_LIMIT.
+    Every simple submodule is cyclic, so spinning each projective vector
+    finds them all.  Taken by dimension, a cyclic submodule is simple when
+    it contains no smaller simple one, and it is kept when it is not inside
+    the sum of the simples kept before it.  Guarded by SPIN_DIM_LIMIT.
     """
     if M.dim > SPIN_DIM_LIMIT:
         raise TooLarge(f"submodule enumeration: module of dim {M.dim}, "
                        f"past SPIN_DIM_LIMIT = {SPIN_DIM_LIMIT}")
-    found: dict[bytes, np.ndarray] = {}
-    zero = np.zeros((0, M.dim), dtype=np.int64)
-    found[la.span_key(zero, M.p)] = zero
+    cyclic: dict[bytes, np.ndarray] = {}
     for v in _canonical_vectors(M.dim, M.p):
         sub = spin(M, v)
-        found.setdefault(la.span_key(sub, M.p), sub)
-    while True:
-        items = list(found.values())
-        added = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                s = np.concatenate([items[i], items[j]])
-                red, _ = la.rref(s, M.p)
-                key = la.span_key(red, M.p)
-                if key not in found:
-                    found[key] = red
-                    added = True
-        if not added:
-            return sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
+        cyclic.setdefault(sub.tobytes(), sub)       # spin gives rref bases
 
+    def inside(small, big):
+        return la.rank(np.concatenate([big, small]), M.p) == big.shape[0]
 
-def radical(M: GModule) -> np.ndarray:
-    """rad M = intersection of the maximal submodules (rref basis)."""
-    subs = [s for s in all_submodules(M) if s.shape[0] < M.dim]
-    maximal = []
-    for s in subs:
-        if not any(t is not s and s.shape[0] < t.shape[0]
-                   and _contains(t, s, M.p) for t in subs):
-            maximal.append(s)
-    if not maximal:
-        return np.zeros((0, M.dim), dtype=np.int64)
-    inter = maximal[0]
-    for s in maximal[1:]:
-        inter = _intersect(inter, s, M.p)
-    return inter
+    simples, kept = [], []
+    span = np.zeros((0, M.dim), dtype=np.int64)
+    for sub in sorted(cyclic.values(), key=len):
+        if any(inside(s, sub) for s in simples):
+            continue
+        simples.append(sub)
+        if not inside(sub, span):
+            kept.append(sub)
+            span, _ = la.rref(np.concatenate([span, sub]), M.p)
+    return kept
 
 
 def socle(M: GModule) -> np.ndarray:
-    subs = [s for s in all_submodules(M) if s.shape[0] > 0]
-    minimal = [s for s in subs
-               if not any(t.shape[0] > 0 and t.shape[0] < s.shape[0]
-                          and _contains(s, t, M.p) for t in subs)]
-    if not minimal:
-        return np.zeros((0, M.dim), dtype=np.int64)
-    acc = minimal[0]
-    for s in minimal[1:]:
-        acc, _ = la.rref(np.concatenate([acc, s]), M.p)
-    return acc
+    """soc M, the sum of the simple submodules (rref basis)."""
+    return la.rref(np.concatenate([np.zeros((0, M.dim), dtype=np.int64),
+                                   *_simple_summands(M)]), M.p)[0]
 
 
-def _contains(big: np.ndarray, small: np.ndarray, p: int) -> bool:
-    red, piv = la.rref(big, p)
-    return all(la.row_space_contains(red, piv, v, p) for v in small)
-
-
-def _intersect(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    stacked = np.concatenate([a, b])
-    rels = la.nullspace(stacked.T, p)  # combos summing to zero
-    vecs = la.matmul(rels[:, :a.shape[0]], a, p) if rels.shape[0] else \
-        np.zeros((0, a.shape[1]), dtype=np.int64)
-    red, _ = la.rref(vecs, p)
-    return red
+def radical(M: GModule) -> np.ndarray:
+    """rad M = (soc M*)^perp, the vectors that pair to zero with the socle
+    of the dual module (rref basis)."""
+    return la.rref(la.nullspace(socle(M.dual()), M.p), M.p)[0]
 
 
 def submodule_module(M: GModule, basis: np.ndarray) -> GModule:
@@ -260,22 +222,8 @@ def quotient_module(M: GModule, basis: np.ndarray) -> tuple[GModule, np.ndarray]
 
 
 def _semisimple_factors(M: GModule) -> list[tuple]:
-    """Labels of the simple summands of a semisimple module."""
-    out = []
-    current = M
-    while current.dim > 0:
-        best = None
-        for v in _canonical_vectors(current.dim, current.p):
-            sub = spin(current, v)
-            if best is None or sub.shape[0] < best.shape[0] or (
-                    sub.shape[0] == best.shape[0] and sub.tobytes() < best.tobytes()):
-                best = sub
-            if sub.shape[0] == 1:
-                break
-        assert best is not None
-        out.append(submodule_module(current, best).fingerprint())
-        current, _ = quotient_module(current, best)
-    return sorted(out)
+    """Labels of the simple summands of a semisimple module (M = soc M)."""
+    return sorted(submodule_module(M, s).fingerprint() for s in _simple_summands(M))
 
 
 def loewy_layers(M: GModule, label_names: dict | None = None) -> LoewyData:
@@ -370,14 +318,15 @@ def endomorphism_basis(M: GModule) -> np.ndarray:
     return basis
 
 
-def _endo_idempotents(M: GModule, limit: int = 1 << 20):
+def _endo_idempotents(M: GModule):
     """Yield nontrivial idempotents in End(M), exhausting the algebra."""
     basis = endomorphism_basis(M)
     k = basis.shape[0]
     n = M.dim
-    if M.p ** k > limit:
-        yield from _idempotents_by_minpoly(M, basis)
-        return
+    if M.p ** k > IDEMPOTENT_SEARCH_LIMIT:
+        raise TooLarge(f"module decomposition: End(M) has {M.p}^{k} = {M.p ** k:,} "
+                       f"elements, past IDEMPOTENT_SEARCH_LIMIT = "
+                       f"{IDEMPOTENT_SEARCH_LIMIT:,}")
     ident = la.identity(n)
     for coeffs in la.all_vectors(k, M.p):
         if not coeffs.any():
@@ -387,140 +336,6 @@ def _endo_idempotents(M: GModule, limit: int = 1 << 20):
             continue
         if (la.matmul(E, E, M.p) == E).all():
             yield E
-
-
-def _poly_mulmod(a, b, p):
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = (out[i:i + len(b)] + x * np.asarray(b)) % p
-    return [int(v) for v in out]
-
-
-def _poly_divmod(a, b, p):
-    a = [int(x) % p for x in a]
-    b = [int(x) % p for x in b]
-    while b and b[-1] == 0:
-        b.pop()
-    q = [0] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = la.inv_scalar(b[-1], p)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] = (r[shift + i] - f * c) % p
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while any(b):
-        _, r = _poly_divmod(a, b, p)
-        a, b = b, r if r else [0]
-    if any(a):
-        lead = next(x for x in reversed(a) if x)
-        a = [(x * la.inv_scalar(lead, p)) % p for x in a]
-    return a
-
-
-def _poly_xgcd(a, b, p):
-    """(g, u, v) with u a + v b = g, g monic gcd."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r if r else [0]
-        s0, s1 = s1, _poly_sub(s0, _poly_mulmod(q, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, _poly_mulmod(q, t1, p), p)
-    if any(r0):
-        lead = next(x for x in reversed(r0) if x)
-        inv = la.inv_scalar(lead, p)
-        r0 = [(x * inv) % p for x in r0]
-        s0 = [(x * inv) % p for x in s0]
-        t0 = [(x * inv) % p for x in t0]
-    return r0, s0, t0
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % p
-    return out
-
-
-def _poly_eval_matrix(poly, E, p):
-    n = E.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    power = la.identity(n)
-    for c in poly:
-        if c:
-            out = (out + c * power) % p
-        power = la.matmul(power, E, p)
-    return out
-
-
-def _min_poly(E: np.ndarray, p: int):
-    n = E.shape[0]
-    powers = [la.identity(n).reshape(-1)]
-    cur = la.identity(n)
-    for _ in range(n * n):
-        cur = la.matmul(cur, E, p)
-        stack = np.stack(powers)
-        sol = la.solve_right(stack, cur.reshape(1, -1), p)
-        if sol is not None:
-            coeffs = [int(-x % p) for x in sol[0]] + [1]
-            return coeffs
-        powers.append(cur.reshape(-1))
-    raise AssertionError("minimal polynomial not found")
-
-
-def _idempotents_by_minpoly(M: GModule, basis: np.ndarray):
-    """Coprime-factor splitting of minimal polynomials of algebra elements."""
-    p = M.p
-    n = M.dim
-    rng = np.random.default_rng(20240601)
-    for _ in range(200):
-        coeffs = rng.integers(0, p, size=basis.shape[0])
-        E = la.asmod(np.tensordot(coeffs, basis, axes=(0, 0)).reshape(n, n), p)
-        mp = _min_poly(E, p)
-        # coprime split of the minimal polynomial via gcd(mp, x^(p^i) - x)
-        xq = [0, 1]
-        for _ in range(1, len(mp)):
-            xq = _poly_powmod(xq, p, mp, p)
-            g = _poly_gcd(mp, _poly_sub(xq, [0, 1], p), p)
-            if 1 < len(g) < len(mp):
-                f1 = g
-                f2, _ = _poly_divmod(mp, g, p)
-                gg, u, _v = _poly_xgcd(f1, f2, p)
-                if len(gg) == 1 and gg[0] == 1:
-                    e = _poly_eval_matrix(_poly_mulmod(u, f1, p), E, p)
-                    if (la.matmul(e, e, p) == e).all() and e.any() and \
-                            (e != la.identity(n)).any():
-                        yield e
-                break
-
-
-def _poly_powmod(a, e, mod, p):
-    out = [1]
-    base = _poly_divmod(a, mod, p)[1] or [0]
-    while e:
-        if e & 1:
-            out = _poly_divmod(_poly_mulmod(out, base, p), mod, p)[1] or [0]
-        base = _poly_divmod(_poly_mulmod(base, base, p), mod, p)[1] or [0]
-        e >>= 1
-    return out
 
 
 def fitting_decompose(M: GModule, endo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -617,14 +432,6 @@ def induce(Mprime: GModule, G: FiniteGroup) -> GModule:
 
 
 # -- section 2.1 utilities -------------------------------------------------------
-
-
-def invariant_vectors(M: GModule, elements) -> np.ndarray:
-    """Common fixed row-space of the listed group elements."""
-    if not elements:
-        return la.identity(M.dim)
-    blocks = [(M.mat_of(e) - la.identity(M.dim)) % M.p for e in elements]
-    return la.nullspace(np.concatenate(blocks, axis=1).T, M.p)
 
 
 def involution_pairing(v1, v2, h: tuple[int, ...], p: int) -> int:
@@ -735,56 +542,3 @@ def coboundary_tails(P: Presentation, M: GModule) -> np.ndarray:
     fox = fox_matrix(P, M)
     basis, _ = la.rref(fox.T, M.p)
     return basis
-
-
-def parse_module_file(text: str, group: FiniteGroup) -> GModule:
-    """Text format: `p: 2`, `dim: 5`, then one matrix per group generator,
-    each as `dim` lines of digit strings (columns run left to right)."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines[0].lower().startswith("p:") or not lines[1].lower().startswith("dim:"):
-        raise InputError("module file must start with 'p:' and 'dim:' headers")
-    p = int(lines[0].split(":", 1)[1])
-    dim = int(lines[1].split(":", 1)[1])
-    rows = lines[2:]
-    need = dim * len(group.gen_indices)
-    if len(rows) != need:
-        raise InputError(f"expected {need} matrix rows, found {len(rows)}")
-    mats = []
-    for gi in range(len(group.gen_indices)):
-        block = rows[gi * dim:(gi + 1) * dim]
-        mat = np.array([[int(ch) for ch in row] for row in block],
-                       dtype=np.int64)
-        if mat.shape != (dim, dim):
-            raise InputError(f"matrix {gi} is not {dim}x{dim}")
-        mats.append(mat)
-    return GModule(group, p, mats)
-
-
-def format_module_file(M: GModule) -> str:
-    out = [f"p: {M.p}", f"dim: {M.dim}"]
-    for mat in M.mats:
-        for row in mat:
-            out.append("".join(str(int(x)) for x in row))
-    return "\n".join(out) + "\n"
-
-
-@dataclass
-class ModuleMap:
-    """A linear map commuting with both module actions (verified)."""
-    matrix: np.ndarray
-    source: GModule
-    target: GModule
-
-    def __post_init__(self):
-        self.matrix = la.asmod(self.matrix, self.source.p)
-        if self.matrix.shape != (self.source.dim, self.target.dim):
-            raise DimensionMismatch("matrix shape must be source dim x target dim")
-        for A, B in zip(self.source.mats, self.target.mats):
-            lhs = la.matmul(A, self.matrix, self.source.p)
-            rhs = la.matmul(self.matrix, B, self.source.p)
-            if (lhs != rhs).any():
-                raise InputError("map does not commute with the actions")
-
-    def is_surjective(self) -> bool:
-        return la.rank(self.matrix.T, self.source.p) == self.target.dim

@@ -476,10 +476,6 @@ def _transpose_in_place(A: np.ndarray) -> None:
             lower[...] = kept.T
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
-    return G.conjugacy_classes()
-
-
 def generating_set(G: FiniteGroup, elems) -> list[int]:
     """Greedy generators of the subgroup made of `elems`: each element joins
     unless the ones before it already generate it ([] for the trivial one)."""
@@ -498,10 +494,6 @@ def generating_set(G: FiniteGroup, elems) -> list[int]:
 def is_p_perfect(G: FiniteGroup, p: int) -> bool:
     """True iff G has no Z/p quotient, i.e. p does not divide |G/[G,G]|."""
     return G.abelianization_order() % p != 0
-
-
-def is_center_free(G: FiniteGroup) -> bool:
-    return len(G.center()) == 1
 
 
 def subgroup_from_indices(G: FiniteGroup, gen_indices, name: str = "") -> FiniteGroup:
@@ -620,37 +612,25 @@ def dihedral_group(n: int) -> FiniteGroup:
     G = FiniteGroup([rot, ref], name=f"D{n}")
     from .fp import Presentation  # local import to avoid a cycle
 
-    G.presentation = Presentation(2, ((1,) * n, (2, 2), (1, 2, 1, 2)), names=("r", "s"))
+    G.presentation = Presentation(2, ((1,) * n, (2, 2), (1, 2, 1, 2)))
     return G
 
 
 @lru_cache(maxsize=None)
 def alternating_group(n: int) -> FiniteGroup:
-    """A_4 or A_5 with generators a, b satisfying a^2 = b^3 = (ab)^n/... = 1.
-
-    Generators are the first pair (by element index in the full alternating
-    group) with orders (2, 3) whose product has order 3 (A_4) or 5 (A_5);
-    this pins the standard presentation <a,b | a^2, b^3, (ab)^k>.
-    """
+    """A_4 or A_5 on generators a, b with the presentation
+    <a, b | a^2, b^3, (ab)^k>, k = 3 or 5: the first pair (by element index
+    in A_n) with orders 2 and 3 that generates and whose product has order
+    k, found once by the search in tests/group_oracle.py."""
     if n not in (4, 5):
         raise InputError("only A4 and A5 are built in")
     k = 3 if n == 4 else 5
-    threecycle = Perm.from_cycles([[0, 1, 2]], n)
-    if n == 4:
-        other = Perm.from_cycles([[1, 2, 3]], n)
-    else:
-        other = Perm.from_cycles([[2, 3, 4]], n)
-    full = FiniteGroup([threecycle, other], name=f"A{n}")
-    assert full.order == (12 if n == 4 else 60)
-    of_order = [[x for x in range(full.order) if full.element_order(x) == o]
-                for o in (2, 3)]
-    a, b = next(row for rows, _, sizes in search_images(full, of_order)
-                for row in rows[sizes == full.order].tolist()
-                if full.element_order(full.mul(*row)) == k)
-    G = FiniteGroup([full.perm(a), full.perm(b)], name=f"A{n}")
+    a = Perm.from_cycles([[0, 2], [1, 3]] if n == 4 else [[0, 4], [2, 3]], n)
+    b = Perm.from_cycles([[0, 1, 2]], n)
+    G = FiniteGroup([a, b], name=f"A{n}")
     from .fp import Presentation
 
-    G.presentation = Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * k), names=("a", "b"))
+    G.presentation = Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * k))
     return G
 
 

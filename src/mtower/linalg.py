@@ -270,20 +270,6 @@ def sparse_rows(eq: np.ndarray, unk: np.ndarray, val: np.ndarray, nrows: int,
     return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
 
 
-def row_space_contains(basis_rref: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> bool:
-    v = asmod(v, p).copy()
-    for r, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * basis_rref[r]) % p
-    return not v.any()
-
-
-def span_key(rows: np.ndarray, p: int) -> bytes:
-    """Canonical hashable key for the row space spanned by `rows`."""
-    red, _ = rref(rows, p)
-    return red.astype(np.int64).tobytes() + bytes([red.shape[0]])
-
-
 def solve_right(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution X of X @ a = b (rows of b solved independently), or None."""
     a = asmod(a, p)

@@ -240,15 +240,6 @@ class Reducer:
         return self.canonical(self.sh_inv(u))
 
 
-def tuple_is_valid(spec: NielsenSpec, t) -> bool:
-    G = spec.group
-    prod = 0
-    for x in t:
-        prod = G.mul(prod, x)
-    return (prod == 0 and sorted(map(G.class_of, t)) == sorted(spec.class_ids)
-            and G.closure_size(t) == G.order)
-
-
 def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
     """All rows (x_1, ..., x_{r-1}, x_r) with x_i in choices[i] and x_r the
     inverse of x_1 ... x_{r-1}, kept where x_r is in last_choices."""
@@ -446,38 +437,6 @@ def project_tuple(L: FrattiniLevel, t) -> tuple:
 
 def format_tuple(G: FiniteGroup, t) -> str:
     return orbit_dump(G, [t])[0]
-
-
-def parse_tuple_text(G: FiniteGroup, text: str) -> tuple[int, ...]:
-    """Inverse of format_tuple: `[(1 2 3), (1 3 2), ...]` with 1-based cycles."""
-    from .perms import parse_perm
-
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise InputError(f"bad tuple text: {text!r}")
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in body[1:-1]:
-        if ch == "," and depth == 0:
-            parts.append(cur.strip())
-            cur = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur += ch
-    if cur.strip():
-        parts.append(cur.strip())
-    out = []
-    for part in parts:
-        q = parse_perm(part, G.degree)
-        e = G.lookup(q.as_array())
-        if e is None:
-            raise InputError(f"permutation {part!r} is not a group element")
-        out.append(e)
-    return tuple(out)
 
 
 def orbit_dump(G: FiniteGroup, orbit) -> list[str]:

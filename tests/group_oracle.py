@@ -11,7 +11,9 @@ elements found by the permutation BFS; it is the earlier route, kept as it
 was apart from its memory prediction.
 
 `conjugacy_classes` is the scalar class walk, one `conj` per element and
-generator.  The split and dihedral levels were built as permutation groups:
+generator.  `alternating_generators` is the search that chose the builtin
+generators of A_4 and A_5, which `groups.alternating_group` now writes
+out.  The split and dihedral levels were built as permutation groups:
 `_vector_group` and `_semidirect_group` compose each generator point by
 point, `split_level` decodes its elements through the image of point 0,
 `dihedral_step` through `_dihedral_decode`/`_dihedral_elem`, and
@@ -32,7 +34,7 @@ from mtower.fp import (CosetTable, Presentation, commutator_word, free_reduce,
                        invert_word, schreier_generators, todd_coxeter, word_pow)
 from mtower.frattini import level_from_pair_model
 from mtower.gmodules import GModule
-from mtower.groups import ConjClass, FiniteGroup, dihedral_group
+from mtower.groups import ConjClass, FiniteGroup, dihedral_group, search_images
 from mtower.perms import Perm
 
 
@@ -216,6 +218,23 @@ def conjugacy_classes(self) -> list[ConjClass]:
     return [
         ConjClass(orb[0], tuple(orb), self.element_order(orb[0])) for orb in raw
     ]
+
+
+def alternating_generators(n: int) -> tuple[Perm, Perm]:
+    """In the full A_n (n = 4 or 5), the first pair (by element index) with
+    orders 2 and 3 that generates and whose product has order 3 (n = 4) or
+    5 (n = 5), which pins <a, b | a^2, b^3, (ab)^k>."""
+    k = 3 if n == 4 else 5
+    threecycle = Perm.from_cycles([[0, 1, 2]], n)
+    other = Perm.from_cycles([[1, 2, 3]] if n == 4 else [[2, 3, 4]], n)
+    full = FiniteGroup([threecycle, other], name=f"A{n}")
+    assert full.order == (12 if n == 4 else 60)
+    of_order = [[x for x in range(full.order) if full.element_order(x) == o]
+                for o in (2, 3)]
+    a, b = next(row for rows, _, sizes in search_images(full, of_order)
+                for row in rows[sizes == full.order].tolist()
+                if full.element_order(full.mul(*row)) == k)
+    return full.perm(a), full.perm(b)
 
 
 # -- the split and dihedral levels as they were built as permutation groups ----

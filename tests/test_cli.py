@@ -462,6 +462,20 @@ def test_threads_flag_is_gone():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["gcomplete", "--group", "A5", "--p", "5", "--k", "1"],
+    ["frattini-verify", "--group", "A4", "--p", "2", "--k", "1"],
+], ids=["gcomplete", "frattini-verify"])
+def test_k_refused_where_unread(tmp_path, args):
+    """Only level, dihedral and schur take --k: elsewhere it is not in the
+    cache key, so argparse refuses it."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args, tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.mark.parametrize("args, bound", [
     (["level", "--group", "D5", "--classes", "2A,2A,2A,2A", "--p", "4",
       "--k", "0"], "--p must be prime"),

@@ -9,10 +9,11 @@ import dump_oracle
 import group_oracle as oracle
 from mtower import groups
 from mtower.errors import OrderExceeded
+from mtower.fp import todd_coxeter
 from mtower.frattini import minimal_generating_tuple
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
-                           dihedral_group, find_isomorphism, is_center_free,
-                           is_p_perfect, klein_four, special_linear_2)
+                           dihedral_group, find_isomorphism, is_p_perfect,
+                           klein_four, special_linear_2)
 from mtower.perms import Perm, cycle_orders, cycle_str, parse_perm, parse_group_file
 
 
@@ -78,8 +79,26 @@ def test_is_p_perfect(a5):
     assert is_p_perfect(a4, 2) and not is_p_perfect(a4, 3)
 
 
+@pytest.mark.parametrize("n, gens", [(4, ["(1 3)(2 4)", "(1 2 3)"]),
+                                     (5, ["(1 5)(3 4)", "(1 2 3)"])])
+def test_alternating_generators_are_the_searched_ones(n, gens):
+    """The builtin A_n has the generators the search finds, and they satisfy
+    its attached presentation, which presents a group of its order."""
+    G = alternating_group(n)
+    a, b = (G.perm(g) for g in G.gen_indices)
+    assert (a, b) == oracle.alternating_generators(n)
+    assert [str(a), str(b)] == gens
+    for rel in G.presentation.relators:
+        word = Perm.identity(n)
+        for letter in rel:
+            g = (a, b)[abs(letter) - 1]
+            word = word * (g if letter > 0 else g.inverse())
+        assert word.is_identity(), rel
+    assert todd_coxeter(G.presentation, (), 1 << 10).n == G.order
+
+
 def test_center(a5):
-    assert is_center_free(a5)
+    assert len(a5.center()) == 1
     assert len(klein_four().center()) == 4
     assert len(special_linear_2(5).center()) == 2
 

@@ -7,13 +7,22 @@ from mtower.groups import FiniteGroup
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
                             gamma_inf_orbits, hm_seed_tuples, is_hm,
                             is_p_divisible, lift_tuples, lifted_spec,
-                            mbar4_orbits, middle_product, project_tuple,
-                            tuple_is_valid)
+                            mbar4_orbits, middle_product, project_tuple)
 from mtower.groups import MUL_TABLE_LIMIT
-from mtower.perms import Perm
+from mtower.perms import Perm, parse_perm
 
 import canonical_oracle as oracle
 from conftest import class_of_order, level_bundle
+
+
+def tuple_is_valid(spec: NielsenSpec, t) -> bool:
+    """Product one, entries in the spec's classes, and generating."""
+    G = spec.group
+    prod = 0
+    for x in t:
+        prod = G.mul(prod, x)
+    return (prod == 0 and sorted(map(G.class_of, t)) == sorted(spec.class_ids)
+            and G.closure_size(t) == G.order)
 
 
 def test_spec_requires_p_prime_classes(a5):
@@ -156,12 +165,13 @@ def test_r5_shift_twist_orbits(a5):
 
 
 def test_tuple_text_roundtrip(a5, a5_level0):
-    from mtower.nielsen import format_tuple, parse_tuple_text, orbit_dump
+    from mtower.nielsen import format_tuple, orbit_dump
 
     t = a5_level0.reduced[0]
     text = format_tuple(a5, t)
     assert text.startswith("[(") and text.endswith(")]")
-    assert parse_tuple_text(a5, text) == t
+    assert tuple(a5.lookup(parse_perm(part, 5).as_array())
+                 for part in text[1:-1].split(", ")) == t
     dump = orbit_dump(a5, a5_level0.orbits[0][:3])
     assert len(dump) == 3
 
