@@ -25,7 +25,7 @@ from typing import Callable
 from . import cache as cache_mod
 from . import linalg as la
 from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
-                     InputError, InvariantViolation, MTError)
+                     InputError, InvariantViolation, MTError, NotPPrime)
 from .fp import parse_presentation, todd_coxeter, coset_group
 from .frattini import (FrattiniLevel, _dihedral_codes, dihedral_step,
                        general_level, split_level, split_structure,
@@ -104,7 +104,7 @@ def group_input(args) -> tuple[str, Callable[[], tuple[FiniteGroup, str]]]:
         def build_presented_group():
             P = presentation()
             G = coset_group(todd_coxeter(P, (), args.budget_cosets),
-                            name="presented-group")
+                            max_order=args.budget_elements, name="presented-group")
             G.presentation = P
             return G, f"{desc}:{G.order}"
         return f"{desc}:{digest}", build_presented_group
@@ -184,14 +184,10 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
     trusted to generate.
     """
     ids = tuple(class_id(G, lab) for lab in class_labels)
-    spec = NielsenSpec(G, ids, p)
-    reducer = Reducer(spec)
-    reduced = enumerate_reduced(spec, budget=budget_elements, reducer=reducer)
-    if not reduced:
-        raise EmptyNielsenClass(f"Ni({gdesc}, {class_labels}) is empty")
-    orbits = mbar4_orbits(spec, reduced, reducer)
-    reports = [analyze_component(spec, orb, reducer) for orb in orbits]
-    incidence = sh_incidence(reports, reducer)
+    classes = G.conjugacy_classes()
+    for lab, ci in zip(class_labels, ids):
+        if classes[ci].element_order % p == 0:
+            raise NotPPrime(f"Nielsen class: {lab} has order divisible by p = {p}")
     payload = {
         "group": gdesc,
         "order": G.order,
@@ -199,55 +195,51 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
         "classes": class_labels,
         "class_label_map": {lab: i for i, lab in
                             enumerate(label_classes(G)) if lab in class_labels},
-        "levels": [{
-            "k": 0,
-            "components": [r.to_dict() for r in reports],
-        }],
-        "sh_incidence": {"0": incidence.to_csv()},
-        "orbit_dumps": {"0": [orbit_dump(G, r.orbit) for r in reports]},
+        "levels": [],
+        "sh_incidence": {},
+        "orbit_dumps": {},
         "comparisons": [],
     }
-    level_data = [(spec, reducer, reports)]
-    current = G
-    for step in range(1, k + 1):
-        L = build_level(current, p, budget_cosets)
-        frat_ok = verify_frattini(L)
-        if not frat_ok:
-            raise InvariantViolation("constructed level is not a Frattini cover")
-        lspec = lifted_spec(L, level_data[-1][0])
-        lreducer = Reducer(lspec)
-        seeds = []
-        for rep in level_data[-1][2]:
-            seeds.extend(lift_tuples(L, rep.orbit[0], lspec, lreducer,
-                                     frattini_verified=True,
-                                     budget=budget_elements))
-        seeds = sorted(set(seeds))
-        if not seeds:
-            raise EmptyNielsenClass(f"nothing lies over level {step - 1}")
-        uorbits = mbar4_orbits(lspec, seeds, lreducer)
-        ureports = [analyze_component(lspec, orb, lreducer) for orb in uorbits]
-        uincidence = sh_incidence(ureports, lreducer)
-        payload["levels"].append({
-            "k": step,
-            "total_order": L.total.order,
-            "kernel_dim": L.kernel_dim,
-            "components": [r.to_dict() for r in ureports],
-        })
-        payload["sh_incidence"][str(step)] = uincidence.to_csv()
-        payload["orbit_dumps"][str(step)] = [
-            orbit_dump(L.total, r.orbit) for r in ureports]
-        for li, lrep in enumerate(level_data[-1][2]):
-            for ui, urep in enumerate(ureports):
+    group, lower = G, None          # lower: the level below's spec, reducer, reports
+    for step in range(k + 1):
+        level = {"k": step}
+        if lower is None:
+            spec = NielsenSpec(G, ids, p)
+            reducer = Reducer(spec)
+            seeds = enumerate_reduced(spec, budget=budget_elements, reducer=reducer)
+            if not seeds:
+                raise EmptyNielsenClass(f"Ni({gdesc}, {class_labels}) is empty")
+        else:
+            L = build_level(group, p, budget_cosets)
+            if not verify_frattini(L):
+                raise InvariantViolation("constructed level is not a Frattini cover")
+            group = L.total
+            spec = lifted_spec(L, lower[0])
+            reducer = Reducer(spec)
+            seeds = sorted({t for rep in lower[2] for t in lift_tuples(
+                L, rep.orbit[0], spec, reducer, frattini_verified=True,
+                budget=budget_elements)})
+            if not seeds:
+                raise EmptyNielsenClass(f"nothing lies over level {step - 1}")
+            level.update(total_order=group.order, kernel_dim=L.kernel_dim)
+        reports = [analyze_component(spec, orb, reducer)
+                   for orb in mbar4_orbits(spec, seeds, reducer)]
+        level["components"] = [r.to_dict() for r in reports]
+        payload["levels"].append(level)
+        payload["sh_incidence"][str(step)] = sh_incidence(reports, reducer).to_csv()
+        payload["orbit_dumps"][str(step)] = [orbit_dump(group, r.orbit)
+                                             for r in reports]
+        for li, lrep in enumerate(lower[2] if lower else []):
+            for ui, urep in enumerate(reports):
                 try:
-                    cmp = level_compare(lrep, urep, L, level_data[-1][1], li, ui)
+                    cmp = level_compare(lrep, urep, L, lower[1], li, ui)
                 except MTError:
                     continue
                 d = cmp.to_dict()
                 d["verdict"] = check_goup(cmp)
                 d["level"] = step
                 payload["comparisons"].append(d)
-        level_data.append((lspec, lreducer, ureports))
-        current = L.total
+        lower = (spec, reducer, reports)
     return payload
 
 
@@ -324,10 +316,9 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
     return rc
 
 
-def cmd_level(args) -> int:
-    gkey, build_group = group_input(args)
-    labels = [s.strip() for s in args.classes.split(",")]
-
+def _level_job(args, build_group, labels: list[str]):
+    """compute(report_dir) of a braid-orbit job at level args.k over the
+    group that build_group() returns with its report name."""
     def compute(report_dir):
         G, gdesc = build_group()
         if args.k >= 1:
@@ -342,28 +333,25 @@ def cmd_level(args) -> int:
         print(f"level {args.k}: {len(top)} component(s); "
               f"genera {[c['genus'] for c in top]} -> {report_dir}")
         return 0, names
+    return compute
 
+
+def cmd_level(args) -> int:
+    gkey, build_group = group_input(args)
+    labels = [s.strip() for s in args.classes.split(",")]
     return _cached(args, {"cmd": "level", "group": gkey, "classes": labels,
-                          "p": args.p, "k": args.k}, compute)
+                          "p": args.p, "k": args.k},
+                   _level_job(args, build_group, labels))
 
 
 def cmd_dihedral(args) -> int:
+    """`level` on D_p with four involutions (D_p, p odd, has one class of
+    them, 2A), under its own cache key."""
     if args.p == 2:
         raise InputError("dihedral tower needs an odd prime")
-
-    def compute(report_dir):
-        G = dihedral_group(args.p)
-        labels = [label_classes(G)[next(
-            i for i, c in enumerate(G.conjugacy_classes()) if c.element_order == 2)]] * 4
-        payload = run_level_analysis(G, f"D{args.p}", labels, args.p, args.k,
-                                     args.budget_elements, args.budget_cosets)
-        names = _emit(payload, report_dir)
-        top = payload["levels"][-1]["components"]
-        print(f"dihedral level {args.k}: sizes {[c['orbit_size'] for c in top]}, "
-              f"genera {[c['genus'] for c in top]} -> {report_dir}")
-        return 0, names
-
-    return _cached(args, {"cmd": "dihedral", "p": args.p, "k": args.k}, compute)
+    return _cached(args, {"cmd": "dihedral", "p": args.p, "k": args.k},
+                   _level_job(args, lambda: (dihedral_group(args.p), f"D{args.p}"),
+                              ["2A"] * 4))
 
 
 def _schur_report(G: FiniteGroup, gdesc: str, p: int, k: int,

@@ -45,8 +45,8 @@ from .errors import (ActionLiftFailed, Collapse, InputError, NotPPrime,
                      OrderExceeded, TooLarge)
 from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
                  invert_word, schreier_generators, todd_coxeter, word_pow)
-from .gmodules import (GModule, coboundary_tails, indecomposable_summands,
-                       induce, submodule_module, trivial_module)
+from .gmodules import (GModule, indecomposable_summands, induce,
+                       submodule_module, trivial_module)
 from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, find_isomorphism,
                      generating_set, search_images, spanning_tree,
                      subgroup_from_indices)
@@ -541,9 +541,13 @@ def _cocycle_space(P: Presentation, M: GModule):
     relator, read from every vertex, ends at its tail (|G| m rows per
     relator, handed to one SparseNullspace as sparse rows, a relator at a
     time).  Returns the labels and the tails blocks of the basis that
-    la.nullspace gives for that system, and the (|G|, d) array of label
-    indices (-1 on tree edges).  Raises TooLarge, before any work, when the
-    solve's predicted memory passes MEMORY_CEILING.
+    la.nullspace gives for that system, the (|G|, d) array of label
+    indices (-1 on tree edges), and the rref (rows, pivots) of the
+    coboundary tails: lifting x_i by v moves relator r's tail by v times
+    the sum of the letter matrices K over the letters x_i^(+-1) of r (the
+    Fox derivative), one row per (i, basis vector), the same walk as the
+    solve's.  Raises TooLarge, before any work, when the solve's predicted
+    memory passes MEMORY_CEILING.
     """
     G, p, m, n, s = M.group, M.p, M.dim, M.group.order, len(P.relators)
     nl = (n * (P.ngens - 1) + 1) * m
@@ -560,6 +564,7 @@ def _cocycle_space(P: Presentation, M: GModule):
                           if e not in tree):
         col[e] = k
     system = la.SparseNullspace(ncols, p)
+    cob = np.zeros((P.ngens, m, s, m), dtype=np.int64)
     for ri, rel in enumerate(P.relators):
         # entry (equation g*m + b, unknown u*m + a) = K[a, b]; the tail t_ri
         # enters every equation of the relator with -1
@@ -578,6 +583,7 @@ def _cocycle_space(P: Presentation, M: GModule):
         at = np.arange(n)
         for letter, K in zip(rel, reversed(coeffs)):
             i = abs(letter) - 1
+            cob[i, :, ri] += K
             if letter > 0:
                 blk, at = col[at, i], right[i][at]
             else:
@@ -592,7 +598,8 @@ def _cocycle_space(P: Presentation, M: GModule):
         system.add(la.sparse_rows(np.concatenate(eq), np.concatenate(unk),
                                    np.concatenate(val), n * m, ncols))
     sol = system.nullspace()
-    return sol[:, :nl], sol[:, nl:], col
+    return (sol[:, :nl], sol[:, nl:], col,
+            la.rref(cob.reshape(P.ngens * m, s * m), p))
 
 
 def h2_classes(P: Presentation, M: GModule) -> tuple[int, list[np.ndarray]]:
@@ -604,13 +611,11 @@ def _h2_classes(P: Presentation, M: GModule, space) -> tuple[int, list[np.ndarra
     """H^2 classes read from a solved _cocycle_space.
 
     The tails of all extensions are reduced modulo the coboundary tails onto
-    the free columns of rref(B); every vector of that complement is listed,
+    the free columns of their rref; every vector of that complement is listed,
     ordered by its free-column values, so the zero class comes first.
     """
     p, m, s = M.p, M.dim, len(P.relators)
-    tails = space[1]
-    B = coboundary_tails(P, M)  # rows, length s*m
-    red, piv = la.rref(B, p) if B.size else (B, [])
+    _, tails, _, (red, piv) = space
     for r, c in enumerate(piv):
         tails = (tails - np.outer(tails[:, c], red[r])) % p
     free_cols = [c for c in range(s * m) if c not in piv]
@@ -643,7 +648,7 @@ def _extension(P: Presentation, M: GModule, space, tails: np.ndarray,
     times = G.mul_table                          # column h: g -> g h
     _check_memory("extension tables", f"{n:,} x {n:,} x {m}",
                   8 * n * n * (m + (times is None)))
-    sol_labels, sol_tails, col = space
+    sol_labels, sol_tails, col, _ = space
     coeff = la.solve_right(sol_tails, np.reshape(tails, (1, -1)), p)
     if coeff is None:
         raise Collapse("tails are not the relator tails of an extension")

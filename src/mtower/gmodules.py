@@ -13,12 +13,12 @@ simples occurring at desk scale without Brauer character machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import np
 from . import linalg as la
 from .errors import (DimensionMismatch, InputError, NotASubgroup,
                      NotInvolution, TooLarge)
-from .fp import Presentation
 from .groups import FiniteGroup
 
 FULL_ACTION_CHECK_LIMIT = 256
@@ -243,52 +243,55 @@ def _radical_layers(M: GModule) -> tuple[list[np.ndarray], list[list[tuple]]]:
     while (rad_local := radical(current)).shape[0]:
         filtration.append(la.matmul(rad_local, filtration[-1], M.p))
         current = submodule_module(M, filtration[-1])
-    layers = [_semisimple_factors(_subquotient(M, upper, lower))
+    layers = [_semisimple_factors(_subquotient(M, upper, lower)[0])
               for upper, lower in zip(filtration, filtration[1:] + [None])]
     return filtration, list(reversed(layers))
 
 
 def _subquotient(M: GModule, upper: np.ndarray,
-                 lower: np.ndarray | None) -> GModule:
-    """<upper> / <lower> for submodule bases lower inside upper (None: 0)."""
+                 lower: np.ndarray | None) -> tuple[GModule, np.ndarray]:
+    """(<upper> / <lower>, projection from upper's coordinates onto it) for
+    submodule bases lower inside upper (None: 0)."""
     if lower is None:
         lower_in_upper = np.zeros((0, upper.shape[0]), dtype=np.int64)
     else:
         lower_in_upper = la.solve_right(upper, lower, M.p)
         assert lower_in_upper is not None
-    return quotient_module(submodule_module(M, upper), lower_in_upper)[0]
+    return quotient_module(submodule_module(M, upper), lower_in_upper)
+
+
+def _meet(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """<a> cap <b> (rref basis): x a for the relations x a + y b = 0."""
+    rels = la.nullspace(np.concatenate([a, b]).T, p)
+    return la.rref(la.matmul(rels[:, :a.shape[0]], a, p), p)[0]
 
 
 def _loewy_arrows(M: GModule, filtration, layers) -> list[list[tuple]]:
     """Edges between consecutive (socle-first) layers.
 
-    For each two-layer subquotient rad^j/rad^{j+2}: if it does not split as
-    (head part) + (socle part), connect every head label to every socle
-    label of a common indecomposable summand.  Coarse but deterministic.
+    For each two-layer subquotient T = rad^j/rad^{j+2}: connect every head
+    label to every socle label of a common indecomposable summand S of T.
+    rad S = S cap rad T, and rad T is the image of rad^{j+1}, so the layers
+    of S need no further radical.  Coarse but deterministic.
     """
     arrows: list[list[tuple]] = []
     L = len(layers)
     for j in range(L - 1):
         # socle-first index j corresponds to rad^(L-2-j) / rad^(L-j)
-        top_idx = L - 2 - j
-        lower = filtration[top_idx + 2] if top_idx + 2 < len(filtration) else None
-        two_layer = _subquotient(M, filtration[top_idx], lower)
-        pairs = []
-        for piece_basis in indecomposable_summands(two_layer):
-            piece = submodule_module(two_layer, piece_basis)
-            pl = loewy_plain_layers(piece)
-            if len(pl) == 2:
-                for low in pl[0]:
-                    for high in pl[1]:
-                        if (low, high) not in pairs:
-                            pairs.append((low, high))
+        top = L - 2 - j
+        upper, lower = filtration[top], filtration[top + 2] if top + 2 < L else None
+        two_layer, proj = _subquotient(M, upper, lower)
+        rad_two = la.matmul(la.solve_right(upper, filtration[top + 1], M.p),
+                            proj, M.p)
+        pairs: set[tuple] = set()
+        for piece in indecomposable_summands(two_layer):
+            rad_piece = _meet(piece, rad_two, M.p)
+            if rad_piece.shape[0]:
+                pairs.update(product(
+                    _semisimple_factors(submodule_module(two_layer, rad_piece)),
+                    _semisimple_factors(_subquotient(two_layer, piece, rad_piece)[0])))
         arrows.append(sorted(pairs))
     return arrows
-
-
-def loewy_plain_layers(M: GModule) -> list[list[tuple]]:
-    """Socle-first layer labels without arrow analysis (no recursion risk)."""
-    return _radical_layers(M)[1] if M.dim else []
 
 
 # -- endomorphisms, idempotents, Fitting ---------------------------------------
@@ -497,48 +500,3 @@ def regular_module(G: FiniteGroup, p: int) -> GModule:
         mats.append(m)
     return GModule(G, p, mats, check=False)
 
-
-# -- Fox derivative blocks --------------------------------------------------------
-
-
-def fox_matrix(P: Presentation, M: GModule) -> np.ndarray:
-    """Linear map M^d -> M^s of lift-change on relator tails.
-
-    Block (i, j) is the free derivative of relator i by generator j pushed
-    through the module action; computed by evaluating each relator on lifted
-    generators (x_j, m_j) in the split extension, which avoids convention
-    slips.  Returns an (s*dim) x (d*dim) matrix acting on row vectors:
-    tails = m_vec @ fox.T arranged per relator.
-    """
-    if len(P.relators) == 0:
-        return np.zeros((0, P.ngens * M.dim), dtype=np.int64)
-    if M.group is not None and len(M.mats) != P.ngens:
-        raise DimensionMismatch("module must have one matrix per presentation generator")
-    d, m, p = P.ngens, M.dim, M.p
-    inv_mats = [M._invert(A) for A in M.mats]
-    out = np.zeros((len(P.relators) * m, d * m), dtype=np.int64)
-    for j in range(d):
-        for b in range(m):
-            # lift x_j by basis vector e_b, others by zero; evaluate all relators
-            for i, rel in enumerate(P.relators):
-                vec = np.zeros(m, dtype=np.int64)
-                for letter in rel:
-                    gi = abs(letter) - 1
-                    if letter > 0:
-                        # (g, v)(x_gi, m_gi) = (g x_gi, v A + m_gi)
-                        vec = la.matmul(vec.reshape(1, -1), M.mats[gi], p)[0]
-                        if gi == j:
-                            vec[b] = (vec[b] + 1) % p
-                    else:
-                        vec = la.matmul(vec.reshape(1, -1), inv_mats[gi], p)[0]
-                        if gi == j:
-                            vec = (vec - inv_mats[gi][b]) % p
-                out[i * m:(i + 1) * m, j * m + b] = vec
-    return out
-
-
-def coboundary_tails(P: Presentation, M: GModule) -> np.ndarray:
-    """Row space basis of the achievable tail changes (image of fox_matrix)."""
-    fox = fox_matrix(P, M)
-    basis, _ = la.rref(fox.T, M.p)
-    return basis

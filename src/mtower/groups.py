@@ -335,27 +335,26 @@ class FiniteGroup:
         self.conjugacy_classes()
         return int(self._class_of[x])
 
-    def subgroup_closure(self, seeds, cap: int | None = None) -> tuple[int, ...]:
-        """Sorted element indices of <seeds>; stops early past `cap` if given."""
-        mask = next(self._closure_masks(_seed_row(seeds), cap))[0]
+    def subgroup_closure(self, seeds) -> tuple[int, ...]:
+        """Sorted element indices of <seeds>."""
+        mask = next(self._closure_masks(_seed_row(seeds)))[0]
         return tuple(mask.nonzero()[0].tolist())
 
     def closure_size(self, seeds) -> int:
-        return int(next(self._closure_masks(_seed_row(seeds), None)).sum())
+        return int(next(self._closure_masks(_seed_row(seeds))).sum())
 
     def closure_sizes(self, seed_rows) -> np.ndarray:
         """|<row>| for each row of an (N, k) array of seeds."""
-        sizes = [m.sum(axis=1) for m in self._closure_masks(seed_rows, None)]
+        sizes = [m.sum(axis=1) for m in self._closure_masks(seed_rows)]
         return np.concatenate(sizes) if sizes else np.zeros(0, dtype=np.int64)
 
-    def _closure_masks(self, seed_rows, cap: int | None):
+    def _closure_masks(self, seed_rows):
         """Membership masks of <row> for the rows of an (N, k) array of
         seeds, yielded a block of rows at a time as (rows, order) bools.
 
         One BFS runs over a block level by level, on the flat (row, element)
         mask: each frontier cell is multiplied on the right by its row's
-        seeds (`mul_many`).  A row stops growing once more than `cap` of its
-        elements are found.  A block holds at most _CLOSURE_CELLS
+        seeds (`mul_many`).  A block holds at most _CLOSURE_CELLS
         (row, element, seed) cells, so its temporaries stay bounded.
         """
         rows = np.asarray(seed_rows, dtype=np.int64)
@@ -369,13 +368,7 @@ class FiniteGroup:
             seen[np.arange(len(seeds))[:, None], seeds] = True
             flat = seen.ravel()
             frontier = flat.nonzero()[0]
-            found = 0
-            while True:
-                if cap is not None:
-                    found += np.bincount(frontier // n, minlength=len(seeds))
-                    frontier = frontier[found[frontier // n] <= cap]
-                if not frontier.size:
-                    break
+            while frontier.size:
                 if len(seeds) == 1:        # a cell is its element: no row arithmetic
                     prods = self.mul_many(frontier[:, None], seeds[0])
                 else:

@@ -135,7 +135,7 @@ def _classify_pairs(E: FrattiniLevel, L: FrattiniLevel, pairs, vd: VDSet) -> lis
                        E.kernel_elems[0])
     abelian = R.mul_many(seeds[:, 0], seeds[:, 1]) == R.mul_many(seeds[:, 1], seeds[:, 0])
     orders, exponents, n_ps = [], [], []
-    for masks in R._closure_masks(seeds, None):
+    for masks in R._closure_masks(seeds):
         elems = masks.any(axis=0).nonzero()[0]
         order = np.where(elems == 0, 1, np.where(_powers(R, elems, p) == 0, p, p * p))
         ords = np.where(masks[:, elems], order, 0)

@@ -88,23 +88,21 @@ def build_inverses(elements, index) -> np.ndarray:
     return inv
 
 
-def closure_mask(G, seeds, cap=None) -> np.ndarray:
+def closure_mask(G, seeds) -> np.ndarray:
     """Membership mask of <seeds>, by a level-by-level BFS over right
-    multiplication by the seeds; stops once more than `cap` are found."""
+    multiplication by the seeds."""
     gens = np.unique(np.asarray([s for s in seeds if s != 0], dtype=np.int64))
     seen = np.zeros(G.order, dtype=bool)
     seen[0] = True
     seen[gens] = True
     frontier = seen.nonzero()[0]
-    found = frontier.size
-    while frontier.size and (cap is None or found <= cap):
+    while frontier.size:
         prods = G.mul_many(frontier[:, None], gens)
         fresh = np.zeros(G.order, dtype=bool)
         fresh[prods] = True
         fresh &= ~seen
         seen |= fresh
         frontier = fresh.nonzero()[0]
-        found += frontier.size
     return seen
 
 

@@ -177,7 +177,7 @@ def restriction_splits(L, subgroup_elems):
         for b in S:
             if b <= a:
                 continue
-            clo = L.base.subgroup_closure([a, b], cap=len(S))
+            clo = L.base.subgroup_closure([a, b])
             if len(clo) == len(S) and set(clo) == sset:
                 sub_gens = [a, b]
                 break
@@ -185,7 +185,7 @@ def restriction_splits(L, subgroup_elems):
             break
     if sub_gens is None:
         for a in S:
-            if len(L.base.subgroup_closure([a], cap=len(S))) == len(S):
+            if len(L.base.subgroup_closure([a])) == len(S):
                 sub_gens = [a]
                 break
     assert sub_gens is not None, "subgroup has no small generating set"

@@ -444,7 +444,9 @@ def test_refused_job_with_warm_cache(tmp_path, capsys, args, reason):
      "group build: more than 10 elements, past --budget-elements"),
     ("--presentation-file", "gens: a b\na^2\nb^3\n(a*b)^5\n", "--budget-cosets",
      "coset enumeration: more than 10 cosets, past --budget-cosets"),
-], ids=["group-build", "coset-enumeration"])
+    ("--presentation-file", "gens: a b\na^2\nb^3\n(a*b)^5\n", "--budget-elements",
+     "group build: more than 10 elements, past --budget-elements"),
+], ids=["group-build", "coset-enumeration", "presented-group-build"])
 def test_budget_messages_name_stage_and_limit(tmp_path, capsys, flag, text,
                                               budget, message):
     path = tmp_path / "a5.txt"
@@ -535,6 +537,22 @@ def test_uncoverable_group_still_runs_level0(tmp_path):
 def test_fewer_than_three_classes_rejected(tmp_path, capsys, args, count):
     assert run_cli(["level", *args, "--k", "0"], tmp_path) == 2
     assert f"--classes needs at least 3 classes, got {count}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_class_of_order_divisible_by_p_named(tmp_path, capsys, monkeypatch, k):
+    """A class whose order p divides is named by its label, before any
+    cover is built."""
+    def no_build(*a, **kw):
+        raise AssertionError("cover build started")
+
+    monkeypatch.setattr(cli, "build_level", no_build)
+    assert run_cli(["level", "--group", "A5", "--classes", "2A,2A,2A",
+                    "--p", "2", "--k", k], tmp_path) == 2
+    assert "Nielsen class: 2A has order divisible by p = 2" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()

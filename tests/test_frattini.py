@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fox_oracle
 from mtower import frattini
 from mtower import linalg as la
 from mtower.errors import Collapse, NotPPrime, TooLarge
@@ -11,7 +12,7 @@ from mtower.frattini import (build_extension, dihedral_level,
                              normalizer, p_sylow, restriction_splits,
                              split_level, split_structure, transport_level,
                              verify_frattini, verify_order_lifting)
-from mtower.gmodules import GModule, coboundary_tails, trivial_module
+from mtower.gmodules import GModule, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, is_p_perfect,
                            special_linear_2)
@@ -112,7 +113,7 @@ def _oracle_h2(P, M):
     free columns of the coboundary tails, in counting order, is kept when
     its presented extension reaches |G| p^m."""
     p, m, s = M.p, M.dim, len(P.relators)
-    B = coboundary_tails(P, M)
+    B = fox_oracle.coboundary_tails(P, M)
     _, piv = la.rref(B, p) if B.size else (B, [])
     free_cols = [c for c in range(s * m) if c not in piv]
     valid = []
@@ -181,6 +182,27 @@ def test_h2_matches_coset_enumeration(case):
     for tails in classes[1:]:
         lvl = build_extension(P, M, tails)
         assert (lvl.psi == _enumerated_psi(P, M, tails)).all()
+
+
+def test_solve_coboundary_rows_match_fox_oracle(a5, a4_tower):
+    """The coboundary tails that _cocycle_space sums on its relator walk
+    equal the rref of the Fox derivatives evaluated in the split extension:
+    trivial modules, the summands of the induced A5 modules at p = 2 and 3,
+    and the split A4 level's kernel module and trivial module over G0."""
+    cases = [(G.presentation, trivial_module(G, p)) for G, p in
+             ((a5, 2), (a5, 3), (a5, 5), (alternating_group(4), 2),
+              (dihedral_group(5), 5))]
+    for p in (2, 3):
+        data = frattini.frattini_module(a5, p)
+        cases += [(a5.presentation, frattini.submodule_module(data.induced, b))
+                  for b in data.summand_bases]
+    G0 = a4_tower.g0
+    cases += [(G0.presentation, a4_tower.level.kernel_module),
+              (G0.presentation, trivial_module(G0, 2))]
+    assert sorted(M.dim for _, M in cases) == [1] * 6 + [4, 4, 5, 5, 6, 16]
+    for P, M in cases:
+        rows, _ = frattini._cocycle_space(P, M)[3]
+        assert np.array_equal(rows, fox_oracle.coboundary_tails(P, M)), (P, M.dim)
 
 
 def test_frattini_module_psi_matches_coset_enumeration(g1a5, a5):

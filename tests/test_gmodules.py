@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 import gmodules_oracle
+from fox_oracle import fox_matrix
 from mtower import gmodules
 from mtower import linalg as la
 from mtower.errors import NotASubgroup, NotInvolution, TooLarge
 from mtower.fp import Presentation
 from mtower.frattini import frattini_module
 from mtower.gmodules import (GModule, endomorphism_basis, fitting_decompose,
-                             fox_matrix, frobenius_check, hopf_tensor, induce,
+                             frobenius_check, hopf_tensor, induce,
                              indecomposable_summands, involution_pairing,
-                             is_indecomposable, loewy_layers,
-                             loewy_plain_layers, radical, regular_module,
-                             socle, submodule_module, trivial_module)
+                             is_indecomposable, loewy_layers, radical,
+                             regular_module, socle, submodule_module,
+                             trivial_module)
 from mtower.groups import FiniteGroup, cyclic_group
 from mtower.perms import Perm
 
@@ -48,10 +49,16 @@ def test_induce_dims(a5, d5sub_module):
         induce(trivial_module(cyclic_group(7), 2), a5)
 
 
-def test_induced_a5_p5_module(a5, d5sub_module):
+def test_induced_a5_p5_module(monkeypatch, a5, d5sub_module):
     ind = induce(d5sub_module, a5)
     assert is_indecomposable(ind)
+    # the arrows read the summands' radicals off the radical series, so the
+    # simple-submodule search runs on the 6-dimensional module (its dual) once
+    searched, search = [], gmodules._simple_summands
+    monkeypatch.setattr(gmodules, "_simple_summands",
+                        lambda M: searched.append(M.dim) or search(M))
     ld = loewy_layers(ind)
+    assert len(searched) == 6 and searched.count(6) == 1
     assert len(ld.layers) == 2
     assert [lab[0] for lab in ld.layers[0]] == [3]
     assert ld.layers[0] == ld.layers[1]
@@ -101,7 +108,7 @@ def test_simple_summands_match_lattice_oracle(request, case):
         for got, want in ((rad, gmodules_oracle.radical(M, subs)),
                           (soc, gmodules_oracle.socle(M, subs))):
             assert got.shape == want.shape and (got == want).all(), (case, M.dim)
-        for layer in (gmodules._subquotient(M, la.identity(M.dim), rad),
+        for layer in (gmodules._subquotient(M, la.identity(M.dim), rad)[0],
                       submodule_module(M, soc)):
             assert (gmodules._semisimple_factors(layer)
                     == gmodules_oracle.semisimple_factors(layer)), (case, M.dim)
@@ -117,6 +124,9 @@ def test_loewy_a4_split_module(a4_tower):
     ld = loewy_layers(M0)
     dims = [sorted(lab[0] for lab in layer) for layer in ld.layers]
     assert dims == [[2], [1, 2]]  # socle K4H, head K4H + trivial
+    # M0 is indecomposable of Loewy length 2: its socle lies under both heads
+    (soc,), head = ld.layers
+    assert ld.arrows == [[(soc, h) for h in head]]
     assert sum(lab[0] for layer in ld.layers for lab in layer) == 5
     assert is_indecomposable(M0)
     # radical strictly decreasing
@@ -207,7 +217,7 @@ def test_projective_socle_equals_head(a4):
     assert sum(b.shape[0] for b in parts) == 12
     for b in parts:
         P = submodule_module(reg, b)
-        layers = loewy_plain_layers(P)
+        layers = loewy_layers(P).layers
         assert sorted(layers[0]) == sorted(layers[-1])
 
 

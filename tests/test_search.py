@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import search_oracle as oracle
+from fox_oracle import coboundary_tails
 from mtower import frattini
 from mtower.cli import build_level, class_id
 from mtower.frattini import (_homomorphism_onto, _orbit_lifts, build_extension,
@@ -15,7 +16,7 @@ from mtower.frattini import (_homomorphism_onto, _orbit_lifts, build_extension,
                              minimal_generating_tuple, normalizer, p_sylow,
                              restriction_splits, schur_covers, split_level,
                              split_structure, verify_frattini)
-from mtower.gmodules import GModule, coboundary_tails, trivial_module
+from mtower.gmodules import GModule, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, generating_set,
                            klein_four, search_images, spanning_tree,
