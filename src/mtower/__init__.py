@@ -10,8 +10,10 @@ __version__ = "0.1.0"
 def _lazy_module(name: str):
     """The module `name`, loaded on first attribute access (the stdlib
     LazyLoader recipe); the module itself when it is already imported.
-    A cache hit never touches numpy, so it never pays for its import.
-    mtower starts no threads: LazyLoader is not thread-safe before 3.12."""
+    A cache hit never touches numpy or the analysis modules, so it never
+    pays for their import.  A submodule is also bound on its package, as
+    an import binds it.  mtower starts no threads: LazyLoader is not
+    thread-safe before 3.12."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -19,6 +21,9 @@ def _lazy_module(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 

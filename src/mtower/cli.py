@@ -9,6 +9,12 @@ Commands
 
 Exit codes: 0 ok, 2 budget/input, 3 empty Nielsen class, 4 internal
 invariant violation.
+
+A cache hit runs only this module, `cache` and `errors`.  The analysis
+modules are bound lazily, and their functions are called through their
+module (`nielsen.mbar4_orbits`): a top-level `from .nielsen import ...`
+would load the module on every hit.  A miss loads them all before it
+builds anything.
 """
 
 from __future__ import annotations
@@ -22,32 +28,28 @@ from math import isqrt
 from pathlib import Path
 from typing import Callable
 
+from . import _lazy_module
 from . import cache as cache_mod
-from . import linalg as la
 from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
                      InputError, InvariantViolation, MTError, NotPPrime)
-from .fp import parse_presentation, todd_coxeter, coset_group
-from .frattini import (FrattiniLevel, _dihedral_codes, dihedral_step,
-                       general_level, split_level, split_structure,
-                       transport_level, verify_frattini, verify_order_lifting,
-                       p_sylow, normalizer)
-from .gcomplete import check_search_order, is_gcomplete, is_p_gcomplete
-from .gmodules import loewy_layers, radical
-from .groups import (FiniteGroup, alternating_group, cyclic_group,
-                     dihedral_group, find_isomorphism, is_p_perfect,
-                     klein_four)
-from .hurwitz import (analyze_component, check_goup, level_compare,
-                      sh_incidence)
-from .nielsen import (NielsenSpec, Reducer, enumerate_reduced, lift_tuples,
-                      lifted_spec, mbar4_orbits, orbit_dump)
-from .perms import parse_group_file
-from .schur import (abelian_test, antecedent_test, check_modassume_from_vd,
-                    enumerate_schur_quotients, p3_census, vd_set)
+
+fp = _lazy_module("mtower.fp")
+frattini = _lazy_module("mtower.frattini")
+gcomplete = _lazy_module("mtower.gcomplete")
+gmodules = _lazy_module("mtower.gmodules")
+groups = _lazy_module("mtower.groups")
+hurwitz = _lazy_module("mtower.hurwitz")
+la = _lazy_module("mtower.linalg")
+nielsen = _lazy_module("mtower.nielsen")
+perms = _lazy_module("mtower.perms")
+schur = _lazy_module("mtower.schur")
+ANALYSIS_MODULES = (fp, frattini, gcomplete, gmodules, groups, hurwitz, la,
+                    nielsen, perms, schur)
 
 VERSION = 3
 
 
-def label_classes(G: FiniteGroup) -> list[str]:
+def label_classes(G: groups.FiniteGroup) -> list[str]:
     labels = []
     seen: dict[int, int] = {}
     for cl in G.conjugacy_classes():
@@ -57,7 +59,7 @@ def label_classes(G: FiniteGroup) -> list[str]:
     return labels
 
 
-def class_id(G: FiniteGroup, label: str) -> int:
+def class_id(G: groups.FiniteGroup, label: str) -> int:
     labels = label_classes(G)
     if label not in labels:
         raise InputError(f"unknown class label {label!r}; have {labels}")
@@ -82,29 +84,31 @@ def _read_group_input(path: str, parse) -> tuple[str, Callable]:
     return hashlib.sha256(raw).hexdigest(), parsed
 
 
-def group_input(args) -> tuple[str, Callable[[], tuple[FiniteGroup, str]]]:
+def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]]]:
     """(the group's name in cache keys, a function that builds the group
     and returns it with its name in reports).  The key needs no build, so
     a cache hit never builds the group: a builtin is keyed by its name, a
     group read from a file by the file's name and the sha256 of its
     bytes."""
     if getattr(args, "group_file", None):
-        digest, perms = _read_group_input(args.group_file, parse_group_file)
+        digest, generators = _read_group_input(
+            args.group_file, lambda text: perms.parse_group_file(text))
         desc = f"file:{Path(args.group_file).name}"
 
         def build_file_group():
-            G = FiniteGroup(perms(), max_order=args.budget_elements, name="file-group")
+            G = groups.FiniteGroup(generators(), max_order=args.budget_elements,
+                                   name="file-group")
             return G, f"{desc}:{G.order}"
         return f"{desc}:{digest}", build_file_group
     if getattr(args, "presentation_file", None):
-        digest, presentation = _read_group_input(args.presentation_file,
-                                                 parse_presentation)
+        digest, presentation = _read_group_input(
+            args.presentation_file, lambda text: fp.parse_presentation(text))
         desc = f"pres:{Path(args.presentation_file).name}"
 
         def build_presented_group():
             P = presentation()
-            G = coset_group(todd_coxeter(P, (), args.budget_cosets),
-                            max_order=args.budget_elements, name="presented-group")
+            G = fp.coset_group(fp.todd_coxeter(P, (), args.budget_cosets),
+                               max_order=args.budget_elements, name="presented-group")
             G.presentation = P
             return G, f"{desc}:{G.order}"
         return f"{desc}:{digest}", build_presented_group
@@ -114,64 +118,67 @@ def group_input(args) -> tuple[str, Callable[[], tuple[FiniteGroup, str]]]:
 
     def build_builtin():
         if m[1]:
-            G = (dihedral_group if m[1] == "D" else cyclic_group)(int(m[2]))
+            G = (groups.dihedral_group if m[1] == "D" else groups.cyclic_group)(int(m[2]))
         else:
-            G = klein_four() if name == "K4" else alternating_group(int(name[1]))
+            G = (groups.klein_four() if name == "K4"
+                 else groups.alternating_group(int(name[1])))
         return G, name
     return name, build_builtin
 
 
-def check_coverable(G: FiniteGroup, p: int) -> None:
+def check_coverable(G: groups.FiniteGroup, p: int) -> None:
     """Reject, before any build, a group that has no p-Frattini cover to
     build: p must divide |G| and G must be p-perfect."""
     if G.order % p:
         raise InputError(f"cover stage: p = {p} does not divide |G| = {G.order}")
-    if not is_p_perfect(G, p):
+    if not groups.is_p_perfect(G, p):
         raise InputError(f"cover stage: G is not {p}-perfect "
                          f"(G/[G,G] has order {G.abelianization_order()})")
 
 
-def _takes_dihedral_form(G: FiniteGroup, p: int) -> bool:
+def _takes_dihedral_form(G: groups.FiniteGroup, p: int) -> bool:
     """Does G take the dihedral closed form: p odd, |G| = 2 * degree with p
     dividing the degree, and G acting as the standard D_n on its n points?
     Every later base of such a tower is a standard dihedral group."""
     if p < 3 or G.order != 2 * G.degree or G.degree % p:
         return False
     try:
-        _dihedral_codes(G, G.degree)
+        frattini._dihedral_codes(G, G.degree)
     except AssertionError:
         return False
     return True
 
 
-def build_level_model(G: FiniteGroup, p: int, budget_cosets: int) -> FrattiniLevel:
+def build_level_model(G: groups.FiniteGroup, p: int,
+                      budget_cosets: int) -> frattini.FrattiniLevel:
     """One cover level over G, route chosen by structure: dihedral closed
     form, split construction, or the relator-tail search.  The split route
     keeps its own base model, whose total carries a small generator-aligned
     presentation (the H^2 solve of the Schur analysis reads it); the other
     routes build over G itself."""
     if _takes_dihedral_form(G, p):
-        return dihedral_step(G, p)
-    S = p_sylow(G, p)
-    if len(normalizer(G, S)) == G.order:
-        data = split_structure(G, p)
-        H = cyclic_group(G.element_order(data.complement_gen))
-        return split_level(data.rank, p, H, [data.action], budget_cosets).level
-    return general_level(G, p, budget_cosets).level
+        return frattini.dihedral_step(G, p)
+    S = frattini.p_sylow(G, p)
+    if len(frattini.normalizer(G, S)) == G.order:
+        data = frattini.split_structure(G, p)
+        H = groups.cyclic_group(G.element_order(data.complement_gen))
+        return frattini.split_level(data.rank, p, H, [data.action], budget_cosets).level
+    return frattini.general_level(G, p, budget_cosets).level
 
 
-def build_level(G: FiniteGroup, p: int, budget_cosets: int) -> FrattiniLevel:
+def build_level(G: groups.FiniteGroup, p: int,
+                budget_cosets: int) -> frattini.FrattiniLevel:
     """build_level_model, with a split model transported onto G."""
     L = build_level_model(G, p, budget_cosets)
     if L.base is G:
         return L
-    iso = find_isomorphism(L.base, G)
+    iso = groups.find_isomorphism(L.base, G)
     if iso is None:
         raise InvariantViolation("split model does not match the group")
-    return transport_level(L, iso, G)
+    return frattini.transport_level(L, iso, G)
 
 
-def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
+def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
                        p: int, k: int, budget_elements: int,
                        budget_cosets: int) -> dict:
     """The full level-k report payload (byte-stable JSON-ready dict).
@@ -204,39 +211,41 @@ def run_level_analysis(G: FiniteGroup, gdesc: str, class_labels: list[str],
     for step in range(k + 1):
         level = {"k": step}
         if lower is None:
-            spec = NielsenSpec(G, ids, p)
-            reducer = Reducer(spec)
-            seeds = enumerate_reduced(spec, budget=budget_elements, reducer=reducer)
+            spec = nielsen.NielsenSpec(G, ids, p)
+            reducer = nielsen.Reducer(spec)
+            seeds = nielsen.enumerate_reduced(spec, budget=budget_elements,
+                                              reducer=reducer)
             if not seeds:
                 raise EmptyNielsenClass(f"Ni({gdesc}, {class_labels}) is empty")
         else:
             L = build_level(group, p, budget_cosets)
-            if not verify_frattini(L):
+            if not frattini.verify_frattini(L):
                 raise InvariantViolation("constructed level is not a Frattini cover")
             group = L.total
-            spec = lifted_spec(L, lower[0])
-            reducer = Reducer(spec)
-            seeds = sorted({t for rep in lower[2] for t in lift_tuples(
+            spec = nielsen.lifted_spec(L, lower[0])
+            reducer = nielsen.Reducer(spec)
+            seeds = sorted({t for rep in lower[2] for t in nielsen.lift_tuples(
                 L, rep.orbit[0], spec, reducer, frattini_verified=True,
                 budget=budget_elements)})
             if not seeds:
                 raise EmptyNielsenClass(f"nothing lies over level {step - 1}")
             level.update(total_order=group.order, kernel_dim=L.kernel_dim)
-        reports = [analyze_component(spec, orb, reducer)
-                   for orb in mbar4_orbits(spec, seeds, reducer)]
+        reports = [hurwitz.analyze_component(spec, orb, reducer)
+                   for orb in nielsen.mbar4_orbits(spec, seeds, reducer)]
         level["components"] = [r.to_dict() for r in reports]
         payload["levels"].append(level)
-        payload["sh_incidence"][str(step)] = sh_incidence(reports, reducer).to_csv()
-        payload["orbit_dumps"][str(step)] = [orbit_dump(group, r.orbit)
+        payload["sh_incidence"][str(step)] = hurwitz.sh_incidence(
+            reports, reducer).to_csv()
+        payload["orbit_dumps"][str(step)] = [nielsen.orbit_dump(group, r.orbit)
                                              for r in reports]
         for li, lrep in enumerate(lower[2] if lower else []):
             for ui, urep in enumerate(reports):
                 try:
-                    cmp = level_compare(lrep, urep, L, lower[1], li, ui)
+                    cmp = hurwitz.level_compare(lrep, urep, L, lower[1], li, ui)
                 except MTError:
                     continue
                 d = cmp.to_dict()
-                d["verdict"] = check_goup(cmp)
+                d["verdict"] = hurwitz.check_goup(cmp)
                 d["level"] = step
                 payload["comparisons"].append(d)
         lower = (spec, reducer, reports)
@@ -291,7 +300,8 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
     compute(report_dir), which builds the group, makes every check that
     needs it, writes the report and returns (exit code, names of its
     files); the report is published only when the exit code is 0, so an
-    input that compute refuses never has an entry.  Either way the report
+    input that compute refuses never has an entry.  A miss loads every
+    analysis module first, so none is compiled while a level is alive.  Either way the report
     file `verdict`, if given, is then printed as one line of JSON."""
     report_dir = Path(args.report)
     cache_dir = None if args.no_cache else (
@@ -307,6 +317,8 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
         print(f"cache hit {key[:12]} -> {report_dir}")
         rc = 0
     else:
+        for module in ANALYSIS_MODULES:
+            module.__name__             # any attribute read loads a lazy module
         rc, names = compute(report_dir)
         if cache_dir is not None and rc == 0:
             cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
@@ -350,17 +362,17 @@ def cmd_dihedral(args) -> int:
     if args.p == 2:
         raise InputError("dihedral tower needs an odd prime")
     return _cached(args, {"cmd": "dihedral", "p": args.p, "k": args.k},
-                   _level_job(args, lambda: (dihedral_group(args.p), f"D{args.p}"),
+                   _level_job(args, lambda: (groups.dihedral_group(args.p), f"D{args.p}"),
                               ["2A"] * 4))
 
 
-def _schur_report(G: FiniteGroup, gdesc: str, p: int, k: int,
+def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int,
                   budget_cosets: int) -> dict:
     """The `schur.json` payload: the Z/p Schur quotients of G (k = 0), or
     of its level-1 cover with their kernel slices (k = 1)."""
     out: dict = {"group": gdesc, "p": p, "quotients": []}
     if k == 0:
-        quots = enumerate_schur_quotients(G, p)
+        quots = schur.enumerate_schur_quotients(G, p)
         for q in quots:
             out["quotients"].append({
                 "order": q.total.order,
@@ -368,17 +380,17 @@ def _schur_report(G: FiniteGroup, gdesc: str, p: int, k: int,
             })
         return out
     L = build_level_model(G, p, budget_cosets)
-    quots = enumerate_schur_quotients(L.total, p)
+    quots = schur.enumerate_schur_quotients(L.total, p)
     rad_elems = [L.kernel_elems[la.vec_int(v, p)]
-                 for v in radical(L.kernel_module)]
-    antecedents = enumerate_schur_quotients(L.base, p)
+                 for v in gmodules.radical(L.kernel_module)]
+    antecedents = schur.enumerate_schur_quotients(L.base, p)
     for qi, q in enumerate(quots):
-        vd = vd_set(q, L)
-        a, b, c = check_modassume_from_vd(L, vd)
-        slice_rep = abelian_test(q, L, rad_elems)
-        census = p3_census(q, L)
+        vd = schur.vd_set(q, L)
+        a, b, c = schur.check_modassume_from_vd(L, vd)
+        slice_rep = schur.abelian_test(q, L, rad_elems)
+        census = schur.p3_census(q, L)
         ante = [ai for ai, prev in enumerate(antecedents)
-                if antecedent_test(prev, q, L)]
+                if schur.antecedent_test(prev, q, L)]
         out["quotients"].append({
             "order": q.total.order,
             "kernel_gen": qi,
@@ -417,11 +429,11 @@ def cmd_gcomplete(args) -> int:
 
     def compute(report_dir):
         G, gdesc = build_group()
-        check_search_order(G)          # before class labels are resolved
+        gcomplete.check_search_order(G)     # before class labels are resolved
         if labels is not None:
-            verdict = is_gcomplete(G, [class_id(G, lab) for lab in labels])
+            verdict = gcomplete.is_gcomplete(G, [class_id(G, lab) for lab in labels])
         else:
-            verdict = is_p_gcomplete(G, args.p)
+            verdict = gcomplete.is_p_gcomplete(G, args.p)
         out = verdict.to_dict(G)
         out["group"] = gdesc
         out["p"] = args.p
@@ -439,9 +451,9 @@ def cmd_frattini_verify(args) -> int:
         G, gdesc = build_group()
         check_coverable(G, args.p)
         L = build_level(G, args.p, args.budget_cosets)
-        rep = verify_order_lifting(L)
-        frat = verify_frattini(L)
-        ld = loewy_layers(L.kernel_module)
+        rep = frattini.verify_order_lifting(L)
+        frat = frattini.verify_frattini(L)
+        ld = gmodules.loewy_layers(L.kernel_module)
         out = {
             "group": gdesc,
             "p": args.p,

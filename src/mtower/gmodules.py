@@ -13,7 +13,6 @@ simples occurring at desk scale without Brauer character machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import np
 from . import linalg as la
@@ -101,11 +100,8 @@ class LoewyData:
     layers[j] are the simple labels of rad^{L-1-j} M / rad^{L-j} M, so the
     last entry is the head; display() joins the layers bottom-to-top with
     arrows the way the extension structure is usually drawn.
-    arrows[j] holds (label_lower, label_upper) pairs between layers j, j+1
-    coming from indecomposable two-layer subquotients.
     """
     layers: list[list[tuple]]
-    arrows: list[list[tuple]]
     label_names: dict[tuple, str] = field(default_factory=dict)
 
     def name(self, lab: tuple) -> str:
@@ -227,71 +223,28 @@ def _semisimple_factors(M: GModule) -> list[tuple]:
 
 
 def loewy_layers(M: GModule, label_names: dict | None = None) -> LoewyData:
-    """Radical filtration with socle-first layer list; see LoewyData."""
+    """Radical filtration with socle-first layer list; see LoewyData.  The
+    layer rad^j M / rad^{j+1} M is read off the bases of rad^j M inside M."""
     if M.dim == 0:
-        return LoewyData([], [], label_names or {})
-    filtration, layers = _radical_layers(M)
-    arrows = _loewy_arrows(M, filtration, layers)
-    return LoewyData(layers, arrows, label_names or {})
-
-
-def _radical_layers(M: GModule) -> tuple[list[np.ndarray], list[list[tuple]]]:
-    """Bases of rad^j M inside M (j = 0, 1, ...) and the socle-first labels
-    of the layers rad^j M / rad^{j+1} M."""
+        return LoewyData([], label_names or {})
     filtration = [la.identity(M.dim)]
     current = M
     while (rad_local := radical(current)).shape[0]:
         filtration.append(la.matmul(rad_local, filtration[-1], M.p))
         current = submodule_module(M, filtration[-1])
-    layers = [_semisimple_factors(_subquotient(M, upper, lower)[0])
+    layers = [_semisimple_factors(_subquotient(M, upper, lower))
               for upper, lower in zip(filtration, filtration[1:] + [None])]
-    return filtration, list(reversed(layers))
+    return LoewyData(layers[::-1], label_names or {})
 
 
-def _subquotient(M: GModule, upper: np.ndarray,
-                 lower: np.ndarray | None) -> tuple[GModule, np.ndarray]:
-    """(<upper> / <lower>, projection from upper's coordinates onto it) for
-    submodule bases lower inside upper (None: 0)."""
+def _subquotient(M: GModule, upper: np.ndarray, lower: np.ndarray | None) -> GModule:
+    """<upper> / <lower> for submodule bases lower inside upper (None: 0)."""
     if lower is None:
         lower_in_upper = np.zeros((0, upper.shape[0]), dtype=np.int64)
     else:
         lower_in_upper = la.solve_right(upper, lower, M.p)
         assert lower_in_upper is not None
-    return quotient_module(submodule_module(M, upper), lower_in_upper)
-
-
-def _meet(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """<a> cap <b> (rref basis): x a for the relations x a + y b = 0."""
-    rels = la.nullspace(np.concatenate([a, b]).T, p)
-    return la.rref(la.matmul(rels[:, :a.shape[0]], a, p), p)[0]
-
-
-def _loewy_arrows(M: GModule, filtration, layers) -> list[list[tuple]]:
-    """Edges between consecutive (socle-first) layers.
-
-    For each two-layer subquotient T = rad^j/rad^{j+2}: connect every head
-    label to every socle label of a common indecomposable summand S of T.
-    rad S = S cap rad T, and rad T is the image of rad^{j+1}, so the layers
-    of S need no further radical.  Coarse but deterministic.
-    """
-    arrows: list[list[tuple]] = []
-    L = len(layers)
-    for j in range(L - 1):
-        # socle-first index j corresponds to rad^(L-2-j) / rad^(L-j)
-        top = L - 2 - j
-        upper, lower = filtration[top], filtration[top + 2] if top + 2 < L else None
-        two_layer, proj = _subquotient(M, upper, lower)
-        rad_two = la.matmul(la.solve_right(upper, filtration[top + 1], M.p),
-                            proj, M.p)
-        pairs: set[tuple] = set()
-        for piece in indecomposable_summands(two_layer):
-            rad_piece = _meet(piece, rad_two, M.p)
-            if rad_piece.shape[0]:
-                pairs.update(product(
-                    _semisimple_factors(submodule_module(two_layer, rad_piece)),
-                    _semisimple_factors(_subquotient(two_layer, piece, rad_piece)[0])))
-        arrows.append(sorted(pairs))
-    return arrows
+    return quotient_module(submodule_module(M, upper), lower_in_upper)[0]
 
 
 # -- endomorphisms, idempotents, Fitting ---------------------------------------

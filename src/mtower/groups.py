@@ -404,20 +404,23 @@ class FiniteGroup:
         return tuple(np.flatnonzero(np.all(central, axis=0)).tolist())
 
     def derived_subgroup(self) -> tuple[int, ...]:
-        """Normal closure of the generator commutators: the conjugates of
-        the closure by the generators (`mul_many`) join its seeds until
-        none falls outside it."""
+        """Normal closure of the generator commutators, from its seeds: the
+        closure of the seeds is normal once every seed's conjugate by every
+        generator lies in it.  Until then the first conjugate outside it
+        joins the seeds, so each round closes a strictly larger subgroup
+        and there are at most log2 |G| rounds."""
         gens = self.gen_indices
-        seeds = {self.commutator(a, b) for a in gens for b in gens} - {0}
-        current = self.subgroup_closure(seeds)
+        seeds = sorted({self.commutator(a, b) for a in gens for b in gens} - {0})
+        c = np.asarray(gens)[:, None]
         while True:
-            cur = np.asarray(current)
-            extra = set(np.concatenate([self.mul_many(self.mul_many(self.inv[c], cur), c)
-                                        for c in gens]).tolist()) - set(current)
-            if not extra:
-                return current
-            seeds |= extra
             current = self.subgroup_closure(seeds)
+            inside = np.zeros(self.order, dtype=bool)
+            inside[list(current)] = True
+            conj = self.mul_many(self.mul_many(self.inv[c], seeds), c).ravel()
+            outside = conj[~inside[conj]]
+            if not outside.size:
+                return current
+            seeds.append(int(outside[0]))
 
     def abelianization_order(self) -> int:
         return self.order // len(self.derived_subgroup())

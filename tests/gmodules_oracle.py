@@ -5,9 +5,14 @@
   `np.kron` block per generator, solved by the dense `linalg.nullspace`.
 - The submodule lattice: radical, socle and semisimple labels as
   `gmodules` found them before one simple-submodule search served all three.
+- The Loewy arrows that `gmodules.loewy_layers` computed and no report
+  read: the head and socle labels of each indecomposable summand of each
+  two-layer subquotient of the radical series.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -144,3 +149,32 @@ def semisimple_factors(M) -> list[tuple]:
         out.append(gm.submodule_module(current, best).fingerprint())
         current, _ = gm.quotient_module(current, best)
     return sorted(out)
+
+
+def loewy_arrows(M) -> list[list[tuple]]:
+    """Edges between consecutive socle-first Loewy layers of M: for each
+    two-layer subquotient T = rad^j M / rad^{j+2} M, every head label to
+    every socle label of a common indecomposable summand S of T, where
+    rad S = S cap rad T and rad T is the image of rad^{j+1} M."""
+    filtration = [la.identity(M.dim)]
+    current = M
+    while (rad := gm.radical(current)).shape[0]:
+        filtration.append(la.matmul(rad, filtration[-1], M.p))
+        current = gm.submodule_module(M, filtration[-1])
+    arrows = []
+    L = len(filtration)
+    for top in reversed(range(L - 1)):
+        upper = filtration[top]
+        lower_in_upper = (la.solve_right(upper, filtration[top + 2], M.p)
+                          if top + 2 < L else np.zeros((0, upper.shape[0]), dtype=np.int64))
+        two_layer, proj = gm.quotient_module(gm.submodule_module(M, upper), lower_in_upper)
+        rad_two = la.matmul(la.solve_right(upper, filtration[top + 1], M.p), proj, M.p)
+        pairs = set()
+        for piece in gm.indecomposable_summands(two_layer):
+            rad_piece = _intersect(piece, rad_two, M.p)
+            if rad_piece.shape[0]:
+                pairs.update(product(
+                    gm._semisimple_factors(gm.submodule_module(two_layer, rad_piece)),
+                    gm._semisimple_factors(gm._subquotient(two_layer, piece, rad_piece))))
+        arrows.append(sorted(pairs))
+    return arrows

@@ -11,16 +11,18 @@ elements found by the permutation BFS; it is the earlier route, kept as it
 was apart from its memory prediction.
 
 `conjugacy_classes` is the scalar class walk, one `conj` per element and
-generator.  `alternating_generators` is the search that chose the builtin
-generators of A_4 and A_5, which `groups.alternating_group` now writes
-out.  The split and dihedral levels were built as permutation groups:
-`_vector_group` and `_semidirect_group` compose each generator point by
-point, `split_level` decodes its elements through the image of point 0,
-`dihedral_step` through `_dihedral_decode`/`_dihedral_elem`, and
-`transport_level` moves the cocycle one entry at a time.  They return the
-level's parts (proj, section, kernel, coordinates, module matrices, psi)
-instead of a level, and skip the presentations, which did not change.  The
-order-p^3 model groups are the permutation builders they were.
+generator.  `derived_subgroup` is the normal closure that conjugated every
+element of the current closure and made each conjugate outside it a seed.
+`alternating_generators` is the search that chose the builtin generators of
+A_4 and A_5, which `groups.alternating_group` now writes out.  The split
+and dihedral levels were built as permutation groups: `_vector_group` and
+`_semidirect_group` compose each generator point by point, `split_level`
+decodes its elements through the image of point 0, `dihedral_step` through
+`_dihedral_decode`/`_dihedral_elem`, and `transport_level` moves the
+cocycle one entry at a time.  They return the level's parts (proj, section,
+kernel, coordinates, module matrices, psi) instead of a level, and skip the
+presentations, which did not change.  The order-p^3 model groups are the
+permutation builders they were.
 """
 
 from __future__ import annotations
@@ -216,6 +218,22 @@ def conjugacy_classes(self) -> list[ConjClass]:
     return [
         ConjClass(orb[0], tuple(orb), self.element_order(orb[0])) for orb in raw
     ]
+
+
+def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
+    """Normal closure of the generator commutators: the conjugates of the
+    closure by the generators join its seeds until none falls outside it."""
+    gens = G.gen_indices
+    seeds = {G.commutator(a, b) for a in gens for b in gens} - {0}
+    current = G.subgroup_closure(seeds)
+    while True:
+        cur = np.asarray(current)
+        extra = set(np.concatenate([G.mul_many(G.mul_many(G.inv[c], cur), c)
+                                    for c in gens]).tolist()) - set(current)
+        if not extra:
+            return current
+        seeds |= extra
+        current = G.subgroup_closure(seeds)
 
 
 def alternating_generators(n: int) -> tuple[Perm, Perm]:

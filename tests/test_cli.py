@@ -372,18 +372,50 @@ def test_numpy_imported_first_is_used_as_is():
               "assert type(numpy) is types.ModuleType")
 
 
+# The mtower modules that have run: a lazily bound one that nothing has read
+# is in sys.modules, but its type is LazyLoader's module subclass.
+EXECUTED = ("[n for n, m in sorted(sys.modules.items()) "
+            "if n.startswith('mtower.') and type(m) is types.ModuleType]")
+ANALYSIS = ["mtower.fp", "mtower.frattini", "mtower.gcomplete", "mtower.gmodules",
+            "mtower.groups", "mtower.hurwitz", "mtower.linalg", "mtower.nielsen",
+            "mtower.perms", "mtower.schur"]
+
+
+def test_lazy_analysis_modules_import_as_usual():
+    """A module that `cli` binds lazily is bound on the package as well, so
+    `import mtower.groups` after `import mtower.cli` works as it did."""
+    run_child("import mtower.cli, mtower.groups\n"
+              "assert mtower.groups.dihedral_group(3).order == 6\n"
+              "assert mtower.cli.groups is mtower.groups")
+
+
 @pytest.mark.parametrize("args", BENCHMARK_JOBS, ids=BENCHMARK_IDS)
 def test_warm_replay_does_not_load_numpy(args, tmp_path):
-    """A cache hit builds nothing, so it never loads numpy; its report is
-    the cold one, byte for byte."""
+    """A cache hit builds nothing, so it never loads numpy, and it runs
+    only `cli`, `cache` and `errors` of mtower; its report is the cold
+    one, byte for byte."""
     assert run_into(args, tmp_path, "cold") == 0
-    out = run_child("import sys; from mtower.cli import main\n"
+    out = run_child("import sys, types; from mtower.cli import main\n"
                     "assert main(sys.argv[1:]) == 0\n"
-                    "assert 'numpy._core' not in sys.modules",
+                    "assert 'numpy._core' not in sys.modules\n"
+                    f"print({EXECUTED})",
                     *args, "--cache", str(tmp_path / "cache"),
                     "--report", str(tmp_path / "warm"))
     assert out.startswith("cache hit")
+    assert out.splitlines()[-1] == str(["mtower.cache", "mtower.cli", "mtower.errors"])
     assert _report(tmp_path / "warm") == _report(tmp_path / "cold")
+
+
+def test_cold_miss_loads_every_analysis_module(tmp_path):
+    """A miss loads the analysis modules before it builds anything, even
+    those its job does not call, so none compiles while a level is alive."""
+    out = run_child("import sys, types; from mtower.cli import main\n"
+                    "assert main(sys.argv[1:]) == 0\n"
+                    f"print({EXECUTED})",
+                    *D5_LEVEL0, "--cache", str(tmp_path / "cache"),
+                    "--report", str(tmp_path / "cold"))
+    assert out.splitlines()[-1] == str(
+        sorted(["mtower.cache", "mtower.cli", "mtower.errors", *ANALYSIS]))
 
 
 def test_cache_keys_of_builtin_jobs_are_stable(tmp_path):
@@ -639,7 +671,7 @@ def test_cache_hit_prints_verdict(tmp_path, capsys, args):
 def test_failing_frattini_check_is_not_published(tmp_path, capsys, monkeypatch):
     args = ["frattini-verify", "--group", "A4", "--p", "2"]
     with monkeypatch.context() as m:
-        m.setattr(cli, "verify_frattini", lambda L: False)
+        m.setattr(frattini, "verify_frattini", lambda L: False)
         assert run_cli(args, tmp_path) == 4
     assert not (tmp_path / "cache").exists()
     assert '"frattini": false' in capsys.readouterr().out     # the verdict line
