@@ -1,0 +1,80 @@
+"""Kernel benchmarks of the braid stage, on the D5 level-2 orbit (7,500
+reduced classes, the top level of `mt dihedral --p 5 --k 2`).
+
+Run with pytest-benchmark:
+
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-min-rounds=7 \
+        --benchmark-json=side.json
+
+and merge the JSON of two checkouts with `benchmarks/bench_json.py`.  With
+`--benchmark-disable` each benchmark runs once, as a smoke test.  The
+directory lies outside `tests/`, so the tier-1 run does not collect it.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from mtower.frattini import dihedral_level
+from mtower.groups import dihedral_group
+from mtower.hurwitz import analyze_component, level_compare, sh_incidence
+from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
+                            lift_tuples, lifted_spec, mbar4_orbits)
+
+
+def _analysed(spec, seeds):
+    red = Reducer(spec)
+    orbits = mbar4_orbits(spec, seeds, red)
+    return SimpleNamespace(spec=spec, seeds=seeds, reducer=red, orbits=orbits,
+                           reports=[analyze_component(spec, o, red) for o in orbits])
+
+
+@pytest.fixture(scope="module")
+def d5_levels():
+    """Levels 0-2 of the D5 tower at p = 5, each level seeded by lifting one
+    class per lower orbit, as the level job does."""
+    D5 = dihedral_group(5)
+    involutions = next(i for i, c in enumerate(D5.conjugacy_classes())
+                       if c.element_order == 2)
+    spec = NielsenSpec(D5, (involutions,) * 4, 5)
+    levels = [_analysed(spec, enumerate_reduced(spec))]
+    for L in dihedral_level(5, 2):
+        lower = levels[-1]
+        spec = lifted_spec(L, lower.spec)
+        red = Reducer(spec)
+        seeds = sorted({t for rep in lower.reports for t in lift_tuples(
+            L, rep.orbit[0], spec, red, frattini_verified=True)})
+        levels.append(_analysed(spec, seeds))
+        levels[-1].level = L
+    assert len(levels[2].orbits) == 1 and len(levels[2].orbits[0]) == 7500
+    return levels
+
+
+def test_mbar4_orbits(benchmark, d5_levels):
+    """The orbit search from the lifted seeds, on a fresh reducer each round
+    (made outside the timing; 7 rounds, or one call when disabled)."""
+    top = d5_levels[2]
+    orbits = benchmark.pedantic(
+        mbar4_orbits, setup=lambda: ((top.spec, top.seeds, Reducer(top.spec)), {}),
+        rounds=7)
+    assert orbits == top.orbits
+
+
+def test_analyze_component(benchmark, d5_levels):
+    top = d5_levels[2]
+    report = benchmark(analyze_component, top.spec, top.orbits[0], top.reducer)
+    assert report.to_dict() == top.reports[0].to_dict()
+
+
+def test_sh_incidence(benchmark, d5_levels):
+    top = d5_levels[2]
+    inc = benchmark(sh_incidence, top.reports, top.reducer)
+    assert inc.symmetric and len(inc.blocks) == 1
+
+
+def test_level_compare(benchmark, d5_levels):
+    low, top = d5_levels[1], d5_levels[2]
+    cmp = benchmark(level_compare, low.reports[0], top.reports[0], top.level,
+                    low.reducer)
+    assert cmp.degree * low.reports[0].size == top.reports[0].size
+

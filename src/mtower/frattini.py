@@ -952,10 +952,10 @@ def general_level(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> GeneralL
     """
     from .groups import is_p_perfect
 
-    if not is_p_perfect(G, p):
-        raise InputError("base group must be p-perfect")
     if G.presentation is None:
-        raise InputError("base group needs an attached presentation")
+        raise InputError("cover stage: base group needs an attached presentation")
+    if not is_p_perfect(G, p):
+        raise InputError(f"cover stage: base group must be {p}-perfect")
     data = frattini_module(G, p, max_cosets)
     schur_levels = schur_covers(G, p)   # for the versality check
     for b in data.summand_bases:

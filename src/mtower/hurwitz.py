@@ -3,20 +3,25 @@ censuses, sh-incidence blocks, moduli flags, and level-to-level comparison
 (degree, p-divisible growth, genus bound).
 
 Everything here is combinatorial bookkeeping over the orbit data computed in
-nielsen.py; no geometry is represented.
+nielsen.py; no geometry is represented.  It runs on index arrays: an orbit's
+classes are positions in row order, gamma_0, gamma_1 and gamma_inf are int
+permutations of them, and cycle counts, fixed points and cusps come from
+their cycle labels (`perms._cycle_labels`); fibers and incidences are counted
+with `np.bincount` and `np.add.at`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import np
 from .errors import MismatchedLevels, NonIntegralGenus
 from .frattini import FrattiniLevel
 from .groups import unique_rows
-from .nielsen import (NielsenSpec, Reducer, gamma_inf_orbits, hm_mask,
-                      middle_product)
+from .nielsen import (NielsenSpec, Reducer, _as_rows, _distinct, _lookup,
+                      hm_mask)
+from .perms import _cycle_labels
 
 
 @dataclass
@@ -30,6 +35,20 @@ class Cusp:
     @property
     def rep(self) -> tuple:
         return self.members[0]
+
+
+@dataclass(frozen=True)
+class OrbitArrays:
+    """One orbit's classes in row (lexicographic) order, as arrays: the
+    tuples (n, r), and per class its cusp index, middle product and whether
+    gamma_0 and gamma_1 fix it; `reps[c]` is the position of cusp c's least
+    member."""
+    tuples: np.ndarray
+    cusp: np.ndarray
+    mpr: np.ndarray
+    fixed0: np.ndarray
+    fixed1: np.ndarray
+    reps: np.ndarray
 
 
 @dataclass
@@ -46,6 +65,7 @@ class ComponentReport:
     b_fine: bool
     fine: bool
     q2_orbit_lengths: dict[int, list[int]]   # cusp index -> upstairs q2 lengths
+    arrays: OrbitArrays | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -70,22 +90,9 @@ class ComponentReport:
         }
 
 
-def _perm_cycles(P: list[int]) -> int:
-    seen = [False] * len(P)
-    count = 0
-    for i in range(len(P)):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = P[j]
-    return count
-
-
-def _fixed_points(P: list[int]) -> list[int]:
-    return [i for i, j in enumerate(P) if i == j]
+def _cycle_count(P: np.ndarray) -> int:
+    """Number of cycles of a permutation of 0..n-1."""
+    return int((_cycle_labels(P, steps=False)[0] == np.arange(len(P))).sum())
 
 
 def component_genus(size: int, ind0: int, ind1: int, indinf: int) -> int:
@@ -100,21 +107,25 @@ def component_genus(size: int, ind0: int, ind1: int, indinf: int) -> int:
 
 def analyze_component(spec: NielsenSpec, orbit: list[tuple],
                       reducer: Reducer) -> ComponentReport:
-    """Full report for one braid orbit of reduced classes."""
+    """Full report for one braid orbit of reduced classes (its classes are
+    taken in row order)."""
     G = spec.group
-    n = len(orbit)
-    idx = {t: i for i, t in enumerate(orbit)}
-    P1 = [idx[reducer.gamma1(t)] for t in orbit]
-    Pinf = [idx[reducer.gamma_inf(t)] for t in orbit]
-    comp = [Pinf[P1[i]] for i in range(n)]
-    P0 = [0] * n
-    for i, j in enumerate(comp):
-        P0[j] = i
-    ind0 = n - _perm_cycles(P0)
-    ind1 = n - _perm_cycles(P1)
-    indinf = n - _perm_cycles(Pinf)
-    f0 = len(_fixed_points(P0))
-    f1 = len(_fixed_points(P1))
+    rows = reducer.rows_of(_as_rows(orbit, reducer.r))
+    if (np.diff(rows) < 0).any():
+        order = np.argsort(rows)
+        orbit, rows = [orbit[i] for i in order.tolist()], rows[order]
+    n = len(rows)
+    pos = np.arange(n)
+    P1 = reducer.orbit_pos[reducer.perm1[rows]]
+    Pinf = reducer.orbit_pos[reducer.perm_inf[rows]]
+    assert (reducer.orbit_label[rows] == rows[0]).all() and \
+        (reducer.orbit_pos[rows] == pos).all() and (P1 < n).all() and (Pinf < n).all(), \
+        "not one whole braid orbit"
+    P0 = np.empty_like(P1)
+    P0[Pinf[P1]] = pos
+    ind0, ind1, indinf = (n - _cycle_count(P) for P in (P0, P1, Pinf))
+    fixed0, fixed1 = P0 == pos, P1 == pos
+    f0, f1 = int(fixed0.sum()), int(fixed1.sum())
     if reducer.r == 4:
         # cross-check against fixed-point tallies (operators have order 3 / 2)
         assert ind0 == 2 * (n - f0) // 3 and (n - f0) % 3 == 0, "gamma0 not order 3"
@@ -125,23 +136,33 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
         # orbit of inner classes and the one-dimensional genus story ends
         genus = None
 
-    cusp_lists = gamma_inf_orbits(orbit, reducer)
-    rows = [t for members in cusp_lists for t in members]
-    variants = reducer.variants_many(np.array(rows))
-    hm = dict(zip(rows, hm_mask(variants, G).tolist()))
-    cusps = []
-    for members in cusp_lists:
-        mprs = {middle_product(t, G) for t in members}
-        divs = {m % spec.p == 0 for m in mprs}
-        assert len(divs) == 1, \
-            f"p-divisibility not constant along a cusp: {sorted(mprs)}"
-        cusps.append(Cusp(
-            members=members, width=len(members),
-            mpr=middle_product(members[0], G),
-            p_divisible=(middle_product(members[0], G) % spec.p == 0),
-            hm=any(hm[t] for t in members)))
-    assert sum(c.width for c in cusps) == n
-    t_prime = sum(1 for c in cusps if c.p_divisible)
+    # cusps: the gamma_inf cycles, labelled by their least position and
+    # ordered by (width, least member)
+    label = _cycle_labels(Pinf, steps=False)[0]
+    width = np.bincount(label, minlength=n)
+    roots = np.flatnonzero(label == pos)
+    reps = roots[np.lexsort((roots, width[roots]))]
+    cusp_at = np.empty(n, dtype=np.intp)
+    cusp_at[reps] = np.arange(len(reps))
+    cusp = cusp_at[label]
+    members = np.lexsort((pos, cusp))            # positions, cusp by cusp
+    T = reducer.rows[rows]
+    mpr = G.element_orders()[G.mul_many(T[:, 1], T[:, 2])]
+    divisible = mpr % spec.p == 0
+    if (divisible != divisible[label]).any():
+        bad = label[np.flatnonzero(divisible != divisible[label])[0]]
+        raise AssertionError("p-divisibility not constant along a cusp: "
+                             f"{sorted(set(mpr[label == bad].tolist()))}")
+    variants = reducer.variants_many(T[members])
+    hm = np.bincount(cusp[members], weights=hm_mask(variants, G),
+                     minlength=len(reps)) > 0
+    in_cusp_order = [orbit[i] for i in members.tolist()]
+    ends = np.cumsum(width[reps]).tolist()
+    cusps = [Cusp(members=in_cusp_order[end - w:end], width=w, mpr=m,
+                  p_divisible=d, hm=h)
+             for end, w, m, d, h in zip(ends, width[reps].tolist(), mpr[reps].tolist(),
+                                        divisible[reps].tolist(), hm.tolist())]
+    t_prime = int(divisible[reps].sum())
 
     table, q2_lengths = _inner_orbit_data(variants, cusps, reducer)
     if reducer.r == 4:
@@ -152,9 +173,10 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
     return ComponentReport(
         orbit=orbit, cusps=cusps, ind0=ind0, ind1=ind1, indinf=indinf,
         genus=genus, t_prime=t_prime,
-        gamma0_fixed=[orbit[i] for i in _fixed_points(P0)],
-        gamma1_fixed=[orbit[i] for i in _fixed_points(P1)],
-        b_fine=b_fine, fine=fine, q2_orbit_lengths=q2_lengths)
+        gamma0_fixed=[orbit[i] for i in np.flatnonzero(fixed0).tolist()],
+        gamma1_fixed=[orbit[i] for i in np.flatnonzero(fixed1).tolist()],
+        b_fine=b_fine, fine=fine, q2_orbit_lengths=q2_lengths,
+        arrays=OrbitArrays(T, cusp, mpr, fixed0, fixed1, reps))
 
 
 def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
@@ -163,27 +185,28 @@ def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
     `variants` holds the Klein variants of the cusps' members in cusp order
     (`Reducer.variants_many`).  Returns the table of their inner canonical
     forms, same shape, and the q2 lengths.  Two batch calls: one for every
-    variant, one for the q2 image of every inner class.
+    variant, one for the q2 image of every inner class; q2 permutes the
+    inner classes, and its cycles come from their cycle labels.
     """
     n, k, r = variants.shape
     table = reducer.canonical_inner_many(variants.reshape(-1, r)).reshape(n, k, r)
+    inner, inner_keys, where = _distinct(table.reshape(-1, r), reducer.keys(table))
     # an inner class lies over one reduced class, hence in one cusp
-    inner, first, _ = unique_rows(table.reshape(-1, r))
-    cusp_of = np.repeat(np.arange(len(cusps)), [len(c.members) for c in cusps])
-    cusp_of = cusp_of[first // k].tolist()
+    cusp_of = np.empty(len(inner), dtype=np.intp)
+    cusp_of[where] = np.repeat(
+        np.arange(len(cusps)), [k * len(c.members) for c in cusps])
     images = reducer.canonical_inner_many(reducer.gamma_inf_raw_many(inner))
-    both, _, where = unique_rows(np.vstack([inner, images]))
-    assert len(both) == len(inner), "q2 leaves the inner classes over the orbit"
-    step = where[len(inner):].tolist()
-    q2_lengths: dict[int, list[int]] = {ci: [] for ci in range(len(cusps))}
-    seen = [False] * len(inner)
-    for i in range(len(inner)):
-        j, length = i, 0
-        while not seen[j]:
-            seen[j], j, length = True, step[j], length + 1
-        if length:
-            q2_lengths[cusp_of[i]].append(length)
-    return table, {ci: sorted(lengths) for ci, lengths in q2_lengths.items()}
+    step = _lookup(inner_keys, reducer.keys(images))
+    assert (step < len(inner)).all(), "q2 leaves the inner classes over the orbit"
+    assert (np.bincount(step, minlength=len(inner)) == 1).all(), \
+        "q2 does not permute the inner classes over the orbit"
+    label = _cycle_labels(step, steps=False)[0]
+    roots = np.flatnonzero(label == np.arange(len(inner)))
+    length = np.bincount(label, minlength=len(inner))[roots]
+    where_cusp = cusp_of[roots]
+    length = length[np.lexsort((length, where_cusp))]
+    ends = np.cumsum(np.bincount(where_cusp, minlength=len(cusps)))
+    return table, {ci: part.tolist() for ci, part in enumerate(np.split(length, ends[:-1]))}
 
 
 def _q2prime_faithful(table: np.ndarray) -> bool:
@@ -214,66 +237,38 @@ class ShIncidence:
     symmetric: bool
 
     def to_csv(self) -> str:
-        lines = ["," + ",".join(self.labels)]
-        for i, lab in enumerate(self.labels):
-            lines.append(lab + "," + ",".join(str(int(x)) for x in self.matrix[i]))
-        return "\n".join(lines) + "\n"
+        cells = self.matrix.astype(str).tolist()
+        return "\n".join(["," + ",".join(self.labels)] +
+                         [lab + "," + ",".join(row) for lab, row in zip(self.labels, cells)]) + "\n"
 
 
 def sh_incidence(reports: list[ComponentReport], reducer: Reducer) -> ShIncidence:
     """|sh(O_i) cap O_j| over all cusps of all components of a level.
 
-    Diagonal blocks (connected components of the nonzero pattern) must
-    reproduce the braid-orbit partition; for r = 4 the matrix is symmetric.
+    Counted by `np.add.at` over (cusp of t, cusp of gamma_1 t).  The
+    diagonal blocks are the components' cusps: gamma_1 never leaves a braid
+    orbit, which is checked; for r = 4 the matrix is symmetric.
     """
-    cusps = []
-    comp_of = []
-    for ri, rep in enumerate(reports):
-        for c in rep.cusps:
-            cusps.append(c)
-            comp_of.append(ri)
-    k = len(cusps)
-    member_of: dict[tuple, int] = {}
-    for i, c in enumerate(cusps):
-        for t in c.members:
-            member_of[t] = i
+    counts = [len(rep.cusps) for rep in reports]
+    k = sum(counts)
+    comp_of = np.repeat(np.arange(len(reports)), counts)
+    rows = reducer.rows_of(np.vstack([rep.arrays.tuples for rep in reports]))
+    cusp = np.concatenate([offset + rep.arrays.cusp for offset, rep in
+                           zip(np.cumsum([0, *counts]).tolist(), reports)])
+    cusp_of_row = np.full(len(reducer.rows), -1)
+    cusp_of_row[rows] = cusp
+    j = cusp_of_row[reducer.perm1[rows]]
+    i, j = cusp[j >= 0], j[j >= 0]
     matrix = np.zeros((k, k), dtype=np.int64)
-    for i, c in enumerate(cusps):
-        for t in c.members:
-            j = member_of.get(reducer.gamma1(t))
-            if j is not None:
-                matrix[i, j] += 1
+    np.add.at(matrix, (i, j), 1)
     symmetric = bool((matrix == matrix.T).all())
     if reducer.r == 4 and not symmetric:
         raise AssertionError("sh-incidence not symmetric for r = 4")
-    # blocks by union-find over the nonzero pattern
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(k):
-            if matrix[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    blocks = sorted(groups.values())
-    for block in blocks:
-        comps = {comp_of[i] for i in block}
-        assert len(comps) == 1, "sh-incidence block crosses component boundary"
-    assert len(blocks) == len(reports), "block count != component count"
-    labels = []
-    for ri, rep in enumerate(reports):
-        for ci in range(len(rep.cusps)):
-            labels.append(f"O{ri + 1}.{ci + 1}")
-    return ShIncidence(labels, matrix, blocks, comp_of, symmetric)
+    assert (comp_of[i] == comp_of[j]).all(), "sh-incidence block crosses component boundary"
+    ends = np.cumsum(counts).tolist()
+    blocks = [list(range(end - c, end)) for end, c in zip(ends, counts)]
+    labels = [f"O{ri + 1}.{ci + 1}" for ri, c in enumerate(counts) for ci in range(c)]
+    return ShIncidence(labels, matrix, blocks, comp_of.tolist(), symmetric)
 
 
 # -- level comparison ---------------------------------------------------------------
@@ -319,79 +314,63 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
                   lower_index: int = 0, upper_index: int = 0) -> LevelComparison:
     """Degree, fibers, p-divisible counts and the genus bound for one pair of
     components on consecutive levels."""
-    lower_set = {t: i for i, t in enumerate(lower.orbit)}
-    fiber: dict[tuple, int] = {t: 0 for t in lower.orbit}
-    below: dict[tuple, tuple] = {}
-    # a fiber's classes project onto few raw tuples: canonicalize each once
-    raw, _, which = unique_rows(L.proj[np.array(upper.orbit)])
-    canon = list(map(tuple, lower_reducer.canonical_many(raw).tolist()))
-    for t, w in zip(upper.orbit, which.tolist()):
-        img = canon[w]
-        if img not in lower_set:
-            raise MismatchedLevels("upper class does not project into lower orbit")
-        below[t] = img
-        fiber[img] += 1
-    sizes = set(fiber.values())
-    assert len(sizes) == 1, f"fiber size not constant: {sorted(sizes)}"
-    degree = sizes.pop()
+    lo, up = lower.arrays, upper.arrays
+    # a fiber's classes project onto few raw tuples: canonicalize each once,
+    # and find its position in the lower orbit by its key (the orbit is in
+    # row order, so its keys are sorted)
+    raw, _, which = unique_rows(L.proj[up.tuples])
+    at = _lookup(lower_reducer.keys(lo.tuples),
+                 lower_reducer.keys(lower_reducer.canonical_many(raw)))
+    if (at == lower.size).any():
+        raise MismatchedLevels("upper class does not project into lower orbit")
+    below = at[which]                            # upper position -> lower position
+    fiber = np.bincount(below, minlength=lower.size)
+    assert (fiber == fiber[0]).all(), f"fiber size not constant: {sorted(set(fiber.tolist()))}"
+    degree = int(fiber[0])
     assert degree * lower.size == upper.size
-
-    lower_cusp_of: dict[tuple, int] = {}
-    for ci, c in enumerate(lower.cusps):
-        for t in c.members:
-            lower_cusp_of[t] = ci
 
     # mpr multiplies by p over p-divisible lower cusps
     p = L.p
-    G1 = L.total
-    Gb = L.base
-    for t in upper.orbit:
-        if lower.cusps[lower_cusp_of[below[t]]].p_divisible:
-            assert middle_product(t, G1) == p * middle_product(below[t], Gb), \
-                "mpr did not multiply by p over a p-divisible cusp"
+    over = np.array([c.p_divisible for c in lower.cusps], dtype=bool)[lo.cusp[below]]
+    assert (up.mpr[over] == p * lo.mpr[below[over]]).all(), \
+        "mpr did not multiply by p over a p-divisible cusp"
 
     # U_i = number of p-divisible cusps of the upper orbit over the i-th
     # non-divisible lower cusp (each upper cusp projects into one lower cusp)
-    above: dict[int, list] = {ci: [] for ci in range(len(lower.cusps))}
-    for uc in upper.cusps:
-        above[lower_cusp_of[below[uc.rep]]].append(uc)
-    u_counts = [sum(1 for uc in above[ci] if uc.p_divisible)
-                for ci, c in enumerate(lower.cusps) if not c.p_divisible]
+    under = lo.cusp[below[up.reps]]              # upper cusp -> lower cusp
+    k = len(lower.cusps)
+    up_div = np.array([uc.p_divisible for uc in upper.cusps], dtype=bool)
+    divisible_above = np.bincount(under[up_div], minlength=k).tolist()
+    u_counts = [divisible_above[ci] for ci, c in enumerate(lower.cusps)
+                if not c.p_divisible]
 
     # shortening from the lower level to the upper one: a cusp is flagged
     # when some cusp above it has width growth different from its middle
     # product growth (a Q''-folding present at one level but not the other)
-    shortened = []
-    for ci, c in enumerate(lower.cusps):
-        for uc in above[ci]:
-            if uc.width * c.mpr != c.width * uc.mpr:
-                shortened.append(ci)
-                break
+    width = np.array(lower.cusp_widths, dtype=np.int64)
+    up_width = np.array(upper.cusp_widths, dtype=np.int64)
+    mpr, up_mpr = lo.mpr[lo.reps].astype(np.int64), up.mpr[up.reps].astype(np.int64)
+    folded = up_width * mpr[under] != width[under] * up_mpr
+    shortened = np.flatnonzero(np.bincount(under[folded], minlength=k)).tolist()
     elliptic = elliptic_detect(lower, upper, below)
     hyp = (lower.genus == 0) and not shortened
     bound = genus_lower_bound(lower.t_prime, degree, u_counts, p)
     return LevelComparison(
         lower_index=lower_index, upper_index=upper_index, degree=degree,
-        fiber_sizes=fiber, u_counts=u_counts, t_prime_lower=lower.t_prime,
-        bound=bound, bound_hypotheses_met=hyp,
+        fiber_sizes=dict(zip(lower.orbit, fiber.tolist())), u_counts=u_counts,
+        t_prime_lower=lower.t_prime, bound=bound, bound_hypotheses_met=hyp,
         elliptic_ramification=elliptic, shortened_cusps=shortened,
         genus_upper=upper.genus)
 
 
 def elliptic_detect(lower: ComponentReport, upper: ComponentReport,
-                    below: dict[tuple, tuple]) -> bool:
+                    below: np.ndarray) -> bool:
     """Elliptic ramification: a gamma_0 (resp gamma_1) fixed point downstairs
-    with a non-fixed class above it."""
-    low0 = set(lower.gamma0_fixed)
-    low1 = set(lower.gamma1_fixed)
-    up0 = set(upper.gamma0_fixed)
-    up1 = set(upper.gamma1_fixed)
-    for t, img in below.items():
-        if img in low0 and t not in up0:
-            return True
-        if img in low1 and t not in up1:
-            return True
-    return False
+    with a non-fixed class above it.  `below[i]` is the position in the
+    lower orbit under position i of the upper one."""
+    lo, up = lower.arrays, upper.arrays
+    return bool(((lo.fixed0[below] & ~up.fixed0) |
+                 (lo.fixed1[below] & ~up.fixed1)).any())
 
 
 def check_goup(cmp: LevelComparison) -> str:

@@ -15,10 +15,17 @@ Canonicalization works on arrays of tuples: one batch kernel reads every
 candidate conjugate from a table of c^-1 x c over the spec's class members
 and keeps the least, so orbit frontiers and candidate sets go through it
 whole (cut internally into steps of bounded size).
+
+Braid orbits live on index arrays.  When the orbit search closes, a level's
+reduced classes are numbered once, as the rows of one int array in
+lexicographic order; gamma_1 and gamma_inf are int permutations of those row
+numbers, and the orbits are read off them by min-label propagation.  A row
+is found by a mixed-radix int64 key over its class-member columns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, permutations
 from math import prod
@@ -27,6 +34,7 @@ from . import np
 from .errors import Budget, InputError, NotPPrime
 from .frattini import FrattiniLevel, lift_class
 from .groups import FiniteGroup, unique_rows
+from .perms import _cycle_labels
 
 # int32 cells per temporary array in one step of a batch computation
 _BATCH_CELLS = 1 << 18
@@ -69,7 +77,12 @@ def _conj_table(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
 
 def _as_tuples(A: np.ndarray) -> list[tuple]:
     """Rows of a 2-d int array as tuples of Python ints."""
-    return list(map(tuple, A.tolist()))
+    return list(zip(*A.T.tolist()))
+
+
+def _as_rows(tuples, r: int) -> np.ndarray:
+    """A list of r-tuples as an (N, r) int32 array."""
+    return np.fromiter(chain.from_iterable(tuples), np.int32, len(tuples) * r).reshape(-1, r)
 
 
 class Reducer:
@@ -84,34 +97,48 @@ class Reducer:
     variant starting in a class with a larger least element never wins).
     `canonical`/`canonical_inner` are one-row calls of that kernel.
 
-    `_gamma1`/`_gamma_inf` keep the moves per reduced class: `moves_many`
-    fills them (the orbit search of `mbar4_orbits` calls it a frontier at a
-    time), and the component analysis, the cusp cycles and the sh-incidence
-    read them back through `gamma1`/`gamma_inf`.
+    The numbered classes: `rows` holds the reduced classes met so far, in
+    lexicographic order, so row number order is tuple order.  `perm1` and
+    `perm_inf` are gamma_1 and gamma_inf as permutations of the row numbers
+    and `orbit_label[i]` is the least row of row i's braid orbit.  `rows_of`
+    numbers the braid closure of any class it is asked for and not yet
+    numbered (the orbit search of `mbar4_orbits`), then finds rows by their
+    mixed-radix key over the class-member columns (`keys`).  The scalar
+    `gamma1`/`gamma_inf` look their class up there, with a one-row
+    `moves_many` for a class outside the numbering.
     """
 
     def __init__(self, spec: NielsenSpec):
         self.spec = spec
         self.G = G = spec.group
         self.r = spec.r
-        self._gamma1: dict[tuple, tuple] = {}
-        self._gamma_inf: dict[tuple, tuple] = {}
         classes = G.conjugacy_classes()
         cids = sorted(set(spec.class_ids))
         self.class_min = {ci: classes[ci].members[0] for ci in cids}
-        members = np.array([x for ci in cids for x in classes[ci].members], dtype=np.int32)
+        # columns in element order, so tuple keys sort as the tuples do
+        members = np.sort(np.array([x for ci in cids for x in classes[ci].members],
+                                   dtype=np.int32))
         self._col = np.full(G.order, -1, dtype=np.int32)
         self._col[members] = np.arange(members.size, dtype=np.int32)
         self.conj = _conj_table(G, members)
         # as c runs over G, c^-1 m c runs over the class of m, and c^-1 takes
         # that element back to m: |C(m)| conjugators per class member
-        blocks = []
+        blocks = {}
         for ci, m in self.class_min.items():
             onto = np.argsort(self._col[self.conj[:, self._col[m]]], kind="stable")
-            blocks.append(G.inv[onto].reshape(classes[ci].size, -1))
-        width = max(b.shape[1] for b in blocks)
-        self.to_min = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1])),
-                                        mode="edge") for b in blocks])
+            blocks[ci] = G.inv[onto].reshape(classes[ci].size, -1)
+        width = max(b.shape[1] for b in blocks.values())
+        self.to_min = np.empty((members.size, width), dtype=G.inv.dtype)
+        for ci, b in blocks.items():
+            self.to_min[np.sort(self._col[list(classes[ci].members)])] = \
+                np.pad(b, ((0, 0), (0, width - b.shape[1])), mode="edge")
+        assert members.size ** self.r < 2 ** 63, "tuple keys overflow int64"
+        self._radix = members.size ** np.arange(self.r - 1, -1, -1, dtype=np.int64)
+        self.rows = np.zeros((0, self.r), dtype=np.int32)
+        self._row_keys = np.zeros(0, dtype=np.int64)
+        self._scalar_keys = None    # _col, _radix and _row_keys as lists, made on first use
+        self.perm1 = self.perm_inf = np.zeros(0, dtype=np.intp)
+        self.orbit_label = self.orbit_pos = np.zeros(0, dtype=np.intp)
 
     # -- batch kernel ---------------------------------------------------------
 
@@ -216,28 +243,142 @@ class Reducer:
 
     # -- reduced operators ----------------------------------------------------
 
-    def moves_many(self, F: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-        """gamma_1 and gamma_inf of the classes in F, kept in the move dicts."""
-        A = np.array(F).reshape(-1, self.r)
-        g1 = _as_tuples(self.canonical_many(np.roll(A, -1, axis=1)))
-        ginf = _as_tuples(self.canonical_many(self.gamma_inf_raw_many(A)))
-        self._gamma1.update(zip(F, g1))
-        self._gamma_inf.update(zip(F, ginf))
-        return g1, ginf
+    def moves_many(self, T) -> tuple[np.ndarray, np.ndarray]:
+        """gamma_1 and gamma_inf of the reduced classes T, as canonical rows
+        (both from one kernel call)."""
+        A = np.asarray(T).reshape(-1, self.r)
+        both = self.canonical_many(np.vstack([np.roll(A, -1, axis=1),
+                                              self.gamma_inf_raw_many(A)]))
+        return both[:len(A)], both[len(A):]
 
     def gamma1(self, t):
-        if t not in self._gamma1:
-            self.moves_many([t])
-        return self._gamma1[t]
+        return self._move(t, 0)
 
     def gamma_inf(self, t):
-        if t not in self._gamma_inf:
-            self.moves_many([t])
-        return self._gamma_inf[t]
+        return self._move(t, 1)
+
+    def _move(self, t, which: int):
+        row = self._find_one(t)
+        if row < 0:
+            return _as_tuples(self.moves_many([t])[which])[0]
+        return tuple(self.rows[(self.perm1, self.perm_inf)[which][row]].tolist())
+
+    def _find_one(self, t) -> int:
+        """`find` of one tuple in plain Python, a bisection of the sorted
+        keys, so that a scalar move costs about a microsecond."""
+        if self._scalar_keys is None:
+            self._scalar_keys = (self._col.tolist(), self._radix.tolist(),
+                                 self._row_keys.tolist())
+        col, radix, keys = self._scalar_keys
+        cols = [col[x] for x in t]
+        if min(cols) < 0:
+            raise InputError("tuple entry outside the spec's classes")
+        key = sum(c * b for c, b in zip(cols, radix))
+        i = bisect_left(keys, key)
+        return i if i < len(keys) and keys[i] == key else -1
 
     def gamma0(self, t):
         u = self.twist_inv(t, 2)
         return self.canonical(self.sh_inv(u))
+
+    # -- numbered classes -----------------------------------------------------
+
+    def keys(self, T) -> np.ndarray:
+        """Mixed-radix int64 key of each row of T over its class-member
+        columns; keys sort as the tuples do."""
+        return self._columns(np.asarray(T).reshape(-1, self.r)).astype(np.int64) @ self._radix
+
+    def find(self, T) -> np.ndarray:
+        """Row number of each row of T, -1 where it is not numbered."""
+        at = _lookup(self._row_keys, self.keys(T))
+        return np.where(at < len(self.rows), at, -1)
+
+    def rows_of(self, T) -> np.ndarray:
+        """Row number of each row of T, numbering first the braid closure of
+        the rows that are not numbered yet."""
+        found = self.find(T)
+        if (found < 0).any():
+            self._number(np.asarray(T).reshape(-1, self.r)[found < 0])
+            found = self.find(T)
+        return found
+
+    def _number(self, T: np.ndarray) -> None:
+        """Close T under gamma_1 and gamma_inf, one frontier per `moves_many`
+        call, and renumber the numbered rows together with the new ones."""
+        frontier, keys, _ = _distinct(T, self.keys(T))
+        found, found_keys, images1, images_inf = [frontier], [keys], [], []
+        known = np.sort(np.concatenate([self._row_keys, keys]), kind="stable")
+        while len(frontier):
+            g1, ginf = self.moves_many(frontier)
+            images1.append(g1)
+            images_inf.append(ginf)
+            both = np.vstack([g1, ginf])
+            keys = self.keys(both)
+            fresh = _lookup(known, keys) == len(known)
+            frontier, keys, _ = _distinct(both[fresh], keys[fresh])
+            found.append(frontier)
+            found_keys.append(keys)
+            known = np.sort(np.concatenate([known, keys]), kind="stable")  # merges two runs
+        # the rows numbered before map into themselves, so their images are
+        # read back from their permutations
+        order = np.argsort(np.concatenate([self._row_keys, *found_keys]))
+        image1 = np.vstack([self.rows[self.perm1], *images1])[order]
+        image_inf = np.vstack([self.rows[self.perm_inf], *images_inf])[order]
+        self.rows = np.vstack([self.rows, *found])[order]
+        self._row_keys, self._scalar_keys = known, None
+        self.perm1, self.perm_inf = self.find(image1), self.find(image_inf)
+        assert (self.perm1 >= 0).all() and (self.perm_inf >= 0).all(), \
+            "the orbit search did not close"
+        self.orbit_label = label = _orbit_labels([self.perm1, self.perm_inf])
+        by_orbit = np.argsort(label, kind="stable")
+        size = np.bincount(label)
+        self.orbit_pos = np.empty(len(label), dtype=np.intp)
+        self.orbit_pos[by_orbit] = np.arange(len(label)) - (np.cumsum(size) - size)[label[by_orbit]]
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the sorted array, len(sorted_keys) where it
+    is absent."""
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < len(sorted_keys)
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return np.where(hit, pos, len(sorted_keys))
+
+
+def _distinct(T: np.ndarray, keys: np.ndarray):
+    """The rows of T with distinct keys and their keys, in key order, and
+    for each row of T the position of its key among them."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return T[order[new]], keys[new], inverse
+
+
+def _orbit_labels(moves: list[np.ndarray]) -> np.ndarray:
+    """label[i]: the least point of i's orbit under the permutations `moves`
+    of 0..n-1, by min-label propagation.  Each round takes the least label
+    over every cycle of each move (the cycles from `_cycle_labels`), then
+    jumps through the labels: label[label[i]] lies in i's orbit and is no
+    larger than label[i]."""
+    cycles = []
+    for P in moves:
+        root = _cycle_labels(P, steps=False)[0]
+        order = np.argsort(root, kind="stable")
+        counts = np.bincount(root, minlength=len(P))
+        counts = counts[counts > 0]
+        cycles.append((order, np.cumsum(counts) - counts, counts))
+    label = np.arange(len(moves[0]))
+    while True:
+        new = label.copy()
+        for order, starts, counts in cycles:
+            new[order] = np.repeat(np.minimum.reduceat(new[order], starts), counts)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
@@ -298,51 +439,20 @@ def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
     """Partition of the given reduced classes into braid orbits.
 
     r = 4 uses <gamma_1, gamma_inf>; r >= 5 uses <sh, q_2> on inner classes.
-    One frontier at a time, `Reducer.moves_many` canonicalizes both moves of
-    every class in it.
-    Orbits come back sorted internally and ordered by (size, least tuple).
+    `Reducer.rows_of` numbers the braid closure of the classes, one frontier
+    of `moves_many` at a time; the orbits are the classes of its orbit
+    labels.  Orbits come back sorted internally and ordered by (size, least
+    tuple).
     """
     red = reducer or Reducer(spec)
-    known = dict.fromkeys(reduced)
-    frontier = list(known)
-    while frontier:
-        g1, ginf = red.moves_many(frontier)
-        frontier = [t for t in dict.fromkeys(g1 + ginf) if t not in known]
-        known.update(dict.fromkeys(frontier))
-    placed: set[tuple] = set()
-    orbits: list[list[tuple]] = []
-    for seed in known:
-        if seed in placed:
-            continue
-        placed.add(seed)
-        members = [seed]
-        for cur in members:           # grows while it is read
-            for nxt in (red.gamma1(cur), red.gamma_inf(cur)):
-                if nxt not in placed:
-                    placed.add(nxt)
-                    members.append(nxt)
-        orbits.append(sorted(members))
-    orbits.sort(key=lambda orb: (len(orb), orb[0]))
-    return orbits
-
-
-def gamma_inf_orbits(orbit: list[tuple], reducer: Reducer) -> list[list[tuple]]:
-    """Cusps: gamma_inf cycles inside one braid orbit, sorted by (width, rep)."""
-    seen: set[tuple] = set()
-    cusps: list[list[tuple]] = []
-    for t in orbit:
-        if t in seen:
-            continue
-        cyc = [t]
-        seen.add(t)
-        cur = reducer.gamma_inf(t)
-        while cur != t:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = reducer.gamma_inf(cur)
-        cusps.append(sorted(cyc))
-    cusps.sort(key=lambda c: (len(c), c[0]))
-    return cusps
+    seeds = red.rows_of(_as_rows(reduced, red.r))
+    label = red.orbit_label
+    rows = np.flatnonzero(np.isin(label, label[seeds]))
+    size = np.bincount(label)[label[rows]]
+    rows = rows[np.lexsort((rows, label[rows], size))]
+    tuples = _as_tuples(red.rows[rows])
+    starts = np.flatnonzero(np.diff(label[rows], prepend=-1)).tolist()
+    return [tuples[a:b] for a, b in zip(starts, starts[1:] + [len(rows)])]
 
 
 def is_hm(t, reducer: Reducer) -> bool:

@@ -37,10 +37,10 @@ class VDSet:
 def enumerate_schur_quotients(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
     """All Z/p Schur quotients of G (central Z/p Frattini extensions), one
     per line of H^2(G, F_p), in H^2 class order."""
-    if not is_p_perfect(G, p):
-        raise NotPPerfect("group admits a Z/p quotient")
     if G.presentation is None:
-        raise InputError("group needs an attached presentation")
+        raise InputError("Schur stage: group needs an attached presentation")
+    if not is_p_perfect(G, p):
+        raise NotPPerfect(f"Schur stage: group admits a Z/{p} quotient")
     out = schur_covers(G, p)
     for E in out:
         z = E.kernel_elems[1]

@@ -560,6 +560,24 @@ def test_uncoverable_group_still_runs_level0(tmp_path):
                     "--p", "3", "--k", "0"], tmp_path) == 0
 
 
+@pytest.mark.parametrize("text, args, reason", [
+    ("(5 9 1 6 2 4 8 3)\n(4 2)\n", ["schur", "--p", "3", "--k", "0"],
+     "Schur stage: group needs an attached presentation"),
+    ("(1 2 3 4 5)\n(1 2 3)\n",
+     ["level", "--classes", "3A,3A,3A,3A", "--p", "2", "--k", "1"],
+     "cover stage: base group needs an attached presentation"),
+], ids=["schur-s8", "level-a5"])
+def test_presentationless_refusal_names_its_stage(tmp_path, capsys, text, args,
+                                                  reason):
+    """A permutation file carries no presentation; the refusal names its
+    stage and comes before the p-perfect check (S8 at p = 3)."""
+    gf = tmp_path / "g.txt"
+    gf.write_text(text)
+    assert run_cli(args + ["--group-file", str(gf)], tmp_path) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args, count", [
     (["--group", "Z3", "--classes", "3A,3B", "--p", "2"], 2),
     (["--group", "Z2", "--classes", "2A,2A", "--p", "3"], 2),

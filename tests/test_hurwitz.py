@@ -1,17 +1,23 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mtower.cli import class_id
 from mtower.errors import NonIntegralGenus
+from mtower.frattini import dihedral_level
 from mtower.groups import dihedral_group, unique_rows
 from mtower.hurwitz import (_inner_orbit_data, _q2prime_faithful,
                             analyze_component, check_goup, component_genus,
+                            elliptic_detect,
                             genus_lower_bound, level_compare, moduli_tests,
                             sh_incidence, shortening_detect)
-from mtower.nielsen import (NielsenSpec, Reducer, mbar4_orbits,
+from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
+                            lift_tuples, lifted_spec, mbar4_orbits,
                             middle_product, project_tuple)
 
+import braid_oracle
 from canonical_oracle import (ScalarCanonical, inner_classes, q2prime_faithful,
                               variants)
 from conftest import class_of_order, level_bundle
@@ -214,3 +220,125 @@ def test_unique_rows_match_np_unique():
         col = unique_rows(rows[:, :1])[0]
         assert col.shape == (len(col), 1)
         assert np.array_equal(col.ravel(), np.unique(rows[:, 0]))
+
+
+# -- the index-array route against the tuple route ------------------------------
+
+
+def _analyses(spec, reduced):
+    """Orbits and reports of both routes, each on its own reducer."""
+    red = Reducer(spec)
+    orbits = mbar4_orbits(spec, reduced, red)
+    reports = [analyze_component(spec, orb, red) for orb in orbits]
+    moves = braid_oracle.TupleMoves(Reducer(spec))
+    want_orbits = braid_oracle.mbar4_orbits(reduced, moves)
+    want = [braid_oracle.analyze_component(spec, orb, moves) for orb in want_orbits]
+    assert orbits == want_orbits
+    return SimpleNamespace(spec=spec, reducer=red, reports=reports,
+                           moves=moves, want=want)
+
+
+def _lifted(L, lower):
+    """The level over `lower` through L, seeded as the level job seeds it."""
+    spec = lifted_spec(L, lower.spec)
+    red = Reducer(spec)
+    seeds = sorted({t for rep in lower.reports for t in lift_tuples(
+        L, rep.orbit[0], spec, red, frattini_verified=True)})
+    return _analyses(spec, seeds)
+
+
+def _dihedral_tower(p, k):
+    base = dihedral_group(p)
+    spec = NielsenSpec(base, (class_of_order(base, 2),) * 4, p)
+    levels = [_analyses(spec, enumerate_reduced(spec))]
+    for L in dihedral_level(p, k):
+        levels.append(_lifted(L, levels[-1]))
+        levels[-1].level = L
+    return levels
+
+
+def _assert_same_level(got):
+    """Every report field (repr also tells numpy scalars from ints), the
+    sh-incidence CSV and blocks."""
+    assert repr(got.reports) == repr(got.want)
+    inc = sh_incidence(got.reports, got.reducer)
+    want = braid_oracle.sh_incidence(got.want, got.moves)
+    assert inc.to_csv() == braid_oracle.to_csv(want)
+    assert np.array_equal(inc.matrix, want.matrix)
+    assert (inc.blocks, inc.component_of, inc.symmetric) == \
+        (want.blocks, want.component_of, want.symmetric)
+    # a reducer that has numbered nothing numbers the reports' orbits itself
+    assert sh_incidence(got.reports, Reducer(got.spec)).to_csv() == inc.to_csv()
+
+
+def _assert_same_comparisons(L, lower, upper):
+    for li, (lrep, lwant) in enumerate(zip(lower.reports, lower.want)):
+        for ui, (urep, uwant) in enumerate(zip(upper.reports, upper.want)):
+            got = level_compare(lrep, urep, L, lower.reducer, li, ui)
+            want = braid_oracle.level_compare(lwant, uwant, L,
+                                              lower.moves.red, li, ui)
+            assert got.to_dict() == want.to_dict()
+            assert repr(got) == repr(want)          # fiber_sizes included
+            assert check_goup(got) == check_goup(want)
+
+
+@pytest.fixture(scope="module")
+def d5_tower():
+    return _dihedral_tower(5, 2)
+
+
+def test_a5_levels_match_tuple_route(a5_level0, a5_level1, g1a5):
+    low = _analyses(a5_level0.spec, a5_level0.reduced)
+    up = _analyses(a5_level1.spec, a5_level1.reduced)
+    for lvl in (low, up):
+        _assert_same_level(lvl)
+    _assert_same_comparisons(g1a5.level, low, up)
+
+
+@pytest.mark.parametrize("labels, p", [
+    ("5A,5A,5A", 3),            # r = 3: one class, fixed by gamma_0 and gamma_1
+    ("3A,3A,3A,3A,3A", 2),      # r = 5: two orbits, an sh-incidence not symmetric
+    ("5A,5A,5B,5B", 3),         # a gamma_1 fixed point
+    ("5A,5A,5A,5A", 2),         # a gamma_0 fixed point
+    ("3A,5A,5A,5B", 2),         # the larger orbit has the least tuple
+    ("2A,2A,2A,3A", 5),         # q2 lengths that differ within a cusp
+])
+def test_level0_specs_match_tuple_route(a5, labels, p):
+    spec = NielsenSpec(a5, tuple(class_id(a5, lab) for lab in labels.split(",")), p)
+    got = _analyses(spec, enumerate_reduced(spec))
+    assert got.reports
+    assert all((rep.genus is None) == (spec.r != 4) for rep in got.reports)
+    _assert_same_level(got)
+    # elliptic ramification, over random maps onto the orbit's own classes
+    rng = np.random.default_rng(5)
+    for rep, want in zip(got.reports, got.want):
+        for _ in range(5):
+            below = rng.integers(0, rep.size, rep.size)
+            assert elliptic_detect(rep, rep, below) == braid_oracle.elliptic_detect(
+                want, want, {t: want.orbit[i] for t, i in zip(want.orbit, below.tolist())})
+
+
+def test_d5_levels_match_tuple_route(d5_tower):
+    assert [sum(r.size for r in lvl.reports) for lvl in d5_tower] == [12, 300, 7500]
+    for lvl in d5_tower:
+        _assert_same_level(lvl)
+    for lower, upper in zip(d5_tower, d5_tower[1:]):
+        _assert_same_comparisons(upper.level, lower, upper)
+
+
+def test_d7_level2_matches_tuple_route():
+    tower = _dihedral_tower(7, 2)
+    _assert_same_level(tower[2])
+    _assert_same_comparisons(tower[2].level, tower[1], tower[2])
+
+
+def test_scalar_moves_read_the_numbering(d5_tower):
+    """gamma1/gamma_inf of a numbered class read its row; a class outside
+    the numbering gets the same answer from a one-row move."""
+    lvl = d5_tower[1]
+    fresh = Reducer(lvl.spec)
+    for t in lvl.reports[0].orbit[::7]:
+        assert lvl.reducer.gamma1(t) == fresh.gamma1(t) == lvl.moves.gamma1(t)
+        assert lvl.reducer.gamma_inf(t) == fresh.gamma_inf(t) == \
+            lvl.moves.gamma_inf(t)
+    assert len(fresh.rows) == 0

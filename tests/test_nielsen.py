@@ -5,7 +5,7 @@ import numpy as np
 from mtower.errors import Budget, InputError, NotPPrime
 from mtower.groups import FiniteGroup
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
-                            gamma_inf_orbits, hm_seed_tuples, is_hm,
+                            hm_seed_tuples, is_hm,
                             is_p_divisible, lift_tuples, lifted_spec,
                             mbar4_orbits, middle_product, project_tuple)
 from mtower.groups import MUL_TABLE_LIMIT
@@ -93,8 +93,8 @@ def test_canonical_idempotent_and_invariant(a5_level0):
 
 def test_single_orbit_level0(a5_level0):
     assert [len(o) for o in a5_level0.orbits] == [18]
-    cusps = gamma_inf_orbits(a5_level0.orbits[0], a5_level0.reducer)
-    assert sorted(len(c) for c in cusps) == [2, 3, 3, 5, 5]
+    cusps = a5_level0.reports[0].cusps
+    assert sorted(len(c.members) for c in cusps) == [2, 3, 3, 5, 5]
 
 
 def test_hm_detection(a5_level0):
@@ -278,3 +278,17 @@ def test_lift_budget(g1a5, a5_level0):
     assert n
     with pytest.raises(Budget, match="lift stage.*budget 4095"):
         lift_tuples(L, t, spec1, budget=16 ** 3 - 1)
+
+
+def test_numbering_grows_an_orbit_at_a_time(a5_r5):
+    """A reducer asked for one orbit, then another, renumbers all its rows
+    in tuple order and gives the same orbits as one search over both."""
+    first, second = a5_r5.orbits
+    red = Reducer(a5_r5.spec)
+    assert mbar4_orbits(a5_r5.spec, second[:1], red) == [second]
+    assert len(red.rows) == len(second)
+    assert mbar4_orbits(a5_r5.spec, first[:1], red) == [first]
+    assert mbar4_orbits(a5_r5.spec, a5_r5.reduced, red) == a5_r5.orbits
+    assert red.rows.tolist() == sorted(map(list, first + second))
+    assert all(red.gamma1(t) == a5_r5.reducer.gamma1(t) and
+               red.gamma_inf(t) == a5_r5.reducer.gamma_inf(t) for t in first + second)

@@ -1,6 +1,6 @@
 import pytest
 
-from mtower.errors import NotPPerfect
+from mtower.errors import InputError, NotPPerfect
 from mtower.fp import Presentation, coset_group, todd_coxeter
 from mtower.groups import (cyclic_group, dihedral_group, find_isomorphism,
                            special_linear_2)
@@ -52,8 +52,12 @@ def test_a6_one_quotient_per_prime(a6, p, order):
     assert not _splits(R, a6, quots[0].proj)
 
 
-def test_not_p_perfect_rejected():
-    with pytest.raises(NotPPerfect):
+def test_not_p_perfect_rejected(a4):
+    """The presentation is checked first: that refusal does not depend on
+    whether the group is p-perfect."""
+    with pytest.raises(NotPPerfect, match="Schur stage: group admits a Z/3 quotient"):
+        enumerate_schur_quotients(a4, 3)
+    with pytest.raises(InputError, match="Schur stage: group needs an attached presentation"):
         enumerate_schur_quotients(cyclic_group(4), 2)
 
 
