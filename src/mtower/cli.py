@@ -149,8 +149,7 @@ def _takes_dihedral_form(G: groups.FiniteGroup, p: int) -> bool:
     return True
 
 
-def build_level_model(G: groups.FiniteGroup, p: int,
-                      budget_cosets: int) -> frattini.FrattiniLevel:
+def build_level_model(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
     """One cover level over G, route chosen by structure: dihedral closed
     form, split construction, or the relator-tail search.  The split route
     keeps its own base model, whose total carries a small generator-aligned
@@ -162,14 +161,13 @@ def build_level_model(G: groups.FiniteGroup, p: int,
     if len(frattini.normalizer(G, S)) == G.order:
         data = frattini.split_structure(G, p)
         H = groups.cyclic_group(G.element_order(data.complement_gen))
-        return frattini.split_level(data.rank, p, H, [data.action], budget_cosets).level
-    return frattini.general_level(G, p, budget_cosets).level
+        return frattini.split_level(data.rank, p, H, [data.action]).level
+    return frattini.general_level(G, p).level
 
 
-def build_level(G: groups.FiniteGroup, p: int,
-                budget_cosets: int) -> frattini.FrattiniLevel:
+def build_level(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
     """build_level_model, with a split model transported onto G."""
-    L = build_level_model(G, p, budget_cosets)
+    L = build_level_model(G, p)
     if L.base is G:
         return L
     iso = groups.find_isomorphism(L.base, G)
@@ -179,8 +177,7 @@ def build_level(G: groups.FiniteGroup, p: int,
 
 
 def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
-                       p: int, k: int, budget_elements: int,
-                       budget_cosets: int) -> dict:
+                       p: int, k: int, budget_elements: int) -> dict:
     """The full level-k report payload (byte-stable JSON-ready dict).
 
     Level 0 is enumerated outright; higher levels are seeded by lifting one
@@ -218,7 +215,7 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
             if not seeds:
                 raise EmptyNielsenClass(f"Ni({gdesc}, {class_labels}) is empty")
         else:
-            L = build_level(group, p, budget_cosets)
+            L = build_level(group, p)
             if not frattini.verify_frattini(L):
                 raise InvariantViolation("constructed level is not a Frattini cover")
             group = L.total
@@ -339,7 +336,7 @@ def _level_job(args, build_group, labels: list[str]):
             raise BudgetError(f"cover stage: level budget k <= 1 for groups outside "
                               f"the dihedral closed form, got k = {args.k}")
         payload = run_level_analysis(G, gdesc, labels, args.p, args.k,
-                                     args.budget_elements, args.budget_cosets)
+                                     args.budget_elements)
         names = _emit(payload, report_dir)
         top = payload["levels"][-1]["components"]
         print(f"level {args.k}: {len(top)} component(s); "
@@ -366,8 +363,7 @@ def cmd_dihedral(args) -> int:
                               ["2A"] * 4))
 
 
-def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int,
-                  budget_cosets: int) -> dict:
+def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
     """The `schur.json` payload: the Z/p Schur quotients of G (k = 0), or
     of its level-1 cover with their kernel slices (k = 1)."""
     out: dict = {"group": gdesc, "p": p, "quotients": []}
@@ -379,7 +375,7 @@ def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int,
                 "kernel_gen": q.total.perm_str(q.kernel_elems[1]),
             })
         return out
-    L = build_level_model(G, p, budget_cosets)
+    L = build_level_model(G, p)
     quots = schur.enumerate_schur_quotients(L.total, p)
     rad_elems = [L.kernel_elems[la.vec_int(v, p)]
                  for v in gmodules.radical(L.kernel_module)]
@@ -413,7 +409,7 @@ def cmd_schur(args) -> int:
         G, gdesc = build_group()
         if args.k >= 1:
             check_coverable(G, args.p)
-        out = _schur_report(G, gdesc, args.p, args.k, args.budget_cosets)
+        out = _schur_report(G, gdesc, args.p, args.k)
         names = _emit_json(out, report_dir, "schur.json")
         print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
         return 0, names
@@ -450,7 +446,7 @@ def cmd_frattini_verify(args) -> int:
     def compute(report_dir):
         G, gdesc = build_group()
         check_coverable(G, args.p)
-        L = build_level(G, args.p, args.budget_cosets)
+        L = build_level(G, args.p)
         rep = frattini.verify_order_lifting(L)
         frat = frattini.verify_frattini(L)
         ld = gmodules.loewy_layers(L.kernel_module)

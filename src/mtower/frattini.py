@@ -2,9 +2,10 @@
 iterated Frattini quotients of a free group, and the general case from
 H^2(G, M), read off one F_p linear solve for the kernel labels on the edges
 of G's Cayley graph and the relator tails (_cocycle_space); the same solve
-builds the extension of any class.  Against the trivial module it gives the
-Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The solve is
-sparse (linalg.SparseNullspace).  The solve, an extension's section tables
+builds the extension of any class, the split case's P1 among them, so
+nothing here enumerates cosets.  Against the trivial module the solve gives
+the Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The
+solve is sparse (linalg.SparseNullspace).  The solve, an extension's section tables
 and a pair model each predict their memory first, and raise TooLarge past
 MEMORY_CEILING; a pair model is refused past PAIR_MODEL_LIMIT elements too.
 
@@ -19,12 +20,15 @@ are pairs (base element, kernel vector) with
 
 where psi is the 2-cocycle read off a chosen section (kernel written on the
 right of the section: s(g) s(h) = s(gh) psi(g, h)).  The pair model makes
-element indexing independent of coset-enumeration internals, so downstream
+element indexing independent of how the group was found, so downstream
 orbit reports are byte-stable.  It is built from that product over the
 codes g p^m + int(v), without composing a permutation.
 
 The split case builds every group from its product as well: P0 = (Z/p)^d
-translates the base-p codes of its vectors, and G0 = P0 x| H and
+translates the base-p codes of its vectors; P1 = F / Phi(Phi(F)) is the
+pair model of P0's relation module, whose coordinates are exponent sums
+along Reidemeister-Schreier walks on P0's Cayley graph (_schreier_basis,
+numbering the non-tree edges as _cocycle_space does); and G0 = P0 x| H and
 G1 = P1 x| H act on the codes h |P| + u, with the automorphisms of P by the
 powers of H's generator stored as one (|H|, |P|) array.  The split level's
 proj, section, kernel and module matrices are read off those codes, and the
@@ -37,19 +41,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from . import np
 from . import linalg as la
 from .errors import (ActionLiftFailed, Collapse, InputError, NotPPrime,
                      OrderExceeded, TooLarge)
-from .fp import (CosetTable, Presentation, commutator_word, free_reduce,
-                 invert_word, schreier_generators, todd_coxeter, word_pow)
+from .fp import (Presentation, commutator_word, free_reduce, invert_word,
+                 word_pow)
 from .gmodules import (GModule, indecomposable_summands, induce,
                        submodule_module, trivial_module)
 from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, find_isomorphism,
-                     generating_set, search_images, spanning_tree,
-                     subgroup_from_indices)
+                     generating_set, search_images, subgroup_from_indices)
 
 # Bytes a stage may be predicted to need: the H^2 solve, an extension's
 # section tables, a pair model.  Past it the stage raises TooLarge before
@@ -121,10 +123,7 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     p, m, nb = module.p, module.dim, base.order
     P = p ** m
     npts = nb * P
-    if npts > PAIR_MODEL_LIMIT:
-        raise TooLarge(f"pair model: {npts:,} points, past "
-                       f"PAIR_MODEL_LIMIT = {PAIR_MODEL_LIMIT:,}")
-    _check_memory("pair model", f"{npts:,} points", pair_model_bytes(npts))
+    _check_pair_model_size(nb, p, m)
     if (psi[0] != 0).any() or (psi[:, 0] != 0).any():
         raise InputError("cocycle not normalized at the identity")
 
@@ -149,6 +148,18 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
         raise Collapse(f"pair model closed at {total.order}, expected {npts}")
     return total, dict(proj=total.codes // P, section=total._at_code[::P].astype(np.int64),
                        kernel=total._at_code[:P].tolist())
+
+
+def _check_pair_model_size(nb: int, p: int, m: int) -> None:
+    """Raise TooLarge for a pair model of nb base elements by a kernel of
+    dimension m past PAIR_MODEL_LIMIT or past MEMORY_CEILING.  Past 64
+    dimensions the size is written as a power, not computed."""
+    npts = nb * p ** min(m, 64)
+    size = f"{npts:,} points" if m <= 64 else f"{nb:,} x {p}^{m} points"
+    if npts > PAIR_MODEL_LIMIT:
+        raise TooLarge(f"pair model: {size}, past "
+                       f"PAIR_MODEL_LIMIT = {PAIR_MODEL_LIMIT:,}")
+    _check_memory("pair model", size, pair_model_bytes(npts))
 
 
 def pair_model_bytes(npts: int) -> int:
@@ -221,7 +232,7 @@ def dihedral_level(p: int, k: int, max_order: int = 1 << 20) -> list[FrattiniLev
     """
     from .groups import dihedral_group
 
-    if p == 2 or p < 3:
+    if p < 3:
         raise InputError("dihedral tower needs an odd prime")
     if 2 * p ** (k + 1) > max_order:
         raise OrderExceeded("dihedral level past group-order budget")
@@ -235,7 +246,7 @@ def dihedral_level(p: int, k: int, max_order: int = 1 << 20) -> list[FrattiniLev
             kernel_module=module, psi=zero, name=f"D{p}ident")]
     levels = []
     base = dihedral_group(p)
-    for j in range(1, k + 1):
+    for _ in range(k):
         lvl = dihedral_step(base, p)
         levels.append(lvl)
         base = lvl.total
@@ -314,72 +325,54 @@ def _powers(H: FiniteGroup, alpha: np.ndarray) -> np.ndarray:
     return out
 
 
-def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
-                max_cosets: int = 1 << 20) -> SplitTower:
+def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray]) -> SplitTower:
     """One Frattini level of P0 x| H for elementary abelian P0 = (Z/p)^d.
 
-    P1 = F / Phi(Phi(F)) is enumerated from the Schreier generators of
-    Phi(F) = ker(F -> P0); the H-action on P0 is lifted to P1 by taking the
-    lexicographically first generator-image assignment satisfying both the
-    P1 relations and H's relation (H must be cyclic here).
+    P1 = F / Phi(Phi(F)) is the extension of P0 by the relation module
+    Phi(F) / Phi(Phi(F)) of F -> P0 (build_extension).  Phi(F) is free on
+    the Schreier generators s_j, one per non-tree edge of P0's Cayley graph,
+    so the module has dimension d' = (d - 1) p^d + 1, and a word of Phi(F)
+    has as coordinates its exponent sums along the Reidemeister-Schreier
+    walk (_schreier_basis).  The module matrices are the coordinates of
+    x_i^-1 s_j x_i, the relator tails those of P0's relators.  The H-action
+    on P0 is lifted to P1 by taking the lexicographically first
+    generator-image assignment satisfying both the P1 relations and H's
+    relation (H must be cyclic here).  A P1 past PAIR_MODEL_LIMIT is refused
+    before any of this is built.
     """
     if len(H.gen_indices) != 1:
         raise ActionLiftFailed("action lift implemented for cyclic complements")
     h_order = H.element_order(H.gen_indices[0])
     A_h = la.asmod(H_mats[0], p)
-
-    free = Presentation(d, ())
-    p0_rels = tuple([word_pow((i + 1,), p) for i in range(d)] +
-                    [commutator_word((i + 1,), (j + 1,))
-                     for i in range(d) for j in range(i + 1, d)])
-    T0 = todd_coxeter(Presentation(d, p0_rels), (), max_cosets)
-    sgens = schreier_generators(free, T0)
-    p1_rels = []
-    for i, s in enumerate(sgens):
-        p1_rels.append(free_reduce(word_pow(s, p)))
-        for t in sgens[i + 1:]:
-            w = commutator_word(s, t)
-            if w:
-                p1_rels.append(w)
-    P1_pres = Presentation(d, tuple(r for r in p1_rels if r))
-    T1 = todd_coxeter(P1_pres, (), max_cosets)
-    dprime = len(sgens)
-    if T1.n != p ** (d + dprime):
-        raise Collapse(f"P1 closed at {T1.n}, expected {p ** (d + dprime)}")
+    _check_pair_model_size(p ** d, p, (d - 1) * p ** d + 1)
 
     # P0 translates the base-p codes of F_p^d; generator i = e_i
     P0 = _vector_group(d, p)
-    vecs, weights = _digits(P0.order, d, p), p ** np.arange(d)
-    # kernel coordinates inside T1, in the Schreier-generator basis
-    kcoords = _span_coords(lambda c, j: T1.act_word(c, sgens[j]), dprime, p)
-    mats0 = []
-    for i in range(d):
-        rows = []
-        for s in sgens:
-            w = invert_word((i + 1,)) + s + (i + 1,)
-            rows.append(kcoords[_coset_in_kernel(T1, w)])
-        mats0.append(np.stack(rows))
-    M0_over_P0 = GModule(P0, p, mats0, check=False)
-    p0_words = [tuple(i + 1 for i, e in enumerate(v) for _ in range(e))
-                for v in vecs[P0.codes].tolist()]
-    psi_p1 = _cocycle_from_table(T1, P0, kcoords, p0_words)
-    P1, info1 = pair_model_group(P0, M0_over_P0, psi_p1, name="P1")
-
-    # x-only BFS words inside P1 (generators 0..d-1 of the pair model)
-    xwords = _restricted_words(P1, list(range(d)))
+    P0.presentation = Presentation(d, tuple(
+        [word_pow((i + 1,), p) for i in range(d)] +
+        [commutator_word((i + 1,), (j + 1,)) for i in range(d) for j in range(i + 1, d)]))
+    x_words, sgens, coords = _schreier_basis(P0, p)
+    M0 = GModule(P0, p, [np.stack([coords((-(i + 1),) + s + (i + 1,)) for s in sgens])
+                         for i in range(d)], check=False)
+    tails = np.stack([coords(r) for r in P0.presentation.relators])
+    L1 = build_extension(P0.presentation, M0, tails, name="P1")
+    P1 = L1.total
+    p1_rels = []
+    for i, s in enumerate(sgens):
+        p1_rels.append(free_reduce(word_pow(s, p)))
+        p1_rels += [w for t in sgens[i + 1:] if (w := commutator_word(s, t))]
+    P1_pres = Presentation(d, tuple(p1_rels))
 
     # lift the H generator: images of the P1 generators over (e_i) A_h
-    cand_lists = []
-    for i in range(d):
-        s = int(info1["section"][P0._at_code[la.vec_int(A_h[i], p)]])
-        cands = sorted(P1.mul(s, k) for k in info1["kernel"])
-        cand_lists.append(cands)
+    cand_lists = [sorted(L1.lifts(int(P0._at_code[la.vec_int(A_h[i], p)])))
+                  for i in range(d)]
     lift = _find_action_lift(P1, cand_lists, h_order)
     if lift is None:
         raise ActionLiftFailed("no compatible lift of the complement action")
     alpha_images, alpha = lift
 
     # G0 and G1 on the codes h |P| + u, acted on by the powers of A_h and alpha
+    vecs, weights = _digits(P0.order, d, p), p ** np.arange(d)
     act0 = _powers(H, P0._at_code[vecs[P0.codes] @ A_h % p @ weights])
     G0 = _semidirect_group(H, P0, act0, P0.gen_indices, name="G0split")
     G1 = _semidirect_group(H, P1, _powers(H, alpha), P1.gen_indices[:d],
@@ -387,22 +380,31 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
 
     # proj, section and kernel off the codes; (1, k) has the code k
     h1, u1 = np.divmod(G1.codes, P1.order)
-    proj = G0._at_code[h1 * P0.order + info1["proj"][u1]].astype(np.int64)
+    proj = G0._at_code[h1 * P0.order + L1.proj[u1]].astype(np.int64)
     h0, u0 = np.divmod(G0.codes, P0.order)
-    section = G1._at_code[h0 * P1.order + info1["section"][u0]].astype(np.int64)
-    kernel = G1._at_code[info1["kernel"]].tolist()
-    m = dprime
+    section = G1._at_code[h0 * P1.order + L1.section[u0]].astype(np.int64)
+    kernel = G1._at_code[L1.kernel_elems].tolist()
+    m = len(sgens)
     # row j of generator g's matrix: the coordinates of s(g)^-1 e_j s(g)
     s = section[G0.gen_indices][:, None]
     basis = G1.mul_many(G1.mul_many(G1.inv[s], [kernel[p ** j] for j in range(m)]), s)
     gen_mats = list(_kernel_coords_table(G1.order, kernel, p, m)[basis])
-    _attach_g0_presentation(G0, d, p, h_order, A_h)
-    M0 = GModule(G0, p, gen_mats)
+    # h^-1 x_i h = the BFS word x_1^a_1 ... x_d^a_d of (a_j) = (e_i) A_h
+    _attach_split_presentation(G0, P0.presentation.relators, [
+        x_words[P0._at_code[la.vec_int(row, p)]] for row in A_h], h_order)
+    M = GModule(G0, p, gen_mats)
     psi = extract_cocycle(G1, G0, section, kernel, p, m)
-    lvl = FrattiniLevel(G1, G0, p, proj, section, kernel, M0, psi,
+    lvl = FrattiniLevel(G1, G0, p, proj, section, kernel, M, psi,
                         name=f"split d={d} p={p}")
     _check_level(lvl)
-    _attach_g1_presentation(G1, P1_pres, xwords, alpha_images, d, p, h_order)
+    # alpha(x_i) in P1's normal form: the BFS word of its P0 part, then the
+    # Schreier generators to the digits of its kernel part
+    alpha_words = []
+    for e in alpha_images:
+        g, v = divmod(int(P1.codes[e]), p ** m)
+        alpha_words.append(x_words[g] + sum((word_pow(sj, v // p ** j % p)
+                                             for j, sj in enumerate(sgens)), ()))
+    _attach_split_presentation(G1, P1_pres.relators, alpha_words, h_order)
     return SplitTower(lvl, alpha_images, P1_pres, G0, G1)
 
 
@@ -413,10 +415,6 @@ def _vector_group(d: int, p: int) -> FiniteGroup:
     return FiniteGroup.from_closed_form(
         p ** d, weights.tolist(), lambda a, b: (vecs[a] + vecs[b]) % p @ weights,
         name=f"(Z/{p})^{d}")
-
-
-def _coset_in_kernel(T: CosetTable, word) -> int:
-    return T.act_word(0, free_reduce(word))
 
 
 def _span_coords(times, dim: int, p: int) -> dict[int, np.ndarray]:
@@ -438,28 +436,6 @@ def _span_coords(times, dim: int, p: int) -> dict[int, np.ndarray]:
     return coords
 
 
-def _cocycle_from_table(T: CosetTable, base: FiniteGroup, kcoords, words):
-    """psi(g, h) read off the coset table along the words of the base elements."""
-    nb = base.order
-    m = len(next(iter(kcoords.values())))
-    psi = np.zeros((nb, nb, m), dtype=np.int64)
-    for g in range(nb):
-        for h in range(nb):
-            gh = base.mul(g, h)
-            w = invert_word(words[gh]) + words[g] + words[h]
-            psi[g, h] = kcoords[_coset_in_kernel(T, w)]
-    return psi
-
-
-def _restricted_words(G: FiniteGroup, gen_positions: list[int]) -> list[tuple[int, ...]]:
-    """BFS words for every element using only the listed generators."""
-    words = [()] * G.order
-    for child, parent, gi in spanning_tree(G, gen_positions):
-        for c, a, g in zip(child.tolist(), parent.tolist(), gi.tolist()):
-            words[c] = words[a] + (gen_positions[g] + 1,)
-    return words
-
-
 def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
                       h_order: int) -> tuple[list[int], np.ndarray] | None:
     """The first candidate images of the first len(cand_lists) generators
@@ -477,30 +453,14 @@ def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
     return None
 
 
-def _attach_g0_presentation(G0: FiniteGroup, d: int, p: int, h_order: int,
-                            A_h: np.ndarray) -> None:
-    rels = [word_pow((i + 1,), p) for i in range(d)]
-    rels += [commutator_word((i + 1,), (j + 1,))
-             for i in range(d) for j in range(i + 1, d)]
-    rels.append(word_pow((d + 1,), h_order))
-    for i in range(d):
-        img: list[int] = []
-        for jcol in range(d):
-            img.extend([jcol + 1] * int(A_h[i, jcol]))
-        rels.append(free_reduce((-(d + 1), i + 1, d + 1) + invert_word(tuple(img))))
-    G0.presentation = Presentation(d + 1, tuple(r for r in rels if r))
-
-
-def _attach_g1_presentation(G1: FiniteGroup, P1_pres: Presentation,
-                            xwords: list[tuple[int, ...]], alpha_images: list[int],
-                            d: int, p: int, h_order: int) -> None:
-    # generators x_1..x_d, h; P1 relators + h^order + action relators
-    rels = list(P1_pres.relators) + [word_pow((d + 1,), h_order)]
-    for i in range(d):
-        # h^-1 x_i h = alpha(x_i), written as a word in the x generators
-        target_word = xwords[alpha_images[i]]
-        rels.append(free_reduce((-(d + 1), i + 1, d + 1) + invert_word(target_word)))
-    G1.presentation = Presentation(d + 1, tuple(r for r in rels if r))
+def _attach_split_presentation(G: FiniteGroup, rels, images, h_order: int) -> None:
+    """Generators x_1..x_d, h: the relators `rels` of the x_i, h^h_order,
+    and h^-1 x_i h = images[i], a word in the x_i."""
+    d = len(images)
+    rels = list(rels) + [word_pow((d + 1,), h_order)]
+    rels += [free_reduce((-(d + 1), i + 1, d + 1) + invert_word(w))
+             for i, w in enumerate(images)]
+    G.presentation = Presentation(d + 1, tuple(r for r in rels if r))
 
 
 # -- H^2 and extensions: one linear solve over the Cayley graph ----------------
@@ -531,6 +491,52 @@ def extension_presentation(P: Presentation, M: GModule,
     return Presentation(d + m, tuple(r for r in rels if r))
 
 
+def _nontree_edges(G: FiniteGroup) -> np.ndarray:
+    """The (|G|, d) array that numbers the non-tree edges g -> g x_i of G's
+    Cayley graph in order of (g, i), -1 on the edges of the BFS tree
+    (G._parents)."""
+    col = np.zeros((G.order, len(G.gen_cols)), dtype=np.int64)
+    parent, gi = np.array(G._parents[1:], dtype=np.int64).reshape(-1, 2).T
+    col[parent, gi] = -1
+    col[col == 0] = np.arange(np.count_nonzero(col == 0))
+    return col
+
+
+def _schreier_basis(G: FiniteGroup, p: int):
+    """(BFS words w, Schreier generators, coordinates) of the relation module
+    of the free group F on G's generators: ker(F -> G) modulo its p-th
+    powers and commutators.
+
+    Generator k is w(g) x_i w(g x_i)^-1 for the k-th non-tree edge g -> g x_i
+    (_nontree_edges), w(g) the BFS word of g.  coords(word), for a word of the
+    kernel, is its vector of exponent sums mod p along the
+    Reidemeister-Schreier walk from the identity: +1 for each non-tree edge
+    crossed forwards, -1 backwards; AssertionError unless the walk ends at
+    the identity.
+    """
+    col, right = _nontree_edges(G), G.gen_cols
+    left = [np.argsort(r) for r in right]
+    w = [tuple(g + 1 for g in word) for word in G.words]
+    sgens = [free_reduce(w[g] + (i + 1,) + invert_word(w[right[i][g]]))
+             for g, i in np.argwhere(col >= 0).tolist()]
+
+    def coords(word) -> np.ndarray:
+        v, at = np.zeros(len(sgens), dtype=np.int64), 0
+        for letter in word:
+            i = abs(letter) - 1
+            if letter > 0:
+                k, at = col[at, i], right[i][at]
+            else:
+                at = left[i][at]
+                k = col[at, i]
+            if k >= 0:
+                v[k] += 1 if letter > 0 else -1
+        assert at == 0, f"word {word} does not end at the identity"
+        return v % p
+
+    return w, sgens, coords
+
+
 def _cocycle_space(P: Presentation, M: GModule):
     """All (edge labels, relator tails) of extensions of M.group by M.
 
@@ -558,11 +564,7 @@ def _cocycle_space(P: Presentation, M: GModule):
     right = G.gen_cols                             # g -> g x_i
     left = [np.argsort(r) for r in right]          # g -> g x_i^-1
     inv_mats = [M._invert(A) for A in M.mats]
-    tree = set(G._parents[1:])
-    col = np.full((n, P.ngens), -1)
-    for k, e in enumerate(e for e in product(range(n), range(P.ngens))
-                          if e not in tree):
-        col[e] = k
+    col = _nontree_edges(G)
     system = la.SparseNullspace(ncols, p)
     cob = np.zeros((P.ngens, m, s, m), dtype=np.int64)
     for ri, rel in enumerate(P.relators):
@@ -887,7 +889,7 @@ class FrattiniModuleData:
     normalizer_iso: list[int]         # abstract G0 element -> Nsub element
 
 
-def frattini_module(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> FrattiniModuleData:
+def frattini_module(G: FiniteGroup, p: int) -> FrattiniModuleData:
     """Induce the Sylow-normalizer's Frattini module up to G and decompose.
 
     When the induced module is indecomposable it is the level-0 module of G
@@ -904,7 +906,7 @@ def frattini_module(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> Fratti
     Nsub = subgroup_from_indices(G, n_gens, name="sylow-normalizer")
     data = split_structure(Nsub, p)
     H = cyclic_group(Nsub.element_order(data.complement_gen))
-    tower = split_level(data.rank, p, H, [data.action], max_cosets)
+    tower = split_level(data.rank, p, H, [data.action])
     iso = find_isomorphism(tower.g0, Nsub)
     if iso is None:
         raise AssertionError("split model does not match the normalizer")
@@ -942,7 +944,7 @@ class GeneralLevel:
     module_data: FrattiniModuleData
 
 
-def general_level(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> GeneralLevel:
+def general_level(G: FiniteGroup, p: int) -> GeneralLevel:
     """G_1 -> G for a p-perfect G with non-normal Sylow, via relator tails.
 
     The Frattini module is selected among the indecomposable summands of the
@@ -956,7 +958,7 @@ def general_level(G: FiniteGroup, p: int, max_cosets: int = 1 << 18) -> GeneralL
         raise InputError("cover stage: base group needs an attached presentation")
     if not is_p_perfect(G, p):
         raise InputError(f"cover stage: base group must be {p}-perfect")
-    data = frattini_module(G, p, max_cosets)
+    data = frattini_module(G, p)
     schur_levels = schur_covers(G, p)   # for the versality check
     for b in data.summand_bases:
         M = submodule_module(data.induced, b)

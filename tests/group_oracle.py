@@ -17,11 +17,14 @@ element of the current closure and made each conjugate outside it a seed.
 A_4 and A_5, which `groups.alternating_group` now writes out.  The split
 and dihedral levels were built as permutation groups: `_vector_group` and
 `_semidirect_group` compose each generator point by point, `split_level`
+enumerates P1's cosets (Schreier generators of the coset table of P0, then
+P1's own table, with the module and cocycle of P1 over P0 read off it) and
 decodes its elements through the image of point 0, `dihedral_step` through
 `_dihedral_decode`/`_dihedral_elem`, and `transport_level` moves the
 cocycle one entry at a time.  They return the level's parts (proj, section,
-kernel, coordinates, module matrices, psi) instead of a level, and skip the
-presentations, which did not change.  The order-p^3 model groups are the
+kernel, coordinates, module matrices, psi; for the split level also P1 with
+its module and cocycle over P0) instead of a level, and skip the
+presentations.  The order-p^3 model groups are the
 permutation builders they were.
 """
 
@@ -460,8 +463,8 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
             rows.append(coords[got])
         gen_mats.append(np.stack(rows))
     psi = extract_cocycle(G1, G0, proj, section, coords, p, m)
-    return dict(P0=P0, g0=G0, g1=G1, proj=proj, section=section, kernel=kernel,
-                coords=coords, mats=gen_mats, psi=psi)
+    return dict(P0=P0, P1=P1, M0=mats0, psi_p1=psi_p1, g0=G0, g1=G1, proj=proj,
+                section=section, kernel=kernel, coords=coords, mats=gen_mats, psi=psi)
 
 
 def _vector_group(d: int, p: int) -> FiniteGroup:

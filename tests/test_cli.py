@@ -861,3 +861,89 @@ def test_level1_file_labelled_a4_cli(tmp_path):
     for line in (DATA / "level_a4_p2_k1.sha256").read_text().splitlines():
         digest, name = line.split()
         assert sha256_of(tmp_path / "builtin" / name) == digest, name
+
+
+# Permutation files through the split route (and S3 through the dihedral
+# closed form): three labellings of A4, the relabelled D5, Z/7 x| Z/3,
+# Z/5 x| Z/4, S3, Z/11 x| Z/5 and Z/13 x| Z/3.
+SPLIT_FILES = {
+    "a4a.txt": "(1 2 3)\n(2 3 4)\n",
+    "a4b.txt": "(1 2)(3 4)\n(1 2 3)\n",
+    "a4c.txt": "(1 3 2)\n(1 4)(2 3)\n",
+    "d5.txt": D5_RELABELLED,
+    "f21.txt": "(1 2 3 4 5 6 7)\n(2 3 5)(4 7 6)\n",
+    "f20.txt": "(1 2 3 4 5)\n(2 3 5 4)\n",
+    "s3.txt": "(1 2 3)\n(1 2)\n",
+    "f55.txt": "(1 2 3 4 5 6 7 8 9 10 11)\n(2 4 10 6 5)(3 7 8 11 9)\n",
+    "f39.txt": "(1 2 3 4 5 6 7 8 9 10 11 12 13)\n(2 4 10)(3 7 6)(5 13 11)(8 9 12)\n",
+}
+SPLIT_FILE_JOBS = {
+    "schur_a4a": "schur a4a.txt --p 2 --k 1",
+    "schur_a4b": "schur a4b.txt --p 2 --k 1",
+    "schur_a4c": "schur a4c.txt --p 2 --k 1",
+    "schur_d5": "schur d5.txt --p 5 --k 1",
+    "schur_f21": "schur f21.txt --p 7 --k 1",
+    "schur_f20": "schur f20.txt --p 5 --k 1",
+    "schur_f39": "schur f39.txt --p 13 --k 1",
+    "level_a4a": "level a4a.txt --classes 3A,3A,3B,3B --p 2 --k 1",
+    "level_d5": "level d5.txt --classes 2A,2A,2A,2A --p 5 --k 1",
+    "level_f21": "level f21.txt --classes 3A,3A,3B,3B --p 7 --k 1",
+    "level_s3": "level s3.txt --classes 2A,2A,2A,2A --p 3 --k 1",
+    "verify_a4c": "frattini-verify a4c.txt --p 2",
+    "verify_f21": "frattini-verify f21.txt --p 7",
+    "verify_f20": "frattini-verify f20.txt --p 5",
+    "verify_s3": "frattini-verify s3.txt --p 3",
+    "verify_f55": "frattini-verify f55.txt --p 11",
+}
+
+
+def _file_group_pins():
+    """{job: {file: sha256}} from file_group_pins.sha256, whose lines are
+    `sha256sum` lines for the paths job/file."""
+    pins: dict[str, dict[str, str]] = {}
+    for line in (DATA / "file_group_pins.sha256").read_text().splitlines():
+        digest, path = line.split()
+        job, name = path.split("/")
+        pins.setdefault(job, {})[name] = digest
+    return pins
+
+
+@pytest.mark.parametrize("job", sorted(SPLIT_FILE_JOBS))
+def test_split_route_file_groups_match_pins(tmp_path, capsys, job):
+    """Each job's report, cold and replayed from the cache, has the pinned
+    digests (taken when P1 was still enumerated by cosets)."""
+    cmd, name, *rest = SPLIT_FILE_JOBS[job].split()
+    (tmp_path / name).write_text(SPLIT_FILES[name])
+    args = [cmd, "--group-file", str(tmp_path / name), *rest]
+    assert run_into(args, tmp_path, "cold") == 0
+    assert run_into(args, tmp_path, "replay") == 0
+    assert "cache hit" in capsys.readouterr().out
+    assert _digests(tmp_path / "cold") == _digests(tmp_path / "replay") \
+        == _file_group_pins()[job]
+
+
+# (Z/2)^3 x| Z/7 on 8 points and (Z/3)^2 x| Z/2 on 6 points: their P1 would
+# have 2^20 and 3^12 elements
+@pytest.mark.parametrize("text, p, points", [
+    ("(1 2)(3 4)(5 6)(7 8)\n(2 3 5 4 7 8 6)\n", "2", "1,048,576"),
+    ("(1 2 3)\n(4 5 6)\n(2 3)(5 6)\n", "3", "531,441"),
+], ids=["Z2^3:Z7", "Z3^2:Z2"])
+def test_oversized_split_level_refused_before_work(tmp_path, capsys, text, p, points):
+    gf = tmp_path / "group.txt"
+    gf.write_text(text)
+    start = time.perf_counter()
+    assert run_cli(["frattini-verify", "--group-file", str(gf), "--p", p], tmp_path) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert f"pair model: {points} points, past PAIR_MODEL_LIMIT = 65,536" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_route_ignores_coset_budget(tmp_path):
+    """--budget-cosets bounds presentation files only: the split level of A4
+    enumerates no cosets, so a budget of 10 leaves its report as pinned."""
+    assert run_cli(["level", "--group", "A4", "--classes", "3A,3A,3B,3B", "--p", "2",
+                    "--k", "1", "--budget-cosets", "10"], tmp_path) == 0
+    for line in (DATA / "level_a4_p2_k1.sha256").read_text().splitlines():
+        digest, name = line.split()
+        assert sha256_of(tmp_path / "out" / name) == digest, name

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import fox_oracle
+from search_oracle import eval_relator
 from mtower import frattini
 from mtower import linalg as la
 from mtower.errors import Collapse, NotPPrime, TooLarge
-from mtower.fp import Presentation, invert_word, todd_coxeter
+from mtower.fp import (Presentation, commutator_word, invert_word, todd_coxeter,
+                       word_pow)
 from mtower.frattini import (build_extension, dihedral_level,
                              extension_presentation, general_level,
                              h2_classes, lift_class,
@@ -60,6 +62,46 @@ def test_split_level_a4(a4_tower):
     assert len(L.total.center()) == 1
     assert is_p_perfect(L.total, 2)
     assert todd_coxeter(L.total.presentation, (), 1 << 14).n == 384
+
+
+@pytest.mark.parametrize("d, p", [(1, 5), (2, 2), (2, 3), (3, 2)])
+def test_schreier_basis_coordinates(d, p):
+    """Over P0 = (Z/p)^d, each of the (d - 1) p^d + 1 Schreier generators
+    has its unit vector as coordinates, and every relator of
+    P1 = F / Phi(Phi(F)) (s^p and [s, t]) has coordinates 0; a word outside
+    Phi(F) is refused."""
+    _, sgens, coords = frattini._schreier_basis(frattini._vector_group(d, p), p)
+    m = (d - 1) * p ** d + 1
+    assert len(sgens) == m
+    assert (np.stack([coords(s) for s in sgens]) == np.eye(m, dtype=np.int64)).all()
+    rels = [word_pow(s, p) for s in sgens]
+    rels += [commutator_word(s, t) for i, s in enumerate(sgens) for t in sgens[i + 1:]]
+    assert not any(coords(r).any() for r in rels)
+    with pytest.raises(AssertionError, match="does not end at the identity"):
+        coords((1,))
+
+
+@pytest.mark.parametrize("d, p, h, A", [(2, 2, 3, [[0, 1], [1, 1]]), (1, 7, 3, [[2]])])
+def test_split_presentations_hold(d, p, h, A):
+    """Every relator of P1's presentation and of G1's (whose action relators
+    write alpha(x_i) in P1's normal form: the BFS word of its P0 part, then
+    the Schreier generators) is the identity in G1split, and G1's
+    presentation closes at |G1|."""
+    tower = split_level(d, p, cyclic_group(h), [np.array(A)])
+    G1 = tower.g1
+    for rel in tower.p1_presentation.relators + G1.presentation.relators:
+        assert eval_relator(G1, G1.gen_indices, rel) == 0, rel
+    assert todd_coxeter(G1.presentation, (), 1 << 14).n == G1.order
+
+
+def test_oversized_split_level_refused_first():
+    """(Z/11)^2 x| Z/5: P1 would have 11^(2 + 122) elements.  It is refused
+    before P0 is built, its size written as a power: past 64 kernel
+    dimensions the size is not computed (for (Z/2)^11 it is 2^20,492,
+    whose decimal form is past Python's int-to-str digit limit)."""
+    with pytest.raises(TooLarge, match=r"^pair model: 121 x 11\^122 points, "
+                                       r"past PAIR_MODEL_LIMIT = 65,536$"):
+        split_level(2, 11, cyclic_group(5), [np.diag([3, 3])])
 
 
 def test_split_matches_dihedral():
@@ -319,4 +361,6 @@ def test_one_cocycle_solve_per_module(monkeypatch, a4_tower, a5):
     assert dims == [1]
     dims.clear()
     general_level(a5, 2)
-    assert dims == [1, 4, 5]
+    # P1's relation module over the Sylow normalizer A4, the trivial module
+    # of the Schur covers, then the two induced summands
+    assert dims == [5, 1, 4, 5]

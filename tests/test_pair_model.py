@@ -39,9 +39,9 @@ def test_closed_form_matches_permutation_bfs(recorded):
     level, G1(A5) with the A5 Schur cover it is checked against, and the
     order-3,840 Schur cover of G1(A5)."""
     a4, a5 = alternating_group(4), alternating_group(5)
-    build_level(a4, 2, 1 << 18)
-    enumerate_schur_quotients(build_level_model(a4, 2, 1 << 18).total, 2)
-    enumerate_schur_quotients(build_level_model(a5, 2, 1 << 18).total, 2)
+    build_level(a4, 2)
+    enumerate_schur_quotients(build_level_model(a4, 2).total, 2)
+    enumerate_schur_quotients(build_level_model(a5, 2).total, 2)
     names = [total.name for *_, total, _ in recorded]
     assert names == ["P1", "split d=2 p=2-transported", "P1", "R_D1(G1split)",
                      "R_D2(G1split)", "R_D3(G1split)", "P1", "R_D1(A5)",
@@ -123,22 +123,41 @@ def assert_same_level(L, want):
 
 
 def split_cases(a4, a5):
-    """(d, p, H, [A_h]) for the A4 split tower and the towers over the
-    Sylow normalizers of A5 at p = 2, 3, 5."""
+    """(d, p, H, [A_h]) for the A4 split tower, the towers over the Sylow
+    normalizers of A5 at p = 2, 3, 5, and the standalone towers Z/7 x| Z/3,
+    Z/11 x| Z/5 and Z/13 x| Z/3 (the complement acting by 2, 3 and 3)."""
     groups = [(a4, 2)] + [(subgroup_from_indices(a5, generating_set(
         a5, list(frattini.normalizer(a5, frattini.p_sylow(a5, p))))), p) for p in (2, 3, 5)]
     for N, p in groups:
         data = frattini.split_structure(N, p)
         yield data.rank, p, cyclic_group(N.element_order(data.complement_gen)), [data.action]
+    for p, h, a in ((7, 3, 2), (11, 5, 3), (13, 3, 3)):
+        yield 1, p, cyclic_group(h), [np.array([[a]])]
 
 
-def test_split_models_match_permutation_route(a4, a5):
-    """P0, G0split and G1split, and the split level read off their codes
-    (proj, section, kernel, coordinates, module matrices, psi), equal the
-    permutation groups and the point-0 decoding of the earlier route."""
+def test_split_models_match_permutation_route(a4, a5, monkeypatch):
+    """P1 over P0 (its group, module and cocycle), P0, G0split and G1split,
+    and the split level read off their codes (proj, section, kernel,
+    coordinates, module matrices, psi), equal the coset-table route: P1
+    enumerated and read off its coset table, the permutation groups and the
+    point-0 decoding."""
+    built = []
+
+    def record(P, M, tails, name=""):
+        built.append(extend(P, M, tails, name=name))
+        return built[-1]
+
+    extend = frattini.build_extension
+    monkeypatch.setattr(frattini, "build_extension", record)
     for d, p, H, mats in split_cases(a4, a5):
         tower = frattini.split_level(d, p, H, mats)
         want = oracle.split_level(d, p, H, mats)
+        (P1,) = built
+        built.clear()
+        assert_same_group(P1.total, want["P1"])
+        assert (P1.psi == want["psi_p1"]).all(), (d, p)
+        assert len(P1.kernel_module.mats) == len(want["M0"]) == d
+        assert all((A == B).all() for A, B in zip(P1.kernel_module.mats, want["M0"]))
         assert_same_group(frattini._vector_group(d, p), want["P0"])
         assert_same_group(tower.g0, want["g0"])
         assert_same_group(tower.g1, want["g1"])
@@ -151,8 +170,8 @@ def test_transported_a4_level_matches_entrywise_route(a4):
     """build_level on A4 moves the split level onto A4 by one fancy index;
     the entry-at-a-time transport of the earlier route gives the same
     cocycle, module and level."""
-    L = build_level(a4, 2, 1 << 18)
-    model = build_level_model(a4, 2, 1 << 18)
+    L = build_level(a4, 2)
+    model = build_level_model(a4, 2)
     iso = find_isomorphism(model.base, a4)
     want = oracle.transport_level(model, iso, a4)
     assert_same_group(L.total, want.total)
