@@ -1,6 +1,7 @@
 """Merge the pytest-benchmark JSON of two or more checkouts into one
 `BENCH_*.json`: per side and benchmark the median, quartiles, minimum and
-rounds, in seconds, and each side's median over the first side's.
+rounds, in seconds, and each side's median over the first side's.  A
+benchmark missing from the first side has no ratio; it is listed on stderr.
 
     python benchmarks/bench_json.py BENCH_kernels.json parent=a.json change=b.json
 """
@@ -30,10 +31,15 @@ def main(out: str, *sides: str) -> None:
         label, path = arg.split("=", 1)
         merged["sides"][label], merged["machine"] = side(path)
     first, *rest = merged["sides"]
+    base = merged["sides"][first]
     merged["median_ratio"] = {
-        label: {name: round(s["median"] / merged["sides"][first][name]["median"], 3)
-                for name, s in merged["sides"][label].items()}
+        label: {name: round(s["median"] / base[name]["median"], 3)
+                for name, s in merged["sides"][label].items() if name in base}
         for label in rest}
+    for label in rest:
+        for name in sorted(set(merged["sides"][label]) - set(base)):
+            print(f"{name}: not on side {first!r}, no ratio for {label!r}",
+                  file=sys.stderr)
     with open(out, "w") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,5 +1,6 @@
-"""Kernel benchmarks of the braid stage, on the D5 level-2 orbit (7,500
-reduced classes, the top level of `mt dihedral --p 5 --k 2`).
+"""Kernel benchmarks of the braid stage and of its orbit dump, on the D5
+level-2 orbit (7,500 reduced classes, the top level of
+`mt dihedral --p 5 --k 2`).
 
 Run with pytest-benchmark:
 
@@ -11,10 +12,12 @@ and merge the JSON of two checkouts with `benchmarks/bench_json.py`.  With
 directory lies outside `tests/`, so the tier-1 run does not collect it.
 """
 
+import io
 from types import SimpleNamespace
 
 import pytest
 
+from mtower.cli import _write_dump
 from mtower.frattini import dihedral_level
 from mtower.groups import dihedral_group
 from mtower.hurwitz import analyze_component, level_compare, sh_incidence
@@ -78,3 +81,15 @@ def test_level_compare(benchmark, d5_levels):
                     low.reducer)
     assert cmp.degree * low.reports[0].size == top.reports[0].size
 
+
+def test_write_dump(benchmark, d5_levels):
+    """The level's orbit dump, formatted from the orbit array into memory."""
+    top = d5_levels[2]
+
+    def write():
+        fh = io.StringIO()
+        _write_dump(fh, top.spec.group, [top.reports[0].arrays.tuples])
+        return fh
+
+    fh = benchmark(write)
+    assert fh.getvalue().count("\n") == 7500 + 4

@@ -28,7 +28,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Callable
 
-from . import _lazy_module
+from . import _lazy_module, np
 from . import cache as cache_mod
 from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
                      InputError, InvariantViolation, MTError, NotPPrime)
@@ -47,6 +47,7 @@ ANALYSIS_MODULES = (fp, frattini, gcomplete, gmodules, groups, hurwitz, la,
                     nielsen, perms, schur)
 
 VERSION = 3
+_DUMP_CHARS = 1 << 20       # orbit-dump text formatted per block, at most
 
 
 def label_classes(G: groups.FiniteGroup) -> list[str]:
@@ -178,7 +179,8 @@ def build_level(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
 
 def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
                        p: int, k: int, budget_elements: int) -> dict:
-    """The full level-k report payload (byte-stable JSON-ready dict).
+    """The full level-k report payload for _emit: JSON-ready but for
+    "orbit_dumps", each level's group and its orbits' arrays, for _write_dump.
 
     Level 0 is enumerated outright; higher levels are seeded by lifting one
     representative per lower orbit through the cover, which reaches every
@@ -233,8 +235,8 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
         payload["levels"].append(level)
         payload["sh_incidence"][str(step)] = hurwitz.sh_incidence(
             reports, reducer).to_csv()
-        payload["orbit_dumps"][str(step)] = [nielsen.orbit_dump(group, r.orbit)
-                                             for r in reports]
+        payload["orbit_dumps"][str(step)] = (group, [r.arrays.tuples
+                                                     for r in reports])
         for li, lrep in enumerate(lower[2] if lower else []):
             for ui, urep in enumerate(reports):
                 try:
@@ -251,7 +253,7 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
 
 def _emit(payload: dict, report_dir: Path) -> list[str]:
     """Write the report; the names of its files.  Orbit dumps (tens of MB)
-    are written a tuple at a time."""
+    are formatted while they are written, a block of tuples at a time."""
     report_dir.mkdir(parents=True, exist_ok=True)
     body = dict(payload)
     texts = {f"sh_incidence_L{lvl}.csv": csv
@@ -263,20 +265,29 @@ def _emit(payload: dict, report_dir: Path) -> list[str]:
         (report_dir / name).write_text(text)
     for name, dump in dumps.items():
         with open(report_dir / name, "w") as fh:
-            _write_dump(fh, dump)
+            _write_dump(fh, *dump)
     return [*texts, *dumps]
 
 
-def _write_dump(fh, dump: list[list[str]]) -> None:
-    """json.dump(dump, fh, indent=1) and a newline, for components of tuples
-    in cycle notation, which need no escaping."""
-    fh.write("[" if dump else "[]")
-    for ci, comp in enumerate(dump):
+def _write_dump(fh, group: groups.FiniteGroup, orbits: list) -> None:
+    """json.dump of the orbits (arrays of tuples of group elements) as lists
+    of "[a, b, ...]" in cycle notation, which needs no escaping, with
+    indent=1 and a newline.  An orbit's distinct elements are formatted in
+    one batch, its text a block of about _DUMP_CHARS at a time."""
+    fh.write("[" if orbits else "[]")
+    for ci, tuples in enumerate(orbits):
         fh.write(",\n [" if ci else "\n [")
-        for ti, text in enumerate(comp):
-            fh.writelines((',\n  "' if ti else '\n  "', text, '"'))
-        fh.write("\n ]" if comp else "]")
-    fh.write("\n]\n" if dump else "\n")
+        elems, at = np.unique(tuples.ravel(), return_inverse=True)
+        strs = np.array(group.perm_strs(elems), dtype=object)
+        at = at.reshape(tuples.shape)
+        step = max(1, _DUMP_CHARS // (at.shape[1] * max(map(len, strs), default=1)))
+        for start in range(0, len(at), step):
+            rows = strs[at[start:start + step]].tolist()
+            fh.write(",\n  \"[" if start else "\n  \"[")
+            fh.write(']",\n  "['.join([", ".join(row) for row in rows]))
+            fh.write(']"')
+        fh.write("\n ]" if len(at) else "]")
+    fh.write("\n]\n" if orbits else "\n")
 
 
 def _emit_json(out: dict, report_dir: Path, name: str) -> list[str]:
@@ -379,14 +390,13 @@ def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
     quots = schur.enumerate_schur_quotients(L.total, p)
     rad_elems = [L.kernel_elems[la.vec_int(v, p)]
                  for v in gmodules.radical(L.kernel_module)]
-    antecedents = schur.enumerate_schur_quotients(L.base, p)
+    killed = [set(schur.vd_from_antecedent(L, prev).members)
+              for prev in schur.enumerate_schur_quotients(L.base, p)]
     for qi, q in enumerate(quots):
         vd = schur.vd_set(q, L)
         a, b, c = schur.check_modassume_from_vd(L, vd)
         slice_rep = schur.abelian_test(q, L, rad_elems)
         census = schur.p3_census(q, L)
-        ante = [ai for ai, prev in enumerate(antecedents)
-                if schur.antecedent_test(prev, q, L)]
         out["quotients"].append({
             "order": q.total.order,
             "kernel_gen": qi,
@@ -397,7 +407,8 @@ def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
             "invariants": slice_rep.invariants,
             "top_type": slice_rep.top_type,
             "p3_census": census,
-            "antecedent_of": ante,
+            "antecedent_of": [ai for ai, ker in enumerate(killed)
+                              if ker == set(vd.members)],
         })
     return out
 

@@ -44,8 +44,8 @@ from functools import cached_property
 
 from . import np
 from . import linalg as la
-from .errors import (ActionLiftFailed, Collapse, InputError, NotPPrime,
-                     OrderExceeded, TooLarge)
+from .errors import (ActionLiftFailed, Collapse, IncompatibleLevels, InputError,
+                     NotPPrime, OrderExceeded, TooLarge)
 from .fp import (Presentation, commutator_word, free_reduce, invert_word,
                  word_pow)
 from .gmodules import (GModule, indecomposable_summands, induce,
@@ -919,19 +919,19 @@ def frattini_module(G: FiniteGroup, p: int) -> FrattiniModuleData:
     return FrattiniModuleData(ind, bases, Mprime, tower, iso)
 
 
-def _homomorphism_onto(level_src: FrattiniLevel, level_dst: FrattiniLevel) -> bool:
-    """Is there a surjection total_src -> total_dst over the common base?
-
-    Only the images of the base-generator lifts are searched, among the
-    lifts of the same base generators: the source cover is Frattini, so
-    those lifts generate it.
-    """
-    src, dst = level_src.total, level_dst.total
-    base = level_src.base
-    assert level_dst.base is base
-    cand = [level_dst.lifts(g) for g in base.gen_indices]
-    return any((sizes == dst.order).any() for _, _, sizes in
-               search_images(dst, cand, src))
+def find_cover_map(src: FrattiniLevel, dst: FrattiniLevel) -> list[int] | None:
+    """A surjection src.total -> dst.total over the common base, as an
+    element map, or None.  Only the images of src's first generators, which
+    lift the base generators and so generate the Frattini cover, are
+    searched, among the lifts of the same base elements.  Over a p-perfect
+    base the map onto a central extension is unique."""
+    if dst.base is not src.base:
+        raise IncompatibleLevels("cover map: the levels are over different bases")
+    gens = src.total.gen_indices[:len(src.base.gen_indices)]
+    cand = [dst.lifts(int(src.proj[g])) for g in gens]
+    phi = next((m for _, maps, sizes in search_images(dst.total, cand, src.total)
+                for m in maps[sizes == dst.total.order]), None)
+    return None if phi is None else phi.tolist()
 
 
 @dataclass
@@ -972,7 +972,7 @@ def general_level(G: FiniteGroup, p: int) -> GeneralLevel:
                          name=f"G1({G.name or 'G'})")
         if not verify_order_lifting(lvl).ok:
             continue
-        if not all(_homomorphism_onto(lvl, sl) for sl in schur_levels):
+        if any(find_cover_map(lvl, sl) is None for sl in schur_levels):
             continue
         return GeneralLevel(lvl, M, dim, tail, schur_levels, data)
     raise AssertionError("no summand yields the Frattini cover")

@@ -137,7 +137,6 @@ class FiniteGroup:
         self.inv = self._build_inverses()
         self._classes: list[ConjClass] | None = None
         self._class_of: np.ndarray | None = None
-        self._perm_strs: dict[int, str] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -159,12 +158,12 @@ class FiniteGroup:
 
     def _build_inverses(self) -> np.ndarray:
         """Read off the table (row a holds the identity at a^-1).  Without one,
-        a closed-form group has them with its element orders (_powers_up);
+        a closed-form group has them with its orders (_orders_and_inverses);
         a permutation group looks up each inverse permutation."""
         if self.mul_table is not None:
             return self.mul_table.argmin(axis=1).astype(np.int32)
         if self.code_mul is not None:
-            self._orders, inv = self._powers_up()
+            self._orders, inv = self._orders_and_inverses()
             return inv
         inv = np.empty(self.order, dtype=np.int32)
         for i in range(self.order):
@@ -174,17 +173,30 @@ class FiniteGroup:
             inv[i] = self._index[back.tobytes()]
         return inv
 
-    def _powers_up(self) -> tuple[np.ndarray, np.ndarray]:
-        """(orders, inverses) of all elements, from their powers multiplied
-        up all at once: x^k x = 1 makes x^k the inverse and k + 1 the order."""
-        x = np.arange(self.order)
-        orders, inv = np.empty_like(x), np.empty(self.order, dtype=np.int32)
+    def _orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, inverses) of all elements, in O(log |G|) products each.
+        Their powers are multiplied up all at once for as many steps as |G|
+        has bits, which settles small orders cheaply: x^k x = 1 makes x^k the
+        inverse and k + 1 the order.  Past that, x^-1 = x^(|G|-1), and for
+        each q^a exactly dividing |G| the q-part x^(|G|/q^a) is raised to
+        the q until it is 1."""
+        n = self.order
+        x = np.arange(n)
+        orders, inv = np.empty_like(x), np.empty(n, dtype=np.int32)
         prev, cur, k = np.zeros_like(x), x, 1
-        while x.size:
+        while x.size and k <= n.bit_length():
             done = cur == 0
             orders[x[done]], inv[x[done]] = k, prev[done]
             x, prev = x[~done], cur[~done]
             cur, k = self.mul_many(prev, x), k + 1
+        if x.size:
+            inv[x], orders[x] = self.power(x, n - 1), 1
+            for q, a in _prime_powers(n):
+                y, z = x, self.power(x, n // q ** a)
+                while (live := z != 0).any():
+                    y, z = y[live], z[live]
+                    orders[y] *= q
+                    z = self.power(z, q)
         return orders, inv
 
     @property
@@ -223,30 +235,33 @@ class FiniteGroup:
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(int(self.inv[a]), int(self.inv[b])), self.mul(a, b))
 
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(int(self.inv[a]), -e)
-        out = 0
-        base = a
+    def power(self, x, e: int):
+        """x^e for an element or an array of elements x (e < 0 through the
+        inverses), by square-and-multiply over the whole batch; an int for
+        an int x."""
+        x = np.asarray(self.inv[x] if e < 0 else x, dtype=np.int64)
+        e, out = abs(e), None                       # None: the identity
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = x if out is None else self.mul_many(out, x)
             e >>= 1
-        return out
+            if e:
+                x = self.mul_many(x, x)
+        out = np.zeros_like(x) if out is None else out
+        return int(out) if out.ndim == 0 else out
 
     def element_order(self, a: int) -> int:
         return int(self.element_orders()[a])
 
     def element_orders(self) -> np.ndarray:
-        """The order of every element, found on first use: multiplied up
-        through the table (_powers_up), or past it the lcm of each one's
+        """The order of every element, found on first use: through the
+        table by _orders_and_inverses, or past it the lcm of each one's
         cycle lengths (a closed-form group has them with its inverses)."""
         if self._orders is None:
             if self.mul_table is None:
                 self._orders = cycle_orders(self._elements)
             else:
-                self._orders = self._powers_up()[0]
+                self._orders = self._orders_and_inverses()[0]
         return self._orders
 
     @property
@@ -285,13 +300,9 @@ class FiniteGroup:
         return self.perm_strs([i])[0]
 
     def perm_strs(self, idx) -> list[str]:
-        """perm_str of each element of the list `idx`.  Orbit dumps name the
-        same few elements thousands of times, so each string is kept for the
-        group's lifetime; the ones not yet made go to cycle_strs together."""
-        new = sorted(set(idx).difference(self._perm_strs))
-        if new:
-            self._perm_strs.update(zip(new, cycle_strs(self._images(np.array(new)))))
-        return [self._perm_strs[i] for i in idx]
+        """perm_str of each element of the sequence `idx`, all in one
+        cycle_strs batch."""
+        return cycle_strs(self._images(np.asarray(idx, dtype=np.intp)))
 
     # -- structure -------------------------------------------------------------
 
@@ -456,6 +467,17 @@ def unique_rows(rows: np.ndarray):
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return srt[new], order[new], inverse
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(q, a) for each prime power q^a exactly dividing n."""
+    out = []
+    for q in range(2, int(n ** 0.5) + 1):
+        a = 0
+        while n % q == 0:
+            n, a = n // q, a + 1
+        out += [(q, a)] * (a > 0)
+    return out + [(n, 1)] * (n > 1)
 
 
 def _transpose_in_place(A: np.ndarray) -> None:

@@ -543,15 +543,3 @@ def lifted_spec(L: FrattiniLevel, spec: NielsenSpec) -> NielsenSpec:
 
 def project_tuple(L: FrattiniLevel, t) -> tuple:
     return tuple(int(L.proj[x]) for x in t)
-
-
-def format_tuple(G: FiniteGroup, t) -> str:
-    return orbit_dump(G, [t])[0]
-
-
-def orbit_dump(G: FiniteGroup, orbit) -> list[str]:
-    """format_tuple of each tuple of the orbit, its distinct elements
-    formatted in one batch (G.perm_strs)."""
-    elems = sorted(set(chain.from_iterable(orbit)))
-    strs = dict(zip(elems, G.perm_strs(elems)))
-    return ["[" + ", ".join([strs[x] for x in t]) + "]" for t in orbit]

@@ -4,8 +4,9 @@ the three lifting conditions, abelian slices, and antecedent detection.
 
 Each R_D is the pair model of one line of H^2(G, F_p), built from the same
 linear solve as every other extension (frattini.schur_covers); its kernel
-generator is kernel_elems[1].  The splitting check and the covering
-map onto an antecedent run through groups.search_images.
+generator is kernel_elems[1].  The splitting check runs through
+groups.search_images, the covering map onto an antecedent through
+frattini.find_cover_map.
 
 The slice is read in kernel coordinates: the level lists its kernel by the
 base-p code of each vector, so questions about the kernel are answered on
@@ -23,7 +24,7 @@ from . import np
 from . import linalg as la
 from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
                      RankDeficient)
-from .frattini import FrattiniLevel, _digits, schur_covers
+from .frattini import FrattiniLevel, _digits, find_cover_map, schur_covers
 from .groups import FiniteGroup, is_p_perfect, search_images, unique_rows
 
 
@@ -57,14 +58,6 @@ def _splits(total: FiniteGroup, G: FiniteGroup, proj: np.ndarray) -> bool:
                for _, _, sizes in search_images(total, lift_sets))
 
 
-def _powers(G: FiniteGroup, x: np.ndarray, n: int) -> np.ndarray:
-    """x^n for an array of elements x (n >= 1), by batched products."""
-    y = x
-    for _ in range(n - 1):
-        y = G.mul_many(y, x)
-    return y
-
-
 # -- V_D sets and pair classification --------------------------------------------
 
 
@@ -83,7 +76,7 @@ def vd_set(E: FrattiniLevel, L: FrattiniLevel) -> VDSet:
     """
     _level_compatible(E, L)
     lifts = E.total.mul_many(E.section[L.kernel_elems][:, None], E.kernel_elems)
-    small = _powers(E.total, lifts, E.p) == 0
+    small = E.total.power(lifts, E.p) == 0
     assert (small == small[:, :1]).all(), "lift order not independent of the lift"
     return _vd(L, small[:, 0])
 
@@ -137,7 +130,7 @@ def _classify_pairs(E: FrattiniLevel, L: FrattiniLevel, pairs, vd: VDSet) -> lis
     orders, exponents, n_ps = [], [], []
     for masks in R._closure_masks(seeds):
         elems = masks.any(axis=0).nonzero()[0]
-        order = np.where(elems == 0, 1, np.where(_powers(R, elems, p) == 0, p, p * p))
+        order = np.where(elems == 0, 1, np.where(R.power(elems, p) == 0, p, p * p))
         ords = np.where(masks[:, elems], order, 0)
         orders.extend(masks.sum(axis=1).tolist())
         exponents.extend(ords.max(axis=1).tolist())
@@ -265,7 +258,7 @@ def _abelian_invariants(G: FiniteGroup, elems, p: int) -> list[int]:
     x, n = np.asarray(elems), len(elems)
     logs = [0]                                     # d_0, d_1, ...
     while p ** logs[-1] < n:
-        x = _powers(G, x, p)
+        x = G.power(x, p)
         logs.append(len(np.base_repr(int((x == 0).sum()), p)) - 1)
     layers = np.diff(logs)                         # factors of order >= p^(j+1)
     return sorted(p ** int((layers >= r).sum()) for r in range(1, layers.max(initial=0) + 1))
@@ -280,7 +273,7 @@ def _top_type(E: FrattiniLevel, L: FrattiniLevel, mhat: np.ndarray,
     R, p, z = E.total, E.p, E.kernel_elems[1]
     lifts = np.array([np.flatnonzero(E.proj == m) for m in rad_elems],
                      dtype=np.int64).reshape(-1, p)                      # rows ascending
-    small = _powers(R, lifts, p) == 0
+    small = R.power(lifts, p) == 0
     assert small.any(axis=1).all(), "radical element lifts only to order p^2"
     k0 = lifts[np.arange(len(lifts)), small.argmax(axis=1)]
     sub = R.subgroup_closure(k0)
@@ -298,7 +291,7 @@ def _top_type(E: FrattiniLevel, L: FrattiniLevel, mhat: np.ndarray,
     orders = np.isin(mhat, sub).astype(np.int64)
     x, o = mhat, 1
     while not orders.all():
-        x, o = _powers(R, x, p), o * p
+        x, o = R.power(x, p), o * p
         orders[(orders == 0) & np.isin(x, sub)] = o
     q = len(mhat) // len(sub)
     exponent = int(orders.max())
@@ -315,34 +308,14 @@ def _top_type(E: FrattiniLevel, L: FrattiniLevel, mhat: np.ndarray,
 # -- antecedents ---------------------------------------------------------------------
 
 
-def find_cover_map(L: FrattiniLevel, E_prev: FrattiniLevel) -> list[int] | None:
-    """Surjection total -> R_D_prev over the common base, as an element map.
-
-    E_prev must be a central extension of L.base; the universal property of
-    the level guarantees existence, and p-perfectness makes it unique.
-    """
-    if E_prev.base is not L.base:
-        raise IncompatibleLevels("antecedent candidate not over the level's base")
-    G1, R = L.total, E_prev.total
-    cand = [E_prev.lifts(int(L.proj[g])) for g in G1.gen_indices]
-    phi = next((m for _, maps, sizes in search_images(R, cand, G1)
-                for m in maps[sizes == R.order]), None)
-    return None if phi is None else phi.tolist()
-
-
 def vd_from_antecedent(L: FrattiniLevel, E_prev: FrattiniLevel) -> VDSet:
     """V_D of the would-be level-(k+1) Schur quotient with this antecedent:
-    the kernel elements mapping trivially into the antecedent's center."""
+    the kernel elements mapping trivially into the antecedent's center.
+    E_prev is antecedent to a quotient E exactly when this is V_D(E)."""
     beta = find_cover_map(L, E_prev)
     if beta is None:
         raise IncompatibleLevels("no covering map onto the antecedent")
     return _vd(L, np.asarray(beta)[L.kernel_elems] == 0)
-
-
-def antecedent_test(E_prev: FrattiniLevel, E: FrattiniLevel, L: FrattiniLevel) -> bool:
-    """Is E_prev antecedent to E?  Operationally: V_D(E) consists exactly of
-    the kernel elements killed by the covering map onto E_prev."""
-    return set(vd_from_antecedent(L, E_prev).members) == set(vd_set(E, L).members)
 
 
 # -- order p^3 model groups (for the odd-prime type tests) ----------------------------

@@ -2,8 +2,10 @@
 oracle.
 
 `cycle_str` is the old scalar formatter: one walk along each cycle, with
-the point labels taken from a shared list of strings.  `write_dump` is the
-old orbit-dump writer, `json.dump(..., indent=1)` and a newline.
+the point labels taken from a shared list of strings.  `orbit_dump` is the
+text the dump held before it was formatted by its writer: per orbit, each
+tuple's entries in cycle notation, "[a, b, ...]".  `write_dump` is the old
+orbit-dump writer, `json.dump(..., indent=1)` and a newline.
 `cycle_lcm` is the old scalar element order of a permutation: the lcm of
 its cycle lengths, walked one cycle at a time.
 """
@@ -38,6 +40,13 @@ def cycle_str(images) -> str:
             j = images[j]
         out.append("(" + " ".join(cyc) + ")")
     return "".join(out) or "()"
+
+
+def orbit_dump(G, orbits) -> list[list[str]]:
+    """The dump of the orbits (rows of elements of G) as lists of strings,
+    one cycle_str per entry."""
+    return [["[" + ", ".join(cycle_str(G.perm(x).images) for x in row) + "]"
+             for row in orbit.tolist()] for orbit in orbits]
 
 
 def write_dump(path, dump) -> None:

@@ -3,7 +3,8 @@
 `bfs` is the element BFS without its generator columns, `build_table`
 looks every product of an element and a generator up again and fills the
 multiplication table a column at a time, `build_inverses` looks each
-inverse permutation up, `closure_mask` is the one-call-per-seed-set
+inverse permutation up, `powers_up` finds orders and inverses by
+multiplying every element's powers up one step per order, `closure_mask` is the one-call-per-seed-set
 subgroup closure and `perm_str` the cycle formatting that `Perm.__str__`
 did through `Perm.cycles`.  `pair_model_group` builds a pair model as a
 regular permutation group, each generator composed point by point and the
@@ -91,6 +92,21 @@ def build_inverses(elements, index) -> np.ndarray:
         back[elements[i]] = np.arange(degree, dtype=np.int32)
         inv[i] = index[back.tobytes()]
     return inv
+
+
+def powers_up(G, x=None) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, inverses) of the elements x (default: all), from their
+    powers multiplied up all at once, one product per order step: x^k x = 1
+    makes x^k the inverse and k + 1 the order."""
+    x = np.arange(G.order) if x is None else np.asarray(x)
+    orders, inv = np.empty(len(x), dtype=np.int64), np.empty(len(x), dtype=np.int64)
+    pos, prev, cur, k = np.arange(len(x)), np.zeros_like(x), x, 1
+    while pos.size:
+        done = cur == 0
+        orders[pos[done]], inv[pos[done]] = k, prev[done]
+        pos, x, prev = pos[~done], x[~done], cur[~done]
+        cur, k = G.mul_many(prev, x), k + 1
+    return orders, inv
 
 
 def closure_mask(G, seeds) -> np.ndarray:

@@ -12,10 +12,10 @@ level with scalar `conj` and `element_order` for each stabilizer.
 from __future__ import annotations
 
 from mtower.errors import IncompatibleLevels, NoAlpha
-from mtower.frattini import FrattiniLevel
+from mtower.frattini import FrattiniLevel, find_cover_map
 from mtower.groups import FiniteGroup
 from mtower.schur import (AbelianSliceReport, VDSet, _classify_pairs,
-                          _independent, _level_compatible, find_cover_map)
+                          _independent, _level_compatible)
 
 
 def vd_set(E: FrattiniLevel, L: FrattiniLevel) -> VDSet:

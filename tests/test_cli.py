@@ -346,6 +346,27 @@ def test_jobs_do_not_import_numpy_ma(args, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="os.wait4 gives ru_maxrss in KiB on Linux")
+def test_dihedral_p7_k2_cold_peak_rss(tmp_path):
+    """`dihedral --p 7 --k 2` writes 332 MB of orbit dumps; run cold in a
+    child, it peaks under 150 MB, as the dumps are formatted while they are
+    written and never held as text.  A small launcher starts the job: a
+    child's peak counts from the memory of the process that started it."""
+    launch = ("import os, subprocess, sys; "
+              "job = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+              "_, status, usage = os.wait4(job.pid, 0); "
+              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    proc = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-m", "mtower.cli", "dihedral",
+         "--p", "7", "--k", "2", "--no-cache", "--report", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, kib = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    assert kib < 150 * 1024, f"peak RSS {kib / 1024:.0f} MB"
+
+
 def run_child(code, *args):
     """Run `code` in a fresh interpreter, as `python -c code args...`."""
     proc = subprocess.run([sys.executable, "-c", code, *args],

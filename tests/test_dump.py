@@ -65,24 +65,26 @@ def test_batch_cycle_notation_on_random_permutations():
     assert cycle_str([1, 0, 2]) == "(1 2)"
 
 
-def _dump_bytes(write, dump, path):
-    write(dump, path)
-    return path.read_bytes()
-
-
-@pytest.mark.parametrize("dump", [
-    [],
-    [[]],
-    [["[(1 2 3), (1 3 2), ()]"]],
-    [["[(1 2), (1 2)]", "[(), ()]"], [], ["[(1 2 3 4 5), (1 5 4 3 2)]"] * 3],
-])
-def test_dump_writer_matches_json_dump(tmp_path, dump):
-    def streamed(d, path):
-        with open(path, "w") as fh:
-            cli._write_dump(fh, d)
-
-    assert _dump_bytes(streamed, dump, tmp_path / "new") == \
-        _dump_bytes(lambda d, p: oracle.write_dump(p, d), dump, tmp_path / "old")
+@pytest.mark.parametrize("dump", [("A5", "none"), ("A5", "empty"), ("A5", "all"),
+                                  ("D5", "all")])
+def test_dump_writer_matches_json_dump(tmp_path, monkeypatch, a5_level0,
+                                       dihedral_pair, dump):
+    """The writer, from the orbit arrays, against json.dump of the oracle's
+    strings: no orbit, one empty orbit, and the orbits of the A5 level 0
+    and the D5 level 1 (p = 5) with an empty one among them; in blocks as
+    large as the writer takes them and in blocks of one row."""
+    which, orbits = dump
+    level = a5_level0 if which == "A5" else dihedral_pair.lvl1
+    G, r = level.spec.group, level.reducer.r
+    empty = np.empty((0, r), dtype=np.int32)
+    orbits = {"none": [], "empty": [empty],
+              "all": [rep.arrays.tuples for rep in level.reports] + [empty]}[orbits]
+    oracle.write_dump(tmp_path / "old", oracle.orbit_dump(G, orbits))
+    for chars in (cli._DUMP_CHARS, 1):
+        monkeypatch.setattr(cli, "_DUMP_CHARS", chars)
+        with open(tmp_path / "new", "w") as fh:
+            cli._write_dump(fh, G, orbits)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
 def test_streamed_cache_entry_matches_cache_put(tmp_path, monkeypatch):

@@ -184,13 +184,12 @@ def test_closure_same_with_and_without_table(monkeypatch):
         assert plain.closure_size(seeds) == tabled.closure_size(seeds) == size
 
 
-def test_perm_str_is_cached_cycle_notation(a5, g1a5):
+def test_perm_str_is_cycle_notation(a5, g1a5):
     for G in (a5, dihedral_group(5), g1a5.level.total):
         assert G.perm_str(0) == "()"
-        for i in range(G.order):
-            s = G.perm_str(i)
-            assert s == str(G.perm(i))
-            assert G.perm_str(i) is s          # the second call hits the memo
+        assert [G.perm_str(i) for i in range(G.order)] == \
+            [str(G.perm(i)) for i in range(G.order)] == G.perm_strs(range(G.order))
+        assert G.perm_strs([]) == []
 
 
 def _a5_a5_z2():
@@ -302,6 +301,51 @@ def test_columns_and_inverses_without_table():
         for i, g in enumerate(G.gen_indices):
             assert [int(G.gen_cols[i, x]) for x in sample] == \
                 [G.mul(x, g) for x in sample]
+
+
+def _cyclic_closed_form(n):
+    return FiniteGroup.from_closed_form(n, [1], lambda a, b: (a + b) % n)
+
+
+def test_closed_form_orders_and_inverses_match_the_walk(a5_p3_level):
+    """Orders and inverses past the table, against the walk with one
+    product per order step (group_oracle.powers_up): on the order-4,860
+    level, whose orders are small; on Z/5040, whose order has repeated
+    prime factors; and on a sample of Z/20011, whose orders are all
+    20,011, so that its whole walk takes seconds.  Z/20011 itself is built
+    in under 0.5 s."""
+    times = []
+    while len(times) < 3 and not (times and times[-1] < 0.5):
+        start = time.perf_counter()
+        big = _cyclic_closed_form(20011)
+        times.append(time.perf_counter() - start)
+    assert times[-1] < 0.5, times
+    sample = np.r_[0, np.random.default_rng(5).choice(big.order, 100, replace=False)]
+    for G, x in ((a5_p3_level.total, np.arange(4860)),
+                 (_cyclic_closed_form(5040), np.arange(5040)), (big, sample)):
+        assert G.mul_table is None
+        orders, inv = oracle.powers_up(G, x)
+        assert (G.element_orders()[x] == orders).all()
+        assert (G.inv[x] == inv).all()
+    assert set(big.element_orders()[1:].tolist()) == {20011}
+
+
+def test_power_is_elementwise(a5, a5_p3_level):
+    """x^e over arrays of elements, negative e included, against repeated
+    products; an int in, an int out."""
+    for G in (a5, a5_p3_level.total):
+        x = np.arange(0, G.order, 7)
+        for e in range(-4, 13):
+            want = []
+            for a in x.tolist():
+                acc, b = 0, a if e >= 0 else int(G.inv[a])
+                for _ in range(abs(e)):
+                    acc = G.mul(acc, b)
+                want.append(acc)
+            assert G.power(x, e).tolist() == want
+            assert G.power(x.reshape(-1, 1), e).ravel().tolist() == want
+            got = G.power(int(x[3]), e)
+            assert type(got) is int and got == want[3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 600])

@@ -164,16 +164,27 @@ def test_r5_shift_twist_orbits(a5):
     assert len(red.sh(t)) == 5
 
 
-def test_tuple_text_roundtrip(a5, a5_level0):
-    from mtower.nielsen import format_tuple, orbit_dump
+def test_tuple_text_roundtrip(a5_level0, dihedral_pair):
+    """The orbit dump of the A5 level 0 and the D5 level 0 and 1 (p = 5)
+    reads back to the orbits, and it is json.dump of the oracle's strings."""
+    import io
+    import json
 
-    t = a5_level0.reduced[0]
-    text = format_tuple(a5, t)
-    assert text.startswith("[(") and text.endswith(")]")
-    assert tuple(a5.lookup(parse_perm(part, 5).as_array())
-                 for part in text[1:-1].split(", ")) == t
-    dump = orbit_dump(a5, a5_level0.orbits[0][:3])
-    assert len(dump) == 3
+    import dump_oracle
+    from mtower.cli import _write_dump
+
+    for level in (a5_level0, dihedral_pair.lvl0, dihedral_pair.lvl1):
+        G = level.spec.group
+        orbits = [rep.arrays.tuples for rep in level.reports]
+        fh = io.StringIO()
+        _write_dump(fh, G, orbits)
+        dump = json.loads(fh.getvalue())
+        assert [[tuple(G.lookup(parse_perm(part, G.degree).as_array())
+                       for part in text[1:-1].split(", ")) for text in comp]
+                for comp in dump] == [rep.orbit for rep in level.reports]
+        want = io.StringIO()
+        json.dump(dump_oracle.orbit_dump(G, orbits), want, indent=1)
+        assert fh.getvalue() == want.getvalue() + "\n"
 
 
 def test_cusp_census_wrapper(a5_level0):
