@@ -1,6 +1,8 @@
-"""Kernel benchmarks of the braid stage and of its orbit dump, on the D5
-level-2 orbit (7,500 reduced classes, the top level of
-`mt dihedral --p 5 --k 2`).
+"""Kernel benchmarks: the braid stage and its orbit dump, on the D5 level-2
+orbit (7,500 reduced classes, the top level of `mt dihedral --p 5 --k 2`);
+the F_p elimination of H^2(G1(A4), F_2), the solve of
+`mt schur --group A4 --p 2 --k 1`; and the group-table build, on an
+order-768 Schur cover of G1(A4) and on the SL(2,11) file group.
 
 Run with pytest-benchmark:
 
@@ -13,13 +15,18 @@ directory lies outside `tests/`, so the tier-1 run does not collect it.
 """
 
 import io
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from mtower import frattini
 from mtower.cli import _write_dump
 from mtower.frattini import dihedral_level
-from mtower.groups import dihedral_group
+from mtower.gmodules import trivial_module
+from mtower.groups import FiniteGroup, alternating_group, cyclic_group, dihedral_group
+from mtower.perms import parse_group_file
 from mtower.hurwitz import analyze_component, level_compare, sh_incidence
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
                             lift_tuples, lifted_spec, mbar4_orbits)
@@ -93,3 +100,32 @@ def test_write_dump(benchmark, d5_levels):
 
     fh = benchmark(write)
     assert fh.getvalue().count("\n") == 7500 + 4
+
+
+@pytest.fixture(scope="module")
+def g1a4():
+    """G1(A4), the split level of order 384 under `mt schur --group A4 --p 2`."""
+    data = frattini.split_structure(alternating_group(4), 2)
+    return frattini.split_level(data.rank, 2, cyclic_group(3), [data.action]).level.total
+
+
+def test_h2_solve(benchmark, g1a4):
+    """The H^2(G1(A4), F_2) solve: 6,912 equations in 787 unknowns, built
+    and solved (_cocycle_space), nullity 5."""
+    P, M = g1a4.presentation, trivial_module(g1a4, 2)
+    labels, tails, _, _ = benchmark(frattini._cocycle_space, P, M)
+    assert labels.shape == (5, 769) and tails.shape == (5, 18)
+
+
+def _sl2_11():
+    text = (Path(__file__).parents[1] / "tests" / "data" / "sl2_11.txt").read_text()
+    return FiniteGroup(parse_group_file(text))
+
+
+@pytest.mark.parametrize("group", ["cover768", "sl2_11"])
+def test_build_table(benchmark, g1a4, group):
+    """The multiplication table of an order-768 Schur cover of G1(A4) and of
+    the SL(2,11) file group (order 1,320), from the BFS generator columns."""
+    G = frattini.schur_covers(g1a4, 2)[0].total if group == "cover768" else _sl2_11()
+    table = benchmark(G._build_table)
+    assert np.array_equal(table, G.mul_table)

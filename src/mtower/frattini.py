@@ -5,9 +5,10 @@ of G's Cayley graph and the relator tails (_cocycle_space); the same solve
 builds the extension of any class, the split case's P1 among them, so
 nothing here enumerates cosets.  Against the trivial module the solve gives
 the Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The
-solve is sparse (linalg.SparseNullspace).  The solve, an extension's section tables
-and a pair model each predict their memory first, and raise TooLarge past
-MEMORY_CEILING; a pair model is refused past PAIR_MODEL_LIMIT elements too.
+solve is sparse (linalg.sparse_nullspace).  The solve, an extension's section
+tables and a pair model each predict their memory first, and raise TooLarge
+past MEMORY_CEILING; a pair model is refused past PAIR_MODEL_LIMIT elements
+too.
 
 The searches here (the lift of the complement action, versality against
 the Schur covers, the Frattini and restriction-splitting checks) run
@@ -545,14 +546,13 @@ def _cocycle_space(P: Presentation, M: GModule):
     followed by the relator tails t in M^s.  Generator x_i acts on pairs by
     (g, v) x_i = (g x_i, v A_i + c(g, i)); the equations say that every
     relator, read from every vertex, ends at its tail (|G| m rows per
-    relator, handed to one SparseNullspace as sparse rows, a relator at a
-    time).  Returns the labels and the tails blocks of the basis that
-    la.nullspace gives for that system, the (|G|, d) array of label
-    indices (-1 on tree edges), and the rref (rows, pivots) of the
-    coboundary tails: lifting x_i by v moves relator r's tail by v times
-    the sum of the letter matrices K over the letters x_i^(+-1) of r (the
-    Fox derivative), one row per (i, basis vector), the same walk as the
-    solve's.  Raises TooLarge, before any work, when the solve's predicted
+    relator, all handed to one la.sparse_nullspace as COO triples).
+    Returns the labels and the tails blocks of the basis that la.nullspace
+    gives for that system, the (|G|, d) array of label indices (-1 on tree
+    edges), and the rref (rows, pivots) of the coboundary tails: lifting
+    x_i by v moves relator r's tail by v times the sum of the letter
+    matrices K over the letters x_i^(+-1) of r (the Fox derivative), one
+    row per (i, basis vector), the same walk as the solve's.  Raises TooLarge, before any work, when the solve's predicted
     memory passes MEMORY_CEILING.
     """
     G, p, m, n, s = M.group, M.p, M.dim, M.group.order, len(P.relators)
@@ -560,19 +560,20 @@ def _cocycle_space(P: Presentation, M: GModule):
     ncols = nl + s * m
     entries = n * m * sum(len(r) * m + 1 for r in P.relators)
     _check_memory("H^2 solve", f"{ncols:,} unknowns",
-                  la.SparseNullspace.predicted_bytes(ncols, entries, p))
+                  la.sparse_nullspace_bytes(ncols, entries, p))
     right = G.gen_cols                             # g -> g x_i
     left = [np.argsort(r) for r in right]          # g -> g x_i^-1
     inv_mats = [M._invert(A) for A in M.mats]
     col = _nontree_edges(G)
-    system = la.SparseNullspace(ncols, p)
     cob = np.zeros((P.ngens, m, s, m), dtype=np.int64)
+    eq, unk, val = [], [], []
     for ri, rel in enumerate(P.relators):
-        # entry (equation g*m + b, unknown u*m + a) = K[a, b]; the tail t_ri
-        # enters every equation of the relator with -1
-        eq = [np.arange(n * m)]
-        unk = [nl + ri * m + np.arange(n * m) % m]
-        val = [np.full(n * m, -1)]
+        # entry (equation (ri*n + g)*m + b, unknown u*m + a) = K[a, b]; the
+        # tail t_ri enters every equation of the relator with -1
+        base = ri * n * m
+        eq.append(base + np.arange(n * m))
+        unk.append(nl + ri * m + np.arange(n * m) % m)
+        val.append(np.full(n * m, -1))
         # a label reaches the relator's end times the later letters' matrices
         suffix, coeffs = la.identity(m), []
         for letter in reversed(rel):
@@ -593,13 +594,11 @@ def _cocycle_space(P: Presentation, M: GModule):
                 blk = col[at, i]
             g = np.nonzero(blk >= 0)[0]
             a, b = np.nonzero(K)
-            eq.append((g[:, None] * m + b).ravel())
+            eq.append(base + (g[:, None] * m + b).ravel())
             unk.append((blk[g][:, None] * m + a).ravel())
             val.append(np.tile(K[a, b], len(g)))
         assert (at == np.arange(n)).all(), f"relator {ri} does not hold in the group"
-        system.add(la.sparse_rows(np.concatenate(eq), np.concatenate(unk),
-                                   np.concatenate(val), n * m, ncols))
-    sol = system.nullspace()
+    sol = la.sparse_nullspace(*map(np.concatenate, (eq, unk, val)), s * n * m, ncols, p)
     return (sol[:, :nl], sol[:, nl:], col,
             la.rref(cob.reshape(P.ngens * m, s * m), p))
 
@@ -644,28 +643,24 @@ def _extension(P: Presentation, M: GModule, space, tails: np.ndarray,
     The edge labels of the tails are solved from the space (Collapse when
     the tails are not the tails of an extension); psi is filled along the
     BFS tree by psi(g, h x_i) = psi(g, h) A_i + c(g h, i) - c(h, i), where
-    the tree edge's label c(h, i) is 0.
+    the tree edge's label c(h, i) is 0, in place, a block of a BFS level of
+    columns h at a time (FiniteGroup.bfs_blocks).
     """
     G, p, m, n = M.group, M.p, M.dim, M.group.order
-    times = G.mul_table                          # column h: g -> g h
     _check_memory("extension tables", f"{n:,} x {n:,} x {m}",
-                  8 * n * n * (m + (times is None)))
+                  8 * n * n * (m + (G.mul_table is None)))
     sol_labels, sol_tails, col, _ = space
     coeff = la.solve_right(sol_tails, np.reshape(tails, (1, -1)), p)
     if coeff is None:
         raise Collapse("tails are not the relator tails of an extension")
     labels = la.matmul(coeff, sol_labels, p).reshape(-1, m)
     c = np.vstack([labels, np.zeros((1, m), dtype=np.int64)])[col]
-    if times is None:
-        right = G.gen_cols
-        times = np.repeat(np.arange(n)[:, None], n, axis=1)
-        for h in range(1, n):
-            parent, i = G._parents[h]
-            times[:, h] = right[i][times[:, parent]]
+    times = G._columns() if G.mul_table is None else G.mul_table.T   # row h: g -> g h
+    mats = np.stack(M.mats)
     psi = np.zeros((n, n, m), dtype=np.int64)
-    for h in range(1, n):
-        parent, i = G._parents[h]
-        psi[:, h] = (psi[:, parent] @ M.mats[i] + c[times[:, parent], i]) % p
+    for lo, hi, parent, i in G.bfs_blocks(n * m):
+        acted = np.matmul(psi[:, parent].transpose(1, 0, 2), mats[i]).transpose(1, 0, 2)
+        psi[:, lo:hi] = (acted + c[times[parent].T, i]) % p
     del times
     lvl = level_from_pair_model(G, M, psi, p, name=name)
     lvl.total.presentation = extension_presentation(P, M, tails)

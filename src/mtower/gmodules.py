@@ -253,7 +253,7 @@ def _subquotient(M: GModule, upper: np.ndarray, lower: np.ndarray | None) -> GMo
 def endomorphism_basis(M: GModule) -> np.ndarray:
     """Basis (rows, row-major-vectorized) of End_{F_p[G]}(M): the null space
     of the equations (XA - AX)_ij = 0, one {k n + l: coefficient of X_kl}
-    row each, solved by la.SparseNullspace."""
+    row each, solved by la.sparse_nullspace."""
     n, p, N = M.dim, M.p, M.dim ** 2
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -264,9 +264,7 @@ def endomorphism_basis(M: GModule) -> np.ndarray:
         eq += [((t * n + i) * n + c).ravel(), ((t * n + r) * n + i).ravel()]
         unk += [(i * n + r).ravel(), (c * n + i).ravel()]
         val += [np.tile(A[r, c], n), -np.tile(A[r, c], n)]
-    solver = la.SparseNullspace(N, p)
-    solver.add(la.sparse_rows(*map(np.concatenate, (eq, unk, val)), len(M.mats) * N, N))
-    basis = solver.nullspace()
+    basis = la.sparse_nullspace(*map(np.concatenate, (eq, unk, val)), len(M.mats) * N, N, p)
     for row in basis[: min(4, basis.shape[0])]:
         X = row.reshape(n, n)
         for A in M.mats:

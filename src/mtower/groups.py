@@ -12,9 +12,10 @@ and the split-case models P0 x| H of frattini.py, the order-p^3 models of
 schur.py).  Its BFS records, for every element and generator, the index of
 their product: the generators' right-action columns `gen_cols`.  When the
 order is at most MUL_TABLE_LIMIT the multiplication table is filled from
-those columns, a whole row of its transpose per element, and turned over in
-place; the inverses are read off it.  Above that, a closed-form group
-multiplies by its formula and a permutation group composes permutations.
+those columns, the rows of its transpose a block of a BFS level at a time,
+and turned over in place; the inverses are read off it.  Above that, a
+closed-form group multiplies by its formula and a permutation group
+composes permutations.
 
 Conjugacy classes are walked over one batch of the conjugates of every
 element by every generator.
@@ -31,6 +32,7 @@ map, an automorphism?).  The callers only put a predicate on the rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -42,6 +44,8 @@ from .perms import Perm, cycle_orders, cycle_strs
 MUL_TABLE_LIMIT = 4096
 # (row, element, seed) cells per block of a batched subgroup closure
 _CLOSURE_CELLS = 1 << 17
+# cells per block of a fill along the BFS tree (bfs_blocks)
+_FILL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -141,20 +145,42 @@ class FiniteGroup:
     # -- construction helpers -------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
-        """table[a, b] = a b, built as its transpose and turned over in place.
-
-        Row b of the transpose is the column a -> a b.  For b = parent g_i
-        it is that of the parent pushed through g_i, gen_cols[i] read at the
-        parent's row, so the rows are filled whole in BFS order.
-        """
-        n = self.order
-        table = np.empty((n, n), dtype=np.int32)
-        table[0] = np.arange(n, dtype=np.int32)
-        for j in range(1, n):
-            parent, gi = self._parents[j]
-            np.take(self.gen_cols[gi], table[parent], out=table[j])
+        """table[a, b] = a b: the transpose (_columns) turned over in place."""
+        table = self._columns()
         _transpose_in_place(table)
         return table
+
+    def _columns(self) -> np.ndarray:
+        """The transpose of the multiplication table: row b is the column
+        a -> a b.  For b = parent g_i it is the parent's row pushed through
+        g_i, gen_cols[i] read at that row, so the rows are filled a block
+        of a BFS level at a time (bfs_blocks)."""
+        n = self.order
+        cols = np.empty((n, n), dtype=np.int32)
+        cols[0] = np.arange(n, dtype=np.int32)
+        flat = self.gen_cols.ravel()
+        for lo, hi, parent, gi in self.bfs_blocks(n):
+            if hi - lo == 1:              # one element: its row, without a block
+                np.take(self.gen_cols[gi[0]], cols[parent[0]], out=cols[lo])
+            else:
+                np.take(flat, cols[parent] + (gi * n)[:, None], out=cols[lo:hi])
+        return cols
+
+    def bfs_blocks(self, width: int):
+        """Yield (lo, hi, parents, generators) for runs lo..hi-1 of the
+        elements in BFS order, each inside one BFS level and of at most
+        _FILL_CELLS // width elements (one at least).  Every parent lies in
+        an earlier level, so a fill along the BFS tree takes a run at once."""
+        parent, gi = np.array(self._parents, dtype=np.int64).T
+        assert (parent[1:] >= parent[:-1]).all(), "BFS parents out of order"
+        ends = parent.tolist()
+        step, lo = max(1, _FILL_CELLS // max(1, width)), 1
+        while lo < self.order:
+            end = bisect_left(ends, lo, lo)       # the first child of the level
+            for a in range(lo, end, step):
+                b = min(a + step, end)
+                yield a, b, parent[a:b], gi[a:b]
+            lo = end
 
     def _build_inverses(self) -> np.ndarray:
         """Read off the table (row a holds the identity at a^-1).  Without one,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fox_oracle
+import group_oracle
 from search_oracle import eval_relator
 from mtower import frattini
 from mtower import linalg as la
@@ -328,11 +329,45 @@ def test_kernel_module_matches_action(g1a5):
             assert (L.kernel_coords[got] == want).all()
 
 
+def _without_table(G: FiniteGroup) -> FiniteGroup:
+    """G rebuilt from its generators, with the same BFS, and its table
+    dropped: products compose permutations."""
+    H = FiniteGroup([Perm(tuple(g.tolist())) for g in G.gen_arrays], name=G.name)
+    H.mul_table, H.presentation = None, G.presentation
+    return H
+
+
+def test_level_filled_psi_matches_the_column_loop(a4_tower, g1a5):
+    """The cocycles of the Schur covers of A4, A5 and G1(A4) (order 768)
+    and of G1(A5), the extension of A5 by its dimension-5 Frattini module,
+    filled a block of a BFS level at a time, against the loop of one column
+    per element (group_oracle.extension_psi), and on A4 and A5 again with
+    their tables dropped."""
+    bases = [alternating_group(4), alternating_group(5), a4_tower.level.total]
+    bases += [_without_table(G) for G in bases[:2]]
+    cases = []
+    for G in bases:
+        M = trivial_module(G, 2)
+        space = frattini._cocycle_space(G.presentation, M)
+        _, classes = frattini._h2_classes(G.presentation, M, space)
+        assert len(classes) > 1
+        cases += [(G.presentation, M, space, tails) for tails in classes[1:]]
+    for G in (bases[1], bases[-1]):
+        M = GModule(G, 2, g1a5.module.mats)
+        cases.append((G.presentation, M, frattini._cocycle_space(G.presentation, M),
+                      g1a5.tail))
+    for P, M, space, tails in cases:
+        lvl = frattini._extension(P, M, space, tails, "E")
+        assert np.array_equal(lvl.psi, group_oracle.extension_psi(M, space, tails))
+    assert bases[-1].mul_table is None and bases[-1].order == bases[1].order
+    assert cases[-1][1].dim == 5
+
+
 def test_memory_ceiling_names_the_stage(monkeypatch, a5, g1a5):
     # the A5 Frattini module (dim 5): 61 * 5 edge labels + 3 * 5 tails, and
     # 60 * 5 equations per relator with 5 |r| + 1 entries each
     P, M = a5.presentation, g1a5.module
-    need = la.SparseNullspace.predicted_bytes(320, 300 * (5 * 15 + 3), 2)
+    need = la.sparse_nullspace_bytes(320, 300 * (5 * 15 + 3), 2)
     monkeypatch.setattr(frattini, "MEMORY_CEILING", need - 1)
     with pytest.raises(TooLarge, match=r"^H\^2 solve: 320 unknowns .* past MEMORY_CEILING"):
         h2_classes(P, M)

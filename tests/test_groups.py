@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +302,31 @@ def test_columns_and_inverses_without_table():
         for i, g in enumerate(G.gen_indices):
             assert [int(G.gen_cols[i, x]) for x in sample] == \
                 [G.mul(x, g) for x in sample]
+
+
+def test_level_fill_matches_the_row_fill(a5, g1a5, g1a4_schur):
+    """The table filled a block of a BFS level at a time equals the one
+    filled a row per element (group_oracle.build_table_rows): on wide
+    levels (SL(2,11), G1(A5) of order 1,920, an order-768 Schur cover),
+    D125's 63 levels and Z/4096's 4,095 levels of one element."""
+    sl2 = FiniteGroup(parse_group_file(
+        (Path(__file__).parent / "data" / "sl2_11.txt").read_text()))
+    cases = {"A5": a5, "SL(2,11)": sl2, "D125": dihedral_group(125),
+             "Z4096": cyclic_group(4096), "cover": g1a4_schur.quotients[0].total,
+             "G1(A5)": g1a5.level.total}
+    levels = {}
+    for name, G in cases.items():
+        assert (G.mul_table == oracle.build_table_rows(G)).all(), name
+        blocks = list(G.bfs_blocks(G.order))
+        assert [b[0] for b in blocks] == [1] + [b[1] for b in blocks[:-1]], name
+        assert blocks[-1][1] == G.order, name
+        for lo, hi, parent, gi in blocks:
+            assert hi - lo == 1 or (hi - lo) * G.order <= groups._FILL_CELLS, name
+            assert parent.max() < lo, name
+            assert (G.gen_cols[gi, parent] == np.arange(lo, hi)).all(), name
+        levels[name] = len(list(G.bfs_blocks(1)))
+    assert cases["cover"].order == 768
+    assert levels["D125"] == 63 and levels["Z4096"] == 4095
 
 
 def _cyclic_closed_form(n):

@@ -1,18 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mtower import frattini
 from mtower import linalg as la
 from mtower.fp import Presentation, coset_group, todd_coxeter
+from mtower.gmodules import trivial_module
 from mtower.groups import alternating_group, dihedral_group
 
 from dense_cocycle_oracle import dense_cocycle_space
+from sparse_oracle import SparseNullspace, sparse_rows
 from test_frattini import _with_presentation, _z2_redundant
 from test_schur import A6_PRESENTATION
 
 
-def _sparse(mat: np.ndarray) -> list[dict[int, int]]:
-    return [{int(c): int(row[c]) for c in np.nonzero(row)[0]} for row in mat]
+def _coo(mat: np.ndarray, rng, p: int):
+    """COO triples of mat, shuffled, each entry split into two summands and
+    a pair of entries that cancel mod p added at a random cell per row."""
+    r, c = np.nonzero(mat)
+    a = mat[r, c]
+    split = rng.integers(0, p, len(a))
+    rows, cols = mat.shape
+    cr, cc, k = np.arange(rows), rng.integers(0, cols, rows), rng.integers(1, p, rows)
+    eq, unk = np.concatenate([r, r, cr, cr]), np.concatenate([c, c, cc, cc])
+    val = np.concatenate([split, a - split + p, k, p - k])
+    order = rng.permutation(len(eq))
+    return eq[order], unk[order], val[order]
 
 
 def _random_system(rng, p, rows, cols, rank, density):
@@ -22,54 +36,106 @@ def _random_system(rng, p, rows, cols, rank, density):
     return (left @ right) % p
 
 
-def _sparse_nullspace(mat: np.ndarray, p: int, batches: int = 1) -> np.ndarray:
-    ns = la.SparseNullspace(mat.shape[1], p)
-    for chunk in np.array_split(mat, batches):
-        ns.add(_sparse(chunk))
+def _oracle(eq, unk, val, nrows, ncols, p):
+    ns = SparseNullspace(ncols, p)
+    ns.add(sparse_rows(np.asarray(eq), np.asarray(unk), np.asarray(val), nrows, ncols))
     return ns.nullspace()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+def _check(mat: np.ndarray, p: int, rng) -> np.ndarray:
+    """sparse_nullspace of mat, from its shuffled and split COO triples,
+    against la.nullspace and the replaced solver."""
+    args = (*_coo(mat, rng, p), *mat.shape, p)
+    got = la.sparse_nullspace(*args)
+    assert np.array_equal(got, la.nullspace(mat, p)), mat
+    assert np.array_equal(got, _oracle(*args)), mat
+    return got
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sparse_nullspace_matches_dense(p):
     rng = np.random.default_rng(p)
     for trial in range(40):
         rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 30))
         rank = int(rng.integers(0, min(rows, cols) + 1))
         mat = _random_system(rng, p, rows, cols, rank, float(rng.uniform(0.1, 0.6)))
-        got = _sparse_nullspace(mat, p, batches=1 + trial % 3)
-        assert np.array_equal(got, la.nullspace(mat, p)), (trial, mat)
+        got = _check(mat, p, rng)
         assert not (got @ mat.T % p).any()
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sparse_nullspace_on_graph_like_systems(p):
-    """Rows of 2-4 entries over a few hundred unknowns, as in a Cayley-graph
-    system: long substitution chains, and stalls broken by new symbols."""
+    """Rows of 1-4 entries over a few hundred unknowns, as in a Cayley-graph
+    system: long substitution chains, stalls broken by new symbols, empty
+    rows and unknowns in no row."""
     rng = np.random.default_rng(100 + p)
     for rows, cols in ((150, 120), (120, 150), (300, 200)):
         mat = np.zeros((rows, cols), dtype=np.int64)
+        unused = rng.choice(cols, 5, replace=False)
         for r in range(rows):
-            k = int(rng.integers(2, 5))
-            mat[r, rng.choice(cols, k, replace=False)] = rng.integers(1, p, k)
-        assert np.array_equal(_sparse_nullspace(mat, p, batches=3), la.nullspace(mat, p))
+            k = int(rng.integers(0, 5))
+            cells = rng.choice(np.setdiff1d(np.arange(cols), unused), k, replace=False)
+            mat[r, cells] = rng.integers(1, p, k)
+        _check(mat, p, rng)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sparse_nullspace_edge_cases(p):
-    # no rows at all, and only zero rows: every column is free
-    assert np.array_equal(la.SparseNullspace(4, p).nullspace(), la.identity(4))
-    assert np.array_equal(_sparse_nullspace(np.zeros((3, 4), dtype=np.int64), p),
-                          la.identity(4))
-    # full rank: the nullspace is empty, with the right width
     rng = np.random.default_rng(10 + p)
+    empty = np.zeros(0, dtype=np.int64)
+    # no entries at all, and only entries that cancel: every column is free
+    assert np.array_equal(la.sparse_nullspace(empty, empty, empty, 0, 4, p),
+                          la.identity(4))
+    assert np.array_equal(la.sparse_nullspace([0, 2, 0], [1, 3, 1], [1, 2 * p, p - 1],
+                                              3, 4, p), la.identity(4))
+    _check(np.zeros((3, 4), dtype=np.int64), p, rng)
+    # full rank: the nullspace is empty, with the right width
     square = la.identity(6) + np.triu(rng.integers(0, p, (6, 6)), 1)
-    mat = square[rng.permutation(6)] % p
-    got = _sparse_nullspace(mat, p)
-    assert got.shape == (0, 6)
+    assert _check(square[rng.permutation(6)] % p, p, rng).shape == (0, 6)
     # rank deficient: repeated rows, a zero row and an unused column
     mat = np.array([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 1, 0, 0, 0],
-                    [0, 0, 0, 0, 0], [1, 0, p - 1, 1, 0]])
-    assert np.array_equal(_sparse_nullspace(mat, p, batches=2), la.nullspace(mat, p))
+                    [0, 0, 0, 0, 0], [1, 0, p - 1, 1, 0]]) % p
+    _check(mat, p, rng)
+    # one-unknown rows, two of them on one unknown with different values
+    mat = np.array([[0, 2, 0, 0], [0, 0, 0, 1], [1, 0, 1, 1], [0, 1, 0, 0]]) % p
+    _check(mat, p, rng)
+
+
+def _recorded_systems(monkeypatch, run) -> list[tuple]:
+    """The (eq, unk, val, nrows, ncols, p) of every sparse_nullspace call
+    that run() makes."""
+    calls, solve = [], la.sparse_nullspace
+
+    def record(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(la, "sparse_nullspace", record)
+    run()
+    monkeypatch.setattr(la, "sparse_nullspace", solve)
+    return calls
+
+
+def _dense(eq, unk, val, nrows, ncols, p) -> np.ndarray:
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add.at(mat, (eq, unk), val)
+    return mat % p
+
+
+def test_recorded_h2_systems_match_dense_and_oracle(monkeypatch, a4_tower):
+    """The H^2(G1(A4), F_2) system of `schur --group A4 --p 2 --k 1`
+    (6,912 x 787), and the nine systems of the A5 level at p = 2."""
+    G1 = a4_tower.level.total
+    systems = _recorded_systems(monkeypatch, lambda: frattini._cocycle_space(
+        G1.presentation, trivial_module(G1, 2)))
+    assert [s[3:] for s in systems] == [(6912, 787, 2)]
+    systems += _recorded_systems(monkeypatch, lambda: frattini.general_level(
+        alternating_group(5), 2))
+    assert len(systems) == 10
+    for args in systems:
+        got = la.sparse_nullspace(*args)
+        assert np.array_equal(got, la.nullspace(_dense(*args), args[-1]))
+        assert np.array_equal(got, _oracle(*args))
 
 
 def _a6():
@@ -121,3 +187,21 @@ def test_cocycle_space_matches_dense_on_covers(a5, g1a5, a4_tower):
     for P, M in cases:
         for a, b in zip(frattini._cocycle_space(P, M), dense_cocycle_space(P, M)):
             assert np.array_equal(a, b)
+
+
+def test_sparse_nullspace_peak_within_prediction(monkeypatch, g1a5):
+    """The traced peak of the H^2(G1(A5), F_2) solve (11,549 unknowns, the
+    system of `schur --group A5 --p 2 --k 1`) stays under the memory bound
+    that _cocycle_space checks against MEMORY_CEILING, here taken at the
+    system's own count of entries."""
+    G = g1a5.level.total
+    args, = _recorded_systems(monkeypatch, lambda: frattini._cocycle_space(
+        G.presentation, trivial_module(G, 2)))
+    assert args[3:] == (53760, 11549, 2)
+    tracemalloc.start()
+    try:
+        la.sparse_nullspace(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < la.sparse_nullspace_bytes(11549, len(args[0]), 2)
