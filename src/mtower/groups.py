@@ -160,10 +160,7 @@ class FiniteGroup:
         cols[0] = np.arange(n, dtype=np.int32)
         flat = self.gen_cols.ravel()
         for lo, hi, parent, gi in self.bfs_blocks(n):
-            if hi - lo == 1:              # one element: its row, without a block
-                np.take(self.gen_cols[gi[0]], cols[parent[0]], out=cols[lo])
-            else:
-                np.take(flat, cols[parent] + (gi * n)[:, None], out=cols[lo:hi])
+            np.take(flat, cols[parent] + (gi * n)[:, None], out=cols[lo:hi])
         return cols
 
     def bfs_blocks(self, width: int):

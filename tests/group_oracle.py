@@ -2,10 +2,9 @@
 
 `bfs` is the element BFS without its generator columns, `build_table`
 looks every product of an element and a generator up again and fills the
-multiplication table a column at a time, `build_table_rows` fills its
-transpose a row per element (not a BFS level at a time), `extension_psi`
-fills an extension's cocycle a column per element, `build_inverses` looks
-each inverse permutation up, `powers_up` finds orders and inverses by
+multiplication table a column at a time (not a BFS level at a time),
+`extension_psi` fills an extension's cocycle a column per element,
+`build_inverses` looks each inverse permutation up, `powers_up` finds orders and inverses by
 multiplying every element's powers up one step per order, `closure_mask` is the one-call-per-seed-set
 subgroup closure and `perm_str` the cycle formatting that `Perm.__str__`
 did through `Perm.cycles`.  `pair_model_group` builds a pair model as a
@@ -84,19 +83,6 @@ def build_table(gen_arrays, elements, index, parents) -> np.ndarray:
         parent, gi = parents[j]
         table[:, j] = gencol[gi][table[:, parent]]
     return table
-
-
-def build_table_rows(G: FiniteGroup) -> np.ndarray:
-    """G's table as `FiniteGroup._build_table` filled it before the level
-    fill: the transpose a whole row per element, each the parent's row
-    pushed through the generator, then turned over."""
-    n = G.order
-    table = np.empty((n, n), dtype=np.int32)
-    table[0] = np.arange(n, dtype=np.int32)
-    for j in range(1, n):
-        parent, gi = G._parents[j]
-        np.take(G.gen_cols[gi], table[parent], out=table[j])
-    return np.ascontiguousarray(table.T)
 
 
 def extension_psi(M: GModule, space, tails: np.ndarray) -> np.ndarray:

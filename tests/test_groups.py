@@ -272,16 +272,24 @@ def test_conjugates_above_mul_table_limit():
     assert set(orbit) == brute
 
 
-def _oracle_groups(a4, a5, g1a5):
+def _oracle_groups(a4, a5, g1a5, g1a4_schur):
+    """Wide BFS levels (SL(2,11) from the generators and from the file,
+    G1(A5) of order 1,920, an order-768 Schur cover), D125's 63 levels and
+    Z/4096's 4,095 levels of one element."""
+    sl2_file = FiniteGroup(parse_group_file(
+        (Path(__file__).parent / "data" / "sl2_11.txt").read_text()))
     return {"A4": a4, "A5": a5, "K4": klein_four(), "D5": dihedral_group(5),
-            "SL2_11": special_linear_2(11), "G1(A5)": g1a5.level.total,
+            "SL2_11": special_linear_2(11), "SL2_11 file": sl2_file,
+            "D125": dihedral_group(125), "Z4096": cyclic_group(4096),
+            "cover": g1a4_schur.quotients[0].total, "G1(A5)": g1a5.level.total,
             "trivial": FiniteGroup([Perm.identity(3)])}
 
 
-def test_table_and_inverses_match_oracle(a4, a5, g1a5):
-    """The table from the BFS's own columns, turned over in place, and the
-    inverses read off it equal the lookups of the earlier route."""
-    for name, G in _oracle_groups(a4, a5, g1a5).items():
+def test_table_and_inverses_match_oracle(a4, a5, g1a5, g1a4_schur):
+    """The table from the BFS's own columns, filled a block of a BFS level
+    at a time and turned over in place, and the inverses read off it equal
+    the lookups of the earlier route."""
+    for name, G in _oracle_groups(a4, a5, g1a5, g1a4_schur).items():
         elements, index, words, parents = oracle.bfs(G.gen_arrays)
         assert (G.elements == elements).all(), name
         assert G.words == words and G._parents == parents, name
@@ -290,6 +298,25 @@ def test_table_and_inverses_match_oracle(a4, a5, g1a5):
         assert (G.mul_table == table).all(), name
         assert (G.inv == oracle.build_inverses(elements, index)).all(), name
         assert (G.gen_cols == table[:, G.gen_indices].T).all(), name
+
+
+def test_bfs_blocks_are_runs_of_one_level(a4, a5, g1a5, g1a4_schur):
+    """bfs_blocks cuts the BFS order into consecutive runs, each inside one
+    level (every parent earlier) and of at most _FILL_CELLS cells."""
+    cases = _oracle_groups(a4, a5, g1a5, g1a4_schur)
+    del cases["trivial"]
+    levels = {}
+    for name, G in cases.items():
+        blocks = list(G.bfs_blocks(G.order))
+        assert [b[0] for b in blocks] == [1] + [b[1] for b in blocks[:-1]], name
+        assert blocks[-1][1] == G.order, name
+        for lo, hi, parent, gi in blocks:
+            assert hi - lo == 1 or (hi - lo) * G.order <= groups._FILL_CELLS, name
+            assert parent.max() < lo, name
+            assert (G.gen_cols[gi, parent] == np.arange(lo, hi)).all(), name
+        levels[name] = len(list(G.bfs_blocks(1)))
+    assert cases["cover"].order == 768
+    assert levels["D125"] == 63 and levels["Z4096"] == 4095
 
 
 def test_columns_and_inverses_without_table():
@@ -302,31 +329,6 @@ def test_columns_and_inverses_without_table():
         for i, g in enumerate(G.gen_indices):
             assert [int(G.gen_cols[i, x]) for x in sample] == \
                 [G.mul(x, g) for x in sample]
-
-
-def test_level_fill_matches_the_row_fill(a5, g1a5, g1a4_schur):
-    """The table filled a block of a BFS level at a time equals the one
-    filled a row per element (group_oracle.build_table_rows): on wide
-    levels (SL(2,11), G1(A5) of order 1,920, an order-768 Schur cover),
-    D125's 63 levels and Z/4096's 4,095 levels of one element."""
-    sl2 = FiniteGroup(parse_group_file(
-        (Path(__file__).parent / "data" / "sl2_11.txt").read_text()))
-    cases = {"A5": a5, "SL(2,11)": sl2, "D125": dihedral_group(125),
-             "Z4096": cyclic_group(4096), "cover": g1a4_schur.quotients[0].total,
-             "G1(A5)": g1a5.level.total}
-    levels = {}
-    for name, G in cases.items():
-        assert (G.mul_table == oracle.build_table_rows(G)).all(), name
-        blocks = list(G.bfs_blocks(G.order))
-        assert [b[0] for b in blocks] == [1] + [b[1] for b in blocks[:-1]], name
-        assert blocks[-1][1] == G.order, name
-        for lo, hi, parent, gi in blocks:
-            assert hi - lo == 1 or (hi - lo) * G.order <= groups._FILL_CELLS, name
-            assert parent.max() < lo, name
-            assert (G.gen_cols[gi, parent] == np.arange(lo, hi)).all(), name
-        levels[name] = len(list(G.bfs_blocks(1)))
-    assert cases["cover"].order == 768
-    assert levels["D125"] == 63 and levels["Z4096"] == 4095
 
 
 def _cyclic_closed_form(n):
