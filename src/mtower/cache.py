@@ -3,8 +3,8 @@
 Keys are sha256 hashes of canonical JSON job descriptors; values are files
 with a versioned header carrying their own payload hash, so corruption is
 detected on read.  Cached reports are restored byte-identical, a file and a
-chunk at a time, so a replay never holds a whole file in memory, and all
-or nothing: into a temporary directory first, then moved into place.
+chunk at a time, so a replay never holds a whole file in memory.  Every
+report, computed or replayed, is published all or nothing (`publish`).
 
 A report is one entry: a directory of files plus a manifest of their names,
 built under a temporary name and renamed into place, so an entry is either
@@ -95,31 +95,35 @@ def cache_get(cache_dir: Path, key: str, name: str, dest_dir: Path) -> None:
             raise
 
 
-def cache_restore_entry(cache_dir: Path, key: str, dest_dir: Path) -> bool:
-    """Write every file of the entry `key` into `dest_dir`; False when
-    there is no entry.
+@contextlib.contextmanager
+def publish(dest_dir: Path):
+    """Yield a fresh directory `.<name>.publish-*` beside `dest_dir`, and on
+    a clean exit move its files into `dest_dir` (created if need be).  It is
+    removed either way, so `dest_dir` gets every file or none."""
+    dest = Path(dest_dir)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{dest.name}.publish-", dir=dest.parent))
+    try:
+        yield staging
+        dest.mkdir(exist_ok=True)
+        for f in staging.iterdir():
+            os.replace(f, dest / f.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
-    The files are copied one at a time (cache_get) into a temporary
-    directory beside `dest_dir`, and moved into `dest_dir` only when every
-    one of them has checked out.  Raises CorruptCache, with nothing written
-    into `dest_dir`, when the manifest or a file it lists is missing or
-    does not match its hash."""
+
+def cache_restore_entry(cache_dir: Path, key: str, dest_dir: Path) -> list[str] | None:
+    """Publish the entry `key` into `dest_dir`, a file at a time (cache_get);
+    its file names, or None when there is no entry.  Raises CorruptCache, with
+    nothing written, when the manifest or a file it lists is missing or bad."""
     d = Path(cache_dir) / key
     if not d.is_dir():
-        return False
+        return None
     try:
         names = json.loads((d / MANIFEST).read_text())
     except (OSError, ValueError) as e:
         raise CorruptCache(f"no readable manifest in {d}") from e
-    dest = Path(dest_dir)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{dest.name}.restore-", dir=dest.parent))
-    try:
+    with publish(dest_dir) as staging:
         for name in names:
             cache_get(cache_dir, key, name, staging)
-        dest.mkdir(exist_ok=True)
-        for name in names:
-            os.replace(staging / name, dest / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return True
+    return names

@@ -7,8 +7,12 @@ Commands
   mt gcomplete       class-completeness verdicts
   mt frattini-verify cover properties of the constructed level
 
-Exit codes: 0 ok, 2 budget/input, 3 empty Nielsen class, 4 internal
-invariant violation.
+Exit codes: 0 ok, 2 budget/input (or an I/O error while the report is
+written or replayed), 3 empty Nielsen class, 4 internal invariant violation.
+
+Every report, computed or replayed, has one writer, `cache.publish`: it is
+published all or nothing, and the report files of earlier jobs are removed
+from --report.  Unusable --report or --cache paths are refused first.
 
 A cache hit runs only this module, `cache` and `errors`.  The analysis
 modules are bound lazily, and their functions are called through their
@@ -179,8 +183,8 @@ def build_level(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
 
 def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
                        p: int, k: int, budget_elements: int) -> dict:
-    """The full level-k report payload for _emit: JSON-ready but for
-    "orbit_dumps", each level's group and its orbits' arrays, for _write_dump.
+    """The files of the level-k report for _emit: components.json, and per
+    level its sh-incidence CSV and its orbit dump (group and orbit arrays).
 
     Level 0 is enumerated outright; higher levels are seeded by lifting one
     representative per lower orbit through the cover, which reaches every
@@ -202,10 +206,9 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
         "class_label_map": {lab: i for i, lab in
                             enumerate(label_classes(G)) if lab in class_labels},
         "levels": [],
-        "sh_incidence": {},
-        "orbit_dumps": {},
         "comparisons": [],
     }
+    files = {"components.json": payload}
     group, lower = G, None          # lower: the level below's spec, reducer, reports
     for step in range(k + 1):
         level = {"k": step}
@@ -233,10 +236,9 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
                    for orb in nielsen.mbar4_orbits(spec, seeds, reducer)]
         level["components"] = [r.to_dict() for r in reports]
         payload["levels"].append(level)
-        payload["sh_incidence"][str(step)] = hurwitz.sh_incidence(
+        files[f"sh_incidence_L{step}.csv"] = hurwitz.sh_incidence(
             reports, reducer).to_csv()
-        payload["orbit_dumps"][str(step)] = (group, [r.arrays.tuples
-                                                     for r in reports])
+        files[f"orbits_L{step}.json"] = (group, [r.arrays.tuples for r in reports])
         for li, lrep in enumerate(lower[2] if lower else []):
             for ui, urep in enumerate(reports):
                 try:
@@ -248,25 +250,35 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
                 d["level"] = step
                 payload["comparisons"].append(d)
         lower = (spec, reducer, reports)
-    return payload
+    return files
 
 
-def _emit(payload: dict, report_dir: Path) -> list[str]:
-    """Write the report; the names of its files.  Orbit dumps (tens of MB)
-    are formatted while they are written, a block of tuples at a time."""
-    report_dir.mkdir(parents=True, exist_ok=True)
-    body = dict(payload)
-    texts = {f"sh_incidence_L{lvl}.csv": csv
-             for lvl, csv in body.pop("sh_incidence", {}).items()}
-    dumps = {f"orbits_L{lvl}.json": dump
-             for lvl, dump in body.pop("orbit_dumps", {}).items()}
-    texts["components.json"] = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    for name, text in texts.items():
-        (report_dir / name).write_text(text)
-    for name, dump in dumps.items():
-        with open(report_dir / name, "w") as fh:
-            _write_dump(fh, *dump)
-    return [*texts, *dumps]
+# The names of report files: the stale ones are removed from --report
+REPORT_NAME = (r"components\.json|orbits_L\d+\.json|sh_incidence_L\d+\.csv"
+               r"|(schur|gcomplete|frattini)\.json")
+
+
+def _io_error(stage: str, path: Path, e: OSError) -> BudgetError:
+    """The error (exit 2) for an OSError at `stage` of the report `path`."""
+    return BudgetError(f"{stage} stage: {e.filename or path}: {e.strerror or e}")
+
+
+def _emit(files: dict, report_dir: Path) -> list[str]:
+    """Publish the report `files` (name -> text, dict written as JSON, or a
+    (group, orbits) dump, formatted by _write_dump as it is written) all or
+    nothing; the names of its files."""
+    try:
+        with cache_mod.publish(report_dir) as staging:
+            for name, body in files.items():
+                with open(staging / name, "w") as fh:
+                    if isinstance(body, tuple):
+                        _write_dump(fh, *body)
+                    else:
+                        fh.write(body if isinstance(body, str)
+                                 else json.dumps(body, sort_keys=True, indent=2) + "\n")
+    except OSError as e:
+        raise _io_error("emission", report_dir, e) from e
+    return list(files)
 
 
 def _write_dump(fh, group: groups.FiniteGroup, orbits: list) -> None:
@@ -290,13 +302,6 @@ def _write_dump(fh, group: groups.FiniteGroup, orbits: list) -> None:
     fh.write("\n]\n" if orbits else "\n")
 
 
-def _emit_json(out: dict, report_dir: Path, name: str) -> list[str]:
-    """Write the one-file report `name`; its name, as _emit gives them."""
-    report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / name).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
-    return [name]
-
-
 def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
     """Run the job `job` (the command and its arguments, with the input
     file's digest; the cache key adds VERSION) through the cache.  The key
@@ -306,22 +311,26 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
     0, whatever the budgets, since it does no work; an entry that is
     incomplete or corrupt counts as a miss, with a warning.  A miss runs
     compute(report_dir), which builds the group, makes every check that
-    needs it, writes the report and returns (exit code, names of its
-    files); the report is published only when the exit code is 0, so an
-    input that compute refuses never has an entry.  A miss loads every
-    analysis module first, so none is compiled while a level is alive.  Either way the report
-    file `verdict`, if given, is then printed as one line of JSON."""
+    needs it, publishes the report (_emit) and returns (exit code, names of
+    its files); the entry is written only when the exit code is 0, so an
+    input that compute refuses never has an entry, and a failed cache write
+    is a warning.  A miss loads every analysis module first, so none is
+    compiled while a level is alive.  Either way the report files of
+    earlier jobs are then removed from --report, and the report file
+    `verdict`, if given, is printed as one line of JSON."""
     report_dir = Path(args.report)
     cache_dir = None if args.no_cache else (
         Path(args.cache) if args.cache else cache_mod.default_cache_dir())
     key = cache_mod.job_key({**job, "version": VERSION})
-    hit = False
+    names = None
     if cache_dir is not None:
         try:
-            hit = cache_mod.cache_restore_entry(cache_dir, key, report_dir)
+            names = cache_mod.cache_restore_entry(cache_dir, key, report_dir)
         except CorruptCache as e:
             print(f"warning: unusable cache entry, recomputing: {e}", file=sys.stderr)
-    if hit:
+        except OSError as e:
+            raise _io_error("replay", report_dir, e) from e
+    if names is not None:
         print(f"cache hit {key[:12]} -> {report_dir}")
         rc = 0
     else:
@@ -329,7 +338,13 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
             module.__name__             # any attribute read loads a lazy module
         rc, names = compute(report_dir)
         if cache_dir is not None and rc == 0:
-            cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
+            try:
+                cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
+            except OSError as e:
+                print(f"warning: cache entry not written: {e}", file=sys.stderr)
+    for f in report_dir.iterdir():
+        if re.fullmatch(REPORT_NAME, f.name) and f.name not in names:
+            f.unlink()
     if verdict is not None:
         print(json.dumps(json.loads((report_dir / verdict).read_text()),
                          sort_keys=True))
@@ -346,10 +361,10 @@ def _level_job(args, build_group, labels: list[str]):
         if args.k >= 2 and not _takes_dihedral_form(G, args.p):
             raise BudgetError(f"cover stage: level budget k <= 1 for groups outside "
                               f"the dihedral closed form, got k = {args.k}")
-        payload = run_level_analysis(G, gdesc, labels, args.p, args.k,
-                                     args.budget_elements)
-        names = _emit(payload, report_dir)
-        top = payload["levels"][-1]["components"]
+        files = run_level_analysis(G, gdesc, labels, args.p, args.k,
+                                   args.budget_elements)
+        names = _emit(files, report_dir)
+        top = files["components.json"]["levels"][-1]["components"]
         print(f"level {args.k}: {len(top)} component(s); "
               f"genera {[c['genus'] for c in top]} -> {report_dir}")
         return 0, names
@@ -421,7 +436,7 @@ def cmd_schur(args) -> int:
         if args.k >= 1:
             check_coverable(G, args.p)
         out = _schur_report(G, gdesc, args.p, args.k)
-        names = _emit_json(out, report_dir, "schur.json")
+        names = _emit({"schur.json": out}, report_dir)
         print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
         return 0, names
 
@@ -444,8 +459,7 @@ def cmd_gcomplete(args) -> int:
         out = verdict.to_dict(G)
         out["group"] = gdesc
         out["p"] = args.p
-        names = _emit_json(out, report_dir, "gcomplete.json")
-        return 0, names
+        return 0, _emit({"gcomplete.json": out}, report_dir)
 
     return _cached(args, {"cmd": "gcomplete", "group": gkey, "classes": labels,
                           "p": args.p}, compute, verdict="gcomplete.json")
@@ -473,8 +487,7 @@ def cmd_frattini_verify(args) -> int:
             "loewy_display": ld.display(),
             "loewy_layer_dims": [[lab[0] for lab in layer] for layer in ld.layers],
         }
-        names = _emit_json(out, report_dir, "frattini.json")
-        return (0 if rep.ok and frat else 4), names
+        return (0 if rep.ok and frat else 4), _emit({"frattini.json": out}, report_dir)
 
     return _cached(args, {"cmd": "frattini-verify", "group": gkey, "p": args.p},
                    compute, verdict="frattini.json")
@@ -520,10 +533,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def check_bounds(args) -> None:
-    """Reject a p, k or class count that no command supports, before any
-    work (braid orbits need r >= 3 branch points)."""
+    """Reject a p, k, budget or class count that no command supports, before
+    any work (braid orbits need r >= 3 branch points)."""
     if args.p < 2 or any(args.p % q == 0 for q in range(2, isqrt(args.p) + 1)):
         raise InputError(f"--p must be prime, got {args.p}")
+    for flag, budget in (("--budget-elements", args.budget_elements),
+                         ("--budget-cosets", args.budget_cosets)):
+        if budget < 1:
+            raise InputError(f"{flag} must be >= 1, got {budget}")
     k = getattr(args, "k", 0)
     if k < 0:
         raise InputError(f"--k must be >= 0, got {k}")
@@ -535,10 +552,22 @@ def check_bounds(args) -> None:
             raise InputError(f"--classes needs at least 3 classes, got {r}")
 
 
+def check_paths(args) -> None:
+    """Reject, before any work, a --report or --cache path that cannot be a
+    directory: it exists and is not one, or it lies under a file."""
+    for flag, path in (("--report", args.report),
+                       ("--cache", None if args.no_cache else args.cache)):
+        if path is not None:
+            there = next(q for q in (Path(path), *Path(path).parents) if q.exists())
+            if not there.is_dir():
+                raise InputError(f"{flag} {path}: {there} is not a directory")
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         check_bounds(args)
+        check_paths(args)
         return args.func(args)
     except EmptyNielsenClass as e:
         print(f"empty Nielsen class: {e}", file=sys.stderr)

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cache_oracle as oracle
-from mtower import cli, frattini
+from mtower import cache, cli, frattini
 from mtower.cache import cache_get, cache_restore_entry, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
@@ -540,7 +542,12 @@ def test_k_refused_where_unread(tmp_path, args):
     (["schur", "--group", "A4", "--p", "2", "--k", "3"],
      "--k must be <= 1 for schur"),
     (["frattini-verify", "--group", "A5", "--p", "4"], "--p must be prime"),
-], ids=["level-p4", "level-k-1", "dihedral-p9", "schur-k3", "frattini-p4"])
+    (["dihedral", "--p", "5", "--k", "1", "--budget-elements", "-5"],
+     "--budget-elements must be >= 1, got -5"),
+    (["gcomplete", "--group", "A5", "--p", "2", "--budget-cosets", "-1"],
+     "--budget-cosets must be >= 1, got -1"),
+], ids=["level-p4", "level-k-1", "dihedral-p9", "schur-k3", "frattini-p4",
+        "dihedral-budget-elements-5", "gcomplete-budget-cosets-1"])
 def test_bad_p_or_k_rejected_before_work(tmp_path, capsys, args, bound):
     assert run_cli(args, tmp_path) == 2
     assert bound in capsys.readouterr().err
@@ -765,6 +772,105 @@ def test_incomplete_cache_entry_recomputes(tmp_path, capsys, job, damage):
     assert run_into(args, tmp_path, "third") == 0
     assert "cache hit" in capsys.readouterr().out
     assert _report(tmp_path / "third") == first
+
+
+D5_K1 = ["dihedral", "--p", "5", "--k", "1"]
+
+
+def _fails_on_second_call(real):
+    """`real`, but its second call raises the OSError of a file past the
+    file-size limit."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.EFBIG, "File too large")
+        return real(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier"])
+@pytest.mark.parametrize("stage, module, name", [
+    ("emission", cli, "_write_dump"), ("replay", cache, "cache_get")],
+    ids=["emission", "replay"])
+def test_failed_publish_exits_2_and_leaves_report_as_it_was(
+        tmp_path, capsys, monkeypatch, earlier, stage, module, name):
+    """An OSError while a report is written (a cold job's second orbit dump)
+    or replayed (an entry's second file) exits 2, naming the stage and the
+    report: --report is absent if it was, or keeps its earlier files, and no
+    staging directory is left beside it."""
+    if stage == "replay":
+        assert run_into(D5_K1, tmp_path, "first") == 0      # the entry
+    if earlier:
+        assert run_cli(["gcomplete", "--group", "A5", "--p", "2"], tmp_path) == 0
+    before = _report(tmp_path / "out") if earlier else None
+    siblings = sorted(f.name for f in tmp_path.iterdir())
+    capsys.readouterr()
+    monkeypatch.setattr(module, name, _fails_on_second_call(getattr(module, name)))
+    assert run_cli(D5_K1, tmp_path) == 2
+    assert f"{stage} stage: {tmp_path / 'out'}: File too large" in capsys.readouterr().err
+    if earlier:
+        assert _report(tmp_path / "out") == before
+    else:
+        assert not (tmp_path / "out").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == siblings
+
+
+def test_report_files_of_earlier_jobs_are_removed(tmp_path, capsys):
+    """A report, cold or replayed, takes the place of the report files of
+    earlier jobs in --report (level 2's files go when level 1 is written
+    over them), and leaves other files alone."""
+    jobs = {k: ["dihedral", "--p", "5", "--k", k] for k in "21"}
+    refs = {}
+    for k, args in jobs.items():        # each in its own report; the entries
+        assert run_into(args, tmp_path, f"ref{k}") == 0
+        refs[k] = _report(tmp_path / f"ref{k}")
+    report = tmp_path / "out"
+    report.mkdir()
+    (report / "notes.txt").write_text("mine\n")
+    notes = {"notes.txt": b"mine\n"}
+    capsys.readouterr()
+    for cache_args in (["--no-cache"], ["--cache", str(tmp_path / "cache")]):
+        for k in "21":
+            assert main(jobs[k] + cache_args + ["--report", str(report)]) == 0
+            assert _report(report) == {**refs[k], **notes}
+    assert capsys.readouterr().out.count("cache hit") == 2
+    assert main(["gcomplete", "--group", "A5", "--p", "2", "--no-cache",
+                 "--report", str(report)]) == 0
+    assert set(_report(report)) == {"gcomplete.json", "notes.txt"}
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--report", "file"), ("--report", "file/sub"), ("--cache", "file")],
+    ids=["report-file", "report-under-file", "cache-file"])
+def test_unusable_report_or_cache_path_refused_before_work(tmp_path, capsys,
+                                                           monkeypatch, flag, path):
+    (tmp_path / "file").write_text("mine\n")
+    monkeypatch.setattr(cli, "_cached", lambda *a, **k: pytest.fail("the job ran"))
+    assert main(D5_K1 + ["--report", str(tmp_path / "out"),
+                         flag, str(tmp_path / path)]) == 2
+    assert (f"{flag} {tmp_path / path}: {tmp_path / 'file'} is not a directory"
+            in capsys.readouterr().err)
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "mine\n"
+
+
+def test_failed_cache_write_warns_and_keeps_the_report(tmp_path, capsys, monkeypatch):
+    """An entry that cannot be written after the report is published (a full
+    disk) is a warning: the job keeps its exit code and its report, and no
+    entry, whole or partial, is left in the cache."""
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    with monkeypatch.context() as m:
+        m.setattr(shutil, "copyfileobj", full_disk)
+        assert run_cli(D5_LEVEL0, tmp_path) == 0
+    assert "warning: cache entry not written" in capsys.readouterr().err
+    assert set(_report(tmp_path / "out")) == CACHED_JOBS["level"][2]
+    assert list((tmp_path / "cache").iterdir()) == []
+    assert run_into(D5_LEVEL0, tmp_path, "again") == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert _report(tmp_path / "again") == _report(tmp_path / "out")
 
 
 def _digests(path):

@@ -1,7 +1,8 @@
 """Property-based test of the CLI boundary: random small group inputs, class
 lists, p and k through `cli.main`.  Every run exits 0 (done), 2 (refused
-input or budget) or 3 (empty Nielsen class), and a refusal leaves no report
-directory.  The budgets keep every example small."""
+input or budget) or 3 (empty Nielsen class), a refusal leaves no report
+directory, and no run leaves a hidden staging directory beside it.  The
+budgets keep every example small."""
 
 import tempfile
 from pathlib import Path
@@ -100,3 +101,4 @@ def test_cli_exits_0_2_or_3_and_refusals_leave_no_report(job):
         assert rc in (0, 2, 3), (job, rc)
         if rc:
             assert not (tmp / "out").exists(), job
+        assert not [f.name for f in tmp.iterdir() if f.name.startswith(".")], job

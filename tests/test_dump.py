@@ -107,7 +107,7 @@ def test_streamed_cache_entry_matches_cache_put(tmp_path, monkeypatch):
             assert entry == cache.MAGIC + hashlib.sha256(payload).hexdigest().encode() \
                 + b"\n" + payload
     assert cache_oracle.cache_get_entry(tmp_path / "entry", "k") == files
-    assert cache.cache_restore_entry(tmp_path / "put", "k", tmp_path / "replay")
+    assert cache.cache_restore_entry(tmp_path / "put", "k", tmp_path / "replay") == sorted(files)
     assert {f.name: f.read_bytes() for f in (tmp_path / "replay").iterdir()} == files
-    assert not cache.cache_restore_entry(tmp_path / "put", "other", tmp_path / "none")
+    assert cache.cache_restore_entry(tmp_path / "put", "other", tmp_path / "none") is None
     assert not (tmp_path / "none").exists()
