@@ -9,6 +9,7 @@ Commands
 
 Exit codes: 0 ok, 2 budget/input (or an I/O error while the report is
 written or replayed), 3 empty Nielsen class, 4 internal invariant violation.
+A closed stdout ends the output, not the job (_print).
 
 Every report, computed or replayed, has one writer, `cache.publish`: it is
 published all or nothing, and the report files of earlier jobs are removed
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from math import isqrt
@@ -154,31 +156,29 @@ def _takes_dihedral_form(G: groups.FiniteGroup, p: int) -> bool:
     return True
 
 
-def build_level_model(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
-    """One cover level over G, route chosen by structure: dihedral closed
-    form, split construction, or the relator-tail search.  The split route
-    keeps its own base model, whose total carries a small generator-aligned
-    presentation (the H^2 solve of the Schur analysis reads it); the other
-    routes build over G itself."""
+def build_level_model(G: groups.FiniteGroup, p: int):
+    """(one cover level over G, route chosen by structure: dihedral closed
+    form, split construction, or the general case from the Frattini module;
+    the split map of its base model onto G, or None).  The split route keeps
+    its own base model G0, whose total carries a small generator-aligned
+    presentation (the H^2 solve of the Schur analysis reads it), and maps
+    it onto G by the split map (split_structure); the other routes build
+    over G itself."""
     if _takes_dihedral_form(G, p):
-        return frattini.dihedral_step(G, p)
-    S = frattini.p_sylow(G, p)
-    if len(frattini.normalizer(G, S)) == G.order:
-        data = frattini.split_structure(G, p)
-        H = groups.cyclic_group(G.element_order(data.complement_gen))
-        return frattini.split_level(data.rank, p, H, [data.action]).level
-    return frattini.general_level(G, p).level
+        return frattini.dihedral_step(G, p), None
+    data = frattini.split_structure(G, p)
+    if data is None:
+        return frattini.general_level(G, p).level, None
+    H = groups.cyclic_group(G.element_order(data.complement_gen))
+    L = frattini.split_level(data.rank, p, H, [data.action]).level
+    return L, data.split_map[L.base.codes]
 
 
 def build_level(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
-    """build_level_model, with a split model transported onto G."""
-    L = build_level_model(G, p)
-    if L.base is G:
-        return L
-    iso = groups.find_isomorphism(L.base, G)
-    if iso is None:
-        raise InvariantViolation("split model does not match the group")
-    return frattini.transport_level(L, iso, G)
+    """build_level_model, with a split model transported onto G along its
+    split map."""
+    L, split_map = build_level_model(G, p)
+    return L if split_map is None else frattini.transport_level(L, split_map, G)
 
 
 def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
@@ -258,6 +258,20 @@ REPORT_NAME = (r"components\.json|orbits_L\d+\.json|sh_incidence_L\d+\.csv"
                r"|(schur|gcomplete|frattini)\.json")
 
 
+def _print(text: str, err: bool = False) -> None:
+    """print(text) to stdout, or to stderr if `err`, flushed at once so that
+    a reader that has gone shows here (BrokenPipeError).  The stream is then
+    pointed at os.devnull: the rest of its output is dropped, no later print
+    or the flush at exit fails, and the job ends with its own exit code."""
+    stream = sys.stderr if err else sys.stdout
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _io_error(stage: str, path: Path, e: OSError) -> BudgetError:
     """The error (exit 2) for an OSError at `stage` of the report `path`."""
     return BudgetError(f"{stage} stage: {e.filename or path}: {e.strerror or e}")
@@ -327,11 +341,11 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
         try:
             names = cache_mod.cache_restore_entry(cache_dir, key, report_dir)
         except CorruptCache as e:
-            print(f"warning: unusable cache entry, recomputing: {e}", file=sys.stderr)
+            _print(f"warning: unusable cache entry, recomputing: {e}", err=True)
         except OSError as e:
             raise _io_error("replay", report_dir, e) from e
     if names is not None:
-        print(f"cache hit {key[:12]} -> {report_dir}")
+        _print(f"cache hit {key[:12]} -> {report_dir}")
         rc = 0
     else:
         for module in ANALYSIS_MODULES:
@@ -341,13 +355,13 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
             try:
                 cache_mod.cache_put_entry(cache_dir, key, report_dir, names)
             except OSError as e:
-                print(f"warning: cache entry not written: {e}", file=sys.stderr)
+                _print(f"warning: cache entry not written: {e}", err=True)
     for f in report_dir.iterdir():
         if re.fullmatch(REPORT_NAME, f.name) and f.name not in names:
             f.unlink()
     if verdict is not None:
-        print(json.dumps(json.loads((report_dir / verdict).read_text()),
-                         sort_keys=True))
+        _print(json.dumps(json.loads((report_dir / verdict).read_text()),
+                          sort_keys=True))
     return rc
 
 
@@ -365,8 +379,8 @@ def _level_job(args, build_group, labels: list[str]):
                                    args.budget_elements)
         names = _emit(files, report_dir)
         top = files["components.json"]["levels"][-1]["components"]
-        print(f"level {args.k}: {len(top)} component(s); "
-              f"genera {[c['genus'] for c in top]} -> {report_dir}")
+        _print(f"level {args.k}: {len(top)} component(s); "
+               f"genera {[c['genus'] for c in top]} -> {report_dir}")
         return 0, names
     return compute
 
@@ -401,7 +415,7 @@ def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
                 "kernel_gen": q.total.perm_str(q.kernel_elems[1]),
             })
         return out
-    L = build_level_model(G, p)
+    L, _ = build_level_model(G, p)
     quots = schur.enumerate_schur_quotients(L.total, p)
     rad_elems = [L.kernel_elems[la.vec_int(v, p)]
                  for v in gmodules.radical(L.kernel_module)]
@@ -437,7 +451,7 @@ def cmd_schur(args) -> int:
             check_coverable(G, args.p)
         out = _schur_report(G, gdesc, args.p, args.k)
         names = _emit({"schur.json": out}, report_dir)
-        print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
+        _print(f"{len(out['quotients'])} Schur quotient(s) -> {report_dir}")
         return 0, names
 
     return _cached(args, {"cmd": "schur", "group": gkey, "p": args.p,
@@ -570,16 +584,16 @@ def main(argv=None) -> int:
         check_paths(args)
         return args.func(args)
     except EmptyNielsenClass as e:
-        print(f"empty Nielsen class: {e}", file=sys.stderr)
+        _print(f"empty Nielsen class: {e}", err=True)
         return 3
     except (BudgetError, InputError) as e:
-        print(f"budget/input: {e}", file=sys.stderr)
+        _print(f"budget/input: {e}", err=True)
         return 2
     except (InvariantViolation, AssertionError) as e:
-        print(f"internal invariant violation: {e}", file=sys.stderr)
+        _print(f"internal invariant violation: {e}", err=True)
         return 4
     except MTError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print(f"error: {e}", err=True)
         return 4
 
 

@@ -1,5 +1,4 @@
-"""Finitely presented groups: free words, HLT coset enumeration, Schreier
-generators.
+"""Finitely presented groups: free words and HLT coset enumeration.
 
 Free words are tuples of nonzero ints: letter +-(i+1) stands for generator i
 or its inverse.  Words multiply left to right, consistent with perms.py.
@@ -332,23 +331,3 @@ def coset_group(T: CosetTable, max_order: int = 1 << 21, name: str = "") -> Fini
     """Permutation group generated by the coset action of the generators."""
     return FiniteGroup([T.generator_perm(g) for g in range(T.ngens)],
                        max_order=max_order, name=name)
-
-
-def schreier_generators(P: Presentation, T: CosetTable) -> list[tuple[int, ...]]:
-    """Schreier generators of the subgroup whose coset table is T.
-
-    Coset representatives come from the BFS spanning tree in T; for each
-    coset c and generator letter x the word rep(c) x rep(c*x)^-1 is freely
-    reduced, and trivial (tree-edge) generators are dropped.
-    """
-    reps = T.rep_words
-    out = []
-    seen = set()
-    for c in range(T.n):
-        for g in range(P.ngens):
-            d = T.act(c, g + 1)
-            w = free_reduce(reps[c] + (g + 1,) + invert_word(reps[d]))
-            if w and w not in seen:
-                seen.add(w)
-                out.append(w)
-    return out

@@ -10,9 +10,12 @@ tables and a pair model each predict their memory first, and raise TooLarge
 past MEMORY_CEILING; a pair model is refused past PAIR_MODEL_LIMIT elements
 too.
 
-The searches here (the lift of the complement action, versality against
-the Schur covers, the Frattini and restriction-splitting checks) run
-through groups.search_images.
+Levels are constructed by structure, not by search.  A split group is read
+as its model P0 x| H along the split map (split_structure), and the general
+case keeps the one summand of the induced Sylow-normalizer module that is
+not free over the Sylow (general_level).  The searches that remain (the
+lift of the complement action, the Frattini and restriction-splitting
+checks, cover maps onto Schur covers) run through groups.search_images.
 
 Every constructed level is normalized to a canonical "pair model": elements
 are pairs (base element, kernel vector) with
@@ -51,8 +54,9 @@ from .fp import (Presentation, commutator_word, free_reduce, invert_word,
                  word_pow)
 from .gmodules import (GModule, indecomposable_summands, induce,
                        submodule_module, trivial_module)
-from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, find_isomorphism,
-                     generating_set, search_images, subgroup_from_indices)
+from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, cyclic_group,
+                     dihedral_group, generating_set, is_p_perfect, search_images,
+                     subgroup_from_indices)
 
 # Bytes a stage may be predicted to need: the H^2 solve, an extension's
 # section tables, a pair model.  Past it the stage raises TooLarge before
@@ -231,8 +235,6 @@ def dihedral_level(p: int, k: int, max_order: int = 1 << 20) -> list[FrattiniLev
 
     k = 0 returns the degenerate level: D_p over itself with trivial kernel.
     """
-    from .groups import dihedral_group
-
     if p < 3:
         raise InputError("dihedral tower needs an odd prime")
     if 2 * p ** (k + 1) > max_order:
@@ -262,8 +264,6 @@ def dihedral_step(base: FiniteGroup, p: int) -> FrattiniLevel:
     group of order 2np.  Each group's elements are indexed by their codes
     f n + a, and proj, section and kernel are read off them.
     """
-    from .groups import dihedral_group
-
     nb = base.degree
     if base.order != 2 * nb or nb % p:
         raise InputError("base is not a standard dihedral group of p-power rotation")
@@ -338,14 +338,15 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray]) -> Spl
     x_i^-1 s_j x_i, the relator tails those of P0's relators.  The H-action
     on P0 is lifted to P1 by taking the lexicographically first
     generator-image assignment satisfying both the P1 relations and H's
-    relation (H must be cyclic here).  A P1 past PAIR_MODEL_LIMIT is refused
-    before any of this is built.
+    relation (H must be cyclic here).  A P1, and then a level, past
+    PAIR_MODEL_LIMIT is refused before any of this is built.
     """
     if len(H.gen_indices) != 1:
         raise ActionLiftFailed("action lift implemented for cyclic complements")
     h_order = H.element_order(H.gen_indices[0])
     A_h = la.asmod(H_mats[0], p)
-    _check_pair_model_size(p ** d, p, (d - 1) * p ** d + 1)
+    _check_pair_model_size(p ** d, p, (d - 1) * p ** d + 1)          # P1
+    _check_pair_model_size(H.order * p ** d, p, (d - 1) * p ** d + 1)  # the level
 
     # P0 translates the base-p codes of F_p^d; generator i = e_i
     P0 = _vector_group(d, p)
@@ -416,25 +417,6 @@ def _vector_group(d: int, p: int) -> FiniteGroup:
     return FiniteGroup.from_closed_form(
         p ** d, weights.tolist(), lambda a, b: (vecs[a] + vecs[b]) % p @ weights,
         name=f"(Z/{p})^{d}")
-
-
-def _span_coords(times, dim: int, p: int) -> dict[int, np.ndarray]:
-    """F_p coordinates of the span of dim independent basis elements of an
-    elementary abelian group: times(x, j) is x times basis element j, and
-    the identity 0 has coordinates 0."""
-    coords: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=np.int64)}
-    for j in range(dim):
-        grown = dict(coords)
-        for known, vec in coords.items():
-            cur = known
-            for e in range(1, p):
-                cur = times(cur, j)
-                v = vec.copy()
-                v[j] = e
-                assert cur not in grown, "basis elements not independent"
-                grown[cur] = v
-        coords = grown
-    return coords
 
 
 def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
@@ -847,52 +829,61 @@ class SplitData:
     basis: list[int]               # kernel generators inside the concrete group
     complement_gen: int
     action: np.ndarray             # matrix of the complement generator on the basis
+    split_map: np.ndarray          # code j |P0| + u of G0 -> its element of the group
 
 
-def split_structure(N: FiniteGroup, p: int) -> SplitData:
-    """Detect N = P0 x| <h> with P0 the (normal, elementary abelian) p-Sylow."""
-    S = p_sylow(N, p)
-    if set(normalizer(N, S)) != set(range(N.order)):
-        raise InputError(f"cover stage: the {p}-Sylow is not normal; not the split case")
-    # exponent p, and abelian: the elements that generate it commute
-    basis = generating_set(N, sorted(S))
-    if any(N.element_order(x) == p * p for x in S) or \
+def split_structure(N: FiniteGroup, p: int) -> SplitData | None:
+    """Read N as P0 x| <h>, P0 its normal elementary abelian p-Sylow; None
+    when the p-Sylow is not normal.
+
+    A normal p-Sylow is the set of elements of p-power order, and h is the
+    first element of order |N : P0|, a p' order, so its powers meet P0 in 1
+    only.  The split map sends the element of code j |P0| + u of the model
+    G0 = P0 x| H of split_level, for H = cyclic_group(|h|) (whose element j
+    is its generator's j-th power) and u an element of P0 with vector v, to
+    h^j b_1^v_1 ... b_d^v_d for the basis b_i of P0; row i of the action
+    matrix is the vector of h^-1 b_i h.
+    """
+    orders, q = N.element_orders(), 1          # q: the p-part of |N|
+    while N.order % (q * p) == 0:
+        q *= p
+    S = np.flatnonzero(q % orders == 0)
+    if len(S) != q:
+        return None
+    basis = generating_set(N, S.tolist())
+    if (orders[S] > p).any() or \
             any(N.mul(a, b) != N.mul(b, a) for a in basis for b in basis):
         raise InputError(f"cover stage: the {p}-Sylow is not elementary abelian")
-    index = N.order // len(S)
-    h = None
-    for x in range(1, N.order):
-        if N.element_order(x) == index and \
-                all(N.power(x, e) not in set(S) or N.power(x, e) == 0
-                    for e in range(1, index)):
-            h = x
-            break
-    if h is None:
+    index = N.order // q
+    h = np.flatnonzero(orders[1:] == index)
+    if not h.size:
         raise InputError(f"cover stage: the normal {p}-Sylow has no cyclic complement")
-    d = len(basis)
-    coord_of = _span_coords(lambda x, j: N.mul(x, basis[j]), d, p)
-    rows = [coord_of[N.conj(b, h)] for b in basis]
-    return SplitData(d, p, basis, h, np.stack(rows))
+    h, d = int(h[0]) + 1, len(basis)
+    vecs = _digits(q, d, p)[_vector_group(d, p).codes]   # row u: the vector of u
+    elems = np.zeros(q, dtype=np.int64)
+    for b, v in zip(basis, vecs.T):
+        elems = N.mul_many(elems, np.array([N.power(b, e) for e in range(p)])[v])
+    h_powers = np.array([N.power(h, j) for j in range(index)])
+    u_of = np.empty(N.order, dtype=np.int64)
+    u_of[elems] = np.arange(q)
+    return SplitData(d, p, basis, h, vecs[u_of[[N.conj(b, h) for b in basis]]],
+                     N.mul_many(h_powers[:, None], elems).ravel())
 
 
 @dataclass
 class FrattiniModuleData:
     induced: GModule                  # Ind of the normalizer module, over G
     summand_bases: list[np.ndarray]   # indecomposable decomposition, sorted
-    normalizer_module: GModule        # over the concrete normalizer subgroup
-    split_tower: SplitTower           # tower over the Sylow normalizer model
-    normalizer_iso: list[int]         # abstract G0 element -> Nsub element
+    sylow: tuple[int, ...]            # the p-Sylow subgroup of G
 
 
 def frattini_module(G: FiniteGroup, p: int) -> FrattiniModuleData:
     """Induce the Sylow-normalizer's Frattini module up to G and decompose.
 
-    When the induced module is indecomposable it is the level-0 module of G
-    itself; otherwise general_level filters the summands by cohomology and
-    cover checks.
+    The normalizer N is read as its split model G0 along the split map
+    (split_structure), so the module of the model's level is N's module;
+    general_level keeps the one summand that is not projective.
     """
-    from .groups import cyclic_group
-
     S = p_sylow(G, p)
     N = normalizer(G, S)
     if len(N) == G.order:
@@ -902,16 +893,12 @@ def frattini_module(G: FiniteGroup, p: int) -> FrattiniModuleData:
     data = split_structure(Nsub, p)
     H = cyclic_group(Nsub.element_order(data.complement_gen))
     tower = split_level(data.rank, p, H, [data.action])
-    iso = find_isomorphism(tower.g0, Nsub)
-    if iso is None:
-        raise AssertionError("split model does not match the normalizer")
-    iso_inv = {iso[e]: e for e in range(len(iso))}
-    mats = [tower.level.kernel_module.mat_of(iso_inv[g]) for g in Nsub.gen_indices]
-    Mprime = GModule(Nsub, p, mats, check=False)
-    ind = induce(Mprime, G)
+    model_of = np.argsort(data.split_map[tower.g0.codes])   # N element -> G0 element
+    mats = [tower.level.kernel_module.mat_of(int(model_of[g])) for g in Nsub.gen_indices]
+    ind = induce(GModule(Nsub, p, mats, check=False), G)
     bases = indecomposable_summands(ind)
     bases.sort(key=lambda b: (b.shape[0], b.tobytes()))
-    return FrattiniModuleData(ind, bases, Mprime, tower, iso)
+    return FrattiniModuleData(ind, bases, S)
 
 
 def find_cover_map(src: FrattiniLevel, dst: FrattiniLevel) -> list[int] | None:
@@ -935,46 +922,40 @@ class GeneralLevel:
     module: GModule
     h2_dim: int
     tail: np.ndarray
-    schur_levels: list[FrattiniLevel]   # nonsplit trivial-module covers of the base
     module_data: FrattiniModuleData
 
 
 def general_level(G: FiniteGroup, p: int) -> GeneralLevel:
     """G_1 -> G for a p-perfect G with non-normal Sylow, via relator tails.
 
-    The Frattini module is selected among the indecomposable summands of the
-    induced normalizer module: the summand must carry a one-or-more
-    dimensional H^2 with a nonsplit class whose extension passes the order
-    lifting check and covers every Z/p Schur cover of G (versality).
+    The Frattini module is the one indecomposable summand M of the induced
+    normalizer module that is not projective (Gaschütz 1954; Griess and
+    Schmid 1978): its restriction to the p-Sylow P is not free, that is
+    dim M != |P| dim M^P.  G is extended by M along the first nonsplit class
+    of H^2(G, M), the one H^2 solve made here.
     """
-    from .groups import is_p_perfect
-
     if G.presentation is None:
         raise InputError("cover stage: base group needs an attached presentation")
     if not is_p_perfect(G, p):
         raise InputError(f"cover stage: base group must be {p}-perfect")
     data = frattini_module(G, p)
-    schur_levels = schur_covers(G, p)   # for the versality check
-    for b in data.summand_bases:
-        M = submodule_module(data.induced, b)
-        space = _cocycle_space(G.presentation, M)
-        dim, classes = _h2_classes(G.presentation, M, space)
-        nonsplit = [c for c in classes if c.any()]
-        if not nonsplit:
-            continue
-        tail = nonsplit[0]
-        lvl = _extension(G.presentation, M, space, tail,
-                         name=f"G1({G.name or 'G'})")
-        if not verify_order_lifting(lvl).ok:
-            continue
-        if any(find_cover_map(lvl, sl) is None for sl in schur_levels):
-            continue
-        return GeneralLevel(lvl, M, dim, tail, schur_levels, data)
-    raise AssertionError("no summand yields the Frattini cover")
+    sylow_gens = generating_set(G, data.sylow)
+    summands = [submodule_module(data.induced, b) for b in data.summand_bases]
+    kept = [M for M in summands if M.dim != len(data.sylow) * len(la.nullspace(
+        np.hstack([M.mat_of(g) - la.identity(M.dim) for g in sylow_gens]).T, p))]
+    if len(kept) != 1:
+        raise AssertionError(f"{len(kept)} induced summands are not projective, not 1")
+    M = kept[0]
+    space = _cocycle_space(G.presentation, M)
+    dim, classes = _h2_classes(G.presentation, M, space)
+    if dim == 0:
+        raise AssertionError("the Frattini module has no nonsplit extension")
+    tail = classes[1]
+    lvl = _extension(G.presentation, M, space, tail, name=f"G1({G.name or 'G'})")
+    return GeneralLevel(lvl, M, dim, tail, data)
 
 
-def transport_level(lvl: FrattiniLevel, iso: list[int],
-                    new_base: FiniteGroup) -> FrattiniLevel:
+def transport_level(lvl: FrattiniLevel, iso, new_base: FiniteGroup) -> FrattiniLevel:
     """Relabel a level over an isomorphic concrete base group.
 
     iso maps old base elements to new base elements; the kernel module and

@@ -17,8 +17,8 @@ and turned over in place; the inverses are read off it.  Above that, a
 closed-form group multiplies by its formula and a permutation group
 composes permutations.
 
-Conjugacy classes are walked over one batch of the conjugates of every
-element by every generator.
+Conjugacy classes are the orbits of one batch of the conjugates of every
+element by every generator, labelled by min-label propagation.
 
 Subgroup closures run in batches: one level-by-level BFS over a block of
 seed rows, on a flat (row, element) mask of bounded size.
@@ -39,7 +39,7 @@ from itertools import islice, product
 
 from . import np
 from .errors import InputError, OrderExceeded
-from .perms import Perm, cycle_orders, cycle_strs
+from .perms import Perm, _orbit_labels, cycle_orders, cycle_strs
 
 MUL_TABLE_LIMIT = 4096
 # (row, element, seed) cells per block of a batched subgroup closure
@@ -330,39 +330,23 @@ class FiniteGroup:
     # -- structure -------------------------------------------------------------
 
     def conjugacy_classes(self) -> list[ConjClass]:
-        """The orbits of conjugation by the generators, walked over one
-        batch of the conjugates c^-1 x c of every element x by every
-        generator c (`mul_many`)."""
+        """The orbits of conjugation by the generators, labelled by their
+        least element (perms._orbit_labels) over the rows c^-1 x c of every
+        element x by each generator c (`mul_many`); sorted by element order,
+        size and least element."""
         if self._classes is not None:
             return self._classes
         c = np.asarray(self.gen_indices)[:, None]
-        conj = self.mul_many(self.mul_many(self.inv[c], np.arange(self.order)), c).tolist()
-        seen = np.zeros(self.order, dtype=bool)
-        raw = []
-        for start in range(self.order):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            q = [start]
-            while q:
-                x = q.pop()
-                for row in conj:
-                    y = row[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        q.append(y)
-            orbit.sort()
-            raw.append(orbit)
-        raw.sort(key=lambda orb: (self.element_order(orb[0]), len(orb), orb[0]))
-        self._classes = [
-            ConjClass(orb[0], tuple(orb), self.element_order(orb[0])) for orb in raw
-        ]
-        self._class_of = np.empty(self.order, dtype=np.int32)
-        for ci, cl in enumerate(self._classes):
-            for m in cl.members:
-                self._class_of[m] = ci
+        conj = self.mul_many(self.mul_many(self.inv[c], np.arange(self.order)), c)
+        reps, at, sizes = np.unique(_orbit_labels(list(conj)), return_inverse=True,
+                                    return_counts=True)
+        orders = self.element_orders()[reps]
+        rank = np.lexsort((reps, sizes, orders))
+        self._class_of = np.argsort(rank).astype(np.int32)[at]
+        members = np.split(np.argsort(self._class_of, kind="stable"),
+                           np.cumsum(sizes[rank])[:-1])
+        self._classes = [ConjClass(int(reps[r]), tuple(m.tolist()), int(orders[r]))
+                         for r, m in zip(rank, members)]
         return self._classes
 
     def class_of(self, x: int) -> int:

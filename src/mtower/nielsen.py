@@ -34,7 +34,7 @@ from . import np
 from .errors import Budget, InputError, NotPPrime
 from .frattini import FrattiniLevel, lift_class
 from .groups import FiniteGroup, unique_rows
-from .perms import _cycle_labels
+from .perms import _orbit_labels
 
 # int32 cells per temporary array in one step of a batch computation
 _BATCH_CELLS = 1 << 18
@@ -355,30 +355,6 @@ def _distinct(T: np.ndarray, keys: np.ndarray):
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return T[order[new]], keys[new], inverse
-
-
-def _orbit_labels(moves: list[np.ndarray]) -> np.ndarray:
-    """label[i]: the least point of i's orbit under the permutations `moves`
-    of 0..n-1, by min-label propagation.  Each round takes the least label
-    over every cycle of each move (the cycles from `_cycle_labels`), then
-    jumps through the labels: label[label[i]] lies in i's orbit and is no
-    larger than label[i]."""
-    cycles = []
-    for P in moves:
-        root = _cycle_labels(P, steps=False)[0]
-        order = np.argsort(root, kind="stable")
-        counts = np.bincount(root, minlength=len(P))
-        counts = counts[counts > 0]
-        cycles.append((order, np.cumsum(counts) - counts, counts))
-    label = np.arange(len(moves[0]))
-    while True:
-        new = label.copy()
-        for order, starts, counts in cycles:
-            new[order] = np.repeat(np.minimum.reduceat(new[order], starts), counts)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:

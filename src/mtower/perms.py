@@ -143,6 +143,30 @@ def _cycle_labels(f: np.ndarray, steps: bool) -> tuple[np.ndarray, np.ndarray | 
         jump, span = np.take(jump, jump), 2 * span
 
 
+def _orbit_labels(moves: list[np.ndarray]) -> np.ndarray:
+    """label[i]: the least point of i's orbit under the permutations `moves`
+    of 0..n-1, by min-label propagation.  Each round takes the least label
+    over every cycle of each move (the cycles from `_cycle_labels`), then
+    jumps through the labels: label[label[i]] lies in i's orbit and is no
+    larger than label[i]."""
+    cycles = []
+    for P in moves:
+        root = _cycle_labels(P, steps=False)[0]
+        order = np.argsort(root, kind="stable")
+        counts = np.bincount(root, minlength=len(P))
+        counts = counts[counts > 0]
+        cycles.append((order, np.cumsum(counts) - counts, counts))
+    label = np.arange(len(moves[0]))
+    while True:
+        new = label.copy()
+        for order, starts, counts in cycles:
+            new[order] = np.repeat(np.minimum.reduceat(new[order], starts), counts)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def parse_perm(text: str, degree: int | None = None) -> Perm:
     """Parse disjoint-cycle notation with 1-based points."""
     text = text.strip()

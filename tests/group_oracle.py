@@ -28,6 +28,9 @@ kernel, coordinates, module matrices, psi; for the split level also P1 with
 its module and cocycle over P0) instead of a level, and skip the
 presentations.  The order-p^3 model groups are the
 permutation builders they were.
+
+`schreier_generators` reads the Schreier generators of a subgroup off its
+coset table; only this oracle's `split_level` and the tests use it.
 """
 
 from __future__ import annotations
@@ -38,11 +41,31 @@ from mtower import frattini
 from mtower import linalg as la
 from mtower.errors import ActionLiftFailed, Collapse, InputError
 from mtower.fp import (CosetTable, Presentation, commutator_word, free_reduce,
-                       invert_word, schreier_generators, todd_coxeter, word_pow)
+                       invert_word, todd_coxeter, word_pow)
 from mtower.frattini import level_from_pair_model
 from mtower.gmodules import GModule
 from mtower.groups import ConjClass, FiniteGroup, dihedral_group, search_images
 from mtower.perms import Perm
+
+
+def schreier_generators(P: Presentation, T: CosetTable) -> list[tuple[int, ...]]:
+    """Schreier generators of the subgroup whose coset table is T.
+
+    Coset representatives come from the BFS spanning tree in T; for each
+    coset c and generator letter x the word rep(c) x rep(c*x)^-1 is freely
+    reduced, and trivial (tree-edge) generators are dropped.
+    """
+    reps = T.rep_words
+    out = []
+    seen = set()
+    for c in range(T.n):
+        for g in range(P.ngens):
+            d = T.act(c, g + 1)
+            w = free_reduce(reps[c] + (g + 1,) + invert_word(reps[d]))
+            if w and w not in seen:
+                seen.add(w)
+                out.append(w)
+    return out
 
 
 def bfs(gen_arrays):

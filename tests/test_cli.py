@@ -1022,6 +1022,9 @@ SPLIT_FILE_JOBS = {
     "verify_s3": "frattini-verify s3.txt --p 3",
     "verify_f55": "frattini-verify f55.txt --p 11",
 }
+# The prime that the jobs on each file use
+SPLIT_FILE_PRIMES = {job.split()[1]: int(job.split()[job.split().index("--p") + 1])
+                     for job in SPLIT_FILE_JOBS.values()}
 
 
 def _file_group_pins():
@@ -1064,6 +1067,56 @@ def test_oversized_split_level_refused_before_work(tmp_path, capsys, text, p, po
     err = capsys.readouterr().err
     assert f"pair model: {points} points, past PAIR_MODEL_LIMIT = 65,536" in err
     assert not (tmp_path / "out").exists()
+
+
+def affine_group_file(p, a):
+    """Z/p x| Z/n on the points of Z/p, 1-based: the translation x -> x + 1
+    and the multiplication x -> a x by a unit a of order n."""
+    cycles, seen = [], {0}
+    for x in range(1, p):
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = x * a % p
+        cycles += [f"({' '.join(cycle)})"] * bool(cycle)
+    return f"({' '.join(str(x + 1) for x in range(p))})\n{''.join(cycles)}\n"
+
+
+def test_split_level_past_limit_refused_before_work(tmp_path, capsys):
+    """Z/251 x| Z/5: its P1 has 63,001 points, within PAIR_MODEL_LIMIT, and
+    its level 5 x 63,001; the level is refused before the action lift is
+    searched (that search ran for minutes)."""
+    gf = tmp_path / "z251_z5.txt"
+    gf.write_text(affine_group_file(251, 20))
+    start = time.perf_counter()
+    assert run_cli(["frattini-verify", "--group-file", str(gf), "--p", "251"],
+                   tmp_path) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "pair model: 315,005 points, past PAIR_MODEL_LIMIT = 65,536" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_closed_stdout_keeps_exit_code_and_report(tmp_path):
+    """A reader that closes stdout (`mt ... | head -c 0`) ends the output,
+    not the job: the cold run and its replay from the cache each exit 0
+    with nothing on stderr, and both reports are the pinned ones."""
+    args = [sys.executable, "-m", "mtower.cli", "frattini-verify", "--group", "A4",
+            "--p", "2", "--cache", str(tmp_path / "cache")]
+    pins = dict(line.split()[::-1] for line in
+                (DATA / "frattini_verify_a4_p2.sha256").read_text().splitlines())
+    for report in ("cold", "replay"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(args + ["--report", str(tmp_path / report)],
+                                  stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, ""), report
+        assert _digests(tmp_path / report) == pins, report
+    assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
 def test_split_route_ignores_coset_budget(tmp_path):

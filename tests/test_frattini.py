@@ -1,10 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import cover_oracle
 import fox_oracle
 import group_oracle
 from search_oracle import eval_relator
-from mtower import frattini
+from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
+from mtower import cli, frattini, groups
 from mtower import linalg as la
 from mtower.errors import Collapse, NotPPrime, TooLarge
 from mtower.fp import (Presentation, commutator_word, invert_word, todd_coxeter,
@@ -19,7 +23,7 @@ from mtower.gmodules import GModule, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, is_p_perfect,
                            special_linear_2)
-from mtower.perms import Perm
+from mtower.perms import Perm, parse_group_file
 
 
 def test_dihedral_tower_chain():
@@ -396,6 +400,44 @@ def test_one_cocycle_solve_per_module(monkeypatch, a4_tower, a5):
     assert dims == [1]
     dims.clear()
     general_level(a5, 2)
-    # P1's relation module over the Sylow normalizer A4, the trivial module
-    # of the Schur covers, then the two induced summands
-    assert dims == [5, 1, 4, 5]
+    # P1's relation module over the Sylow normalizer A4, then the one
+    # induced summand that is not projective
+    assert dims == [5, 5]
+    dims.clear()
+    general_level(a5, 3)
+    # over the normalizer S3, then the summand kept at p = 3
+    assert dims == [1, 4]
+
+
+def test_freeness_pick_matches_trial_oracle(g1a5, a5):
+    """At p = 2 and 3 the one induced summand that is not free over the
+    p-Sylow is the summand, with the same tail, that the trial filter keeps
+    (an H^2 solve, the order-lifting check and versality per summand)."""
+    for gl in (g1a5, general_level(a5, 3)):
+        M, tail = cover_oracle.trial_summand(a5, gl.level.p)
+        assert all((A == B).all() for A, B in zip(gl.module.mats, M.mats, strict=True))
+        assert (gl.tail == tail).all()
+
+
+def test_level_construction_runs_no_search(monkeypatch, a4, a5):
+    """Levels are built by structure: with find_isomorphism, schur_covers,
+    find_cover_map and verify_order_lifting made to raise, build_level
+    still builds the levels of A4, of A5 at p = 2 and 3 and of the
+    split-route file groups, each over the group itself."""
+    def search(*args, **kwargs):
+        raise AssertionError("a search ran while a level was built")
+
+    for module, name in ((groups, "find_isomorphism"), (frattini, "schur_covers"),
+                         (frattini, "find_cover_map"),
+                         (frattini, "verify_order_lifting")):
+        monkeypatch.setattr(module, name, search)
+    cases = [(a4, 2), (a5, 2), (a5, 3)] + [
+        (FiniteGroup(parse_group_file(SPLIT_FILES[name])), p)
+        for name, p in SPLIT_FILE_PRIMES.items()]
+    assert len(cases) == 12
+    for G, p in cases:
+        L = cli.build_level(G, p)
+        assert L.base is G and L.total.order == G.order * p ** L.kernel_dim
+    assert "find_isomorphism" not in inspect.getsource(cli)
+    assert not hasattr(frattini, "_span_coords")
+    assert "schur_levels" not in frattini.GeneralLevel.__dataclass_fields__

@@ -9,6 +9,7 @@ import pytest
 
 import search_oracle as oracle
 from fox_oracle import coboundary_tails
+from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
 from mtower import frattini
 from mtower.cli import build_level, class_id
 from mtower.frattini import (_orbit_lifts, build_extension, find_cover_map,
@@ -23,7 +24,7 @@ from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            subgroup_from_indices)
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
                             lift_tuples, lifted_spec, mbar4_orbits)
-from mtower.perms import Perm
+from mtower.perms import Perm, parse_group_file
 from mtower.schur import _splits
 
 
@@ -82,9 +83,24 @@ def test_find_cover_map_matches_oracle(a4_tower, g1a5, a5):
         assert beta is not None and beta == oracle.find_cover_map(L, E)
 
 
-def test_homomorphism_onto_matches_oracle(g1a5, a5_split):
+def test_split_map_matches_find_isomorphism(a4, towers):
+    """The split map of the model G0 onto N is the isomorphism that
+    find_isomorphism finds, on A4, the nine split-route file groups and the
+    three Sylow normalizers of A5."""
+    cases = [(a4, 2)] + [(FiniteGroup(parse_group_file(SPLIT_FILES[name])), p)
+                         for name, p in SPLIT_FILE_PRIMES.items()]
+    cases += [(N, p) for p, (_, N) in towers.items()]
+    assert len(cases) == 13
+    for N, p in cases:
+        data = split_structure(N, p)
+        H = cyclic_group(N.element_order(data.complement_gen))
+        G0 = split_level(data.rank, p, H, [data.action]).g0
+        assert data.split_map[G0.codes].tolist() == find_isomorphism(G0, N)
+
+
+def test_homomorphism_onto_matches_oracle(g1a5, a5, a5_split):
     L = g1a5.level
-    for E in g1a5.schur_levels:
+    for E in schur_covers(a5, 2):
         assert find_cover_map(L, E) is not None and oracle.homomorphism_onto(L, E)
     # the split extension A5 x Z/2 is no image of the Frattini cover
     assert find_cover_map(L, a5_split) is None
