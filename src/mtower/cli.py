@@ -18,8 +18,8 @@ from --report.  Unusable --report or --cache paths are refused first.
 A cache hit runs only this module, `cache` and `errors`.  The analysis
 modules are bound lazily, and their functions are called through their
 module (`nielsen.mbar4_orbits`): a top-level `from .nielsen import ...`
-would load the module on every hit.  A miss loads them all before it
-builds anything.
+would load the module on every hit.  A miss loads numpy and the
+command's own modules (and its group source's) before it builds anything.
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ la = _lazy_module("mtower.linalg")
 nielsen = _lazy_module("mtower.nielsen")
 perms = _lazy_module("mtower.perms")
 schur = _lazy_module("mtower.schur")
-ANALYSIS_MODULES = (fp, frattini, gcomplete, gmodules, groups, hurwitz, la,
-                    nielsen, perms, schur)
+# The analysis modules a cover level's build runs, and with them those of
+# a braid-orbit job (level, dihedral)
+COVER_MODULES = (fp, frattini, gmodules, groups, la, perms)
+LEVEL_MODULES = COVER_MODULES + (hurwitz, nielsen)
 
 VERSION = 3
 _DUMP_CHARS = 1 << 20       # orbit-dump text formatted per block, at most
@@ -91,13 +93,14 @@ def _read_group_input(path: str, parse) -> tuple[str, Callable]:
     return hashlib.sha256(raw).hexdigest(), parsed
 
 
-def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]]]:
+def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]],
+                               tuple]:
     """(the group's name in cache keys, a function that builds the group
-    and returns it with its name in reports).  The key needs no build, so
-    a cache hit never builds the group: a builtin is keyed by its name, a
-    group read from a file by the file's name and the sha256 of its
-    bytes."""
-    if getattr(args, "group_file", None):
+    and returns it with its name in reports, the analysis modules that
+    build runs).  The key needs no build, so a cache hit never builds the
+    group: a builtin is keyed by its name, a group read from a file by the
+    file's name and the sha256 of its bytes."""
+    if args.group_file is not None:
         digest, generators = _read_group_input(
             args.group_file, lambda text: perms.parse_group_file(text))
         desc = f"file:{Path(args.group_file).name}"
@@ -106,8 +109,8 @@ def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]]
             G = groups.FiniteGroup(generators(), max_order=args.budget_elements,
                                    name="file-group")
             return G, f"{desc}:{G.order}"
-        return f"{desc}:{digest}", build_file_group
-    if getattr(args, "presentation_file", None):
+        return f"{desc}:{digest}", build_file_group, (groups, perms)
+    if args.presentation_file is not None:
         digest, presentation = _read_group_input(
             args.presentation_file, lambda text: fp.parse_presentation(text))
         desc = f"pres:{Path(args.presentation_file).name}"
@@ -118,8 +121,8 @@ def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]]
                                max_order=args.budget_elements, name="presented-group")
             G.presentation = P
             return G, f"{desc}:{G.order}"
-        return f"{desc}:{digest}", build_presented_group
-    name = (args.group or "").upper()
+        return f"{desc}:{digest}", build_presented_group, (fp, groups, perms)
+    name = args.group.upper()
     if not (m := re.fullmatch(r"A4|A5|K4|([DZ])(\d+)", name)):
         raise InputError(f"unknown group {args.group!r}; builtins: A4 A5 K4 Dn Zn")
 
@@ -130,7 +133,9 @@ def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]]
             G = (groups.klein_four() if name == "K4"
                  else groups.alternating_group(int(name[1])))
         return G, name
-    return name, build_builtin
+    # An, Dn come with their presentation, an fp.Presentation
+    return name, build_builtin, ((fp, groups, perms) if name[0] in "AD"
+                                 else (groups, perms))
 
 
 def check_coverable(G: groups.FiniteGroup, p: int) -> None:
@@ -316,7 +321,8 @@ def _write_dump(fh, group: groups.FiniteGroup, orbits: list) -> None:
     fh.write("\n]\n" if orbits else "\n")
 
 
-def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
+def _cached(args, job: dict, compute, modules: tuple,
+            verdict: str | None = None) -> int:
     """Run the job `job` (the command and its arguments, with the input
     file's digest; the cache key adds VERSION) through the cache.  The key
     is looked up before anything is built.
@@ -328,10 +334,11 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
     needs it, publishes the report (_emit) and returns (exit code, names of
     its files); the entry is written only when the exit code is 0, so an
     input that compute refuses never has an entry, and a failed cache write
-    is a warning.  A miss loads every analysis module first, so none is
-    compiled while a level is alive.  Either way the report files of
-    earlier jobs are then removed from --report, and the report file
-    `verdict`, if given, is printed as one line of JSON."""
+    is a warning.  A miss first loads numpy and `modules`, the analysis
+    modules compute runs, and no other, so none is compiled while a level
+    is alive.  Either way the report files of earlier jobs are then removed
+    from --report, and the report file `verdict`, if given, is printed as
+    one line of JSON."""
     report_dir = Path(args.report)
     cache_dir = None if args.no_cache else (
         Path(args.cache) if args.cache else cache_mod.default_cache_dir())
@@ -348,7 +355,7 @@ def _cached(args, job: dict, compute, verdict: str | None = None) -> int:
         _print(f"cache hit {key[:12]} -> {report_dir}")
         rc = 0
     else:
-        for module in ANALYSIS_MODULES:
+        for module in (np, *modules):
             module.__name__             # any attribute read loads a lazy module
         rc, names = compute(report_dir)
         if cache_dir is not None and rc == 0:
@@ -386,11 +393,11 @@ def _level_job(args, build_group, labels: list[str]):
 
 
 def cmd_level(args) -> int:
-    gkey, build_group = group_input(args)
+    gkey, build_group, source = group_input(args)
     labels = [s.strip() for s in args.classes.split(",")]
     return _cached(args, {"cmd": "level", "group": gkey, "classes": labels,
                           "p": args.p, "k": args.k},
-                   _level_job(args, build_group, labels))
+                   _level_job(args, build_group, labels), LEVEL_MODULES + source)
 
 
 def cmd_dihedral(args) -> int:
@@ -400,7 +407,7 @@ def cmd_dihedral(args) -> int:
         raise InputError("dihedral tower needs an odd prime")
     return _cached(args, {"cmd": "dihedral", "p": args.p, "k": args.k},
                    _level_job(args, lambda: (groups.dihedral_group(args.p), f"D{args.p}"),
-                              ["2A"] * 4))
+                              ["2A"] * 4), LEVEL_MODULES)
 
 
 def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
@@ -443,7 +450,7 @@ def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
 
 
 def cmd_schur(args) -> int:
-    gkey, build_group = group_input(args)
+    gkey, build_group, source = group_input(args)
 
     def compute(report_dir):
         G, gdesc = build_group()
@@ -455,11 +462,11 @@ def cmd_schur(args) -> int:
         return 0, names
 
     return _cached(args, {"cmd": "schur", "group": gkey, "p": args.p,
-                          "k": args.k}, compute)
+                          "k": args.k}, compute, COVER_MODULES + (schur,) + source)
 
 
 def cmd_gcomplete(args) -> int:
-    gkey, build_group = group_input(args)
+    gkey, build_group, source = group_input(args)
     labels = ([lab.strip() for lab in args.classes.split(",")]
               if args.classes else None)
 
@@ -476,11 +483,12 @@ def cmd_gcomplete(args) -> int:
         return 0, _emit({"gcomplete.json": out}, report_dir)
 
     return _cached(args, {"cmd": "gcomplete", "group": gkey, "classes": labels,
-                          "p": args.p}, compute, verdict="gcomplete.json")
+                          "p": args.p}, compute, (gcomplete,) + source,
+                   verdict="gcomplete.json")
 
 
 def cmd_frattini_verify(args) -> int:
-    gkey, build_group = group_input(args)
+    gkey, build_group, source = group_input(args)
 
     def compute(report_dir):
         G, gdesc = build_group()
@@ -504,7 +512,7 @@ def cmd_frattini_verify(args) -> int:
         return (0 if rep.ok and frat else 4), _emit({"frattini.json": out}, report_dir)
 
     return _cached(args, {"cmd": "frattini-verify", "group": gkey, "p": args.p},
-                   compute, verdict="frattini.json")
+                   compute, COVER_MODULES + source, verdict="frattini.json")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -520,9 +528,10 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget-cosets", type=int, default=1 << 18)
 
     def group_source(sp):
-        sp.add_argument("--group", help="builtin name (A4, A5, K4, Dn, Zn)")
-        sp.add_argument("--group-file", help="permutation list file")
-        sp.add_argument("--presentation-file", help="presentation file")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--group", help="builtin name (A4, A5, K4, Dn, Zn)")
+        source.add_argument("--group-file", help="permutation list file")
+        source.add_argument("--presentation-file", help="presentation file")
 
     def classes(sp):
         sp.add_argument("--classes", help="comma list of class labels, e.g. 3A,3A,3A,3A")

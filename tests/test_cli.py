@@ -399,9 +399,6 @@ def test_numpy_imported_first_is_used_as_is():
 # is in sys.modules, but its type is LazyLoader's module subclass.
 EXECUTED = ("[n for n, m in sorted(sys.modules.items()) "
             "if n.startswith('mtower.') and type(m) is types.ModuleType]")
-ANALYSIS = ["mtower.fp", "mtower.frattini", "mtower.gcomplete", "mtower.gmodules",
-            "mtower.groups", "mtower.hurwitz", "mtower.linalg", "mtower.nielsen",
-            "mtower.perms", "mtower.schur"]
 
 
 def test_lazy_analysis_modules_import_as_usual():
@@ -429,16 +426,59 @@ def test_warm_replay_does_not_load_numpy(args, tmp_path):
     assert _report(tmp_path / "warm") == _report(tmp_path / "cold")
 
 
-def test_cold_miss_loads_every_analysis_module(tmp_path):
-    """A miss loads the analysis modules before it builds anything, even
-    those its job does not call, so none compiles while a level is alive."""
-    out = run_child("import sys, types; from mtower.cli import main\n"
-                    "assert main(sys.argv[1:]) == 0\n"
-                    f"print({EXECUTED})",
-                    *D5_LEVEL0, "--cache", str(tmp_path / "cache"),
+COVER = ["fp", "frattini", "gmodules", "groups", "linalg", "perms"]
+LEVEL = COVER + ["hurwitz", "nielsen"]
+# job -> (arguments, {tmp} standing for the test's directory; the analysis
+# modules its cold miss runs); the gcomplete jobs differ in their group source
+COLD_JOBS = {
+    "level": (["level", "--group", "D5", "--classes", "2A,2A,2A,2A", "--p", "5",
+               "--k", "0"], LEVEL),
+    "dihedral": (["dihedral", "--p", "5", "--k", "0"], LEVEL),
+    "schur": (["schur", "--group", "A4", "--p", "2", "--k", "1"], COVER + ["schur"]),
+    "frattini-verify": (["frattini-verify", "--group", "A4", "--p", "2"], COVER),
+    "gcomplete": (["gcomplete", "--group", "K4", "--p", "2"],
+                  ["gcomplete", "groups", "perms"]),
+    "gcomplete-builtin-presented": (["gcomplete", "--group", "A5", "--p", "2"],
+                                    ["fp", "gcomplete", "groups", "perms"]),
+    "gcomplete-group-file": (["gcomplete", "--group-file", str(DATA / "sl2_11.txt"),
+                              "--classes", "3A,5A", "--p", "11"],
+                             ["gcomplete", "groups", "perms"]),
+    "gcomplete-presentation-file": (["gcomplete", "--presentation-file",
+                                     "{tmp}/a5.pres", "--p", "2"],
+                                    ["fp", "gcomplete", "groups", "perms"]),
+}
+# Runs the job with `compute` checked: numpy and every mtower module it
+# runs have executed before it starts, and it executes no more of them
+CHECKED_COMPUTE = f"""import sys, types
+from mtower import cli
+def executed():
+    return {EXECUTED}
+def cached(args, job, compute, *rest, **kwargs):
+    def checked(report_dir):
+        before = executed()
+        assert 'numpy._core' in sys.modules
+        result = compute(report_dir)
+        assert executed() == before, (before, executed())
+        return result
+    return run(args, job, checked, *rest, **kwargs)
+run, cli._cached = cli._cached, cached
+assert cli.main(sys.argv[1:]) == 0
+print(executed())"""
+
+
+@pytest.mark.parametrize("job", COLD_JOBS)
+def test_cold_miss_loads_only_the_modules_it_runs(tmp_path, job):
+    """A miss loads numpy and the modules its command and group source
+    declare before compute, so none is compiled while a level is alive, and
+    it loads no analysis module the job does not call."""
+    args, modules = COLD_JOBS[job]
+    (tmp_path / "a5.pres").write_text("gens: a b\na^2\nb^3\n(a*b)^5\n")
+    out = run_child(CHECKED_COMPUTE, *(a.format(tmp=tmp_path) for a in args),
+                    "--cache", str(tmp_path / "cache"),
                     "--report", str(tmp_path / "cold"))
-    assert out.splitlines()[-1] == str(
-        sorted(["mtower.cache", "mtower.cli", "mtower.errors", *ANALYSIS]))
+    assert out.splitlines()[-1] == str(sorted(
+        ["mtower.cache", "mtower.cli", "mtower.errors",
+         *(f"mtower.{m}" for m in modules)]))
 
 
 def test_cache_keys_of_builtin_jobs_are_stable(tmp_path):
@@ -531,6 +571,25 @@ def test_k_refused_where_unread(tmp_path, args):
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["level", "--group", "A5", "--group-file", str(DATA / "sl2_11.txt"),
+      "--classes", "3A,3A,3A,3A", "--p", "2"],
+     "argument --group-file: not allowed with argument --group"),
+    (["gcomplete", "--p", "5"],
+     "one of the arguments --group --group-file --presentation-file is required"),
+], ids=["two-sources", "no-source"])
+def test_group_source_is_one_and_required(tmp_path, capsys, monkeypatch, args,
+                                          message):
+    """A job names exactly one of --group, --group-file and
+    --presentation-file: argparse refuses two or none before any work."""
+    monkeypatch.setattr(cli, "_cached", lambda *a, **k: pytest.fail("the job ran"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args, tmp_path)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, bound", [
