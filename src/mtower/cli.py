@@ -54,17 +54,22 @@ schur = _lazy_module("mtower.schur")
 COVER_MODULES = (fp, frattini, gmodules, groups, la, perms)
 LEVEL_MODULES = COVER_MODULES + (hurwitz, nielsen)
 
-VERSION = 3
+VERSION = 4
 _DUMP_CHARS = 1 << 20       # orbit-dump text formatted per block, at most
 
 
 def label_classes(G: groups.FiniteGroup) -> list[str]:
+    """Element order, then place among that order's classes: A..Z, AA, AB, ..."""
     labels = []
     seen: dict[int, int] = {}
     for cl in G.conjugacy_classes():
         n = seen.get(cl.element_order, 0)
         seen[cl.element_order] = n + 1
-        labels.append(f"{cl.element_order}{chr(ord('A') + n)}")
+        letters = ""
+        while n >= 0:
+            n, r = divmod(n, 26)
+            letters, n = chr(ord("A") + r) + letters, n - 1
+        labels.append(f"{cl.element_order}{letters}")
     return labels
 
 
@@ -133,9 +138,7 @@ def group_input(args) -> tuple[str, Callable[[], tuple[groups.FiniteGroup, str]]
             G = (groups.klein_four() if name == "K4"
                  else groups.alternating_group(int(name[1])))
         return G, name
-    # An, Dn come with their presentation, an fp.Presentation
-    return name, build_builtin, ((fp, groups, perms) if name[0] in "AD"
-                                 else (groups, perms))
+    return name, build_builtin, (groups, perms)
 
 
 def check_coverable(G: groups.FiniteGroup, p: int) -> None:
@@ -165,10 +168,8 @@ def build_level_model(G: groups.FiniteGroup, p: int):
     """(one cover level over G, route chosen by structure: dihedral closed
     form, split construction, or the general case from the Frattini module;
     the split map of its base model onto G, or None).  The split route keeps
-    its own base model G0, whose total carries a small generator-aligned
-    presentation (the H^2 solve of the Schur analysis reads it), and maps
-    it onto G by the split map (split_structure); the other routes build
-    over G itself."""
+    its own base model G0 and maps it onto G by the split map
+    (split_structure); the other routes build over G itself."""
     if _takes_dihedral_form(G, p):
         return frattini.dihedral_step(G, p), None
     data = frattini.split_structure(G, p)

@@ -78,7 +78,7 @@ class ActionLiftFailed(MTError):
 
 
 class Collapse(MTError):
-    """An extension presentation closed at a smaller order than required."""
+    """A product closed below its expected order, or tails no extension has."""
 
 
 class NoAlpha(MTError):

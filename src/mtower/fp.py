@@ -1,4 +1,5 @@
-"""Finitely presented groups: free words and HLT coset enumeration.
+"""Finitely presented groups: free words, presentations peeled off a finite
+group's Cayley graph (peel_presentation), and HLT coset enumeration.
 
 Free words are tuples of nonzero ints: letter +-(i+1) stands for generator i
 or its inverse.  Words multiply left to right, consistent with perms.py.
@@ -35,16 +36,6 @@ def invert_word(word) -> tuple[int, ...]:
     return tuple(-x for x in reversed(word))
 
 
-def word_pow(word, e: int) -> tuple[int, ...]:
-    if e < 0:
-        return word_pow(invert_word(word), -e)
-    return tuple(word) * e
-
-
-def commutator_word(u, v) -> tuple[int, ...]:
-    return free_reduce(invert_word(u) + invert_word(v) + tuple(u) + tuple(v))
-
-
 @dataclass(frozen=True)
 class Presentation:
     ngens: int
@@ -56,6 +47,80 @@ class Presentation:
                 raise InputError(f"relator not freely reduced: {r}")
             if any(abs(x) > self.ngens or x == 0 for x in r):
                 raise InputError(f"letter out of range in relator: {r}")
+
+
+def peel_presentation(G: FiniteGroup) -> Presentation:
+    """A presentation of G on its generators, certified by construction
+    (Reidemeister-Schreier; Cannon, Discrete Math. 5, 1973).
+
+    ker(F -> G) is free on the Schreier generators y_e, one per non-tree
+    edge e of G's Cayley graph (G.nontree_edges).  A relator read from a
+    vertex, its translate, is a closed walk and so a product of y_e^(+-1)
+    in the normal closure N of the relators: when it crosses one edge not
+    yet known to lie in N once and every other edge is known, that edge
+    lies in N too.  The candidates are the fundamental cycles, read from
+    the lowest common ancestor of their edge's ends in the BFS tree (so
+    cyclically reduced) and ranked by (length, edge number); one is kept
+    only while its own edge is unknown.  Each kept relator is walked from
+    every vertex at once; a translate keeps the count of its crossings of
+    unknown edges and the sum of their numbers, so at count 1 the sum names
+    the edge (as la.sparse_nullspace peels its rows).  Each round of newly
+    known edges is taken off the translates that cross them, found by the
+    letters on the edges' generators.  When every edge is known,
+    N = ker(F -> G) and <X | S> presents G; no coset is enumerated.
+    """
+    src, gen = np.nonzero(G.nontree_edges >= 0)      # edge number order
+    dst = G.gen_cols[gen, src]
+    parent, pgen = np.array(G._parents, dtype=np.int64).T
+    depth = np.zeros(G.order, dtype=np.int64)
+    for lo, hi, up, _ in G.bfs_blocks(1):
+        depth[lo:hi] = depth[up] + 1
+    a, b = src.copy(), dst.copy()          # climbed to their common ancestor
+    while (apart := a != b).any():
+        up_a, up_b = apart & (depth[a] >= depth[b]), apart & (depth[b] >= depth[a])
+        a[up_a], b[up_b] = parent[a[up_a]], parent[b[up_b]]
+    rank = np.argsort(depth[src] + depth[dst] - 2 * depth[a], kind="stable")
+
+    def cycle(e: int) -> tuple[int, ...]:
+        down, back = [], []
+        for v, path, sign in ((src[e], down, 1), (dst[e], back, -1)):
+            while v != a[e]:
+                path.append(sign * (int(pgen[v]) + 1))
+                v = parent[v]
+        return tuple(down[::-1]) + (int(gen[e]) + 1,) + tuple(back)
+
+    known = np.zeros(len(src), dtype=bool)
+    count = sums = letter_gen = np.zeros(0, dtype=np.int64)
+    start = np.zeros((0, G.order), dtype=np.intp)
+    relators, pos, vertices = [], 0, np.arange(G.order)
+    while (rest := np.flatnonzero(~known[rank[pos:]])).size:
+        pos += int(rest[0])
+        relators.append(cycle(rank[pos]))
+        edges, tails, end = G.walk(relators[-1], vertices)
+        assert (end == vertices).all(), "fundamental cycle does not close"
+        unknown = (edges >= 0) & ~known[edges]
+        hit = len(count) + vertices
+        count = np.concatenate([count, unknown.sum(axis=0)])
+        sums = np.concatenate([sums, np.where(unknown, edges, 0).sum(axis=0)])
+        # start[j, g]: the translate whose letter j leaves from vertex g
+        rows = len(letter_gen) + len(tails)
+        if rows > len(start):                             # grown by doubling
+            start = np.concatenate([start, np.empty((rows, G.order), dtype=np.intp)])
+        np.put_along_axis(start[len(letter_gen):rows], tails, hit[None], axis=1)
+        letter_gen = np.concatenate([letter_gen, np.abs(relators[-1]) - 1])
+        by_gen = np.argsort(letter_gen, kind="stable")
+        bounds = np.searchsorted(letter_gen[by_gen], np.arange(len(G.gen_cols) + 1))
+        # a plain np.unique would import numpy.ma
+        while (named := np.sort(sums[hit[count[hit] == 1]])).size:
+            named = named[np.diff(named, prepend=-1) != 0]
+            known[named] = True
+            lo, hi = bounds[gen[named]], bounds[gen[named] + 1]
+            k = np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+            named = np.repeat(named, hi - lo)
+            hit = start[by_gen[k + np.arange(len(k))], src[named]]
+            np.subtract.at(count, hit, 1)
+            np.subtract.at(sums, hit, named)
+    return Presentation(G.gen_cols.shape[0], tuple(relators))
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -1,14 +1,14 @@
 """Characteristic p-Frattini levels: dihedral closed form, split towers by
 iterated Frattini quotients of a free group, and the general case from
-H^2(G, M), read off one F_p linear solve for the kernel labels on the edges
-of G's Cayley graph and the relator tails (_cocycle_space); the same solve
-builds the extension of any class, the split case's P1 among them, so
-nothing here enumerates cosets.  Against the trivial module the solve gives
-the Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).  The
-solve is sparse (linalg.sparse_nullspace).  The solve, an extension's section
-tables and a pair model each predict their memory first, and raise TooLarge
-past MEMORY_CEILING; a pair model is refused past PAIR_MODEL_LIMIT elements
-too.
+H^2(G, M), read off one sparse F_p linear solve (_cocycle_space,
+linalg.sparse_nullspace) for the kernel labels on the edges of G's Cayley
+graph and the tails of the relators that G's peel gives (G.presentation).
+The same solve builds the extension of any class, the split case's P1
+among them, so nothing here enumerates cosets.  Against the trivial module
+it gives the Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).
+The solve, an extension's section tables and a pair model each predict
+their memory first, and raise TooLarge past MEMORY_CEILING; a pair model is
+refused past PAIR_MODEL_LIMIT elements too.
 
 Levels are constructed by structure, not by search.  A split group is read
 as its model P0 x| H along the split map (split_structure), and the general
@@ -32,7 +32,7 @@ The split case builds every group from its product as well: P0 = (Z/p)^d
 translates the base-p codes of its vectors; P1 = F / Phi(Phi(F)) is the
 pair model of P0's relation module, whose coordinates are exponent sums
 along Reidemeister-Schreier walks on P0's Cayley graph (_schreier_basis,
-numbering the non-tree edges as _cocycle_space does); and G0 = P0 x| H and
+on the non-tree edges that G.nontree_edges numbers); and G0 = P0 x| H and
 G1 = P1 x| H act on the codes h |P| + u, with the automorphisms of P by the
 powers of H's generator stored as one (|H|, |P|) array.  The split level's
 proj, section, kernel and module matrices are read off those codes, and the
@@ -50,8 +50,7 @@ from . import np
 from . import linalg as la
 from .errors import (ActionLiftFailed, Collapse, IncompatibleLevels, InputError,
                      NotPPrime, OrderExceeded, TooLarge)
-from .fp import (Presentation, commutator_word, free_reduce, invert_word,
-                 word_pow)
+from .fp import Presentation, free_reduce, invert_word
 from .gmodules import (GModule, indecomposable_summands, induce,
                        submodule_module, trivial_module)
 from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, cyclic_group,
@@ -291,7 +290,6 @@ def dihedral_step(base: FiniteGroup, p: int) -> FrattiniLevel:
 class SplitTower:
     level: FrattiniLevel             # G1 -> G0
     h_lift_images: list[int]         # chosen images of the P1 generators under h
-    p1_presentation: Presentation    # on the d free generators
     g0: FiniteGroup
     g1: FiniteGroup
 
@@ -350,20 +348,12 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray]) -> Spl
 
     # P0 translates the base-p codes of F_p^d; generator i = e_i
     P0 = _vector_group(d, p)
-    P0.presentation = Presentation(d, tuple(
-        [word_pow((i + 1,), p) for i in range(d)] +
-        [commutator_word((i + 1,), (j + 1,)) for i in range(d) for j in range(i + 1, d)]))
-    x_words, sgens, coords = _schreier_basis(P0, p)
+    sgens, coords = _schreier_basis(P0, p)
     M0 = GModule(P0, p, [np.stack([coords((-(i + 1),) + s + (i + 1,)) for s in sgens])
                          for i in range(d)], check=False)
     tails = np.stack([coords(r) for r in P0.presentation.relators])
     L1 = build_extension(P0.presentation, M0, tails, name="P1")
     P1 = L1.total
-    p1_rels = []
-    for i, s in enumerate(sgens):
-        p1_rels.append(free_reduce(word_pow(s, p)))
-        p1_rels += [w for t in sgens[i + 1:] if (w := commutator_word(s, t))]
-    P1_pres = Presentation(d, tuple(p1_rels))
 
     # lift the H generator: images of the P1 generators over (e_i) A_h
     cand_lists = [sorted(L1.lifts(int(P0._at_code[la.vec_int(A_h[i], p)])))
@@ -391,23 +381,12 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray]) -> Spl
     s = section[G0.gen_indices][:, None]
     basis = G1.mul_many(G1.mul_many(G1.inv[s], [kernel[p ** j] for j in range(m)]), s)
     gen_mats = list(_kernel_coords_table(G1.order, kernel, p, m)[basis])
-    # h^-1 x_i h = the BFS word x_1^a_1 ... x_d^a_d of (a_j) = (e_i) A_h
-    _attach_split_presentation(G0, P0.presentation.relators, [
-        x_words[P0._at_code[la.vec_int(row, p)]] for row in A_h], h_order)
     M = GModule(G0, p, gen_mats)
     psi = extract_cocycle(G1, G0, section, kernel, p, m)
     lvl = FrattiniLevel(G1, G0, p, proj, section, kernel, M, psi,
                         name=f"split d={d} p={p}")
     _check_level(lvl)
-    # alpha(x_i) in P1's normal form: the BFS word of its P0 part, then the
-    # Schreier generators to the digits of its kernel part
-    alpha_words = []
-    for e in alpha_images:
-        g, v = divmod(int(P1.codes[e]), p ** m)
-        alpha_words.append(x_words[g] + sum((word_pow(sj, v // p ** j % p)
-                                             for j, sj in enumerate(sgens)), ()))
-    _attach_split_presentation(G1, P1_pres.relators, alpha_words, h_order)
-    return SplitTower(lvl, alpha_images, P1_pres, G0, G1)
+    return SplitTower(lvl, alpha_images, G0, G1)
 
 
 def _vector_group(d: int, p: int) -> FiniteGroup:
@@ -436,88 +415,34 @@ def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
     return None
 
 
-def _attach_split_presentation(G: FiniteGroup, rels, images, h_order: int) -> None:
-    """Generators x_1..x_d, h: the relators `rels` of the x_i, h^h_order,
-    and h^-1 x_i h = images[i], a word in the x_i."""
-    d = len(images)
-    rels = list(rels) + [word_pow((d + 1,), h_order)]
-    rels += [free_reduce((-(d + 1), i + 1, d + 1) + invert_word(w))
-             for i, w in enumerate(images)]
-    G.presentation = Presentation(d + 1, tuple(r for r in rels if r))
-
-
 # -- H^2 and extensions: one linear solve over the Cayley graph ----------------
 
 
-def extension_presentation(P: Presentation, M: GModule,
-                           tails: np.ndarray) -> Presentation:
-    """Generators x_1..x_d, z_1..z_m; relators carry the given tails."""
-    d, m, p = P.ngens, M.dim, M.p
-    rels: list[tuple[int, ...]] = []
-    for i, r in enumerate(P.relators):
-        tail: list[int] = []
-        for j in range(m):
-            tail.extend([-(d + j + 1)] * int(tails[i, j]))
-        rels.append(free_reduce(tuple(r) + tuple(tail)))
-    for j in range(m):
-        rels.append(word_pow((d + j + 1,), p))
-        for k in range(j + 1, m):
-            rels.append(commutator_word((d + j + 1,), (d + k + 1,)))
-    for i in range(d):
-        A = M.mats[i]
-        for j in range(m):
-            img: list[int] = []
-            for k in range(m):
-                img.extend([d + k + 1] * int(A[j, k]))
-            rels.append(free_reduce(
-                (-(i + 1), d + j + 1, i + 1) + invert_word(tuple(img))))
-    return Presentation(d + m, tuple(r for r in rels if r))
-
-
-def _nontree_edges(G: FiniteGroup) -> np.ndarray:
-    """The (|G|, d) array that numbers the non-tree edges g -> g x_i of G's
-    Cayley graph in order of (g, i), -1 on the edges of the BFS tree
-    (G._parents)."""
-    col = np.zeros((G.order, len(G.gen_cols)), dtype=np.int64)
-    parent, gi = np.array(G._parents[1:], dtype=np.int64).reshape(-1, 2).T
-    col[parent, gi] = -1
-    col[col == 0] = np.arange(np.count_nonzero(col == 0))
-    return col
-
-
 def _schreier_basis(G: FiniteGroup, p: int):
-    """(BFS words w, Schreier generators, coordinates) of the relation module
-    of the free group F on G's generators: ker(F -> G) modulo its p-th
-    powers and commutators.
+    """(Schreier generators, coordinates) of the relation module of the
+    free group F on G's generators: ker(F -> G) modulo its p-th powers and
+    commutators.
 
     Generator k is w(g) x_i w(g x_i)^-1 for the k-th non-tree edge g -> g x_i
-    (_nontree_edges), w(g) the BFS word of g.  coords(word), for a word of the
-    kernel, is its vector of exponent sums mod p along the
-    Reidemeister-Schreier walk from the identity: +1 for each non-tree edge
-    crossed forwards, -1 backwards; AssertionError unless the walk ends at
-    the identity.
+    (G.nontree_edges), w(g) the BFS word of g.  coords(word), for a word of
+    the kernel, is its vector of exponent sums mod p along the
+    Reidemeister-Schreier walk from the identity (G.walk): +1 for each
+    non-tree edge crossed forwards, -1 backwards; AssertionError unless the
+    walk ends at the identity.
     """
-    col, right = _nontree_edges(G), G.gen_cols
-    left = [np.argsort(r) for r in right]
     w = [tuple(g + 1 for g in word) for word in G.words]
-    sgens = [free_reduce(w[g] + (i + 1,) + invert_word(w[right[i][g]]))
-             for g, i in np.argwhere(col >= 0).tolist()]
+    sgens = [free_reduce(w[g] + (i + 1,) + invert_word(w[G.gen_cols[i][g]]))
+             for g, i in np.argwhere(G.nontree_edges >= 0).tolist()]
 
     def coords(word) -> np.ndarray:
-        v, at = np.zeros(len(sgens), dtype=np.int64), 0
-        for letter in word:
-            i = abs(letter) - 1
-            if letter > 0:
-                k, at = col[at, i], right[i][at]
-            else:
-                at = left[i][at]
-                k = col[at, i]
-            if k >= 0:
-                v[k] += 1 if letter > 0 else -1
-        assert at == 0, f"word {word} does not end at the identity"
-        return v % p
+        edges, _, end = G.walk(word, [0])
+        assert end[0] == 0, f"word {word} does not end at the identity"
+        crossed = edges[:, 0] >= 0
+        sums = np.bincount(edges[crossed, 0], weights=np.sign(word)[crossed],
+                           minlength=len(sgens))
+        return sums.astype(np.int64) % p
 
-    return w, sgens, coords
+    return sgens, coords
 
 
 def _cocycle_space(P: Presentation, M: GModule):
@@ -527,15 +452,17 @@ def _cocycle_space(P: Presentation, M: GModule):
     of G's Cayley graph (tree edges, from G._parents, carry label 0),
     followed by the relator tails t in M^s.  Generator x_i acts on pairs by
     (g, v) x_i = (g x_i, v A_i + c(g, i)); the equations say that every
-    relator, read from every vertex, ends at its tail (|G| m rows per
-    relator, all handed to one la.sparse_nullspace as COO triples).
+    relator, read from every vertex (G.walk, as the peel reads it), ends at
+    its tail (|G| m rows per relator, all handed to one
+    la.sparse_nullspace as COO triples).
     Returns the labels and the tails blocks of the basis that la.nullspace
     gives for that system, the (|G|, d) array of label indices (-1 on tree
     edges), and the rref (rows, pivots) of the coboundary tails: lifting
     x_i by v moves relator r's tail by v times the sum of the letter
     matrices K over the letters x_i^(+-1) of r (the Fox derivative), one
-    row per (i, basis vector), the same walk as the solve's.  Raises TooLarge, before any work, when the solve's predicted
-    memory passes MEMORY_CEILING.
+    row per (i, basis vector), the same walk as the solve's.  Raises
+    TooLarge, before any work, when the solve's predicted memory passes
+    MEMORY_CEILING.
     """
     G, p, m, n, s = M.group, M.p, M.dim, M.group.order, len(P.relators)
     nl = (n * (P.ngens - 1) + 1) * m
@@ -543,10 +470,8 @@ def _cocycle_space(P: Presentation, M: GModule):
     entries = n * m * sum(len(r) * m + 1 for r in P.relators)
     _check_memory("H^2 solve", f"{ncols:,} unknowns",
                   la.sparse_nullspace_bytes(ncols, entries, p))
-    right = G.gen_cols                             # g -> g x_i
-    left = [np.argsort(r) for r in right]          # g -> g x_i^-1
     inv_mats = [M._invert(A) for A in M.mats]
-    col = _nontree_edges(G)
+    col = G.nontree_edges
     cob = np.zeros((P.ngens, m, s, m), dtype=np.int64)
     eq, unk, val = [], [], []
     for ri, rel in enumerate(P.relators):
@@ -565,21 +490,15 @@ def _cocycle_space(P: Presentation, M: GModule):
             else:
                 suffix = la.matmul(inv_mats[-letter - 1], suffix, p)
                 coeffs.append(-suffix)
-        at = np.arange(n)
-        for letter, K in zip(rel, reversed(coeffs)):
-            i = abs(letter) - 1
-            cob[i, :, ri] += K
-            if letter > 0:
-                blk, at = col[at, i], right[i][at]
-            else:
-                at = left[i][at]
-                blk = col[at, i]
+        edges, _, end = G.walk(rel, np.arange(n))
+        assert (end == np.arange(n)).all(), f"relator {ri} does not hold in the group"
+        for letter, K, blk in zip(rel, reversed(coeffs), edges):
+            cob[abs(letter) - 1, :, ri] += K
             g = np.nonzero(blk >= 0)[0]
             a, b = np.nonzero(K)
             eq.append(base + (g[:, None] * m + b).ravel())
             unk.append((blk[g][:, None] * m + a).ravel())
             val.append(np.tile(K[a, b], len(g)))
-        assert (at == np.arange(n)).all(), f"relator {ri} does not hold in the group"
     sol = la.sparse_nullspace(*map(np.concatenate, (eq, unk, val)), s * n * m, ncols, p)
     return (sol[:, :nl], sol[:, nl:], col,
             la.rref(cob.reshape(P.ngens * m, s * m), p))
@@ -644,9 +563,7 @@ def _extension(P: Presentation, M: GModule, space, tails: np.ndarray,
         acted = np.matmul(psi[:, parent].transpose(1, 0, 2), mats[i]).transpose(1, 0, 2)
         psi[:, lo:hi] = (acted + c[times[parent].T, i]) % p
     del times
-    lvl = level_from_pair_model(G, M, psi, p, name=name)
-    lvl.total.presentation = extension_presentation(P, M, tails)
-    return lvl
+    return level_from_pair_model(G, M, psi, p, name=name)
 
 
 def schur_covers(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
@@ -934,8 +851,6 @@ def general_level(G: FiniteGroup, p: int) -> GeneralLevel:
     dim M != |P| dim M^P.  G is extended by M along the first nonsplit class
     of H^2(G, M), the one H^2 solve made here.
     """
-    if G.presentation is None:
-        raise InputError("cover stage: base group needs an attached presentation")
     if not is_p_perfect(G, p):
         raise InputError(f"cover stage: base group must be {p}-perfect")
     data = frattini_module(G, p)

@@ -2,8 +2,8 @@
 
 Vectors are rows; g sends v to v @ A_g.  Matrices for arbitrary elements are
 composed along BFS words and cached.  Construction verifies that the
-generator matrices define a genuine action (fully for small groups, against
-the attached presentation otherwise).
+generator matrices define a genuine action: every relator of the group's
+presentation (G.presentation, peeled off its Cayley graph) acts trivially.
 
 Simple subquotients are labeled by a fingerprint (dim, trace vector on the
 p'-conjugacy-class representatives): enough to tell apart the handful of
@@ -20,7 +20,6 @@ from .errors import (DimensionMismatch, InputError, NotASubgroup,
                      NotInvolution, TooLarge)
 from .groups import FiniteGroup
 
-FULL_ACTION_CHECK_LIMIT = 256
 SPIN_DIM_LIMIT = 12
 IDEMPOTENT_SEARCH_LIMIT = 1 << 20      # elements of End(M) tried
 
@@ -44,27 +43,14 @@ class GModule:
         for m in self.mats:
             if la.rank(m, self.p) != self.dim:
                 raise InputError("generator matrix not invertible mod p")
-        G = self.group
-        if G.presentation is not None:
-            for rel in G.presentation.relators:
-                acc = la.identity(self.dim)
-                for letter in rel:
-                    m = self.mats[abs(letter) - 1]
-                    if letter < 0:
-                        m = self._invert(m)
-                    acc = la.matmul(acc, m, self.p)
-                if (acc != la.identity(self.dim)).any():
-                    raise InputError("matrices violate a defining relation")
-        elif G.order <= FULL_ACTION_CHECK_LIMIT:
-            for x in range(G.order):
-                for gi, g in enumerate(G.gen_indices):
-                    lhs = self.mat_of(G.mul(x, g))
-                    rhs = la.matmul(self.mat_of(x), self.mats[gi], self.p)
-                    if (lhs != rhs).any():
-                        raise InputError("matrices do not define an action")
-        else:
-            raise InputError(
-                "large group without presentation: cannot verify action")
+        inverse = [self._invert(m) for m in self.mats]
+        for rel in self.group.presentation.relators:
+            acc = la.identity(self.dim)
+            for letter in rel:
+                mats = self.mats if letter > 0 else inverse
+                acc = la.matmul(acc, mats[abs(letter) - 1], self.p)
+            if (acc != la.identity(self.dim)).any():
+                raise InputError("matrices violate a defining relation")
 
     def _invert(self, m: np.ndarray) -> np.ndarray:
         sol = la.solve_right(m, la.identity(self.dim), self.p)
@@ -382,7 +368,7 @@ def induce(Mprime: GModule, G: FiniteGroup) -> GModule:
             block = Mprime.mat_of(hm)
             big[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
         mats.append(big)
-    return GModule(G, Mprime.p, mats, check=G.order <= FULL_ACTION_CHECK_LIMIT)
+    return GModule(G, Mprime.p, mats)
 
 
 # -- section 2.1 utilities -------------------------------------------------------

@@ -10,12 +10,14 @@ and subgroup_from_indices: only these run the permutation BFS), or from a
 product in closed form on integer codes (from_closed_form: the pair models
 and the split-case models P0 x| H of frattini.py, the order-p^3 models of
 schur.py).  Its BFS records, for every element and generator, the index of
-their product: the generators' right-action columns `gen_cols`.  When the
-order is at most MUL_TABLE_LIMIT the multiplication table is filled from
-those columns, the rows of its transpose a block of a BFS level at a time,
-and turned over in place; the inverses are read off it.  Above that, a
-closed-form group multiplies by its formula and a permutation group
-composes permutations.
+their product: the generators' right-action columns `gen_cols`.  On their
+Cayley graph, numbered non-tree edges (nontree_edges) and walks of a word
+from many elements at once (walk) give the group its presentation, peeled
+on first read (presentation).  When the order is at most MUL_TABLE_LIMIT
+the multiplication table is filled from those columns, the rows of its
+transpose a block of a BFS level at a time, and turned over in place; the
+inverses are read off it.  Above that, a closed-form group multiplies by
+its formula and a permutation group composes permutations.
 
 Conjugacy classes are the orbits of one batch of the conjugates of every
 element by every generator, labelled by min-label propagation.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 
 from . import np
@@ -69,7 +71,6 @@ class FiniteGroup:
         self.degree = degree
         self.name = name
         self.gen_arrays = [g.as_array() for g in gens]
-        self.presentation = None  # optionally attached by builders
 
         # each element is kept once, as the bytes of its int32 images that
         # key the index; the table of all elements is joined from them.
@@ -124,7 +125,7 @@ class FiniteGroup:
         parents = [(-1, -1)]
         for _, up, gi in levels:
             parents += zip(G._at_code[up].tolist(), gi.tolist())
-        G.degree, G.name, G.presentation = degree, name, None
+        G.degree, G.name = degree, name
         G.gen_arrays = list(code_cols.astype(np.int32))
         G.code_mul, G._elements, G._index = code_mul, None, None
         G._finish(parents, G._at_code[code_cols[:, G.codes]])
@@ -221,6 +222,47 @@ class FiniteGroup:
                     orders[y] *= q
                     z = self.power(z, q)
         return orders, inv
+
+    @cached_property
+    def presentation(self):
+        """An fp.Presentation of G on its generators, peeled off its Cayley
+        graph on first read (fp.peel_presentation).  A presentation file's
+        relators are assigned over it."""
+        from .fp import peel_presentation      # fp imports this module
+        return peel_presentation(self)
+
+    @cached_property
+    def nontree_edges(self) -> np.ndarray:
+        """The (|G|, d) array that numbers the non-tree edges g -> g x_i of
+        G's Cayley graph in order of (g, i), -1 on the edges of the BFS
+        tree (_parents)."""
+        col = np.zeros((self.order, len(self.gen_cols)), dtype=np.int64)
+        parent, gi = np.array(self._parents[1:], dtype=np.int64).reshape(-1, 2).T
+        col[parent, gi] = -1
+        col[col == 0] = np.arange(np.count_nonzero(col == 0))
+        return col
+
+    def walk(self, word, start) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Walk the word (letters +-(i+1)) on the Cayley graph from each
+        element of `start` at once: (edges, tails, end).  Letter j crosses
+        the edge g -> g x_i (backwards for an inverse letter) at the
+        vertices g = tails[j], and edges[j] is its nontree_edges number (-1
+        on a tree edge); `end` is where each walk ends."""
+        at = np.asarray(start)
+        tails = np.empty((len(word), at.size), dtype=np.intp)
+        for j, letter in enumerate(word):
+            i = abs(letter) - 1
+            if letter > 0:
+                tails[j], at = at, self.gen_cols[i][at]
+            else:
+                at = tails[j] = self._back_cols[i][at]
+        gens = np.abs(np.asarray(word, dtype=np.intp)) - 1
+        return self.nontree_edges[tails, gens[:, None]], tails, at
+
+    @cached_property
+    def _back_cols(self) -> np.ndarray:
+        """_back_cols[i, x] = x g_i^-1, the inverse of each gen_cols row."""
+        return np.argsort(self.gen_cols, axis=1)
 
     @property
     def words(self) -> list[tuple[int, ...]]:
@@ -634,29 +676,19 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise InputError("dihedral needs n >= 3")
     rot = Perm(tuple((i + 1) % n for i in range(n)))
     ref = Perm(tuple((-i) % n for i in range(n)))
-    G = FiniteGroup([rot, ref], name=f"D{n}")
-    from .fp import Presentation  # local import to avoid a cycle
-
-    G.presentation = Presentation(2, ((1,) * n, (2, 2), (1, 2, 1, 2)))
-    return G
+    return FiniteGroup([rot, ref], name=f"D{n}")
 
 
 @lru_cache(maxsize=None)
 def alternating_group(n: int) -> FiniteGroup:
-    """A_4 or A_5 on generators a, b with the presentation
-    <a, b | a^2, b^3, (ab)^k>, k = 3 or 5: the first pair (by element index
-    in A_n) with orders 2 and 3 that generates and whose product has order
-    k, found once by the search in tests/group_oracle.py."""
+    """A_4 or A_5 on generators a, b of orders 2 and 3 whose product has
+    order 3 or 5: the first such generating pair (by element index in A_n),
+    found once by the search in tests/group_oracle.py."""
     if n not in (4, 5):
         raise InputError("only A4 and A5 are built in")
-    k = 3 if n == 4 else 5
     a = Perm.from_cycles([[0, 2], [1, 3]] if n == 4 else [[0, 4], [2, 3]], n)
     b = Perm.from_cycles([[0, 1, 2]], n)
-    G = FiniteGroup([a, b], name=f"A{n}")
-    from .fp import Presentation
-
-    G.presentation = Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * k))
-    return G
+    return FiniteGroup([a, b], name=f"A{n}")
 
 
 def special_linear_2(p: int) -> FiniteGroup:

@@ -127,6 +127,7 @@ def sparse_nullspace(eq, unk, val, nrows: int, ncols: int, p: int) -> np.ndarray
     acc = [0] * nrows if p == 2 else [{} for _ in range(nrows)]
     expr: list = [None] * ncols                   # unknown -> vector over symbols
     cons: dict = {}                               # lowest symbol -> constraint, 1 there
+    taken: set = set()                            # the p = 2 constraints met so far
     live, nsym, two = sum(map(bool, count)), 0, p == 2
 
     def settle(r: int) -> int | None:
@@ -160,7 +161,9 @@ def sparse_nullspace(eq, unk, val, nrows: int, ncols: int, p: int) -> np.ndarray
                     stack.append(w)
                 elif c == 1:
                     live -= 1
-                    if acc[r]:
+                    if acc[r] and (not two or acc[r] not in taken):
+                        if two:
+                            taken.add(acc[r])
                         _constrain(cons, acc[r], p)
 
     def symbol():

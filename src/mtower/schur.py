@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from . import np
 from . import linalg as la
-from .errors import (IncompatibleLevels, InputError, NoAlpha, NotPPerfect,
-                     RankDeficient)
+from .errors import IncompatibleLevels, NoAlpha, NotPPerfect, RankDeficient
 from .frattini import FrattiniLevel, _digits, find_cover_map, schur_covers
 from .groups import FiniteGroup, is_p_perfect, search_images, unique_rows
 
@@ -38,8 +37,6 @@ class VDSet:
 def enumerate_schur_quotients(G: FiniteGroup, p: int) -> list[FrattiniLevel]:
     """All Z/p Schur quotients of G (central Z/p Frattini extensions), one
     per line of H^2(G, F_p), in H^2 class order."""
-    if G.presentation is None:
-        raise InputError("Schur stage: group needs an attached presentation")
     if not is_p_perfect(G, p):
         raise NotPPerfect(f"Schur stage: group admits a Z/{p} quotient")
     out = schur_covers(G, p)

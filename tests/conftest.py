@@ -104,7 +104,7 @@ def dihedral_pair():
 def g1a4_schur(a4_tower):
     from mtower import linalg as la
     from mtower.gmodules import radical
-    from mtower.schur import enumerate_schur_quotients
+    from mtower.schur import abelian_test, enumerate_schur_quotients
 
     L = a4_tower.level
     quots = enumerate_schur_quotients(L.total, 2)
@@ -112,4 +112,7 @@ def g1a4_schur(a4_tower):
     coord_to_elem = {la.vec_int(L.kernel_coords[e], 2): e
                      for e in L.kernel_elems}
     rad_elems = [coord_to_elem[la.vec_int(v, 2)] for v in rad_basis]
-    return SimpleNamespace(level=L, quotients=quots, rad_elems=rad_elems)
+    # the quotients by their top type: their order follows the presentation
+    by_type = {abelian_test(q, L, rad_elems).top_type: q for q in quots}
+    return SimpleNamespace(level=L, quotients=quots, rad_elems=rad_elems,
+                           by_type=by_type)

@@ -40,12 +40,20 @@ import numpy as np
 from mtower import frattini
 from mtower import linalg as la
 from mtower.errors import ActionLiftFailed, Collapse, InputError
-from mtower.fp import (CosetTable, Presentation, commutator_word, free_reduce,
-                       invert_word, todd_coxeter, word_pow)
+from mtower.fp import (CosetTable, Presentation, free_reduce, invert_word,
+                       todd_coxeter)
 from mtower.frattini import level_from_pair_model
 from mtower.gmodules import GModule
 from mtower.groups import ConjClass, FiniteGroup, dihedral_group, search_images
 from mtower.perms import Perm
+
+
+def word_pow(word, e: int) -> tuple[int, ...]:
+    return tuple(word) * e if e >= 0 else word_pow(invert_word(word), -e)
+
+
+def commutator_word(u, v) -> tuple[int, ...]:
+    return free_reduce(invert_word(u) + invert_word(v) + tuple(u) + tuple(v))
 
 
 def schreier_generators(P: Presentation, T: CosetTable) -> list[tuple[int, ...]]:
@@ -421,10 +429,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     A_h = la.asmod(H_mats[0], p)
 
     free = Presentation(d, ())
-    p0_rels = tuple([word_pow((i + 1,), p) for i in range(d)] +
-                    [commutator_word((i + 1,), (j + 1,))
-                     for i in range(d) for j in range(i + 1, d)])
-    T0 = todd_coxeter(Presentation(d, p0_rels), (), max_cosets)
+    T0 = todd_coxeter(p0_presentation(d, p), (), max_cosets)
     sgens = schreier_generators(free, T0)
     p1_rels = []
     for i, s in enumerate(sgens):
@@ -674,3 +679,94 @@ def wp_group(p: int) -> FiniteGroup:
 
     return FiniteGroup([right_mul((1, 0, 0)), right_mul((0, 1, 0)),
                         right_mul((0, 0, 1))], max_order=p ** 3 + 1, name=f"W{p}")
+
+
+# -- the presentations that builders attached before every group was peeled ----
+
+
+def alternating_presentation(n: int) -> Presentation:
+    """<a, b | a^2, b^3, (ab)^k>, k = 3 for A_4 and 5 for A_5, on the
+    builtin generators."""
+    return Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * (3 if n == 4 else 5)))
+
+
+def extension_presentation(P: Presentation, M: GModule,
+                           tails: np.ndarray) -> Presentation:
+    """Generators x_1..x_d, z_1..z_m; relators carry the given tails."""
+    d, m, p = P.ngens, M.dim, M.p
+    rels: list[tuple[int, ...]] = []
+    for i, r in enumerate(P.relators):
+        tail: list[int] = []
+        for j in range(m):
+            tail.extend([-(d + j + 1)] * int(tails[i, j]))
+        rels.append(free_reduce(tuple(r) + tuple(tail)))
+    for j in range(m):
+        rels.append(word_pow((d + j + 1,), p))
+        for k in range(j + 1, m):
+            rels.append(commutator_word((d + j + 1,), (d + k + 1,)))
+    for i in range(d):
+        A = M.mats[i]
+        for j in range(m):
+            img: list[int] = []
+            for k in range(m):
+                img.extend([d + k + 1] * int(A[j, k]))
+            rels.append(free_reduce(
+                (-(i + 1), d + j + 1, i + 1) + invert_word(tuple(img))))
+    return Presentation(d + m, tuple(r for r in rels if r))
+
+
+def p0_presentation(d: int, p: int) -> Presentation:
+    """(Z/p)^d = <x_1..x_d | x_i^p, [x_i, x_j]>."""
+    return Presentation(d, tuple(
+        [word_pow((i + 1,), p) for i in range(d)] +
+        [commutator_word((i + 1,), (j + 1,)) for i in range(d) for j in range(i + 1, d)]))
+
+
+def p1_presentation(d: int, p: int) -> Presentation:
+    """P1 = F / Phi(Phi(F)) on the d free generators: s^p and [s, t] for
+    the Schreier generators s, t of Phi(F) over P0 = (Z/p)^d."""
+    sgens, _ = frattini._schreier_basis(frattini._vector_group(d, p), p)
+    rels = []
+    for i, s in enumerate(sgens):
+        rels.append(free_reduce(word_pow(s, p)))
+        rels += [w for t in sgens[i + 1:] if (w := commutator_word(s, t))]
+    return Presentation(d, tuple(rels))
+
+
+def _split_presentation(rels, images, h_order: int) -> Presentation:
+    """Generators x_1..x_d, h: the relators `rels` of the x_i, h^h_order,
+    and h^-1 x_i h = images[i], a word in the x_i."""
+    d = len(images)
+    rels = list(rels) + [word_pow((d + 1,), h_order)]
+    rels += [free_reduce((-(d + 1), i + 1, d + 1) + invert_word(w))
+             for i, w in enumerate(images)]
+    return Presentation(d + 1, tuple(r for r in rels if r))
+
+
+def split_presentations(tower, A_h: np.ndarray, h_order: int):
+    """The presentations of the split model G0 = P0 x| H and of
+    G1 = P1 x| H of `tower` (frattini.split_level, for the action A_h of
+    H's generator, of order h_order) on x_1..x_d, h: P0's or P1's relators
+    of the x_i, h^h_order, and h^-1 x_i h written as a word in the x_i.
+    For G0 that word is the BFS word x_1^a_1 ... x_d^a_d of (e_i) A_h; for
+    G1 it is alpha(x_i) in P1's normal form: the BFS word of its P0 part,
+    then the Schreier generators to the digits of its kernel part.  P1 is
+    rebuilt as split_level builds it, over P0's hand-written presentation."""
+    p, d = tower.level.p, len(A_h)
+    P0 = frattini._vector_group(d, p)
+    P0_pres = p0_presentation(d, p)
+    x_words = [tuple(g + 1 for g in word) for word in P0.words]
+    sgens, coords = frattini._schreier_basis(P0, p)
+    M0 = GModule(P0, p, [np.stack([coords((-(i + 1),) + s + (i + 1,)) for s in sgens])
+                         for i in range(d)], check=False)
+    P1 = frattini.build_extension(P0_pres, M0, np.stack(
+        [coords(r) for r in P0_pres.relators])).total
+    g0 = _split_presentation(P0_pres.relators, [
+        x_words[P0._at_code[la.vec_int(row, p)]] for row in la.asmod(A_h, p)], h_order)
+    m = len(sgens)
+    alpha_words = []
+    for e in tower.h_lift_images:
+        g, v = divmod(int(P1.codes[e]), p ** m)
+        alpha_words.append(x_words[g] + sum((word_pow(sj, v // p ** j % p)
+                                             for j, sj in enumerate(sgens)), ()))
+    return g0, _split_presentation(p1_presentation(d, p).relators, alpha_words, h_order)

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import cache_oracle as oracle
+import group_oracle
 from mtower import cache, cli, frattini
 from mtower.cache import cache_get, cache_restore_entry, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
+from mtower.groups import cyclic_group
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +37,22 @@ def test_class_labels(a5):
     assert class_id(a5, "3A") == 2
     with pytest.raises(Exception):
         class_id(a5, "7A")
+
+
+def test_class_labels_go_on_past_z(tmp_path, capsys):
+    """Past Z the letters go on in bijective base 26 (Z, AA, AB, ...): Z/97
+    has 96 classes of order 97, 97A to 97CR, and `level --classes` takes
+    each of them (triples of one class are an empty Nielsen class, exit 3;
+    past 97Z the labels used to be '[', lowercase and control characters,
+    and 97CR's '\\xa0' was stripped and refused as unknown)."""
+    labels = label_classes(cyclic_group(97))
+    assert len(set(labels)) == 97
+    assert all(re.fullmatch(r"[0-9]+[A-Z]+", label) for label in labels)
+    assert labels[26:29] == ["97Z", "97AA", "97AB"] and labels[-1] == "97CR"
+    for label in labels[1:]:
+        assert run_cli(["level", "--group", "Z97", "--classes", f"{label},{label},{label}",
+                        "--p", "2", "--k", "0", "--no-cache"], tmp_path) == 3, label
+    assert "unknown class label" not in capsys.readouterr().err
 
 
 def test_level_command_level0(tmp_path):
@@ -439,7 +458,7 @@ COLD_JOBS = {
     "gcomplete": (["gcomplete", "--group", "K4", "--p", "2"],
                   ["gcomplete", "groups", "perms"]),
     "gcomplete-builtin-presented": (["gcomplete", "--group", "A5", "--p", "2"],
-                                    ["fp", "gcomplete", "groups", "perms"]),
+                                    ["gcomplete", "groups", "perms"]),
     "gcomplete-group-file": (["gcomplete", "--group-file", str(DATA / "sl2_11.txt"),
                               "--classes", "3A,5A", "--p", "11"],
                              ["gcomplete", "groups", "perms"]),
@@ -481,16 +500,25 @@ def test_cold_miss_loads_only_the_modules_it_runs(tmp_path, job):
          *(f"mtower.{m}" for m in modules)]))
 
 
-def test_cache_keys_of_builtin_jobs_are_stable(tmp_path):
+def test_cache_keys_of_builtin_jobs_are_stable(tmp_path, monkeypatch):
     """Keys of builtin groups and `dihedral` are formed as before lookup
-    moved ahead of the group build, so their old entries still hit."""
-    for args in (["dihedral", "--p", "5", "--k", "0"], D5_LEVEL0,
-                 ["gcomplete", "--group", "A5", "--p", "2"]):
-        assert run_cli(args, tmp_path) == 0
-    assert sorted(d.name for d in (tmp_path / "cache").iterdir()) == [
-        "65ea0305c52bd1712155414c9ebbbabdf4030ff45c69cd1c4ca0b0038c5172b3",
-        "bdbd0a21aefd239e1eca64c904afea56e034348ec6f33c8e3ee134802f3e3bc9",
-        "e2f91c4b26f3a820988566c6e60d49affdd9b8357502b9bb66b7bd04688d5215"]
+    moved ahead of the group build: at VERSION 3 they are that version's
+    keys, so its old entries would still hit, and VERSION 4 only moves
+    them."""
+    keys = {3: ["65ea0305c52bd1712155414c9ebbbabdf4030ff45c69cd1c4ca0b0038c5172b3",
+                "bdbd0a21aefd239e1eca64c904afea56e034348ec6f33c8e3ee134802f3e3bc9",
+                "e2f91c4b26f3a820988566c6e60d49affdd9b8357502b9bb66b7bd04688d5215"],
+            4: ["138e7745882632e99d17101866625abc5d35c01531701c64fde3033ee118c056",
+                "6ead14a2522f6be95790ae09321a31f7a28dcacae896b1f5098c92b59d308cc0",
+                "9a21f268043bf9c810a1b778457048ea8b57945038352e6c9191d404376e6cb8"]}
+    assert cli.VERSION == 4
+    for version, want in keys.items():
+        monkeypatch.setattr(cli, "VERSION", version)
+        for args in (["dihedral", "--p", "5", "--k", "0"], D5_LEVEL0,
+                     ["gcomplete", "--group", "A5", "--p", "2"]):
+            assert main(args + ["--report", str(tmp_path / "out"),
+                                "--cache", str(tmp_path / f"v{version}")]) == 0
+        assert sorted(d.name for d in (tmp_path / f"v{version}").iterdir()) == want
 
 
 def test_group_file_hit_ignores_budgets(tmp_path, capsys):
@@ -647,22 +675,33 @@ def test_uncoverable_group_still_runs_level0(tmp_path):
                     "--p", "3", "--k", "0"], tmp_path) == 0
 
 
-@pytest.mark.parametrize("text, args, reason", [
-    ("(5 9 1 6 2 4 8 3)\n(4 2)\n", ["schur", "--p", "3", "--k", "0"],
-     "Schur stage: group needs an attached presentation"),
-    ("(1 2 3 4 5)\n(1 2 3)\n",
-     ["level", "--classes", "3A,3A,3A,3A", "--p", "2", "--k", "1"],
-     "cover stage: base group needs an attached presentation"),
-], ids=["schur-s8", "level-a5"])
-def test_presentationless_refusal_names_its_stage(tmp_path, capsys, text, args,
-                                                  reason):
-    """A permutation file carries no presentation; the refusal names its
-    stage and comes before the p-perfect check (S8 at p = 3)."""
-    gf = tmp_path / "g.txt"
-    gf.write_text(text)
-    assert run_cli(args + ["--group-file", str(gf)], tmp_path) == 2
-    assert reason in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("args", [
+    ["level", "--classes", "3A,3A,3A,3A", "--p", "2", "--k", "1"],
+    ["schur", "--p", "2", "--k", "1"],
+    ["frattini-verify", "--p", "2"],
+], ids=["level", "schur", "frattini-verify"])
+def test_permutation_file_runs_like_the_builtin(tmp_path, args):
+    """A5 written as a file of the builtin's two generators is peeled to the
+    builtin's presentation, so each report is the builtin's byte for byte
+    but for its "group"."""
+    gf = tmp_path / "a5.txt"
+    gf.write_text("(1 5)(3 4)\n(1 2 3)\n")
+    assert run_into(args + ["--group", "A5"], tmp_path, "builtin") == 0
+    assert run_into(args + ["--group-file", str(gf)], tmp_path, "file") == 0
+    builtin, file = _report(tmp_path / "builtin"), _report(tmp_path / "file")
+    assert builtin.keys() == file.keys()
+    for name, data in file.items():
+        assert data.replace(b'"group": "file:a5.txt:60"', b'"group": "A5"') \
+            == builtin[name], name
+
+
+def test_sl2_11_file_has_no_z2_schur_quotient(tmp_path):
+    """SL(2,11) is its own Schur cover: from a permutation file, with no
+    presentation given, its Z/2 Schur quotients are none."""
+    args = ["schur", "--group-file", str(DATA / "sl2_11.txt"), "--p", "2", "--k", "0"]
+    assert run_cli(args, tmp_path) == 0
+    doc = json.loads((tmp_path / "out" / "schur.json").read_text())
+    assert doc["quotients"] == []
 
 
 @pytest.mark.parametrize("args, count", [
@@ -1017,7 +1056,35 @@ def test_schur_cli_a4_level1(tmp_path):
     assert abelian["antecedent_of"] == [0]
     assert abelian["modassume"] == [True, True, True]
     assert sha256_of(tmp_path / "out" / "schur.json") == \
+        "a7bcc7ee8e0e6b8fe2853fd0f11feedf2445e1c37d30d86983b1323257264d65"
+
+
+def test_schur_a4_level1_under_the_split_presentations(tmp_path, monkeypatch):
+    """G1(A4)'s `schur --k 1` report under the split model's former
+    hand-built presentations (group_oracle.split_presentations) is the
+    report of VERSION 3 byte for byte; under the peel's presentations it
+    lists the same quotients in another order, every field equal but the
+    place, kernel_gen."""
+    split_level = frattini.split_level
+
+    def presented(d, p, H, H_mats):
+        tower = split_level(d, p, H, H_mats)
+        tower.g0.presentation, tower.g1.presentation = group_oracle.split_presentations(
+            tower, H_mats[0], H.element_order(H.gen_indices[0]))
+        return tower
+
+    args = ["schur", "--group", "A4", "--p", "2", "--k", "1", "--no-cache"]
+    assert run_into(args, tmp_path, "peel") == 0
+    monkeypatch.setattr(frattini, "split_level", presented)
+    assert run_into(args, tmp_path, "split") == 0
+    assert sha256_of(tmp_path / "split" / "schur.json") == \
         "095d797b745ac276bab890e55b06eac6c3ff86a0894dd267fb058496a2edbebe"
+    peel, split = (json.loads((tmp_path / d / "schur.json").read_text())["quotients"]
+                   for d in ("peel", "split"))
+    assert [q["top_type"] for q in split] == ["Q8.Z4", "K4xZ4", "Q8xZ2"]
+    assert [q["top_type"] for q in peel] == ["K4xZ4", "Q8.Z4", "Q8xZ2"]
+    assert sorted(json.dumps({**q, "kernel_gen": 0}, sort_keys=True) for q in peel) == \
+        sorted(json.dumps({**q, "kernel_gen": 0}, sort_keys=True) for q in split)
 
 
 def test_frattini_verify_cli(tmp_path):

@@ -1,9 +1,17 @@
-import pytest
+from pathlib import Path
 
-from group_oracle import schreier_generators
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+
+from group_oracle import schreier_generators, word_pow
+from test_cli_boundary import permutation_files
 from mtower.errors import Overflow
 from mtower.fp import (Presentation, coset_group, free_reduce, invert_word,
-                       parse_presentation, todd_coxeter, word_pow)
+                       parse_presentation, peel_presentation, todd_coxeter)
+from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
+                           dihedral_group, klein_four)
+from mtower.perms import parse_group_file
 
 FREE2 = Presentation(2, ())
 A5P = Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
@@ -85,3 +93,58 @@ def test_parse_presentation_file():
     assert P.ngens == 2 and todd_coxeter(P).n == 60
     P2 = parse_presentation("gens: x\nx^-6\n")
     assert todd_coxeter(P2).n == 6
+
+
+def _check_peel(G: FiniteGroup) -> None:
+    """The peel presents G on its generators: every relator, read from every
+    vertex of G's Cayley graph (gen_cols, their inverses by argsort), walks
+    back to where it started, and coset enumeration of the peel closes at
+    |G|."""
+    P = peel_presentation(G)
+    assert P.ngens == len(G.gen_indices) and P.relators
+    start = np.arange(G.order)
+    for rel in P.relators:
+        at = start
+        for letter in rel:
+            col = G.gen_cols[abs(letter) - 1]
+            at = col[at] if letter > 0 else np.argsort(col)[at]
+        assert (at == start).all(), rel
+    assert todd_coxeter(P, (), 1 << 16).n == G.order
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alternating_group(4), lambda: alternating_group(5), klein_four,
+    lambda: dihedral_group(3), lambda: dihedral_group(7),
+    lambda: cyclic_group(1), lambda: cyclic_group(4),
+    lambda: FiniteGroup(parse_group_file(
+        (Path(__file__).parent / "data" / "sl2_11.txt").read_text())),
+], ids=["A4", "A5", "K4", "D3", "D7", "Z1", "Z4", "SL(2,11)"])
+def test_peel_presents_the_builtins_and_sl2_11(build):
+    _check_peel(build())
+
+
+def test_peel_presents_both_a5_levels(g1a5, a5_p3_level):
+    """G1(A5) at p = 2 (order 1,920 on 7 generators) and at p = 3 (4,860)."""
+    for L in (g1a5.level, a5_p3_level):
+        _check_peel(L.total)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(permutation_files())
+def test_peel_presents_random_permutation_groups(source):
+    try:
+        gens = parse_group_file(source[1])
+    except ValueError:              # the strategy's malformed lines
+        assume(False)
+    _check_peel(FiniteGroup(gens))
+
+
+def test_peel_ranks_cycles_by_length():
+    """The fundamental cycles kept are read from their lowest common
+    ancestor, so each is cyclically reduced, and they come shortest first:
+    A5 on a^2 and b^3 gives a^2, b^3 and a 12-letter cycle."""
+    P = peel_presentation(alternating_group(5))
+    assert P.relators[:2] == ((1, 1), (2, 2, 2))
+    assert [len(r) for r in P.relators] == [2, 3, 12]
+    assert all(r[0] != -r[-1] for r in P.relators)

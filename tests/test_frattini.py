@@ -6,15 +6,14 @@ import pytest
 import cover_oracle
 import fox_oracle
 import group_oracle
+from group_oracle import commutator_word, word_pow
 from search_oracle import eval_relator
 from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
 from mtower import cli, frattini, groups
 from mtower import linalg as la
 from mtower.errors import Collapse, NotPPrime, TooLarge
-from mtower.fp import (Presentation, commutator_word, invert_word, todd_coxeter,
-                       word_pow)
-from mtower.frattini import (build_extension, dihedral_level,
-                             extension_presentation, general_level,
+from mtower.fp import Presentation, invert_word, todd_coxeter
+from mtower.frattini import (build_extension, dihedral_level, general_level,
                              h2_classes, lift_class,
                              normalizer, p_sylow, restriction_splits,
                              split_level, split_structure, transport_level,
@@ -75,7 +74,7 @@ def test_schreier_basis_coordinates(d, p):
     has its unit vector as coordinates, and every relator of
     P1 = F / Phi(Phi(F)) (s^p and [s, t]) has coordinates 0; a word outside
     Phi(F) is refused."""
-    _, sgens, coords = frattini._schreier_basis(frattini._vector_group(d, p), p)
+    sgens, coords = frattini._schreier_basis(frattini._vector_group(d, p), p)
     m = (d - 1) * p ** d + 1
     assert len(sgens) == m
     assert (np.stack([coords(s) for s in sgens]) == np.eye(m, dtype=np.int64)).all()
@@ -88,15 +87,16 @@ def test_schreier_basis_coordinates(d, p):
 
 @pytest.mark.parametrize("d, p, h, A", [(2, 2, 3, [[0, 1], [1, 1]]), (1, 7, 3, [[2]])])
 def test_split_presentations_hold(d, p, h, A):
-    """Every relator of P1's presentation and of G1's (whose action relators
-    write alpha(x_i) in P1's normal form: the BFS word of its P0 part, then
-    the Schreier generators) is the identity in G1split, and G1's
-    presentation closes at |G1|."""
+    """The split model's hand-built presentations
+    (group_oracle.split_presentations: G1's action relators write alpha(x_i)
+    in P1's normal form, the BFS word of its P0 part, then the Schreier
+    generators) hold in G0split and G1split and close at their orders."""
     tower = split_level(d, p, cyclic_group(h), [np.array(A)])
-    G1 = tower.g1
-    for rel in tower.p1_presentation.relators + G1.presentation.relators:
-        assert eval_relator(G1, G1.gen_indices, rel) == 0, rel
-    assert todd_coxeter(G1.presentation, (), 1 << 14).n == G1.order
+    presentations = group_oracle.split_presentations(tower, np.array(A), h)
+    for G, P in zip((tower.g0, tower.g1), presentations, strict=True):
+        for rel in P.relators:
+            assert eval_relator(G, G.gen_indices, rel) == 0, rel
+        assert todd_coxeter(P, (), 1 << 14).n == G.order
 
 
 def test_oversized_split_level_refused_first():
@@ -150,7 +150,7 @@ def test_h2_a5_dimensions(g1a5, a5):
 
 def _enumerated_extension(P, M, tails):
     """Coset table of the presented extension, or None below |G| p^m."""
-    T = todd_coxeter(extension_presentation(P, M, tails), (), 1 << 18)
+    T = todd_coxeter(group_oracle.extension_presentation(P, M, tails), (), 1 << 18)
     assert T.n <= M.group.order * M.p ** M.dim
     return T if T.n == M.group.order * M.p ** M.dim else None
 
@@ -369,9 +369,10 @@ def test_level_filled_psi_matches_the_column_loop(a4_tower, g1a5):
 
 def test_memory_ceiling_names_the_stage(monkeypatch, a5, g1a5):
     # the A5 Frattini module (dim 5): 61 * 5 edge labels + 3 * 5 tails, and
-    # 60 * 5 equations per relator with 5 |r| + 1 entries each
+    # 60 * 5 equations per relator with 5 |r| + 1 entries each (the peel's
+    # three relators of A5 have 17 letters)
     P, M = a5.presentation, g1a5.module
-    need = la.sparse_nullspace_bytes(320, 300 * (5 * 15 + 3), 2)
+    need = la.sparse_nullspace_bytes(320, 300 * (5 * 17 + 3), 2)
     monkeypatch.setattr(frattini, "MEMORY_CEILING", need - 1)
     with pytest.raises(TooLarge, match=r"^H\^2 solve: 320 unknowns .* past MEMORY_CEILING"):
         h2_classes(P, M)

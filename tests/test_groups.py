@@ -84,18 +84,20 @@ def test_is_p_perfect(a5):
                                      (5, ["(1 5)(3 4)", "(1 2 3)"])])
 def test_alternating_generators_are_the_searched_ones(n, gens):
     """The builtin A_n has the generators the search finds, and they satisfy
-    its attached presentation, which presents a group of its order."""
+    <a, b | a^2, b^3, (ab)^k> (group_oracle.alternating_presentation), which
+    presents a group of its order."""
     G = alternating_group(n)
     a, b = (G.perm(g) for g in G.gen_indices)
     assert (a, b) == oracle.alternating_generators(n)
     assert [str(a), str(b)] == gens
-    for rel in G.presentation.relators:
+    P = oracle.alternating_presentation(n)
+    for rel in P.relators:
         word = Perm.identity(n)
         for letter in rel:
             g = (a, b)[abs(letter) - 1]
             word = word * (g if letter > 0 else g.inverse())
         assert word.is_identity(), rel
-    assert todd_coxeter(G.presentation, (), 1 << 10).n == G.order
+    assert todd_coxeter(P, (), 1 << 10).n == G.order
 
 
 def test_center(a5):
@@ -281,7 +283,7 @@ def _oracle_groups(a4, a5, g1a5, g1a4_schur):
     return {"A4": a4, "A5": a5, "K4": klein_four(), "D5": dihedral_group(5),
             "SL2_11": special_linear_2(11), "SL2_11 file": sl2_file,
             "D125": dihedral_group(125), "Z4096": cyclic_group(4096),
-            "cover": g1a4_schur.quotients[0].total, "G1(A5)": g1a5.level.total,
+            "cover": g1a4_schur.by_type["Q8.Z4"].total, "G1(A5)": g1a5.level.total,
             "trivial": FiniteGroup([Perm.identity(3)])}
 
 

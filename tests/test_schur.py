@@ -1,6 +1,6 @@
 import pytest
 
-from mtower.errors import InputError, NotPPerfect
+from mtower.errors import NotPPerfect
 from mtower.fp import Presentation, coset_group, todd_coxeter
 from mtower.groups import (cyclic_group, dihedral_group, find_isomorphism,
                            special_linear_2)
@@ -54,11 +54,11 @@ def test_a6_one_quotient_per_prime(a6, p, order):
 
 
 def test_not_p_perfect_rejected(a4):
-    """The presentation is checked first: that refusal does not depend on
-    whether the group is p-perfect."""
+    """A group with a Z/p quotient is refused before any H^2 solve; Z/4,
+    which has no builtin presentation to lack, is refused the same way."""
     with pytest.raises(NotPPerfect, match="Schur stage: group admits a Z/3 quotient"):
         enumerate_schur_quotients(a4, 3)
-    with pytest.raises(InputError, match="Schur stage: group needs an attached presentation"):
+    with pytest.raises(NotPPerfect, match="Schur stage: group admits a Z/2 quotient"):
         enumerate_schur_quotients(cyclic_group(4), 2)
 
 
@@ -141,7 +141,7 @@ def test_classify_pair_rejects_dependent_pair(g1a4_schur):
     from mtower.errors import RankDeficient
     from mtower.schur import classify_pair
 
-    L, q = g1a4_schur.level, g1a4_schur.quotients[0]
+    L, q = g1a4_schur.level, g1a4_schur.by_type["Q8.Z4"]
     m = L.kernel_elems[1]
     with pytest.raises(RankDeficient):
         classify_pair(q, L, m, m)

@@ -7,6 +7,7 @@ from math import prod
 import numpy as np
 import pytest
 
+import group_oracle
 import search_oracle as oracle
 from fox_oracle import coboundary_tails
 from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
@@ -123,8 +124,8 @@ def test_action_lift_matches_oracle(monkeypatch):
     for tower, (P1, cand_lists, h_order, (images, alpha)) in zip(towers, seen):
         d = len(cand_lists)
         assert images == tower.h_lift_images
-        assert images == oracle.find_action_lift(P1, tower.p1_presentation, cand_lists,
-                                                 h_order, d)
+        assert images == oracle.find_action_lift(
+            P1, group_oracle.p1_presentation(d, tower.level.p), cand_lists, h_order, d)
         assert alpha.tolist() == oracle.endomorphism_from_images(P1, images,
                                                                  list(range(d)))
 
