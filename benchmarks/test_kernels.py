@@ -1,5 +1,6 @@
-"""Kernel benchmarks: the braid stage and its orbit dump, on the D5 level-2
-orbit (7,500 reduced classes, the top level of `mt dihedral --p 5 --k 2`);
+"""Kernel benchmarks: the braid stage, its orbit dump and the cycle notation
+of its elements, on the D5 level-2 orbit (7,500 reduced classes over 125
+distinct elements, the top level of `mt dihedral --p 5 --k 2`);
 the F_p elimination of H^2(G1(A4), F_2), the solve of
 `mt schur --group A4 --p 2 --k 1`; and the group-table build, on an
 order-768 Schur cover of G1(A4) and on the SL(2,11) file group.
@@ -22,11 +23,11 @@ import numpy as np
 import pytest
 
 from mtower import frattini
-from mtower.cli import _write_dump
+from mtower.cli import _dump_files
 from mtower.frattini import dihedral_level
 from mtower.gmodules import trivial_module
 from mtower.groups import FiniteGroup, alternating_group, cyclic_group, dihedral_group
-from mtower.perms import parse_group_file
+from mtower.perms import cycle_strs, parse_group_file
 from mtower.hurwitz import analyze_component, level_compare, sh_incidence
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
                             lift_tuples, lifted_spec, mbar4_orbits)
@@ -90,16 +91,30 @@ def test_level_compare(benchmark, d5_levels):
 
 
 def test_write_dump(benchmark, d5_levels):
-    """The level's orbit dump, formatted from the orbit array into memory."""
+    """The level's orbit dump, its element table and index tuples
+    (_dump_files), formatted from the orbit array into memory."""
     top = d5_levels[2]
 
     def write():
-        fh = io.StringIO()
-        _write_dump(fh, top.spec.group, [top.reports[0].arrays.tuples])
-        return fh
+        out = {}
+        for name, (_, write_file) in _dump_files(
+                2, top.spec.group, [top.reports[0].arrays.tuples]).items():
+            out[name] = io.StringIO()
+            write_file(out[name])
+        return out
 
-    fh = benchmark(write)
-    assert fh.getvalue().count("\n") == 7500 + 4
+    out = benchmark(write)
+    assert out["orbits_L2.json"].getvalue().count("\n") == 7500 + 4
+    assert out["elements_L2.json"].getvalue().count("\n") == 125 + 2
+
+
+def test_cycle_strs(benchmark, d5_levels):
+    """Cycle notation of the 125 distinct elements of the D5 level-2 orbit,
+    one cycle_strs batch over their image rows."""
+    G = d5_levels[2].spec.group
+    elems = np.unique(d5_levels[2].reports[0].arrays.tuples)
+    strs = benchmark(cycle_strs, G._images(elems))
+    assert len(strs) == 125 and strs == G.perm_strs(elems)
 
 
 @pytest.fixture(scope="module")

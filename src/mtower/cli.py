@@ -36,8 +36,8 @@ from typing import Callable
 
 from . import _lazy_module, np
 from . import cache as cache_mod
-from .errors import (BudgetError, CorruptCache, EmptyNielsenClass,
-                     InputError, InvariantViolation, MTError, NotPPrime)
+from .errors import (BudgetError, CorruptCache, EmptyNielsenClass, InputError,
+                     InvariantViolation, MTError, NotPPrime, TooLarge)
 
 fp = _lazy_module("mtower.fp")
 frattini = _lazy_module("mtower.frattini")
@@ -54,7 +54,7 @@ schur = _lazy_module("mtower.schur")
 COVER_MODULES = (fp, frattini, gmodules, groups, la, perms)
 LEVEL_MODULES = COVER_MODULES + (hurwitz, nielsen)
 
-VERSION = 4
+VERSION = 5
 _DUMP_CHARS = 1 << 20       # orbit-dump text formatted per block, at most
 
 
@@ -190,7 +190,7 @@ def build_level(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
 def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
                        p: int, k: int, budget_elements: int) -> dict:
     """The files of the level-k report for _emit: components.json, and per
-    level its sh-incidence CSV and its orbit dump (group and orbit arrays).
+    level its sh-incidence CSV and its orbit dump (_dump_files).
 
     Level 0 is enumerated outright; higher levels are seeded by lifting one
     representative per lower orbit through the cover, which reaches every
@@ -244,7 +244,7 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
         payload["levels"].append(level)
         files[f"sh_incidence_L{step}.csv"] = hurwitz.sh_incidence(
             reports, reducer).to_csv()
-        files[f"orbits_L{step}.json"] = (group, [r.arrays.tuples for r in reports])
+        files.update(_dump_files(step, group, [r.arrays.tuples for r in reports]))
         for li, lrep in enumerate(lower[2] if lower else []):
             for ui, urep in enumerate(reports):
                 try:
@@ -260,7 +260,7 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
 
 
 # The names of report files: the stale ones are removed from --report
-REPORT_NAME = (r"components\.json|orbits_L\d+\.json|sh_incidence_L\d+\.csv"
+REPORT_NAME = (r"components\.json|(elements|orbits)_L\d+\.json|sh_incidence_L\d+\.csv"
                r"|(schur|gcomplete|frattini)\.json")
 
 
@@ -283,43 +283,81 @@ def _io_error(stage: str, path: Path, e: OSError) -> BudgetError:
     return BudgetError(f"{stage} stage: {e.filename or path}: {e.strerror or e}")
 
 
+def _sized(files: dict) -> dict:
+    """name -> (its bytes, a function that writes it to a text file) of each
+    report file in `files`: text, a dict written as JSON, or a dump file of
+    _dump_files, which is such a pair already."""
+    sized = {}
+    for name, body in files.items():
+        if isinstance(body, dict):
+            body = json.dumps(body, sort_keys=True, indent=2) + "\n"
+        if isinstance(body, str):
+            body = len(body.encode()), lambda fh, text=body: fh.write(text)
+        sized[name] = body
+    return sized
+
+
 def _emit(files: dict, report_dir: Path) -> list[str]:
-    """Publish the report `files` (name -> text, dict written as JSON, or a
-    (group, orbits) dump, formatted by _write_dump as it is written) all or
-    nothing; the names of its files."""
+    """Publish the report `files` (as for _sized) all or nothing; the names
+    of its files.  Sized before any file opens, a report past
+    MEMORY_CEILING bytes is refused (exit 2) with nothing written."""
+    sized = _sized(files)
+    total = sum(nbytes for nbytes, _ in sized.values())
+    # only a level job writes dumps, and it has loaded frattini
+    if any(isinstance(b, tuple) for b in files.values()) and \
+            total > frattini.MEMORY_CEILING:
+        raise TooLarge(f"emission stage: the report's {len(sized)} files need "
+                       f"{total:,} bytes, past MEMORY_CEILING = "
+                       f"{frattini.MEMORY_CEILING:,} bytes")
     try:
         with cache_mod.publish(report_dir) as staging:
-            for name, body in files.items():
+            for name, (_, write) in sized.items():
                 with open(staging / name, "w") as fh:
-                    if isinstance(body, tuple):
-                        _write_dump(fh, *body)
-                    else:
-                        fh.write(body if isinstance(body, str)
-                                 else json.dumps(body, sort_keys=True, indent=2) + "\n")
+                    write(fh)
     except OSError as e:
         raise _io_error("emission", report_dir, e) from e
     return list(files)
 
 
-def _write_dump(fh, group: groups.FiniteGroup, orbits: list) -> None:
-    """json.dump of the orbits (arrays of tuples of group elements) as lists
-    of "[a, b, ...]" in cycle notation, which needs no escaping, with
-    indent=1 and a newline.  An orbit's distinct elements are formatted in
-    one batch, its text a block of about _DUMP_CHARS at a time."""
-    fh.write("[" if orbits else "[]")
-    for ci, tuples in enumerate(orbits):
+def _dump_files(k: int, group: groups.FiniteGroup, orbits: list) -> dict:
+    """The level-k dump of the orbits (arrays of tuples of elements of
+    `group`) as two report files for _emit (as for _sized):
+    `elements_L<k>.json`, json.dump(..., indent=1) of the cycle strings of
+    the orbits' distinct elements, once each in increasing element number,
+    and `orbits_L<k>.json`, per orbit its tuples as [i, j, ...] indices
+    into that table, in the same layout but one index tuple to a line."""
+    elems, at = np.unique(np.concatenate([t.ravel() for t in orbits]
+                                         + [np.zeros(0, np.int64)]), return_inverse=True)
+    strs = group.perm_strs(elems)
+
+    def write_elements(fh):
+        json.dump(strs, fh, indent=1)
+        fh.write("\n")
+
+    index = np.array([str(i) for i in range(len(strs))], dtype=object)
+    digits = np.array([len(s) for s in index], dtype=np.int64)
+    tables = [a.reshape(t.shape) for a, t in
+              zip(np.split(at, np.cumsum([t.size for t in orbits])), orbits)]
+    orbits_bytes = 4 * len(tables) + 3 + sum(
+        int(digits[a].sum()) + len(a) * (2 * a.shape[1] + 4) + 2 if len(a) else 1
+        for a in tables)
+    return {f"elements_L{k}.json": (sum(map(len, strs)) + 5 * len(strs) + 3, write_elements),
+            f"orbits_L{k}.json": (orbits_bytes, lambda fh: _write_orbits(fh, index, tables))}
+
+
+def _write_orbits(fh, index: np.ndarray, tables: list) -> None:
+    """Write _dump_files' orbits file, about _DUMP_CHARS at a time."""
+    fh.write("[" if tables else "[]")
+    for ci, at in enumerate(tables):
         fh.write(",\n [" if ci else "\n [")
-        elems, at = np.unique(tuples.ravel(), return_inverse=True)
-        strs = np.array(group.perm_strs(elems), dtype=object)
-        at = at.reshape(tuples.shape)
-        step = max(1, _DUMP_CHARS // (at.shape[1] * max(map(len, strs), default=1)))
+        step = max(1, _DUMP_CHARS // (at.shape[1] * (len(str(len(index))) + 2)))
         for start in range(0, len(at), step):
-            rows = strs[at[start:start + step]].tolist()
-            fh.write(",\n  \"[" if start else "\n  \"[")
-            fh.write(']",\n  "['.join([", ".join(row) for row in rows]))
-            fh.write(']"')
+            fh.write(",\n  [" if start else "\n  [")
+            fh.write("],\n  [".join([", ".join(row)
+                                     for row in index[at[start:start + step]].tolist()]))
+            fh.write("]")
         fh.write("\n ]" if len(at) else "]")
-    fh.write("\n]\n" if orbits else "\n")
+    fh.write("\n]\n" if tables else "\n")
 
 
 def _cached(args, job: dict, compute, modules: tuple,

@@ -58,8 +58,8 @@ from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, cyclic_group,
                      subgroup_from_indices)
 
 # Bytes a stage may be predicted to need: the H^2 solve, an extension's
-# section tables, a pair model.  Past it the stage raises TooLarge before
-# it allocates anything.
+# section tables, a pair model, a report's files.  Past it the stage raises
+# TooLarge before it allocates or writes anything.
 MEMORY_CEILING = 1 << 30
 # Elements a pair model may have: past it the checks that run on a level an
 # element or a generator tuple at a time would take minutes.
@@ -749,9 +749,9 @@ class SplitData:
     split_map: np.ndarray          # code j |P0| + u of G0 -> its element of the group
 
 
-def split_structure(N: FiniteGroup, p: int) -> SplitData | None:
+def split_structure(N: FiniteGroup, p: int, of: str = "") -> SplitData | None:
     """Read N as P0 x| <h>, P0 its normal elementary abelian p-Sylow; None
-    when the p-Sylow is not normal.
+    when the p-Sylow is not normal.  A refusal names it, followed by `of`.
 
     A normal p-Sylow is the set of elements of p-power order, and h is the
     first element of order |N : P0|, a p' order, so its powers meet P0 in 1
@@ -770,11 +770,11 @@ def split_structure(N: FiniteGroup, p: int) -> SplitData | None:
     basis = generating_set(N, S.tolist())
     if (orders[S] > p).any() or \
             any(N.mul(a, b) != N.mul(b, a) for a in basis for b in basis):
-        raise InputError(f"cover stage: the {p}-Sylow is not elementary abelian")
+        raise InputError(f"cover stage: the {p}-Sylow{of} is not elementary abelian")
     index = N.order // q
     h = np.flatnonzero(orders[1:] == index)
     if not h.size:
-        raise InputError(f"cover stage: the normal {p}-Sylow has no cyclic complement")
+        raise InputError(f"cover stage: the normal {p}-Sylow{of} has no cyclic complement")
     h, d = int(h[0]) + 1, len(basis)
     vecs = _digits(q, d, p)[_vector_group(d, p).codes]   # row u: the vector of u
     elems = np.zeros(q, dtype=np.int64)
@@ -807,7 +807,7 @@ def frattini_module(G: FiniteGroup, p: int) -> FrattiniModuleData:
         raise InputError("p-Sylow normal in G; use the split construction")
     n_gens = generating_set(G, list(N))
     Nsub = subgroup_from_indices(G, n_gens, name="sylow-normalizer")
-    data = split_structure(Nsub, p)
+    data = split_structure(Nsub, p, " of the Sylow normalizer")
     H = cyclic_group(Nsub.element_order(data.complement_gen))
     tower = split_level(data.rank, p, H, [data.action])
     model_of = np.argsort(data.split_map[tower.g0.codes])   # N element -> G0 element

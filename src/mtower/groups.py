@@ -46,7 +46,7 @@ from .perms import Perm, _orbit_labels, cycle_orders, cycle_strs
 MUL_TABLE_LIMIT = 4096
 # (row, element, seed) cells per block of a batched subgroup closure
 _CLOSURE_CELLS = 1 << 17
-# cells per block of a fill along the BFS tree (bfs_blocks)
+# cells per block of a fill along the BFS tree (bfs_blocks) or of perm_strs
 _FILL_CELLS = 1 << 16
 
 
@@ -365,9 +365,11 @@ class FiniteGroup:
         return self.perm_strs([i])[0]
 
     def perm_strs(self, idx) -> list[str]:
-        """perm_str of each element of the sequence `idx`, all in one
-        cycle_strs batch."""
-        return cycle_strs(self._images(np.asarray(idx, dtype=np.intp)))
+        """perm_str of each element of the sequence `idx`, in cycle_strs
+        batches of _FILL_CELLS image cells (one element at least)."""
+        idx, step = np.asarray(idx, dtype=np.intp), max(1, _FILL_CELLS // self.degree)
+        return [s for at in range(0, len(idx), step)
+                for s in cycle_strs(self._images(idx[at:at + step]))]
 
     # -- structure -------------------------------------------------------------
 

@@ -5,7 +5,9 @@ oracle.
 the point labels taken from a shared list of strings.  `orbit_dump` is the
 text the dump held before it was formatted by its writer: per orbit, each
 tuple's entries in cycle notation, "[a, b, ...]".  `write_dump` is the old
-orbit-dump writer, `json.dump(..., indent=1)` and a newline.
+orbit-dump writer, `json.dump(..., indent=1)` and a newline.  `expand`
+rebuilds that text from a dump written as index tuples into an element
+table (report version 5).
 `cycle_lcm` is the old scalar element order of a permutation: the lcm of
 its cycle lengths, walked one cycle at a time.
 """
@@ -53,6 +55,25 @@ def write_dump(path, dump) -> None:
     with open(path, "w") as fh:
         json.dump(dump, fh, indent=1)
         fh.write("\n")
+
+
+def expand(orbits_json: str, elements_json: str):
+    """The text of report version 4's orbits_L<k>.json, from version 5's
+    orbits_L<k>.json (per orbit, index tuples into the element table) and
+    elements_L<k>.json (the element table, cycle strings): json.dump of
+    orbit_dump with indent=1, and a newline.  It comes in pieces, one per
+    tuple and orbit bracket, whose concatenation is the text: D7's level 2
+    expands to 332 MB."""
+    table, orbits = json.loads(elements_json), json.loads(orbits_json)
+    yield "[" if orbits else "[]"
+    for ci, orbit in enumerate(orbits):
+        yield ",\n " if ci else "\n "
+        yield "[" if orbit else "[]"
+        for ti, row in enumerate(orbit):
+            yield (",\n  " if ti else "\n  ") + json.dumps(
+                "[" + ", ".join(table[i] for i in row) + "]")
+        yield "\n ]" if orbit else ""
+    yield "\n]\n" if orbits else "\n"
 
 
 def cycle_lcm(images: list[int]) -> int:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cache_oracle as oracle
+import dump_oracle
 import group_oracle
 from mtower import cache, cli, frattini
 from mtower.cache import cache_get, cache_restore_entry, job_key
@@ -208,6 +209,35 @@ def test_split_case_without_cyclic_complement_exits_2(tmp_path, capsys, args):
     assert rc == 2
     err = capsys.readouterr().err
     assert "cover stage: the normal 3-Sylow has no cyclic complement" in err
+    assert not (tmp_path / "out").exists()
+
+
+def psl2_group_file(q):
+    """PSL(2,q) on the projective line over F_q, 1-based with infinity as
+    q + 1: the permutations z -> z + 1 and z -> -1/z."""
+    inf = q
+    neg_inv = {0: inf, inf: 0, **{x: -pow(x, -1, q) % q for x in range(1, q)}}
+    cycles, seen = [], set()
+    for x in range(q + 1):
+        cycle = []
+        while x not in seen and neg_inv[x] != x:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = neg_inv[x]
+        cycles += [f"({' '.join(cycle)})"] * bool(cycle)
+    return f"({' '.join(str(x + 1) for x in range(q))})\n{''.join(cycles)}\n"
+
+
+def test_sylow_normalizer_without_cyclic_complement_names_it(tmp_path, capsys):
+    """PSL(2,23) at p = 3: its 3-Sylow is not normal, and the one without a
+    cyclic complement is that of the Sylow normalizer, which the refusal
+    names (it used to say "the normal 3-Sylow", which PSL(2,23)'s is not)."""
+    gf = tmp_path / "psl2_23.txt"
+    gf.write_text(psl2_group_file(23))
+    assert run_cli(["frattini-verify", "--group-file", str(gf), "--p", "3"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert ("cover stage: the normal 3-Sylow of the Sylow normalizer has no cyclic "
+            "complement") in err
     assert not (tmp_path / "out").exists()
 
 
@@ -503,15 +533,18 @@ def test_cold_miss_loads_only_the_modules_it_runs(tmp_path, job):
 def test_cache_keys_of_builtin_jobs_are_stable(tmp_path, monkeypatch):
     """Keys of builtin groups and `dihedral` are formed as before lookup
     moved ahead of the group build: at VERSION 3 they are that version's
-    keys, so its old entries would still hit, and VERSION 4 only moves
-    them."""
+    keys, so its old entries would still hit, and VERSIONs 4 and 5 only
+    move them."""
     keys = {3: ["65ea0305c52bd1712155414c9ebbbabdf4030ff45c69cd1c4ca0b0038c5172b3",
                 "bdbd0a21aefd239e1eca64c904afea56e034348ec6f33c8e3ee134802f3e3bc9",
                 "e2f91c4b26f3a820988566c6e60d49affdd9b8357502b9bb66b7bd04688d5215"],
             4: ["138e7745882632e99d17101866625abc5d35c01531701c64fde3033ee118c056",
                 "6ead14a2522f6be95790ae09321a31f7a28dcacae896b1f5098c92b59d308cc0",
-                "9a21f268043bf9c810a1b778457048ea8b57945038352e6c9191d404376e6cb8"]}
-    assert cli.VERSION == 4
+                "9a21f268043bf9c810a1b778457048ea8b57945038352e6c9191d404376e6cb8"],
+            5: ["4cfb973c4064a638b27815ed0d715805b20b98d209974e7e36bd08361e575e1c",
+                "870d4a496c88ed38422a70830e07fb5b18247b995a24d6f48e45a7132735bf41",
+                "cb3ca83b13329bb4fc459fe2547602a144ac1ba85dbef1a97f9ca90696e3d114"]}
+    assert cli.VERSION == 5
     for version, want in keys.items():
         monkeypatch.setattr(cli, "VERSION", version)
         for args in (["dihedral", "--p", "5", "--k", "0"], D5_LEVEL0,
@@ -519,6 +552,38 @@ def test_cache_keys_of_builtin_jobs_are_stable(tmp_path, monkeypatch):
             assert main(args + ["--report", str(tmp_path / "out"),
                                 "--cache", str(tmp_path / f"v{version}")]) == 0
         assert sorted(d.name for d in (tmp_path / f"v{version}").iterdir()) == want
+
+
+def test_version_4_entry_misses_at_version_5(tmp_path, capsys, monkeypatch):
+    """An entry keyed at VERSION 4, as every entry of report version 4
+    (dumps in cycle notation) is, is not replayed at VERSION 5: the job
+    recomputes its report, with its element table, and prints no "cache
+    hit"."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "VERSION", 4)
+        assert run_into(D5_LEVEL0, tmp_path, "v4") == 0
+    capsys.readouterr()
+    assert run_cli(D5_LEVEL0, tmp_path) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+    assert _report(tmp_path / "out") == _report(tmp_path / "v4")
+    assert "elements_L0.json" in _report(tmp_path / "out")
+
+
+def test_report_past_memory_ceiling_refused_before_emission(tmp_path, capsys,
+                                                            monkeypatch):
+    """The report's size is known before any file opens: with MEMORY_CEILING
+    below the 285,326 bytes of `dihedral --p 5 --k 2`, the job exits 2,
+    naming the emission stage and the limit, and leaves neither --report
+    nor its parent, nor a staging directory, nor a cache entry."""
+    monkeypatch.setattr(frattini, "MEMORY_CEILING", 200_000)
+    report = tmp_path / "reports" / "out"
+    assert main(["dihedral", "--p", "5", "--k", "2", "--report", str(report),
+                 "--cache", str(tmp_path / "cache")]) == 2
+    err = capsys.readouterr().err
+    assert ("emission stage: the report's 10 files need 285,326 bytes, past "
+            "MEMORY_CEILING = 200,000 bytes") in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_group_file_hit_ignores_budgets(tmp_path, capsys):
@@ -828,7 +893,8 @@ D5_LEVEL0 = ["level", "--group", "D5", "--classes", "2A,2A,2A,2A",
 # job -> (arguments, the entry file damaged, the files of its report)
 CACHED_JOBS = {
     "level": (D5_LEVEL0, "orbits_L0.json",
-              {"components.json", "sh_incidence_L0.csv", "orbits_L0.json"}),
+              {"components.json", "sh_incidence_L0.csv", "elements_L0.json",
+               "orbits_L0.json"}),
     "schur": (["schur", "--group", "A4", "--p", "2", "--k", "1"], "schur.json",
               {"schur.json"}),
     "gcomplete": (["gcomplete", "--group", "A5", "--p", "2"], "gcomplete.json",
@@ -890,7 +956,7 @@ def _fails_on_second_call(real):
 
 @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier"])
 @pytest.mark.parametrize("stage, module, name", [
-    ("emission", cli, "_write_dump"), ("replay", cache, "cache_get")],
+    ("emission", cli, "_write_orbits"), ("replay", cache, "cache_get")],
     ids=["emission", "replay"])
 def test_failed_publish_exits_2_and_leaves_report_as_it_was(
         tmp_path, capsys, monkeypatch, earlier, stage, module, name):
@@ -976,6 +1042,24 @@ def _digests(path):
             for f in path.iterdir()}
 
 
+def _v4_digests(path):
+    """_digests of the report in `path` as report version 4 wrote it: each
+    orbits_L<k>.json expanded back to cycle notation with its
+    elements_L<k>.json (dump_oracle.expand), which version 4 did not have."""
+    out = {}
+    for f in path.iterdir():
+        if f.name.startswith("orbits_L"):
+            h = hashlib.sha256()
+            for piece in dump_oracle.expand(f.read_text(), (path / f.name.replace(
+                    "orbits", "elements")).read_text()):
+                h.update(piece.encode())
+            out[f.name] = h.hexdigest()
+        elif not f.name.startswith("elements_L"):
+            out[f.name] = sha256_of(f)
+    return out
+
+
+# The report of `dihedral --p 5 --k 1` at version 4
 D5_TOWER_SHA256 = {
     "components.json":
         "d52bbadace8f7bf539aec0fdff252e20be2787d04b344c3d1fa2af277adb977f",
@@ -998,14 +1082,15 @@ def test_level1_dihedral_cli(tmp_path):
     assert comp["orbit_size"] == 300 and comp["genus"] == 12
     assert doc["comparisons"][0]["verdict"] == "equality"
     dumps = json.loads((tmp_path / "out" / "orbits_L1.json").read_text())
-    assert len(dumps[0]) == 300
-    assert dumps[0][0].startswith("[(")
-    assert _digests(tmp_path / "out") == D5_TOWER_SHA256
+    table = json.loads((tmp_path / "out" / "elements_L1.json").read_text())
+    assert len(dumps[0]) == 300 and len(dumps[0][0]) == 4
+    assert all(table[i].startswith("(") for i in dumps[0][0])
+    assert _v4_digests(tmp_path / "out") == D5_TOWER_SHA256
 
 
 def test_level2_dihedral_cli_bytes(tmp_path):
     assert run_cli(["dihedral", "--p", "5", "--k", "2"], tmp_path) == 0
-    assert _digests(tmp_path / "out") == {
+    assert _v4_digests(tmp_path / "out") == {
         **D5_TOWER_SHA256,
         "components.json":
             "1d5a71e5fc235ffb2fed9c871fed45220ff600f4cdf6a4d5baee0c79f18a9800",
@@ -1016,6 +1101,8 @@ def test_level2_dihedral_cli_bytes(tmp_path):
     }
 
 
+# The report of `level --group A5 --classes 3A,3A,3A,3A --p 2 --k 1` at
+# version 4
 A5_LEVEL1_SHA256 = {
     "components.json":
         "d800062cbe4ca5236a9c183ed59e1fca43c5887f1a7f8657d719ed4f5b4b2af0",
@@ -1039,9 +1126,7 @@ def test_level1_a5_cli(tmp_path):
     assert sorted(c["genus"] for c in comps) == [9, 12]
     assert doc["levels"][1]["total_order"] == 1920
     assert all(c["verdict"] == "hypotheses-unmet" for c in doc["comparisons"])
-    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in (tmp_path / "out").iterdir()}
-    assert digests == A5_LEVEL1_SHA256
+    assert _v4_digests(tmp_path / "out") == A5_LEVEL1_SHA256
 
 
 def test_schur_cli_a4_level1(tmp_path):
@@ -1176,6 +1261,57 @@ def test_split_route_file_groups_match_pins(tmp_path, capsys, job):
     assert "cache hit" in capsys.readouterr().out
     assert _digests(tmp_path / "cold") == _digests(tmp_path / "replay") \
         == _file_group_pins()[job]
+
+
+# The jobs of the pins that hold orbit dumps: tests/data/<pin>.sha256, and
+# the level jobs of file_group_pins.sha256
+DUMP_PINS = {
+    "level_a5_p2_k1": "level --group A5 --classes 3A,3A,3A,3A --p 2 --k 1",
+    "level_a5_p3_k1": "level --group A5 --classes 5A,5A,5A --p 3 --k 1",
+    "level_a4_p2_k1": "level --group A4 --classes 3A,3A,3B,3B --p 2 --k 1",
+    "dihedral_p5_k2": "dihedral --p 5 --k 2",
+    "dihedral_p7_k2": "dihedral --p 7 --k 2",
+    "dihedral_p3_k4": "dihedral --p 3 --k 4",
+}
+
+
+def _pin_file(name, job=None):
+    """{file: sha256} of tests/data/<name>, or of its lines for job/file."""
+    pins = {}
+    for line in (DATA / name).read_text().splitlines():
+        digest, path = line.split()
+        if job is None or path.startswith(f"{job}/"):
+            pins[path.split("/")[-1]] = digest
+    return pins
+
+
+@pytest.mark.parametrize("pin", [*DUMP_PINS, *(job for job in sorted(SPLIT_FILE_JOBS)
+                                               if job.startswith("level_"))])
+def test_dump_pins_expand_to_version_4(tmp_path, monkeypatch, pin):
+    """Each pinned job's report, computed once: its orbit dumps expanded
+    back to cycle notation (dump_oracle.expand), and its other files as
+    they are, are the report of version 4 (<pin>.v4.sha256, taken before
+    the dumps became index tuples); the report is its pin; and each file
+    has the size that _emit predicted before it opened any."""
+    if pin in DUMP_PINS:
+        args, v4, now = DUMP_PINS[pin].split(), _pin_file(f"{pin}.v4.sha256"), \
+            _pin_file(f"{pin}.sha256")
+    else:
+        cmd, name, *rest = SPLIT_FILE_JOBS[pin].split()
+        (tmp_path / name).write_text(SPLIT_FILES[name])
+        args = [cmd, "--group-file", str(tmp_path / name), *rest]
+        v4 = _pin_file("file_group_pins.v4.sha256", pin)
+        now = _pin_file("file_group_pins.sha256", pin)
+    predicted, emit = {}, cli._emit
+
+    def sizing_emit(files, report_dir):
+        predicted.update((name, nbytes) for name, (nbytes, _) in cli._sized(files).items())
+        return emit(files, report_dir)
+    monkeypatch.setattr(cli, "_emit", sizing_emit)
+    assert main(args + ["--no-cache", "--report", str(tmp_path / "out")]) == 0
+    assert _v4_digests(tmp_path / "out") == v4
+    assert _digests(tmp_path / "out") == now
+    assert predicted == {f.name: f.stat().st_size for f in (tmp_path / "out").iterdir()}
 
 
 # (Z/2)^3 x| Z/7 on 8 points and (Z/3)^2 x| Z/2 on 6 points: their P1 would

@@ -1,10 +1,12 @@
 """Report emission a batch at a time, against the scalar routes it replaced
 (tests/dump_oracle.py): cycle notation for whole image arrays, the
-orbit-dump writer, and cache entries published from the report files and
+orbit-dump writer (its index tuples expanded back to cycle notation), and
+cache entries published from the report files and
 restored a file at a time (tests/cache_oracle.py).
 Element orders from the cycle labels are checked in test_groups.py."""
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -65,14 +67,27 @@ def test_batch_cycle_notation_on_random_permutations():
     assert cycle_str([1, 0, 2]) == "(1 2)"
 
 
+def write_dump_files(path, k, G, orbits) -> dict[str, int]:
+    """Write the level-k dump files of the orbits into the directory `path`,
+    as _emit writes them; name -> the bytes _dump_files predicts."""
+    sizes = {}
+    for name, (nbytes, write) in cli._dump_files(k, G, orbits).items():
+        with open(path / name, "w") as fh:
+            write(fh)
+        sizes[name] = nbytes
+    return sizes
+
+
 @pytest.mark.parametrize("dump", [("A5", "none"), ("A5", "empty"), ("A5", "all"),
                                   ("D5", "all")])
 def test_dump_writer_matches_json_dump(tmp_path, monkeypatch, a5_level0,
                                        dihedral_pair, dump):
-    """The writer, from the orbit arrays, against json.dump of the oracle's
-    strings: no orbit, one empty orbit, and the orbits of the A5 level 0
-    and the D5 level 1 (p = 5) with an empty one among them; in blocks as
-    large as the writer takes them and in blocks of one row."""
+    """The writer, from the orbit arrays: its element table and index
+    tuples expand (oracle.expand) to json.dump of the oracle's strings, and
+    each file has the size predicted before it was written; for no orbit,
+    one empty orbit, and the orbits of the A5 level 0 and the D5 level 1
+    (p = 5) with an empty one among them; in blocks as large as the writer
+    takes them and in blocks of one row."""
     which, orbits = dump
     level = a5_level0 if which == "A5" else dihedral_pair.lvl1
     G, r = level.spec.group, level.reducer.r
@@ -82,9 +97,14 @@ def test_dump_writer_matches_json_dump(tmp_path, monkeypatch, a5_level0,
     oracle.write_dump(tmp_path / "old", oracle.orbit_dump(G, orbits))
     for chars in (cli._DUMP_CHARS, 1):
         monkeypatch.setattr(cli, "_DUMP_CHARS", chars)
-        with open(tmp_path / "new", "w") as fh:
-            cli._write_dump(fh, G, orbits)
-        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+        sizes = write_dump_files(tmp_path, 3, G, orbits)
+        assert sizes == {name: (tmp_path / name).stat().st_size
+                         for name in ("elements_L3.json", "orbits_L3.json")}
+        text = "".join(oracle.expand((tmp_path / "orbits_L3.json").read_text(),
+                                     (tmp_path / "elements_L3.json").read_text()))
+        assert text == (tmp_path / "old").read_text()
+    table = json.loads((tmp_path / "elements_L3.json").read_text())
+    assert table == G.perm_strs(sorted({x for t in orbits for x in t.ravel().tolist()}))
 
 
 def test_streamed_cache_entry_matches_cache_put(tmp_path, monkeypatch):

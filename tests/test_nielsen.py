@@ -164,27 +164,27 @@ def test_r5_shift_twist_orbits(a5):
     assert len(red.sh(t)) == 5
 
 
-def test_tuple_text_roundtrip(a5_level0, dihedral_pair):
+def test_tuple_text_roundtrip(tmp_path, a5_level0, dihedral_pair):
     """The orbit dump of the A5 level 0 and the D5 level 0 and 1 (p = 5)
-    reads back to the orbits, and it is json.dump of the oracle's strings."""
-    import io
+    reads back to the orbits, and it expands to json.dump of the oracle's
+    strings."""
     import json
 
     import dump_oracle
-    from mtower.cli import _write_dump
+    from test_dump import write_dump_files
 
     for level in (a5_level0, dihedral_pair.lvl0, dihedral_pair.lvl1):
         G = level.spec.group
         orbits = [rep.arrays.tuples for rep in level.reports]
-        fh = io.StringIO()
-        _write_dump(fh, G, orbits)
-        dump = json.loads(fh.getvalue())
-        assert [[tuple(G.lookup(parse_perm(part, G.degree).as_array())
-                       for part in text[1:-1].split(", ")) for text in comp]
-                for comp in dump] == [rep.orbit for rep in level.reports]
-        want = io.StringIO()
-        json.dump(dump_oracle.orbit_dump(G, orbits), want, indent=1)
-        assert fh.getvalue() == want.getvalue() + "\n"
+        write_dump_files(tmp_path, 0, G, orbits)
+        table = (tmp_path / "elements_L0.json").read_text()
+        elems = [G.lookup(parse_perm(text, G.degree).as_array())
+                 for text in json.loads(table)]
+        dump = (tmp_path / "orbits_L0.json").read_text()
+        assert [[tuple(elems[i] for i in row) for row in comp]
+                for comp in json.loads(dump)] == [rep.orbit for rep in level.reports]
+        text = "".join(dump_oracle.expand(dump, table))
+        assert text == json.dumps(dump_oracle.orbit_dump(G, orbits), indent=1) + "\n"
 
 
 def test_cusp_census_wrapper(a5_level0):
