@@ -1,9 +1,11 @@
 """Kernel benchmarks: the braid stage, its orbit dump and the cycle notation
 of its elements, on the D5 level-2 orbit (7,500 reduced classes over 125
 distinct elements, the top level of `mt dihedral --p 5 --k 2`);
-the F_p elimination of H^2(G1(A4), F_2), the solve of
-`mt schur --group A4 --p 2 --k 1`; and the group-table build, on an
-order-768 Schur cover of G1(A4) and on the SL(2,11) file group.
+the cover level of A4 and of A5 at p = 2 (`cli.build_level`); the F_p
+elimination of H^2(G1(A4), F_2) and of H^2(G1(A5), F_2), the solves of
+`mt schur --group A4 --p 2 --k 1` and `mt schur --group A5 --p 2 --k 1`;
+and the group-table build, on an order-768 Schur cover of G1(A4) and on the
+SL(2,11) file group.
 
 Run with pytest-benchmark:
 
@@ -23,10 +25,10 @@ import numpy as np
 import pytest
 
 from mtower import frattini
-from mtower.cli import _dump_files
+from mtower.cli import _dump_files, build_level
 from mtower.frattini import dihedral_level
 from mtower.gmodules import trivial_module
-from mtower.groups import FiniteGroup, alternating_group, cyclic_group, dihedral_group
+from mtower.groups import FiniteGroup, alternating_group, dihedral_group
 from mtower.perms import cycle_strs, parse_group_file
 from mtower.hurwitz import analyze_component, level_compare, sh_incidence
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
@@ -117,11 +119,21 @@ def test_cycle_strs(benchmark, d5_levels):
     assert len(strs) == 125 and strs == G.perm_strs(elems)
 
 
+@pytest.mark.parametrize("group, p, order", [("A4", 2, 384), ("A5-p2", 2, 1920)],
+                         ids=["A4", "A5-p2"])
+def test_cover_level(benchmark, group, p, order):
+    """The level-1 cover of A4 and of A5 at p = 2, as `mt schur --k 1` and
+    `mt level --k 1` build it: the Frattini module, the H^2 solve over the
+    base and the pair model of the extension."""
+    G = alternating_group(int(group[1]))
+    L = benchmark(build_level, G, p)
+    assert L.base is G and L.total.order == order
+
+
 @pytest.fixture(scope="module")
 def g1a4():
-    """G1(A4), the split level of order 384 under `mt schur --group A4 --p 2`."""
-    data = frattini.split_structure(alternating_group(4), 2)
-    return frattini.split_level(data.rank, 2, cyclic_group(3), [data.action]).level.total
+    """G1(A4), the level of order 384 under `mt schur --group A4 --p 2`."""
+    return frattini.general_level(alternating_group(4), 2).level.total
 
 
 def test_h2_solve(benchmark, g1a4):
@@ -130,6 +142,18 @@ def test_h2_solve(benchmark, g1a4):
     P, M = g1a4.presentation, trivial_module(g1a4, 2)
     labels, tails, _, _ = benchmark(frattini._cocycle_space, P, M)
     assert labels.shape == (5, 769) and tails.shape == (5, 7)
+
+
+def test_h2_solve_g1a5(benchmark):
+    """The H^2(G1(A5), F_2) solve of `mt schur --group A5 --p 2 --k 1`
+    (24,960 equations in 3,854 unknowns on G1(A5)'s three generators),
+    built and solved (_cocycle_space); dim H^2 = 1."""
+    G = build_level(alternating_group(5), 2).total
+    P, M = G.presentation, trivial_module(G, 2)
+    space = benchmark(frattini._cocycle_space, P, M)
+    assert space[0].shape[1] == G.order * (P.ngens - 1) + 1
+    assert space[1].shape[1] == len(P.relators)
+    assert frattini._h2_classes(P, M, space)[0] == 1
 
 
 def _sl2_11():

@@ -54,7 +54,7 @@ schur = _lazy_module("mtower.schur")
 COVER_MODULES = (fp, frattini, gmodules, groups, la, perms)
 LEVEL_MODULES = COVER_MODULES + (hurwitz, nielsen)
 
-VERSION = 5
+VERSION = 6
 _DUMP_CHARS = 1 << 20       # orbit-dump text formatted per block, at most
 
 
@@ -164,27 +164,12 @@ def _takes_dihedral_form(G: groups.FiniteGroup, p: int) -> bool:
     return True
 
 
-def build_level_model(G: groups.FiniteGroup, p: int):
-    """(one cover level over G, route chosen by structure: dihedral closed
-    form, split construction, or the general case from the Frattini module;
-    the split map of its base model onto G, or None).  The split route keeps
-    its own base model G0 and maps it onto G by the split map
-    (split_structure); the other routes build over G itself."""
-    if _takes_dihedral_form(G, p):
-        return frattini.dihedral_step(G, p), None
-    data = frattini.split_structure(G, p)
-    if data is None:
-        return frattini.general_level(G, p).level, None
-    H = groups.cyclic_group(G.element_order(data.complement_gen))
-    L = frattini.split_level(data.rank, p, H, [data.action]).level
-    return L, data.split_map[L.base.codes]
-
-
 def build_level(G: groups.FiniteGroup, p: int) -> frattini.FrattiniLevel:
-    """build_level_model, with a split model transported onto G along its
-    split map."""
-    L, split_map = build_level_model(G, p)
-    return L if split_map is None else frattini.transport_level(L, split_map, G)
+    """One cover level over G, route chosen by structure: the dihedral
+    closed form, else G extended by its Frattini module (general_level)."""
+    if _takes_dihedral_form(G, p):
+        return frattini.dihedral_step(G, p)
+    return frattini.general_level(G, p).level
 
 
 def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str],
@@ -461,7 +446,7 @@ def _schur_report(G: groups.FiniteGroup, gdesc: str, p: int, k: int) -> dict:
                 "kernel_gen": q.total.perm_str(q.kernel_elems[1]),
             })
         return out
-    L, _ = build_level_model(G, p)
+    L = build_level(G, p)
     quots = schur.enumerate_schur_quotients(L.total, p)
     rad_elems = [L.kernel_elems[la.vec_int(v, p)]
                  for v in gmodules.radical(L.kernel_module)]

@@ -73,10 +73,6 @@ class RankDeficient(InputError):
     pass
 
 
-class ActionLiftFailed(MTError):
-    """No compatible lift of the complement action was found."""
-
-
 class Collapse(MTError):
     """A product closed below its expected order, or tails no extension has."""
 

@@ -1,21 +1,25 @@
-"""Characteristic p-Frattini levels: dihedral closed form, split towers by
-iterated Frattini quotients of a free group, and the general case from
-H^2(G, M), read off one sparse F_p linear solve (_cocycle_space,
-linalg.sparse_nullspace) for the kernel labels on the edges of G's Cayley
-graph and the tails of the relators that G's peel gives (G.presentation).
-The same solve builds the extension of any class, the split case's P1
-among them, so nothing here enumerates cosets.  Against the trivial module
-it gives the Z/p Schur covers, one per line of H^2(G, F_p) (schur_covers).
-The solve, an extension's section tables and a pair model each predict
-their memory first, and raise TooLarge past MEMORY_CEILING; a pair model is
-refused past PAIR_MODEL_LIMIT elements too.
+"""Characteristic p-Frattini levels: the dihedral closed form, and every
+other level as an extension of G by its Frattini module M, read off H^2(G, M)
+by one sparse F_p linear solve (_cocycle_space, linalg.sparse_nullspace) for
+the kernel labels on the edges of G's Cayley graph and the tails of the
+relators that G's peel gives (G.presentation).  The same solve builds the
+extension of any class, so nothing here enumerates cosets.  Against the
+trivial module it gives the Z/p Schur covers, one per line of H^2(G, F_p)
+(schur_covers).  The solve, an extension's section tables and a pair model
+each predict their memory first, and raise TooLarge past MEMORY_CEILING; a
+pair model is refused past PAIR_MODEL_LIMIT elements too.
 
-Levels are constructed by structure, not by search.  A split group is read
-as its model P0 x| H along the split map (split_structure), and the general
-case keeps the one summand of the induced Sylow-normalizer module that is
-not free over the Sylow (general_level).  The searches that remain (the
-lift of the complement action, the Frattini and restriction-splitting
-checks, cover maps onto Schur covers) run through groups.search_images.
+Levels are constructed by structure, not by search, and over G itself
+(general_level).  When G = P0 x| <h> has a normal elementary abelian
+p-Sylow (split_structure), M is P0's relation module Phi(F) / Phi(Phi(F)),
+whose coordinates are exponent sums along Reidemeister-Schreier walks on
+P0's Cayley graph (_schreier_basis, on the non-tree edges that
+G.nontree_edges numbers), with h acting by the p'-part of the matrix that a
+free-group lift of its action induces (split_module).  Otherwise the
+Sylow normalizer's module is induced to G, and the one summand that is not
+free over the Sylow is kept.  The searches that remain (the Frattini and
+restriction-splitting checks, cover maps onto Schur covers) run through
+groups.search_images.
 
 Every constructed level is normalized to a canonical "pair model": elements
 are pairs (base element, kernel vector) with
@@ -26,19 +30,12 @@ where psi is the 2-cocycle read off a chosen section (kernel written on the
 right of the section: s(g) s(h) = s(gh) psi(g, h)).  The pair model makes
 element indexing independent of how the group was found, so downstream
 orbit reports are byte-stable.  It is built from that product over the
-codes g p^m + int(v), without composing a permutation.
-
-The split case builds every group from its product as well: P0 = (Z/p)^d
-translates the base-p codes of its vectors; P1 = F / Phi(Phi(F)) is the
-pair model of P0's relation module, whose coordinates are exponent sums
-along Reidemeister-Schreier walks on P0's Cayley graph (_schreier_basis,
-on the non-tree edges that G.nontree_edges numbers); and G0 = P0 x| H and
-G1 = P1 x| H act on the codes h |P| + u, with the automorphisms of P by the
-powers of H's generator stored as one (|H|, |P|) array.  The split level's
-proj, section, kernel and module matrices are read off those codes, and the
-dihedral level's off the codes f n + a of i -> (-1)^f i + a.  Every level
-lists its kernel by the base-p code of each vector, so the coordinates are
-the digits of a kernel element's position (FrattiniLevel.kernel_coords).
+codes g p^m + int(v), without composing a permutation, and generated by the
+base lifts and the kernel vectors that spin the module.  The dihedral
+level's proj, section and kernel are read off the codes f n + a of
+i -> (-1)^f i + a.  Every level lists its kernel by the base-p code of each
+vector, so the coordinates are the digits of a kernel element's position
+(FrattiniLevel.kernel_coords).
 """
 
 from __future__ import annotations
@@ -48,13 +45,13 @@ from functools import cached_property
 
 from . import np
 from . import linalg as la
-from .errors import (ActionLiftFailed, Collapse, IncompatibleLevels, InputError,
-                     NotPPrime, OrderExceeded, TooLarge)
+from .errors import (Collapse, IncompatibleLevels, InputError, NotPPrime,
+                     OrderExceeded, TooLarge)
 from .fp import Presentation, free_reduce, invert_word
-from .gmodules import (GModule, indecomposable_summands, induce,
+from .gmodules import (GModule, indecomposable_summands, induce, spin,
                        submodule_module, trivial_module)
-from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, cyclic_group,
-                     dihedral_group, generating_set, is_p_perfect, search_images,
+from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, dihedral_group,
+                     generating_set, is_p_perfect, search_images,
                      subgroup_from_indices)
 
 # Bytes a stage may be predicted to need: the H^2 solve, an extension's
@@ -121,8 +118,10 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     The pair (g, v) has the code g * p^m + int(v), and the group is built
     from its product over arrays of codes (FiniteGroup.from_closed_form).
     Generators are the lifts (gen, 0) of the base generators followed by
-    the kernel basis (1, e_j); proj, section and kernel (by code) are read
-    off the codes.  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
+    each (1, e_j) whose e_j is not in the submodule spun by the e_j chosen
+    before it; they generate every extension of base by module.  proj,
+    section and kernel (by code) are read off the codes.  Requires psi
+    normalized: psi[0,:] = psi[:,0] = 0.
     """
     p, m, nb = module.p, module.dim, base.order
     P = p ** m
@@ -146,7 +145,11 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
         vec += np.take(cocycle, g * nb + h, axis=0)
         return base.mul_many(g, h).astype(np.int64) * P + vec % p @ weights
 
-    gens = [g * P for g in base.gen_indices] + [p ** j for j in range(m)]
+    gens, spun = [g * P for g in base.gen_indices], np.zeros((0, m), dtype=np.int64)
+    for j, e in enumerate(la.identity(m)):
+        if la.rank(np.vstack([spun, e]), p) > len(spun):
+            gens.append(p ** j)
+            spun = spin(module, np.vstack([spun, e]))
     total = FiniteGroup.from_closed_form(npts, gens, code_mul, name=name)
     if total.order != npts:
         raise Collapse(f"pair model closed at {total.order}, expected {npts}")
@@ -281,138 +284,6 @@ def dihedral_step(base: FiniteGroup, p: int) -> FrattiniLevel:
                         name=f"D{nt}->D{nb}")
     _check_level(lvl)
     return lvl
-
-
-# -- split case ---------------------------------------------------------------------
-
-
-@dataclass
-class SplitTower:
-    level: FrattiniLevel             # G1 -> G0
-    h_lift_images: list[int]         # chosen images of the P1 generators under h
-    g0: FiniteGroup
-    g1: FiniteGroup
-
-
-def _semidirect_group(H: FiniteGroup, N: FiniteGroup, act: np.ndarray, u_gens,
-                      name: str) -> FiniteGroup:
-    """N x| H on the codes h |N| + u: (h1,u1)(h2,u2) = (h1 h2, act[h2, u1] u2),
-    where row h of the (|H|, |N|) array `act` is the automorphism of N by h
-    as an element map.  Generated by the elements u_gens of N, then H's
-    generators."""
-    n = N.order
-
-    def code_mul(a, b):
-        (h1, u1), (h2, u2) = np.divmod(a, n), np.divmod(b, n)
-        return H.mul_many(h1, h2).astype(np.int64) * n + N.mul_many(act[h2, u1], u2)
-
-    gens = list(u_gens) + [h * n for h in H.gen_indices]
-    G = FiniteGroup.from_closed_form(H.order * n, gens, code_mul, name=name)
-    if G.order != H.order * n:
-        raise Collapse(f"semidirect product closed at {G.order}, expected {H.order * n}")
-    return G
-
-
-def _powers(H: FiniteGroup, alpha: np.ndarray) -> np.ndarray:
-    """Row h: the element map alpha^j, for h = g^j and g the generator of
-    the cyclic group H."""
-    out = np.empty((H.order, len(alpha)), dtype=np.int64)
-    h, acc = 0, np.arange(len(alpha))
-    for _ in range(H.order):
-        out[h] = acc
-        h, acc = H.mul(h, H.gen_indices[0]), alpha[acc]
-    return out
-
-
-def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray]) -> SplitTower:
-    """One Frattini level of P0 x| H for elementary abelian P0 = (Z/p)^d.
-
-    P1 = F / Phi(Phi(F)) is the extension of P0 by the relation module
-    Phi(F) / Phi(Phi(F)) of F -> P0 (build_extension).  Phi(F) is free on
-    the Schreier generators s_j, one per non-tree edge of P0's Cayley graph,
-    so the module has dimension d' = (d - 1) p^d + 1, and a word of Phi(F)
-    has as coordinates its exponent sums along the Reidemeister-Schreier
-    walk (_schreier_basis).  The module matrices are the coordinates of
-    x_i^-1 s_j x_i, the relator tails those of P0's relators.  The H-action
-    on P0 is lifted to P1 by taking the lexicographically first
-    generator-image assignment satisfying both the P1 relations and H's
-    relation (H must be cyclic here).  A P1, and then a level, past
-    PAIR_MODEL_LIMIT is refused before any of this is built.
-    """
-    if len(H.gen_indices) != 1:
-        raise ActionLiftFailed("action lift implemented for cyclic complements")
-    h_order = H.element_order(H.gen_indices[0])
-    A_h = la.asmod(H_mats[0], p)
-    _check_pair_model_size(p ** d, p, (d - 1) * p ** d + 1)          # P1
-    _check_pair_model_size(H.order * p ** d, p, (d - 1) * p ** d + 1)  # the level
-
-    # P0 translates the base-p codes of F_p^d; generator i = e_i
-    P0 = _vector_group(d, p)
-    sgens, coords = _schreier_basis(P0, p)
-    M0 = GModule(P0, p, [np.stack([coords((-(i + 1),) + s + (i + 1,)) for s in sgens])
-                         for i in range(d)], check=False)
-    tails = np.stack([coords(r) for r in P0.presentation.relators])
-    L1 = build_extension(P0.presentation, M0, tails, name="P1")
-    P1 = L1.total
-
-    # lift the H generator: images of the P1 generators over (e_i) A_h
-    cand_lists = [sorted(L1.lifts(int(P0._at_code[la.vec_int(A_h[i], p)])))
-                  for i in range(d)]
-    lift = _find_action_lift(P1, cand_lists, h_order)
-    if lift is None:
-        raise ActionLiftFailed("no compatible lift of the complement action")
-    alpha_images, alpha = lift
-
-    # G0 and G1 on the codes h |P| + u, acted on by the powers of A_h and alpha
-    vecs, weights = _digits(P0.order, d, p), p ** np.arange(d)
-    act0 = _powers(H, P0._at_code[vecs[P0.codes] @ A_h % p @ weights])
-    G0 = _semidirect_group(H, P0, act0, P0.gen_indices, name="G0split")
-    G1 = _semidirect_group(H, P1, _powers(H, alpha), P1.gen_indices[:d],
-                           name="G1split")
-
-    # proj, section and kernel off the codes; (1, k) has the code k
-    h1, u1 = np.divmod(G1.codes, P1.order)
-    proj = G0._at_code[h1 * P0.order + L1.proj[u1]].astype(np.int64)
-    h0, u0 = np.divmod(G0.codes, P0.order)
-    section = G1._at_code[h0 * P1.order + L1.section[u0]].astype(np.int64)
-    kernel = G1._at_code[L1.kernel_elems].tolist()
-    m = len(sgens)
-    # row j of generator g's matrix: the coordinates of s(g)^-1 e_j s(g)
-    s = section[G0.gen_indices][:, None]
-    basis = G1.mul_many(G1.mul_many(G1.inv[s], [kernel[p ** j] for j in range(m)]), s)
-    gen_mats = list(_kernel_coords_table(G1.order, kernel, p, m)[basis])
-    M = GModule(G0, p, gen_mats)
-    psi = extract_cocycle(G1, G0, section, kernel, p, m)
-    lvl = FrattiniLevel(G1, G0, p, proj, section, kernel, M, psi,
-                        name=f"split d={d} p={p}")
-    _check_level(lvl)
-    return SplitTower(lvl, alpha_images, G0, G1)
-
-
-def _vector_group(d: int, p: int) -> FiniteGroup:
-    """(Z/p)^d translating the base-p codes of its vectors, generated by
-    e_1, ..., e_d."""
-    vecs, weights = _digits(p ** d, d, p), p ** np.arange(d)
-    return FiniteGroup.from_closed_form(
-        p ** d, weights.tolist(), lambda a, b: (vecs[a] + vecs[b]) % p @ weights,
-        name=f"(Z/{p})^{d}")
-
-
-def _find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
-                      h_order: int) -> tuple[list[int], np.ndarray] | None:
-    """The first candidate images of the first len(cand_lists) generators
-    (in product order) that define an automorphism of P1 of order dividing
-    h_order, with its element map."""
-    ident = np.arange(P1.order)
-    for rows, maps, sizes in search_images(P1, cand_lists, P1):
-        rows, maps = rows[sizes == P1.order], maps[sizes == P1.order]
-        cur = np.broadcast_to(ident, maps.shape)
-        for _ in range(h_order):
-            cur = np.take_along_axis(maps, cur, axis=1)
-        hit = (cur == ident).all(axis=1).nonzero()[0]
-        if hit.size:
-            return rows[hit[0]].tolist(), maps[hit[0]]
-    return None
 
 
 # -- H^2 and extensions: one linear solve over the Cayley graph ----------------
@@ -739,6 +610,15 @@ def normalizer(G: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _vector_group(d: int, p: int) -> FiniteGroup:
+    """(Z/p)^d translating the base-p codes of its vectors, generated by
+    e_1, ..., e_d."""
+    vecs, weights = _digits(p ** d, d, p), p ** np.arange(d)
+    return FiniteGroup.from_closed_form(
+        p ** d, weights.tolist(), lambda a, b: (vecs[a] + vecs[b]) % p @ weights,
+        name=f"(Z/{p})^{d}")
+
+
 @dataclass
 class SplitData:
     rank: int
@@ -746,7 +626,7 @@ class SplitData:
     basis: list[int]               # kernel generators inside the concrete group
     complement_gen: int
     action: np.ndarray             # matrix of the complement generator on the basis
-    split_map: np.ndarray          # code j |P0| + u of G0 -> its element of the group
+    split_map: np.ndarray          # code j |P0| + u -> its element h^j u of the group
 
 
 def split_structure(N: FiniteGroup, p: int, of: str = "") -> SplitData | None:
@@ -755,11 +635,9 @@ def split_structure(N: FiniteGroup, p: int, of: str = "") -> SplitData | None:
 
     A normal p-Sylow is the set of elements of p-power order, and h is the
     first element of order |N : P0|, a p' order, so its powers meet P0 in 1
-    only.  The split map sends the element of code j |P0| + u of the model
-    G0 = P0 x| H of split_level, for H = cyclic_group(|h|) (whose element j
-    is its generator's j-th power) and u an element of P0 with vector v, to
-    h^j b_1^v_1 ... b_d^v_d for the basis b_i of P0; row i of the action
-    matrix is the vector of h^-1 b_i h.
+    only.  The split map sends the code j |P0| + u, for u the element of
+    _vector_group(d, p) with vector v, to h^j b_1^v_1 ... b_d^v_d for the
+    basis b_i of P0; row i of the action matrix is the vector of h^-1 b_i h.
     """
     orders, q = N.element_orders(), 1          # q: the p-part of |N|
     while N.order % (q * p) == 0:
@@ -787,6 +665,50 @@ def split_structure(N: FiniteGroup, p: int, of: str = "") -> SplitData | None:
                      N.mul_many(h_powers[:, None], elems).ravel())
 
 
+def split_module(N: FiniteGroup, data: SplitData) -> GModule:
+    """The Frattini module of N = P0 x| <h> (split_structure), over N.
+
+    Restricted to P0 = (Z/p)^d it is P0's relation module
+    Phi(F) / Phi(Phi(F)) of dimension m = (d - 1) p^d + 1: row j of x_i's
+    matrix M0(x_i) is the coordinates of x_i^-1 s_j x_i (_schreier_basis).
+    The lift phi of h's action to F, x_i -> the BFS word of (e_i) A_h, maps
+    Phi(F) into itself, and row j of B is the coordinates of phi(s_j).  B
+    acts like h on P0, but its |h|-th power need not be 1: it is the action
+    of an automorphism of P1 = F / Phi(Phi(F)) trivial on P0, and those form
+    a p-group (Burnside; Gaschütz 1954 for the module).  So h acts by the
+    p'-part S = B^k, k = 0 mod p^e (p^e >= m bounds the order of a
+    unipotent m x m matrix) and k = 1 mod |h|, and the generator h^j u (read
+    through the split map) by S^j M0(u).  The relators of N's peel are
+    checked.
+    """
+    d, p = data.rank, data.prime
+    P0 = _vector_group(d, p)
+    sgens, coords = _schreier_basis(P0, p)
+    M0 = GModule(P0, p, [np.stack([coords((-(i + 1),) + s + (i + 1,)) for s in sgens])
+                         for i in range(d)], check=False)
+    words = [tuple(g + 1 for g in word) for word in P0.words]
+    phi = [words[P0._at_code[la.vec_int(row, p)]] for row in data.action]
+    B = np.stack([coords(free_reduce(sum((phi[x - 1] if x > 0 else invert_word(phi[-x - 1])
+                                          for x in s), ()))) for s in sgens])
+    q, n = 1, N.order // P0.order
+    while q < len(sgens):
+        q *= p
+    S = _mat_power(B, q * pow(q, -1, n), p)
+    codes = np.argsort(data.split_map)            # element h^j u -> j |P0| + u
+    return GModule(N, p, [la.matmul(_mat_power(S, j, p), M0.mat_of(u), p)
+                          for j, u in (divmod(int(codes[g]), P0.order)
+                                       for g in N.gen_indices)])
+
+
+def _mat_power(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = la.identity(len(A))
+    while e:
+        if e & 1:
+            out = la.matmul(out, A, p)
+        A, e = la.matmul(A, A, p), e >> 1
+    return out
+
+
 @dataclass
 class FrattiniModuleData:
     induced: GModule                  # Ind of the normalizer module, over G
@@ -795,24 +717,16 @@ class FrattiniModuleData:
 
 
 def frattini_module(G: FiniteGroup, p: int) -> FrattiniModuleData:
-    """Induce the Sylow-normalizer's Frattini module up to G and decompose.
-
-    The normalizer N is read as its split model G0 along the split map
-    (split_structure), so the module of the model's level is N's module;
-    general_level keeps the one summand that is not projective.
-    """
+    """Induce the Sylow-normalizer's Frattini module (split_module) up to G
+    and decompose; general_level keeps the one summand that is not
+    projective."""
     S = p_sylow(G, p)
     N = normalizer(G, S)
     if len(N) == G.order:
-        raise InputError("p-Sylow normal in G; use the split construction")
+        raise InputError("p-Sylow normal in G; its Frattini module is split_module")
     n_gens = generating_set(G, list(N))
     Nsub = subgroup_from_indices(G, n_gens, name="sylow-normalizer")
-    data = split_structure(Nsub, p, " of the Sylow normalizer")
-    H = cyclic_group(Nsub.element_order(data.complement_gen))
-    tower = split_level(data.rank, p, H, [data.action])
-    model_of = np.argsort(data.split_map[tower.g0.codes])   # N element -> G0 element
-    mats = [tower.level.kernel_module.mat_of(int(model_of[g])) for g in Nsub.gen_indices]
-    ind = induce(GModule(Nsub, p, mats, check=False), G)
+    ind = induce(split_module(Nsub, split_structure(Nsub, p, " of the Sylow normalizer")), G)
     bases = indecomposable_summands(ind)
     bases.sort(key=lambda b: (b.shape[0], b.tobytes()))
     return FrattiniModuleData(ind, bases, S)
@@ -839,46 +753,41 @@ class GeneralLevel:
     module: GModule
     h2_dim: int
     tail: np.ndarray
-    module_data: FrattiniModuleData
+    module_data: FrattiniModuleData | None   # None for a normal p-Sylow
 
 
 def general_level(G: FiniteGroup, p: int) -> GeneralLevel:
-    """G_1 -> G for a p-perfect G with non-normal Sylow, via relator tails.
+    """G_1 -> G for a p-perfect G, via relator tails.
 
-    The Frattini module is the one indecomposable summand M of the induced
-    normalizer module that is not projective (Gaschütz 1954; Griess and
-    Schmid 1978): its restriction to the p-Sylow P is not free, that is
-    dim M != |P| dim M^P.  G is extended by M along the first nonsplit class
-    of H^2(G, M), the one H^2 solve made here.
+    With a normal p-Sylow, G = P0 x| <h> (split_structure) and its Frattini
+    module is split_module; a level past PAIR_MODEL_LIMIT is refused before
+    that module is built.  Otherwise it is the one indecomposable summand M
+    of the induced normalizer module that is not projective (Gaschütz
+    1954; Griess and Schmid 1978): its restriction to the p-Sylow P is not
+    free, that is dim M != |P| dim M^P.  Either way M is Omega^2 of the
+    trivial module up to projectives, so H^2(G, M) = Ext^2(1, M) has
+    dimension 1, and G is extended by M along its nonzero class line, the
+    one H^2 solve made here.
     """
     if not is_p_perfect(G, p):
         raise InputError(f"cover stage: base group must be {p}-perfect")
-    data = frattini_module(G, p)
-    sylow_gens = generating_set(G, data.sylow)
-    summands = [submodule_module(data.induced, b) for b in data.summand_bases]
-    kept = [M for M in summands if M.dim != len(data.sylow) * len(la.nullspace(
-        np.hstack([M.mat_of(g) - la.identity(M.dim) for g in sylow_gens]).T, p))]
-    if len(kept) != 1:
-        raise AssertionError(f"{len(kept)} induced summands are not projective, not 1")
-    M = kept[0]
+    split = split_structure(G, p)
+    if split is not None:
+        _check_pair_model_size(G.order, p, (split.rank - 1) * p ** split.rank + 1)
+        M, data = split_module(G, split), None
+    else:
+        data = frattini_module(G, p)
+        sylow_gens = generating_set(G, data.sylow)
+        summands = [submodule_module(data.induced, b) for b in data.summand_bases]
+        kept = [M for M in summands if M.dim != len(data.sylow) * len(la.nullspace(
+            np.hstack([M.mat_of(g) - la.identity(M.dim) for g in sylow_gens]).T, p))]
+        if len(kept) != 1:
+            raise AssertionError(f"{len(kept)} induced summands are not projective, not 1")
+        M = kept[0]
     space = _cocycle_space(G.presentation, M)
     dim, classes = _h2_classes(G.presentation, M, space)
-    if dim == 0:
-        raise AssertionError("the Frattini module has no nonsplit extension")
+    if dim != 1:
+        raise AssertionError(f"dim H^2(G, M) = {dim} for the Frattini module, not 1")
     tail = classes[1]
     lvl = _extension(G.presentation, M, space, tail, name=f"G1({G.name or 'G'})")
     return GeneralLevel(lvl, M, dim, tail, data)
-
-
-def transport_level(lvl: FrattiniLevel, iso, new_base: FiniteGroup) -> FrattiniLevel:
-    """Relabel a level over an isomorphic concrete base group.
-
-    iso maps old base elements to new base elements; the kernel module and
-    cocycle are transported and the pair model rebuilt canonically.
-    """
-    iso_inv = np.argsort(iso)
-    mats = [lvl.kernel_module.mat_of(int(iso_inv[g])) for g in new_base.gen_indices]
-    M = GModule(new_base, lvl.p, mats, check=False)
-    psi = lvl.psi[iso_inv[:, None], iso_inv]
-    return level_from_pair_model(new_base, M, psi, lvl.p,
-                                 name=lvl.name + "-transported")

@@ -2,12 +2,10 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from mtower.frattini import (dihedral_level, general_level, split_level,
-                             verify_frattini)
-from mtower.groups import alternating_group, cyclic_group
+from mtower.frattini import dihedral_level, general_level, verify_frattini
+from mtower.groups import alternating_group
 from mtower.hurwitz import analyze_component
 from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
                             hm_seed_tuples, lift_tuples, lifted_spec,
@@ -47,8 +45,10 @@ def a4():
 
 
 @pytest.fixture(scope="session")
-def a4_tower():
-    return split_level(2, 2, cyclic_group(3), [np.array([[0, 1], [1, 1]])])
+def a4_tower(a4):
+    """G1(A4) -> A4: A4 extended by its Frattini module, the relation
+    module of its normal 2-Sylow (frattini.split_module)."""
+    return general_level(a4, 2)
 
 
 @pytest.fixture(scope="session")

@@ -20,14 +20,17 @@ A_4 and A_5, which `groups.alternating_group` now writes out.  The split
 and dihedral levels were built as permutation groups: `_vector_group` and
 `_semidirect_group` compose each generator point by point, `split_level`
 enumerates P1's cosets (Schreier generators of the coset table of P0, then
-P1's own table, with the module and cocycle of P1 over P0 read off it) and
+P1's own table, with the module and cocycle of P1 over P0 read off it),
+lifts the complement's action to P1 by a search (`find_action_lift`) and
 decodes its elements through the image of point 0, `dihedral_step` through
 `_dihedral_decode`/`_dihedral_elem`, and `transport_level` moves the
 cocycle one entry at a time.  They return the level's parts (proj, section,
 kernel, coordinates, module matrices, psi; for the split level also P1 with
 its module and cocycle over P0) instead of a level, and skip the
-presentations.  The order-p^3 model groups are the
-permutation builders they were.
+presentations.  `split_route_level` and `split_route_module` are the split
+route that `frattini.split_module` replaced: the split level moved onto
+the group along its split map, and its kernel module.  The order-p^3
+model groups are the permutation builders they were.
 
 `schreier_generators` reads the Schreier generators of a subgroup off its
 coset table; only this oracle's `split_level` and the tests use it.
@@ -39,12 +42,13 @@ import numpy as np
 
 from mtower import frattini
 from mtower import linalg as la
-from mtower.errors import ActionLiftFailed, Collapse, InputError
+from mtower.errors import Collapse, InputError
 from mtower.fp import (CosetTable, Presentation, free_reduce, invert_word,
                        todd_coxeter)
-from mtower.frattini import level_from_pair_model
-from mtower.gmodules import GModule
-from mtower.groups import ConjClass, FiniteGroup, dihedral_group, search_images
+from mtower.frattini import FrattiniLevel, level_from_pair_model
+from mtower.gmodules import GModule, spin
+from mtower.groups import (ConjClass, FiniteGroup, cyclic_group, dihedral_group,
+                           search_images)
 from mtower.perms import Perm
 
 
@@ -211,8 +215,9 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     """Extension of `base` by `module` along cocycle `psi` as a FiniteGroup.
 
     Points of the permutation domain are pairs g * p^m + int(v); generators
-    are the lifts (gen, 0) of the base generators followed by the kernel
-    basis (1, e_j).  Requires psi normalized: psi[0,:] = psi[:,0] = 0.
+    are the lifts (gen, 0) of the base generators followed by each kernel
+    vector (1, e_j) that the submodule spun by those before it misses.
+    Requires psi normalized: psi[0,:] = psi[:,0] = 0.
     """
     p, m = module.p, module.dim
     nb = base.order
@@ -235,10 +240,11 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
         return Perm(tuple(int(x) for x in img))
 
     gens = [translation(g, np.zeros(m, dtype=np.int64)) for g in base.gen_indices]
-    for j in range(m):
-        e = np.zeros(m, dtype=np.int64)
-        e[j] = 1
-        gens.append(translation(0, e))
+    span = np.zeros((0, m), dtype=np.int64)
+    for e in np.eye(m, dtype=np.int64):
+        if la.rank(np.vstack([span, e]), p) > len(span):
+            gens.append(translation(0, e))
+            span = spin(module, np.vstack([span, e]))
     total = FiniteGroup(gens, max_order=npts + 1, name=name)
     if total.order != npts:
         raise Collapse(f"pair model closed at {total.order}, expected {npts}")
@@ -414,6 +420,27 @@ def _semidirect_group(H: FiniteGroup, n_u: int, u_mul, u_act, u_gens,
     return G
 
 
+class ActionLiftFailed(Exception):
+    """No compatible lift of the complement action was found."""
+
+
+def find_action_lift(P1: FiniteGroup, cand_lists: list[list[int]],
+                     h_order: int) -> tuple[list[int], np.ndarray] | None:
+    """The first candidate images of the first len(cand_lists) generators
+    (in product order) that define an automorphism of P1 of order dividing
+    h_order, with its element map."""
+    ident = np.arange(P1.order)
+    for rows, maps, sizes in search_images(P1, cand_lists, P1):
+        rows, maps = rows[sizes == P1.order], maps[sizes == P1.order]
+        cur = np.broadcast_to(ident, maps.shape)
+        for _ in range(h_order):
+            cur = np.take_along_axis(maps, cur, axis=1)
+        hit = (cur == ident).all(axis=1).nonzero()[0]
+        if hit.size:
+            return rows[hit[0]].tolist(), maps[hit[0]]
+    return None
+
+
 def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
                 max_cosets: int = 1 << 20) -> dict:
     """One Frattini level of P0 x| H for elementary abelian P0 = (Z/p)^d.
@@ -470,7 +497,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
         s = int(info1["section"][p0_elem[la.vec_int(A_h[i], p)]])
         cands = sorted(P1.mul(s, k) for k in info1["kernel"])
         cand_lists.append(cands)
-    lift = frattini._find_action_lift(P1, cand_lists, h_order)
+    lift = find_action_lift(P1, cand_lists, h_order)
     if lift is None:
         raise ActionLiftFailed("no compatible lift of the complement action")
     alpha_images, alpha = lift
@@ -530,8 +557,41 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
             rows.append(coords[got])
         gen_mats.append(np.stack(rows))
     psi = extract_cocycle(G1, G0, proj, section, coords, p, m)
-    return dict(P0=P0, P1=P1, M0=mats0, psi_p1=psi_p1, g0=G0, g1=G1, proj=proj,
-                section=section, kernel=kernel, coords=coords, mats=gen_mats, psi=psi)
+    return dict(P0=P0, P1=P1, M0=mats0, psi_p1=psi_p1, h_lift_images=alpha_images,
+                g0=G0, g1=G1, proj=proj, section=section, kernel=kernel,
+                coords=coords, mats=gen_mats, psi=psi)
+
+
+def split_route(N: FiniteGroup, p: int) -> tuple[dict, list[int]]:
+    """(split_level of N read as P0 x| H along frattini.split_structure,
+    the element map of its G0 onto N).  G0's element of point-0 image
+    h |P0| + u is h^j u in N: H's element j is its generator's j-th power,
+    and the P0 element u is numbered as in frattini._vector_group."""
+    data = frattini.split_structure(N, p)
+    H = cyclic_group(N.element_order(data.complement_gen))
+    tower = split_level(data.rank, p, H, [data.action])
+    return tower, data.split_map[tower["g0"].elements[:, 0]].tolist()
+
+
+def split_route_level(G: FiniteGroup, p: int) -> FrattiniLevel:
+    """The level over G with a normal p-Sylow as the split route built it:
+    G1 = P1 x| H over G0 = P0 x| H (split_level), moved onto G along the
+    split map (transport_level)."""
+    tower, iso = split_route(G, p)
+    g0 = tower["g0"]
+    lvl = FrattiniLevel(tower["g1"], g0, p, tower["proj"], tower["section"],
+                        tower["kernel"], GModule(g0, p, tower["mats"], check=False),
+                        tower["psi"], name="G1split")
+    return transport_level(lvl, iso, G)
+
+
+def split_route_module(N: FiniteGroup, p: int) -> GModule:
+    """N's Frattini module as the split route read it: the kernel module of
+    split_level's G1 -> G0, moved onto N along the split map."""
+    tower, iso = split_route(N, p)
+    M = GModule(tower["g0"], p, tower["mats"], check=False)
+    at = np.argsort(iso)
+    return GModule(N, p, [M.mat_of(int(at[g])) for g in N.gen_indices])
 
 
 def _vector_group(d: int, p: int) -> FiniteGroup:
@@ -743,30 +803,25 @@ def _split_presentation(rels, images, h_order: int) -> Presentation:
     return Presentation(d + 1, tuple(r for r in rels if r))
 
 
-def split_presentations(tower, A_h: np.ndarray, h_order: int):
+def split_presentations(tower: dict, p: int, A_h: np.ndarray, h_order: int):
     """The presentations of the split model G0 = P0 x| H and of
-    G1 = P1 x| H of `tower` (frattini.split_level, for the action A_h of
-    H's generator, of order h_order) on x_1..x_d, h: P0's or P1's relators
-    of the x_i, h^h_order, and h^-1 x_i h written as a word in the x_i.
-    For G0 that word is the BFS word x_1^a_1 ... x_d^a_d of (e_i) A_h; for
-    G1 it is alpha(x_i) in P1's normal form: the BFS word of its P0 part,
-    then the Schreier generators to the digits of its kernel part.  P1 is
-    rebuilt as split_level builds it, over P0's hand-written presentation."""
-    p, d = tower.level.p, len(A_h)
+    G1 = P1 x| H of `tower` (split_level, for the action A_h of H's
+    generator, of order h_order) on x_1..x_d, h: P0's or P1's relators of
+    the x_i, h^h_order, and h^-1 x_i h written as a word in the x_i.  For
+    G0 that word is the BFS word x_1^a_1 ... x_d^a_d of (e_i) A_h; for G1 it
+    is alpha(x_i) in P1's normal form: the BFS word of its P0 part, then the
+    Schreier generators to the digits of its kernel part, read off the
+    pair-model code of alpha(x_i), its image of point 0."""
+    d = len(A_h)
     P0 = frattini._vector_group(d, p)
-    P0_pres = p0_presentation(d, p)
     x_words = [tuple(g + 1 for g in word) for word in P0.words]
-    sgens, coords = frattini._schreier_basis(P0, p)
-    M0 = GModule(P0, p, [np.stack([coords((-(i + 1),) + s + (i + 1,)) for s in sgens])
-                         for i in range(d)], check=False)
-    P1 = frattini.build_extension(P0_pres, M0, np.stack(
-        [coords(r) for r in P0_pres.relators])).total
-    g0 = _split_presentation(P0_pres.relators, [
+    sgens, _ = frattini._schreier_basis(P0, p)
+    g0 = _split_presentation(p0_presentation(d, p).relators, [
         x_words[P0._at_code[la.vec_int(row, p)]] for row in la.asmod(A_h, p)], h_order)
     m = len(sgens)
     alpha_words = []
-    for e in tower.h_lift_images:
-        g, v = divmod(int(P1.codes[e]), p ** m)
+    for e in tower["h_lift_images"]:
+        g, v = divmod(int(tower["P1"].elements[e][0]), p ** m)
         alpha_words.append(x_words[g] + sum((word_pow(sj, v // p ** j % p)
                                              for j, sj in enumerate(sgens)), ()))
     return g0, _split_presentation(p1_presentation(d, p).relators, alpha_words, h_order)

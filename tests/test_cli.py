@@ -18,6 +18,7 @@ from mtower import cache, cli, frattini
 from mtower.cache import cache_get, cache_restore_entry, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
+from mtower.gmodules import GModule
 from mtower.groups import cyclic_group
 
 DATA = Path(__file__).parent / "data"
@@ -266,8 +267,9 @@ D5_RELABELLED = "(1 3 4 5 2)\n(2 3)(4 5)\n"
 
 def test_relabelled_dihedral_falls_back_to_split_route(tmp_path):
     """D5 on (1 3 4 5 2) and (2 3)(4 5) is not in the dihedral closed
-    form's standard form, so the level is built by the split route: the
-    level-1 component is that of the builtin D5."""
+    form's standard form, so the level extends it by its Frattini module,
+    the relation module of its normal 5-Sylow: the level-1 component is
+    that of the builtin D5."""
     gf = tmp_path / "d5.txt"
     gf.write_text(D5_RELABELLED)
     args = ["level", "--classes", "2A,2A,2A,2A", "--p", "5", "--k", "1"]
@@ -533,7 +535,7 @@ def test_cold_miss_loads_only_the_modules_it_runs(tmp_path, job):
 def test_cache_keys_of_builtin_jobs_are_stable(tmp_path, monkeypatch):
     """Keys of builtin groups and `dihedral` are formed as before lookup
     moved ahead of the group build: at VERSION 3 they are that version's
-    keys, so its old entries would still hit, and VERSIONs 4 and 5 only
+    keys, so its old entries would still hit, and VERSIONs 4, 5 and 6 only
     move them."""
     keys = {3: ["65ea0305c52bd1712155414c9ebbbabdf4030ff45c69cd1c4ca0b0038c5172b3",
                 "bdbd0a21aefd239e1eca64c904afea56e034348ec6f33c8e3ee134802f3e3bc9",
@@ -543,8 +545,11 @@ def test_cache_keys_of_builtin_jobs_are_stable(tmp_path, monkeypatch):
                 "9a21f268043bf9c810a1b778457048ea8b57945038352e6c9191d404376e6cb8"],
             5: ["4cfb973c4064a638b27815ed0d715805b20b98d209974e7e36bd08361e575e1c",
                 "870d4a496c88ed38422a70830e07fb5b18247b995a24d6f48e45a7132735bf41",
-                "cb3ca83b13329bb4fc459fe2547602a144ac1ba85dbef1a97f9ca90696e3d114"]}
-    assert cli.VERSION == 5
+                "cb3ca83b13329bb4fc459fe2547602a144ac1ba85dbef1a97f9ca90696e3d114"],
+            6: ["1ba0886aebd7657c35975868d6a0bed431978b182a3b88b181b5ef23cc4d61b8",
+                "7c16401d4f1998dbda8fa47e4cddefb3f7d38d3bce0f300d60a675f32be39457",
+                "fe8a5f386db3b6fc2bd99c660f17d0f58c523542ce19f2e5a6f40a31c08741d5"]}
+    assert cli.VERSION == 6
     for version, want in keys.items():
         monkeypatch.setattr(cli, "VERSION", version)
         for args in (["dihedral", "--p", "5", "--k", "0"], D5_LEVEL0,
@@ -726,7 +731,6 @@ def test_uncoverable_group_rejected_before_work(tmp_path, capsys, monkeypatch,
     def no_build(*a, **k):
         raise AssertionError("cover build started")
 
-    monkeypatch.setattr(cli, "build_level_model", no_build)
     monkeypatch.setattr(cli, "build_level", no_build)
     assert run_cli(args, tmp_path) == 2
     err = capsys.readouterr().err
@@ -1101,19 +1105,19 @@ def test_level2_dihedral_cli_bytes(tmp_path):
     }
 
 
-# The report of `level --group A5 --classes 3A,3A,3A,3A --p 2 --k 1` at
-# version 4
+# The report of `level --group A5 --classes 3A,3A,3A,3A --p 2 --k 1` in
+# version 4's notation (_v4_digests), over the level of version 6
 A5_LEVEL1_SHA256 = {
     "components.json":
         "d800062cbe4ca5236a9c183ed59e1fca43c5887f1a7f8657d719ed4f5b4b2af0",
     "orbits_L0.json":
         "28d55763626ae79c33bb8d83862d0c542b1741857e9646e9af05ddbb9ce1f369",
     "orbits_L1.json":
-        "24e2c68fb5c6794748b2c5d314ebb640c30a4c85e4d581a53a7446d115946a82",
+        "076db03ff81c5602b6cdc5add022e57bd90ac9898f401e11a98d821e50fe9e5c",
     "sh_incidence_L0.csv":
         "25c4fcf4f65e23c984c350cacdd3600301b7267f3f1cc31f84023193dfcc9f19",
     "sh_incidence_L1.csv":
-        "0e5303a2561e4f9b94764d57fa511e640aea524694203eee9896b6eff7809f06",
+        "26481aabf8d6ebcf7d698717d3cafed9be999e5082841f5d386c50ca9ba5c014",
 }
 
 
@@ -1145,22 +1149,24 @@ def test_schur_cli_a4_level1(tmp_path):
 
 
 def test_schur_a4_level1_under_the_split_presentations(tmp_path, monkeypatch):
-    """G1(A4)'s `schur --k 1` report under the split model's former
-    hand-built presentations (group_oracle.split_presentations) is the
-    report of VERSION 3 byte for byte; under the peel's presentations it
-    lists the same quotients in another order, every field equal but the
-    place, kernel_gen."""
-    split_level = frattini.split_level
-
-    def presented(d, p, H, H_mats):
-        tower = split_level(d, p, H, H_mats)
-        tower.g0.presentation, tower.g1.presentation = group_oracle.split_presentations(
-            tower, H_mats[0], H.element_order(H.gen_indices[0]))
-        return tower
+    """G1(A4)'s `schur --k 1` report over the former split model G1split ->
+    G0split, built by the coset route (group_oracle.split_level) under the
+    model's hand-built presentations (group_oracle.split_presentations), is
+    the report of VERSION 3 byte for byte; over the level on A4 and its
+    peel it lists the same quotients in another order, every field equal
+    but the place, kernel_gen."""
+    def split_model(G, p):
+        data = frattini.split_structure(G, p)
+        h = G.element_order(data.complement_gen)
+        t = group_oracle.split_level(data.rank, p, cyclic_group(h), [data.action])
+        t["g0"].presentation, t["g1"].presentation = group_oracle.split_presentations(
+            t, p, data.action, h)
+        return frattini.FrattiniLevel(t["g1"], t["g0"], p, t["proj"], t["section"],
+                                      t["kernel"], GModule(t["g0"], p, t["mats"]), t["psi"])
 
     args = ["schur", "--group", "A4", "--p", "2", "--k", "1", "--no-cache"]
     assert run_into(args, tmp_path, "peel") == 0
-    monkeypatch.setattr(frattini, "split_level", presented)
+    monkeypatch.setattr(cli, "build_level", split_model)
     assert run_into(args, tmp_path, "split") == 0
     assert sha256_of(tmp_path / "split" / "schur.json") == \
         "095d797b745ac276bab890e55b06eac6c3ff86a0894dd267fb058496a2edbebe"
@@ -1195,14 +1201,14 @@ def test_level1_file_labelled_a4_cli(tmp_path):
         genera[name] = sorted(c["genus"] for c in doc["levels"][1]["components"])
     assert genera["file"] == genera["builtin"] == [0, 0, 1, 1, 3, 3]
     # the builtin run's report is pinned: its orbit dumps print elements
-    # of the split model transported onto A4
+    # of A4 extended by its Frattini module
     for line in (DATA / "level_a4_p2_k1.sha256").read_text().splitlines():
         digest, name = line.split()
         assert sha256_of(tmp_path / "builtin" / name) == digest, name
 
 
-# Permutation files through the split route (and S3 through the dihedral
-# closed form): three labellings of A4, the relabelled D5, Z/7 x| Z/3,
+# Permutation files of groups with a normal p-Sylow, whose Frattini module
+# is its relation module (and S3 through the dihedral closed form): three labellings of A4, the relabelled D5, Z/7 x| Z/3,
 # Z/5 x| Z/4, S3, Z/11 x| Z/5 and Z/13 x| Z/3.
 SPLIT_FILES = {
     "a4a.txt": "(1 2 3)\n(2 3 4)\n",
@@ -1252,7 +1258,7 @@ def _file_group_pins():
 @pytest.mark.parametrize("job", sorted(SPLIT_FILE_JOBS))
 def test_split_route_file_groups_match_pins(tmp_path, capsys, job):
     """Each job's report, cold and replayed from the cache, has the pinned
-    digests (taken when P1 was still enumerated by cosets)."""
+    digests."""
     cmd, name, *rest = SPLIT_FILE_JOBS[job].split()
     (tmp_path / name).write_text(SPLIT_FILES[name])
     args = [cmd, "--group-file", str(tmp_path / name), *rest]
@@ -1290,8 +1296,10 @@ def _pin_file(name, job=None):
 def test_dump_pins_expand_to_version_4(tmp_path, monkeypatch, pin):
     """Each pinned job's report, computed once: its orbit dumps expanded
     back to cycle notation (dump_oracle.expand), and its other files as
-    they are, are the report of version 4 (<pin>.v4.sha256, taken before
-    the dumps became index tuples); the report is its pin; and each file
+    they are, are the report in version 4's notation (<pin>.v4.sha256,
+    taken before the dumps became index tuples, and for the levels that
+    VERSION 6 changed from the expansion of their new report); the report
+    is its pin; and each file
     has the size that _emit predicted before it opened any."""
     if pin in DUMP_PINS:
         args, v4, now = DUMP_PINS[pin].split(), _pin_file(f"{pin}.v4.sha256"), \
@@ -1314,11 +1322,64 @@ def test_dump_pins_expand_to_version_4(tmp_path, monkeypatch, pin):
     assert predicted == {f.name: f.stat().st_size for f in (tmp_path / "out").iterdir()}
 
 
-# (Z/2)^3 x| Z/7 on 8 points and (Z/3)^2 x| Z/2 on 6 points: their P1 would
-# have 2^20 and 3^12 elements
+# The level jobs whose reports VERSION 6 changed: their levels are built
+# from the Frattini module of split_module, not from the split route
+VERSION_6_LEVEL_JOBS = ["level_a5_p2_k1", "level_a5_p3_k1", "level_a4_p2_k1",
+                        "level_a4a", "level_d5", "level_f21"]
+
+
+def _split_route_build_level(monkeypatch):
+    """cli.build_level as the split route built levels before VERSION 6: a
+    group with a normal p-Sylow by group_oracle.split_level moved onto it
+    (split_route_level, through transport_level), and any other group
+    (general_level) from the Sylow normalizer's module of that route
+    (split_route_module)."""
+    build = cli.build_level
+    monkeypatch.setattr(frattini, "split_module",
+                        lambda N, data: group_oracle.split_route_module(N, data.prime))
+
+    def split_route(G, p):
+        if cli._takes_dihedral_form(G, p) or frattini.split_structure(G, p) is None:
+            return build(G, p)
+        return group_oracle.split_route_level(G, p)
+    return split_route
+
+
+def _level_invariants(report):
+    """Per level, the sorted (orbit_size, genus, cusp_widths) of its
+    components, and the number of comparisons."""
+    doc = json.loads((report / "components.json").read_text())
+    return ([sorted((c["orbit_size"], c["genus"], c["cusp_widths"])
+                    for c in level["components"]) for level in doc["levels"]],
+            len(doc["comparisons"]))
+
+
+@pytest.mark.parametrize("job", VERSION_6_LEVEL_JOBS)
+def test_version_6_levels_match_the_split_route(tmp_path, monkeypatch, job):
+    """Each level job that VERSION 6 re-pinned, run as it is and with
+    cli.build_level the split route it replaced (_split_route_build_level),
+    has per level the same multiset of (orbit_size, genus, cusp_widths) and
+    as many comparisons."""
+    if job in DUMP_PINS:
+        args = DUMP_PINS[job].split()
+    else:
+        cmd, name, *rest = SPLIT_FILE_JOBS[job].split()
+        (tmp_path / name).write_text(SPLIT_FILES[name])
+        args = [cmd, "--group-file", str(tmp_path / name), *rest]
+    args += ["--no-cache"]
+    assert main(args + ["--report", str(tmp_path / "now")]) == 0
+    monkeypatch.setattr(cli, "build_level", _split_route_build_level(monkeypatch))
+    assert main(args + ["--report", str(tmp_path / "split")]) == 0
+    now, split = _level_invariants(tmp_path / "now"), _level_invariants(tmp_path / "split")
+    assert now == split
+    assert len(now[0]) == 2 and now[1] > 0
+
+
+# (Z/2)^3 x| Z/7 on 8 points and (Z/3)^2 x| Z/2 on 6 points: their levels
+# would have 56 x 2^17 and 18 x 3^10 elements
 @pytest.mark.parametrize("text, p, points", [
-    ("(1 2)(3 4)(5 6)(7 8)\n(2 3 5 4 7 8 6)\n", "2", "1,048,576"),
-    ("(1 2 3)\n(4 5 6)\n(2 3)(5 6)\n", "3", "531,441"),
+    ("(1 2)(3 4)(5 6)(7 8)\n(2 3 5 4 7 8 6)\n", "2", "7,340,032"),
+    ("(1 2 3)\n(4 5 6)\n(2 3)(5 6)\n", "3", "1,062,882"),
 ], ids=["Z2^3:Z7", "Z3^2:Z2"])
 def test_oversized_split_level_refused_before_work(tmp_path, capsys, text, p, points):
     gf = tmp_path / "group.txt"
@@ -1346,9 +1407,9 @@ def affine_group_file(p, a):
 
 
 def test_split_level_past_limit_refused_before_work(tmp_path, capsys):
-    """Z/251 x| Z/5: its P1 has 63,001 points, within PAIR_MODEL_LIMIT, and
-    its level 5 x 63,001; the level is refused before the action lift is
-    searched (that search ran for minutes)."""
+    """Z/251 x| Z/5: its level has 1,255 x 251 points, refused before its
+    module is built (the former route's search for the complement action
+    on P1 = Z/251^2 ran for minutes)."""
     gf = tmp_path / "z251_z5.txt"
     gf.write_text(affine_group_file(251, 20))
     start = time.perf_counter()
@@ -1382,7 +1443,7 @@ def test_closed_stdout_keeps_exit_code_and_report(tmp_path):
 
 
 def test_split_route_ignores_coset_budget(tmp_path):
-    """--budget-cosets bounds presentation files only: the split level of A4
+    """--budget-cosets bounds presentation files only: the level of A4
     enumerates no cosets, so a budget of 10 leaves its report as pinned."""
     assert run_cli(["level", "--group", "A4", "--classes", "3A,3A,3B,3B", "--p", "2",
                     "--k", "1", "--budget-cosets", "10"], tmp_path) == 0

@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,16 +13,16 @@ from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
 from mtower import cli, frattini, groups
 from mtower import linalg as la
 from mtower.errors import Collapse, NotPPrime, TooLarge
-from mtower.fp import Presentation, invert_word, todd_coxeter
+from mtower.fp import Presentation, free_reduce, invert_word, todd_coxeter
 from mtower.frattini import (build_extension, dihedral_level, general_level,
                              h2_classes, lift_class,
                              normalizer, p_sylow, restriction_splits,
-                             split_level, split_structure, transport_level,
-                             verify_frattini, verify_order_lifting)
-from mtower.gmodules import GModule, trivial_module
+                             split_structure, verify_frattini,
+                             verify_order_lifting)
+from mtower.gmodules import GModule, loewy_layers, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
-                           dihedral_group, find_isomorphism, is_p_perfect,
-                           special_linear_2)
+                           dihedral_group, find_isomorphism, generating_set,
+                           is_p_perfect, special_linear_2, subgroup_from_indices)
 from mtower.perms import Perm, parse_group_file
 
 
@@ -90,33 +91,119 @@ def test_split_presentations_hold(d, p, h, A):
     """The split model's hand-built presentations
     (group_oracle.split_presentations: G1's action relators write alpha(x_i)
     in P1's normal form, the BFS word of its P0 part, then the Schreier
-    generators) hold in G0split and G1split and close at their orders."""
-    tower = split_level(d, p, cyclic_group(h), [np.array(A)])
-    presentations = group_oracle.split_presentations(tower, np.array(A), h)
-    for G, P in zip((tower.g0, tower.g1), presentations, strict=True):
+    generators) hold in the coset route's G0split and G1split
+    (group_oracle.split_level) and close at their orders."""
+    tower = group_oracle.split_level(d, p, cyclic_group(h), [np.array(A)])
+    presentations = group_oracle.split_presentations(tower, p, np.array(A), h)
+    for G, P in zip((tower["g0"], tower["g1"]), presentations, strict=True):
         for rel in P.relators:
             assert eval_relator(G, G.gen_indices, rel) == 0, rel
         assert todd_coxeter(P, (), 1 << 14).n == G.order
 
 
-def test_oversized_split_level_refused_first():
-    """(Z/11)^2 x| Z/5: P1 would have 11^(2 + 122) elements.  It is refused
-    before P0 is built, its size written as a power: past 64 kernel
-    dimensions the size is not computed (for (Z/2)^11 it is 2^20,492,
-    whose decimal form is past Python's int-to-str digit limit)."""
-    with pytest.raises(TooLarge, match=r"^pair model: 121 x 11\^122 points, "
+def _z11_squared_z5():
+    """(Z/11)^2 x| Z/5 on 22 points: a translation of each copy of Z/11,
+    and x -> 3 x on both."""
+    def shift(lo):
+        return "(" + " ".join(str(lo + x + 1) for x in range(11)) + ")"
+
+    def times3(lo):
+        return "".join("(" + " ".join(str(lo + x * 3 ** k % 11 + 1) for k in range(5)) + ")"
+                       for x in (1, 2))
+    return FiniteGroup(parse_group_file(f"{shift(0)}\n{shift(11)}\n{times3(0)}{times3(11)}\n"))
+
+
+def test_oversized_split_level_refused_first(monkeypatch):
+    """(Z/11)^2 x| Z/5: its level would have 605 x 11^122 elements.  It is
+    refused before the module is built, its size written as a power: past
+    64 kernel dimensions the size is not computed (for (Z/2)^11 it is
+    2^20,492, whose decimal form is past Python's int-to-str digit
+    limit)."""
+    G = _z11_squared_z5()
+    assert G.order == 605
+
+    def no_build(*args):
+        raise AssertionError("the module was built")
+
+    monkeypatch.setattr(frattini, "split_module", no_build)
+    with pytest.raises(TooLarge, match=r"^pair model: 605 x 11\^122 points, "
                                        r"past PAIR_MODEL_LIMIT = 65,536$"):
-        split_level(2, 11, cyclic_group(5), [np.diag([3, 3])])
+        general_level(G, 11)
 
 
 def test_split_matches_dihedral():
-    tower = split_level(1, 5, cyclic_group(2), [np.array([[4]])])
+    """D5 has a normal 5-Sylow with a cyclic complement: its level from the
+    relation module of Z/5 is D25, as in the dihedral closed form."""
+    L = general_level(dihedral_group(5), 5).level
     dl = dihedral_level(5, 1)[0]
-    assert tower.level.total.order == dl.total.order == 50
-    assert find_isomorphism(tower.level.total, dl.total) is not None
-    # generators map to generators under some isomorphism of labeled gens
-    rot_img = tower.level.total.gen_indices[0]
-    assert tower.level.total.element_order(rot_img) == 25
+    assert L.total.order == dl.total.order == 50
+    assert find_isomorphism(L.total, dl.total) is not None
+    # the lift of the rotation, the first generator, has order 25
+    rot_img = L.total.gen_indices[0]
+    assert L.total.element_order(rot_img) == 25
+
+
+def _split_cases(a4, a5):
+    """(N, p): the builtin A4, every split-route file group at its prime,
+    and the Sylow normalizers of A5 at p = 2, 3 and 5."""
+    cases = [(a4, 2)] + [(FiniteGroup(parse_group_file(SPLIT_FILES[name])), p)
+                         for name, p in SPLIT_FILE_PRIMES.items()]
+    return cases + [(subgroup_from_indices(a5, generating_set(
+        a5, list(normalizer(a5, p_sylow(a5, p))))), p) for p in (2, 3, 5)]
+
+
+def _census(G):
+    """The element-order census and the class-size census of G."""
+    return (sorted(Counter(G.element_orders().tolist()).items()),
+            sorted(Counter(len(c.members) for c in G.conjugacy_classes()).items()))
+
+
+def test_split_module_level_matches_coset_oracle(a4, a5):
+    """Over each group with a normal p-Sylow, the Frattini module
+    (split_module) and the level general_level builds from it against the
+    coset-enumeration split route (group_oracle.split_level, its kernel
+    module moved onto the group): the same order, kernel dimension,
+    element-order and class-size census and Loewy display; dim H^2 = 1, and
+    the level is Frattini and lifts orders."""
+    cases = _split_cases(a4, a5)
+    assert len(cases) == 13
+    for N, p in cases:
+        gl = general_level(N, p)
+        L, (tower, _) = gl.level, group_oracle.split_route(N, p)
+        assert gl.module_data is None and gl.h2_dim == 1
+        assert (L.total.order, L.kernel_dim) == (tower["g1"].order, len(tower["mats"][0]))
+        assert _census(L.total) == _census(tower["g1"]), (N.order, p)
+        assert loewy_layers(gl.module).display() == \
+            loewy_layers(group_oracle.split_route_module(N, p)).display()
+        assert verify_frattini(L) and verify_order_lifting(L).ok
+
+
+def test_split_module_acts_by_the_p_prime_part(a4_tower):
+    """On A4, the matrix B that the free-group lift of h's action induces
+    on P0's relation module has B^3 != 1; h acts by its 2'-part
+    S = B^16 (16 = 0 mod 8 >= 5 = dim, 16 = 1 mod 3), and S^3 = 1.  The
+    Klein four-group acts as P0 does on its relation module."""
+    a4, M = a4_tower.level.base, a4_tower.module
+    data = split_structure(a4, 2)
+    P0 = frattini._vector_group(2, 2)
+    sgens, coords = frattini._schreier_basis(P0, 2)
+    words = [tuple(g + 1 for g in w) for w in P0.words]
+    phi = [words[P0._at_code[la.vec_int(row, 2)]] for row in data.action]
+    B = np.stack([coords(free_reduce(sum((phi[x - 1] if x > 0 else invert_word(phi[-x - 1])
+                                          for x in s), ()))) for s in sgens])
+
+    def power(A, e):
+        out = la.identity(len(A))
+        for _ in range(e):
+            out = la.matmul(out, A, 2)
+        return out
+
+    S, one = M.mat_of(data.complement_gen), la.identity(5)
+    assert (power(B, 3) != one).any()
+    assert (power(S, 3) == one).all() and (S == power(B, 16)).all()
+    for i, b in enumerate(data.basis):
+        assert (M.mat_of(b) == np.stack([coords((-(i + 1),) + s + (i + 1,))
+                                         for s in sgens])).all()
 
 
 def test_split_structure_detection(a5):
@@ -129,7 +216,7 @@ def test_split_structure_detection(a5):
 
 
 def test_h2_split_class_always_valid(a4_tower):
-    G0 = a4_tower.g0
+    G0 = a4_tower.level.base
     M = trivial_module(G0, 2)
     dim, classes = h2_classes(G0.presentation, M)
     assert dim == 1            # Schur multiplier of A4 is Z/2
@@ -235,7 +322,7 @@ def test_solve_coboundary_rows_match_fox_oracle(a5, a4_tower):
     """The coboundary tails that _cocycle_space sums on its relator walk
     equal the rref of the Fox derivatives evaluated in the split extension:
     trivial modules, the summands of the induced A5 modules at p = 2 and 3,
-    and the split A4 level's kernel module and trivial module over G0."""
+    and A4's Frattini module and trivial module."""
     cases = [(G.presentation, trivial_module(G, p)) for G, p in
              ((a5, 2), (a5, 3), (a5, 5), (alternating_group(4), 2),
               (dihedral_group(5), 5))]
@@ -243,7 +330,7 @@ def test_solve_coboundary_rows_match_fox_oracle(a5, a4_tower):
         data = frattini.frattini_module(a5, p)
         cases += [(a5.presentation, frattini.submodule_module(data.induced, b))
                   for b in data.summand_bases]
-    G0 = a4_tower.g0
+    G0 = a4_tower.level.base
     cases += [(G0.presentation, a4_tower.level.kernel_module),
               (G0.presentation, trivial_module(G0, 2))]
     assert sorted(M.dim for _, M in cases) == [1] * 6 + [4, 4, 5, 5, 6, 16]
@@ -315,10 +402,12 @@ def test_split_extension_order_violations(a5, g1a5):
 
 
 def test_transport_level(a4_tower):
+    """The oracle's transport (group_oracle.transport_level, used by its
+    split route) moves G1(A4) onto a relabelled A4."""
     L = a4_tower.level
-    A4 = alternating_group(4)
+    A4 = FiniteGroup(parse_group_file(SPLIT_FILES["a4b.txt"]))
     iso = find_isomorphism(L.base, A4)
-    moved = transport_level(L, iso, A4)
+    moved = group_oracle.transport_level(L, iso, A4)
     assert moved.total.order == 384
     assert verify_order_lifting(moved).ok
 
@@ -401,13 +490,16 @@ def test_one_cocycle_solve_per_module(monkeypatch, a4_tower, a5):
     assert dims == [1]
     dims.clear()
     general_level(a5, 2)
-    # P1's relation module over the Sylow normalizer A4, then the one
-    # induced summand that is not projective
-    assert dims == [5, 5]
+    # the one induced summand that is not projective: the Sylow
+    # normalizer's module comes from its relation module, with no solve
+    assert dims == [5]
     dims.clear()
     general_level(a5, 3)
-    # over the normalizer S3, then the summand kept at p = 3
-    assert dims == [1, 4]
+    assert dims == [4]
+    dims.clear()
+    general_level(a4_tower.level.base, 2)
+    # A4's own Frattini module
+    assert dims == [5]
 
 
 def test_freeness_pick_matches_trial_oracle(g1a5, a5):

@@ -124,14 +124,14 @@ def _dense(eq, unk, val, nrows, ncols, p) -> np.ndarray:
 
 def test_recorded_h2_systems_match_dense_and_oracle(monkeypatch, a4_tower):
     """The H^2(G1(A4), F_2) system of `schur --group A4 --p 2 --k 1`
-    (2,688 x 776 on the peel's seven relators), and the seven systems of the A5 level at p = 2."""
+    (2,688 x 776 on the peel's seven relators), and the six systems of the A5 level at p = 2."""
     G1 = a4_tower.level.total
     systems = _recorded_systems(monkeypatch, lambda: frattini._cocycle_space(
         G1.presentation, trivial_module(G1, 2)))
     assert [s[3:] for s in systems] == [(2688, 776, 2)]
     systems += _recorded_systems(monkeypatch, lambda: frattini.general_level(
         alternating_group(5), 2))
-    assert len(systems) == 8
+    assert len(systems) == 7
     for args in systems:
         got = la.sparse_nullspace(*args)
         assert np.array_equal(got, la.nullspace(_dense(*args), args[-1]))
@@ -148,7 +148,7 @@ SIGN = [np.array([[1]]), np.array([[4]])]
 
 
 # Every (presentation, module) pair that the other tests solve, bar the
-# 11,554-unknown G1(A5) system, whose dense form is too large to hold: its
+# 3,854-unknown G1(A5) system, whose dense form is too large to hold: its
 # schur.json is pinned by sha256 in test_cli.
 CASES = {
     "Z2-a2-a4": _z2_redundant,
@@ -176,12 +176,12 @@ def test_cocycle_space_matches_dense_solve(case):
 def test_cocycle_space_matches_dense_on_covers(a5, g1a5, a4_tower):
     """The summands of the induced A5 module that general_level chooses
     from (it solves the one it keeps), the Frattini module under a presentation
-    with inverse letters, and the trivial module of the split A4 tower's
-    levels (the 2.A4 and Schur solves)."""
+    with inverse letters, and the trivial module of A4 and of its level
+    (the 2.A4 and Schur solves)."""
     cases = [(a5.presentation, frattini.submodule_module(g1a5.module_data.induced, b))
              for b in g1a5.module_data.summand_bases]
     cases.append((Presentation(2, ((1, 1), (-2, -2, -2), (1, 2) * 5)), g1a5.module))
-    for G in (a4_tower.g0, a4_tower.level.total):
+    for G in (a4_tower.level.base, a4_tower.level.total):
         cases.append(_with_presentation(G, 2))
     assert sorted(M.dim for _, M in cases) == [1, 1, 4, 5, 5, 16]
     for P, M in cases:
@@ -190,18 +190,18 @@ def test_cocycle_space_matches_dense_on_covers(a5, g1a5, a4_tower):
 
 
 def test_sparse_nullspace_peak_within_prediction(monkeypatch, g1a5):
-    """The traced peak of the H^2(G1(A5), F_2) solve (11,554 unknowns, the
+    """The traced peak of the H^2(G1(A5), F_2) solve (3,854 unknowns, the
     system of `schur --group A5 --p 2 --k 1`) stays under the memory bound
     that _cocycle_space checks against MEMORY_CEILING, here taken at the
     system's own count of entries."""
     G = g1a5.level.total
     args, = _recorded_systems(monkeypatch, lambda: frattini._cocycle_space(
         G.presentation, trivial_module(G, 2)))
-    assert args[3:] == (63360, 11554, 2)
+    assert args[3:] == (24960, 3854, 2)
     tracemalloc.start()
     try:
         la.sparse_nullspace(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < la.sparse_nullspace_bytes(11554, len(args[0]), 2)
+    assert peak < la.sparse_nullspace_bytes(3854, len(args[0]), 2)

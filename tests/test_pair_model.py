@@ -1,7 +1,7 @@
 """Groups built from their closed form, against the permutation BFS of the
-earlier routes (tests/group_oracle.py): the pair models, the split-case
-models P0 x| H and P1 x| H with the levels read off their codes, the
-dihedral levels read off codes, and the order-p^3 model groups.  Products
+earlier routes (tests/group_oracle.py): the pair models, P0 = (Z/p)^d and
+its relation module, the dihedral levels read off codes, and the order-p^3
+model groups.  Products
 past the multiplication table are checked against the composed
 permutations, and the batched class walk against the scalar one."""
 
@@ -10,11 +10,12 @@ import pytest
 
 import dump_oracle
 import group_oracle as oracle
+from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
 from mtower import frattini, groups, schur
-from mtower.cli import build_level, build_level_model, main
-from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
-                           dihedral_group, find_isomorphism, generating_set,
-                           special_linear_2, subgroup_from_indices)
+from mtower.cli import build_level, main
+from mtower.groups import (FiniteGroup, alternating_group, dihedral_group,
+                           generating_set, special_linear_2,
+                           subgroup_from_indices)
 from mtower.perms import parse_group_file
 from mtower.schur import enumerate_schur_quotients
 
@@ -35,18 +36,17 @@ def recorded(monkeypatch):
 
 
 def test_closed_form_matches_permutation_bfs(recorded):
-    """G1(A4) and its split P1, the three Schur covers of the split A4
-    level, the Schur cover of A5, G1(A5) and the order-3,840 Schur cover
-    of G1(A5)."""
+    """G1(A4), its three Schur covers, the Schur cover of A5, G1(A5) and
+    the order-3,840 Schur cover of G1(A5)."""
     a4, a5 = alternating_group(4), alternating_group(5)
-    build_level(a4, 2)
-    enumerate_schur_quotients(build_level_model(a4, 2)[0].total, 2)
+    enumerate_schur_quotients(build_level(a4, 2).total, 2)
     frattini.schur_covers(a5, 2)
-    enumerate_schur_quotients(build_level_model(a5, 2)[0].total, 2)
+    enumerate_schur_quotients(build_level(a5, 2).total, 2)
     names = [total.name for *_, total, _ in recorded]
-    assert names == ["P1", "split d=2 p=2-transported", "P1", "R_D1(G1split)",
-                     "R_D2(G1split)", "R_D3(G1split)", "R_D1(A5)", "P1",
-                     "G1(A5)", "R_D1(G1(A5))"]
+    assert names == ["G1(A4)", "R_D1(G1(A4))", "R_D2(G1(A4))", "R_D3(G1(A4))",
+                     "R_D1(A5)", "G1(A5)", "R_D1(G1(A5))"]
+    # the base lifts and one kernel vector, which spins the module
+    assert [len(total.gen_indices) for *_, total, _ in recorded] == [3, 4, 4, 4, 3, 3, 4]
     assert recorded[-1][3].order == 3840
     for base, module, psi, total, info in recorded:
         want, want_info = oracle.pair_model_group(base, module, psi)
@@ -124,61 +124,32 @@ def assert_same_level(L, want):
 
 
 def split_cases(a4, a5):
-    """(d, p, H, [A_h]) for the A4 split tower, the towers over the Sylow
-    normalizers of A5 at p = 2, 3, 5, and the standalone towers Z/7 x| Z/3,
-    Z/11 x| Z/5 and Z/13 x| Z/3 (the complement acting by 2, 3 and 3)."""
-    groups = [(a4, 2)] + [(subgroup_from_indices(a5, generating_set(
-        a5, list(frattini.normalizer(a5, frattini.p_sylow(a5, p))))), p) for p in (2, 3, 5)]
-    for N, p in groups:
+    """(N, p) for A4, the Sylow normalizers of A5 at p = 2, 3, 5, and
+    Z/7 x| Z/3, Z/11 x| Z/5 and Z/13 x| Z/3 (the complement acting by 2, 3
+    and 3)."""
+    yield a4, 2
+    for p in (2, 3, 5):
+        yield subgroup_from_indices(a5, generating_set(
+            a5, list(frattini.normalizer(a5, frattini.p_sylow(a5, p))))), p
+    for name in ("f21.txt", "f55.txt", "f39.txt"):
+        yield FiniteGroup(parse_group_file(SPLIT_FILES[name])), SPLIT_FILE_PRIMES[name]
+
+
+def test_split_models_match_permutation_route(a4, a5):
+    """P0 = (Z/p)^d, and the split Frattini module (split_module) restricted
+    to P0's basis, equal the coset-table route's P0 and P1's module over P0
+    (group_oracle.split_level): P1 enumerated and read off its coset
+    table."""
+    for N, p in split_cases(a4, a5):
         data = frattini.split_structure(N, p)
-        yield data.rank, p, cyclic_group(N.element_order(data.complement_gen)), [data.action]
-    for p, h, a in ((7, 3, 2), (11, 5, 3), (13, 3, 3)):
-        yield 1, p, cyclic_group(h), [np.array([[a]])]
-
-
-def test_split_models_match_permutation_route(a4, a5, monkeypatch):
-    """P1 over P0 (its group, module and cocycle), P0, G0split and G1split,
-    and the split level read off their codes (proj, section, kernel,
-    coordinates, module matrices, psi), equal the coset-table route: P1
-    enumerated and read off its coset table, the permutation groups and the
-    point-0 decoding."""
-    built = []
-
-    def record(P, M, tails, name=""):
-        built.append(extend(P, M, tails, name=name))
-        return built[-1]
-
-    extend = frattini.build_extension
-    monkeypatch.setattr(frattini, "build_extension", record)
-    for d, p, H, mats in split_cases(a4, a5):
-        tower = frattini.split_level(d, p, H, mats)
-        want = oracle.split_level(d, p, H, mats)
-        (P1,) = built
-        built.clear()
-        assert_same_group(P1.total, want["P1"])
-        assert (P1.psi == want["psi_p1"]).all(), (d, p)
-        assert len(P1.kernel_module.mats) == len(want["M0"]) == d
-        assert all((A == B).all() for A, B in zip(P1.kernel_module.mats, want["M0"]))
+        d = data.rank
+        want, _ = oracle.split_route(N, p)
+        M = frattini.split_module(N, data)
+        assert len(want["M0"]) == d
+        assert all((M.mat_of(b) == A).all() for b, A in zip(data.basis, want["M0"]))
         assert_same_group(frattini._vector_group(d, p), want["P0"])
-        assert_same_group(tower.g0, want["g0"])
-        assert_same_group(tower.g1, want["g1"])
-        assert_same_level(tower.level, want)
     for d, p in ((1, 2), (3, 2), (2, 3), (2, 5)):
         assert_same_group(frattini._vector_group(d, p), oracle._vector_group(d, p))
-
-
-def test_transported_a4_level_matches_entrywise_route(a4):
-    """build_level on A4 moves the split level onto A4 by one fancy index;
-    the entry-at-a-time transport of the earlier route gives the same
-    cocycle, module and level."""
-    L = build_level(a4, 2)
-    model, _ = build_level_model(a4, 2)
-    iso = find_isomorphism(model.base, a4)
-    want = oracle.transport_level(model, iso, a4)
-    assert_same_group(L.total, want.total)
-    assert_same_level(L, dict(proj=want.proj, section=want.section,
-                              kernel=want.kernel_elems, coords=want.kernel_coords,
-                              psi=want.psi, mats=want.kernel_module.mats))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -190,7 +161,7 @@ def test_dihedral_levels_match_decode_route(p):
 def test_dihedral_step_refuses_a_relabelled_base():
     """D5 on (1 3 4 5 2) and (2 3)(4 5) is not in the standard
     rotation/reflection form, so the closed form raises AssertionError and
-    the command falls back to the split construction (tests/test_cli.py)."""
+    the command extends it by its Frattini module (tests/test_cli.py)."""
     G = FiniteGroup(parse_group_file("(1 3 4 5 2)\n(2 3)(4 5)\n"))
     assert G.order == 10
     with pytest.raises(AssertionError, match="standard rotation/reflection form"):
@@ -219,9 +190,9 @@ def test_conjugacy_classes_match_scalar_walk(a5, a5_p3_level):
 
 
 def test_level_from_pair_model_rebuilds_a_level(a4_tower):
-    """(base, kernel module, psi) alone rebuild a level: the split A4
-    level's data give an order-384 pair model that passes the order-lifting
-    check, and rebuilding from that model's data gives the same proj and
+    """(base, kernel module, psi) alone rebuild a level: the A4 level's
+    data give an order-384 pair model that passes the order-lifting check,
+    and rebuilding from that model's data gives the same proj and
     section."""
     L = a4_tower.level
     lvl = frattini.level_from_pair_model(L.base, L.kernel_module, L.psi, L.p)

@@ -299,7 +299,7 @@ def test_complement_orbit_labels_match_scalar_route(g1a5, a5, a5_p3_level):
     assert set(thirds.members) == set(L.kernel_elems[::3])
     for level, vd, sizes in ((g1a5.level, vd_from_antecedent(g1a5.level, spin),
                               [10, 6]),
-                             (L, thirds, [20, 5, 10, 5, 10, 30])):
+                             (L, thirds, [20, 5, 5, 10, 10, 30])):
         want = oracle.complement_orbit_labels(level, vd)
         assert complement_orbit_labels(level, vd) == want
         assert [len(orbit) for _, orbit in want] == sizes

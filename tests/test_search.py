@@ -11,13 +11,11 @@ import group_oracle
 import search_oracle as oracle
 from fox_oracle import coboundary_tails
 from test_cli import SPLIT_FILE_PRIMES, SPLIT_FILES
-from mtower import frattini
 from mtower.cli import build_level, class_id
 from mtower.frattini import (_orbit_lifts, build_extension, find_cover_map,
                              dihedral_level, level_from_pair_model,
                              minimal_generating_tuple, normalizer, p_sylow,
-                             restriction_splits, schur_covers, split_level,
-                             split_structure, verify_frattini)
+                             restriction_splits, schur_covers, verify_frattini)
 from mtower.gmodules import GModule, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, generating_set,
@@ -30,13 +28,11 @@ from mtower.schur import _splits
 
 
 def normalizer_tower(G, p):
-    """The split tower over N_G(P) as frattini_module builds it, with the
-    concrete normalizer."""
+    """The coset route's split tower over N_G(P) (group_oracle.split_route),
+    with the concrete normalizer."""
     N = normalizer(G, p_sylow(G, p))
     Nsub = subgroup_from_indices(G, generating_set(G, list(N)))
-    data = split_structure(Nsub, p)
-    H = cyclic_group(Nsub.element_order(data.complement_gen))
-    return split_level(data.rank, p, H, [data.action]), Nsub
+    return group_oracle.split_route(Nsub, p)[0], Nsub
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +52,8 @@ def test_find_isomorphism_matches_oracle(a4, a4_tower, towers):
     d5b = FiniteGroup([Perm.from_cycles([[1, 4], [2, 3]], 5),
                        Perm.from_cycles([[0, 2, 4, 1, 3]], 5)])
     cases = [(d5, d5b), (d5b, d5), (cyclic_group(4), klein_four()),
-             (a4_tower.level.base, a4)]
-    cases += [(tower.g0, Nsub) for tower, Nsub in towers.values()]
+             (FiniteGroup(parse_group_file(SPLIT_FILES["a4b.txt"])), a4)]
+    cases += [(tower["g0"], Nsub) for tower, Nsub in towers.values()]
     for src, dst in cases:
         assert find_isomorphism(src, dst) == oracle.find_isomorphism(src, dst)
     assert find_isomorphism(cyclic_group(4), klein_four()) is None
@@ -85,7 +81,8 @@ def test_find_cover_map_matches_oracle(a4_tower, g1a5, a5):
 
 
 def test_split_map_matches_find_isomorphism(a4, towers):
-    """The split map of the model G0 onto N is the isomorphism that
+    """The split map, read on the coset route's model G0 = P0 x| H
+    (group_oracle.split_route), is the isomorphism onto N that
     find_isomorphism finds, on A4, the nine split-route file groups and the
     three Sylow normalizers of A5."""
     cases = [(a4, 2)] + [(FiniteGroup(parse_group_file(SPLIT_FILES[name])), p)
@@ -93,10 +90,8 @@ def test_split_map_matches_find_isomorphism(a4, towers):
     cases += [(N, p) for p, (_, N) in towers.items()]
     assert len(cases) == 13
     for N, p in cases:
-        data = split_structure(N, p)
-        H = cyclic_group(N.element_order(data.complement_gen))
-        G0 = split_level(data.rank, p, H, [data.action]).g0
-        assert data.split_map[G0.codes].tolist() == find_isomorphism(G0, N)
+        tower, iso = group_oracle.split_route(N, p)
+        assert iso == find_isomorphism(tower["g0"], N)
 
 
 def test_homomorphism_onto_matches_oracle(g1a5, a5, a5_split):
@@ -109,23 +104,26 @@ def test_homomorphism_onto_matches_oracle(g1a5, a5, a5_split):
 
 
 def test_action_lift_matches_oracle(monkeypatch):
+    """The coset route's batched action-lift search
+    (group_oracle.find_action_lift) against the candidate-by-candidate one."""
     seen = []
-    search = frattini._find_action_lift
+    search = group_oracle.find_action_lift
 
     def recording(P1, cand_lists, h_order):
         got = search(P1, cand_lists, h_order)
         seen.append((P1, cand_lists, h_order, got))
         return got
 
-    monkeypatch.setattr(frattini, "_find_action_lift", recording)
-    towers = [split_level(2, 2, cyclic_group(3), [np.array([[0, 1], [1, 1]])])]
-    towers += [normalizer_tower(alternating_group(5), p)[0] for p in (3, 5)]
+    monkeypatch.setattr(group_oracle, "find_action_lift", recording)
+    towers = [(group_oracle.split_level(2, 2, cyclic_group(3),
+                                        [np.array([[0, 1], [1, 1]])]), 2)]
+    towers += [(normalizer_tower(alternating_group(5), p)[0], p) for p in (3, 5)]
     assert len(seen) == 3
-    for tower, (P1, cand_lists, h_order, (images, alpha)) in zip(towers, seen):
+    for (tower, p), (P1, cand_lists, h_order, (images, alpha)) in zip(towers, seen):
         d = len(cand_lists)
-        assert images == tower.h_lift_images
+        assert images == tower["h_lift_images"]
         assert images == oracle.find_action_lift(
-            P1, group_oracle.p1_presentation(d, tower.level.p), cand_lists, h_order, d)
+            P1, group_oracle.p1_presentation(d, p), cand_lists, h_order, d)
         assert alpha.tolist() == oracle.endomorphism_from_images(P1, images,
                                                                  list(range(d)))
 
