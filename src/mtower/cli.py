@@ -208,7 +208,7 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
             reducer = nielsen.Reducer(spec)
             seeds = nielsen.enumerate_reduced(spec, budget=budget_elements,
                                               reducer=reducer)
-            if not seeds:
+            if not len(seeds):
                 raise EmptyNielsenClass(f"Ni({gdesc}, {class_labels}) is empty")
         else:
             L = build_level(group, p)
@@ -217,10 +217,11 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
             group = L.total
             spec = nielsen.lifted_spec(L, lower[0])
             reducer = nielsen.Reducer(spec)
-            seeds = sorted({t for rep in lower[2] for t in nielsen.lift_tuples(
-                L, rep.orbit[0], spec, reducer, frattini_verified=True,
-                budget=budget_elements)})
-            if not seeds:
+            # the fibers over classes of distinct orbits are disjoint
+            seeds = np.vstack([nielsen.lift_tuples(
+                L, rep.tuples[0], spec, reducer, frattini_verified=True,
+                budget=budget_elements) for rep in lower[2]])
+            if not len(seeds):
                 raise EmptyNielsenClass(f"nothing lies over level {step - 1}")
             level.update(total_order=group.order, kernel_dim=L.kernel_dim)
         reports = [hurwitz.analyze_component(spec, orb, reducer)
@@ -229,7 +230,7 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
         payload["levels"].append(level)
         files[f"sh_incidence_L{step}.csv"] = hurwitz.sh_incidence(
             reports, reducer).to_csv()
-        files.update(_dump_files(step, group, [r.arrays.tuples for r in reports]))
+        files.update(_dump_files(step, group, [r.tuples for r in reports]))
         for li, lrep in enumerate(lower[2] if lower else []):
             for ui, urep in enumerate(reports):
                 try:
@@ -305,8 +306,8 @@ def _emit(files: dict, report_dir: Path) -> list[str]:
 
 
 def _dump_files(k: int, group: groups.FiniteGroup, orbits: list) -> dict:
-    """The level-k dump of the orbits (arrays of tuples of elements of
-    `group`) as two report files for _emit (as for _sized):
+    """The level-k dump of the orbits ((n, r) arrays of elements of `group`,
+    a report's `tuples`) as two report files for _emit (as for _sized):
     `elements_L<k>.json`, json.dump(..., indent=1) of the cycle strings of
     the orbits' distinct elements, once each in increasing element number,
     and `orbits_L<k>.json`, per orbit its tuples as [i, j, ...] indices

@@ -78,7 +78,6 @@ class FrattiniLevel:
     section: np.ndarray              # base element -> total element (set-theoretic)
     kernel_elems: list[int]          # total elements, by the base-p code of their vector
     kernel_module: GModule           # over base, in base-generator order
-    psi: np.ndarray                  # cocycle (n_base, n_base, dim)
     name: str = ""
 
     @property
@@ -98,14 +97,6 @@ class FrattiniLevel:
 def _digits(n: int, m: int, p: int) -> np.ndarray:
     """Row c: the m base-p digits of c (lowest first), for c < n."""
     return np.arange(n)[:, None] // p ** np.arange(m) % p
-
-
-def _kernel_coords_table(order: int, kernel, p: int, m: int) -> np.ndarray:
-    """Row e: the kernel vector of element e, -1 off the kernel (listed by
-    the base-p code of its vector)."""
-    coords = np.full((order, m), -1, dtype=np.int64)
-    coords[kernel] = _digits(len(kernel), m, p)
-    return coords
 
 
 # -- pair model construction -----------------------------------------------------
@@ -181,7 +172,7 @@ def level_from_pair_model(base: FiniteGroup, module: GModule, psi: np.ndarray,
     total, info = pair_model_group(base, module, psi, name=name)
     lvl = FrattiniLevel(
         total=total, base=base, p=p, proj=info["proj"], section=info["section"],
-        kernel_elems=info["kernel"], kernel_module=module, psi=psi, name=name)
+        kernel_elems=info["kernel"], kernel_module=module, name=name)
     _check_level(lvl)
     return lvl
 
@@ -195,26 +186,14 @@ def _check_level(lvl: FrattiniLevel) -> None:
             raise AssertionError("projection not a homomorphism")
     # conjugation on the kernel realizes the module action: s^-1 k s for
     # the section s of each base generator and every kernel element k
-    # (coordinates -1 off the kernel)
+    # (coordinates -1 off the kernel, which is listed by vector code)
     kernel, s = lvl.kernel_elems, lvl.section[base.gen_indices][:, None]
-    coords = _kernel_coords_table(tot.order, kernel, lvl.p, lvl.kernel_dim)
+    coords = np.full((tot.order, lvl.kernel_dim), -1, dtype=np.int64)
+    coords[kernel] = _digits(len(kernel), lvl.kernel_dim, lvl.p)
     got = coords[tot.mul_many(tot.mul_many(tot.inv[s], kernel), s)]
     want = np.stack([coords[kernel] @ A % lvl.p for A in lvl.kernel_module.mats])
     if (got != want).any():
         raise AssertionError("kernel conjugation != module action")
-
-
-def extract_cocycle(total: FiniteGroup, base: FiniteGroup, section: np.ndarray,
-                    kernel: list[int], p: int, dim: int) -> np.ndarray:
-    """psi(g,h) = s(gh)^-1 s(g) s(h) in kernel coordinates, for all g, h at
-    once; `kernel` lists the kernel elements by the base-p code of their
-    vector."""
-    x, s = np.arange(base.order), np.asarray(section)
-    k = total.mul_many(total.inv[s[base.mul_many(x[:, None], x)]],
-                       total.mul_many(s[:, None], s))
-    coords = _kernel_coords_table(total.order, kernel, p, dim)
-    assert (coords[k] >= 0).all(), "s(gh)^-1 s(g) s(h) outside the kernel"
-    return coords[k]
 
 
 # -- dihedral closed form ----------------------------------------------------------
@@ -243,12 +222,11 @@ def dihedral_level(p: int, k: int, max_order: int = 1 << 20) -> list[FrattiniLev
         raise OrderExceeded("dihedral level past group-order budget")
     if k == 0:
         D = dihedral_group(p)
-        zero = np.zeros((D.order, D.order, 0), dtype=np.int64)
         module = GModule(D, p, [np.zeros((0, 0), dtype=np.int64)] * 2, check=False)
         return [FrattiniLevel(
             total=D, base=D, p=p, proj=np.arange(D.order, dtype=np.int64),
             section=np.arange(D.order, dtype=np.int64), kernel_elems=[0],
-            kernel_module=module, psi=zero, name=f"D{p}ident")]
+            kernel_module=module, name=f"D{p}ident")]
     levels = []
     base = dihedral_group(p)
     for _ in range(k):
@@ -279,8 +257,7 @@ def dihedral_step(base: FiniteGroup, p: int) -> FrattiniLevel:
     kernel = top_at[np.arange(p) * nb].tolist()
     module = GModule(base, p, [np.array([[1]]), np.array([[p - 1]])],
                      check=False)
-    psi = extract_cocycle(Dt, base, section, kernel, p, 1)
-    lvl = FrattiniLevel(Dt, base, p, proj, section, kernel, module, psi,
+    lvl = FrattiniLevel(Dt, base, p, proj, section, kernel, module,
                         name=f"D{nt}->D{nb}")
     _check_level(lvl)
     return lvl

@@ -3,73 +3,81 @@ censuses, sh-incidence blocks, moduli flags, and level-to-level comparison
 (degree, p-divisible growth, genus bound).
 
 Everything here is combinatorial bookkeeping over the orbit data computed in
-nielsen.py; no geometry is represented.  It runs on index arrays: an orbit's
-classes are positions in row order, gamma_0, gamma_1 and gamma_inf are int
+nielsen.py; no geometry is represented.  It runs on the rows of a level's
+`Reducer`: an orbit comes in as its row numbers, in row order, so its
+classes are positions in that order; gamma_0, gamma_1 and gamma_inf are int
 permutations of them, and cycle counts, fixed points and cusps come from
 their cycle labels (`perms._cycle_labels`); fibers and incidences are counted
-with `np.bincount` and `np.add.at`.
+with `np.bincount` and `np.add.at`.  A report keeps its orbit as arrays, and
+makes tuples of Python ints only when its tuple fields are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import np
 from .errors import MismatchedLevels, NonIntegralGenus
 from .frattini import FrattiniLevel
 from .groups import unique_rows
-from .nielsen import (NielsenSpec, Reducer, _as_rows, _distinct, _lookup,
-                      hm_mask)
+from .nielsen import NielsenSpec, Reducer, _as_tuples, _distinct, _lookup, hm_mask
 from .perms import _cycle_labels
 
 
-@dataclass
+@dataclass(eq=False)
 class Cusp:
-    members: list[tuple]
+    """A gamma_inf cycle: its members as rows (width, r), in row order."""
+    tuples: np.ndarray
     width: int
     mpr: int
     p_divisible: bool
     hm: bool
 
     @property
-    def rep(self) -> tuple:
-        return self.members[0]
+    def members(self) -> list[tuple]:
+        return _as_tuples(self.tuples)
 
 
-@dataclass(frozen=True)
-class OrbitArrays:
-    """One orbit's classes in row (lexicographic) order, as arrays: the
-    tuples (n, r), and per class its cusp index, middle product and whether
+@dataclass(eq=False)
+class ComponentReport:
+    """One braid orbit.  Its classes, in row (lexicographic) order, are
+    `rows`, their row numbers in the reducer that numbered them, and
+    `tuples` (n, r); per class, its cusp index, middle product and whether
     gamma_0 and gamma_1 fix it; `reps[c]` is the position of cusp c's least
-    member."""
+    member.  `orbit` and the `gamma*_fixed` lists are made when read."""
+    rows: np.ndarray
     tuples: np.ndarray
     cusp: np.ndarray
     mpr: np.ndarray
     fixed0: np.ndarray
     fixed1: np.ndarray
     reps: np.ndarray
-
-
-@dataclass
-class ComponentReport:
-    orbit: list[tuple]
     cusps: list[Cusp]
     ind0: int
     ind1: int
     indinf: int
     genus: int | None          # None for r >= 5 orbits
     t_prime: int
-    gamma0_fixed: list[tuple]
-    gamma1_fixed: list[tuple]
     b_fine: bool
     fine: bool
     q2_orbit_lengths: dict[int, list[int]]   # cusp index -> upstairs q2 lengths
-    arrays: OrbitArrays | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def orbit(self) -> list[tuple]:
+        return _as_tuples(self.tuples)
+
+    @property
+    def gamma0_fixed(self) -> list[tuple]:
+        return _as_tuples(self.tuples[self.fixed0])
+
+    @property
+    def gamma1_fixed(self) -> list[tuple]:
+        return _as_tuples(self.tuples[self.fixed1])
 
     @property
     def size(self) -> int:
-        return len(self.orbit)
+        return len(self.rows)
 
     @property
     def cusp_widths(self) -> list[int]:
@@ -105,15 +113,11 @@ def component_genus(size: int, ind0: int, ind1: int, indinf: int) -> int:
     return g
 
 
-def analyze_component(spec: NielsenSpec, orbit: list[tuple],
+def analyze_component(spec: NielsenSpec, rows: np.ndarray,
                       reducer: Reducer) -> ComponentReport:
-    """Full report for one braid orbit of reduced classes (its classes are
-    taken in row order)."""
+    """Full report for one braid orbit, given by its row numbers into
+    `reducer.rows` in row order (as `nielsen.mbar4_orbits` returns it)."""
     G = spec.group
-    rows = reducer.rows_of(_as_rows(orbit, reducer.r))
-    if (np.diff(rows) < 0).any():
-        order = np.argsort(rows)
-        orbit, rows = [orbit[i] for i in order.tolist()], rows[order]
     n = len(rows)
     pos = np.arange(n)
     P1 = reducer.orbit_pos[reducer.perm1[rows]]
@@ -153,13 +157,12 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
         bad = label[np.flatnonzero(divisible != divisible[label])[0]]
         raise AssertionError("p-divisibility not constant along a cusp: "
                              f"{sorted(set(mpr[label == bad].tolist()))}")
-    variants = reducer.variants_many(T[members])
+    by_cusp = T[members]
+    variants = reducer.variants_many(by_cusp)
     hm = np.bincount(cusp[members], weights=hm_mask(variants, G),
                      minlength=len(reps)) > 0
-    in_cusp_order = [orbit[i] for i in members.tolist()]
     ends = np.cumsum(width[reps]).tolist()
-    cusps = [Cusp(members=in_cusp_order[end - w:end], width=w, mpr=m,
-                  p_divisible=d, hm=h)
+    cusps = [Cusp(tuples=by_cusp[end - w:end], width=w, mpr=m, p_divisible=d, hm=h)
              for end, w, m, d, h in zip(ends, width[reps].tolist(), mpr[reps].tolist(),
                                         divisible[reps].tolist(), hm.tolist())]
     t_prime = int(divisible[reps].sum())
@@ -171,12 +174,9 @@ def analyze_component(spec: NielsenSpec, orbit: list[tuple],
     else:
         b_fine = fine = None
     return ComponentReport(
-        orbit=orbit, cusps=cusps, ind0=ind0, ind1=ind1, indinf=indinf,
-        genus=genus, t_prime=t_prime,
-        gamma0_fixed=[orbit[i] for i in np.flatnonzero(fixed0).tolist()],
-        gamma1_fixed=[orbit[i] for i in np.flatnonzero(fixed1).tolist()],
-        b_fine=b_fine, fine=fine, q2_orbit_lengths=q2_lengths,
-        arrays=OrbitArrays(T, cusp, mpr, fixed0, fixed1, reps))
+        rows=rows, tuples=T, cusp=cusp, mpr=mpr, fixed0=fixed0, fixed1=fixed1,
+        reps=reps, cusps=cusps, ind0=ind0, ind1=ind1, indinf=indinf, genus=genus,
+        t_prime=t_prime, b_fine=b_fine, fine=fine, q2_orbit_lengths=q2_lengths)
 
 
 def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
@@ -194,7 +194,7 @@ def _inner_orbit_data(variants: np.ndarray, cusps, reducer: Reducer):
     # an inner class lies over one reduced class, hence in one cusp
     cusp_of = np.empty(len(inner), dtype=np.intp)
     cusp_of[where] = np.repeat(
-        np.arange(len(cusps)), [k * len(c.members) for c in cusps])
+        np.arange(len(cusps)), [k * c.width for c in cusps])
     images = reducer.canonical_inner_many(reducer.gamma_inf_raw_many(inner))
     step = _lookup(inner_keys, reducer.keys(images))
     assert (step < len(inner)).all(), "q2 leaves the inner classes over the orbit"
@@ -247,13 +247,17 @@ def sh_incidence(reports: list[ComponentReport], reducer: Reducer) -> ShIncidenc
 
     Counted by `np.add.at` over (cusp of t, cusp of gamma_1 t).  The
     diagonal blocks are the components' cusps: gamma_1 never leaves a braid
-    orbit, which is checked; for r = 4 the matrix is symmetric.
+    orbit, which is checked; for r = 4 the matrix is symmetric.  The
+    reports' row numbers must be `reducer`'s, which is checked too.
     """
+    assert all(rep.rows[-1] < len(reducer.rows) and
+               np.array_equal(reducer.rows[rep.rows], rep.tuples) for rep in reports), \
+        "the reports' rows are not the reducer's"
     counts = [len(rep.cusps) for rep in reports]
     k = sum(counts)
     comp_of = np.repeat(np.arange(len(reports)), counts)
-    rows = reducer.rows_of(np.vstack([rep.arrays.tuples for rep in reports]))
-    cusp = np.concatenate([offset + rep.arrays.cusp for offset, rep in
+    rows = np.concatenate([rep.rows for rep in reports])
+    cusp = np.concatenate([offset + rep.cusp for offset, rep in
                            zip(np.cumsum([0, *counts]).tolist(), reports)])
     cusp_of_row = np.full(len(reducer.rows), -1)
     cusp_of_row[rows] = cusp
@@ -279,7 +283,7 @@ class LevelComparison:
     lower_index: int
     upper_index: int
     degree: int
-    fiber_sizes: dict[tuple, int]
+    fiber_sizes: list[int]               # per lower class, in row order
     u_counts: list[int]                  # per non-divisible lower cusp
     t_prime_lower: int
     bound: Fraction
@@ -314,13 +318,11 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
                   lower_index: int = 0, upper_index: int = 0) -> LevelComparison:
     """Degree, fibers, p-divisible counts and the genus bound for one pair of
     components on consecutive levels."""
-    lo, up = lower.arrays, upper.arrays
     # a fiber's classes project onto few raw tuples: canonicalize each once,
-    # and find its position in the lower orbit by its key (the orbit is in
-    # row order, so its keys are sorted)
-    raw, _, which = unique_rows(L.proj[up.tuples])
-    at = _lookup(lower_reducer.keys(lo.tuples),
-                 lower_reducer.keys(lower_reducer.canonical_many(raw)))
+    # and find its position in the lower orbit by its row number (the orbit
+    # is in row order)
+    raw, _, which = unique_rows(L.proj[upper.tuples])
+    at = _lookup(lower.rows, lower_reducer.find(lower_reducer.canonical_many(raw)))
     if (at == lower.size).any():
         raise MismatchedLevels("upper class does not project into lower orbit")
     below = at[which]                            # upper position -> lower position
@@ -331,13 +333,13 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
 
     # mpr multiplies by p over p-divisible lower cusps
     p = L.p
-    over = np.array([c.p_divisible for c in lower.cusps], dtype=bool)[lo.cusp[below]]
-    assert (up.mpr[over] == p * lo.mpr[below[over]]).all(), \
+    over = np.array([c.p_divisible for c in lower.cusps], dtype=bool)[lower.cusp[below]]
+    assert (upper.mpr[over] == p * lower.mpr[below[over]]).all(), \
         "mpr did not multiply by p over a p-divisible cusp"
 
     # U_i = number of p-divisible cusps of the upper orbit over the i-th
     # non-divisible lower cusp (each upper cusp projects into one lower cusp)
-    under = lo.cusp[below[up.reps]]              # upper cusp -> lower cusp
+    under = lower.cusp[below[upper.reps]]        # upper cusp -> lower cusp
     k = len(lower.cusps)
     up_div = np.array([uc.p_divisible for uc in upper.cusps], dtype=bool)
     divisible_above = np.bincount(under[up_div], minlength=k).tolist()
@@ -349,7 +351,8 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     # product growth (a Q''-folding present at one level but not the other)
     width = np.array(lower.cusp_widths, dtype=np.int64)
     up_width = np.array(upper.cusp_widths, dtype=np.int64)
-    mpr, up_mpr = lo.mpr[lo.reps].astype(np.int64), up.mpr[up.reps].astype(np.int64)
+    mpr = lower.mpr[lower.reps].astype(np.int64)
+    up_mpr = upper.mpr[upper.reps].astype(np.int64)
     folded = up_width * mpr[under] != width[under] * up_mpr
     shortened = np.flatnonzero(np.bincount(under[folded], minlength=k)).tolist()
     elliptic = elliptic_detect(lower, upper, below)
@@ -357,8 +360,8 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     bound = genus_lower_bound(lower.t_prime, degree, u_counts, p)
     return LevelComparison(
         lower_index=lower_index, upper_index=upper_index, degree=degree,
-        fiber_sizes=dict(zip(lower.orbit, fiber.tolist())), u_counts=u_counts,
-        t_prime_lower=lower.t_prime, bound=bound, bound_hypotheses_met=hyp,
+        fiber_sizes=fiber.tolist(), u_counts=u_counts, t_prime_lower=lower.t_prime,
+        bound=bound, bound_hypotheses_met=hyp,
         elliptic_ramification=elliptic, shortened_cusps=shortened,
         genus_upper=upper.genus)
 
@@ -368,9 +371,8 @@ def elliptic_detect(lower: ComponentReport, upper: ComponentReport,
     """Elliptic ramification: a gamma_0 (resp gamma_1) fixed point downstairs
     with a non-fixed class above it.  `below[i]` is the position in the
     lower orbit under position i of the upper one."""
-    lo, up = lower.arrays, upper.arrays
-    return bool(((lo.fixed0[below] & ~up.fixed0) |
-                 (lo.fixed1[below] & ~up.fixed1)).any())
+    return bool(((lower.fixed0[below] & ~upper.fixed0) |
+                 (lower.fixed1[below] & ~upper.fixed1)).any())
 
 
 def check_goup(cmp: LevelComparison) -> str:

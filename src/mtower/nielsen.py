@@ -16,18 +16,21 @@ candidate conjugate from a table of c^-1 x c over the spec's class members
 and keeps the least, so orbit frontiers and candidate sets go through it
 whole (cut internally into steps of bounded size).
 
-Braid orbits live on index arrays.  When the orbit search closes, a level's
+A reduced class travels as a row of its level's `Reducer`, from enumeration
+to emission.  `enumerate_reduced` and `lift_tuples` return (N, r) int32
+arrays of distinct canonical rows.  When the orbit search closes, a level's
 reduced classes are numbered once, as the rows of one int array in
 lexicographic order; gamma_1 and gamma_inf are int permutations of those row
-numbers, and the orbits are read off them by min-label propagation.  A row
-is found by a mixed-radix int64 key over its class-member columns.
+numbers, the orbits are read off them by min-label propagation, and
+`mbar4_orbits` returns each orbit as its row numbers.  A row is found by a
+mixed-radix int64 key over its class-member columns.  Tuples of Python ints
+are made only by the one-class calls (`canonical`, `gamma1`, `variants`, ...).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, permutations
 from math import prod
 
 from . import np
@@ -80,11 +83,6 @@ def _as_tuples(A: np.ndarray) -> list[tuple]:
     return list(zip(*A.T.tolist()))
 
 
-def _as_rows(tuples, r: int) -> np.ndarray:
-    """A list of r-tuples as an (N, r) int32 array."""
-    return np.fromiter(chain.from_iterable(tuples), np.int32, len(tuples) * r).reshape(-1, r)
-
-
 class Reducer:
     """Canonicalization context for one (group, class multiset) pair.
 
@@ -132,7 +130,9 @@ class Reducer:
         for ci, b in blocks.items():
             self.to_min[np.sort(self._col[list(classes[ci].members)])] = \
                 np.pad(b, ((0, 0), (0, width - b.shape[1])), mode="edge")
-        assert members.size ** self.r < 2 ** 63, "tuple keys overflow int64"
+        if members.size ** self.r >= 2 ** 63:
+            raise Budget(f"enumeration stage: keys of {self.r}-tuples over "
+                         f"{members.size} class members overflow int64")
         self._radix = members.size ** np.arange(self.r - 1, -1, -1, dtype=np.int64)
         self.rows = np.zeros((0, self.r), dtype=np.int32)
         self._row_keys = np.zeros(0, dtype=np.int64)
@@ -372,63 +372,67 @@ def _forced_products(G: FiniteGroup, choices, last_choices) -> np.ndarray:
     return np.column_stack([rows[keep], last[keep]])
 
 
-def _distinct_canonical(red: Reducer, rows: np.ndarray) -> list[tuple]:
-    """Sorted distinct canonical forms of the rows."""
-    return _as_tuples(unique_rows(red.canonical_many(rows))[0])
+def _generating(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
+    """The rows that generate G, checked in one batch of closures."""
+    return rows[G.closure_sizes(rows) == G.order]
 
 
-def _generating(G: FiniteGroup, tuples: list[tuple]) -> list[tuple]:
-    """The tuples that generate G, checked in one batch of closures."""
-    ok = G.closure_sizes(np.array(tuples, dtype=np.int64)) == G.order
-    return [t for t, keep in zip(tuples, ok) if keep]
+def _arrangements(ids) -> list[tuple]:
+    """The distinct orderings of the multiset `ids`, in increasing order."""
+    ids = sorted(ids)
+    return [(x, *rest) for i, x in enumerate(ids) if i == ids.index(x)
+            for rest in _arrangements(ids[:i] + ids[i + 1:])] if ids else [()]
 
 
 def enumerate_reduced(spec: NielsenSpec, budget: int = 10 ** 7,
-                      reducer: Reducer | None = None) -> list[tuple]:
-    """All reduced classes, one class arrangement at a time.
+                      reducer: Reducer | None = None) -> np.ndarray:
+    """All reduced classes, as sorted canonical rows, one class arrangement
+    at a time.
 
     Conjugation brings the first entry to the least element of its class,
     so the first entry is pinned there; the middle entries run over their
-    classes and the last is forced by the product.  Generation does not
-    change under conjugation or the Klein four group, so it is checked once
-    per distinct canonical form.
+    classes and the last is forced by the product.  The most middle
+    products an arrangement has, the product of every class size but the
+    two least, is held to `budget` before anything is built.  Generation
+    does not change under conjugation or the Klein four group, so it is
+    checked once per distinct canonical form.
     """
     G = spec.group
     classes = G.conjugacy_classes()
-    arrangements = sorted(set(permutations(spec.class_ids)))
-    sizes = max(prod(classes[ci].size for ci in seq[1:-1]) for seq in arrangements)
+    sizes = prod(sorted(classes[ci].size for ci in spec.class_ids)[2:])
     if sizes > budget:
         raise Budget(f"enumeration stage: {sizes} partial tuples exceed "
                      f"the element budget {budget}")
     red = reducer or Reducer(spec)
     found = []
-    for seq in arrangements:
+    for seq in _arrangements(spec.class_ids):
         choices = [classes[seq[0]].members[:1]] + \
             [classes[ci].members for ci in seq[1:-1]]
         found.append(_forced_products(G, choices[:spec.r - 1],
                                       classes[seq[-1]].members))
-    return _generating(G, _distinct_canonical(red, np.vstack(found)))
+    return _generating(G, unique_rows(red.canonical_many(np.vstack(found)))[0])
 
 
-def mbar4_orbits(spec: NielsenSpec, reduced: list[tuple],
-                 reducer: Reducer | None = None) -> list[list[tuple]]:
-    """Partition of the given reduced classes into braid orbits.
+def mbar4_orbits(spec: NielsenSpec, reduced: np.ndarray,
+                 reducer: Reducer | None = None) -> list[np.ndarray]:
+    """Partition of the braid closure of the given reduced classes (rows)
+    into braid orbits, each given by its row numbers into `reducer.rows`.
 
     r = 4 uses <gamma_1, gamma_inf>; r >= 5 uses <sh, q_2> on inner classes.
     `Reducer.rows_of` numbers the braid closure of the classes, one frontier
     of `moves_many` at a time; the orbits are the classes of its orbit
-    labels.  Orbits come back sorted internally and ordered by (size, least
-    tuple).
+    labels.  Each orbit is in row (tuple) order, and the orbits are ordered
+    by (size, least tuple).  The row numbers hold until the reducer numbers
+    more classes.
     """
     red = reducer or Reducer(spec)
-    seeds = red.rows_of(_as_rows(reduced, red.r))
+    seeds = red.rows_of(reduced)
     label = red.orbit_label
     rows = np.flatnonzero(np.isin(label, label[seeds]))
     size = np.bincount(label)[label[rows]]
     rows = rows[np.lexsort((rows, label[rows], size))]
-    tuples = _as_tuples(red.rows[rows])
-    starts = np.flatnonzero(np.diff(label[rows], prepend=-1)).tolist()
-    return [tuples[a:b] for a, b in zip(starts, starts[1:] + [len(rows)])]
+    # a split before each orbit's first row, so the leading empty part drops
+    return np.split(rows, np.flatnonzero(np.diff(label[rows], prepend=-1)))[1:]
 
 
 def is_hm(t, reducer: Reducer) -> bool:
@@ -469,14 +473,15 @@ def hm_seed_tuples(spec: NielsenSpec) -> list[tuple]:
             t = (int(G.inv[g1]), g1, int(G.inv[g2]), g2)
             if sorted(map(G.class_of, t)) == sorted(spec.class_ids):
                 out.add(t)
-    return _generating(G, sorted(out))
+    return _as_tuples(_generating(G, np.array(sorted(out), dtype=np.int32).reshape(-1, 4)))
 
 
 def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
                 reducer: Reducer | None = None,
                 frattini_verified: bool = False,
-                budget: int = 10 ** 7) -> list[tuple]:
-    """All reduced classes of the covering group lying over the tuple t.
+                budget: int = 10 ** 7) -> np.ndarray:
+    """All reduced classes of the covering group lying over the tuple t, as
+    sorted canonical rows.
 
     Entries run over kernel translates of the section lifts, filtered to the
     lifted classes, with the last entry forced by the product; more than
@@ -497,12 +502,12 @@ def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
         ci = own[L.base.class_of(g)]
         lifts.append([x for x in L.lifts(g) if G1.class_of(x) == ci])
     if any(not ls for ls in lifts):
-        return []
+        return np.zeros((0, len(lifts)), dtype=np.int32)
     free = prod(len(ls) for ls in lifts[:-1])
     if free > budget:
         raise Budget(f"lift stage: {free} candidate tuples over one class "
                      f"exceed the element budget {budget}")
-    found = _distinct_canonical(red, _forced_products(G1, lifts[:-1], lifts[-1]))
+    found = unique_rows(red.canonical_many(_forced_products(G1, lifts[:-1], lifts[-1])))[0]
     return found if frattini_verified else _generating(G1, found)
 
 

@@ -4,23 +4,69 @@ oracle for the index-array route of `nielsen` and `hurwitz`.
 Moves are kept per reduced class in dicts keyed by tuple (`TupleMoves`),
 filled a frontier at a time by the batch canonical kernel; orbits, cusps,
 cycle counts, the sh-incidence and the level comparison are walked one tuple
-at a time.  The report dataclasses are `hurwitz`'s own, so fields compare
-directly.
+at a time.  Reports keep their classes as lists of tuples (`TupleReport`,
+`TupleCusp`, the shape `hurwitz`'s reports had), and `report_fields` reads
+the same fields off a report of either route, so they compare directly; the
+other result dataclasses are `hurwitz`'s own.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from mtower.errors import MismatchedLevels
 from mtower.groups import unique_rows
-from mtower.hurwitz import (ComponentReport, Cusp, LevelComparison,
-                            ShIncidence, component_genus, genus_lower_bound)
+from mtower.hurwitz import (LevelComparison, ShIncidence, component_genus,
+                            genus_lower_bound)
 from mtower.nielsen import hm_mask, middle_product
 
 
 def _as_tuples(A) -> list[tuple]:
     return list(map(tuple, np.asarray(A).tolist()))
+
+
+@dataclass
+class TupleCusp:
+    members: list[tuple]
+    width: int
+    mpr: int
+    p_divisible: bool
+    hm: bool
+
+    @property
+    def rep(self) -> tuple:
+        return self.members[0]
+
+
+@dataclass
+class TupleReport:
+    orbit: list[tuple]
+    cusps: list[TupleCusp]
+    ind0: int
+    ind1: int
+    indinf: int
+    genus: int | None
+    t_prime: int
+    gamma0_fixed: list[tuple]
+    gamma1_fixed: list[tuple]
+    b_fine: bool
+    fine: bool
+    q2_orbit_lengths: dict[int, list[int]]
+
+    @property
+    def size(self) -> int:
+        return len(self.orbit)
+
+
+def report_fields(rep) -> tuple:
+    """Every field of a report, its cusps as tuples of theirs, read the same
+    way off a `TupleReport` and off a `hurwitz.ComponentReport`."""
+    cusps = [(c.members, c.width, c.mpr, c.p_divisible, c.hm) for c in rep.cusps]
+    return (rep.orbit, cusps, rep.ind0, rep.ind1, rep.indinf, rep.genus,
+            rep.t_prime, rep.gamma0_fixed, rep.gamma1_fixed, rep.b_fine,
+            rep.fine, rep.q2_orbit_lengths)
 
 
 class TupleMoves:
@@ -51,8 +97,8 @@ class TupleMoves:
         return self._gamma_inf[t]
 
 
-def mbar4_orbits(reduced: list[tuple], moves: TupleMoves) -> list[list[tuple]]:
-    known = dict.fromkeys(reduced)
+def mbar4_orbits(reduced, moves: TupleMoves) -> list[list[tuple]]:
+    known = dict.fromkeys(_as_tuples(np.reshape(reduced, (-1, moves.r))))
     frontier = list(known)
     while frontier:
         g1, ginf = moves.moves_many(frontier)
@@ -111,7 +157,7 @@ def _fixed_points(P: list[int]) -> list[int]:
     return [i for i, j in enumerate(P) if i == j]
 
 
-def analyze_component(spec, orbit: list[tuple], moves: TupleMoves) -> ComponentReport:
+def analyze_component(spec, orbit: list[tuple], moves: TupleMoves) -> TupleReport:
     G = spec.group
     n = len(orbit)
     idx = {t: i for i, t in enumerate(orbit)}
@@ -141,7 +187,7 @@ def analyze_component(spec, orbit: list[tuple], moves: TupleMoves) -> ComponentR
     for members in cusp_lists:
         mprs = {middle_product(t, G) for t in members}
         assert len({m % spec.p == 0 for m in mprs}) == 1
-        cusps.append(Cusp(
+        cusps.append(TupleCusp(
             members=members, width=len(members),
             mpr=middle_product(members[0], G),
             p_divisible=(middle_product(members[0], G) % spec.p == 0),
@@ -155,7 +201,7 @@ def analyze_component(spec, orbit: list[tuple], moves: TupleMoves) -> ComponentR
         fine = b_fine and f0 == 0 and f1 == 0
     else:
         b_fine = fine = None
-    return ComponentReport(
+    return TupleReport(
         orbit=orbit, cusps=cusps, ind0=ind0, ind1=ind1, indinf=indinf,
         genus=genus, t_prime=t_prime,
         gamma0_fixed=[orbit[i] for i in _fixed_points(P0)],
@@ -189,7 +235,7 @@ def q2prime_faithful(table: np.ndarray) -> bool:
                for g in (1, 2, 3))
 
 
-def sh_incidence(reports: list[ComponentReport], moves: TupleMoves) -> ShIncidence:
+def sh_incidence(reports: list[TupleReport], moves: TupleMoves) -> ShIncidence:
     cusps = []
     comp_of = []
     for ri, rep in enumerate(reports):
@@ -243,7 +289,7 @@ def to_csv(inc: ShIncidence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def level_compare(lower: ComponentReport, upper: ComponentReport, L,
+def level_compare(lower: TupleReport, upper: TupleReport, L,
                   lower_reducer, lower_index: int = 0,
                   upper_index: int = 0) -> LevelComparison:
     lower_set = {t: i for i, t in enumerate(lower.orbit)}
@@ -286,8 +332,8 @@ def level_compare(lower: ComponentReport, upper: ComponentReport, L,
     bound = genus_lower_bound(lower.t_prime, degree, u_counts, p)
     return LevelComparison(
         lower_index=lower_index, upper_index=upper_index, degree=degree,
-        fiber_sizes=fiber, u_counts=u_counts, t_prime_lower=lower.t_prime,
-        bound=bound, bound_hypotheses_met=hyp,
+        fiber_sizes=[fiber[t] for t in lower.orbit], u_counts=u_counts,
+        t_prime_lower=lower.t_prime, bound=bound, bound_hypotheses_met=hyp,
         elliptic_ramification=elliptic, shortened_cusps=shortened,
         genus_upper=upper.genus)
 

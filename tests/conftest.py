@@ -7,7 +7,7 @@ import pytest
 from mtower.frattini import dihedral_level, general_level, verify_frattini
 from mtower.groups import alternating_group
 from mtower.hurwitz import analyze_component
-from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
+from mtower.nielsen import (NielsenSpec, Reducer, _as_tuples, enumerate_reduced,
                             hm_seed_tuples, lift_tuples, lifted_spec,
                             mbar4_orbits)
 
@@ -18,13 +18,16 @@ def class_of_order(G, order):
 
 
 def level_bundle(spec, reducer=None, reduced=None):
+    """A level's reduced classes (rows; all of them unless given), its
+    orbits and their reports.  `reduced` and `orbits` are lists of tuples,
+    converted from the rows and row numbers that the pipeline passes."""
     red = reducer or Reducer(spec)
     if reduced is None:
         reduced = enumerate_reduced(spec, reducer=red)
     orbits = mbar4_orbits(spec, reduced, red)
     reports = [analyze_component(spec, orb, red) for orb in orbits]
-    return SimpleNamespace(spec=spec, reducer=red, reduced=reduced,
-                           orbits=orbits, reports=reports)
+    return SimpleNamespace(spec=spec, reducer=red, reduced=_as_tuples(reduced),
+                           orbits=[rep.orbit for rep in reports], reports=reports)
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +86,7 @@ def a5_level1(g1a5, a5_level0):
     red1 = Reducer(spec1)
     hm = a5_level0.reducer.canonical(hm_seed_tuples(a5_level0.spec)[0])
     seeds = lift_tuples(L, hm, spec1, red1, frattini_verified=True)
-    bundle = level_bundle(spec1, red1, sorted(set(seeds)))
+    bundle = level_bundle(spec1, red1, seeds)
     bundle.level = L
     bundle.hm_seed = hm
     return bundle

@@ -30,7 +30,9 @@ its module and cocycle over P0) instead of a level, and skip the
 presentations.  `split_route_level` and `split_route_module` are the split
 route that `frattini.split_module` replaced: the split level moved onto
 the group along its split map, and its kernel module.  The order-p^3
-model groups are the permutation builders they were.
+model groups are the permutation builders they were.  `level_psi` reads a
+built level's cocycle off its section (`extract_cocycle`), since levels do
+not store it.
 
 `schreier_generators` reads the Schreier generators of a subgroup off its
 coset table; only this oracle's `split_level` and the tests use it.
@@ -348,6 +350,13 @@ def extract_cocycle(total: FiniteGroup, base: FiniteGroup, proj: np.ndarray,
     return coords[k]
 
 
+def level_psi(lvl) -> np.ndarray:
+    """A built level's cocycle, read off its section and kernel
+    coordinates (extract_cocycle); levels do not store it."""
+    return extract_cocycle(lvl.total, lvl.base, lvl.proj, lvl.section,
+                           lvl.kernel_coords, lvl.p, lvl.kernel_dim)
+
+
 def _dihedral_decode(G: FiniteGroup, elem: int, n: int) -> tuple[int, int]:
     arr = G.elements[elem]
     a = int(arr[0])
@@ -581,7 +590,7 @@ def split_route_level(G: FiniteGroup, p: int) -> FrattiniLevel:
     g0 = tower["g0"]
     lvl = FrattiniLevel(tower["g1"], g0, p, tower["proj"], tower["section"],
                         tower["kernel"], GModule(g0, p, tower["mats"], check=False),
-                        tower["psi"], name="G1split")
+                        name="G1split")
     return transport_level(lvl, iso, G)
 
 
@@ -676,11 +685,11 @@ def transport_level(lvl, iso: list[int], new_base: FiniteGroup):
     iso_inv = {iso[e]: e for e in range(old.order)}
     mats = [lvl.kernel_module.mat_of(iso_inv[g]) for g in new_base.gen_indices]
     M = GModule(new_base, lvl.p, mats, check=False)
-    nb = new_base.order
+    nb, old_psi = new_base.order, level_psi(lvl)
     psi = np.zeros((nb, nb, lvl.kernel_dim), dtype=np.int64)
     for g in range(nb):
         for h in range(nb):
-            psi[g, h] = lvl.psi[iso_inv[g], iso_inv[h]]
+            psi[g, h] = old_psi[iso_inv[g], iso_inv[h]]
     return level_from_pair_model(new_base, M, psi, lvl.p,
                                  name=lvl.name + "-transported")
 

@@ -100,11 +100,18 @@ def test_empty_nielsen_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_budget_exit_code(tmp_path):
-    rc = run_cli(["level", "--group", "A5", "--classes", "3A,3A,3A,3A",
-                  "--p", "2", "--k", "0", "--budget-elements", "10",
-                  "--no-cache"], tmp_path)
-    assert rc == 2
+def test_budget_exit_code(tmp_path, capsys):
+    """Each job is refused at the enumeration stage (exit 2) within 5 s:
+    four 3-cycles over a budget of 10; fourteen, whose one arrangement has
+    20^12 middle products (its 14! orderings are never listed); and
+    fifteen, whose tuple keys (20^15) would overflow int64."""
+    for copies, budget in ((4, ["--budget-elements", "10"]), (14, []), (15, [])):
+        start = time.perf_counter()
+        rc = run_cli(["level", "--group", "A5", "--classes", ",".join(["3A"] * copies),
+                      "--p", "2", "--k", "0", "--no-cache", *budget], tmp_path)
+        assert rc == 2, copies
+        assert time.perf_counter() - start < 5, copies
+        assert "enumeration stage" in capsys.readouterr().err, copies
 
 
 def test_lift_budget_exit_code(tmp_path, capsys):
@@ -1162,7 +1169,7 @@ def test_schur_a4_level1_under_the_split_presentations(tmp_path, monkeypatch):
         t["g0"].presentation, t["g1"].presentation = group_oracle.split_presentations(
             t, p, data.action, h)
         return frattini.FrattiniLevel(t["g1"], t["g0"], p, t["proj"], t["section"],
-                                      t["kernel"], GModule(t["g0"], p, t["mats"]), t["psi"])
+                                      t["kernel"], GModule(t["g0"], p, t["mats"]))
 
     args = ["schur", "--group", "A4", "--p", "2", "--k", "1", "--no-cache"]
     assert run_into(args, tmp_path, "peel") == 0

@@ -93,7 +93,7 @@ def test_dump_writer_matches_json_dump(tmp_path, monkeypatch, a5_level0,
     G, r = level.spec.group, level.reducer.r
     empty = np.empty((0, r), dtype=np.int32)
     orbits = {"none": [], "empty": [empty],
-              "all": [rep.arrays.tuples for rep in level.reports] + [empty]}[orbits]
+              "all": [rep.tuples for rep in level.reports] + [empty]}[orbits]
     oracle.write_dump(tmp_path / "old", oracle.orbit_dump(G, orbits))
     for chars in (cli._DUMP_CHARS, 1):
         monkeypatch.setattr(cli, "_DUMP_CHARS", chars)

@@ -4,7 +4,7 @@ import numpy as np
 
 from mtower.errors import Budget, InputError, NotPPrime
 from mtower.groups import FiniteGroup
-from mtower.nielsen import (NielsenSpec, Reducer, enumerate_reduced,
+from mtower.nielsen import (NielsenSpec, Reducer, _as_tuples, enumerate_reduced,
                             hm_seed_tuples, is_hm,
                             is_p_divisible, lift_tuples, lifted_spec,
                             mbar4_orbits, middle_product, project_tuple)
@@ -123,10 +123,10 @@ def test_lift_tuples_fiber(g1a5, a5_level0):
     red1 = Reducer(spec1)
     hm = a5_level0.reducer.canonical(hm_seed_tuples(a5_level0.spec)[0])
     fiber = lift_tuples(L, hm, spec1, red1, frattini_verified=True)
-    assert len(fiber) == 32
+    assert fiber.shape == (32, 4) and fiber.dtype == np.int32
     honest = lift_tuples(L, hm, spec1, red1, frattini_verified=False)
-    assert honest == fiber  # generation is automatic over a Frattini cover
-    for t in fiber[:6]:
+    assert np.array_equal(honest, fiber)  # generation is automatic over a Frattini cover
+    for t in _as_tuples(fiber[:6]):
         assert project_tuple(L, t) != t
         assert a5_level0.reducer.canonical(project_tuple(L, t)) == hm
     # H-M reps lift to H-M reps
@@ -157,10 +157,10 @@ def test_r5_shift_twist_orbits(a5):
     red = Reducer(spec)
     assert red.variants((0, 0, 0, 0, 0)) == [(0, 0, 0, 0, 0)]
     reduced = enumerate_reduced(spec, budget=10 ** 7)
-    assert reduced
+    assert len(reduced)
     orbits = mbar4_orbits(spec, reduced, red)
     assert sum(len(o) for o in orbits) == len(reduced)
-    t = reduced[0]
+    t = _as_tuples(reduced)[0]
     assert len(red.sh(t)) == 5
 
 
@@ -175,7 +175,7 @@ def test_tuple_text_roundtrip(tmp_path, a5_level0, dihedral_pair):
 
     for level in (a5_level0, dihedral_pair.lvl0, dihedral_pair.lvl1):
         G = level.spec.group
-        orbits = [rep.arrays.tuples for rep in level.reports]
+        orbits = [rep.tuples for rep in level.reports]
         write_dump_files(tmp_path, 0, G, orbits)
         table = (tmp_path / "elements_L0.json").read_text()
         elems = [G.lookup(parse_perm(text, G.degree).as_array())
@@ -268,8 +268,9 @@ def test_enumeration_and_lifts_match_scalar_oracle(a5, a5_level0,
     mixed = NielsenSpec(a5, (five[0], five[0], five[1], five[1]), 3)
     for spec in (a5_level0.spec, mixed):
         red = Reducer(spec)
-        assert enumerate_reduced(spec, reducer=red) == \
-            oracle.enumerate_reduced(spec, oracle.ScalarCanonical(red))
+        got = enumerate_reduced(spec, reducer=red)
+        assert got.dtype == np.int32
+        assert _as_tuples(got) == oracle.enumerate_reduced(spec, oracle.ScalarCanonical(red))
     L = g1a5.level
     spec1 = lifted_spec(L, a5_level0.spec)
     red1 = Reducer(spec1)
@@ -277,8 +278,8 @@ def test_enumeration_and_lifts_match_scalar_oracle(a5, a5_level0,
     for t in a5_level0.reduced[:1]:
         want = oracle.lift_tuples(L, t, spec1, scalar1)
         assert want
-        assert lift_tuples(L, t, spec1, red1) == want
-        assert lift_tuples(L, t, spec1, red1, frattini_verified=True) == want
+        assert _as_tuples(lift_tuples(L, t, spec1, red1)) == want
+        assert _as_tuples(lift_tuples(L, t, spec1, red1, frattini_verified=True)) == want
 
 
 def test_lift_budget(g1a5, a5_level0):
@@ -296,10 +297,14 @@ def test_numbering_grows_an_orbit_at_a_time(a5_r5):
     in tuple order and gives the same orbits as one search over both."""
     first, second = a5_r5.orbits
     red = Reducer(a5_r5.spec)
-    assert mbar4_orbits(a5_r5.spec, second[:1], red) == [second]
+
+    def orbits(seeds):
+        return [_as_tuples(red.rows[o]) for o in mbar4_orbits(a5_r5.spec, seeds, red)]
+
+    assert orbits(second[:1]) == [second]
     assert len(red.rows) == len(second)
-    assert mbar4_orbits(a5_r5.spec, first[:1], red) == [first]
-    assert mbar4_orbits(a5_r5.spec, a5_r5.reduced, red) == a5_r5.orbits
+    assert orbits(first[:1]) == [first]
+    assert orbits(a5_r5.reduced) == a5_r5.orbits
     assert red.rows.tolist() == sorted(map(list, first + second))
     assert all(red.gamma1(t) == a5_r5.reducer.gamma1(t) and
                red.gamma_inf(t) == a5_r5.reducer.gamma_inf(t) for t in first + second)

@@ -201,8 +201,8 @@ def level0_orbit_lifts(G, labels, p):
     orbits = mbar4_orbits(spec, enumerate_reduced(spec, reducer=red), red)
     lspec = lifted_spec(L, spec)
     lred = Reducer(lspec)
-    return [[bool(lift_tuples(L, t, lspec, lred, frattini_verified=True))
-             for t in orb] for orb in orbits]
+    return [[len(lift_tuples(L, t, lspec, lred, frattini_verified=True)) > 0
+             for t in red.rows[orb]] for orb in orbits]
 
 
 @pytest.mark.parametrize("name,labels", [("A4", "3A,3A,3B,3B"),
