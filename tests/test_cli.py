@@ -249,6 +249,19 @@ def test_sylow_normalizer_without_cyclic_complement_names_it(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_gcomplete_past_the_table_matches_pin(tmp_path, capsys):
+    """PSL(2,23) (order 6,072, past MUL_TABLE_LIMIT) at p = 3: the report,
+    cold and replayed from the cache, has the pinned digest."""
+    gf = tmp_path / "psl2_23.txt"
+    gf.write_text(psl2_group_file(23))
+    args = ["gcomplete", "--group-file", str(gf), "--classes", "2A,3A", "--p", "3"]
+    assert run_into(args, tmp_path, "cold") == 0
+    assert run_into(args, tmp_path, "replay") == 0
+    assert "cache hit" in capsys.readouterr().out
+    digest, name = (DATA / "gcomplete_psl2_23.sha256").read_text().split()
+    assert _digests(tmp_path / "cold") == _digests(tmp_path / "replay") == {name: digest}
+
+
 @pytest.mark.parametrize("flag, text", [
     # D9 from a presentation: its normal 3-Sylow is Z/9
     ("--presentation-file", "gens: r s\nr^9\ns^2\n(r*s)^2\n"),
