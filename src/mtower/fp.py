@@ -200,7 +200,6 @@ def _parse_word(text: str, gen_id: dict[str, int]) -> tuple[int, ...]:
 class CosetTable:
     ngens: int
     rows: list[list[int]]            # rows[c][2g] = c*gen_g, rows[c][2g+1] = c*gen_g^-1
-    rep_words: list[tuple[int, ...]]  # signed word carrying coset 0 to coset c
 
     @property
     def n(self) -> int:
@@ -367,29 +366,7 @@ def todd_coxeter(P: Presentation, subgroup_words=(), max_cosets: int = 1 << 20) 
             row.append(remap[rep(v)])
         rows.append(row)
 
-    rep_words = _bfs_words(rows, P.ngens)
-    return CosetTable(P.ngens, rows, rep_words)
-
-
-def _bfs_words(rows: list[list[int]], ngens: int) -> list[tuple[int, ...]]:
-    n = len(rows)
-    words: list[tuple[int, ...] | None] = [None] * n
-    words[0] = ()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for g in range(ngens):
-            for letter in (g + 1, -(g + 1)):
-                cidx = 2 * g if letter > 0 else 2 * g + 1
-                d = rows[c][cidx]
-                if words[d] is None:
-                    words[d] = words[c] + (letter,)
-                    queue.append(d)
-    if any(w is None for w in words):
-        raise AssertionError("coset table not transitive")
-    return [w for w in words if w is not None]
+    return CosetTable(P.ngens, rows)
 
 
 def coset_group(T: CosetTable, max_order: int = 1 << 21, name: str = "") -> FiniteGroup:

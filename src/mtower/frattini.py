@@ -580,11 +580,14 @@ def p_sylow(G: FiniteGroup, p: int) -> tuple[int, ...]:
 
 
 def normalizer(G: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
-    sset = set(int(x) for x in subgroup_elems)
-    sub_gens = generating_set(G, sorted(sset))
-    out = [x for x in range(G.order)
-           if all(G.conj(g, x) in sset for g in sub_gens)]
-    return tuple(out)
+    """The x with x^-1 g x in the subgroup for each of its generators g,
+    every element conjugated in one batch."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[list(subgroup_elems)] = True
+    gens = np.array(generating_set(G, np.flatnonzero(inside).tolist()), dtype=np.int64)
+    x = np.arange(G.order)
+    return tuple(np.flatnonzero(inside[G.mul_many(G.mul_many(G.inv[x], gens[:, None]), x)]
+                                .all(axis=0)).tolist())
 
 
 def _vector_group(d: int, p: int) -> FiniteGroup:

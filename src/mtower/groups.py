@@ -16,8 +16,10 @@ from many elements at once (walk) give the group its presentation, peeled
 on first read (presentation).  When the order is at most MUL_TABLE_LIMIT
 the multiplication table is filled from those columns, the rows of its
 transpose a block of a BFS level at a time, and turned over in place; the
-inverses are read off it.  Above that, a closed-form group multiplies by
-its formula and a permutation group composes permutations.
+inverses are read off it.  Above that, every group multiplies arrays of
+codes (code_mul): a closed-form group by its formula, a permutation group
+(its codes are its element numbers) by base images (_keys); the inverses
+and orders come from batched powers.
 
 Conjugacy classes are the orbits of one batch of the conjugates of every
 element by every generator, labelled by min-label propagation.
@@ -97,8 +99,7 @@ class FiniteGroup:
             head += 1
         self._elements = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(
             len(keys), degree)
-        self._index = index
-        self.code_mul = None
+        self.codes = self._at_code = np.arange(len(keys), dtype=np.int32)
         self._finish(parents, np.array(cols, dtype=np.int32).reshape(
             len(keys), len(gens)).T.copy())
 
@@ -127,7 +128,7 @@ class FiniteGroup:
             parents += zip(G._at_code[up].tolist(), gi.tolist())
         G.degree, G.name = degree, name
         G.gen_arrays = list(code_cols.astype(np.int32))
-        G.code_mul, G._elements, G._index = code_mul, None, None
+        G.code_mul, G._elements = code_mul, None
         G._finish(parents, G._at_code[code_cols[:, G.codes]])
         return G
 
@@ -181,20 +182,11 @@ class FiniteGroup:
             lo = end
 
     def _build_inverses(self) -> np.ndarray:
-        """Read off the table (row a holds the identity at a^-1).  Without one,
-        a closed-form group has them with its orders (_orders_and_inverses);
-        a permutation group looks up each inverse permutation."""
+        """Read off the table (row a holds the identity at a^-1); without
+        one, found with the orders by batched products (_orders_and_inverses)."""
         if self.mul_table is not None:
             return self.mul_table.argmin(axis=1).astype(np.int32)
-        if self.code_mul is not None:
-            self._orders, inv = self._orders_and_inverses()
-            return inv
-        inv = np.empty(self.order, dtype=np.int32)
-        for i in range(self.order):
-            arr = self.elements[i]
-            back = np.empty(self.degree, dtype=np.int32)
-            back[arr] = np.arange(self.degree, dtype=np.int32)
-            inv[i] = self._index[back.tobytes()]
+        self._orders, inv = self._orders_and_inverses()
         return inv
 
     def _orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -278,20 +270,37 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[a, b])
-        if self.code_mul is not None:
-            return int(self.mul_many(a, b))
-        img = self._elements[b][self._elements[a]]
-        return self._index[img.tobytes()]
+        return int(self.mul_many(a, b))
 
     def mul_many(self, a, b) -> np.ndarray:
-        """Elementwise products of two broadcastable index arrays."""
+        """Elementwise products of two broadcastable index arrays: read off
+        the table, or past it multiplied as codes (code_mul)."""
         if self.mul_table is not None:
             return self.mul_table[a, b]
-        if self.code_mul is not None:
-            return self._at_code[self.code_mul(self.codes[a], self.codes[b])]
-        a, b = np.broadcast_arrays(a, b)
-        return np.array(list(map(self.mul, a.ravel().tolist(), b.ravel().tolist())),
-                        dtype=np.int32).reshape(a.shape)
+        return self._at_code[self.code_mul(self.codes[a], self.codes[b])]
+
+    @cached_property
+    def _keys(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """(base, images, keys, at), made on first use.  Each base point (Sims)
+        is the first point moved by the elements that fix the points before
+        it (the first one by a generator), so images[x], element x's images
+        of the base, tell the elements apart.  `keys` holds the rows' byte
+        keys in sorted order, and at[i] is the element of keys[i]."""
+        E, base, live = self._elements, [], self.gen_indices
+        while not base or live.size > 1:
+            base.append(int(np.argmax((E[live] != np.arange(self.degree)).any(axis=0))))
+            live = np.flatnonzero((E[:, base] == base).all(axis=1))
+        images = E[:, base]
+        at = np.argsort(_byte_keys(images)).astype(np.int32)
+        return base, images, _byte_keys(images)[at], at
+
+    def code_mul(self, a, b) -> np.ndarray:
+        """A permutation group's product on codes, its element numbers: b's
+        images of a's base images, found among the sorted keys (_keys).  A
+        closed-form group's own code_mul replaces it."""
+        _, images, keys, at = self._keys
+        return at[np.searchsorted(keys, _byte_keys(
+            self._elements[np.expand_dims(b, -1), images[a]]))]
 
     def conj(self, x: int, c: int) -> int:
         """c^-1 x c."""
@@ -319,14 +328,10 @@ class FiniteGroup:
         return int(self.element_orders()[a])
 
     def element_orders(self) -> np.ndarray:
-        """The order of every element, found on first use: through the
-        table by _orders_and_inverses, or past it the lcm of each one's
-        cycle lengths (a closed-form group has them with its inverses)."""
+        """The order of every element (_orders_and_inverses): found with the
+        inverses past the table, on first use through it."""
         if self._orders is None:
-            if self.mul_table is None:
-                self._orders = cycle_orders(self._elements)
-            else:
-                self._orders = self._orders_and_inverses()[0]
+            self._orders = self._orders_and_inverses()[0]
         return self._orders
 
     @property
@@ -334,7 +339,7 @@ class FiniteGroup:
         """Row i is the permutation of element i.  A closed-form group keeps
         no such array: it is made from the product, a block of rows at a
         time, on each read."""
-        if self.code_mul is None:
+        if self._elements is not None:
             return self._elements
         parts = 1 + self.order * self.degree // _CLOSURE_CELLS    # rows of bounded size
         rows = np.array_split(np.arange(self.order), parts)
@@ -342,7 +347,7 @@ class FiniteGroup:
 
     def _images(self, i) -> np.ndarray:
         """The permutation of element i, or one row per element of an array."""
-        if self.code_mul is None:
+        if self._elements is not None:
             return self._elements[i]
         if self.mul_table is not None:        # x -> x i, read off the table
             img = self.codes[self.mul_table[self._at_code, np.expand_dims(i, -1)]]
@@ -351,11 +356,19 @@ class FiniteGroup:
         return img.astype(np.int32)
 
     def lookup(self, perm_images: np.ndarray) -> int | None:
-        img = np.asarray(perm_images, dtype=np.int32)
-        if self.code_mul is None:
-            return self._index.get(img.tobytes())
-        j = int(self._at_code[img[0]])         # element j takes 0 to its code
-        return j if (self._images(j) == img).all() else None
+        j = int(self._find([perm_images])[0])
+        return None if j < 0 else j
+
+    def _find(self, rows) -> np.ndarray:
+        """The element of each row of images (-1 for none): the candidate
+        takes 0 to the row's code, or has the row's base images (_keys)."""
+        rows = np.asarray(rows, dtype=np.int32)
+        if self._elements is None:
+            j = self._at_code[rows[:, 0]]
+        else:
+            base, _, keys, at = self._keys
+            j = at[np.searchsorted(keys, _byte_keys(rows[:, base])) % self.order]
+        return np.where((self._images(j) == rows).all(axis=1), j, -1)
 
     def perm(self, i: int) -> Perm:
         return Perm(tuple(self._images(i).tolist()))
@@ -491,18 +504,19 @@ class FiniteGroup:
         """Map other's elements into self by permutation identity, or None."""
         if other.degree != self.degree:
             return None
-        out = []
-        for i in range(other.order):
-            j = self.lookup(other.elements[i])
-            if j is None:
-                return None
-            out.append(j)
-        return out
+        found = self._find(other.elements)
+        return None if (found < 0).any() else found.tolist()
 
 
 def _seed_row(seeds) -> np.ndarray:
     """The distinct non-identity seeds, as a one-row block of seeds."""
     return unique_rows(np.array([s for s in seeds if s != 0], dtype=np.int64)[:, None])[0].T
+
+
+def _byte_keys(images: np.ndarray) -> np.ndarray:
+    """Each row of int32 images as one fixed-width byte key, which sorts
+    and is searched for (np.searchsorted) as a single value."""
+    return np.ascontiguousarray(images).view(np.dtype((np.void, 4 * images.shape[-1])))[..., 0]
 
 
 def unique_rows(rows: np.ndarray):

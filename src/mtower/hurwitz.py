@@ -283,7 +283,6 @@ class LevelComparison:
     lower_index: int
     upper_index: int
     degree: int
-    fiber_sizes: list[int]               # per lower class, in row order
     u_counts: list[int]                  # per non-divisible lower cusp
     t_prime_lower: int
     bound: Fraction
@@ -360,8 +359,7 @@ def level_compare(lower: ComponentReport, upper: ComponentReport,
     bound = genus_lower_bound(lower.t_prime, degree, u_counts, p)
     return LevelComparison(
         lower_index=lower_index, upper_index=upper_index, degree=degree,
-        fiber_sizes=fiber.tolist(), u_counts=u_counts, t_prime_lower=lower.t_prime,
-        bound=bound, bound_hypotheses_met=hyp,
+        u_counts=u_counts, t_prime_lower=lower.t_prime, bound=bound, bound_hypotheses_met=hyp,
         elliptic_ramification=elliptic, shortened_cusps=shortened,
         genus_upper=upper.genus)
 

@@ -332,8 +332,7 @@ def level_compare(lower: TupleReport, upper: TupleReport, L,
     bound = genus_lower_bound(lower.t_prime, degree, u_counts, p)
     return LevelComparison(
         lower_index=lower_index, upper_index=upper_index, degree=degree,
-        fiber_sizes=[fiber[t] for t in lower.orbit], u_counts=u_counts,
-        t_prime_lower=lower.t_prime, bound=bound, bound_hypotheses_met=hyp,
+        u_counts=u_counts, t_prime_lower=lower.t_prime, bound=bound, bound_hypotheses_met=hyp,
         elliptic_ramification=elliptic, shortened_cusps=shortened,
         genus_upper=upper.genus)
 

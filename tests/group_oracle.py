@@ -62,6 +62,38 @@ def commutator_word(u, v) -> tuple[int, ...]:
     return free_reduce(invert_word(u) + invert_word(v) + tuple(u) + tuple(v))
 
 
+def psl2_group_file(q):
+    """PSL(2,q) on the projective line over F_q, 1-based with infinity as
+    q + 1: the permutations z -> z + 1 and z -> -1/z."""
+    inf = q
+    neg_inv = {0: inf, inf: 0, **{x: -pow(x, -1, q) % q for x in range(1, q)}}
+    cycles, seen = [], set()
+    for x in range(q + 1):
+        cycle = []
+        while x not in seen and neg_inv[x] != x:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = neg_inv[x]
+        cycles += [f"({' '.join(cycle)})"] * bool(cycle)
+    return f"({' '.join(str(x + 1) for x in range(q))})\n{''.join(cycles)}\n"
+
+
+def rep_words(T: CosetTable) -> list[tuple[int, ...]]:
+    """The signed word carrying coset 0 to each coset c, along the BFS
+    spanning tree of T's rows (column 2g is generator g, 2g + 1 its
+    inverse), letters tried in column order."""
+    words: list[tuple[int, ...] | None] = [()] + [None] * (T.n - 1)
+    queue = [0]
+    for c in queue:
+        for col, d in enumerate(T.rows[c]):
+            if words[d] is None:
+                words[d] = words[c] + ((col // 2 + 1) * (-1) ** col,)
+                queue.append(d)
+    if None in words:
+        raise AssertionError("coset table not transitive")
+    return words
+
+
 def schreier_generators(P: Presentation, T: CosetTable) -> list[tuple[int, ...]]:
     """Schreier generators of the subgroup whose coset table is T.
 
@@ -69,7 +101,7 @@ def schreier_generators(P: Presentation, T: CosetTable) -> list[tuple[int, ...]]
     coset c and generator letter x the word rep(c) x rep(c*x)^-1 is freely
     reduced, and trivial (tree-edge) generators are dropped.
     """
-    reps = T.rep_words
+    reps = rep_words(T)
     out = []
     seen = set()
     for c in range(T.n):
@@ -479,6 +511,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     dprime = len(sgens)
     if T1.n != p ** (d + dprime):
         raise Collapse(f"P1 closed at {T1.n}, expected {p ** (d + dprime)}")
+    reps = rep_words(T1)
 
     # P0 as translation group on F_p^d vectors; generator i = e_i, and an
     # element maps point 0 to the base-p code of its vector
@@ -486,7 +519,7 @@ def split_level(d: int, p: int, H: FiniteGroup, H_mats: list[np.ndarray],
     p0_elem = _elem_at_point(P0)
     # kernel coordinates inside T1, in the Schreier-generator basis
     kernel_cosets, kcoords = _table_kernel_coords(
-        T1, lambda c: int(p0_elem[_p0_code_of_word(T1.rep_words[c], d, p)]),
+        T1, lambda c: int(p0_elem[_p0_code_of_word(reps[c], d, p)]),
         dprime, p, sgens)
     mats0 = []
     for i in range(d):

@@ -220,28 +220,12 @@ def test_split_case_without_cyclic_complement_exits_2(tmp_path, capsys, args):
     assert not (tmp_path / "out").exists()
 
 
-def psl2_group_file(q):
-    """PSL(2,q) on the projective line over F_q, 1-based with infinity as
-    q + 1: the permutations z -> z + 1 and z -> -1/z."""
-    inf = q
-    neg_inv = {0: inf, inf: 0, **{x: -pow(x, -1, q) % q for x in range(1, q)}}
-    cycles, seen = [], set()
-    for x in range(q + 1):
-        cycle = []
-        while x not in seen and neg_inv[x] != x:
-            seen.add(x)
-            cycle.append(str(x + 1))
-            x = neg_inv[x]
-        cycles += [f"({' '.join(cycle)})"] * bool(cycle)
-    return f"({' '.join(str(x + 1) for x in range(q))})\n{''.join(cycles)}\n"
-
-
 def test_sylow_normalizer_without_cyclic_complement_names_it(tmp_path, capsys):
     """PSL(2,23) at p = 3: its 3-Sylow is not normal, and the one without a
     cyclic complement is that of the Sylow normalizer, which the refusal
     names (it used to say "the normal 3-Sylow", which PSL(2,23)'s is not)."""
     gf = tmp_path / "psl2_23.txt"
-    gf.write_text(psl2_group_file(23))
+    gf.write_text(group_oracle.psl2_group_file(23))
     assert run_cli(["frattini-verify", "--group-file", str(gf), "--p", "3"], tmp_path) == 2
     err = capsys.readouterr().err
     assert ("cover stage: the normal 3-Sylow of the Sylow normalizer has no cyclic "
@@ -253,7 +237,7 @@ def test_gcomplete_past_the_table_matches_pin(tmp_path, capsys):
     """PSL(2,23) (order 6,072, past MUL_TABLE_LIMIT) at p = 3: the report,
     cold and replayed from the cache, has the pinned digest."""
     gf = tmp_path / "psl2_23.txt"
-    gf.write_text(psl2_group_file(23))
+    gf.write_text(group_oracle.psl2_group_file(23))
     args = ["gcomplete", "--group-file", str(gf), "--classes", "2A,3A", "--p", "3"]
     assert run_into(args, tmp_path, "cold") == 0
     assert run_into(args, tmp_path, "replay") == 0

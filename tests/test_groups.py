@@ -8,7 +8,7 @@ import pytest
 
 import dump_oracle
 import group_oracle as oracle
-from mtower import groups
+from mtower import groups, nielsen
 from mtower.errors import OrderExceeded
 from mtower.fp import todd_coxeter
 from mtower.frattini import minimal_generating_tuple
@@ -264,7 +264,7 @@ def test_conjugates_count_the_normalizer_index():
 
 
 def test_conjugates_above_mul_table_limit():
-    """Without a mul table the products go through `mul`, pair by pair."""
+    """Without a mul table the products go through the base-image keys."""
     G = _a5_a5_z2()
     assert G.order > groups.MUL_TABLE_LIMIT and G.mul_table is None
     K = G.subgroup_closure([G.gen_indices[0]])
@@ -331,6 +331,51 @@ def test_columns_and_inverses_without_table():
         for i, g in enumerate(G.gen_indices):
             assert [int(G.gen_cols[i, x]) for x in sample] == \
                 [G.mul(x, g) for x in sample]
+
+
+def _fixed_points_first(G, k):
+    """G's generators on k more points, put first and fixed by each one."""
+    return FiniteGroup([Perm(tuple(range(k)) + tuple((g + k).tolist())) for g in G.gen_arrays])
+
+
+@pytest.mark.parametrize("name", ["D2049", "PSL(2,23)", "A5xA5xZ2 after 3 fixed points"])
+def test_batched_products_past_the_table_match_perm_composition(name):
+    """Past MUL_TABLE_LIMIT a permutation group multiplies by the keys of
+    its elements' base images; its products, inverses, orders, lookups,
+    embeddings and conjugation rows match scalar composition of Perms."""
+    G = {"D2049": lambda: dihedral_group(2049),
+         "PSL(2,23)": lambda: FiniteGroup(parse_group_file(oracle.psl2_group_file(23))),
+         "A5xA5xZ2 after 3 fixed points": lambda: _fixed_points_first(_a5_a5_z2(), 3)}[name]()
+    assert G.mul_table is None and G.order > groups.MUL_TABLE_LIMIT
+    perms = [G.perm(x) for x in range(G.order)]
+    index = {q.images: x for x, q in enumerate(perms)}
+    if name.endswith("fixed points"):
+        assert G._keys[0][0] == 3
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, G.order, (2, 2000))
+    want = [index[(perms[x] * perms[y]).images] for x, y in zip(a.tolist(), b.tolist())]
+    assert G.mul_many(a, b).tolist() == want
+    assert G.mul_many(a[:40, None], b[:50]).tolist() == \
+        [[index[(perms[x] * perms[y]).images] for y in b[:50].tolist()]
+         for x in a[:40].tolist()]
+    assert [G.mul(x, y) for x, y in zip(a[:50].tolist(), b[:50].tolist())] == want[:50]
+    assert G.inv.tolist() == [index[q.inverse().images] for q in perms]
+    assert (G.element_orders() == cycle_orders(G.elements)).all()
+    assert [G.lookup(perms[x].as_array()) for x in a[:20].tolist()] == a[:20].tolist()
+    for i, j in ((0, 1), (G.degree // 2, G.degree // 2 + 1)):   # transpositions: no members
+        swap = np.arange(G.degree, dtype=np.int32)
+        swap[[i, j]] = j, i
+        assert G.lookup(swap) is None
+    H = groups.subgroup_from_indices(G, a[:2].tolist())
+    assert G.element_subgroup(H) == [index[H.perm(i).images] for i in range(H.order)]
+    assert G.element_subgroup(FiniteGroup([Perm(tuple(swap.tolist()))])) is None
+    members = np.unique(b[:30])
+    conj = nielsen._conj_table(G, members)
+    for c in a[:40].tolist():
+        cinv = perms[c].inverse()
+        assert conj[c].tolist() == [index[(cinv * perms[m] * perms[c]).images]
+                                    for m in members.tolist()]
+        assert conj[c].tolist() == [G.conj(m, c) for m in members.tolist()]
 
 
 def _cyclic_closed_form(n):

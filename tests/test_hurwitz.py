@@ -280,7 +280,7 @@ def _assert_same_comparisons(L, lower, upper):
             want = braid_oracle.level_compare(lwant, uwant, L,
                                               lower.moves.red, li, ui)
             assert got.to_dict() == want.to_dict()
-            assert repr(got) == repr(want)          # fiber_sizes included
+            assert repr(got) == repr(want)
             assert check_goup(got) == check_goup(want)
 
 

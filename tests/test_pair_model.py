@@ -93,7 +93,7 @@ def test_commands_build_no_full_element_array(monkeypatch, tmp_path):
     """a5-level1 and schur-a4-k1 print a pair model's elements one at a
     time and never make its whole element array."""
     def guarded(G):
-        if G.code_mul is not None:
+        if G._elements is None:
             raise AssertionError(f"full element array of {G.name}")
         return G._elements
 
