@@ -555,7 +555,8 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 def p_sylow(G: FiniteGroup, p: int) -> tuple[int, ...]:
-    """Element indices of a p-Sylow subgroup (deterministic normalizer growth)."""
+    """Element indices of a p-Sylow subgroup (deterministic normalizer growth,
+    every element conjugating the generators in one batch)."""
     target = 1
     n = G.order
     while n % p == 0:
@@ -563,16 +564,17 @@ def p_sylow(G: FiniteGroup, p: int) -> tuple[int, ...]:
         target *= p
     S = (0,)
     gens: list[int] = []
+    x = np.arange(G.order)
     while len(S) < target:
-        sset = set(S)
-        for x in range(1, G.order):
-            if x in sset or not _is_p_power(G.element_order(x), p):
-                continue
-            if all(G.conj(g, x) in sset for g in (gens or [0])):
-                S2 = G.subgroup_closure(gens + [x])
+        inside = np.zeros(G.order, dtype=bool)
+        inside[list(S)] = True
+        g = np.array(gens or [0], dtype=np.int64)
+        normalizes = inside[G.mul_many(G.mul_many(G.inv[x], g[:, None]), x)].all(axis=0)
+        for y in np.flatnonzero(normalizes & ~inside).tolist():
+            if _is_p_power(G.element_order(y), p):
+                S2 = G.subgroup_closure(gens + [y])
                 if _is_p_power(len(S2), p):
-                    gens = gens + [x]
-                    S = S2
+                    gens, S = gens + [y], S2
                     break
         else:
             raise AssertionError("sylow growth stalled")

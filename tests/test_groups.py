@@ -116,7 +116,7 @@ def test_derived_subgroup_matches_oracle(a4, a5, g1a5, dihedral_pair):
     groups_ = [a4, a5, klein_four(), dihedral_group(5), dihedral_group(12),
                cyclic_group(6), symmetric_group(7), g1a5.level.total,
                dihedral_pair.level.total]
-    assert g1a5.level.total.code_mul is not None
+    assert g1a5.level.total._elements is None
     for G in groups_:
         assert G.derived_subgroup() == oracle.derived_subgroup(G), G.order
     assert [G.abelianization_order() for G in groups_] == [
