@@ -1,6 +1,7 @@
-"""Kernel benchmarks: the braid stage, its orbit dump and the cycle notation
-of its elements, on the D5 level-2 orbit (7,500 reduced classes over 125
-distinct elements, the top level of `mt dihedral --p 5 --k 2`);
+"""Kernel benchmarks: the braid stage, its sh-incidence CSV, its orbit dump
+and the cycle notation of its elements, on the D5 level-2 orbit (7,500
+reduced classes over 125 distinct elements, the top level of
+`mt dihedral --p 5 --k 2`);
 the cover level of A4 and of A5 at p = 2 (`cli.build_level`); the F_p
 elimination of H^2(G1(A4), F_2) and of H^2(G1(A5), F_2), the solves of
 `mt schur --group A4 --p 2 --k 1` and `mt schur --group A5 --p 2 --k 1`;
@@ -83,6 +84,17 @@ def test_sh_incidence(benchmark, d5_levels):
     top = d5_levels[2]
     inc = benchmark(sh_incidence, top.reports, top.reducer)
     assert inc.symmetric and len(inc.blocks) == 1
+
+
+def test_sh_incidence_csv(benchmark, d5_levels):
+    """The D5 level-2 sh-incidence CSV, formatted a row at a time; the same
+    bytes as formatting the whole matrix through `astype(str)`."""
+    inc = sh_incidence(d5_levels[2].reports, d5_levels[2].reducer)
+    text = benchmark(inc.to_csv)
+    cells = inc.matrix.astype(str).tolist()
+    assert text == "\n".join(["," + ",".join(inc.labels)] + [
+        lab + "," + ",".join(row) for lab, row in zip(inc.labels, cells)]) + "\n"
+    assert text.count("\n") == len(inc.labels) + 1
 
 
 def test_level_compare(benchmark, d5_levels):

@@ -182,7 +182,8 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
     orbit upstairs: a level-0 orbit has lifts over all of its members or
     over none, and each entry is lifted within the lift of its own class.
     Each level is checked Frattini (verify_frattini) before its lifts are
-    trusted to generate.
+    trusted to generate, and each of its components is compared with the
+    one component under it (_components_below).
     """
     ids = tuple(class_id(G, lab) for lab in class_labels)
     classes = G.conjugacy_classes()
@@ -231,18 +232,27 @@ def run_level_analysis(G: groups.FiniteGroup, gdesc: str, class_labels: list[str
         files[f"sh_incidence_L{step}.csv"] = hurwitz.sh_incidence(
             reports, reducer).to_csv()
         files.update(_dump_files(step, group, [r.tuples for r in reports]))
-        for li, lrep in enumerate(lower[2] if lower else []):
-            for ui, urep in enumerate(reports):
-                try:
-                    cmp = hurwitz.level_compare(lrep, urep, L, lower[1], li, ui)
-                except MTError:
-                    continue
-                d = cmp.to_dict()
-                d["verdict"] = hurwitz.check_goup(cmp)
-                d["level"] = step
-                payload["comparisons"].append(d)
+        for li, ui in _components_below(L, lower, reports) if lower else []:
+            cmp = hurwitz.level_compare(lower[2][li], reports[ui], L, lower[1], li, ui)
+            d = cmp.to_dict()
+            d["verdict"] = hurwitz.check_goup(cmp)
+            d["level"] = step
+            payload["comparisons"].append(d)
         lower = (spec, reducer, reports)
     return files
+
+
+def _components_below(L: frattini.FrattiniLevel, lower, reports) -> list[tuple[int, int]]:
+    """(lower, upper) component pairs, sorted: under each upper component the
+    lower one whose braid orbit holds the projection of its first class
+    (the lower reducer's orbit_label; the braid action commutes with proj)."""
+    _, red, below = lower
+    rows = red.find(red.canonical_many(L.proj[[rep.tuples[0] for rep in reports]]))
+    if (rows < 0).any():
+        raise InvariantViolation("comparison stage: a class projects outside the level below")
+    least = np.array([rep.rows[0] for rep in below])
+    lis = np.argmax(red.orbit_label[rows][:, None] == least, axis=1)
+    return sorted(zip(lis.tolist(), range(len(reports))))
 
 
 # The names of report files: the stale ones are removed from --report

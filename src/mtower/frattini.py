@@ -50,7 +50,7 @@ from .errors import (Collapse, IncompatibleLevels, InputError, NotPPrime,
 from .fp import Presentation, free_reduce, invert_word
 from .gmodules import (GModule, indecomposable_summands, induce, spin,
                        submodule_module, trivial_module)
-from .groups import (MUL_TABLE_LIMIT, ConjClass, FiniteGroup, dihedral_group,
+from .groups import (MUL_TABLE_LIMIT, FiniteGroup, dihedral_group,
                      generating_set, is_p_perfect, search_images,
                      subgroup_from_indices)
 
@@ -93,6 +93,18 @@ class FrattiniLevel:
     def lifts(self, g: int) -> list[int]:
         return self.total.mul_many(self.section[g], self.kernel_elems).tolist()
 
+    @cached_property
+    def pprime_lifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(count, above): per base class, how many p' classes of the total
+        group project into it, and the index of the last of them (-1 for
+        none).  Over a p' class the count is 1 (Schur-Zassenhaus)."""
+        classes = self.total.conjugacy_classes()
+        ids = np.array([ci for ci, c in enumerate(classes) if c.element_order % self.p])
+        below = self.base.class_of(self.proj[[classes[ci].representative for ci in ids]])
+        above = np.full(len(self.base.conjugacy_classes()), -1)
+        above[below] = ids
+        return np.bincount(below, minlength=len(above)), above
+
 
 def _digits(n: int, m: int, p: int) -> np.ndarray:
     """Row c: the m base-p digits of c (lowest first), for c < n."""
@@ -124,8 +136,7 @@ def pair_model_group(base: FiniteGroup, module: GModule, psi: np.ndarray,
     # rows of small ints, gathered whole by np.take: vecs[int(v)] = v,
     # acted[h P + int(v)] = v A_h and cocycle[g nb + h] = psi(g, h)
     vecs = _digits(P, m, p).astype(np.int32)
-    acted = np.concatenate([vecs @ module.mat_of(h) % p for h in range(nb)]
-                           ).astype(np.int32)
+    acted = (vecs @ module.element_mats() % p).reshape(nb * P, m).astype(np.int32)
     cocycle = psi.reshape(nb * nb, m).astype(np.int32)
     weights = p ** np.arange(m)
 
@@ -444,32 +455,17 @@ class OrderLiftReport:
 
 def verify_order_lifting(L: FrattiniLevel) -> OrderLiftReport:
     """Every p-divisible-order element must lift to order p * ord on every
-    lift; every p' class must have exactly one p' class above it."""
+    lift, read off the |base| x |K| array of lifts; every p' class must
+    have exactly one p' class above it (FrattiniLevel.pprime_lifts)."""
     p = L.p
-    violations = []
-    for g in range(L.base.order):
-        og = L.base.element_order(g)
-        if og % p:
-            continue
-        for lift in L.lifts(g):
-            ol = L.total.element_order(lift)
-            if ol != p * og:
-                violations.append((g, lift, ol))
-    failures = []
-    for cl in L.base.conjugacy_classes():
-        if cl.element_order % p == 0:
-            continue
-        above = _pprime_classes_above(L, cl)
-        if len(above) != 1:
-            failures.append((cl.representative, len(above)))
+    lifts = L.total.mul_many(L.section[:, None], np.asarray(L.kernel_elems))
+    order, lift_order = L.base.element_orders()[:, None], L.total.element_orders()[lifts]
+    g, k = np.nonzero((order % p == 0) & (lift_order != p * order))
+    violations = list(zip(g.tolist(), lifts[g, k].tolist(), lift_order[g, k].tolist()))
+    failures = [(c.representative, n) for c, n in
+                zip(L.base.conjugacy_classes(), L.pprime_lifts[0].tolist())
+                if c.element_order % p and n != 1]
     return OrderLiftReport(violations, failures)
-
-
-def _pprime_classes_above(L: FrattiniLevel, c: ConjClass) -> list[ConjClass]:
-    """The p' classes of L.total whose representatives project into c."""
-    members = set(c.members)
-    return [tc for tc in L.total.conjugacy_classes()
-            if tc.element_order % L.p and int(L.proj[tc.representative]) in members]
 
 
 def minimal_generating_tuple(G: FiniteGroup) -> list[int]:
@@ -519,13 +515,15 @@ def verify_frattini(L: FrattiniLevel) -> bool:
                search_images(L.total, _orbit_lifts(L, minimal_generating_tuple(L.base))))
 
 
-def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:
-    if c.element_order % L.p == 0:
+def lift_class(L: FrattiniLevel, ci: int) -> int:
+    """The index of the one p' class of L.total over base class ci
+    (FrattiniLevel.pprime_lifts)."""
+    if L.base.conjugacy_classes()[ci].element_order % L.p == 0:
         raise NotPPrime("class order divisible by p")
-    found = _pprime_classes_above(L, c)
-    if len(found) != 1:
-        raise AssertionError(f"expected unique p' class above, found {len(found)}")
-    return found[0]
+    count, above = L.pprime_lifts
+    if count[ci] != 1:
+        raise AssertionError(f"expected unique p' class above, found {count[ci]}")
+    return int(above[ci])
 
 
 def restriction_splits(L: FrattiniLevel, subgroup_elems: list[int]) -> bool:

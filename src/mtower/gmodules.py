@@ -66,6 +66,16 @@ class GModule:
         self._mat_cache[elem] = m
         return m
 
+    def element_mats(self) -> np.ndarray:
+        """(|G|, dim, dim): the matrix of every element, filled along the BFS
+        tree a block of a level at a time (FiniteGroup.bfs_blocks)."""
+        out = np.empty((self.group.order, self.dim, self.dim), dtype=np.int64)
+        out[0] = la.identity(self.dim)
+        mats = np.stack(self.mats)
+        for lo, hi, parent, gi in self.group.bfs_blocks(self.dim * self.dim):
+            out[lo:hi] = np.matmul(out[parent], mats[gi]) % self.p
+        return out
+
     def dual(self) -> "GModule":
         mats = [self._invert(m).T for m in self.mats]
         return GModule(self.group, self.p, mats, check=False)
@@ -332,43 +342,28 @@ def is_indecomposable(M: GModule) -> bool:
 
 
 def induce(Mprime: GModule, G: FiniteGroup) -> GModule:
-    """Induced module along a subgroup inclusion (right cosets as basis).
+    """Induced module along a subgroup inclusion H <= G, on the right cosets
+    Hx, each represented by its least member and numbered in that order.
 
-    Mprime.group must be literally a subgroup of G: same degree, every
-    element present in G's table.
+    Column x of one `mul_many` of H's embedding by every element is the coset
+    Hx.  Each coset rep times each generator, t = rep g, lies in the coset j
+    of the rep `coset[t]`, and its H-part h (t = h reps[j]) is the row of t in
+    that coset's column; all of them come from one batch.  Mprime.group must
+    be literally a subgroup of G: same degree, every element present in G.
     """
     H = Mprime.group
     embed = G.element_subgroup(H)
     if embed is None:
         raise NotASubgroup("module group is not a subgroup of G")
-    h_of_g = {embed[i]: i for i in range(H.order)}
-    # right cosets Hg, reps chosen minimal by G element index
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in range(G.order):
-        if x in rep_of:
-            continue
-        members = sorted(G.mul(embed[h], x) for h in range(H.order))
-        for m in members:
-            rep_of[m] = len(reps)
-        reps.append(members[0])
-    ncos = len(reps)
-    m = Mprime.dim
-    dim = m * ncos
-    mats = []
-    for g in G.gen_indices:
-        big = np.zeros((dim, dim), dtype=np.int64)
-        for i, rep in enumerate(reps):
-            t = G.mul(rep, g)
-            j = rep_of[t]
-            # rep * g = h * reps[j]  with h in H
-            h = G.mul(t, int(G.inv[reps[j]]))
-            hm = h_of_g.get(h)
-            assert hm is not None, "coset bookkeeping broke"
-            block = Mprime.mat_of(hm)
-            big[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-        mats.append(big)
-    return GModule(G, Mprime.p, mats)
+    Hx = G.mul_many(np.asarray(embed)[:, None], np.arange(G.order))
+    reps, coset = np.unique(Hx.min(axis=0), return_inverse=True)
+    t = G.mul_many(reps, np.asarray(G.gen_indices)[:, None])     # (generator, coset)
+    j = coset[t]
+    h = (Hx[:, reps[j]] == t).argmax(axis=0)
+    (k, n), m = t.shape, Mprime.dim
+    big = np.zeros((k, n, m, n, m), dtype=np.int64)
+    big[np.arange(k)[:, None], np.arange(n), :, j, :] = Mprime.element_mats()[h]
+    return GModule(G, Mprime.p, list(big.reshape(k, n * m, n * m)))
 
 
 # -- section 2.1 utilities -------------------------------------------------------

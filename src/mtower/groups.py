@@ -406,9 +406,11 @@ class FiniteGroup:
                          for r, m in zip(rank, members)]
         return self._classes
 
-    def class_of(self, x: int) -> int:
+    def class_of(self, x):
+        """The class index of element x, or of each element of an array x."""
         self.conjugacy_classes()
-        return int(self._class_of[x])
+        out = self._class_of[x]
+        return int(out) if out.ndim == 0 else out
 
     def subgroup_closure(self, seeds) -> tuple[int, ...]:
         """Sorted element indices of <seeds>."""

@@ -237,9 +237,11 @@ class ShIncidence:
     symmetric: bool
 
     def to_csv(self) -> str:
-        cells = self.matrix.astype(str).tolist()
+        """The matrix under a header row of cusp labels, each row formatted
+        from its own list of ints, so no str array of the matrix is made."""
         return "\n".join(["," + ",".join(self.labels)] +
-                         [lab + "," + ",".join(row) for lab, row in zip(self.labels, cells)]) + "\n"
+                         [lab + "," + ",".join(map(str, row.tolist()))
+                          for lab, row in zip(self.labels, self.matrix)]) + "\n"
 
 
 def sh_incidence(reports: list[ComponentReport], reducer: Reducer) -> ShIncidence:

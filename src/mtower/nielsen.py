@@ -490,18 +490,14 @@ def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
     entries cover a generating set downstairs); otherwise each distinct
     canonical form is closure-checked.
     """
-    G1 = L.total
+    G1, t = L.total, np.asarray(t)
     red = reducer or Reducer(spec_total)
     # t's entries come in any arrangement of the class multiset, so each
-    # is filtered by the lift of its own class
-    classes = G1.conjugacy_classes()
-    own = {L.base.class_of(int(L.proj[classes[ci].representative])): ci
-           for ci in spec_total.class_ids}
-    lifts = []
-    for g in map(int, t):
-        ci = own[L.base.class_of(g)]
-        lifts.append([x for x in L.lifts(g) if G1.class_of(x) == ci])
-    if any(not ls for ls in lifts):
+    # is filtered by the p' class above its own class (pprime_lifts)
+    x = G1.mul_many(L.section[t][:, None], np.asarray(L.kernel_elems))
+    own = G1.class_of(x) == L.pprime_lifts[1][L.base.class_of(t)][:, None]
+    lifts = [row[keep] for row, keep in zip(x, own)]
+    if not own.any(axis=1).all():
         return np.zeros((0, len(lifts)), dtype=np.int32)
     free = prod(len(ls) for ls in lifts[:-1])
     if free > budget:
@@ -512,14 +508,9 @@ def lift_tuples(L: FrattiniLevel, t, spec_total: NielsenSpec,
 
 
 def lifted_spec(L: FrattiniLevel, spec: NielsenSpec) -> NielsenSpec:
-    """Transport a Nielsen spec through a Frattini level (unique p' classes)."""
-    base_classes = L.base.conjugacy_classes()
-    tot_classes = L.total.conjugacy_classes()
-    out = []
-    for ci in spec.class_ids:
-        lifted = lift_class(L, base_classes[ci])
-        out.append(tot_classes.index(lifted))
-    return NielsenSpec(L.total, tuple(out), spec.p)
+    """Transport a Nielsen spec through a Frattini level: each class to the
+    unique p' class above it (lift_class)."""
+    return NielsenSpec(L.total, tuple(lift_class(L, ci) for ci in spec.class_ids), spec.p)
 
 
 def project_tuple(L: FrattiniLevel, t) -> tuple:

@@ -36,6 +36,13 @@ not store it.
 
 `schreier_generators` reads the Schreier generators of a subgroup off its
 coset table; only this oracle's `split_level` and the tests use it.
+
+`verify_order_lifting`, `lift_class` and `lifted_spec` are the scans that
+found the p' classes over a base class (`pprime_classes_above`, every class
+of the cover for each class below) and checked every lift of every
+p-divisible element one at a time; `induce` built the induced module a
+coset and an element at a time, with dicts from elements to cosets and to
+the subgroup.
 """
 
 from __future__ import annotations
@@ -44,13 +51,14 @@ import numpy as np
 
 from mtower import frattini
 from mtower import linalg as la
-from mtower.errors import Collapse, InputError
+from mtower.errors import Collapse, InputError, NotASubgroup, NotPPrime
 from mtower.fp import (CosetTable, Presentation, free_reduce, invert_word,
                        todd_coxeter)
-from mtower.frattini import FrattiniLevel, level_from_pair_model
+from mtower.frattini import FrattiniLevel, OrderLiftReport, level_from_pair_model
 from mtower.gmodules import GModule, spin
 from mtower.groups import (ConjClass, FiniteGroup, cyclic_group, dihedral_group,
                            search_images)
+from mtower.nielsen import NielsenSpec
 from mtower.perms import Perm
 
 
@@ -348,6 +356,98 @@ def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
         seeds |= extra
         current = G.subgroup_closure(seeds)
 
+
+# -- what lies over what, a class and an element at a time ---------------------
+
+
+def verify_order_lifting(L: FrattiniLevel) -> OrderLiftReport:
+    """Every p-divisible-order element must lift to order p * ord on every
+    lift; every p' class must have exactly one p' class above it."""
+    p = L.p
+    violations = []
+    for g in range(L.base.order):
+        og = L.base.element_order(g)
+        if og % p:
+            continue
+        for lift in L.lifts(g):
+            ol = L.total.element_order(lift)
+            if ol != p * og:
+                violations.append((g, lift, ol))
+    failures = []
+    for cl in L.base.conjugacy_classes():
+        if cl.element_order % p == 0:
+            continue
+        above = pprime_classes_above(L, cl)
+        if len(above) != 1:
+            failures.append((cl.representative, len(above)))
+    return OrderLiftReport(violations, failures)
+
+
+def pprime_classes_above(L: FrattiniLevel, c: ConjClass) -> list[ConjClass]:
+    """The p' classes of L.total whose representatives project into c."""
+    members = set(c.members)
+    return [tc for tc in L.total.conjugacy_classes()
+            if tc.element_order % L.p and int(L.proj[tc.representative]) in members]
+
+
+def lift_class(L: FrattiniLevel, c: ConjClass) -> ConjClass:
+    if c.element_order % L.p == 0:
+        raise NotPPrime("class order divisible by p")
+    found = pprime_classes_above(L, c)
+    if len(found) != 1:
+        raise AssertionError(f"expected unique p' class above, found {len(found)}")
+    return found[0]
+
+
+def lifted_spec(L: FrattiniLevel, spec: NielsenSpec) -> NielsenSpec:
+    """Transport a Nielsen spec through a Frattini level (unique p' classes)."""
+    base_classes = L.base.conjugacy_classes()
+    tot_classes = L.total.conjugacy_classes()
+    out = []
+    for ci in spec.class_ids:
+        lifted = lift_class(L, base_classes[ci])
+        out.append(tot_classes.index(lifted))
+    return NielsenSpec(L.total, tuple(out), spec.p)
+
+
+def induce(Mprime: GModule, G: FiniteGroup) -> GModule:
+    """Induced module along a subgroup inclusion (right cosets as basis).
+
+    Mprime.group must be literally a subgroup of G: same degree, every
+    element present in G's table.
+    """
+    H = Mprime.group
+    embed = G.element_subgroup(H)
+    if embed is None:
+        raise NotASubgroup("module group is not a subgroup of G")
+    h_of_g = {embed[i]: i for i in range(H.order)}
+    # right cosets Hg, reps chosen minimal by G element index
+    rep_of: dict[int, int] = {}
+    reps: list[int] = []
+    for x in range(G.order):
+        if x in rep_of:
+            continue
+        members = sorted(G.mul(embed[h], x) for h in range(H.order))
+        for m in members:
+            rep_of[m] = len(reps)
+        reps.append(members[0])
+    ncos = len(reps)
+    m = Mprime.dim
+    dim = m * ncos
+    mats = []
+    for g in G.gen_indices:
+        big = np.zeros((dim, dim), dtype=np.int64)
+        for i, rep in enumerate(reps):
+            t = G.mul(rep, g)
+            j = rep_of[t]
+            # rep * g = h * reps[j]  with h in H
+            h = G.mul(t, int(G.inv[reps[j]]))
+            hm = h_of_g.get(h)
+            assert hm is not None, "coset bookkeeping broke"
+            block = Mprime.mat_of(hm)
+            big[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
+        mats.append(big)
+    return GModule(G, Mprime.p, mats)
 
 def alternating_generators(n: int) -> tuple[Perm, Perm]:
     """In the full A_n (n = 4 or 5), the first pair (by element index) with

@@ -14,7 +14,7 @@ import pytest
 import cache_oracle as oracle
 import dump_oracle
 import group_oracle
-from mtower import cache, cli, frattini
+from mtower import cache, cli, frattini, hurwitz
 from mtower.cache import cache_get, cache_restore_entry, job_key
 from mtower.cli import class_id, label_classes, main
 from mtower.errors import CorruptCache
@@ -1210,6 +1210,26 @@ def test_level1_file_labelled_a4_cli(tmp_path):
         digest, name = line.split()
         assert sha256_of(tmp_path / "builtin" / name) == digest, name
 
+
+def test_level_compare_once_per_upper_component(tmp_path, monkeypatch):
+    """The A4 level job compares each of its 6 level-1 components with the
+    one component under it: 6 level_compare calls in (lower, upper) order,
+    as many comparisons in its report, and the report is the pinned one."""
+    calls, compare = [], hurwitz.level_compare
+
+    def counted(*args):
+        calls.append(args[4:6])
+        return compare(*args)
+    monkeypatch.setattr(hurwitz, "level_compare", counted)
+    assert main(["level", "--group", "A4", "--classes", "3A,3A,3B,3B", "--p", "2",
+                 "--k", "1", "--no-cache", "--report", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "components.json").read_text())
+    assert len(calls) == len(doc["levels"][1]["components"]) == 6
+    assert calls == sorted(calls) and sorted(u for _, u in calls) == list(range(6))
+    assert [(c["lower"], c["upper"]) for c in doc["comparisons"]] == calls
+    for line in (DATA / "level_a4_p2_k1.sha256").read_text().splitlines():
+        digest, name = line.split()
+        assert sha256_of(tmp_path / "out" / name) == digest, name
 
 # Permutation files of groups with a normal p-Sylow, whose Frattini module
 # is its relation module (and S3 through the dihedral closed form): three labellings of A4, the relabelled D5, Z/7 x| Z/3,

@@ -23,6 +23,7 @@ from mtower.gmodules import GModule, loewy_layers, trivial_module
 from mtower.groups import (FiniteGroup, alternating_group, cyclic_group,
                            dihedral_group, find_isomorphism, generating_set,
                            is_p_perfect, special_linear_2, subgroup_from_indices)
+from mtower.nielsen import NielsenSpec, lifted_spec
 from mtower.perms import Perm, parse_group_file
 
 
@@ -48,10 +49,10 @@ def test_dihedral_k0_degenerate():
 
 def test_dihedral_lift_class():
     L = dihedral_level(7, 1)[0]
-    c2 = next(c for c in L.base.conjugacy_classes() if c.element_order == 2)
+    c2 = next(ci for ci, c in enumerate(L.base.conjugacy_classes()) if c.element_order == 2)
     up = lift_class(L, c2)
-    assert up.element_order == 2
-    c7 = next(c for c in L.base.conjugacy_classes() if c.element_order == 7)
+    assert L.total.conjugacy_classes()[up].element_order == 2
+    c7 = next(ci for ci, c in enumerate(L.base.conjugacy_classes()) if c.element_order == 7)
     with pytest.raises(NotPPrime):
         lift_class(L, c7)
 
@@ -177,6 +178,46 @@ def test_split_module_level_matches_coset_oracle(a4, a5):
             loewy_layers(group_oracle.split_route_module(N, p)).display()
         assert verify_frattini(L) and verify_order_lifting(L).ok
 
+
+def _assert_same_lifts(L):
+    """verify_order_lifting, lift_class and lifted_spec against the scans
+    of group_oracle: the same report (repr also tells numpy scalars from
+    ints), and per base class the same class above or the same refusal."""
+    assert repr(verify_order_lifting(L)) == repr(group_oracle.verify_order_lifting(L))
+    outcomes = []
+    for route in (lambda ci, c: L.total.conjugacy_classes()[lift_class(L, ci)],
+                  lambda ci, c: group_oracle.lift_class(L, c)):
+        outcomes.append([])
+        for ci, c in enumerate(L.base.conjugacy_classes()):
+            try:
+                outcomes[-1].append(route(ci, c))
+            except (NotPPrime, AssertionError) as e:
+                outcomes[-1].append(type(e))
+    assert outcomes[0] == outcomes[1]
+    lifted = [ci for ci, c in enumerate(L.base.conjugacy_classes())
+              if isinstance(outcomes[1][ci], groups.ConjClass)]
+    spec = NielsenSpec(L.base, tuple(lifted[::-1]), L.p)
+    assert repr(lifted_spec(L, spec).class_ids) == \
+        repr(group_oracle.lifted_spec(L, spec).class_ids)
+
+
+def test_p_prime_lifts_match_the_class_scan(a4_tower, g1a5, a5_p3_level, a5):
+    """G1(A4), G1(A5) at p = 2 and 3, D25 -> D5, D125 -> D25, D49 -> D7,
+    and the split extension of A5 by G1(A5)'s module, whose split sections
+    keep element orders (120 violations)."""
+    split = build_extension(a5.presentation, g1a5.module, np.zeros((3, 5), dtype=np.int64))
+    for L in [a4_tower.level, g1a5.level, a5_p3_level, *dihedral_level(5, 2),
+              dihedral_level(7, 1)[0], split]:
+        _assert_same_lifts(L)
+        assert verify_order_lifting(L).ok == (L is not split)
+    assert len(verify_order_lifting(split).order_violations) == 120
+
+
+def test_p_prime_lifts_match_the_class_scan_on_split_groups(a4, a5):
+    """The same on the level of every group with a normal p-Sylow that the
+    split-module test builds (the file groups among them)."""
+    for N, p in _split_cases(a4, a5):
+        _assert_same_lifts(general_level(N, p).level)
 
 def test_split_module_acts_by_the_p_prime_part(a4_tower):
     """On A4, the matrix B that the free-group lift of h's action induces

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 import gmodules_oracle
+import group_oracle
 from fox_oracle import fox_matrix
 from mtower import gmodules
 from mtower import linalg as la
 from mtower.errors import NotASubgroup, NotInvolution, TooLarge
 from mtower.fp import Presentation
-from mtower.frattini import frattini_module
+from mtower.frattini import (frattini_module, normalizer, p_sylow, split_module,
+                             split_structure)
 from mtower.gmodules import (GModule, endomorphism_basis, fitting_decompose,
                              frobenius_check, hopf_tensor, induce,
                              indecomposable_summands, involution_pairing,
                              is_indecomposable, loewy_layers, radical,
                              regular_module, socle, submodule_module,
                              trivial_module)
-from mtower.groups import FiniteGroup, cyclic_group
+from mtower.groups import (FiniteGroup, cyclic_group, generating_set,
+                           subgroup_from_indices)
 from mtower.perms import Perm
 
 
@@ -48,6 +51,20 @@ def test_induce_dims(a5, d5sub_module):
     with pytest.raises(NotASubgroup):
         induce(trivial_module(cyclic_group(7), 2), a5)
 
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_induce_matches_the_element_route(a5, d5sub_module, p):
+    """induce against group_oracle.induce, which works a coset and an
+    element at a time: the Frattini module of A5's Sylow p-normalizer (as
+    frattini_module induces it), and at p = 5 also the 1-dimensional module
+    of the normalizer with its own generators."""
+    N = subgroup_from_indices(a5, generating_set(a5, list(normalizer(a5, p_sylow(a5, p)))))
+    modules = [split_module(N, split_structure(N, p))] + [d5sub_module] * (p == 5)
+    for M in modules:
+        got, want = induce(M, a5), group_oracle.induce(M, a5)
+        assert got.dim == want.dim > M.dim
+        for a, b in zip(got.mats, want.mats, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 def test_induced_a5_p5_module(monkeypatch, a5, d5sub_module):
     ind = induce(d5sub_module, a5)

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mtower import cli
 from mtower.cli import class_id
-from mtower.errors import NonIntegralGenus
+from mtower.errors import InvariantViolation, MismatchedLevels, NonIntegralGenus
 from mtower.frattini import dihedral_level
 from mtower.groups import dihedral_group, unique_rows
 from mtower.hurwitz import (_inner_orbit_data, _q2prime_faithful,
@@ -326,6 +327,44 @@ def test_d5_levels_match_tuple_route(d5_tower):
         _assert_same_level(lvl)
     for lower, upper in zip(d5_tower, d5_tower[1:]):
         _assert_same_comparisons(upper.level, lower, upper)
+
+
+def test_components_below_are_the_pairs_that_compare(d5_tower, g1a5, a5_level0, a5_level1,
+                                                     a4_tower):
+    """cli._components_below lists, sorted, the (lower, upper) pairs on which
+    level_compare does not raise MismatchedLevels, one per upper component;
+    on the A4 tower (3A,3A,3B,3B at p = 2) 2 lower components lie under 6.
+    A class that projects outside the level below, here onto (s, s, s, s)
+    for an involution s of the lower class, raises InvariantViolation."""
+    L = a4_tower.level
+    a4 = level_bundle(NielsenSpec(L.base, tuple(class_id(L.base, lab) for lab in
+                                                ("3A", "3A", "3B", "3B")), 2))
+    spec = lifted_spec(L, a4.spec)
+    red = Reducer(spec)
+    seeds = [lift_tuples(L, rep.tuples[0], spec, red, frattini_verified=True)
+             for rep in a4.reports]
+    up = level_bundle(spec, red, np.vstack(seeds))
+    assert (len(a4.reports), len(up.reports)) == (2, 6)
+    towers = [(d5_tower[1].level, d5_tower[0], d5_tower[1]),
+              (d5_tower[2].level, d5_tower[1], d5_tower[2]),
+              (g1a5.level, a5_level0, a5_level1), (L, a4, up)]
+    for L, low, up in towers:
+        lower = (low.spec, low.reducer, low.reports)
+        want = []
+        for li, lrep in enumerate(low.reports):
+            for ui, urep in enumerate(up.reports):
+                try:
+                    level_compare(lrep, urep, L, low.reducer, li, ui)
+                except MismatchedLevels:
+                    continue
+                want.append((li, ui))
+        assert cli._components_below(L, lower, up.reports) == want
+        assert sorted(u for _, u in want) == list(range(len(up.reports)))
+    L, low, up = towers[0]
+    s = int(low.reports[0].tuples[0, 0])
+    with pytest.raises(InvariantViolation, match="projects outside the level below"):
+        cli._components_below(SimpleNamespace(proj=np.full(L.total.order, s)),
+                              (low.spec, low.reducer, low.reports), up.reports)
 
 
 def test_d7_level2_matches_tuple_route():
